@@ -133,6 +133,13 @@ class Algebra:
         return table
 
     @cached_property
+    def mul_nonzero(self):
+        """Index arrays ``(i, j, k)`` listing every nonzero product
+        e_i e_j = e_k of ``mul_table``."""
+        i, j = np.nonzero(self.mul_table >= 0)
+        return i, j, self.mul_table[i, j]
+
+    @cached_property
     def adj_table(self):
         """adj_table[i] = canonical index of (e_i)*."""
         d = self.dim
@@ -577,13 +584,21 @@ def superop_sharp(n: SuperOperator) -> SuperOperator:
 
 
 def left_multiplication(algebra: Algebra, h: Element) -> SuperOperator:
-    algebra._own(h)
-    return SuperOperator.from_function(algebra, lambda a: h * a)
+    """The map a -> h a.  A product e_i e_j = e_k of matrix units stays in
+    one block, so the orthonormal weights cancel and the matrix holds the
+    canonical coordinate h_i at (k, j)."""
+    i, j, k = algebra.mul_nonzero
+    m = np.zeros((algebra.dim, algebra.dim), dtype=complex)
+    m[k, j] = algebra.canonical_coords(h)[i]
+    return SuperOperator(algebra, m)
 
 
 def right_multiplication(algebra: Algebra, h: Element) -> SuperOperator:
-    algebra._own(h)
-    return SuperOperator.from_function(algebra, lambda a: a * h)
+    """The map a -> a h: e_i e_j = e_k puts h_j at (k, i)."""
+    i, j, k = algebra.mul_nonzero
+    m = np.zeros((algebra.dim, algebra.dim), dtype=complex)
+    m[k, i] = algebra.canonical_coords(h)[j]
+    return SuperOperator(algebra, m)
 
 
 def amplify_superop(n: SuperOperator, order: int) -> SuperOperator:

@@ -173,11 +173,12 @@ def schur_quotient(qd: QuotientData) -> Laplacian:
 
 
 def fiber_minimizer(qd: QuotientData, b: Element) -> Element:
-    """The lift b (+) (-S^(-1) J b), the unique energy minimizer over the
-    fiber above b."""
+    """The lift b (+) (-S^(-1) J b), the energy minimizer over the fiber
+    above b.  Where J b = 0 the lift is b (+) 0 without a solve: ``split``
+    accepts a decoupled corner (J = 0) even when S is singular."""
     qd.algebra_b._own(b)
-    b_coords = qd.algebra_b.to_coords(b)
-    c_coords = -np.linalg.solve(qd.s_block, qd.j_block @ b_coords)
+    jb = qd.j_block @ qd.algebra_b.to_coords(b)
+    c_coords = -np.linalg.solve(qd.s_block, jb) if jb.any() else np.zeros_like(jb)
     return qd.assemble(b, qd.algebra_c.from_coords(c_coords))
 
 

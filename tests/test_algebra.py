@@ -152,6 +152,17 @@ def test_superop_matrix_elementwise_consistency(m2):
         assert np.abs(op.matrix[:, i] - m2.to_coords(h * e)).max() < 1e-12
 
 
+@pytest.mark.parametrize("blocks, weights", [([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0])])
+def test_multiplication_operators_match_elementwise_rule(blocks, weights):
+    alg = nca.build_algebra(blocks, weights)
+    h = nca.random_element(alg, np.random.default_rng(13))
+    assert not h.is_self_adjoint()
+    left = nca.SuperOperator.from_function(alg, lambda a: h * a)
+    right = nca.SuperOperator.from_function(alg, lambda a: a * h)
+    assert np.abs(nca.left_multiplication(alg, h).matrix - left.matrix).max() < 1e-14
+    assert np.abs(nca.right_multiplication(alg, h).matrix - right.matrix).max() < 1e-14
+
+
 def test_conditional_expectation():
     diag = nca.build_algebra([1, 1], [1.0, 1.0])
     full = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -1,6 +1,8 @@
 """Hodge-Dirac operators: the concrete one-form space, the derivation
 factorization of the Laplacian, the commutator-norm formula, and the
 star-graph characterization."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,30 @@ def test_seminorm_leibniz(catalog):
             assert lhs <= bound + 1e-9 * (1 + bound), ex.name
 
 
+def test_commutator_norm_matches_full_commutator():
+    # the norm taken from the two off-diagonal blocks equals the norm of the
+    # whole (d + r) x (d + r) commutator
+    rng = np.random.default_rng(199)
+    net = nca.random_network(6, rng)
+    m3 = nca.build_algebra([3], [1.0])
+    v = nca.random_element(m3, rng)
+    mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    w = nca.random_element(mixed, rng)
+    forms = [
+        nca.network_cdc(net.algebra, net.c, scale=0.5),
+        nca.commutator_cdc([v, v.adjoint(), nca.random_self_adjoint(m3, rng)]),
+        nca.commutator_cdc([w, w.adjoint()]),
+    ]
+    for gamma in forms:
+        op = nca.DiracOperator(nca.build_bimodule(gamma))
+        for k in range(10):
+            sample = nca.random_self_adjoint if k % 2 else nca.random_element
+            a = sample(gamma.algebra, rng)
+            pi = op.represent(a)
+            full = np.linalg.norm(op.matrix @ pi - pi @ op.matrix, 2)
+            assert abs(op.commutator_norm(a) - full) <= 1e-12 * full, gamma.algebra.blocks
+
+
 def test_network_commutator_norm_closed_forms():
     # independent oracle: on a network at scale 1 the squared commutator
     # norm of delta sums has an explicit max formula in the conductances
@@ -246,6 +272,30 @@ def test_star_graph_flags():
     two = nca.ResistanceNetwork(np.array([[0.0, 1.0], [1.0, 0.0]]))
     out = nca.star_graph_check(two)
     assert out["is_star"] and out["parallelogram_holds"]
+
+
+@pytest.mark.parametrize("size, random_pairs", [(4, 0), (6, 3)])
+def test_star_graph_check_evaluation_count(monkeypatch, size, random_pairs):
+    # every point mass is evaluated once, every pair adds f + g and f - g
+    dirac_module = importlib.import_module("nca.dirac")
+    calls = {"norm": 0, "seminorm": 0}
+    norm = nca.DiracOperator.commutator_norm
+    seminorm = dirac_module.dirac_seminorm
+
+    def counted_norm(op, a):
+        calls["norm"] += 1
+        return norm(op, a)
+
+    def counted_seminorm(op, a):
+        calls["seminorm"] += 1
+        return seminorm(op, a)
+
+    monkeypatch.setattr(nca.DiracOperator, "commutator_norm", counted_norm)
+    monkeypatch.setattr(dirac_module, "dirac_seminorm", counted_seminorm)
+    net = nca.random_network(size, np.random.default_rng(size))
+    nca.star_graph_check(net, random_pairs=random_pairs)
+    assert calls["norm"] == size * (size - 1) + size + 4 * random_pairs
+    assert calls["seminorm"] == 0
 
 
 def test_star_graph_scale_independent():

@@ -1,9 +1,13 @@
 """Schur-complement quotients of energy forms by central projections."""
+import json
+
 import numpy as np
 import pytest
 
 import nca
+from nca.cli import main
 from nca.errors import DisconnectedError, InputError
+from nca.fileio import parse_spec
 
 from conftest import K3_C
 
@@ -181,3 +185,33 @@ def test_noncommutative_quotient_of_scalar_extension(m2):
         assert res.passed, (res.check, res.witness)
     expected = nca.laplacian(nca.energy_form(nca.independent_copies_cdc(m2, 0.5 * m2.identity())))
     assert np.abs(qd.quotient_laplacian.matrix - expected.matrix).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decoupled_singular_corner_lifts(tmp_path, capsys, seed):
+    # a Lindblad pair inside [2,1] preserves each block, so the projection
+    # is decoupled (J = 0) while the eliminated corner S is singular
+    rng = np.random.default_rng(seed)
+    alg = nca.build_algebra([2, 1], [1.0, 1.0])
+    v = nca.random_element(alg, rng)
+    spec = {
+        "algebra": {"blocks": [2, 1], "trace_weights": [1.0, 1.0]},
+        "generator": {"kind": "lindblad",
+                      "vs": [nca.encode_element(v), nca.encode_element(v.adjoint())]},
+        "projection": {"keep_blocks": [0]},
+        "seed": seed,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["quotient", str(path), "--json"]) in (0, 1, 2)
+    capsys.readouterr()
+
+    gamma = parse_spec(json.dumps(spec)).build_gamma()
+    lap = nca.laplacian(nca.energy_form(gamma, force=True))
+    qd = nca.split(lap, nca.central_projection(alg, [0]))
+    assert np.abs(qd.j_block).max() == 0
+    assert np.linalg.eigvalsh(qd.s_block)[0] < 1e-12
+    b = nca.random_element(qd.algebra_b, rng)
+    lift = nca.fiber_minimizer(qd, b)
+    assert all(np.isfinite(m).all() for m in lift.data)
+    assert qd.restrict(lift).distance(b) == 0

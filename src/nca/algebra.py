@@ -20,7 +20,7 @@ represented as a matrix; it is always applied elementwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -160,6 +160,17 @@ class Algebra:
             out[i, off + r, off + s] = 1.0
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def size_groups(self):
+        """Blocks grouped by size: one ``(n, cols)`` per distinct size n, with
+        ``cols`` of shape (k, n*n) holding the canonical indices of the k
+        blocks of that size, row-major within each block."""
+        groups = []
+        for n in sorted(set(self.blocks)):
+            owned = [b for b, nb in enumerate(self.blocks) if nb == n]
+            groups.append((n, self._basis_offsets[owned][:, None] + np.arange(n * n)))
+        return tuple(groups)
 
     @cached_property
     def _block_mask(self):
@@ -436,33 +447,19 @@ class PiecewiseLinear:
 
     @cached_property
     def slopes(self):
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        return (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+        return _knot_slopes(np.asarray(self.xs), np.asarray(self.ys))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
-        out = np.interp(t, xs, ys)
-        out = np.where(t < xs[0], ys[0] + self.slopes[0] * (t - xs[0]), out)
-        out = np.where(t > xs[-1], ys[-1] + self.slopes[-1] * (t - xs[-1]), out)
-        return out
+        out = piecewise_linear_values(np.asarray(self.xs), np.asarray(self.ys), t.reshape(-1))
+        return out.reshape(t.shape)
 
     def lipschitz_on(self, lo: float, hi: float) -> float:
         """Largest slope magnitude over segments meeting [lo, hi] (with a tiny
         relative pad so boundary knots are never missed)."""
         if hi < lo:
             lo, hi = hi, lo
-        pad = 1e-9 * (1.0 + abs(lo) + abs(hi))
-        lo, hi = lo - pad, hi + pad
-        best = 0.0
-        xs = self.xs
-        for k, slope in enumerate(self.slopes):
-            seg_lo = -np.inf if k == 0 else xs[k]
-            seg_hi = np.inf if k == len(self.slopes) - 1 else xs[k + 1]
-            if max(seg_lo, lo) < min(seg_hi, hi):
-                best = max(best, abs(float(slope)))
-        return best
+        return float(piecewise_linear_lipschitz(np.asarray(self.xs), np.asarray(self.ys), lo, hi))
 
     # common battery members
 
@@ -489,6 +486,93 @@ class PiecewiseLinear:
         """min(t, r)"""
         r = float(r)
         return cls((r - 1.0, r, r + 1.0), (r - 1.0, r, r))
+
+
+def _knot_slopes(xs, ys):
+    return (ys[..., 1:] - ys[..., :-1]) / (xs[..., 1:] - xs[..., :-1])
+
+
+def piecewise_linear_values(xs, ys, t):
+    """Values of piecewise-linear functions given by knot rows ``xs``, ``ys``
+    of shape (..., K) at points ``t`` of shape (..., M); the batch axes
+    broadcast.  Each point is taken from the last knot at or left of it (the
+    first knot for points left of all knots) along that knot's segment, so
+    beyond the end knots the outermost slopes continue."""
+    batch = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1], t.shape[:-1])
+    xs = np.broadcast_to(xs, batch + xs.shape[-1:])
+    ys = np.broadcast_to(ys, batch + ys.shape[-1:])
+    t = np.broadcast_to(t, batch + t.shape[-1:])
+    anchor = np.maximum((xs[..., None, :] <= t[..., None]).sum(axis=-1) - 1, 0)
+    segment = np.minimum(anchor, xs.shape[-1] - 2)
+    slope = np.take_along_axis(_knot_slopes(xs, ys), segment, axis=-1)
+    return (np.take_along_axis(ys, anchor, axis=-1)
+            + slope * (t - np.take_along_axis(xs, anchor, axis=-1)))
+
+
+def piecewise_linear_lipschitz(xs, ys, lo, hi):
+    """Largest slope magnitude of each knot row over the segments meeting
+    [lo, hi], padded by 1e-9 (1 + |lo| + |hi|); ``lo`` <= ``hi`` broadcast
+    against the batch axes of ``xs``."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
+    lo, hi = (lo - pad)[..., None], (hi + pad)[..., None]
+    inf = np.full(xs.shape[:-1] + (1,), np.inf)
+    seg_lo = np.concatenate([-inf, xs[..., 1:-1]], axis=-1)
+    seg_hi = np.concatenate([xs[..., 1:-1], inf], axis=-1)
+    meets = np.maximum(seg_lo, lo) < np.minimum(seg_hi, hi)
+    return np.where(meets, np.abs(_knot_slopes(xs, ys)), 0.0).max(axis=-1)
+
+
+class SpectralStack:
+    """Hermitian eigendecompositions of many self-adjoint elements at once.
+
+    ``coords`` holds one element per row in canonical coordinates.  Blocks
+    of equal size are stacked, so each block size costs one batched
+    ``eigh``.  Every row must be self-adjoint within
+    ``tol * (1 + |a|)``, as for :func:`apply_spectral`.
+    """
+
+    def __init__(self, algebra: Algebra, coords, tol=DEFAULT_POS_TOL):
+        coords = np.asarray(coords, dtype=complex)
+        count = coords.shape[0]
+        stacks = [coords[:, cols].reshape(count, -1, n, n) for n, cols in algebra.size_groups]
+        skews = [m - m.conj().swapaxes(-1, -2) for m in stacks]
+        # exactly Hermitian rows need no norms; the rest are tested as in
+        # Element.is_self_adjoint
+        rough = np.zeros(count, dtype=bool)
+        for skew in skews:
+            rough |= skew.reshape(count, -1).any(axis=1)
+        if rough.any():
+            gap = np.max([np.linalg.norm(k[rough], 2, axis=(-2, -1)).max(axis=1) for k in skews],
+                         axis=0)
+            size = np.max([np.linalg.norm(m[rough], 2, axis=(-2, -1)).max(axis=1) for m in stacks],
+                          axis=0)
+            if np.any(gap > tol * (1.0 + size)):
+                raise InputError("spectral calculus requires a self-adjoint element")
+        self.algebra = algebra
+        self.groups = []
+        for (_, cols), m in zip(algebra.size_groups, stacks):
+            w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+            self.groups.append((cols, w, v))
+        self.lo = np.min([w.min(axis=(1, 2)) for _, w, _ in self.groups], axis=0)
+        self.hi = np.max([w.max(axis=(1, 2)) for _, w, _ in self.groups], axis=0)
+
+    def apply(self, fn) -> np.ndarray:
+        """Canonical coordinates of F(a) = V diag(F(w)) V* for every row and
+        every function.  ``fn`` maps eigenvalues of shape (rows, m) to
+        values of shape (rows, functions, m); the result has shape
+        (rows, functions, d)."""
+        out = None
+        for cols, w, v in self.groups:
+            count, k, n = w.shape
+            values = np.asarray(fn(w.reshape(count, k * n)), dtype=complex)
+            width = values.shape[1]
+            scaled = v[:, None] * values.reshape(count, width, k, 1, n)
+            mats = scaled @ v.conj().swapaxes(-1, -2)[:, None]
+            if out is None:
+                out = np.empty((count, width, self.algebra.dim), dtype=complex)
+            out[:, :, cols.reshape(-1)] = mats.reshape(count, width, k * n * n)
+        return out
 
 
 def functional_calculus(a: Element, fn: PiecewiseLinear, tol=DEFAULT_POS_TOL):
@@ -601,27 +685,37 @@ def right_multiplication(algebra: Algebra, h: Element) -> SuperOperator:
     return SuperOperator(algebra, m)
 
 
+@lru_cache(maxsize=64)
+def amplification_index(algebra: Algebra, order: int):
+    """``(cells, inners)`` for the canonical basis of ``algebra.amplify(order)``:
+    each unit lies in matrix cell ``cells[i] = j * order + k`` and is the unit
+    ``inners[i]`` of ``algebra`` there."""
+    cells, inners = [], []
+    for b, nb in enumerate(algebra.blocks):
+        row, col = np.divmod(np.arange((order * nb) ** 2), order * nb)
+        j, r = np.divmod(row, nb)
+        k, s = np.divmod(col, nb)
+        cells.append(j * order + k)
+        inners.append(algebra._basis_offsets[b] + r * nb + s)
+    cells, inners = np.concatenate(cells), np.concatenate(inners)
+    cells.setflags(write=False)
+    inners.setflags(write=False)
+    return cells, inners
+
+
+def amplify_matrix(matrix, algebra: Algebra, order: int) -> np.ndarray:
+    """A d x d matrix over the basis of ``algebra`` acting on every cell of
+    order x order matrices: ``M[inners, inners]`` between units of the same
+    cell, zero across cells.  Both the orthonormal and the canonical basis
+    amplify this way, because the trace weights are unchanged."""
+    cells, inners = amplification_index(algebra, order)
+    same_cell = cells[:, None] == cells[None, :]
+    return np.where(same_cell, np.asarray(matrix)[np.ix_(inners, inners)], 0)
+
+
 def amplify_superop(n: SuperOperator, order: int) -> SuperOperator:
     """The map I_order (x) N on the amplified algebra."""
-    base = n.algebra
-    amp = base.amplify(order)
-    m = np.zeros((amp.dim, amp.dim), dtype=complex)
-    cells = []
-    inners = []
-    for idx in range(amp.dim):
-        b, row, col = amp.basis_triple(idx)
-        nb = base.blocks[b]
-        j, r = divmod(row, nb)
-        k, s = divmod(col, nb)
-        cells.append((j, k))
-        inners.append(base.basis_index(b, r, s))
-    cells = np.array(cells)
-    inners = np.array(inners)
-    for i_out in range(amp.dim):
-        for i_in in range(amp.dim):
-            if (cells[i_out] == cells[i_in]).all():
-                m[i_out, i_in] = n.matrix[inners[i_out], inners[i_in]]
-    return SuperOperator(amp, m)
+    return SuperOperator(n.algebra.amplify(order), amplify_matrix(n.matrix, n.algebra, order))
 
 
 # -- matrices over an algebra -------------------------------------------

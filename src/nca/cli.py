@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import __version__
-from .algebra import encode_element, random_self_adjoint
+from .algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL, encode_element, random_self_adjoint
 from .cdc import ccn_check, is_cdc
 from .dirac import build_bimodule, dirac, dirac_seminorm, star_graph_check
 from .energy import (
@@ -278,7 +278,15 @@ def _dirac_checks(spec: ProblemSpec):
     if spec.generator and spec.generator["kind"] == "network" and spec.generator["c"].min() >= 0:
         net = ResistanceNetwork(spec.generator["c"])
         if net.is_connected():
-            star = star_graph_check(net, seed=spec.seed)
+            # the spec's own operator is the one star_graph_check would build
+            # when the form is the scale-1/2 network form with default cutoffs
+            same = (
+                gamma.scale == 0.5
+                and spec.algebra == net.algebra
+                and spec.tolerances.positivity == DEFAULT_POS_TOL
+                and spec.tolerances.rank == DEFAULT_RANK_TOL
+            )
+            star = star_graph_check(net, seed=spec.seed, op=op if same else None)
             data["star_graph"] = {
                 "is_star": star["is_star"],
                 "parallelogram_holds": star["parallelogram_holds"],

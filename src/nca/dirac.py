@@ -224,18 +224,20 @@ def dirac_seminorm(op: DiracOperator, a: Element) -> DiracSeminorm:
 
 
 def star_graph_check(net: ResistanceNetwork, scale=0.5, seed=0, tol=DEFAULT_EQ_TOL,
-                     random_pairs=8) -> dict:
+                     random_pairs=8, op: DiracOperator | None = None) -> dict:
     """The commutator seminorm of the network Dirac operator satisfies the
     parallelogram law exactly when the network is a star; flags from the
     seminorm side and from sparsity inspection are both reported.
 
     The law is tested on every pair of point masses and on ``random_pairs``
     random pairs.  Each point mass is evaluated once, so an N-node network
-    costs 2 C(N, 2) + N + 4 ``random_pairs`` commutator-norm evaluations."""
+    costs 2 C(N, 2) + N + 4 ``random_pairs`` commutator-norm evaluations.
+    ``op`` is the Dirac operator of the network form at ``scale`` when the
+    caller has already built it; by default it is built here."""
     if not net.is_connected():
         raise DisconnectedError("star characterization requires a connected network")
-    gamma = network_cdc(net.algebra, net.c, scale=scale)
-    op = dirac(build_bimodule(gamma))
+    if op is None:
+        op = dirac(build_bimodule(network_cdc(net.algebra, net.c, scale=scale)))
 
     def l2(f: Element) -> float:
         return op.commutator_norm(f) ** 2

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -17,12 +17,14 @@ from .algebra import (
     Algebra,
     Element,
     PiecewiseLinear,
+    SpectralStack,
     SuperOperator,
+    amplify_matrix,
     amplify_superop,
-    functional_calculus,
+    piecewise_linear_lipschitz,
+    piecewise_linear_values,
     random_positive,
     random_self_adjoint,
-    to_cells,
 )
 from .cdc import CdCForm, gamma_from_generator, is_cdc
 from .errors import InputError, PropertyViolationError
@@ -189,13 +191,14 @@ def energy_seminorm(e: EnergyForm, a: Element, order: int = 1) -> float:
     if order == 1:
         e.algebra._own(a)
         return e.seminorm(a)
-    amp = e.algebra.amplify(order)
-    amp._own(a)
-    total = 0.0
-    for row in to_cells(e.algebra, order, a):
-        for cell in row:
-            total += e.value(cell, cell).real
-    return float(np.sqrt(max(total, 0.0)))
+    coords = e.algebra.amplify(order).canonical_coords(a)
+    return float(_seminorms(amplify_matrix(e.gram, e.algebra, order), coords))
+
+
+def _seminorms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """sqrt(max(x* G x, 0)) for every row x of canonical coordinates."""
+    values = ((coords.conj() @ gram) * coords).sum(axis=-1).real
+    return np.sqrt(np.maximum(values, 0.0))
 
 
 def default_battery(a: Element, rng: Optional[np.random.Generator] = None):
@@ -208,12 +211,38 @@ def default_battery(a: Element, rng: Optional[np.random.Generator] = None):
         ("abs", PiecewiseLinear.absolute()),
     ]
     if rng is not None:
-        xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
-        while np.diff(xs).min() < 1e-3:
-            xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
-        ys = rng.uniform(-2.0, 2.0, size=3)
-        battery.append(("seeded-3pt", PiecewiseLinear(tuple(xs), tuple(ys))))
+        battery.append(("seeded-3pt", _seeded_three_knot(rng)))
     return battery
+
+
+def _seeded_three_knot(rng: np.random.Generator) -> PiecewiseLinear:
+    xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
+    while np.diff(xs).min() < 1e-3:
+        xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
+    ys = rng.uniform(-2.0, 2.0, size=3)
+    return PiecewiseLinear(tuple(xs), tuple(ys))
+
+
+def _battery_knots(battery, rng: np.random.Generator, radius: np.ndarray) -> list:
+    """``(name, xs, ys)`` per battery function, with knot rows of shape
+    (1, K) for a function shared by every sample or (samples, K) for one
+    function per sample.  The default battery is :func:`default_battery` for
+    each sample: its clamp sits at the sample's spectral radius ``radius``,
+    and the seeded functions are drawn from ``rng`` one sample after the
+    other."""
+    def shared(fn):
+        return np.array([fn.xs]), np.array([fn.ys])
+
+    if battery is not None:
+        return [(name, *shared(fn)) for name, fn in battery]
+    seeded = [_seeded_three_knot(rng) for _ in radius]
+    level = radius[:, None]
+    return [
+        ("relu", *shared(PiecewiseLinear.relu())),
+        ("clamp", level + [-1.0, 0.0, 1.0], level + [-1.0, 0.0, 0.0]),
+        ("abs", *shared(PiecewiseLinear.absolute())),
+        ("seeded-3pt", np.array([fn.xs for fn in seeded]), np.array([fn.ys for fn in seeded])),
+    ]
 
 
 def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2):
@@ -238,8 +267,9 @@ def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2):
 
 
 def _markov_probes(e: EnergyForm, order: int, alg: Algebra,
-                   rng: np.random.Generator, ts=(0.05, 0.5, 5.0)):
-    """Elements where Markov violations concentrate.
+                   rng: np.random.Generator, ts=(0.05, 0.5, 5.0)) -> np.ndarray:
+    """Elements where Markov violations concentrate, as rows of canonical
+    coordinates.
 
     Resolvent images of extreme positive elements: when the form is not
     completely Markov some of these acquire a negative part, and clipping it
@@ -250,24 +280,24 @@ def _markov_probes(e: EnergyForm, order: int, alg: Algebra,
     m = e.gram_orthonormal
     m = (m + m.conj().T) / 2
     if order > 1:
-        m = amplify_superop(SuperOperator(e.algebra, m), order).matrix
+        m = amplify_matrix(m, e.algebra, order)
+    root = np.sqrt(alg.basis_weights)
+    extremes = np.array([alg.canonical_coords(a) for a in _extreme_positives(alg, rng)])
     eye = np.eye(alg.dim)
-    extremes = _extreme_positives(alg, rng)
     probes = []
     for t in ts:
-        for a in extremes:
-            try:
-                coords = np.linalg.solve(eye + t * m, alg.to_coords(a))
-            except np.linalg.LinAlgError:
-                continue
-            el = alg.from_coords(coords)
-            probes.append(0.5 * (el + el.adjoint()))
-    for i, a in enumerate(extremes[:4]):
-        for b in extremes[i + 1 : 4]:
+        try:
+            images = np.linalg.solve(eye + t * m, (extremes * root).T).T / root
+        except np.linalg.LinAlgError:
+            continue
+        probes.extend(0.5 * (images + images[:, alg.adj_table].conj()))
+    firsts = extremes[:4]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1 :]:
             for r in (0.05, 0.25):
                 probes.append(a - r * b)
                 probes.append(b - r * a)
-    return probes
+    return np.array(probes).reshape(-1, alg.dim)
 
 
 def markov_check(
@@ -282,40 +312,59 @@ def markov_check(
     """Verify L(F(a)) <= Lip(F)|hull sigma(a) * L(a) for a battery of
     piecewise-linear functions over seeded self-adjoint elements plus
     resolvent probes, at the requested matrix amplifications.  Returns one
-    aggregated result per order."""
+    aggregated result per order.
+
+    At each order the samples are numbered in the order they are drawn: the
+    given ``elements`` (order 1 only) or ``count`` seeded self-adjoint
+    elements, then the probes.  The functions keep the battery's order
+    (``relu``, ``clamp``, ``abs``, ``seeded-3pt`` for the default one).  A
+    witness lists the first 10 violations as ``(element_index, function)``
+    in sample-major order: every function of one sample before the next
+    sample.
+
+    All samples of an order are decomposed together (one batched ``eigh``
+    per block size), every function is applied to the shared eigenvectors,
+    and each seminorm is one quadratic form with the amplified gram.
+    """
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + order)
         alg = e.algebra if order == 1 else e.algebra.amplify(order)
         if order == 1 and elements is not None:
-            samples = list(elements)
+            samples = [alg.canonical_coords(a) for a in elements]
         else:
-            samples = [random_self_adjoint(alg, rng) for _ in range(count)]
-        samples.extend(_markov_probes(e, order, alg, rng))
-        worst = 0.0
-        violations = []
-        for idx, a in enumerate(samples):
-            fns = battery if battery is not None else default_battery(a, rng)
-            la = energy_seminorm(e, a, order)
-            for name, fn in fns:
-                fa, lip = functional_calculus(a, fn)
-                lhs = energy_seminorm(e, fa, order)
-                violation = lhs - lip * la
-                worst = max(worst, violation)
-                if violation > tol and len(violations) < 10:
-                    violations.append(
-                        {
-                            "element_index": idx,
-                            "function": name,
-                            "lhs": lhs,
-                            "bound": lip * la,
-                        }
-                    )
+            samples = [alg.canonical_coords(random_self_adjoint(alg, rng)) for _ in range(count)]
+        coords = np.concatenate([np.reshape(samples, (-1, alg.dim)),
+                                 _markov_probes(e, order, alg, rng)])
+        spectra = SpectralStack(alg, coords)
+        fns = _battery_knots(battery, rng, np.maximum(-spectra.lo, spectra.hi))
+        names = [name for name, _, _ in fns]
+        lips = np.stack(
+            [piecewise_linear_lipschitz(xs, ys, spectra.lo, spectra.hi) for _, xs, ys in fns],
+            axis=1,
+        )
+        images = spectra.apply(
+            lambda w: np.stack([piecewise_linear_values(xs, ys, w) for _, xs, ys in fns], axis=1)
+        )
+        gram = amplify_matrix(e.gram, e.algebra, order)
+        lhs = _seminorms(gram, images)
+        bound = lips * _seminorms(gram, coords)[:, None]
+        violation = lhs - bound
+        worst = float(violation.max(initial=0.0))
+        violations = [
+            {
+                "element_index": int(idx),
+                "function": names[f],
+                "lhs": float(lhs[idx, f]),
+                "bound": float(bound[idx, f]),
+            }
+            for idx, f in zip(*np.nonzero(violation > tol))
+        ][:10]
         results.append(
             CheckResult(
                 f"markov-n{order}",
                 worst <= tol,
-                residual=max(worst, 0.0),
+                residual=worst,
                 witness={"order": order, "violations": violations} if violations else None,
             )
         )
@@ -429,14 +478,7 @@ def heat_map(lap: Laplacian, t: float, tol=DEFAULT_POS_TOL):
     one = alg.identity()
     unital_res = phi.apply(one).distance(one)
 
-    n = alg.total_size
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            unit = np.zeros((n, n))
-            unit[a, b] = 1.0
-            out = phi.apply(alg.pinch(unit)).full()
-            choi[a * n : (a + 1) * n, b * n : (b + 1) * n] = out
+    choi = _choi_matrix(phi)
     # a completely positive map is Hermiticity-preserving, so a skew part of
     # the Choi matrix already refutes it; never hide it by symmetrizing
     skew = float(np.abs(choi - choi.conj().T).max())
@@ -451,6 +493,24 @@ def heat_map(lap: Laplacian, t: float, tol=DEFAULT_POS_TOL):
         "choi_skew_residual": skew,
     }
     return phi, flags
+
+
+def _choi_matrix(phi: SuperOperator) -> np.ndarray:
+    """The Choi matrix sum_ab E_ab (x) phi(pinch(E_ab)) of the map composed
+    with the conditional expectation of the full matrix algebra.
+
+    pinch(E_ab) is zero unless a and b lie in one block; there it is the
+    matrix unit i, so its image is column i of ``phi.matrix``, carried from
+    the orthonormal to the canonical basis by sqrt(w_i) / sqrt(w_j)."""
+    alg = phi.algebra
+    n = alg.total_size
+    _, rows, cols = np.nonzero(alg.embedded_basis)
+    root = np.sqrt(alg.basis_weights)
+    choi = np.zeros((n, n, n, n), dtype=complex)
+    choi[rows[:, None], rows[None, :], cols[:, None], cols[None, :]] = (
+        phi.matrix.T * root[:, None] / root[None, :]
+    )
+    return choi.reshape(n * n, n * n)
 
 
 def resolvent_check(
@@ -522,6 +582,40 @@ def resolvent_check(
 # -- reconstruction -----------------------------------------------------------
 
 
+def _require_dirichlet(e: EnergyForm, tol: float, markov: Callable[[], list]):
+    """Raise unless the form is real, Hermitian and completely positive, and
+    then passes the Markov results ``markov()``; these are asked for only
+    once the other preconditions hold."""
+    scale = 1.0 + e.magnitude()
+    failures = []
+    real_res = e.real_residual()
+    if real_res > tol * scale:
+        failures.append(
+            CheckResult("reality", False, residual=real_res)
+        )
+    m = e.gram_orthonormal
+    herm_res = float(np.abs(m - m.conj().T).max())
+    if herm_res > tol * scale:
+        failures.append(CheckResult("hermitian", False, residual=herm_res))
+    else:
+        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if eigs[0] < -tol * max(1.0, float(eigs[-1])):
+            failures.append(
+                CheckResult(
+                    "complete-positivity",
+                    False,
+                    residual=float(-eigs[0]),
+                    witness={"min_eigenvalue": float(eigs[0])},
+                )
+            )
+    if not failures:
+        failures = [r for r in markov() if not r.passed]
+    if failures:
+        raise PropertyViolationError(
+            "form is not a real completely Markov Dirichlet form", failures
+        )
+
+
 def cdc_from_dirichlet_form(
     e: EnergyForm,
     checks: bool = True,
@@ -533,33 +627,7 @@ def cdc_from_dirichlet_form(
     operator, then confirm the trace pairing reproduces the form."""
     scale = 1.0 + e.magnitude()
     if checks:
-        failures = []
-        real_res = e.real_residual()
-        if real_res > tol * scale:
-            failures.append(
-                CheckResult("reality", False, residual=real_res)
-            )
-        m = e.gram_orthonormal
-        herm_res = float(np.abs(m - m.conj().T).max())
-        if herm_res > tol * scale:
-            failures.append(CheckResult("hermitian", False, residual=herm_res))
-        else:
-            eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-            if eigs[0] < -tol * max(1.0, float(eigs[-1])):
-                failures.append(
-                    CheckResult(
-                        "complete-positivity",
-                        False,
-                        residual=float(-eigs[0]),
-                        witness={"min_eigenvalue": float(eigs[0])},
-                    )
-                )
-        if not failures:
-            failures = [r for r in markov_check(e, orders=(1, 2), seed=seed, tol=tol) if not r.passed]
-        if failures:
-            raise PropertyViolationError(
-                "form is not a real completely Markov Dirichlet form", failures
-            )
+        _require_dirichlet(e, tol, lambda: markov_check(e, orders=(1, 2), seed=seed, tol=tol))
     lap = laplacian(e)
     gamma = gamma_delta(lap)
     pair_res = float(np.abs(gamma.tau_values - e.gram).max())

@@ -19,6 +19,7 @@ from .algebra import (
 from .energy import (
     Laplacian,
     _laplacian_from_superop,
+    _require_dirichlet,
     cdc_from_dirichlet_form,
     connectedness,
     energy_form_of_laplacian,
@@ -232,8 +233,11 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
         CheckResult("fiber-infimum", witness is None, residual=worst, witness=witness)
     )
 
+    # one battery serves both quotient-is-cdc and quotient-markov-n1/n2
+    markov = markov_check(e_b, orders=(1, 2), seed=seed, count=count, tol=tol)
     try:
-        cdc_from_dirichlet_form(e_b, checks=True, seed=seed, tol=tol)
+        _require_dirichlet(e_b, tol, lambda: markov)
+        cdc_from_dirichlet_form(e_b, checks=False, seed=seed, tol=tol)
         results.append(CheckResult("quotient-is-cdc", True))
     except PropertyViolationError as exc:
         results.append(
@@ -246,7 +250,7 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
     )
     results.extend(
         CheckResult("quotient-" + r.check, r.passed, r.residual, r.witness)
-        for r in markov_check(e_b, orders=(1, 2), seed=seed, count=count, tol=tol)
+        for r in markov
     )
     results.extend(
         CheckResult("quotient-" + r.check, r.passed, r.residual, r.witness)

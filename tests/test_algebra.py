@@ -270,3 +270,38 @@ def test_amplification_cells_roundtrip():
     w = big
     both = nca.matrix_direct_sum(alg, 1, v, 2, w)
     assert both.algebra.blocks == alg.amplify(3).blocks
+
+
+@pytest.mark.parametrize("blocks, weights", [([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0])])
+@pytest.mark.parametrize("order", [2, 3])
+def test_amplification_index_serves_seminorm_and_superop(blocks, weights, order):
+    alg = nca.build_algebra(blocks, weights)
+    rng = np.random.default_rng(31)
+    v = nca.random_element(alg, rng)
+    e = nca.energy_form(nca.commutator_cdc([v, v.adjoint()]))
+    amp = alg.amplify(order)
+    for _ in range(3):
+        a = nca.random_element(amp, rng)
+        by_cells = sum(e.value(cell, cell).real for row in nca.to_cells(alg, order, a) for cell in row)
+        expected = np.sqrt(max(by_cells, 0.0))
+        assert abs(nca.energy_seminorm(e, a, order) - expected) <= 1e-12 * max(1.0, expected)
+
+    # reference: I_order (x) N entry by entry over the amplified basis
+    op = nca.SuperOperator(alg, rng.standard_normal((alg.dim, alg.dim))
+                           + 1j * rng.standard_normal((alg.dim, alg.dim)))
+    cells, inners = [], []
+    for idx in range(amp.dim):
+        b, row, col = amp.basis_triple(idx)
+        nb = alg.blocks[b]
+        j, r = divmod(row, nb)
+        k, s = divmod(col, nb)
+        cells.append((j, k))
+        inners.append(alg.basis_index(b, r, s))
+    reference = np.zeros((amp.dim, amp.dim), dtype=complex)
+    for i_out in range(amp.dim):
+        for i_in in range(amp.dim):
+            if cells[i_out] == cells[i_in]:
+                reference[i_out, i_in] = op.matrix[inners[i_out], inners[i_in]]
+    amplified = nca.amplify_superop(op, order)
+    assert amplified.algebra.blocks == amp.blocks
+    assert np.abs(amplified.matrix - reference).max() <= 1e-14

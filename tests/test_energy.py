@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import nca
+from nca.energy import _choi_matrix, _markov_probes
 from nca.errors import InputError, PropertyViolationError
 
 from conftest import K3_C, TWO_C
@@ -218,6 +219,107 @@ def test_markov_detects_negative_conductance():
     assert lhs ** 2 - rhs ** 2 == pytest.approx(witness.violation, rel=1e-9)
 
 
+def _battery_forms():
+    """A 6-node network, a Lindblad triple v, v*, h on M3, and a Lindblad
+    pair on [3,2,1] with weights [1, 0.5, 2]."""
+    rng = np.random.default_rng(83)
+    net = nca.random_network(6, rng)
+    yield "network-6", nca.energy_form(nca.network_cdc(net.algebra, net.c, scale=0.5))
+    m3 = nca.build_algebra([3], [1.0])
+    v = nca.random_element(m3, rng)
+    yield "m3-triple", nca.energy_form(
+        nca.commutator_cdc([v, v.adjoint(), 0.5 * (v + v.adjoint())])
+    )
+    mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    v = nca.random_element(mixed, rng)
+    yield "321-pair", nca.energy_form(nca.commutator_cdc([v, v.adjoint()]))
+
+
+def _elementwise(e, a, fn):
+    """lhs and bound of the Markov inequality for one element and function."""
+    fa, lip = nca.functional_calculus(a, fn)
+    return nca.energy_seminorm(e, fa), lip * nca.energy_seminorm(e, a)
+
+
+@pytest.mark.parametrize("name, e", list(_battery_forms()))
+def test_batched_markov_matches_elementwise_definition(name, e):
+    alg = e.algebra
+    rng = np.random.default_rng(89)
+    elements = [nca.random_self_adjoint(alg, rng) for _ in range(5)]
+    battery = [
+        ("relu", nca.PiecewiseLinear.relu()),
+        ("abs", nca.PiecewiseLinear.absolute()),
+        ("clamp", nca.PiecewiseLinear.clamp_above(0.4)),
+        ("kink", nca.PiecewiseLinear((-1.0, 0.2, 1.5), (0.5, -0.1, 2.0))),
+        ("identity", nca.PiecewiseLinear.identity()),
+    ]
+    seed = 4
+    # the battery runs on the given elements, then on the probes drawn from
+    # the order-1 generator
+    probes = _markov_probes(e, 1, alg, np.random.default_rng(seed + 1))
+    samples = elements + [alg.from_canonical_coords(x) for x in probes]
+    pairs = [_elementwise(e, a, fn) for a in samples for _, fn in battery]
+    reference = max(lhs - bound for lhs, bound in pairs)
+    (res,) = nca.markov_check(e, orders=(1,), seed=seed, elements=elements, battery=battery)
+    assert res.check == "markov-n1" and res.passed, name
+    assert abs(res.residual - max(reference, 0.0)) <= 1e-10, name
+
+    # with every pair reported, the first ten witnesses are the first ten
+    # (element, function) pairs in sample-major order
+    (res,) = nca.markov_check(e, orders=(1,), seed=seed, elements=elements, battery=battery,
+                              tol=-np.inf)
+    got = res.witness["violations"]
+    assert [(v["element_index"], v["function"]) for v in got] == [
+        (idx, fname) for idx in range(2) for fname, _ in battery
+    ], name
+    for v, (lhs, bound) in zip(got, pairs):
+        assert abs(v["lhs"] - lhs) <= 1e-10 and abs(v["bound"] - bound) <= 1e-10, name
+
+    # the default battery draws one seeded function per sample, after the probes
+    draws = np.random.default_rng(seed + 1)
+    _markov_probes(e, 1, alg, draws)
+    expected = [
+        (idx, fname, *_elementwise(e, a, fn))
+        for idx, a in enumerate(samples)
+        for fname, fn in nca.default_battery(a, draws)
+    ][:10]
+    (res,) = nca.markov_check(e, orders=(1,), seed=seed, elements=elements, tol=-np.inf)
+    got = res.witness["violations"]
+    assert [(v["element_index"], v["function"]) for v in got] == [x[:2] for x in expected]
+    for v, (_, _, lhs, bound) in zip(got, expected):
+        assert abs(v["lhs"] - lhs) <= 1e-10 and abs(v["bound"] - bound) <= 1e-10, name
+
+
+def test_markov_witnesses_on_negative_conductance():
+    alg = nca.build_algebra([1] * 3, [1.0] * 3)
+    c = np.array([[0.0, -0.1, 1.0], [-0.1, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    e = nca.energy_form(nca.network_cdc(alg, c, scale=0.5, allow_negative=True), force=True)
+    n1, n2 = nca.markov_check(e, seed=3)
+    assert not n1.passed and not n2.passed
+
+    def listed(res):
+        return [(v["element_index"], v["function"]) for v in res.witness["violations"]]
+
+    assert listed(n1) == [(20, "relu"), (20, "abs"), (21, "relu"), (21, "abs"),
+                          (24, "relu"), (24, "abs"), (35, "relu"), (35, "abs"),
+                          (36, "relu"), (36, "abs")]
+    assert listed(n2) == [(20, "relu"), (20, "abs"), (21, "relu"), (21, "abs"),
+                          (22, "relu"), (22, "abs"), (23, "relu"), (23, "abs"),
+                          (27, "relu"), (27, "abs")]
+
+
+def test_markov_rejects_non_self_adjoint_element(k3_setup):
+    _, _, e, _ = k3_setup
+    alg = e.algebra
+    skew = alg.element([[[1.0]], [[1j]], [[0.0]]])
+    with pytest.raises(InputError):
+        nca.markov_check(e, orders=(1,), elements=[alg.identity(), skew])
+    m2 = nca.build_algebra([2], [1.0])
+    e2 = nca.energy_form(nca.commutator_cdc([m2.basis_element(1), m2.basis_element(2)]))
+    with pytest.raises(InputError):
+        nca.markov_check(e2, orders=(1,), elements=[m2.basis_element(1)])
+
+
 # -- trace symmetries ---------------------------------------------------------
 
 
@@ -295,6 +397,38 @@ def test_heat_identity_at_zero(k3_setup):
     phi, flags = nca.heat_map(lap, 0.0)
     assert np.abs(phi.matrix - np.eye(3)).max() < 1e-12
     assert flags["unital"] and flags["cp"]
+
+
+def _choi_by_units(phi):
+    """Reference Choi matrix: one pinch, apply and embed per matrix unit."""
+    alg = phi.algebra
+    n = alg.total_size
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            unit = np.zeros((n, n))
+            unit[a, b] = 1.0
+            choi[a * n : (a + 1) * n, b * n : (b + 1) * n] = phi.apply(alg.pinch(unit)).full()
+    return choi
+
+
+def test_heat_choi_gathers_from_superop_matrix():
+    rng = np.random.default_rng(97)
+    mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    v = nca.random_element(mixed, rng)
+    d_op = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    net = nca.random_network(6, rng)
+    # the Lindblad pair keeps each block to itself; the spectral triple
+    # couples blocks of different weights
+    for gamma in (
+        nca.commutator_cdc([v, v.adjoint()]),
+        nca.spectral_triple_cdc(d_op + d_op.conj().T, mixed),
+        nca.network_cdc(net.algebra, net.c, scale=0.5),
+    ):
+        lap = nca.laplacian(nca.energy_form(gamma))
+        for t in (0.0, 0.3, 2.0):
+            phi, _ = nca.heat_map(lap, t)
+            assert np.abs(_choi_matrix(phi) - _choi_by_units(phi)).max() <= 1e-14
 
 
 def test_heat_two_point_closed_form():

@@ -21,12 +21,10 @@ from .algebra import (
     is_positive,
     left_multiplication,
     matrix_direct_sum,
-    operator_norm,
     random_element,
     random_positive,
     random_self_adjoint,
     right_multiplication,
-    superop_sharp,
     tau_inner,
     to_cells,
 )
@@ -103,7 +101,6 @@ from .states import (
     State,
     StateEmbedding,
     dual_metric,
-    embed_state,
     energy_metric,
     mixture,
     point_state,

@@ -13,9 +13,12 @@ Two bases are used throughout:
   inner product ``<a, b> = tau(a* b)``.
 
 Linear maps on the algebra (:class:`SuperOperator`) are stored as matrices in
-the orthonormal basis and are additionally applied elementwise when building
-them from rules.  The involution is conjugate-linear and is therefore never
-represented as a matrix; it is always applied elementwise.
+the orthonormal basis and are assembled from the structure constants
+(``mul_table`` / ``mul_nonzero``, ``adj_table`` and the trace weights) by
+index formulas.  The involution is conjugate-linear, so it is never a matrix
+itself; in coordinates it is the ``adj_table`` permutation followed by
+complex conjugation.  :meth:`SuperOperator.from_function`, which applies a
+rule to each basis element, is kept as an independent reference.
 """
 from __future__ import annotations
 
@@ -121,16 +124,31 @@ class Algebra:
         return block, int(rem // n), int(rem % n)
 
     @cached_property
+    def unit_positions(self):
+        """``(rows, cols)``: the entry of the block-diagonal embedding that
+        each canonical unit occupies."""
+        rows, cols = [], []
+        for off, nb in zip(self._space_offsets, self.blocks):
+            r, s = np.divmod(np.arange(nb * nb), nb)
+            rows.append(off + r)
+            cols.append(off + s)
+        return np.concatenate(rows), np.concatenate(cols)
+
+    @cached_property
+    def _unit_at(self):
+        """Canonical index of the unit at each entry of the embedding, -1
+        off the blocks."""
+        at = np.full((self.total_size, self.total_size), -1, dtype=int)
+        at[self.unit_positions] = np.arange(self.dim)
+        return at
+
+    @cached_property
     def mul_table(self):
-        """mul_table[i, j] = canonical index of e_i e_j, or -1 when zero."""
-        d = self.dim
-        table = np.full((d, d), -1, dtype=int)
-        for i in range(d):
-            bi, r, s = self.basis_triple(i)
-            for c in range(self.blocks[bi]):
-                j = self.basis_index(bi, s, c)
-                table[i, j] = self.basis_index(bi, r, c)
-        return table
+        """mul_table[i, j] = canonical index of e_i e_j, or -1 when zero:
+        units at (r, s) and (s, c) multiply to the unit at (r, c)."""
+        rows, cols = self.unit_positions
+        meet = cols[:, None] == rows[None, :]
+        return np.where(meet, self._unit_at[rows[:, None], cols[None, :]], -1)
 
     @cached_property
     def mul_nonzero(self):
@@ -141,23 +159,30 @@ class Algebra:
 
     @cached_property
     def adj_table(self):
-        """adj_table[i] = canonical index of (e_i)*."""
-        d = self.dim
-        table = np.zeros(d, dtype=int)
-        for i in range(d):
-            b, r, s = self.basis_triple(i)
-            table[i] = self.basis_index(b, s, r)
-        return table
+        """adj_table[i] = canonical index of (e_i)*, the unit at the
+        transposed entry."""
+        rows, cols = self.unit_positions
+        return self._unit_at[cols, rows]
+
+    @cached_property
+    def diagonal_units(self):
+        """Canonical indices of the diagonal units e^(i)_{rr}, block-major."""
+        rows, cols = self.unit_positions
+        return np.flatnonzero(rows == cols)
+
+    def embed(self, coords) -> np.ndarray:
+        """Block-diagonal embeddings, shape (..., n, n), of the elements with
+        canonical coordinates ``coords`` of shape (..., d)."""
+        coords = np.asarray(coords)
+        n = self.total_size
+        out = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
+        out[(...,) + self.unit_positions] = coords
+        return out
 
     @cached_property
     def embedded_basis(self):
         """Array of shape (d, n, n): each canonical unit as a full matrix."""
-        d, n = self.dim, self.total_size
-        out = np.zeros((d, n, n), dtype=complex)
-        for i in range(d):
-            b, r, s = self.basis_triple(i)
-            off = self._space_offsets[b]
-            out[i, off + r, off + s] = 1.0
+        out = self.embed(np.eye(self.dim))
         out.setflags(write=False)
         return out
 
@@ -397,10 +422,6 @@ def tau_inner(a: Element, b: Element) -> complex:
     )
 
 
-def operator_norm(a: Element) -> float:
-    return a.norm()
-
-
 def is_positive(a: Element, tol=DEFAULT_POS_TOL) -> bool:
     """Self-adjoint within tolerance and spectrum >= -tol*(1+|a|)."""
     slack = tol * (1.0 + a.norm())
@@ -523,6 +544,23 @@ def piecewise_linear_lipschitz(xs, ys, lo, hi):
     return np.where(meets, np.abs(_knot_slopes(xs, ys)), 0.0).max(axis=-1)
 
 
+def block_stacks(algebra: Algebra, coords) -> list:
+    """Canonical coordinates of shape (..., d) as one (..., k, n, n) stack of
+    the k blocks of each size n, in ``size_groups`` order."""
+    coords = np.asarray(coords)
+    lead = coords.shape[:-1]
+    return [coords[..., cols].reshape(lead + (len(cols), n, n))
+            for n, cols in algebra.size_groups]
+
+
+def block_norms(algebra: Algebra, coords) -> np.ndarray:
+    """C*-norm of each element given by canonical coordinates of shape
+    (..., d), as :meth:`Element.norm`: the largest singular value over its
+    blocks, with one batched call per block size."""
+    return np.max([np.linalg.norm(m, 2, axis=(-2, -1)).max(axis=-1)
+                   for m in block_stacks(algebra, coords)], axis=0)
+
+
 class SpectralStack:
     """Hermitian eigendecompositions of many self-adjoint elements at once.
 
@@ -534,24 +572,17 @@ class SpectralStack:
 
     def __init__(self, algebra: Algebra, coords, tol=DEFAULT_POS_TOL):
         coords = np.asarray(coords, dtype=complex)
-        count = coords.shape[0]
-        stacks = [coords[:, cols].reshape(count, -1, n, n) for n, cols in algebra.size_groups]
-        skews = [m - m.conj().swapaxes(-1, -2) for m in stacks]
-        # exactly Hermitian rows need no norms; the rest are tested as in
-        # Element.is_self_adjoint
-        rough = np.zeros(count, dtype=bool)
-        for skew in skews:
-            rough |= skew.reshape(count, -1).any(axis=1)
+        # a - a* in canonical coordinates; exactly Hermitian rows need no
+        # norms, the rest are tested as in Element.is_self_adjoint
+        skew = coords - coords[:, algebra.adj_table].conj()
+        rough = skew.any(axis=1)
         if rough.any():
-            gap = np.max([np.linalg.norm(k[rough], 2, axis=(-2, -1)).max(axis=1) for k in skews],
-                         axis=0)
-            size = np.max([np.linalg.norm(m[rough], 2, axis=(-2, -1)).max(axis=1) for m in stacks],
-                          axis=0)
-            if np.any(gap > tol * (1.0 + size)):
+            gap = block_norms(algebra, skew[rough])
+            if np.any(gap > tol * (1.0 + block_norms(algebra, coords[rough]))):
                 raise InputError("spectral calculus requires a self-adjoint element")
         self.algebra = algebra
         self.groups = []
-        for (_, cols), m in zip(algebra.size_groups, stacks):
+        for (_, cols), m in zip(algebra.size_groups, block_stacks(algebra, coords)):
             w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
             self.groups.append((cols, w, v))
         self.lo = np.min([w.min(axis=(1, 2)) for _, w, _ in self.groups], axis=0)
@@ -638,6 +669,13 @@ class SuperOperator:
     def __call__(self, a: Element) -> Element:
         return self.apply(a)
 
+    @property
+    def canonical_matrix(self) -> np.ndarray:
+        """The same map over the canonical basis: column i holds the
+        canonical coordinates of N(e_i)."""
+        root = np.sqrt(self.algebra.basis_weights)
+        return self.matrix * root[None, :] / root[:, None]
+
     def compose(self, other: "SuperOperator") -> "SuperOperator":
         return SuperOperator(self.algebra, self.matrix @ other.matrix)
 
@@ -651,20 +689,14 @@ class SuperOperator:
         return SuperOperator(self.algebra, complex(scalar) * self.matrix)
 
     def sharp(self) -> "SuperOperator":
-        """The map c -> (N(c*))*.  Conjugate-linear twists cancel, so the
-        result is again linear; it is built elementwise, never by matrix
-        conjugation."""
-        return SuperOperator.from_function(
-            self.algebra, lambda c: self.apply(c.adjoint()).adjoint()
-        )
+        """The map c -> (N(c*))*.  The involution permutes units within one
+        block, so the orthonormal weights cancel and N# = conj(N[adj][:, adj])."""
+        adj = self.algebra.adj_table
+        return SuperOperator(self.algebra, self.matrix[np.ix_(adj, adj)].conj())
 
     def is_hermitian(self, tol=DEFAULT_EQ_TOL) -> bool:
         gap = np.abs(self.matrix - self.matrix.conj().T).max()
         return gap <= tol * (1.0 + np.abs(self.matrix).max())
-
-
-def superop_sharp(n: SuperOperator) -> SuperOperator:
-    return n.sharp()
 
 
 def left_multiplication(algebra: Algebra, h: Element) -> SuperOperator:

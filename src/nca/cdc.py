@@ -21,7 +21,10 @@ from .algebra import (
     Algebra,
     Element,
     SuperOperator,
+    amplification_index,
+    left_multiplication,
     random_element,
+    right_multiplication,
 )
 from .errors import InputError
 
@@ -107,11 +110,10 @@ def gamma_from_generator(n: SuperOperator, scale=1.0, tol=DEFAULT_EQ_TOL) -> CdC
         raise InputError(
             f"generator must annihilate the identity (residual {one_res:.3e})"
         )
-    d = alg.dim
     adj = alg.adj_table
     mul = alg.mul_table
     emb = alg.embedded_basis
-    ne = np.stack([n.apply(alg.basis_element(i)).full() for i in range(d)])
+    ne = alg.embed(n.canonical_matrix.T)  # ne[i] = N(e_i)
     t_left = np.einsum("ixz,jzy->ijxy", ne[adj], emb)  # N(e_i*) e_j
     t_right = np.einsum("ixz,jzy->ijxy", emb[adj], ne)  # e_i* N(e_j)
     prod = mul[adj]  # index of e_i* e_j
@@ -177,14 +179,11 @@ def group_action_cdc(autos: Sequence[SuperOperator], weights: Sequence[float],
     if any(w < 0 for w in weights):
         raise InputError("weights must be nonnegative")
     alg = autos[0].algebra
-    emb = alg.embedded_basis
     d, n = alg.dim, alg.total_size
     gram = np.zeros((d, d, n, n), dtype=complex)
     for alpha, c in zip(autos, weights):
         _check_automorphism(alpha, tol)
-        diff = np.stack(
-            [(alpha.apply(alg.basis_element(i)) - alg.basis_element(i)).full() for i in range(d)]
-        )
+        diff = alg.embed(alpha.canonical_matrix.T - np.eye(d))  # alpha(e_i) - e_i
         gram += c * np.einsum("izx,jzy->ijxy", diff.conj(), diff)
     return CdCForm(alg, gram, scale=1.0)
 
@@ -221,16 +220,17 @@ def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm
         raise InputError(
             "negative conductances require the explicit allow_negative flag"
         )
-    gram = np.zeros((size, size, size, size), dtype=complex)
+    # vals[p, q, y] = sum_x (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy; each
+    # entry has at most one nonzero term, so the sum is exact
     eye = np.eye(size)
-    for p in range(size):
-        for q in range(size):
-            dp, dq = eye[p], eye[q]
-            vals = np.zeros(size)
-            for y in range(size):
-                # the x = y term vanishes, so summing over all x is safe
-                vals[y] = np.sum((dp - dp[y]) * (dq - dq[y]) * c[:, y])
-            gram[p, q] = scale * np.diag(vals)
+    deg = np.ascontiguousarray(c.T).sum(axis=1)
+    vals = (eye[:, :, None] * c[:, None, :]
+            - eye[None, :, :] * c[:, None, :]
+            - eye[:, None, :] * c[None, :, :]
+            + eye[:, None, :] * eye[None, :, :] * deg)
+    gram = np.zeros((size, size, size, size), dtype=complex)
+    diag = np.arange(size)
+    gram[:, :, diag, diag] = scale * vals
     return CdCForm(algebra, gram, scale=scale)
 
 
@@ -244,12 +244,8 @@ def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL, require_cdc=True)
         report = is_cdc(gamma, tol=tol)
         if not report.is_cdc:
             raise InputError("form is not a carre-du-champ", [report.residuals])
-    size = alg.dim
-    c = np.zeros((size, size))
-    for p in range(size):
-        for y in range(size):
-            if p != y:
-                c[p, y] = gamma.gram[p, p, y, y].real / gamma.scale
+    c = np.einsum("ppyy->py", gamma.gram).real / gamma.scale
+    np.fill_diagonal(c, 0.0)
     return c
 
 
@@ -417,36 +413,20 @@ def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:
         return gamma
     base = gamma.algebra
     amp = base.amplify(order)
-    d_amp, n_amp = amp.dim, amp.total_size
-    cells = np.empty((d_amp, 2), dtype=int)
-    inners = np.empty(d_amp, dtype=int)
-    for idx in range(d_amp):
-        b, row, col = amp.basis_triple(idx)
-        nb = base.blocks[b]
-        j, r = divmod(row, nb)
-        k, s = divmod(col, nb)
-        cells[idx] = (j, k)
-        inners[idx] = base.basis_index(b, r, s)
-    gram = np.zeros((d_amp, d_amp, n_amp, n_amp), dtype=complex)
-    offsets_base = base._space_offsets
-    offsets_amp = amp._space_offsets
-    for i_1 in range(d_amp):
-        j1, k1 = cells[i_1]
-        for i_2 in range(d_amp):
-            j2, k2 = cells[i_2]
-            if j1 != j2:
-                continue
-            val = gamma.gram[inners[i_1], inners[i_2]]
-            out = gram[i_1, i_2]
-            for b, nb in enumerate(base.blocks):
-                vb = val[
-                    offsets_base[b] : offsets_base[b] + nb,
-                    offsets_base[b] : offsets_base[b] + nb,
-                ]
-                out[
-                    offsets_amp[b] + k1 * nb : offsets_amp[b] + (k1 + 1) * nb,
-                    offsets_amp[b] + k2 * nb : offsets_amp[b] + (k2 + 1) * nb,
-                ] = vb
+    cells, inners = amplification_index(base, order)
+    row, col = np.divmod(cells, order)
+    # pos[k, x]: the amplified row of base row x in matrix cell column k
+    x_block = np.repeat(np.arange(len(base.blocks)), base.blocks)
+    x_sizes = np.asarray(base.blocks)[x_block]
+    x_inner = np.arange(base.total_size) - base._space_offsets[x_block]
+    pos = amp._space_offsets[x_block] + np.arange(order)[:, None] * x_sizes + x_inner
+    # units in the same cell row pair up; each copies the diagonal blocks of
+    # its base value into cell (col_1, col_2) of every block
+    i_1, i_2 = np.nonzero(row[:, None] == row[None, :])
+    xs, ys = np.nonzero(base._block_mask)
+    gram = np.zeros((amp.dim, amp.dim, amp.total_size, amp.total_size), dtype=complex)
+    gram[i_1[:, None], i_2[:, None], pos[col[i_1]][:, xs], pos[col[i_2]][:, ys]] = (
+        gamma.gram[inners[i_1], inners[i_2]][:, xs, ys])
     return CdCForm(amp, gram, scale=gamma.scale)
 
 
@@ -454,60 +434,59 @@ def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:
 
 
 def lindblad_generator(algebra: Algebra, vs: Sequence[Element]) -> SuperOperator:
-    """N(a) = sum_j ( -v_j* a v_j + (v_j* v_j a + a v_j* v_j)/2 ).
+    """N(a) = sum_j ( -v_j* a v_j + (v_j* v_j a + a v_j* v_j)/2 ), assembled
+    as sum_j ( -L_{v_j*} R_{v_j} + (L_{v_j* v_j} + R_{v_j* v_j})/2 ).
 
     Conditionally completely negative, annihilates the identity, and is
     fixed by the sharp involution; its form is sum_j [v_j, a]*[v_j, b].
     """
+    out = np.zeros((algebra.dim, algebra.dim), dtype=complex)
     for v in vs:
         algebra._own(v)
-
-    def rule(a):
-        out = algebra.zero()
-        for v in vs:
-            vs_v = v.adjoint() * v
-            out = out + (-1.0) * (v.adjoint() * a * v) + 0.5 * (vs_v * a + a * vs_v)
-        return out
-
-    return SuperOperator.from_function(algebra, rule)
+        vv = v.adjoint() * v
+        out += (-(left_multiplication(algebra, v.adjoint()).matrix
+                  @ right_multiplication(algebra, v).matrix)
+                + 0.5 * (left_multiplication(algebra, vv).matrix
+                         + right_multiplication(algebra, vv).matrix))
+    return SuperOperator(algebra, out)
 
 
 def double_commutator_generator(algebra: Algebra, vs: Sequence[Element]) -> SuperOperator:
     """N(a) = sum_j [v_j*, [v_j, a]]; the Laplace operator of the commutator
-    form sum_j Gamma_{v_j}."""
+    form sum_j Gamma_{v_j}.  Assembled as
+    sum_j ( L_{v_j* v_j} - L_{v_j*} R_{v_j} - L_{v_j} R_{v_j*} + R_{v_j v_j*} )."""
+    out = np.zeros((algebra.dim, algebra.dim), dtype=complex)
     for v in vs:
         algebra._own(v)
-
-    def rule(a):
-        out = algebra.zero()
-        for v in vs:
-            inner = v * a - a * v
-            out = out + (v.adjoint() * inner - inner * v.adjoint())
-        return out
-
-    return SuperOperator.from_function(algebra, rule)
+        v_star = v.adjoint()
+        left_v = left_multiplication(algebra, v).matrix
+        left_v_star = left_multiplication(algebra, v_star).matrix
+        out += (left_multiplication(algebra, v_star * v).matrix
+                - left_v_star @ right_multiplication(algebra, v).matrix
+                - left_v @ right_multiplication(algebra, v_star).matrix
+                + right_multiplication(algebra, v * v_star).matrix)
+    return SuperOperator(algebra, out)
 
 
 def conjugation_superop(algebra: Algebra, u: Element, tol=DEFAULT_POS_TOL) -> SuperOperator:
-    """The inner automorphism a -> u a u* for a unitary u."""
+    """The inner automorphism a -> u a u* for a unitary u: L_u R_{u*}."""
     algebra._own(u)
     if (u * u.adjoint()).distance(algebra.identity()) > tol:
         raise InputError("conjugation requires a unitary element")
-    return SuperOperator.from_function(algebra, lambda a: u * a * u.adjoint())
+    return left_multiplication(algebra, u).compose(right_multiplication(algebra, u.adjoint()))
 
 
 def permutation_superop(algebra: Algebra, perm: Sequence[int]) -> SuperOperator:
     """The automorphism of a commutative algebra induced by a permutation of
-    its points: f -> f o perm."""
+    its points: f -> f o perm.  Orthonormal coordinates carry sqrt(w_x), so
+    the matrix holds sqrt(w_x / w_perm(x)) at (x, perm(x))."""
     if not algebra.is_commutative:
         raise InputError("point permutations require a commutative algebra")
     size = algebra.dim
     perm = list(perm)
     if sorted(perm) != list(range(size)):
         raise InputError(f"not a permutation of {size} points")
-
-    def rule(f):
-        vals = np.array([f.data[perm[x]][0, 0] for x in range(size)])
-        return algebra.element([v.reshape(1, 1) for v in vals])
-
-    return SuperOperator.from_function(algebra, rule)
+    w = algebra.basis_weights
+    m = np.zeros((size, size))
+    m[np.arange(size), perm] = np.sqrt(w / w[perm])
+    return SuperOperator(algebra, m)

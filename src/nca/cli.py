@@ -13,14 +13,22 @@ from itertools import combinations
 import numpy as np
 
 from . import __version__
-from .algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL, encode_element, random_self_adjoint
-from .cdc import ccn_check, is_cdc
+from .algebra import (
+    DEFAULT_POS_TOL,
+    DEFAULT_RANK_TOL,
+    SuperOperator,
+    encode_element,
+    random_self_adjoint,
+)
+from .cdc import ccn_check, is_cdc, lindblad_generator
 from .dirac import build_bimodule, dirac, dirac_seminorm, star_graph_check
 from .energy import (
+    EnergyForm,
     cdc_from_dirichlet_form,
     connectedness,
     energy_form,
     energy_form_of_laplacian,
+    gamma_delta,
     heat_map,
     laplacian,
     leibniz_check,
@@ -37,7 +45,6 @@ from .resistance import (
     all_pairs_resistance,
     markov_violation_witness,
     metric_checks,
-    network_laplacian,
 )
 from .states import dual_metric, energy_metric
 from .stddev import extend, independent_copies_cdc, stddev_laplacian, stddev_seminorm
@@ -79,8 +86,6 @@ def _cdc_checks(spec: ProblemSpec):
     if spec.generator and spec.generator["kind"] == "matrix":
         data["ccn"] = ccn_check(spec.generator["superop"], seed=spec.seed, tol=tol)
     elif spec.generator and spec.generator["kind"] == "lindblad":
-        from .cdc import lindblad_generator
-
         gen = lindblad_generator(spec.algebra, spec.generator["vs"])
         data["ccn"] = ccn_check(gen, seed=spec.seed, tol=tol)
     return checks, data
@@ -211,16 +216,8 @@ def _resistance_checks(spec: ProblemSpec):
                     report.residuals["acute_angles"]),
     ])
     rho = all_pairs_resistance(net)
-    lap = network_laplacian(net)
-    from .states import point_state
-
-    points = [point_state(net.algebra, x) for x in range(net.size)]
-    energy = [
-        [float(energy_metric(lap, points[i], points[j])) for j in range(net.size)]
-        for i in range(net.size)
-    ]
     data["resistance"] = [[float(x) for x in row] for row in rho]
-    data["energy"] = energy
+    data["energy"] = [[float(x) for x in row] for row in report.energy]
     # absence of a witness is never a proof, only a grid statement
     data["mixture_counterexample"] = (
         report.mixture_counterexample
@@ -306,14 +303,11 @@ def _stddev_checks(spec: ProblemSpec):
     tol = spec.tolerances.equality
     lap = stddev_laplacian(ea)
     gamma_ic = independent_copies_cdc(spec.algebra, spec.weight_element)
-    from .algebra import SuperOperator
-    from .energy import EnergyForm, gamma_delta, laplacian as build_laplacian
-
     closed = SuperOperator.from_function(
         spec.algebra,
         lambda x: spec.weight_element * (x - complex(ea.mu(x)) * spec.algebra.identity()),
     )
-    lap_ic = build_laplacian(EnergyForm(spec.algebra, gamma_ic.tau_values))
+    lap_ic = laplacian(EnergyForm(spec.algebra, gamma_ic.tau_values))
     routes = {
         "schur_vs_closed": float(np.abs(lap.matrix - closed.matrix).max()),
         "schur_vs_copies": float(np.abs(lap.matrix - lap_ic.matrix).max()),

@@ -65,18 +65,15 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
             [CheckResult("is-cdc", False, witness=report.witness)],
         )
     alg = gamma.algebra
-    d, n = alg.dim, alg.total_size
-    mul, adj = alg.mul_table, alg.adj_table
+    d = alg.dim
+    adj = alg.adj_table
+    mul_i, mul_j, mul_k = alg.mul_nonzero
     emb = alg.embedded_basis
     w = alg.coord_weights
 
     # kernel of the multiplication map a (x) b -> ab over the product basis
     mmap = np.zeros((d, d * d))
-    for i in range(d):
-        for j in range(d):
-            k = mul[i, j]
-            if k >= 0:
-                mmap[k, i * d + j] = 1.0
+    mmap[mul_k, mul_i * d + mul_j] = 1.0
     _, svals, vh = np.linalg.svd(mmap, full_matrices=True)
     rank_m = int(np.sum(svals > rank_tol * max(1.0, svals.max())))
     kernel = vh[rank_m:].conj().T  # (d^2, d^2 - d) orthonormal columns
@@ -91,46 +88,37 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
     psd_res = float(max(0.0, -eigvals[0])) if eigvals.size else 0.0
     keep = eigvals > rank_tol * top
     rank = int(keep.sum())
-    lam = eigvals[keep]
     frame = eigvecs[:, keep]
     null_vecs = eigvecs[:, ~keep]
-    roots = np.sqrt(lam)
-
-    def project(vec_kernel_coords):
-        return roots * (frame.conj().T @ vec_kernel_coords)
+    roots = np.sqrt(eigvals[keep])
+    # a kernel vector v has one-form coordinates roots * (frame* v)
+    to_forms = roots[:, None] * (kernel @ frame).conj().T  # (rank, d^2)
 
     # derivation columns: e~_i (x) 1 - 1 (x) e~_i, for the orthonormal basis
-    diag_units = [
-        alg.basis_index(b, r, r)
-        for b, nb in enumerate(alg.blocks)
-        for r in range(nb)
-    ]
-    dmatrix = np.zeros((rank, d), dtype=complex)
-    inv_root_w = 1.0 / np.sqrt(alg.basis_weights)
-    for i in range(d):
-        vec = np.zeros(d * d)
-        for u in diag_units:
-            vec[i * d + u] += inv_root_w[i]
-            vec[u * d + i] -= inv_root_w[i]
-        dmatrix[:, i] = project(kernel.conj().T @ vec)
+    units = np.arange(d)[:, None]
+    diag_units = alg.diagonal_units[None, :]
+    inv_root_w = 1.0 / np.sqrt(alg.basis_weights)[:, None]
+    dcols = np.zeros((d, d, d))
+    dcols[units, diag_units, units] = inv_root_w
+    dcols[diag_units, units, units] -= inv_root_w
+    dmatrix = to_forms @ dcols.reshape(d * d, d)
 
-    # left action per canonical basis element, descended to the quotient
-    actions = []
+    # left action of each canonical unit e_i, descended to the quotient: it
+    # sends e_a (x) e_c to e_k (x) e_c for every product e_i e_a = e_k, so it
+    # gathers rows a*d + c of the lifted frame into rows k*d + c
+    lifted = kernel @ (frame / roots[None, :])
+    leaking = kernel @ null_vecs
+    cols = np.arange(d)
+    actions = np.empty((d, rank, rank), dtype=complex)
     null_res = 0.0
-    lifted = frame / roots[None, :]
     for i in range(d):
-        lprod = np.zeros((d * d, d * d))
-        cols = np.arange(d)
-        for a_idx in range(d):
-            c = mul[i, a_idx]
-            if c >= 0:
-                lprod[c * d + cols, a_idx * d + cols] = 1.0
-        lker = kernel.conj().T @ lprod @ kernel
+        mine = mul_i == i
+        dst = (mul_k[mine, None] * d + cols).reshape(-1)
+        src = (mul_j[mine, None] * d + cols).reshape(-1)
+        actions[i] = to_forms[:, dst] @ lifted[src]
         if null_vecs.size:
-            leak = roots[:, None] * (frame.conj().T @ (lker @ null_vecs))
+            leak = to_forms[:, dst] @ leaking[src]
             null_res = max(null_res, float(np.abs(leak).max(initial=0.0)))
-        actions.append((roots[:, None] * (frame.conj().T @ lker)) @ lifted)
-    actions = np.array(actions, dtype=complex)
     star_res = float(
         np.abs(actions.conj().transpose(0, 2, 1) - actions[adj]).max(initial=0.0)
     )

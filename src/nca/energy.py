@@ -21,6 +21,8 @@ from .algebra import (
     SuperOperator,
     amplify_matrix,
     amplify_superop,
+    block_norms,
+    block_stacks,
     piecewise_linear_lipschitz,
     piecewise_linear_values,
     random_positive,
@@ -248,10 +250,7 @@ def _battery_knots(battery, rng: np.random.Generator, radius: np.ndarray) -> lis
 def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2):
     """Diagonal matrix units and a few seeded rank-one projections: the
     extreme rays where positivity-type violations concentrate."""
-    out = []
-    for b, nb in enumerate(alg.blocks):
-        for r in range(nb):
-            out.append(alg.basis_element(alg.basis_index(b, r, r)))
+    out = [alg.basis_element(i) for i in alg.diagonal_units]
     for _ in range(rank_ones):
         b = int(rng.integers(len(alg.blocks)))
         nb = alg.blocks[b]
@@ -504,12 +503,9 @@ def _choi_matrix(phi: SuperOperator) -> np.ndarray:
     the orthonormal to the canonical basis by sqrt(w_i) / sqrt(w_j)."""
     alg = phi.algebra
     n = alg.total_size
-    _, rows, cols = np.nonzero(alg.embedded_basis)
-    root = np.sqrt(alg.basis_weights)
+    rows, cols = alg.unit_positions
     choi = np.zeros((n, n, n, n), dtype=complex)
-    choi[rows[:, None], rows[None, :], cols[:, None], cols[None, :]] = (
-        phi.matrix.T * root[:, None] / root[None, :]
-    )
+    choi[rows[:, None], rows[None, :], cols[:, None], cols[None, :]] = phi.canonical_matrix.T
     return choi.reshape(n * n, n * n)
 
 
@@ -523,7 +519,15 @@ def resolvent_check(
 ) -> list:
     """For R_t = (I + t L)^(-1): positivity on positive elements, contraction
     in the C*-norm on positives, and R_t(1) = 1, at the requested matrix
-    amplifications."""
+    amplifications.
+
+    Each time t gives one unit entry |R_t(1) - 1|, bounded by ``tol``, and
+    one entry per seeded positive sample a: the larger of the negative part
+    of R_t(a) and its norm growth |R_t(a)| - |a|, bounded by
+    ``tol * (1 + |a|)``.  An order fails iff some entry exceeds its bound.
+    The witness is the exceeding entry with the largest value, the first in
+    t-major order (the unit entry before the samples) on ties; the residual
+    is the largest entry."""
     if any(t < 0 for t in ts):
         raise InputError("resolvent times must be nonnegative")
     results = []
@@ -535,44 +539,46 @@ def resolvent_check(
             alg, mat = amp_op.algebra, amp_op.matrix
         rng = np.random.default_rng(seed + 101 * order)
         samples = [random_positive(alg, rng) for _ in range(count)]
-        one = alg.identity()
-        worst = 0.0
-        witness = None
+        # orthonormal coordinates of the samples, then the identity
+        rows = np.array([alg.to_coords(a) for a in samples] + [alg.identity_coords])
         eye = np.eye(alg.dim)
+        images = []
         for t in ts:
             try:
-                r = SuperOperator(alg, np.linalg.solve(eye + t * mat, eye))
+                images.append(rows @ np.linalg.solve(eye + t * mat, eye).T)
             except np.linalg.LinAlgError as exc:
                 # impossible for a positive generator; surface as internal
                 raise RuntimeError(
                     f"internal error: resolvent singular at t={t}"
                 ) from exc
-            res_one = r.apply(one).distance(one)
-            if res_one > worst:
-                worst = res_one
-                if res_one > tol:
-                    witness = {"order": order, "t": float(t), "kind": "unit"}
-            for idx, a in enumerate(samples):
-                ra = r.apply(a)
-                herm = 0.5 * (ra + ra.adjoint())
-                neg = max(0.0, -float(herm.eigenvalues().real.min()))
-                neg = max(neg, (ra - herm).norm())
-                growth = ra.norm() - a.norm()
-                bad = max(neg, growth)
-                if bad > worst:
-                    worst = bad
-                    if bad > tol * (1.0 + a.norm()):
-                        witness = {
-                            "order": order,
-                            "t": float(t),
-                            "kind": "positivity" if neg >= growth else "contraction",
-                            "element_index": idx,
-                        }
+        root = np.sqrt(alg.basis_weights)
+        images = np.array(images).reshape(len(ts), count + 1, alg.dim) / root
+        unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
+        ra = images[:, :count]
+        herm = (ra + ra[..., alg.adj_table].conj()) / 2
+        low = np.min([np.linalg.eigvalsh(m).min(axis=(-2, -1))
+                      for m in block_stacks(alg, herm)], axis=0)
+        neg = np.maximum(np.maximum(0.0, -low), block_norms(alg, ra - herm))
+        size = block_norms(alg, rows[:count] / root)
+        growth = block_norms(alg, ra) - size
+        entries = np.concatenate([unit[:, None], np.maximum(neg, growth)], axis=1)
+        bounds = np.concatenate([np.full((len(ts), 1), tol),
+                                 np.broadcast_to(tol * (1.0 + size), (len(ts), count))], axis=1)
+        over = entries > bounds
+        witness = None
+        if over.any():
+            ti, col = np.unravel_index(np.where(over, entries, -np.inf).argmax(), over.shape)
+            witness = {"order": order, "t": float(ts[ti]), "kind": "unit"}
+            if col > 0:
+                idx = col - 1
+                witness["kind"] = ("positivity" if neg[ti, idx] >= growth[ti, idx]
+                                   else "contraction")
+                witness["element_index"] = int(idx)
         results.append(
             CheckResult(
                 f"resolvent-n{order}",
                 witness is None,
-                residual=max(worst, 0.0),
+                residual=max(float(entries.max(initial=0.0)), 0.0),
                 witness=witness,
             )
         )

@@ -127,12 +127,8 @@ def split(lap: Laplacian, p: Element, rank_tol=DEFAULT_RANK_TOL,
     if (p * p).distance(p) > tol * (1.0 + p.norm()) or not p.is_self_adjoint(tol):
         raise InputError("p must be a self-adjoint idempotent")
     keep = _projection_blocks(p, tol)
-    idx_b, idx_c = [], []
-    for i in range(alg.dim):
-        block, _, _ = alg.basis_triple(i)
-        (idx_b if keep[block] else idx_c).append(i)
-    idx_b = np.asarray(idx_b)
-    idx_c = np.asarray(idx_c)
+    kept = np.repeat(keep, [n * n for n in alg.blocks])
+    idx_b, idx_c = np.flatnonzero(kept), np.flatnonzero(~kept)
     m = lap.matrix
     r_block = m[np.ix_(idx_b, idx_b)]
     j_block = m[np.ix_(idx_c, idx_b)]

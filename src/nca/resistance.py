@@ -22,7 +22,7 @@ from .algebra import (
 from .cdc import network_cdc
 from .energy import EnergyForm, Laplacian, _laplacian_from_superop, energy_form
 from .errors import DisconnectedError, InputError
-from .states import StateEmbedding, energy_metric, mixture, point_state
+from .states import StateEmbedding, point_state
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,14 @@ def all_pairs_resistance(net: ResistanceNetwork) -> np.ndarray:
 
 @dataclass
 class NetworkMetricReport:
+    """``energy`` holds the energy metric between every pair of point
+    states."""
+
     triangle: bool
     square_relation: bool
     acute_angles_pure: bool
     mixture_counterexample: Optional[dict]
+    energy: np.ndarray
     residuals: dict = field(default_factory=dict)
 
 
@@ -157,40 +161,45 @@ def _mixture_grid(step: float):
     return out
 
 
+def _distances(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``coords``; exactly symmetric
+    with an exactly zero diagonal."""
+    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+
+
 def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
                   mixture_margin=1e-6) -> NetworkMetricReport:
     """Triangle inequality for the resistance distance, the square relation
     against the energy metric, acute angles between pure states, and a seeded
     grid search for mixed states breaking the triangle inequality of the
-    squared energy metric."""
+    squared energy metric.
+
+    Every energy distance is read from one :class:`StateEmbedding` of the
+    point states.  The embedding is affine, so a mixture's coordinates are
+    its weights times the coordinates of its points."""
     n = net.size
-    lap = network_laplacian(net)
     rho_r = all_pairs_resistance(net)
 
-    tri_worst = 0.0
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                tri_worst = max(tri_worst, rho_r[p, q] - rho_r[p, r] - rho_r[r, q])
+    # tri[p, r, q] = rho(p, q) - rho(p, r) - rho(r, q)
+    tri = rho_r[:, None, :] - rho_r[:, :, None] - rho_r[None, :, :]
+    tri_worst = max(0.0, float(tri.max()))
     scale = 1.0 + rho_r.max()
     triangle = tri_worst <= tol * scale
 
     points = [point_state(net.algebra, x) for x in range(n)]
-    sq_worst = 0.0
-    for p, q in combinations(range(n), 2):
-        de = energy_metric(lap, points[p], points[q])
-        sq_worst = max(sq_worst, abs(de * de - rho_r[p, q]))
+    emb = StateEmbedding(network_laplacian(net), points[0])
+    coords = np.array([emb.coords(s) for s in points])
+    energy = _distances(coords)
+    pairs = np.triu_indices(n, 1)
+    sq_worst = float(np.abs(energy * energy - rho_r)[pairs].max(initial=0.0))
     square = sq_worst <= tol * scale
 
-    emb = StateEmbedding(lap, points[0])
-    coords = [emb.coords(s) for s in points]
-    angle_worst = 0.0
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if len({x, y, z}) == 3:
-                    ip = np.vdot(coords[x] - coords[y], coords[z] - coords[y]).real
-                    angle_worst = max(angle_worst, -ip)
+    # ip[x, y, z] = <coords[x] - coords[y], coords[z] - coords[y]>; the
+    # triples that are not distinct give exactly 0 or a squared norm, so
+    # they never raise the worst case above its floor of 0
+    diff = coords[None, :, :] - coords[:, None, :]
+    ip = np.einsum("yxk,yzk->xyz", diff.conj(), diff).real
+    angle_worst = max(0.0, float(-ip.min()))
     acute = angle_worst <= tol * scale
 
     # seeded grid of mixtures over node triples, searching for a triple of
@@ -200,24 +209,16 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
     if len(triples) > 4:
         chosen = rng.choice(len(triples), size=4, replace=False)
         triples = [triples[int(k)] for k in chosen]
+    weights = _mixture_grid(step)
     counterexample = None
     for nodes in triples:
-        grid = [
-            mixture([points[nodes[0]], points[nodes[1]], points[nodes[2]]], wts)
-            for wts in _mixture_grid(step)
-        ]
-        m = len(grid)
-        dist2 = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                dij = energy_metric(lap, grid[i], grid[j])
-                dist2[i, j] = dist2[j, i] = dij * dij
-        viol = dist2[:, None, :] - dist2[:, :, None] - dist2[None, :, :]
-        # viol[i, j, k] = d2(i, k) - d2(i, j) - d2(j, k)
+        dist2 = _distances(np.asarray(weights) @ coords[list(nodes)]) ** 2
+        # viol[i, j, k] = d2(i, k) - (d2(i, j) + d2(j, k)); the mirrored
+        # triples (i, j, k) and (k, j, i) tie exactly, and the first wins
+        viol = dist2[:, None, :] - (dist2[:, :, None] + dist2[None, :, :])
         best = float(viol.max())
         if best > mixture_margin:
             i, j, k = np.unravel_index(viol.argmax(), viol.shape)
-            weights = _mixture_grid(step)
             counterexample = {
                 "nodes": [int(v) for v in nodes],
                 "weights": [list(weights[int(i)]), list(weights[int(j)]), list(weights[int(k)])],
@@ -230,6 +231,7 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
         square_relation=square,
         acute_angles_pure=acute,
         mixture_counterexample=counterexample,
+        energy=energy,
         residuals={
             "triangle": tri_worst,
             "square_relation": sq_worst,

@@ -133,7 +133,3 @@ class StateEmbedding:
         g = _difference_coords(mu, self.base)
         w, v = self._spectral
         return (v.conj().T @ g) / np.sqrt(w)
-
-
-def embed_state(lap: Laplacian, mu: State, base: State) -> np.ndarray:
-    return StateEmbedding(lap, base).coords(mu)

@@ -73,10 +73,9 @@ def extend(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> ExtendedAlgebra
     d = algebra.dim
 
     mult = np.repeat(lams, [n * n for n in algebra.blocks])
-    mu_row = np.empty(d)
-    for i in range(d):
-        b, r, s = algebra.basis_triple(i)
-        mu_row[i] = lams[b] * np.sqrt(algebra.trace_weights[b]) if r == s else 0.0
+    mu_row = np.zeros(d)
+    mu_row[algebra.diagonal_units] = np.repeat(lams * np.sqrt(algebra.trace_weights),
+                                               algebra.blocks)
 
     m = np.zeros((d + 1, d + 1), dtype=complex)
     m[:d, :d] = np.diag(mult)
@@ -144,30 +143,25 @@ def independent_copies_cdc(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) ->
     """The variance carre-du-champ built from two independent copies:
     Gamma(a, b) = (1/2) (mu(a*b) - mu(a*) b - a* mu(b) + a*b) p."""
     lams = _central_positive_scalars(algebra, p, tol)
-    d, n = algebra.dim, algebra.total_size
+    n = algebra.total_size
     emb = algebra.embedded_basis
     adj = algebra.adj_table
     mul = algebra.mul_table
-    p_full = p.full()
-    eye = np.eye(n)
 
-    mu_vec = np.empty(d)
-    for i in range(d):
-        b, r, s = algebra.basis_triple(i)
-        mu_vec[i] = lams[b] * algebra.trace_weights[b] if r == s else 0.0
+    mu_vec = np.zeros(algebra.dim)
+    mu_vec[algebra.diagonal_units] = np.repeat(lams * np.asarray(algebra.trace_weights),
+                                               algebra.blocks)
 
-    gram = np.zeros((d, d, n, n), dtype=complex)
-    for i in range(d):
-        ia = adj[i]
-        for j in range(d):
-            k = mul[ia, j]
-            prod = emb[k] if k >= 0 else np.zeros((n, n))
-            mu_ab = mu_vec[k] if k >= 0 else 0.0
-            term = (
-                mu_ab * eye
-                - mu_vec[ia] * emb[j]
-                - mu_vec[j] * emb[ia]
-                + prod
-            )
-            gram[i, j] = 0.5 * (term @ p_full)
-    return CdCForm(algebra, gram, scale=0.5)
+    # entry (i, j) is Gamma(e_i, e_j): there a* b = e_i* e_j is the unit
+    # prod[i, j], or zero where prod[i, j] = -1
+    prod = mul[adj]
+    has = prod >= 0
+    emb_prod = np.where(has[:, :, None, None], emb[prod.clip(min=0)], 0.0)
+    mu_prod = np.where(has, mu_vec[prod.clip(min=0)], 0.0)
+    term = (
+        mu_prod[:, :, None, None] * np.eye(n)
+        - mu_vec[adj][:, None, None, None] * emb[None]
+        - mu_vec[None, :, None, None] * emb[adj][:, None]
+        + emb_prod
+    )
+    return CdCForm(algebra, 0.5 * (term @ p.full()), scale=0.5)

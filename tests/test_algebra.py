@@ -72,10 +72,10 @@ def test_is_positive():
 
 def test_operator_norm():
     m2 = nca.build_algebra([2], [1.0])
-    assert nca.operator_norm(m2.identity()) == pytest.approx(1.0)
-    assert nca.operator_norm(m2.basis_element(1)) == pytest.approx(1.0)
+    assert m2.identity().norm() == pytest.approx(1.0)
+    assert m2.basis_element(1).norm() == pytest.approx(1.0)
     c2 = nca.build_algebra([1, 1], [1.0, 1.0])
-    assert nca.operator_norm(c2.element([[[3.0]], [[-4.0]]])) == pytest.approx(4.0)
+    assert c2.element([[[3.0]], [[-4.0]]]).norm() == pytest.approx(4.0)
 
 
 def test_functional_calculus():
@@ -134,13 +134,21 @@ def test_superop_sharp():
     e12, e21 = m2.basis_element(1), m2.basis_element(2)
     nv = nca.double_commutator_generator(m2, [e12])
     nvstar = nca.double_commutator_generator(m2, [e21])
-    assert np.abs(nca.superop_sharp(nv).matrix - nvstar.matrix).max() < 1e-12
+    assert np.abs(nv.sharp().matrix - nvstar.matrix).max() < 1e-12
 
     rng = np.random.default_rng(5)
     h = nca.random_element(m2, rng)
     left = nca.left_multiplication(m2, h)
     right_star = nca.right_multiplication(m2, h.adjoint())
     assert np.abs(left.sharp().matrix - right_star.matrix).max() < 1e-12
+
+    # against the elementwise definition c -> (N(c*))*
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    n = nca.SuperOperator(alg, rng.standard_normal((alg.dim, alg.dim))
+                          + 1j * rng.standard_normal((alg.dim, alg.dim)))
+    rule = nca.SuperOperator.from_function(alg, lambda c: n.apply(c.adjoint()).adjoint())
+    assert np.abs(n.sharp().matrix - rule.matrix).max() < 1e-14
+    assert np.array_equal(n.sharp().sharp().matrix, n.matrix)
 
 
 def test_superop_matrix_elementwise_consistency(m2):

@@ -253,21 +253,26 @@ def test_amplified_form_is_cdc(m2):
 
 def test_amplified_values_match_entrywise_rule(m2):
     # (Gamma_n(A, B))_{jk} = sum_p Gamma(a_pj, b_pk) on seeded matrices
-    rng = np.random.default_rng(61)
-    gamma = nca.commutator_cdc([nca.random_element(m2, rng)])
-    big = nca.amplify_cdc(gamma, 2)
-    grid_a = [[nca.random_element(m2, rng) for _ in range(2)] for _ in range(2)]
-    grid_b = [[nca.random_element(m2, rng) for _ in range(2)] for _ in range(2)]
-    a = nca.from_cells(m2, 2, grid_a)
-    b = nca.from_cells(m2, 2, grid_b)
-    value = big.value(a, b)
-    cells = nca.to_cells(m2, 2, value)
-    for j in range(2):
-        for k in range(2):
-            expected = m2.zero()
-            for p in range(2):
-                expected = expected + gamma.value(grid_a[p][j], grid_b[p][k])
-            assert cells[j][k].distance(expected) < 1e-9 * (1 + expected.norm())
+    cases = [(m2, 2, 61)] + [
+        (nca.build_algebra(blocks, weights), order, 62)
+        for blocks, weights in (([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0]))
+        for order in (2, 3)
+    ]
+    for alg, order, seed in cases:
+        rng = np.random.default_rng(seed)
+        gamma = nca.commutator_cdc([nca.random_element(alg, rng)])
+        big = nca.amplify_cdc(gamma, order)
+        grid_a = [[nca.random_element(alg, rng) for _ in range(order)] for _ in range(order)]
+        grid_b = [[nca.random_element(alg, rng) for _ in range(order)] for _ in range(order)]
+        a = nca.from_cells(alg, order, grid_a)
+        b = nca.from_cells(alg, order, grid_b)
+        cells = nca.to_cells(alg, order, big.value(a, b))
+        for j in range(order):
+            for k in range(order):
+                expected = alg.zero()
+                for p in range(order):
+                    expected = expected + gamma.value(grid_a[p][j], grid_b[p][k])
+                assert cells[j][k].distance(expected) < 1e-9 * (1 + expected.norm())
 
 
 def test_catalog_examples_are_cdc(catalog):
@@ -275,3 +280,74 @@ def test_catalog_examples_are_cdc(catalog):
         report = nca.is_cdc(ex.gamma)
         assert report.is_cdc, (ex.name, report.residuals)
         assert nca.reality_checks(ex.gamma)["tau_real"] == ex.tau_real, ex.name
+
+
+# -- structure-constant builders against their elementwise definitions ------
+
+
+def _generator_rules(vs):
+    def lindblad(a):
+        out = a.algebra.zero()
+        for v in vs:
+            vv = v.adjoint() * v
+            out = out + (-1.0) * (v.adjoint() * a * v) + 0.5 * (vv * a + a * vv)
+        return out
+
+    def double_commutator(a):
+        out = a.algebra.zero()
+        for v in vs:
+            inner = v * a - a * v
+            out = out + (v.adjoint() * inner - inner * v.adjoint())
+        return out
+
+    return lindblad, double_commutator
+
+
+@pytest.mark.parametrize("blocks, weights", [([3, 2, 1], [1.0, 0.5, 2.0]),
+                                             ([1, 1, 1, 1], [1.0, 0.5, 2.0, 3.0])])
+def test_generators_match_elementwise_rules(blocks, weights):
+    alg = nca.build_algebra(blocks, weights)
+    rng = np.random.default_rng(23)
+    vs = [nca.random_element(alg, rng) for _ in range(2)]
+    lindblad, double_commutator = _generator_rules(vs)
+    pairs = [
+        (nca.lindblad_generator(alg, vs), lindblad),
+        (nca.double_commutator_generator(alg, vs), double_commutator),
+    ]
+    # a unitary: the unitary factor of each block of a random element
+    u = alg.element([np.linalg.qr(m)[0] for m in nca.random_element(alg, rng).data])
+    pairs.append((nca.conjugation_superop(alg, u), lambda a: u * a * u.adjoint()))
+    if alg.is_commutative:
+        perm = [2, 0, 3, 1]
+        pairs.append((
+            nca.permutation_superop(alg, perm),
+            lambda f: alg.element([f.data[perm[x]] for x in range(alg.dim)]),
+        ))
+    for built, rule in pairs:
+        reference = nca.SuperOperator.from_function(alg, rule)
+        assert np.abs(built.matrix - reference.matrix).max() < 1e-13
+
+
+def _network_gram_loop(size, c, scale):
+    gram = np.zeros((size, size, size, size), dtype=complex)
+    eye = np.eye(size)
+    for p in range(size):
+        for q in range(size):
+            dp, dq = eye[p], eye[q]
+            vals = np.zeros(size)
+            for y in range(size):
+                vals[y] = np.sum((dp - dp[y]) * (dq - dq[y]) * c[:, y])
+            gram[p, q] = scale * np.diag(vals)
+    return gram
+
+
+@pytest.mark.parametrize("size", [3, 6, 9])
+def test_network_form_matches_loop_bitwise(size):
+    rng = np.random.default_rng(size)
+    c = np.triu(rng.uniform(0.2, 2.0, (size, size)) * (rng.random((size, size)) < 0.7), 1)
+    c = c + c.T
+    c[0, 1] = c[1, 0] = -0.3
+    alg = nca.build_algebra([1] * size, [1.0] * size)
+    for scale in (0.5, 1.0):
+        gamma = nca.network_cdc(alg, c, scale=scale, allow_negative=True)
+        assert np.array_equal(gamma.gram, _network_gram_loop(size, c, scale))

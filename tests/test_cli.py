@@ -80,6 +80,10 @@ def test_run_resistance():
     rho = np.asarray(report["data"]["resistance"])
     off = rho[~np.eye(3, dtype=bool)]
     assert np.abs(off - 2.0 / 3.0).max() < 1e-10
+    energy = np.asarray(report["data"]["energy"])
+    assert np.abs(energy ** 2 - rho).max() < 1e-10
+    assert np.all(np.diag(energy) == 0)
+    assert np.array_equal(energy, energy.T)
 
 
 def test_run_all_and_exit_codes(tmp_path, capsys):

@@ -250,6 +250,26 @@ def test_network_commutator_norm_sup_formula():
         assert nca.dirac_seminorm(op, f).value == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("blocks, weights", [([3], [1.0]), ([3, 2, 1], [1.0, 0.5, 2.0])])
+def test_left_action_matches_product_route(blocks, weights):
+    # the left action of e_i through the d^2 x d^2 matrix of e_a (x) e_c ->
+    # e_i e_a (x) e_c, restricted to the kernel and descended to the frame
+    alg = nca.build_algebra(blocks, weights)
+    rng = np.random.default_rng(29)
+    bs = nca.build_bimodule(nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(2)]))
+    d, kernel, roots = alg.dim, bs.kernel_basis, bs.scale_roots
+    cols = np.arange(d)
+    for i in range(d):
+        lprod = np.zeros((d * d, d * d))
+        for a in range(d):
+            k = alg.mul_table[i, a]
+            if k >= 0:
+                lprod[k * d + cols, a * d + cols] = 1.0
+        lker = kernel.conj().T @ lprod @ kernel
+        expected = (roots[:, None] * (bs.frame.conj().T @ lker)) @ (bs.frame / roots)
+        assert np.abs(bs.left_action[i] - expected).max() < 1e-14
+
+
 def test_bimodule_requires_cdc():
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
     c = K3_C.copy()

@@ -510,6 +510,39 @@ def test_resolvent_checks_on_catalog(catalog):
             assert res.passed, (ex.name, res.check, res.witness)
 
 
+def _rank_one_laplacian():
+    # L = v v^T with v = (1, -2, 1)/sqrt(6): a Laplacian whose resolvent is
+    # not positive, R_t f = f - s <v, f> v with s = t / (1 + t)
+    alg = nca.build_algebra([1] * 3, [1.0] * 3)
+    v = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+    return alg, nca.laplacian(nca.EnergyForm(alg, np.outer(v, v)))
+
+
+def test_resolvent_witness_on_rank_one_laplacian():
+    _, lap = _rank_one_laplacian()
+    first = nca.resolvent_check(lap, (0.1, 1, 10))[0]
+    assert not first.passed
+    assert first.witness == {"order": 1, "t": 10.0, "kind": "positivity", "element_index": 0}
+
+
+def test_resolvent_flags_violation_below_an_earlier_maximum(monkeypatch):
+    # a large sample whose negative part eps stays under its bound
+    # tol (1 + |a|), then a small sample whose smaller negative part exceeds
+    # its own bound
+    alg, lap = _rank_one_laplacian()
+    t, c, eps, small = 10.0, 500.0, 5e-7, 1e-6
+    s = t / (1.0 + t)
+    samples = iter([
+        alg.element([[[2 * c + 6 * eps / s]], [[c]], [[0.0]]]),  # R_t f(2) = -eps
+        alg.element([[[small]], [[0.0]], [[0.0]]]),  # R_t f(2) = -small s / 6
+    ])
+    monkeypatch.setattr(nca.energy, "random_positive", lambda algebra, rng: next(samples))
+    (res,) = nca.resolvent_check(lap, (t,), orders=(1,), count=2)
+    assert not res.passed
+    assert res.witness == {"order": 1, "t": 10.0, "kind": "positivity", "element_index": 1}
+    assert res.residual == pytest.approx(eps, rel=1e-6)
+
+
 # -- connectedness and reconstruction -----------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Resistance networks: Laplacians, potentials, resistance distance, the
 maximum principle, and the Markov-violation witness."""
+import itertools
 import warnings
 
 import numpy as np
@@ -115,6 +116,60 @@ def test_metric_checks_k3(k3_net):
     assert report.triangle and report.square_relation and report.acute_angles_pure
     assert report.mixture_counterexample is not None
     assert report.mixture_counterexample["violation"] > 1e-6
+
+
+def _metric_checks_pairwise(net, seed, margin, step=0.1):
+    """The metric checks state pair by state pair through energy_metric."""
+    n = net.size
+    lap = nca.network_laplacian(net)
+    rho = nca.all_pairs_resistance(net)
+    points = [nca.point_state(net.algebra, x) for x in range(n)]
+    energy = np.array([[nca.energy_metric(lap, points[p], points[q]) for q in range(n)]
+                       for p in range(n)])
+    square = max(abs(energy[p, q] ** 2 - rho[p, q]) for p in range(n) for q in range(p + 1, n))
+    emb = nca.StateEmbedding(lap, points[0])
+    coords = [emb.coords(s) for s in points]
+    angle = max(
+        [0.0] + [-np.vdot(coords[x] - coords[y], coords[z] - coords[y]).real
+                 for x in range(n) for y in range(n) for z in range(n)
+                 if len({x, y, z}) == 3]
+    )
+    rng = np.random.default_rng(seed)
+    triples = list(itertools.combinations(range(n), 3))
+    chosen = rng.choice(len(triples), size=4, replace=False)
+    weights = nca.resistance._mixture_grid(step)
+    for nodes in [triples[int(k)] for k in chosen]:
+        grid = [nca.mixture([points[x] for x in nodes], w) for w in weights]
+        dist2 = np.array([[nca.energy_metric(lap, a, b) ** 2 if a is not b else 0.0
+                           for b in grid] for a in grid])
+        viol = dist2[:, None, :] - dist2[:, :, None] - dist2[None, :, :]
+        if viol.max() > margin:
+            i, j, k = np.unravel_index(viol.argmax(), viol.shape)
+            witness = {"nodes": list(nodes),
+                       "weights": [list(weights[i]), list(weights[j]), list(weights[k])],
+                       "violation": float(viol.max())}
+            return energy, square, angle, witness
+    return energy, square, angle, None
+
+
+def test_metric_checks_match_pairwise_energy_metric():
+    net = nca.random_network(6, np.random.default_rng(6))
+    first = nca.metric_checks(net, seed=6).mixture_counterexample["violation"]
+    # the default margin stops at the first triple, the first triple's own
+    # violation moves the search on, and a large margin finds nothing
+    for margin in (1e-6, first, 10.0):
+        report = nca.metric_checks(net, seed=6, mixture_margin=margin)
+        energy, square, angle, witness = _metric_checks_pairwise(net, 6, margin)
+        assert np.abs(report.energy - energy).max() < 1e-12
+        assert abs(report.residuals["square_relation"] - square) < 1e-12
+        assert abs(report.residuals["acute_angles"] - angle) < 1e-12
+        got = report.mixture_counterexample
+        if witness is None:
+            assert got is None
+        else:
+            assert {k: got[k] for k in ("nodes", "weights")} == {
+                k: witness[k] for k in ("nodes", "weights")}
+            assert abs(got["violation"] - witness["violation"]) < 1e-12
 
 
 def test_kernel_matches_graph_connectivity():

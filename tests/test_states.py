@@ -125,7 +125,7 @@ def test_disconnected_distance_raises():
     with pytest.raises(DisconnectedError):
         nca.energy_metric(lap, mu, nu)
     with pytest.raises(DisconnectedError):
-        nca.embed_state(lap, mu, nca.point_state(alg, 1))
+        nca.StateEmbedding(lap, nca.point_state(alg, 1)).coords(mu)
     # within one component the difference is in the range, so the distance
     # is still defined
     inside = nca.energy_metric(lap, mu, nca.point_state(alg, 1))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -39,10 +41,9 @@ from .energy import (
 from .errors import DisconnectedError, InputError, PropertyViolationError
 from .fileio import ProblemSpec, parse_spec
 from .quotient import central_projection, quotient_checks, split
-from .reporting import CheckResult, Tolerances, dumps_canonical
+from .reporting import CheckResult, dumps_canonical
 from .resistance import (
     ResistanceNetwork,
-    all_pairs_resistance,
     markov_violation_witness,
     metric_checks,
 )
@@ -64,8 +65,34 @@ COMMANDS = (
 DISCONNECTED = "disconnected"
 
 
-def _cdc_checks(spec: ProblemSpec):
-    gamma = spec.build_gamma()
+class _Problem:
+    """The objects of one spec that more than one suite reads.  Each is built
+    by the first suite that asks for it; a build that raises is not cached,
+    so it raises again in every suite that reads it."""
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+
+    @cached_property
+    def gamma(self):
+        return self.spec.build_gamma()
+
+    @cached_property
+    def energy(self):
+        return energy_form(self.gamma, force=True)
+
+    @cached_property
+    def laplacian(self):
+        return laplacian(self.energy, rank_tol=self.spec.tolerances.rank)
+
+    @cached_property
+    def net(self):
+        gen = self.spec.generator
+        return ResistanceNetwork(gen["c"], allow_negative=gen.get("allow_negative", False))
+
+
+def _cdc_checks(problem: _Problem):
+    spec, gamma = problem.spec, problem.gamma
     tol = spec.tolerances.positivity
     report = is_cdc(gamma, tol=tol)
     reality = reality_checks(gamma, tol=spec.tolerances.equality)
@@ -91,17 +118,15 @@ def _cdc_checks(spec: ProblemSpec):
     return checks, data
 
 
-def _laplacian_checks(spec: ProblemSpec):
-    gamma = spec.build_gamma()
-    e = energy_form(gamma, force=True)
-    lap = laplacian(e, rank_tol=spec.tolerances.rank)
+def _laplacian_checks(problem: _Problem):
+    spec, e, lap = problem.spec, problem.energy, problem.laplacian
     tol = spec.tolerances.equality
     one = lap.algebra.identity()
-    eigs = np.linalg.eigvalsh(lap.matrix)
+    unit_res = lap.apply(one).norm()
+    eigs = lap.eigenvalues
     checks = [
-        CheckResult("laplacian-annihilates-unit",
-                    lap.apply(one).norm() <= tol * (1 + one.norm()),
-                    float(lap.apply(one).norm())),
+        CheckResult("laplacian-annihilates-unit", unit_res <= tol * (1 + one.norm()),
+                    float(unit_res)),
         CheckResult("laplacian-positive",
                     bool(eigs[0] >= -spec.tolerances.positivity * max(1.0, eigs[-1])),
                     float(max(0.0, -eigs[0]))),
@@ -121,46 +146,36 @@ def _laplacian_checks(spec: ProblemSpec):
     return checks, data
 
 
-def _heat_checks(spec: ProblemSpec):
-    gamma = spec.build_gamma()
-    e = energy_form(gamma, force=True)
-    lap = laplacian(e, rank_tol=spec.tolerances.rank)
+def _heat_checks(problem: _Problem):
+    spec, e, lap = problem.spec, problem.energy, problem.laplacian
     tol = spec.tolerances.positivity
     symmetrized = not e.is_real(spec.tolerances.equality)
     generator = lap.natural() if symmetrized else lap
     checks = []
+    maps = {}
     for t in spec.times:
-        _, flags = heat_map(generator, t, tol=tol)
+        maps[t], flags = heat_map(generator, t, tol=tol)
         checks.append(CheckResult(f"heat-unital-t{t:g}", flags["unital"],
                                   flags["unital_residual"]))
         checks.append(CheckResult(f"heat-cp-t{t:g}", flags["cp"],
                                   abs(min(0.0, flags["choi_min_eigenvalue"]))))
     if len(spec.times) >= 2:
         s, t = spec.times[-2], spec.times[-1]
-        phi_s, _ = heat_map(generator, s)
-        phi_t, _ = heat_map(generator, t)
         phi_st, _ = heat_map(generator, s + t)
-        gap = float(np.abs(phi_s.compose(phi_t).matrix - phi_st.matrix).max())
+        gap = float(np.abs(maps[s].compose(maps[t]).matrix - phi_st.matrix).max())
         checks.append(CheckResult("heat-semigroup-law", gap <= spec.tolerances.equality, gap))
-    checks.extend(
-        resolvent_check(generator, spec.times, seed=spec.seed, tol=tol)
-    )
+    checks.extend(resolvent_check(generator, spec.times, seed=spec.seed, tol=tol))
     return checks, {"generator_symmetrized": symmetrized}
 
 
-def _metric_checks(spec: ProblemSpec):
+def _metric_checks(problem: _Problem):
+    spec = problem.spec
     if len(spec.states) < 2:
         raise InputError("the metric command needs at least two states in 'states'")
-    gamma = spec.build_gamma()
-    e = energy_form(gamma, force=True)
-    lap = laplacian(e, rank_tol=spec.tolerances.rank)
+    e, lap = problem.energy, problem.laplacian
     tol = spec.tolerances.equality
     n = len(spec.states)
-    pairs = (
-        [(int(i), int(j)) for i, j in spec.pairs]
-        if spec.pairs
-        else list(combinations(range(n), 2))
-    )
+    pairs = [(int(i), int(j)) for i, j in spec.pairs or combinations(range(n), 2)]
     dist = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
     worst = 0.0
     connected_all = True
@@ -182,17 +197,14 @@ def _metric_checks(spec: ProblemSpec):
     return checks, {"distances": dist}
 
 
-def _resistance_checks(spec: ProblemSpec):
+def _resistance_checks(problem: _Problem):
+    spec = problem.spec
     if spec.generator is None or spec.generator["kind"] != "network":
         raise InputError("the resistance command needs a network generator")
-    net = ResistanceNetwork(
-        spec.generator["c"], allow_negative=spec.generator.get("allow_negative", False)
-    )
-    checks = []
-    data = {}
+    net = problem.net
     if net.c.min() < 0:
         witness = markov_violation_witness(net)
-        checks.append(CheckResult(
+        return [CheckResult(
             "network-markov", witness is None,
             residual=0.0 if witness is None else witness.violation,
             witness=None if witness is None else {
@@ -200,39 +212,33 @@ def _resistance_checks(spec: ProblemSpec):
                 "r": witness.r,
                 "f": encode_element(witness.f),
             },
-        ))
-        return checks, data
+        )], {}
     if not net.is_connected():
-        checks.append(CheckResult("network-connected", False,
-                                  witness={"reason": "network graph is disconnected"}))
-        data["resistance"] = DISCONNECTED
-        return checks, data
+        check = CheckResult("network-connected", False,
+                            witness={"reason": "network graph is disconnected"})
+        return [check], {"resistance": DISCONNECTED}
     report = metric_checks(net, seed=spec.seed)
-    checks.extend([
+    checks = [
         CheckResult("resistance-triangle", report.triangle, report.residuals["triangle"]),
         CheckResult("resistance-square-relation", report.square_relation,
                     report.residuals["square_relation"]),
         CheckResult("resistance-acute-angles", report.acute_angles_pure,
                     report.residuals["acute_angles"]),
-    ])
-    rho = all_pairs_resistance(net)
-    data["resistance"] = [[float(x) for x in row] for row in rho]
-    data["energy"] = [[float(x) for x in row] for row in report.energy]
-    # absence of a witness is never a proof, only a grid statement
-    data["mixture_counterexample"] = (
-        report.mixture_counterexample
-        if report.mixture_counterexample is not None
-        else "not found at this resolution"
-    )
+    ]
+    data = {
+        "resistance": [[float(x) for x in row] for row in report.resistance],
+        "energy": [[float(x) for x in row] for row in report.energy],
+        # absence of a witness is never a proof, only a grid statement
+        "mixture_counterexample": report.mixture_counterexample or "not found at this resolution",
+    }
     return checks, data
 
 
-def _quotient_checks(spec: ProblemSpec):
+def _quotient_checks(problem: _Problem):
+    spec = problem.spec
     if spec.projection is None:
         raise InputError("the quotient command needs a 'projection' field")
-    gamma = spec.build_gamma()
-    e = energy_form(gamma, force=True)
-    lap = laplacian(e, rank_tol=spec.tolerances.rank)
+    lap = problem.laplacian
     if "keep_blocks" in spec.projection:
         p = central_projection(lap.algebra, spec.projection["keep_blocks"])
     else:
@@ -244,8 +250,8 @@ def _quotient_checks(spec: ProblemSpec):
     return checks, data
 
 
-def _dirac_checks(spec: ProblemSpec):
-    gamma = spec.build_gamma()
+def _dirac_checks(problem: _Problem):
+    spec, gamma = problem.spec, problem.gamma
     bs = build_bimodule(gamma, pos_tol=spec.tolerances.positivity,
                         rank_tol=spec.tolerances.rank)
     op = dirac(bs)
@@ -256,24 +262,19 @@ def _dirac_checks(spec: ProblemSpec):
         a = random_self_adjoint(bs.algebra, rng)
         worst = max(worst, dirac_seminorm(op, a).residual)
     checks = [
-        CheckResult("dirac-factorizes-laplacian",
-                    bs.residuals["laplacian_factorization"] <= max(tol, 1e-9),
-                    bs.residuals["laplacian_factorization"]),
-        CheckResult("dirac-null-space-invariant",
-                    bs.residuals["null_space_invariance"] <= max(tol, 1e-9),
-                    bs.residuals["null_space_invariance"]),
-        CheckResult("dirac-left-action-star",
-                    bs.residuals["star_representation"] <= max(tol, 1e-9),
-                    bs.residuals["star_representation"]),
-        CheckResult("dirac-norm-formula", worst <= max(tol, 1e-8), worst),
+        CheckResult(name, bs.residuals[key] <= max(tol, 1e-9), bs.residuals[key])
+        for name, key in (("dirac-factorizes-laplacian", "laplacian_factorization"),
+                          ("dirac-null-space-invariant", "null_space_invariance"),
+                          ("dirac-left-action-star", "star_representation"))
     ]
+    checks.append(CheckResult("dirac-norm-formula", worst <= max(tol, 1e-8), worst))
     data = {
         "dim_omega": int(bs.rank),
         "delta_factorization_residual": bs.residuals["laplacian_factorization"],
         "norm_formula_residual": worst,
     }
     if spec.generator and spec.generator["kind"] == "network" and spec.generator["c"].min() >= 0:
-        net = ResistanceNetwork(spec.generator["c"])
+        net = problem.net
         if net.is_connected():
             # the spec's own operator is the one star_graph_check would build
             # when the form is the scale-1/2 network form with default cutoffs
@@ -296,7 +297,8 @@ def _dirac_checks(spec: ProblemSpec):
     return checks, data
 
 
-def _stddev_checks(spec: ProblemSpec):
+def _stddev_checks(problem: _Problem):
+    spec = problem.spec
     if spec.weight_element is None:
         raise InputError("the stddev command needs a 'weight_element' field")
     ea = extend(spec.algebra, spec.weight_element)
@@ -330,11 +332,7 @@ def _stddev_checks(spec: ProblemSpec):
     ]
     checks.extend(markov_check(e, seed=spec.seed, tol=tol))
     checks.extend(leibniz_check(e, seed=spec.seed, tol=tol))
-    data = {
-        "extension_residuals": dict(ea.residuals),
-        "route_residuals": routes,
-    }
-    return checks, data
+    return checks, {"extension_residuals": dict(ea.residuals), "route_residuals": routes}
 
 
 _RUNNERS = {
@@ -372,22 +370,22 @@ def run_command(command: str, spec: ProblemSpec) -> dict:
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
     names = _applicable(spec) if command == "all" else [command]
+    problem = _Problem(spec)
     checks = []
     data = {}
     for name in names:
         prefix = f"{name}:" if command == "all" else ""
         try:
-            got, extra = _RUNNERS[name](spec)
+            got, extra = _RUNNERS[name](problem)
         except DisconnectedError as exc:
             got = [CheckResult("metrically-connected", False, witness={"reason": str(exc)})]
             extra = {"distance": DISCONNECTED}
         except PropertyViolationError as exc:
-            got = [
-                CheckResult(c.check, c.passed, c.residual, c.witness) for c in exc.checks
-            ] or [CheckResult("precondition", False, witness={"reason": str(exc)})]
+            got = exc.checks or [
+                CheckResult("precondition", False, witness={"reason": str(exc)})
+            ]
             extra = {}
-        for c in got:
-            checks.append(CheckResult(prefix + c.check, c.passed, c.residual, c.witness))
+        checks.extend(replace(c, check=prefix + c.check) for c in got)
         if extra:
             data[name] = extra
     checks.sort(key=lambda c: c.check)
@@ -448,11 +446,9 @@ def main(argv=None) -> int:
         spec = parse_spec(args.spec)
         if args.seed is not None:
             spec.seed = args.seed
-        tols = spec.tolerances
-        spec.tolerances = Tolerances(
-            positivity=args.tol_pos if args.tol_pos is not None else tols.positivity,
-            rank=args.tol_rank if args.tol_rank is not None else tols.rank,
-            equality=args.tol_eq if args.tol_eq is not None else tols.equality,
+        overrides = {"positivity": args.tol_pos, "rank": args.tol_rank, "equality": args.tol_eq}
+        spec.tolerances = replace(
+            spec.tolerances, **{k: v for k, v in overrides.items() if v is not None}
         )
         if args.t is not None:
             try:

@@ -110,11 +110,17 @@ def energy_form(gamma: CdCForm, force=False, tol=DEFAULT_POS_TOL) -> EnergyForm:
 @dataclass(frozen=True)
 class Laplacian:
     """The positive operator with <a, L b> = E(a, b); Hermitian in the
-    orthonormal basis by construction."""
+    orthonormal basis by construction.  ``eigenvalues`` is the ascending
+    spectrum of its Hermitian part."""
 
     superop: SuperOperator
-    kernel_dim: int
+    eigenvalues: np.ndarray
     rank_tol: float = DEFAULT_RANK_TOL
+
+    @property
+    def kernel_dim(self) -> int:
+        w = self.eigenvalues
+        return int(np.sum(w <= self.rank_tol * max(1.0, float(w[-1]))))
 
     @property
     def algebra(self) -> Algebra:
@@ -147,10 +153,7 @@ def _laplacian_from_superop(superop: SuperOperator, rank_tol=DEFAULT_RANK_TOL) -
     herm_gap = float(np.abs(m - m.conj().T).max())
     if herm_gap > 1e-8 * (1.0 + float(np.abs(m).max())):
         raise InputError(f"Laplacian matrix must be Hermitian (residual {herm_gap:.3e})")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    cut = rank_tol * max(1.0, float(w[-1]))
-    kernel_dim = int(np.sum(w <= cut))
-    return Laplacian(superop, kernel_dim, rank_tol)
+    return Laplacian(superop, np.linalg.eigvalsh((m + m.conj().T) / 2), rank_tol)
 
 
 def laplacian(e: EnergyForm, rank_tol=DEFAULT_RANK_TOL) -> Laplacian:

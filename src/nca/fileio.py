@@ -16,8 +16,9 @@ A spec file is JSON:
 Elements are per-block 2-D arrays of [re, im] pairs.  Generator kinds:
 ``lindblad`` (vs), ``matrix`` (superop, orthonormal-basis matrix), ``network``
 (c), ``group`` (autos as superoperator matrices, weights), and
-``spectral_triple`` (D, a Hermitian full matrix).  Validation collects every
-violation, not just the first.
+``spectral_triple`` (D, a Hermitian full matrix).  ``matrix``, ``network``
+and ``spectral_triple`` take an optional ``scale``; ``lindblad`` and ``group``
+reject one.  Validation collects every violation, not just the first.
 """
 from __future__ import annotations
 
@@ -40,13 +41,7 @@ from .errors import InputError
 from .reporting import Tolerances
 
 GENERATOR_KINDS = ("lindblad", "matrix", "network", "group", "spectral_triple")
-_SCALE_DEFAULTS = {
-    "lindblad": 1.0,
-    "matrix": 1.0,
-    "network": 0.5,
-    "group": 1.0,
-    "spectral_triple": 1.0,
-}
+_SCALE_DEFAULTS = {"matrix": 1.0, "network": 0.5, "spectral_triple": 1.0}
 
 
 @dataclass
@@ -68,16 +63,16 @@ class ProblemSpec:
             raise InputError("this command needs a 'generator' field in the spec")
         gen = self.generator
         kind = gen["kind"]
-        scale = gen.get("scale", _SCALE_DEFAULTS[kind])
         if kind == "lindblad":
             return commutator_cdc(gen["vs"])
+        if kind == "group":
+            return group_action_cdc(gen["autos"], gen["weights"])
+        scale = gen.get("scale", _SCALE_DEFAULTS[kind])
         if kind == "matrix":
             return gamma_from_generator(gen["superop"], scale=scale)
         if kind == "network":
             return network_cdc(self.algebra, gen["c"], scale=scale,
                                allow_negative=gen.get("allow_negative", False))
-        if kind == "group":
-            return group_action_cdc(gen["autos"], gen["weights"])
         return spectral_triple_cdc(gen["D"], self.algebra, scale=scale)
 
 
@@ -107,7 +102,10 @@ def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
         return None
     out = {"kind": kind}
     if "scale" in raw:
-        out["scale"] = float(raw["scale"])
+        if kind not in _SCALE_DEFAULTS:
+            problems.append(f"generator.scale: the {kind} kind takes no scale")
+        else:
+            out["scale"] = float(raw["scale"])
     try:
         if kind == "lindblad":
             vs = raw.get("vs")

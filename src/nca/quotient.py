@@ -191,7 +191,7 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
     real_res = ambient_e.real_residual()
     pre.append(CheckResult("ambient-real", real_res <= tol * (1 + ambient_e.magnitude()),
                            residual=real_res))
-    eigs = np.linalg.eigvalsh(qd.ambient.matrix)
+    eigs = qd.ambient.eigenvalues
     pre.append(CheckResult("ambient-positive", bool(eigs[0] >= -tol * max(1.0, eigs[-1])),
                            residual=float(max(0.0, -eigs[0]))))
     pre.extend(

@@ -140,13 +140,14 @@ def all_pairs_resistance(net: ResistanceNetwork) -> np.ndarray:
 
 @dataclass
 class NetworkMetricReport:
-    """``energy`` holds the energy metric between every pair of point
-    states."""
+    """``resistance`` holds the resistance distance and ``energy`` the energy
+    metric between every pair of point states."""
 
     triangle: bool
     square_relation: bool
     acute_angles_pure: bool
     mixture_counterexample: Optional[dict]
+    resistance: np.ndarray
     energy: np.ndarray
     residuals: dict = field(default_factory=dict)
 
@@ -231,6 +232,7 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
         square_relation=square,
         acute_angles_pure=acute,
         mixture_counterexample=counterexample,
+        resistance=rho_r,
         energy=energy,
         residuals={
             "triangle": tri_worst,

@@ -1,13 +1,15 @@
 """Spec parsing, report emission, exit codes, and determinism."""
+import importlib
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import nca
-from nca.cli import emit_report, main, run_command
+from nca.cli import COMMANDS, emit_report, main, run_command
 from nca.errors import InputError
-from nca.fileio import parse_spec
+from nca.fileio import ProblemSpec, parse_spec
 from nca.reporting import dumps_canonical
 
 
@@ -222,3 +224,99 @@ def test_spectral_triple_generator_kind():
     report = run_command("laplacian", spec)
     assert report["summary"]["failed"] == 0
     assert report["data"]["connected"] is True
+
+
+@pytest.mark.parametrize("generator", [
+    LINDBLAD_SPEC["generator"],
+    {"kind": "group", "autos": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]], "weights": [1.0]},
+])
+def test_scale_rejected_where_ignored(generator):
+    bad = dict(LINDBLAD_SPEC, seed="zero", generator=dict(generator, scale=2))
+    if generator["kind"] == "group":
+        bad["algebra"] = {"blocks": [1, 1], "trace_weights": [1.0, 1.0]}
+    with pytest.raises(InputError) as err:
+        parse_spec(json.dumps(bad))
+    # listed with the other violations
+    assert sorted(err.value.details) == [
+        f"generator.scale: the {generator['kind']} kind takes no scale",
+        "seed: must be an integer",
+    ]
+
+
+NET5_SPEC = {
+    "algebra": {"blocks": [1] * 5, "trace_weights": [1.0] * 5},
+    "generator": {"kind": "network", "c": [
+        [0, 1.5, 0, 0.5, 0], [1.5, 0, 2, 0, 0.3], [0, 2, 0, 1, 0],
+        [0.5, 0, 1, 0, 0.8], [0, 0.3, 0, 0.8, 0],
+    ]},
+    "states": [
+        {"density": [[[[1, 0]]], [[[0, 0]]], [[[0, 0]]], [[[0, 0]]], [[[0, 0]]]]},
+        {"density": [[[[0, 0]]], [[[0, 0]]], [[[0.5, 0]]], [[[0, 0]]], [[[0.5, 0]]]]},
+        {"density": [[[[0, 0]]], [[[0.2, 0]]], [[[0, 0]]], [[[0.8, 0]]], [[[0, 0]]]]},
+    ],
+    "projection": {"keep_blocks": [0, 2, 3]},
+    "seed": 4,
+}
+
+
+@pytest.mark.parametrize("spec_dict", [K3_SPEC, LINDBLAD_SPEC, NET5_SPEC])
+def test_all_is_the_union_of_single_commands(spec_dict):
+    # the suites of one `all` run share their built objects; none may see
+    # what another suite did with them
+    text = json.dumps(spec_dict)
+    checks, data = [], {}
+    for command in COMMANDS[:-1]:
+        try:
+            report = run_command(command, parse_spec(text))
+        except InputError:
+            continue
+        checks.extend(dict(c, check=f"{command}:{c['check']}") for c in report["checks"])
+        if report["data"]:
+            data[command] = report["data"]
+    checks.sort(key=lambda c: c["check"])
+    passed = sum(c["passed"] for c in checks)
+    union = dict(report, command="all", checks=checks, data=data,
+                 summary={"passed": passed, "failed": len(checks) - passed})
+    got = run_command("all", parse_spec(text))
+    assert dumps_canonical(got) == dumps_canonical(union)
+
+
+def test_all_builds_the_form_once(monkeypatch):
+    calls = {"build_gamma": 0, "heat_map": 0}
+    build_gamma = ProblemSpec.build_gamma
+    cli = importlib.import_module("nca.cli")
+    heat_map = cli.heat_map
+
+    def counted_build(spec):
+        calls["build_gamma"] += 1
+        return build_gamma(spec)
+
+    def counted_heat_map(*args, **kwargs):
+        calls["heat_map"] += 1
+        return heat_map(*args, **kwargs)
+
+    monkeypatch.setattr(ProblemSpec, "build_gamma", counted_build)
+    monkeypatch.setattr(cli, "heat_map", counted_heat_map)
+    spec = parse_spec(json.dumps(K3_SPEC))
+    report = run_command("all", spec)
+    assert report["summary"]["failed"] == 0
+    assert calls["build_gamma"] == 1
+    # one map per time and one for the semigroup law's s + t
+    assert calls["heat_map"] == len(spec.times) + 1
+
+
+def test_resistance_suite_solves_all_pairs_once(monkeypatch):
+    resistance = importlib.import_module("nca.resistance")
+    calls = []
+    distance = resistance.resistance_distance
+
+    def counted(net, p, q):
+        calls.append((p, q))
+        return distance(net, p, q)
+
+    monkeypatch.setattr(resistance, "resistance_distance", counted)
+    report = run_command("resistance", parse_spec(json.dumps(NET5_SPEC)))
+    assert sorted(calls) == list(combinations(range(5), 2))
+    rho = np.asarray(report["data"]["resistance"])
+    assert np.array_equal(rho, resistance.all_pairs_resistance(
+        nca.ResistanceNetwork(NET5_SPEC["generator"]["c"])))

@@ -86,6 +86,8 @@ def test_laplacian_self_adjoint_and_positive(catalog):
         lap = nca.laplacian(nca.energy_form(ex.gamma))
         assert np.abs(lap.matrix - lap.matrix.conj().T).max() < 1e-10, ex.name
         eigs = np.linalg.eigvalsh(lap.matrix)
+        # the stored matrix is exactly Hermitian, so the kept spectrum is this one
+        assert np.array_equal(lap.eigenvalues, eigs), ex.name
         assert eigs[0] > -1e-9 * max(1.0, eigs[-1]), ex.name
         one = lap.algebra.identity()
         assert lap.apply(one).norm() < 1e-10, ex.name

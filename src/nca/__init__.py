@@ -56,6 +56,7 @@ from .energy import (
     energy_seminorm,
     gamma_delta,
     heat_map,
+    heat_semigroup,
     laplacian,
     leibniz_check,
     markov_check,

@@ -158,6 +158,26 @@ class Algebra:
         return i, j, self.mul_table[i, j]
 
     @cached_property
+    def left_mul_source(self):
+        """left_mul_source[a, m] = the l with e_a e_l = e_m, or -1: the
+        coefficient of e_m in e_a x is that of e_l in x."""
+        i, j, k = self.mul_nonzero
+        out = np.full((self.dim, self.dim), -1, dtype=int)
+        out[i, k] = j
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def right_mul_source(self):
+        """right_mul_source[b, m] = the l with e_l e_b = e_m, or -1: the
+        coefficient of e_m in x e_b is that of e_l in x."""
+        i, j, k = self.mul_nonzero
+        out = np.full((self.dim, self.dim), -1, dtype=int)
+        out[j, k] = i
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def adj_table(self):
         """adj_table[i] = canonical index of (e_i)*, the unit at the
         transposed entry."""
@@ -198,15 +218,6 @@ class Algebra:
         return tuple(groups)
 
     @cached_property
-    def _block_mask(self):
-        n = self.total_size
-        mask = np.zeros((n, n), dtype=bool)
-        for b, nb in enumerate(self.blocks):
-            off = self._space_offsets[b]
-            mask[off : off + nb, off : off + nb] = True
-        return mask
-
-    @cached_property
     def identity_coords(self):
         """Orthonormal coordinates of the identity element."""
         return self.to_coords(self.identity())
@@ -235,7 +246,7 @@ class Algebra:
         n = self.total_size
         if matrix.shape != (n, n):
             raise InputError(f"expected a {n}x{n} matrix, got {matrix.shape}")
-        off_block = np.abs(matrix[~self._block_mask])
+        off_block = np.abs(matrix[self._unit_at < 0])
         scale = 1.0 + np.abs(matrix).max(initial=0.0)
         if off_block.size and off_block.max() > tol * scale:
             raise InputError("matrix is not block-diagonal for this algebra")

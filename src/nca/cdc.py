@@ -2,10 +2,30 @@
 positivity, conditional complete negativity, amplification, and the
 commutative classification by conductance matrices.
 
-A form is stored through its values on the canonical basis: ``gram[i, j]`` is
-the algebra element ``Gamma(e_i, e_j)`` in its block-diagonal embedding.
-Sesquilinearity (conjugate-linear in the first slot) recovers all other
-values, so every axiom is checked on basis tuples only.
+A form is stored through its values on the canonical basis, in the
+algebra's own coordinates: ``gram[i, j, k]`` is the coefficient of the
+matrix unit e_k in ``Gamma(e_i, e_j)``, so ``gram`` has shape (d, d, d)
+with d = sum of n_b^2.  Sesquilinearity (conjugate-linear in the first slot)
+recovers all other values, so every axiom is checked on basis tuples only.
+
+Every check and reader is an index gather over the structure constants.  A
+product of a unit with an element picks at most one source coordinate per
+target unit: e_a x holds at e_m the coefficient of x at
+``left_mul_source[a, m]``, and x e_b the one at ``right_mul_source[b, m]``
+(-1 where the product has no e_m part; gathers read it from a zero slot
+padded onto the array).  So, with G = ``gram`` and adj = ``adj_table``:
+
+* symmetry, Gamma(e_i, e_j)* = Gamma(e_j, e_i), is G - conj(G[j, i, adj]);
+* the star-representation identity
+  Gamma(e_i e_j, e_k) - Gamma(e_j, e_i* e_k) = e_j* Gamma(e_i, e_k) - Gamma(e_j, e_i*) e_k
+  is four gathers, G[mul[i, j], k], G[j, mul[adj i, k]],
+  G[i, k, left_mul_source[adj j]] and G[j, adj i, right_mul_source[k]],
+  evaluated one i at a time so only (d, d, d) slices are held;
+* complete positivity is positivity of the basis gram
+  [(i, x), (j, y)] -> Gamma(e_i, e_j)_{xy}.  It is a direct sum over the
+  blocks b, block b being the (d n_b) x (d n_b) matrix of G[i, j, unit (r, s)
+  of b], so one batched ``eigvalsh`` per block size decides it.  A failing
+  direction is embedded back into the d n coordinates (i, x).
 """
 from __future__ import annotations
 
@@ -33,7 +53,8 @@ from .errors import InputError
 class CdCForm:
     """An algebra-valued sesquilinear form over the canonical basis.
 
-    ``gram`` has shape (d, d, n, n); ``scale`` records the conventional
+    ``gram`` has shape (d, d, d): ``gram[i, j, k]`` is the coefficient of
+    the unit e_k in Gamma(e_i, e_j).  ``scale`` records the conventional
     prefactor (1 for generator and commutator forms, 1/2 for Laplacian and
     network forms) so cross-module comparisons never mix conventions
     silently.
@@ -44,10 +65,10 @@ class CdCForm:
     scale: float = 1.0
 
     def __post_init__(self):
-        d, n = self.algebra.dim, self.algebra.total_size
+        d = self.algebra.dim
         g = np.array(self.gram, dtype=complex)
-        if g.shape != (d, d, n, n):
-            raise InputError(f"gram tensor must have shape {(d, d, n, n)}, got {g.shape}")
+        if g.shape != (d, d, d):
+            raise InputError(f"gram tensor must have shape (d, d, d) = {(d, d, d)}, got {g.shape}")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
 
@@ -55,19 +76,17 @@ class CdCForm:
         """Gamma(a, b), conjugate-linear in ``a``."""
         x = self.algebra.canonical_coords(a).conj()
         y = self.algebra.canonical_coords(b)
-        full = np.einsum("i,j,ijxy->xy", x, y, self.gram)
-        return self.algebra.pinch(full)
+        return self.algebra.from_canonical_coords(np.einsum("i,j,ijk->k", x, y, self.gram))
 
     @cached_property
     def tau_values(self) -> np.ndarray:
         """Matrix of tau(Gamma(e_i, e_j)) over the canonical basis."""
-        w = self.algebra.coord_weights
-        return np.einsum("x,ijxx->ij", w, self.gram)
+        alg = self.algebra
+        return np.einsum("x,ijx->ij", alg.coord_weights, self.gram[:, :, alg.diagonal_units])
 
     def unit_residual(self) -> float:
         one = self.algebra.canonical_coords(self.algebra.identity()).conj()
-        vals = np.einsum("i,ijxy->jxy", one, self.gram)
-        return float(np.abs(vals).max())
+        return float(np.abs(np.einsum("i,ijk->jk", one, self.gram)).max())
 
     def magnitude(self) -> float:
         return float(np.abs(self.gram).max())
@@ -111,14 +130,27 @@ def gamma_from_generator(n: SuperOperator, scale=1.0, tol=DEFAULT_EQ_TOL) -> CdC
             f"generator must annihilate the identity (residual {one_res:.3e})"
         )
     adj = alg.adj_table
-    mul = alg.mul_table
-    emb = alg.embedded_basis
-    ne = alg.embed(n.canonical_matrix.T)  # ne[i] = N(e_i)
-    t_left = np.einsum("ixz,jzy->ijxy", ne[adj], emb)  # N(e_i*) e_j
-    t_right = np.einsum("ixz,jzy->ijxy", emb[adj], ne)  # e_i* N(e_j)
-    prod = mul[adj]  # index of e_i* e_j
-    t_mid = np.where((prod >= 0)[:, :, None, None], ne[prod.clip(min=0)], 0.0)
+    d = alg.dim
+    ne = _padded(n.canonical_matrix.T)  # ne[i] = N(e_i)
+    t_left = ne[adj][:, alg.right_mul_source]  # N(e_i*) e_j
+    t_mid = ne[alg.mul_table[adj], :d]  # N(e_i* e_j)
+    t_right = ne[:d][:, alg.left_mul_source[adj]].transpose(1, 0, 2)  # e_i* N(e_j)
     return CdCForm(alg, scale * (t_left - t_mid + t_right), scale=scale)
+
+
+def _padded(a: np.ndarray) -> np.ndarray:
+    """``a`` with one zero slot appended on every axis, so that the index -1
+    of a structure-constant table reads zero."""
+    return np.pad(a, [(0, 1)] * a.ndim)
+
+
+def _unit_entries_of_products(alg: Algebra, x: np.ndarray) -> np.ndarray:
+    """``out[i, j, k]``: the entry of x_i* x_j at the position of the unit
+    e_k, for a stack ``x`` of n x n matrices.  Where the products are
+    block-diagonal this is their coordinates; otherwise it is the trace
+    conditional expectation onto the algebra, which keeps the blocks."""
+    rows, cols = alg.unit_positions
+    return np.einsum("izk,jzk->ijk", x.conj()[:, :, rows], x[:, :, cols])
 
 
 def commutator_cdc(vs: Sequence[Element]) -> CdCForm:
@@ -127,13 +159,11 @@ def commutator_cdc(vs: Sequence[Element]) -> CdCForm:
         raise InputError("need at least one element")
     alg = vs[0].algebra
     emb = alg.embedded_basis
-    d, n = alg.dim, alg.total_size
-    gram = np.zeros((d, d, n, n), dtype=complex)
+    gram = np.zeros((alg.dim,) * 3, dtype=complex)
     for v in vs:
         alg._own(v)
         vf = v.full()
-        comm = vf[None, :, :] @ emb - emb @ vf[None, :, :]
-        gram += np.einsum("izx,jzy->ijxy", comm.conj(), comm)
+        gram += _unit_entries_of_products(alg, vf[None, :, :] @ emb - emb @ vf[None, :, :])
     return CdCForm(alg, gram, scale=1.0)
 
 
@@ -179,19 +209,20 @@ def group_action_cdc(autos: Sequence[SuperOperator], weights: Sequence[float],
     if any(w < 0 for w in weights):
         raise InputError("weights must be nonnegative")
     alg = autos[0].algebra
-    d, n = alg.dim, alg.total_size
-    gram = np.zeros((d, d, n, n), dtype=complex)
+    d = alg.dim
+    gram = np.zeros((d, d, d), dtype=complex)
     for alpha, c in zip(autos, weights):
         _check_automorphism(alpha, tol)
         diff = alg.embed(alpha.canonical_matrix.T - np.eye(d))  # alpha(e_i) - e_i
-        gram += c * np.einsum("izx,jzy->ijxy", diff.conj(), diff)
+        gram += c * _unit_entries_of_products(alg, diff)
     return CdCForm(alg, gram, scale=1.0)
 
 
 def spectral_triple_cdc(dirac_matrix, algebra: Algebra, scale=1.0,
                         tol=DEFAULT_POS_TOL) -> CdCForm:
     """Gamma(a, b) = E([D, a]* [D, b]) with E the trace conditional
-    expectation onto the block-diagonally embedded algebra."""
+    expectation onto the block-diagonally embedded algebra: the entries of
+    [D, a]* [D, b] at the unit positions."""
     d_mat = np.asarray(dirac_matrix, dtype=complex)
     n = algebra.total_size
     if d_mat.shape != (n, n):
@@ -200,9 +231,7 @@ def spectral_triple_cdc(dirac_matrix, algebra: Algebra, scale=1.0,
         raise InputError("operator must be Hermitian")
     emb = algebra.embedded_basis
     comm = d_mat[None, :, :] @ emb - emb @ d_mat[None, :, :]
-    gram = np.einsum("izx,jzy->ijxy", comm.conj(), comm)
-    gram = gram * algebra._block_mask[None, None, :, :]
-    return CdCForm(algebra, scale * gram, scale=scale)
+    return CdCForm(algebra, scale * _unit_entries_of_products(algebra, comm), scale=scale)
 
 
 def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm:
@@ -220,18 +249,16 @@ def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm
         raise InputError(
             "negative conductances require the explicit allow_negative flag"
         )
-    # vals[p, q, y] = sum_x (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy; each
-    # entry has at most one nonzero term, so the sum is exact
+    # the unit at point y is e_y, so gram[p, q, y] = scale * sum_x
+    # (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy; each entry has at most one
+    # nonzero term, so the sum is exact
     eye = np.eye(size)
     deg = np.ascontiguousarray(c.T).sum(axis=1)
     vals = (eye[:, :, None] * c[:, None, :]
             - eye[None, :, :] * c[:, None, :]
             - eye[:, None, :] * c[None, :, :]
             + eye[:, None, :] * eye[None, :, :] * deg)
-    gram = np.zeros((size, size, size, size), dtype=complex)
-    diag = np.arange(size)
-    gram[:, :, diag, diag] = scale * vals
-    return CdCForm(algebra, gram, scale=scale)
+    return CdCForm(algebra, scale * vals, scale=scale)
 
 
 def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL, require_cdc=True) -> np.ndarray:
@@ -244,7 +271,7 @@ def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL, require_cdc=True)
         report = is_cdc(gamma, tol=tol)
         if not report.is_cdc:
             raise InputError("form is not a carre-du-champ", [report.residuals])
-    c = np.einsum("ppyy->py", gamma.gram).real / gamma.scale
+    c = np.einsum("ppy->py", gamma.gram).real / gamma.scale
     np.fill_diagonal(c, 0.0)
     return c
 
@@ -255,68 +282,61 @@ def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL, require_cdc=True)
 def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
     """Check symmetry, unit annihilation, the star-representation condition,
     and complete positivity.  All four are multilinear in their arguments, so
-    basis tuples suffice."""
+    basis tuples suffice; the module docstring gives the gathers."""
     alg = gamma.algebra
     g = gamma.gram
-    d, n = alg.dim, alg.total_size
+    d = alg.dim
     scale = 1.0 + gamma.magnitude()
     witness = None
 
-    sym_res = float(np.abs(g - g.transpose(1, 0, 3, 2).conj()).max())
+    sym_gap = np.abs(g - g.transpose(1, 0, 2)[:, :, alg.adj_table].conj())
+    sym_res = float(sym_gap.max())
     symmetric = sym_res <= tol * scale
-    if not symmetric and witness is None:
-        i, j = np.unravel_index(
-            np.abs(g - g.transpose(1, 0, 3, 2).conj()).reshape(d, d, -1).max(axis=2).argmax(),
-            (d, d),
-        )
+    if not symmetric:
+        i, j = np.unravel_index(sym_gap.max(axis=2).argmax(), (d, d))
         witness = {"kind": "symmetry", "pair": [int(i), int(j)], "residual": sym_res}
 
     unit_res = gamma.unit_residual()
     unit_ok = unit_res <= tol * scale
 
-    adj = alg.adj_table
-    mul = alg.mul_table
-    emb = alg.embedded_basis
-    # Gamma(e_i e_j, e_k) - Gamma(e_j, e_i* e_k) = e_j* Gamma(e_i, e_k) - Gamma(e_j, e_i*) e_k
-    mask1 = (mul >= 0)[:, :, None, None, None]
-    t1 = np.where(mask1, g[mul.clip(min=0)], 0.0)
-    m2 = mul[adj]
-    t2 = np.where((m2 >= 0)[:, None, :, None, None], g[:, m2.clip(min=0)].transpose(1, 0, 2, 3, 4), 0.0)
-    # t2 built as g[j, m2[i, k]]: g[:, m2] has axes (j, i, k, x, y)
-    t3 = np.einsum("jxz,ikzy->ijkxy", emb[adj], g)
-    t4 = np.einsum("ijxz,kzy->ijkxy", g[:, adj].transpose(1, 0, 2, 3), emb)
-    star_gap = t1 - t2 - t3 + t4
-    star_res = float(np.abs(star_gap).max())
+    star_gap = _star_gaps(alg, g)
+    star_res = float(star_gap.max())
     star_ok = star_res <= tol * scale
     if not star_ok and witness is None:
-        i, j, k = np.unravel_index(
-            np.abs(star_gap).reshape(d, d, d, -1).max(axis=3).argmax(), (d, d, d)
-        )
+        i, j, k = np.unravel_index(star_gap.argmax(), (d, d, d))
         witness = {
             "kind": "star-representation",
             "triple": [int(i), int(j), int(k)],
             "residual": star_res,
         }
 
-    # complete positivity of the basis gram as a d*n square matrix; by
-    # sesquilinearity this is equivalent to positivity on arbitrary tuples.
-    big = g.transpose(0, 2, 1, 3).reshape(d * n, d * n)
-    herm_res = float(np.abs(big - big.conj().T).max())
-    if herm_res > tol * scale:
-        cp_ok = False
-        min_eig = float("nan")
-        if witness is None:
-            witness = {"kind": "gram-not-hermitian", "residual": herm_res}
-    else:
-        eigvals, eigvecs = np.linalg.eigh((big + big.conj().T) / 2)
-        min_eig = float(eigvals[0])
-        cp_ok = min_eig >= -tol * max(1.0, float(eigvals[-1]))
+    # the skew part of the basis gram is the symmetry gap, so only a
+    # symmetric form is tested for positivity
+    min_eig = float("nan")
+    cp_ok = False
+    if symmetric:
+        grams = []
+        for n_b, cols in alg.size_groups:
+            # [b, (i, r), (j, s)] = G[i, j, unit (r, s) of block b]
+            m = g[:, :, cols].reshape(d, d, len(cols), n_b, n_b).transpose(2, 0, 3, 1, 4)
+            m = m.reshape(len(cols), d * n_b, d * n_b)
+            grams.append((m + m.conj().swapaxes(1, 2)) / 2)
+        eigs = [np.linalg.eigvalsh(m) for m in grams]
+        lows = [float(e[:, 0].min()) for e in eigs]
+        min_eig = min(lows)
+        cp_ok = min_eig >= -tol * max(1.0, max(float(e[:, -1].max()) for e in eigs))
         if not cp_ok and witness is None:
-            vec = eigvecs[:, 0]
+            group = int(np.argmin(lows))
+            block = int(eigs[group][:, 0].argmin())
+            n_b, cols = alg.size_groups[group]
+            first_row = alg.unit_positions[0][cols[block, 0]]
+            vec = np.zeros((d, alg.total_size), dtype=complex)
+            vec[:, first_row:first_row + n_b] = (
+                np.linalg.eigh(grams[group][block])[1][:, 0].reshape(d, n_b))
             witness = {
                 "kind": "negative-direction",
                 "eigenvalue": min_eig,
-                "vector": [[float(z.real), float(z.imag)] for z in vec],
+                "vector": [[float(z.real), float(z.imag)] for z in vec.reshape(-1)],
             }
 
     return CdCReport(
@@ -332,6 +352,26 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
         },
         witness=witness,
     )
+
+
+def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
+    """``out[i, j, k]``: the largest coefficient magnitude of the gap
+    Gamma(e_i e_j, e_k) - Gamma(e_j, e_i* e_k) - e_j* Gamma(e_i, e_k)
+    + Gamma(e_j, e_i*) e_k, built one i at a time from (d, d, d) gathers."""
+    d = alg.dim
+    adj = alg.adj_table
+    mul = alg.mul_table
+    second = mul[adj]  # e_i* e_k
+    left = alg.left_mul_source[adj]  # [j, m]: the l with e_j* e_l = e_m
+    right = alg.right_mul_source  # [k, m]: the l with e_l e_k = e_m
+    gz = _padded(g)
+    out = np.empty((d, d, d))
+    for i in range(d):
+        gap = gz[mul[i], :d, :d] - gz[:d, second[i], :d]
+        gap -= gz[i, :d][:, left].transpose(1, 0, 2)
+        gap += gz[:d, adj[i]][:, right]
+        out[i] = np.abs(gap).max(axis=2)
+    return out
 
 
 def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL, extra_tuples=4) -> bool:
@@ -420,13 +460,14 @@ def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:
     x_sizes = np.asarray(base.blocks)[x_block]
     x_inner = np.arange(base.total_size) - base._space_offsets[x_block]
     pos = amp._space_offsets[x_block] + np.arange(order)[:, None] * x_sizes + x_inner
-    # units in the same cell row pair up; each copies the diagonal blocks of
-    # its base value into cell (col_1, col_2) of every block
+    # units in the same cell row pair up; each copies its base value into
+    # cell (col_1, col_2): base unit u at (r, s) lands on the amplified unit
+    # at (pos[col_1, r], pos[col_2, s])
     i_1, i_2 = np.nonzero(row[:, None] == row[None, :])
-    xs, ys = np.nonzero(base._block_mask)
-    gram = np.zeros((amp.dim, amp.dim, amp.total_size, amp.total_size), dtype=complex)
-    gram[i_1[:, None], i_2[:, None], pos[col[i_1]][:, xs], pos[col[i_2]][:, ys]] = (
-        gamma.gram[inners[i_1], inners[i_2]][:, xs, ys])
+    rows, cols = base.unit_positions
+    target = amp._unit_at[pos[col[i_1]][:, rows], pos[col[i_2]][:, cols]]
+    gram = np.zeros((amp.dim,) * 3, dtype=complex)
+    gram[i_1[:, None], i_2[:, None], target] = gamma.gram[inners[i_1], inners[i_2]]
     return CdCForm(amp, gram, scale=gamma.scale)
 
 

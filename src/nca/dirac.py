@@ -68,7 +68,6 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
     d = alg.dim
     adj = alg.adj_table
     mul_i, mul_j, mul_k = alg.mul_nonzero
-    emb = alg.embedded_basis
     w = alg.coord_weights
 
     # kernel of the multiplication map a (x) b -> ab over the product basis
@@ -78,8 +77,15 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
     rank_m = int(np.sum(svals > rank_tol * max(1.0, svals.max())))
     kernel = vh[rank_m:].conj().T  # (d^2, d^2 - d) orthonormal columns
 
-    # Gram of the induced inner product on the product basis, restricted
-    t = np.einsum("x,jyx,ikyz,lzx->ijkl", w, emb.conj(), gamma.gram, emb, optimize=True)
+    # Gram of the induced inner product on the product basis, restricted:
+    # t[i, j, k, l] = tau(e_j* Gamma(e_i, e_k) e_l), which is nonzero only
+    # when e_j and e_l share a column x, and then w_x G[i, k, unit(row j, row l)]
+    rows, cols = alg.unit_positions
+    pair_j, pair_l = np.nonzero(cols[:, None] == cols[None, :])
+    t = np.zeros((d, d, d, d), dtype=complex)
+    t[:, pair_j, :, pair_l] = (
+        w[cols[pair_j]] * gamma.gram[:, :, alg._unit_at[rows[pair_j], rows[pair_l]]]
+    ).transpose(2, 0, 1)
     t_mat = t.reshape(d * d, d * d)
     gram = kernel.conj().T @ t_mat @ kernel
     gram = (gram + gram.conj().T) / 2

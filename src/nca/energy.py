@@ -42,6 +42,7 @@ __all__ = [
     "markov_check",
     "leibniz_check",
     "reality_checks",
+    "heat_semigroup",
     "heat_map",
     "resolvent_check",
     "cdc_from_dirichlet_form",
@@ -426,9 +427,6 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
     alg = gamma.algebra
     adj = alg.adj_table
     mul = alg.mul_table
-    emb = alg.embedded_basis
-    g = gamma.gram
-    w = alg.coord_weights
     tg = gamma.tau_values
     scale = 1.0 + float(np.abs(tg).max())
 
@@ -437,11 +435,10 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
 
     # tau(Gamma(e_i e_j, e_k)) = tau(Gamma(e_k*, e_j*) e_i*) + tau(e_j* Gamma(e_i, e_k))
     lhs = np.where((mul >= 0)[:, :, None], tg[mul.clip(min=0)], 0.0)
-    tau_ge = np.einsum("x,pqxy,myx->pqm", w, g, emb)  # tau(G[p,q] E[m])
-    tau_eg = np.einsum("x,mxy,ikyx->mik", w, emb, g)  # tau(E[m] G[i,k])
-    t1 = tau_ge[np.ix_(adj, adj, adj)].transpose(2, 1, 0)  # [i,j,k] = tau(G[k*,j*] E[i*])
-    t2 = tau_eg[adj]  # [j, i, k] = tau(E[j*] G[i, k])
-    t2 = t2.transpose(1, 0, 2)
+    # tau(G[p, q] e_m*) = tau(e_m* G[p, q]) = w_m G[p, q, m]
+    tau_g = gamma.gram * alg.basis_weights
+    t1 = tau_g[np.ix_(adj, adj)].transpose(2, 1, 0)  # [i,j,k] = tau(G[k*,j*] e_i*)
+    t2 = tau_g.transpose(0, 2, 1)  # [i,j,k] = tau(e_j* G[i, k])
     bal_gap = np.abs(lhs - t1 - t2)
     bal_res = float(bal_gap.max())
 
@@ -463,20 +460,24 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
 # -- semigroups and resolvents ------------------------------------------------
 
 
+def heat_semigroup(lap: Laplacian, t: float) -> SuperOperator:
+    """The semigroup element exp(-t L) by Hermitian eigendecomposition."""
+    if t < 0:
+        raise InputError("time must be nonnegative")
+    w, v = lap.eigensystem
+    return SuperOperator(lap.algebra, (v * np.exp(-t * w)) @ v.conj().T)
+
+
 def heat_map(lap: Laplacian, t: float, tol=DEFAULT_POS_TOL):
-    """The semigroup element exp(-t L) by Hermitian eigendecomposition,
-    with unitality and complete-positivity flags.
+    """:func:`heat_semigroup` at time ``t``, with unitality and
+    complete-positivity flags.
 
     Complete positivity is decided through the Choi matrix of the map
     composed with the trace conditional expectation of the full matrix
     algebra; the composition is completely positive exactly when the map is.
     """
-    if t < 0:
-        raise InputError("time must be nonnegative")
+    phi = heat_semigroup(lap, t)
     alg = lap.algebra
-    w, v = lap.eigensystem
-    phi = SuperOperator(alg, (v * np.exp(-t * w)) @ v.conj().T)
-
     one = alg.identity()
     unital_res = phi.apply(one).distance(one)
 

@@ -23,6 +23,7 @@ reject one.  Validation collects every violation, not just the first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -90,6 +91,10 @@ def _decode_states(algebra: Algebra, raw, problems: list) -> list:
     return states
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
     if not isinstance(raw, dict) or "kind" not in raw:
         problems.append("generator: needs a 'kind' field")
@@ -104,6 +109,8 @@ def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
     if "scale" in raw:
         if kind not in _SCALE_DEFAULTS:
             problems.append(f"generator.scale: the {kind} kind takes no scale")
+        elif not _is_finite_number(raw["scale"]):
+            problems.append(f"generator.scale: must be a finite number, got {raw['scale']!r}")
         else:
             out["scale"] = float(raw["scale"])
     try:
@@ -259,6 +266,9 @@ def parse_spec(source) -> ProblemSpec:
             not (isinstance(p, list) and len(p) == 2) for p in pairs
         ):
             problems.append("pairs: need a list of [i, j] pairs")
+            pairs = None
+        elif any(not isinstance(i, int) or isinstance(i, bool) for p in pairs for i in p):
+            problems.append("pairs: state indices must be integers")
             pairs = None
 
     seed = raw.get("seed", 0)

@@ -109,7 +109,7 @@ def _solve_potential(net: ResistanceNetwork, rhs: np.ndarray) -> np.ndarray:
     if not net.is_connected():
         raise DisconnectedError("network is not connected")
     sol, *_ = np.linalg.lstsq(net.laplacian_matrix, rhs, rcond=None)
-    return sol - sol.mean()  # the trace-zero representative
+    return sol - sol.mean(axis=0)  # the trace-zero representative of each column
 
 
 def potential(net: ResistanceNetwork, p: int, q: int) -> Element:
@@ -132,9 +132,16 @@ def resistance_distance(net: ResistanceNetwork, p: int, q: int) -> float:
 
 
 def all_pairs_resistance(net: ResistanceNetwork) -> np.ndarray:
+    """The resistance distance h[p] - h[q] of every pair p < q, with h the
+    trace-zero potential of delta_p - delta_q; one least-squares solve over
+    all the pairs' right-hand sides."""
+    p, q = np.triu_indices(net.size, 1)
+    pair = np.arange(len(p))
+    rhs = np.zeros((net.size, len(p)))
+    rhs[p, pair], rhs[q, pair] = 1.0, -1.0
+    h = _solve_potential(net, rhs)
     out = np.zeros((net.size, net.size))
-    for p, q in combinations(range(net.size), 2):
-        out[p, q] = out[q, p] = resistance_distance(net, p, q)
+    out[p, q] = out[q, p] = h[p, pair] - h[q, pair]
     return out
 
 

@@ -14,6 +14,7 @@ from .algebra import (
     Algebra,
     Element,
     SuperOperator,
+    right_multiplication,
 )
 from .cdc import CdCForm
 from .energy import Laplacian, _laplacian_from_superop
@@ -143,25 +144,25 @@ def independent_copies_cdc(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) ->
     """The variance carre-du-champ built from two independent copies:
     Gamma(a, b) = (1/2) (mu(a*b) - mu(a*) b - a* mu(b) + a*b) p."""
     lams = _central_positive_scalars(algebra, p, tol)
-    n = algebra.total_size
-    emb = algebra.embedded_basis
+    d = algebra.dim
     adj = algebra.adj_table
-    mul = algebra.mul_table
 
-    mu_vec = np.zeros(algebra.dim)
-    mu_vec[algebra.diagonal_units] = np.repeat(lams * np.asarray(algebra.trace_weights),
-                                               algebra.blocks)
+    # mu of each unit and the canonical coordinates of each unit; the slot
+    # at index -1 is zero
+    mu = np.zeros(d + 1)
+    mu[algebra.diagonal_units] = np.repeat(lams * np.asarray(algebra.trace_weights),
+                                           algebra.blocks)
+    units = np.eye(d + 1, d)
 
     # entry (i, j) is Gamma(e_i, e_j): there a* b = e_i* e_j is the unit
     # prod[i, j], or zero where prod[i, j] = -1
-    prod = mul[adj]
-    has = prod >= 0
-    emb_prod = np.where(has[:, :, None, None], emb[prod.clip(min=0)], 0.0)
-    mu_prod = np.where(has, mu_vec[prod.clip(min=0)], 0.0)
+    prod = algebra.mul_table[adj]
     term = (
-        mu_prod[:, :, None, None] * np.eye(n)
-        - mu_vec[adj][:, None, None, None] * emb[None]
-        - mu_vec[None, :, None, None] * emb[adj][:, None]
-        + emb_prod
+        mu[prod][:, :, None] * algebra.canonical_coords(algebra.identity())
+        - mu[adj][:, None, None] * units[:d]
+        - mu[:d][None, :, None] * units[adj][:, None]
+        + units[prod]
     )
-    return CdCForm(algebra, 0.5 * (term @ p.full()), scale=0.5)
+    # x -> x p over canonical coordinates: the weights cancel within a block
+    right_p = right_multiplication(algebra, p).matrix
+    return CdCForm(algebra, 0.5 * (term @ right_p.T), scale=0.5)

@@ -1,0 +1,75 @@
+"""The dense carre-du-champ check, kept as an independent reference for the
+packed one in ``nca.cdc``.
+
+Here a form is the (d, d, n, n) array whose slice [i, j] is the
+block-diagonal embedding of Gamma(e_i, e_j) (``alg.embed(gamma.gram)``).
+The star-representation identity is tested with four dense d^3 n^2 tensors
+and complete positivity with one (d n) x (d n) Hermitian eigenproblem.
+"""
+import numpy as np
+
+
+def dense_is_cdc(alg, g, tol=1e-9) -> dict:
+    """Flags, residuals and witness of the four carre-du-champ axioms for
+    the dense gram ``g`` over ``alg``."""
+    d, n = alg.dim, alg.total_size
+    scale = 1.0 + float(np.abs(g).max())
+    witness = None
+
+    sym_gap = np.abs(g - g.transpose(1, 0, 3, 2).conj())
+    sym_res = float(sym_gap.max())
+    symmetric = sym_res <= tol * scale
+    if not symmetric:
+        i, j = np.unravel_index(sym_gap.reshape(d, d, -1).max(axis=2).argmax(), (d, d))
+        witness = {"kind": "symmetry", "pair": [int(i), int(j)], "residual": sym_res}
+
+    one = alg.canonical_coords(alg.identity()).conj()
+    unit_res = float(np.abs(np.einsum("i,ijxy->jxy", one, g)).max())
+    unit_ok = unit_res <= tol * scale
+
+    adj = alg.adj_table
+    mul = alg.mul_table
+    emb = alg.embedded_basis
+    # Gamma(e_i e_j, e_k) - Gamma(e_j, e_i* e_k) = e_j* Gamma(e_i, e_k) - Gamma(e_j, e_i*) e_k
+    t1 = np.where((mul >= 0)[:, :, None, None, None], g[mul.clip(min=0)], 0.0)
+    m2 = mul[adj]
+    # g[:, m2] has axes (j, i, k, x, y)
+    t2 = np.where((m2 >= 0)[:, None, :, None, None],
+                  g[:, m2.clip(min=0)].transpose(1, 0, 2, 3, 4), 0.0)
+    t3 = np.einsum("jxz,ikzy->ijkxy", emb[adj], g)
+    t4 = np.einsum("ijxz,kzy->ijkxy", g[:, adj].transpose(1, 0, 2, 3), emb)
+    star_gap = np.abs(t1 - t2 - t3 + t4)
+    star_res = float(star_gap.max())
+    star_ok = star_res <= tol * scale
+    if not star_ok and witness is None:
+        i, j, k = np.unravel_index(star_gap.reshape(d, d, d, -1).max(axis=3).argmax(), (d, d, d))
+        witness = {"kind": "star-representation", "triple": [int(i), int(j), int(k)],
+                   "residual": star_res}
+
+    big = g.transpose(0, 2, 1, 3).reshape(d * n, d * n)
+    herm_res = float(np.abs(big - big.conj().T).max())
+    top = float("nan")
+    if herm_res > tol * scale:
+        cp_ok = False
+        min_eig = float("nan")
+        if witness is None:
+            witness = {"kind": "gram-not-hermitian", "residual": herm_res}
+    else:
+        eigvals, eigvecs = np.linalg.eigh((big + big.conj().T) / 2)
+        min_eig, top = float(eigvals[0]), float(eigvals[-1])
+        cp_ok = min_eig >= -tol * max(1.0, top)
+        if not cp_ok and witness is None:
+            witness = {"kind": "negative-direction", "eigenvalue": min_eig,
+                       "vector": [[float(z.real), float(z.imag)] for z in eigvecs[:, 0]]}
+
+    return {
+        "symmetric": symmetric,
+        "unit_annihilating": unit_ok,
+        "star_representation": star_ok,
+        "completely_positive": cp_ok,
+        "residuals": {"symmetry": sym_res, "unit": unit_res,
+                      "star_representation": star_res, "gram_min_eigenvalue": min_eig},
+        "top_eigenvalue": top,
+        "big": big,
+        "witness": witness,
+    }

@@ -171,6 +171,23 @@ def test_multiplication_operators_match_elementwise_rule(blocks, weights):
     assert np.abs(nca.right_multiplication(alg, h).matrix - right.matrix).max() < 1e-14
 
 
+@pytest.mark.parametrize("blocks, weights", [([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0])])
+def test_product_source_tables_match_unit_products(blocks, weights):
+    # e_a e_l = e_m exactly when left_mul_source[a, m] = l, and
+    # e_l e_b = e_m exactly when right_mul_source[b, m] = l
+    alg = nca.build_algebra(blocks, weights)
+    units = [alg.basis_element(i) for i in range(alg.dim)]
+    coords = np.array([[alg.canonical_coords(a * b) for b in units] for a in units])
+    for a in range(alg.dim):
+        for m in range(alg.dim):
+            left = np.flatnonzero(coords[a, :, m])
+            right = np.flatnonzero(coords[:, a, m])
+            assert list(left) == ([] if alg.left_mul_source[a, m] < 0
+                                  else [alg.left_mul_source[a, m]])
+            assert list(right) == ([] if alg.right_mul_source[a, m] < 0
+                                   else [alg.right_mul_source[a, m]])
+
+
 def test_conditional_expectation():
     diag = nca.build_algebra([1, 1], [1.0, 1.0])
     full = np.array([[1.0, 2.0], [3.0, 4.0]])

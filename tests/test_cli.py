@@ -1,7 +1,6 @@
 """Spec parsing, report emission, exit codes, and determinism."""
 import importlib
 import json
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -243,6 +242,19 @@ def test_scale_rejected_where_ignored(generator):
     ]
 
 
+@pytest.mark.parametrize("field, command, change", [
+    ("generator.scale", "check-cdc", {"generator": dict(K3_SPEC["generator"], scale="x")}),
+    ("generator.scale", "check-cdc",
+     {"generator": dict(K3_SPEC["generator"], scale=float("nan"))}),
+    ("pairs", "metric", {"pairs": [["a", 1]]}),
+])
+def test_malformed_numbers_exit_2(field, command, change, capsys):
+    assert main([command, json.dumps(dict(K3_SPEC, **change))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and field in captured.err
+
+
 NET5_SPEC = {
     "algebra": {"blocks": [1] * 5, "trace_weights": [1.0] * 5},
     "generator": {"kind": "network", "c": [
@@ -282,41 +294,46 @@ def test_all_is_the_union_of_single_commands(spec_dict):
 
 
 def test_all_builds_the_form_once(monkeypatch):
-    calls = {"build_gamma": 0, "heat_map": 0}
+    calls = {"build_gamma": 0, "heat_map": 0, "heat_semigroup": 0}
     build_gamma = ProblemSpec.build_gamma
     cli = importlib.import_module("nca.cli")
-    heat_map = cli.heat_map
 
     def counted_build(spec):
         calls["build_gamma"] += 1
         return build_gamma(spec)
 
-    def counted_heat_map(*args, **kwargs):
-        calls["heat_map"] += 1
-        return heat_map(*args, **kwargs)
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(ProblemSpec, "build_gamma", counted_build)
-    monkeypatch.setattr(cli, "heat_map", counted_heat_map)
+    for name in ("heat_map", "heat_semigroup"):
+        monkeypatch.setattr(cli, name, counted(name))
     spec = parse_spec(json.dumps(K3_SPEC))
     report = run_command("all", spec)
     assert report["summary"]["failed"] == 0
     assert calls["build_gamma"] == 1
-    # one map per time and one for the semigroup law's s + t
-    assert calls["heat_map"] == len(spec.times) + 1
+    # one tested map per time; the semigroup law's s + t map is built
+    # without its complete-positivity test
+    assert calls["heat_map"] == len(spec.times)
+    assert calls["heat_semigroup"] == 1
 
 
 def test_resistance_suite_solves_all_pairs_once(monkeypatch):
     resistance = importlib.import_module("nca.resistance")
     calls = []
-    distance = resistance.resistance_distance
+    all_pairs = resistance.all_pairs_resistance
 
-    def counted(net, p, q):
-        calls.append((p, q))
-        return distance(net, p, q)
+    def counted(net):
+        calls.append(net.size)
+        return all_pairs(net)
 
-    monkeypatch.setattr(resistance, "resistance_distance", counted)
+    monkeypatch.setattr(resistance, "all_pairs_resistance", counted)
     report = run_command("resistance", parse_spec(json.dumps(NET5_SPEC)))
-    assert sorted(calls) == list(combinations(range(5), 2))
+    assert calls == [5]
     rho = np.asarray(report["data"]["resistance"])
-    assert np.array_equal(rho, resistance.all_pairs_resistance(
-        nca.ResistanceNetwork(NET5_SPEC["generator"]["c"])))
+    assert np.array_equal(rho, all_pairs(nca.ResistanceNetwork(NET5_SPEC["generator"]["c"])))

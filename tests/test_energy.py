@@ -470,6 +470,16 @@ def test_heat_semigroup_law_and_generator(catalog):
 def test_heat_rejects_negative_time(k3_setup):
     with pytest.raises(InputError):
         nca.heat_map(k3_setup[3], -0.1)
+    with pytest.raises(InputError):
+        nca.heat_semigroup(k3_setup[3], -0.1)
+
+
+def test_heat_map_is_the_semigroup_with_flags(catalog):
+    for ex in catalog:
+        lap = nca.laplacian(nca.energy_form(ex.gamma))
+        for t in (0.0, 0.3, 2.0):
+            phi, _ = nca.heat_map(lap, t)
+            assert np.array_equal(phi.matrix, nca.heat_semigroup(lap, t).matrix), ex.name
 
 
 def test_heat_on_raw_involution_breaking_generator(m2):

@@ -1,0 +1,194 @@
+"""The packed carre-du-champ against the dense reference in ``dense_cdc``:
+the axiom checks on random forms, the complete-positivity witness, the
+builders, and the memory held by ``is_cdc``."""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nca
+from nca.errors import InputError
+
+from dense_cdc import dense_is_cdc
+
+ALGEBRAS = [
+    ([3, 2, 1], [1.0, 0.5, 2.0]),
+    ([1] * 7, [1.0, 0.5, 2.0, 1.0, 3.0, 0.7, 1.3]),
+    ([2, 2], [1.0, 3.0]),
+    ([4], [1.0]),
+]
+
+
+def _random_form(alg, kind, rng):
+    """``raw``: arbitrary coefficients; ``symmetrized``: symmetric but
+    otherwise arbitrary, so the star identity almost surely fails;
+    ``generator``: the form of a random map N with N(1) = 0 and N = N#,
+    which is symmetric and a star representation but almost surely not
+    completely positive."""
+    d = alg.dim
+    if kind == "generator":
+        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        one = alg.identity_coords
+        mat -= np.outer(mat @ one, one.conj()) / (one.conj() @ one)
+        n = nca.SuperOperator(alg, mat)
+        return nca.gamma_from_generator(0.5 * (n + n.sharp()))
+    g = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    if kind == "symmetrized":
+        g = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
+    return nca.CdCForm(alg, g)
+
+
+def _assert_matches_reference(gamma):
+    alg = gamma.algebra
+    report = nca.is_cdc(gamma)
+    ref = dense_is_cdc(alg, alg.embed(gamma.gram))
+    for flag in ("symmetric", "unit_annihilating", "star_representation",
+                 "completely_positive"):
+        assert getattr(report, flag) == ref[flag], flag
+    res, ref_res = report.residuals, ref["residuals"]
+    assert res["symmetry"] == ref_res["symmetry"]
+    assert res["star_representation"] == ref_res["star_representation"]
+    bound = 1e-12 * max(1.0, ref["top_eigenvalue"]) if report.symmetric else 1e-12
+    assert abs(res["unit"] - ref_res["unit"]) <= bound
+    if report.symmetric:
+        assert abs(res["gram_min_eigenvalue"] - ref_res["gram_min_eigenvalue"]) <= bound
+    else:
+        assert np.isnan(res["gram_min_eigenvalue"]) and np.isnan(ref_res["gram_min_eigenvalue"])
+    witness, ref_witness = report.witness, ref["witness"]
+    assert (witness is None) == (ref_witness is None)
+    if witness is not None:
+        assert witness["kind"] == ref_witness["kind"]
+        for key in ("pair", "triple", "residual"):
+            assert witness.get(key) == ref_witness.get(key), key
+        if witness["kind"] == "negative-direction":
+            _assert_negative_direction(witness, ref["big"], bound)
+    return report
+
+
+def _assert_negative_direction(witness, big, bound):
+    """The witness is a unit vector over the d n coordinates (i, x) whose
+    Rayleigh quotient on the dense basis gram is its eigenvalue."""
+    vec = np.array([complex(re, im) for re, im in witness["vector"]])
+    assert vec.shape == (big.shape[0],)
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    rayleigh = complex(vec.conj() @ ((big + big.conj().T) / 2) @ vec)
+    assert abs(rayleigh - witness["eigenvalue"]) <= bound
+
+
+@pytest.mark.parametrize("blocks, weights", ALGEBRAS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       kind=st.sampled_from(["raw", "symmetrized", "generator"]))
+def test_packed_is_cdc_matches_dense_reference(blocks, weights, seed, kind):
+    alg = nca.build_algebra(blocks, weights)
+    _assert_matches_reference(_random_form(alg, kind, np.random.default_rng(seed)))
+
+
+def test_reference_agreement_on_valid_and_witnessed_forms(catalog):
+    for ex in catalog:
+        assert _assert_matches_reference(ex.gamma).is_cdc, ex.name
+    alg = nca.build_algebra([1] * 4, [1.0] * 4)
+    c = np.array([[0, 1, 1, 0.5], [1, 0, -0.4, 1], [1, -0.4, 0, 1], [0.5, 1, 1, 0]])
+    report = _assert_matches_reference(nca.network_cdc(alg, c, allow_negative=True))
+    assert report.witness["kind"] == "negative-direction"
+    assert report.witness["eigenvalue"] == report.residuals["gram_min_eigenvalue"]
+
+
+def test_cp_witness_is_embedded_from_its_block():
+    # on [3, 2, 1] the failing direction of a generator form lives on the
+    # rows of one block: every other row of its (i, x) layout is zero
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    gamma = _random_form(alg, "generator", np.random.default_rng(3))
+    report = _assert_matches_reference(gamma)
+    assert report.witness["kind"] == "negative-direction"
+    vec = np.array([complex(re, im) for re, im in report.witness["vector"]])
+    rows = np.flatnonzero(np.abs(vec.reshape(alg.dim, alg.total_size)).max(axis=0) > 0)
+    owners = {int(np.searchsorted(alg._space_offsets, x, side="right") - 1) for x in rows}
+    assert len(owners) == 1
+
+
+def test_form_rejects_dense_shape(m2):
+    dense = np.zeros((m2.dim, m2.dim, m2.total_size, m2.total_size))
+    with pytest.raises(InputError, match=r"\(d, d, d\)"):
+        nca.CdCForm(m2, dense)
+
+
+# -- the builders against their dense definitions ---------------------------
+
+
+def test_builders_match_dense_definitions():
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    rng = np.random.default_rng(71)
+    emb = alg.embedded_basis
+    vs = [nca.random_element(alg, rng) for _ in range(2)]
+
+    dense = 0
+    for v in vs:
+        comm = v.full() @ emb - emb @ v.full()
+        dense = dense + np.einsum("izx,jzy->ijxy", comm.conj(), comm)
+    packed = nca.commutator_cdc(vs).gram
+    assert np.abs(alg.embed(packed) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    gen = nca.lindblad_generator(alg, vs)
+    ne = alg.embed(gen.canonical_matrix.T)
+    adj, prod = alg.adj_table, alg.mul_table[alg.adj_table]
+    dense = (np.einsum("ixz,jzy->ijxy", ne[adj], emb)
+             - np.where((prod >= 0)[:, :, None, None], ne[prod.clip(min=0)], 0.0)
+             + np.einsum("ixz,jzy->ijxy", emb[adj], ne))
+    packed = nca.gamma_from_generator(gen, scale=0.5).gram
+    assert np.array_equal(alg.embed(packed), 0.5 * dense)
+
+    herm = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    d_op = herm + herm.conj().T
+    comm = d_op @ emb - emb @ d_op
+    dense = np.einsum("izx,jzy->ijxy", comm.conj(), comm)
+    packed = nca.spectral_triple_cdc(d_op, alg, scale=2.0).gram
+    expected = 2.0 * dense[(...,) + alg.unit_positions]  # the diagonal blocks
+    assert np.abs(packed - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    u = alg.element([np.linalg.qr(m)[0] for m in nca.random_element(alg, rng).data])
+    alpha = nca.conjugation_superop(alg, u)
+    diff = alg.embed(alpha.canonical_matrix.T - np.eye(alg.dim))
+    dense = 1.5 * np.einsum("izx,jzy->ijxy", diff.conj(), diff)
+    packed = nca.group_action_cdc([alpha], [1.5]).gram
+    assert np.abs(alg.embed(packed) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_independent_copies_match_dense_definition():
+    alg = nca.build_algebra([2, 1], [1.0, 2.0])
+    p = alg.element([0.2 * np.eye(2), [[0.3]]])
+    emb, adj, n = alg.embedded_basis, alg.adj_table, alg.total_size
+    mu = np.array([complex((p * alg.basis_element(i)).trace()) for i in range(alg.dim)])
+    ident = np.eye(n)
+    dense = np.zeros((alg.dim, alg.dim, n, n), dtype=complex)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            a_star_b = emb[adj[i]] @ emb[j]
+            mu_ab = complex((p * alg.from_full(a_star_b)).trace())
+            term = mu_ab * ident - mu[adj[i]] * emb[j] - mu[j] * emb[adj[i]] + a_star_b
+            dense[i, j] = 0.5 * term @ p.full()
+    packed = nca.independent_copies_cdc(alg, p).gram
+    assert np.abs(alg.embed(packed) - dense).max() <= 1e-14
+
+
+# -- memory -----------------------------------------------------------------
+
+
+def _network_form(size, seed):
+    net = nca.random_network(size, np.random.default_rng(seed))
+    return nca.network_cdc(net.algebra, net.c)
+
+
+def test_is_cdc_memory_stays_bounded():
+    gamma = _network_form(24, 24)
+    tracemalloc.start()
+    try:
+        report = nca.is_cdc(gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_cdc
+    assert peak < 50 * 2 ** 20
+    assert nca.is_cdc(_network_form(48, 48)).is_cdc

@@ -118,6 +118,20 @@ def test_metric_checks_k3(k3_net):
     assert report.mixture_counterexample["violation"] > 1e-6
 
 
+def test_all_pairs_resistance_matches_each_pair():
+    net = nca.random_network(9, np.random.default_rng(90))
+    rho = nca.all_pairs_resistance(net)
+    for p, q in itertools.combinations(range(9), 2):
+        single = nca.resistance_distance(net, p, q)
+        assert abs(rho[p, q] - single) <= 1e-12 * single
+        assert rho[q, p] == rho[p, q]
+    assert np.all(np.diag(rho) == 0)
+    split = np.zeros((4, 4))
+    split[0, 1] = split[1, 0] = split[2, 3] = split[3, 2] = 1.0
+    with pytest.raises(DisconnectedError):
+        nca.all_pairs_resistance(nca.ResistanceNetwork(split))
+
+
 def _metric_checks_pairwise(net, seed, margin, step=0.1):
     """The metric checks state pair by state pair through energy_metric."""
     n = net.size

@@ -2,8 +2,9 @@
 
 An algebra is given by block sizes ``[n_1, ..., n_k]`` and strictly positive
 trace weights ``[w_1, ..., w_k]``.  Elements are block-diagonal matrices,
-stored as one complex array per block; the faithful trace is
-``tau(a) = sum_i w_i * tr(a_i)``.
+held as one complex vector of canonical coordinates; the faithful trace is
+``tau(a) = sum_i w_i * tr(a_i)``.  Per-block work (products, norms,
+spectra) runs as one batched call per block size over ``block_stacks``.
 
 Two bases are used throughout:
 
@@ -228,29 +229,26 @@ class Algebra:
         return Element(self, data)
 
     def zero(self) -> "Element":
-        return Element(self, [np.zeros((n, n)) for n in self.blocks])
+        return _element(self, np.zeros(self.dim, dtype=complex))
 
     def identity(self) -> "Element":
-        return Element(self, [np.eye(n) for n in self.blocks])
+        coords = np.zeros(self.dim, dtype=complex)
+        coords[self.diagonal_units] = 1.0
+        return _element(self, coords)
 
     def basis_element(self, index) -> "Element":
-        b, r, s = self.basis_triple(index)
-        data = [np.zeros((n, n)) for n in self.blocks]
-        data[b][r, s] = 1.0
-        return Element(self, data)
+        coords = np.zeros(self.dim, dtype=complex)
+        coords[index] = 1.0
+        return _element(self, coords)
 
     def from_full(self, matrix, tol=1e-12) -> "Element":
         """Extract an element from its block-diagonal embedding; rejects
         matrices with mass outside the blocks."""
-        matrix = np.asarray(matrix, dtype=complex)
-        n = self.total_size
-        if matrix.shape != (n, n):
-            raise InputError(f"expected a {n}x{n} matrix, got {matrix.shape}")
-        off_block = np.abs(matrix[self._unit_at < 0])
-        scale = 1.0 + np.abs(matrix).max(initial=0.0)
-        if off_block.size and off_block.max() > tol * scale:
+        a = self.pinch(matrix)
+        off_block = np.abs(np.asarray(matrix)[self._unit_at < 0])
+        if off_block.max(initial=0.0) > tol * (1.0 + np.abs(matrix).max(initial=0.0)):
             raise InputError("matrix is not block-diagonal for this algebra")
-        return self.pinch(matrix)
+        return a
 
     def pinch(self, matrix) -> "Element":
         """Orthogonal projection of a full matrix onto the embedded algebra
@@ -259,52 +257,35 @@ class Algebra:
         n = self.total_size
         if matrix.shape != (n, n):
             raise InputError(f"expected a {n}x{n} matrix, got {matrix.shape}")
-        data = []
-        for b, nb in enumerate(self.blocks):
-            off = self._space_offsets[b]
-            data.append(matrix[off : off + nb, off : off + nb])
-        return Element(self, data)
+        return _element(self, matrix[self.unit_positions])
 
     # -- coordinates ---------------------------------------------------------
 
     def to_coords(self, a: "Element") -> np.ndarray:
         """Coordinates in the orthonormal basis e_i / sqrt(w)."""
         self._own(a)
-        parts = [
-            np.sqrt(w) * m.reshape(-1)
-            for w, m in zip(self.trace_weights, a.data)
-        ]
-        return np.concatenate(parts)
+        return np.sqrt(self.basis_weights) * a.coords
 
     def from_coords(self, coords) -> "Element":
-        coords = np.asarray(coords, dtype=complex)
-        if coords.shape != (self.dim,):
-            raise InputError(f"expected {self.dim} coordinates, got {coords.shape}")
-        data = []
-        for b, n in enumerate(self.blocks):
-            off = self._basis_offsets[b]
-            w = self.trace_weights[b]
-            data.append(coords[off : off + n * n].reshape(n, n) / np.sqrt(w))
-        return Element(self, data)
+        return _element(self, self._checked(coords) / np.sqrt(self.basis_weights))
 
     def canonical_coords(self, a: "Element") -> np.ndarray:
         """Coefficients over the matrix units themselves (no weight scaling)."""
         self._own(a)
-        return np.concatenate([m.reshape(-1) for m in a.data])
+        return a.coords
 
     def from_canonical_coords(self, coords) -> "Element":
+        return _element(self, np.array(self._checked(coords)))
+
+    def _checked(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
         if coords.shape != (self.dim,):
             raise InputError(f"expected {self.dim} coordinates, got {coords.shape}")
-        data = []
-        for b, n in enumerate(self.blocks):
-            off = self._basis_offsets[b]
-            data.append(coords[off : off + n * n].reshape(n, n))
-        return Element(self, data)
+        return coords
 
     def tau(self, a: "Element") -> complex:
         self._own(a)
-        return complex(sum(w * np.trace(m) for w, m in zip(self.trace_weights, a.data)))
+        return complex(self.coord_weights @ a.coords[self.diagonal_units])
 
     def amplify(self, n: int) -> "Algebra":
         """The algebra of n x n matrices over this one (blocks scale by n,
@@ -328,30 +309,42 @@ def build_algebra(blocks, trace_weights) -> Algebra:
 
 
 class Element:
-    """A block-diagonal element of a finite-dimensional C*-algebra.
+    """A block-diagonal element of a finite-dimensional C*-algebra, held as
+    its canonical coordinates: ``coords`` is one read-only complex vector of
+    length d over the matrix units.
 
-    Immutable after construction; all arithmetic returns new elements.
+    ``Element(algebra, blocks)`` builds one from its per-block matrices, and
+    ``data`` gives them back as read-only views of ``coords``.  Immutable
+    after construction; all arithmetic returns new elements.
     """
 
-    __slots__ = ("algebra", "data")
+    __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: Algebra, data):
         if len(data) != len(algebra.blocks):
             raise InputError(
                 f"expected {len(algebra.blocks)} blocks, got {len(data)}"
             )
-        mats = []
+        parts = []
         for k, n in enumerate(algebra.blocks):
-            m = np.array(data[k], dtype=complex)
+            m = np.asarray(data[k], dtype=complex)
             if m.shape != (n, n):
                 raise InputError(f"block {k} must have shape ({n}, {n}), got {m.shape}")
-            m.setflags(write=False)
-            mats.append(m)
+            parts.append(m.reshape(-1))
+        coords = np.concatenate(parts)
+        coords.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "data", tuple(mats))
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    @property
+    def data(self) -> tuple:
+        """The per-block matrices, as read-only views of ``coords``."""
+        offs = self.algebra._basis_offsets
+        return tuple(self.coords[offs[b]:offs[b + 1]].reshape(n, n)
+                     for b, n in enumerate(self.algebra.blocks))
 
     def _match(self, other: "Element"):
         self.algebra._own(other)
@@ -360,57 +353,51 @@ class Element:
 
     def __add__(self, other):
         self._match(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.data, other.data)])
+        return _element(self.algebra, self.coords + other.coords)
 
     def __sub__(self, other):
         self._match(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.data, other.data)])
+        return _element(self.algebra, self.coords - other.coords)
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.data])
+        return _element(self.algebra, -self.coords)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._match(other)
-            return Element(
-                self.algebra, [a @ b for a, b in zip(self.data, other.data)]
-            )
-        return Element(self.algebra, [complex(other) * a for a in self.data])
+            return _element(self.algebra, block_products(self.algebra, self.coords, other.coords))
+        return _element(self.algebra, complex(other) * self.coords)
 
     def __rmul__(self, scalar):
-        return Element(self.algebra, [complex(scalar) * a for a in self.data])
+        return _element(self.algebra, complex(scalar) * self.coords)
 
     def adjoint(self) -> "Element":
-        return Element(self.algebra, [a.conj().T for a in self.data])
+        return _element(self.algebra, self.coords[self.algebra.adj_table].conj())
 
     def trace(self) -> complex:
         return self.algebra.tau(self)
 
     def norm(self) -> float:
         """C*-norm: the largest singular value over the blocks."""
-        return max(np.linalg.norm(m, 2) for m in self.data)
+        return float(block_norms(self.algebra, self.coords))
 
     def full(self) -> np.ndarray:
         """The block-diagonal embedding into M_n, n = sum of block sizes."""
-        n = self.algebra.total_size
-        out = np.zeros((n, n), dtype=complex)
-        for b, m in enumerate(self.data):
-            off = self.algebra._space_offsets[b]
-            out[off : off + m.shape[0], off : off + m.shape[1]] = m
-        return out
+        return self.algebra.embed(self.coords)
 
     def block(self, b) -> np.ndarray:
         return self.data[b]
 
     def is_self_adjoint(self, tol=DEFAULT_POS_TOL) -> bool:
-        gap = (self - self.adjoint()).norm()
-        return gap <= tol * (1.0 + self.norm())
+        return bool(self_adjoint_rows(self.algebra, self.coords[None], tol)[0])
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues over all blocks (Hermitian solver when self-adjoint)."""
+        """Eigenvalues over all blocks, grouped by block size as in
+        ``size_groups`` (Hermitian solver when self-adjoint)."""
         if self.is_self_adjoint():
-            return np.concatenate([np.linalg.eigvalsh((m + m.conj().T) / 2) for m in self.data])
-        return np.concatenate([np.linalg.eigvals(m) for m in self.data])
+            return hermitian_eigenvalues(self.algebra, self.coords)
+        return np.concatenate([np.linalg.eigvals(m).reshape(-1)
+                               for m in block_stacks(self.algebra, self.coords)])
 
     def distance(self, other: "Element") -> float:
         return (self - other).norm()
@@ -422,41 +409,53 @@ class Element:
         return f"Element(blocks={self.algebra.blocks})"
 
 
+def _element(algebra: Algebra, coords: np.ndarray) -> Element:
+    """The element over canonical coordinates ``coords`` of shape (d,), an
+    array that no one else holds."""
+    out = object.__new__(Element)
+    coords.setflags(write=False)
+    object.__setattr__(out, "algebra", algebra)
+    object.__setattr__(out, "coords", coords)
+    return out
+
+
 # -- scalar-valued operations ---------------------------------------------
 
 
 def tau_inner(a: Element, b: Element) -> complex:
     """The L2 inner product tau(a* b), conjugate-linear in ``a``."""
     a._match(b)
-    return complex(
-        sum(w * np.vdot(x, y) for w, x, y in zip(a.algebra.trace_weights, a.data, b.data))
-    )
+    return complex(np.vdot(a.coords, a.algebra.basis_weights * b.coords))
 
 
 def is_positive(a: Element, tol=DEFAULT_POS_TOL) -> bool:
     """Self-adjoint within tolerance and spectrum >= -tol*(1+|a|)."""
     slack = tol * (1.0 + a.norm())
-    if (a - a.adjoint()).norm() > slack:
-        return False
-    for m in a.data:
-        herm = (m + m.conj().T) / 2
-        if np.linalg.eigvalsh(herm).min() < -slack:
-            return False
-    return True
+    return a.is_self_adjoint(tol) and bool(
+        hermitian_eigenvalues(a.algebra, a.coords).min() >= -slack)
+
+
+def central_scalars(a: Element, tol: float):
+    """``(lams, off)`` for an element read as central (a blockwise scalar):
+    ``lams[b]`` is the mean diagonal entry of block b, and ``off[b]`` flags
+    a block that differs from lams[b] times its identity by more than
+    tol * (1 + |lams[b]|) in some entry."""
+    alg = a.algebra
+    lams = (np.add.reduceat(a.coords[alg.diagonal_units], alg._space_offsets[:-1])
+            / np.asarray(alg.blocks))
+    scalar = np.zeros(alg.dim, dtype=complex)
+    scalar[alg.diagonal_units] = np.repeat(lams, alg.blocks)
+    gap = np.maximum.reduceat(np.abs(a.coords - scalar), alg._basis_offsets[:-1])
+    return lams, gap > tol * (1.0 + np.abs(lams))
 
 
 def apply_spectral(a: Element, fn: Callable, tol=DEFAULT_POS_TOL):
     """Apply a scalar function to a self-adjoint element through its
     eigendecomposition.  Returns (result, eigenvalues)."""
-    if not a.is_self_adjoint(tol):
-        raise InputError("spectral calculus requires a self-adjoint element")
-    data = []
-    eigs = []
-    for m in a.data:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
-        eigs.append(w)
-        data.append((v * np.asarray(fn(w), dtype=complex)) @ v.conj().T)
-    return Element(a.algebra, data), np.concatenate(eigs)
+    spectra = SpectralStack(a.algebra, a.coords[None], tol)
+    coords = spectra.apply(lambda w: np.broadcast_to(fn(w), w.shape)[:, None])[0, 0]
+    eigs = np.concatenate([w.reshape(-1) for _, w, _ in spectra.groups])
+    return _element(a.algebra, coords), eigs
 
 
 @dataclass(frozen=True)
@@ -572,6 +571,41 @@ def block_norms(algebra: Algebra, coords) -> np.ndarray:
                    for m in block_stacks(algebra, coords)], axis=0)
 
 
+def block_products(algebra: Algebra, x, y) -> np.ndarray:
+    """Canonical coordinates of the products of the elements with canonical
+    coordinates ``x`` and ``y`` (leading axes broadcast): one batched matmul
+    per block size."""
+    x, y = np.asarray(x), np.asarray(y)
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    out = np.empty(lead + (algebra.dim,), dtype=complex)
+    for (_, cols), a, b in zip(algebra.size_groups, block_stacks(algebra, x),
+                               block_stacks(algebra, y)):
+        out[..., cols.reshape(-1)] = (a @ b).reshape(lead + (-1,))
+    return out
+
+
+def self_adjoint_rows(algebra: Algebra, coords, tol: float) -> np.ndarray:
+    """For each row of canonical coordinates (rows, d), whether
+    |a - a*| <= tol * (1 + |a|).  Exactly Hermitian rows need no norms."""
+    skew = coords - coords[:, algebra.adj_table].conj()
+    ok = ~skew.any(axis=1)
+    rough = ~ok
+    if rough.any():
+        ok[rough] = (block_norms(algebra, skew[rough])
+                     <= tol * (1.0 + block_norms(algebra, coords[rough])))
+    return ok
+
+
+def hermitian_eigenvalues(algebra: Algebra, coords) -> np.ndarray:
+    """Eigenvalues of the Hermitian parts (a + a*)/2 of the elements with
+    canonical coordinates (..., d): shape (..., n), each block ascending,
+    the blocks grouped by size as in ``size_groups``."""
+    lead = np.shape(coords)[:-1]
+    return np.concatenate(
+        [np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).reshape(lead + (-1,))
+         for m in block_stacks(algebra, coords)], axis=-1)
+
+
 class SpectralStack:
     """Hermitian eigendecompositions of many self-adjoint elements at once.
 
@@ -583,14 +617,8 @@ class SpectralStack:
 
     def __init__(self, algebra: Algebra, coords, tol=DEFAULT_POS_TOL):
         coords = np.asarray(coords, dtype=complex)
-        # a - a* in canonical coordinates; exactly Hermitian rows need no
-        # norms, the rest are tested as in Element.is_self_adjoint
-        skew = coords - coords[:, algebra.adj_table].conj()
-        rough = skew.any(axis=1)
-        if rough.any():
-            gap = block_norms(algebra, skew[rough])
-            if np.any(gap > tol * (1.0 + block_norms(algebra, coords[rough]))):
-                raise InputError("spectral calculus requires a self-adjoint element")
+        if not self_adjoint_rows(algebra, coords, tol).all():
+            raise InputError("spectral calculus requires a self-adjoint element")
         self.algebra = algebra
         self.groups = []
         for (_, cols), m in zip(algebra.size_groups, block_stacks(algebra, coords)):
@@ -766,53 +794,33 @@ def amplify_superop(n: SuperOperator, order: int) -> SuperOperator:
 
 def from_cells(algebra: Algebra, order: int, grid) -> Element:
     """Assemble an element of ``algebra.amplify(order)`` from an order x order
-    grid of elements of ``algebra``."""
-    amp = algebra.amplify(order)
-    data = []
-    for b, nb in enumerate(algebra.blocks):
-        m = np.zeros((order * nb, order * nb), dtype=complex)
-        for j in range(order):
-            for k in range(order):
-                cell = grid[j][k]
-                algebra._own(cell)
-                m[j * nb : (j + 1) * nb, k * nb : (k + 1) * nb] = cell.data[b]
-        data.append(m)
-    return Element(amp, data)
+    grid of elements of ``algebra``: each amplified unit gathers its inner
+    unit from its cell, through ``amplification_index``."""
+    flat = [grid[j][k] for j in range(order) for k in range(order)]
+    for cell in flat:
+        algebra._own(cell)
+    cells, inners = amplification_index(algebra, order)
+    return _element(algebra.amplify(order), np.array([c.coords for c in flat])[cells, inners])
+
 
 def to_cells(algebra: Algebra, order: int, a: Element):
     """Split an element of ``algebra.amplify(order)`` into its grid of
     ``algebra`` entries."""
-    amp = algebra.amplify(order)
-    amp._own(a)
-    grid = []
-    for j in range(order):
-        row = []
-        for k in range(order):
-            data = []
-            for b, nb in enumerate(algebra.blocks):
-                m = a.data[b]
-                data.append(m[j * nb : (j + 1) * nb, k * nb : (k + 1) * nb])
-            row.append(Element(algebra, data))
-        grid.append(row)
-    return grid
+    algebra.amplify(order)._own(a)
+    cells, inners = amplification_index(algebra, order)
+    flat = np.zeros((order * order, algebra.dim), dtype=complex)
+    flat[cells, inners] = a.coords
+    return [[_element(algebra, flat[j * order + k]) for k in range(order)]
+            for j in range(order)]
 
 
 def matrix_direct_sum(algebra: Algebra, m: int, v: Element, n: int, w: Element) -> Element:
     """V (+) W in M_{m+n} over the algebra, from V in M_m and W in M_n."""
-    zeros = algebra.zero()
-    cells_v = to_cells(algebra, m, v)
-    cells_w = to_cells(algebra, n, w)
-    grid = []
-    for j in range(m + n):
-        row = []
-        for k in range(m + n):
-            if j < m and k < m:
-                row.append(cells_v[j][k])
-            elif j >= m and k >= m:
-                row.append(cells_w[j - m][k - m])
-            else:
-                row.append(zeros)
-        grid.append(row)
+    zero = algebra.zero()
+    cells_v, cells_w = to_cells(algebra, m, v), to_cells(algebra, n, w)
+    grid = [[cells_v[j][k] if j < m and k < m
+             else cells_w[j - m][k - m] if j >= m and k >= m else zero
+             for k in range(m + n)] for j in range(m + n)]
     return from_cells(algebra, m + n, grid)
 
 

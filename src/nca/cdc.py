@@ -42,6 +42,8 @@ from .algebra import (
     Element,
     SuperOperator,
     amplification_index,
+    block_norms,
+    block_products,
     left_multiplication,
     random_element,
     right_multiplication,
@@ -175,21 +177,18 @@ def _check_automorphism(alpha: SuperOperator, tol=DEFAULT_POS_TOL):
         problems.append("not unital")
     if np.linalg.matrix_rank(alpha.matrix, tol=tol * alg.dim) < alg.dim:
         problems.append("not invertible")
+    # images[i] = alpha(e_i) in canonical coordinates, with a zero row at
+    # index -1; alpha(e_i) alpha(e_j) must be the image of e_i e_j, and
+    # alpha(e_i)* that of e_i*
     d = alg.dim
-    images = [alpha.apply(alg.basis_element(i)) for i in range(d)]
-    adj = alg.adj_table
-    mul = alg.mul_table
-    worst_mult = 0.0
-    for i in range(d):
-        for j in range(d):
-            k = mul[i, j]
-            target = images[k] if k >= 0 else alg.zero()
-            worst_mult = max(worst_mult, (images[i] * images[j]).distance(target))
+    images = np.zeros((d + 1, d), dtype=complex)
+    images[:d] = alpha.canonical_matrix.T
+    products = block_products(alg, images[:d, None], images[None, :d])
+    worst_mult = float(block_norms(alg, products - images[alg.mul_table]).max())
     if worst_mult > tol:
         problems.append(f"not multiplicative (residual {worst_mult:.3e})")
-    worst_star = max(
-        images[adj[i]].distance(images[i].adjoint()) for i in range(d)
-    )
+    adjoints = images[:d, alg.adj_table].conj()
+    worst_star = float(block_norms(alg, images[alg.adj_table] - adjoints).max())
     if worst_star > tol:
         problems.append(f"does not preserve the involution (residual {worst_star:.3e})")
     if problems:
@@ -390,27 +389,21 @@ def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL, extra_tuples=4) -> 
     if n.apply(one).norm() > tol * op_scale:
         raise InputError("generator must annihilate the identity")
     d, size = alg.dim, alg.total_size
-    adj = alg.adj_table
-    mul = alg.mul_table
-    emb = alg.embedded_basis
-    ne = np.stack([n.apply(alg.basis_element(i)).full() for i in range(d)])
-
-    # W[(J, x), (K, y)] = [N(A_J* A_K)]_{x, y} for A = (e_1, ..., e_d, 1)
     m = d + 1
-    w = np.zeros((m * size, m * size), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            idx = mul[adj[j], k]
-            if idx >= 0:
-                w[j * size : (j + 1) * size, k * size : (k + 1) * size] = ne[idx]
-        w[j * size : (j + 1) * size, d * size :] = ne[adj[j]]
-        w[d * size :, j * size : (j + 1) * size] = ne[j]
-    # bottom-right block is N(1) = 0
+    ne = np.zeros((m, size, size), dtype=complex)
+    ne[:d] = alg.embed(n.canonical_matrix.T)  # N(e_i); index -1 reads zero
 
-    lift = np.zeros((m * size, d * size), dtype=complex)
-    lift[: d * size, :] = np.eye(d * size)
-    for j in range(d):
-        lift[d * size :, j * size : (j + 1) * size] = -emb[j]
+    # W[(J, x), (K, y)] = [N(A_J* A_K)]_{x, y} for A = (e_1, ..., e_d, 1):
+    # A_J* A_K is the unit prod[J, K], or zero where prod[J, K] = -1
+    prod = np.full((m, m), -1)  # N(1 * 1) = 0
+    prod[:d, :d] = alg.mul_table[alg.adj_table]
+    prod[:d, d] = alg.adj_table
+    prod[d, :d] = np.arange(d)
+    w = ne[prod].transpose(0, 2, 1, 3).reshape(m * size, m * size)
+
+    # tuples with sum a_j b_j = 0: b_last = -sum_j e_j b_j
+    lift = np.concatenate([np.eye(d * size),
+                           -alg.embedded_basis.transpose(1, 0, 2).reshape(size, d * size)])
     t = lift.conj().T @ w @ lift
     # a nonpositive element is in particular self-adjoint, so a skew part is
     # already a violation

@@ -18,7 +18,6 @@ from . import __version__
 from .algebra import (
     DEFAULT_POS_TOL,
     DEFAULT_RANK_TOL,
-    SuperOperator,
     encode_element,
     random_self_adjoint,
 )
@@ -40,7 +39,7 @@ from .energy import (
     resolvent_check,
 )
 from .errors import DisconnectedError, InputError, PropertyViolationError
-from .fileio import ProblemSpec, parse_spec
+from .fileio import ProblemSpec, _is_finite_number, _is_tolerance, parse_spec
 from .quotient import central_projection, quotient_checks, split
 from .reporting import CheckResult, dumps_canonical
 from .resistance import (
@@ -306,10 +305,7 @@ def _stddev_checks(problem: _Problem):
     tol = spec.tolerances.equality
     lap = stddev_laplacian(ea)
     gamma_ic = independent_copies_cdc(spec.algebra, spec.weight_element)
-    closed = SuperOperator.from_function(
-        spec.algebra,
-        lambda x: spec.weight_element * (x - complex(ea.mu(x)) * spec.algebra.identity()),
-    )
+    closed = ea.closed_form
     lap_ic = laplacian(EnergyForm(spec.algebra, gamma_ic.tau_values))
     routes = {
         "schur_vs_closed": float(np.abs(lap.matrix - closed.matrix).max()),
@@ -448,6 +444,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             spec.seed = args.seed
         overrides = {"positivity": args.tol_pos, "rank": args.tol_rank, "equality": args.tol_eq}
+        bad = [k for k, v in overrides.items() if v is not None and not _is_tolerance(v)]
+        if bad:
+            raise InputError("tolerance overrides must be finite nonnegative numbers",
+                             [f"{k}: got {overrides[k]!r}" for k in bad])
         spec.tolerances = replace(
             spec.tolerances, **{k: v for k, v in overrides.items() if v is not None}
         )
@@ -456,8 +456,8 @@ def main(argv=None) -> int:
                 spec.times = [float(x) for x in args.t.split(",") if x]
             except ValueError:
                 raise InputError(f"--t: cannot parse {args.t!r} as a comma-separated list")
-            if any(t < 0 for t in spec.times):
-                raise InputError("--t: times must be nonnegative")
+            if not all(_is_finite_number(t) and t >= 0 for t in spec.times):
+                raise InputError("--t: times must be finite nonnegative numbers")
         if args.pairs is not None:
             try:
                 spec.pairs = [

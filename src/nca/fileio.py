@@ -95,6 +95,10 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _is_tolerance(x) -> bool:
+    return _is_finite_number(x) and x >= 0
+
+
 def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
     if not isinstance(raw, dict) or "kind" not in raw:
         problems.append("generator: needs a 'kind' field")
@@ -128,10 +132,13 @@ def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
                     "generator.network: requires a commutative algebra "
                     "(all blocks of size 1)"
                 )
-            c = np.asarray(raw.get("c"), dtype=float)
-            if c.shape != (algebra.dim, algebra.dim):
+            try:
+                c = np.asarray(raw.get("c"), dtype=float)
+            except (TypeError, ValueError):
+                c = None
+            if c is None or c.shape != (algebra.dim, algebra.dim) or not np.isfinite(c).all():
                 raise InputError(
-                    f"generator.c: expected a {algebra.dim}x{algebra.dim} matrix"
+                    f"generator.c: expected a {algebra.dim}x{algebra.dim} matrix of finite numbers"
                 )
             out["c"] = c
             out["allow_negative"] = bool(raw.get("allow_negative", False))
@@ -148,6 +155,8 @@ def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
                 SuperOperator(algebra, decode_complex_matrix(a, f"generator.autos[{i}]"))
                 for i, a in enumerate(autos)
             ]
+            if not all(_is_finite_number(w) for w in weights):
+                raise InputError("generator.weights: must be finite numbers")
             out["weights"] = [float(w) for w in weights]
         else:
             out["D"] = decode_complex_matrix(raw.get("D"), "generator.D")
@@ -255,9 +264,9 @@ def parse_spec(source) -> ProblemSpec:
 
     times = raw.get("times", [0.0, 0.1, 1.0, 10.0])
     if not isinstance(times, list) or any(
-        not isinstance(t, (int, float)) or t < 0 for t in times
+        not _is_finite_number(t) or t < 0 for t in times
     ):
-        problems.append("times: need a list of nonnegative numbers")
+        problems.append("times: need a list of finite nonnegative numbers")
         times = []
 
     pairs = raw.get("pairs")
@@ -279,14 +288,17 @@ def parse_spec(source) -> ProblemSpec:
     tol_raw = raw.get("tolerances", {})
     tolerances = Tolerances()
     if isinstance(tol_raw, dict):
-        try:
+        bad = [k for k in ("positivity", "rank", "equality")
+               if k in tol_raw and not _is_tolerance(tol_raw[k])]
+        if bad:
+            problems.extend(f"tolerances.{k}: must be a finite nonnegative number, "
+                            f"got {tol_raw[k]!r}" for k in bad)
+        else:
             tolerances = Tolerances(
                 positivity=float(tol_raw.get("positivity", 1e-9)),
                 rank=float(tol_raw.get("rank", 1e-10)),
                 equality=float(tol_raw.get("equality", 1e-9)),
             )
-        except (TypeError, ValueError):
-            problems.append("tolerances: values must be numbers")
     else:
         problems.append("tolerances: must be an object")
 

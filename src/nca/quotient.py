@@ -14,6 +14,7 @@ from .algebra import (
     Algebra,
     Element,
     SuperOperator,
+    central_scalars,
     random_element,
 )
 from .energy import (
@@ -45,16 +46,14 @@ def central_projection(algebra: Algebra, keep_blocks) -> Element:
 def _projection_blocks(p: Element, tol=DEFAULT_POS_TOL):
     """Validate that p is a proper central projection and return the kept
     block flags.  Central elements are blockwise scalars."""
-    alg = p.algebra
+    lams, off = central_scalars(p, tol)
     problems = []
     flags = []
-    for b, (m, n) in enumerate(zip(p.data, alg.blocks)):
-        lam = np.trace(m) / n
-        if np.abs(m - lam * np.eye(n)).max() > tol * (1.0 + abs(lam)):
+    for b, lam in enumerate(lams):
+        if off[b]:
             problems.append(f"block {b}: not central (not a scalar there)")
             flags.append(False)
-            continue
-        if abs(lam - 1.0) <= tol:
+        elif abs(lam - 1.0) <= tol:
             flags.append(True)
         elif abs(lam) <= tol:
             flags.append(False)
@@ -77,7 +76,6 @@ class QuotientData:
 
     projection: Element
     ambient: Laplacian
-    keep: tuple
     algebra_b: Algebra
     algebra_c: Algebra
     idx_b: np.ndarray
@@ -100,23 +98,16 @@ class QuotientData:
     def restrict(self, a: Element) -> Element:
         """pa, viewed in the quotient algebra."""
         self.ambient.algebra._own(a)
-        data = [m for m, k in zip(a.data, self.keep) if k]
-        return self.algebra_b.element(data)
+        return self.algebra_b.from_canonical_coords(a.coords[self.idx_b])
 
     def assemble(self, b: Element, c: Element) -> Element:
         """The ambient element b (+) c."""
         self.algebra_b._own(b)
         self.algebra_c._own(c)
-        data = []
-        ib = ic = 0
-        for k in self.keep:
-            if k:
-                data.append(b.data[ib])
-                ib += 1
-            else:
-                data.append(c.data[ic])
-                ic += 1
-        return self.ambient.algebra.element(data)
+        coords = np.empty(self.ambient.algebra.dim, dtype=complex)
+        coords[self.idx_b] = b.coords
+        coords[self.idx_c] = c.coords
+        return self.ambient.algebra.from_canonical_coords(coords)
 
 
 def split(lap: Laplacian, p: Element, rank_tol=DEFAULT_RANK_TOL,
@@ -154,7 +145,6 @@ def split(lap: Laplacian, p: Element, rank_tol=DEFAULT_RANK_TOL,
     return QuotientData(
         projection=p,
         ambient=lap,
-        keep=tuple(keep),
         algebra_b=algebra_b,
         algebra_c=algebra_c,
         idx_b=idx_b,
@@ -256,5 +246,4 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
 
 
 def _c_part(qd: QuotientData, a: Element) -> Element:
-    data = [m for m, k in zip(a.data, qd.keep) if not k]
-    return qd.algebra_c.element(data)
+    return qd.algebra_c.from_canonical_coords(a.coords[qd.idx_c])

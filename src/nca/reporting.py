@@ -32,10 +32,6 @@ def all_passed(results) -> bool:
     return all(r.passed for r in results)
 
 
-def worst(results) -> float:
-    return max((r.residual for r in results), default=0.0)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used across all checks, overridable per run."""

@@ -71,27 +71,17 @@ class ResistanceNetwork:
 
     def is_connected(self) -> bool:
         """Graph connectivity over the nonzero conductances."""
-        n = self.size
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            x = stack.pop()
-            for y in np.nonzero(self.c[x] != 0)[0]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(int(y))
-        return bool(seen.all())
+        return len(_components(self, range(self.size))) == 1
 
     def function(self, values) -> Element:
         values = np.asarray(values, dtype=complex)
         if values.shape != (self.size,):
             raise InputError(f"expected {self.size} node values")
-        return self.algebra.element([v.reshape(1, 1) for v in values])
+        return self.algebra.from_canonical_coords(values)
 
     def values(self, f: Element) -> np.ndarray:
         self.algebra._own(f)
-        return np.array([m[0, 0] for m in f.data])
+        return np.array(f.coords)
 
 
 def network_laplacian(net: ResistanceNetwork) -> Laplacian:

@@ -45,9 +45,7 @@ def point_state(algebra: Algebra, x: int) -> State:
         raise InputError("point states require a commutative algebra")
     if not 0 <= x < algebra.dim:
         raise InputError(f"point {x} out of range")
-    data = [np.zeros((1, 1)) for _ in algebra.blocks]
-    data[x][0, 0] = 1.0 / algebra.trace_weights[x]
-    return State(algebra.element(data))
+    return State(algebra.basis_element(x) * (1.0 / algebra.trace_weights[x]))
 
 
 def mixture(states, weights) -> State:

@@ -5,6 +5,7 @@ eliminate the scalar by a Schur complement, and recover the variance form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .algebra import (
     Algebra,
     Element,
     SuperOperator,
+    central_scalars,
     right_multiplication,
 )
 from .cdc import CdCForm
@@ -27,23 +29,21 @@ def _central_positive_scalars(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL)
     trace; returns the per-block scalars."""
     algebra._own(p)
     problems = []
-    lams = []
-    for b, (m, n) in enumerate(zip(p.data, algebra.blocks)):
-        lam = np.trace(m) / n
-        if np.abs(m - lam * np.eye(n)).max() > tol * (1.0 + abs(lam)):
+    lams, off = central_scalars(p, tol)
+    for b, lam in enumerate(lams):
+        if off[b]:
             problems.append(
                 f"block {b}: weight element is not central; non-central "
                 "weights define non-tracial states, which are not supported"
             )
         if abs(lam.imag) > tol or lam.real <= tol:
             problems.append(f"block {b}: weight scalar {lam:.6g} is not strictly positive")
-        lams.append(lam.real)
     total = p.trace()
     if abs(total - 1.0) > tol * (1.0 + abs(total)):
         problems.append(f"weight element must have unit trace, got {total:.12g}")
     if problems:
         raise InputError("invalid weight element", problems)
-    return np.asarray(lams)
+    return lams.real
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,16 @@ class ExtendedAlgebra:
         return (self.weight * a).trace()
 
     def extend_element(self, a: Element, alpha: complex) -> Element:
-        data = list(a.data) + [np.array([[alpha]], dtype=complex)]
-        return self.extended.element(data)
+        self.base._own(a)
+        return self.extended.from_canonical_coords(np.append(a.coords, alpha))
+
+    @cached_property
+    def closed_form(self) -> SuperOperator:
+        """The variance Laplacian's closed form a -> p (a - mu(a)), built
+        elementwise as the reference for the Schur route."""
+        one = self.base.identity()
+        return SuperOperator.from_function(
+            self.base, lambda a: self.weight * (a - complex(self.mu(a)) * one))
 
 
 def extend(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> ExtendedAlgebra:
@@ -85,29 +93,20 @@ def extend(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> ExtendedAlgebra
     m[d, d] = 1.0
     lap = _laplacian_from_superop(SuperOperator(extended, m))
 
-    # construction checks: the pairing identity on basis pairs, positivity,
-    # and annihilation of the extended unit
-    one_ext = extended.identity()
-    unit_res = lap.apply(one_ext).norm()
-    pair_res = 0.0
-    basis_ext = [extended.from_coords(np.eye(d + 1)[i]) for i in range(d + 1)]
-    mu_of = lambda a: complex((p * a).trace())
-    for i, u in enumerate(basis_ext):
-        a_i = algebra.element(u.data[:-1])
-        alpha_i = complex(u.data[-1][0, 0])
-        for j, v in enumerate(basis_ext):
-            b_j = algebra.element(v.data[:-1])
-            beta_j = complex(v.data[-1][0, 0])
-            lhs = m[i, j]
-            da = a_i - alpha_i * algebra.identity()
-            db = b_j - beta_j * algebra.identity()
-            rhs = mu_of(da.adjoint() * db)
-            pair_res = max(pair_res, abs(lhs - rhs))
-    eigs = np.linalg.eigvalsh(lap.matrix)
+    # construction checks: the pairing identity m[i, j] = mu(x_i* x_j) on the
+    # orthonormal basis a_i (+) alpha_i of the extension, with x_i the
+    # canonical coordinates of a_i - alpha_i 1, so that mu(x* y) is
+    # sum_k g_k conj(x_k) y_k for g = trace weight times density scalar;
+    # positivity; and annihilation of the extended unit
+    unit_res = lap.apply(extended.identity()).norm()
+    x = np.zeros((d + 1, d), dtype=complex)
+    x[:d] = np.diag(1.0 / np.sqrt(algebra.basis_weights))
+    x[d] = -algebra.identity().coords
+    pair_res = float(np.abs(m - (x.conj() * (algebra.basis_weights * mult)) @ x.T).max())
     residuals = {
         "unit_annihilation": float(unit_res),
-        "pairing_identity": float(pair_res),
-        "min_eigenvalue": float(eigs[0]),
+        "pairing_identity": pair_res,
+        "min_eigenvalue": float(lap.eigenvalues[0]),
     }
     if pair_res > 1e-10 * (1.0 + float(np.abs(m).max())):
         raise InputError(f"pairing identity failed to verify (residual {pair_res:.3e})")
@@ -123,10 +122,7 @@ def stddev_laplacian(ea: ExtendedAlgebra, tol=DEFAULT_EQ_TOL) -> Laplacian:
     qd = split(ea.laplacian, proj)
     lap = schur_quotient(qd)
 
-    closed = SuperOperator.from_function(
-        ea.base, lambda a: ea.weight * (a - complex(ea.mu(a)) * ea.base.identity())
-    )
-    gap = float(np.abs(lap.matrix - closed.matrix).max())
+    gap = float(np.abs(lap.matrix - ea.closed_form.matrix).max())
     if gap > max(tol, 1e-10) * (1.0 + float(np.abs(lap.matrix).max())):
         raise InputError(f"Schur route disagrees with the closed form (residual {gap:.3e})")
     return lap

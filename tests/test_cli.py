@@ -247,12 +247,43 @@ def test_scale_rejected_where_ignored(generator):
     ("generator.scale", "check-cdc",
      {"generator": dict(K3_SPEC["generator"], scale=float("nan"))}),
     ("pairs", "metric", {"pairs": [["a", 1]]}),
+    ("generator.c", "check-cdc", {"generator": dict(K3_SPEC["generator"], c="x")}),
+    ("generator.c", "check-cdc",
+     {"generator": dict(K3_SPEC["generator"], c=[[0, 1, "x"], [1, 0, 1], [1, 1, 0]])}),
+    ("tolerances.positivity", "check-cdc", {"tolerances": {"positivity": float("nan")}}),
+    ("tolerances.rank", "laplacian", {"tolerances": {"rank": -1e-10}}),
+    ("tolerances.equality", "laplacian", {"tolerances": {"equality": "1e-9"}}),
+    ("times", "heat", {"times": [0.0, float("inf")]}),
+    ("times", "heat", {"times": [float("nan")]}),
 ])
 def test_malformed_numbers_exit_2(field, command, change, capsys):
     assert main([command, json.dumps(dict(K3_SPEC, **change))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:") and field in captured.err
+
+
+@pytest.mark.parametrize("spec", [
+    {"nodes": 2, "c": "x"},
+    {"algebra": {"blocks": [1, 1], "trace_weights": [1.0, 1.0]},
+     "generator": {"kind": "group", "autos": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],
+                   "weights": ["x"]}},
+])
+def test_non_numeric_generator_entries_exit_2(spec, capsys):
+    assert main(["check-cdc", json.dumps(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-pos", "nan"], ["--tol-eq", "inf"], ["--tol-rank", "-1"], ["--t", "nan"],
+    ["--t", "0,inf"],
+])
+def test_non_finite_overrides_exit_2(flags, capsys):
+    spec = json.dumps({"nodes": 2, "c": [[0, 1], [1, 0]]})
+    assert main(["heat", spec] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
 
 
 NET5_SPEC = {

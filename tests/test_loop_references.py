@@ -1,0 +1,252 @@
+"""Index-formula and batched checks against the element-by-element loops
+they replace, kept here as references: the conditional complete negativity
+matrices of ``ccn_check``, the automorphism test of ``group_action_cdc``,
+the pairing identity of ``stddev.extend`` and ``leibniz_check``."""
+import numpy as np
+import pytest
+
+import nca
+from conftest import K3_C, build_catalog, seeded_generators
+from nca.cdc import _check_automorphism
+from nca.errors import InputError
+
+
+# -- conditional complete negativity ---------------------------------------
+
+
+def _ccn_loop(n, seed=0, tol=1e-9, extra_tuples=4):
+    alg = n.algebra
+    one = alg.identity()
+    d, size = alg.dim, alg.total_size
+    adj, mul, emb = alg.adj_table, alg.mul_table, alg.embedded_basis
+    ne = np.stack([n.apply(alg.basis_element(i)).full() for i in range(d)])
+    m = d + 1
+    w = np.zeros((m * size, m * size), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            idx = mul[adj[j], k]
+            if idx >= 0:
+                w[j * size:(j + 1) * size, k * size:(k + 1) * size] = ne[idx]
+        w[j * size:(j + 1) * size, d * size:] = ne[adj[j]]
+        w[d * size:, j * size:(j + 1) * size] = ne[j]
+    lift = np.zeros((m * size, d * size), dtype=complex)
+    lift[:d * size, :] = np.eye(d * size)
+    for j in range(d):
+        lift[d * size:, j * size:(j + 1) * size] = -emb[j]
+    t = lift.conj().T @ w @ lift
+    scale = 1.0 + float(np.abs(t).max())
+    if float(np.abs(t - t.conj().T).max()) > tol * scale:
+        return False
+    eigs = np.linalg.eigvalsh((t + t.conj().T) / 2)
+    if eigs[-1] > tol * max(1.0, float(np.abs(eigs).max())):
+        return False
+    rng = np.random.default_rng(seed)
+    for _ in range(extra_tuples):
+        a_list = [nca.random_element(alg, rng) for _ in range(3)]
+        b_list = [nca.random_element(alg, rng) for _ in range(3)]
+        total = alg.zero()
+        for a, b in zip(a_list, b_list):
+            total = total + a * b
+        a_list.append(one)
+        b_list.append(-1.0 * total)
+        acc = alg.zero()
+        for aj, bj in zip(a_list, b_list):
+            for ak, bk in zip(a_list, b_list):
+                acc = acc + bj.adjoint() * n.apply(aj.adjoint() * ak) * bk
+        if (acc - acc.adjoint()).norm() > tol * (1.0 + acc.norm()):
+            return False
+        herm = 0.5 * (acc + acc.adjoint())
+        if float(herm.eigenvalues().real.max()) > tol * (1.0 + herm.norm()):
+            return False
+    return True
+
+
+def _ccn_inputs():
+    gens = [gen for _, gen in seeded_generators()]
+    gens += [ex.generator for ex in build_catalog() if ex.generator is not None]
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    rng = np.random.default_rng(71)
+    lind = nca.lindblad_generator(alg, [nca.random_element(alg, rng) for _ in range(2)])
+    gens += [lind, -1.0 * lind]  # the negated generator is not CCN
+    c = K3_C.copy()
+    c[0, 1] = c[1, 0] = -0.5
+    gens.append(nca.SuperOperator(nca.build_algebra([1] * 3, [1.0] * 3),
+                                  np.diag(c.sum(axis=1)) - c))
+    return gens
+
+
+def test_ccn_check_matches_loop():
+    verdicts = []
+    for gen in _ccn_inputs():
+        got = nca.ccn_check(gen, seed=3)
+        assert got == _ccn_loop(gen, seed=3)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+# -- automorphisms -----------------------------------------------------------
+
+
+def _automorphism_loop(alpha, tol=1e-9):
+    alg = alpha.algebra
+    problems = []
+    one = alg.identity()
+    if alpha.apply(one).distance(one) > tol:
+        problems.append("not unital")
+    if np.linalg.matrix_rank(alpha.matrix, tol=tol * alg.dim) < alg.dim:
+        problems.append("not invertible")
+    d = alg.dim
+    images = [alpha.apply(alg.basis_element(i)) for i in range(d)]
+    worst_mult = 0.0
+    for i in range(d):
+        for j in range(d):
+            k = alg.mul_table[i, j]
+            target = images[k] if k >= 0 else alg.zero()
+            worst_mult = max(worst_mult, (images[i] * images[j]).distance(target))
+    if worst_mult > tol:
+        problems.append(f"not multiplicative (residual {worst_mult:.3e})")
+    worst_star = max(images[alg.adj_table[i]].distance(images[i].adjoint()) for i in range(d))
+    if worst_star > tol:
+        problems.append(f"does not preserve the involution (residual {worst_star:.3e})")
+    return problems
+
+
+def _automorphism_inputs():
+    c2 = nca.build_algebra([1, 1], [1.0, 1.0])
+    m2 = nca.build_algebra([2], [1.0])
+    theta = 0.3
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    maps = [nca.permutation_superop(c2, [1, 0]), nca.permutation_superop(c2, [0, 1]),
+            nca.conjugation_superop(m2, m2.element([rot])),
+            nca.SuperOperator(m2, np.random.default_rng(43).standard_normal((4, 4)))]
+    for size in (3, 4, 5):
+        alg = nca.build_algebra([1] * size, [1.0, 2.0, 0.5, 1.0, 1.5][:size])
+        maps.append(nca.permutation_superop(alg, [(x + 1) % size for x in range(size)]))
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    rng = np.random.default_rng(73)
+    u = nca.random_element(alg, rng)  # invertible, not unitary
+    u_inv = alg.element([np.linalg.inv(m) for m in u.data])
+    similarity = nca.left_multiplication(alg, u).compose(nca.right_multiplication(alg, u_inv))
+    unitary = alg.element([np.linalg.qr(m)[0] for m in u.data])
+    inner = nca.conjugation_superop(alg, unitary)
+    noise = 1e-6 * rng.standard_normal((alg.dim, alg.dim))
+    maps += [similarity, inner, nca.SuperOperator(alg, inner.matrix + noise)]
+    return maps
+
+
+def test_automorphism_check_matches_loop():
+    outcomes = []
+    for alpha in _automorphism_inputs():
+        want = _automorphism_loop(alpha)
+        try:
+            _check_automorphism(alpha)
+            got = []
+        except InputError as exc:
+            got = exc.details
+        assert got == want
+        outcomes.append(tuple(p.split(" (")[0] for p in got))
+    assert () in outcomes
+    assert ("does not preserve the involution",) in outcomes  # the similarity
+    assert any("not multiplicative" in o for o in outcomes)
+
+
+# -- the pairing identity of the extension ------------------------------------
+
+
+def _pairing_loop(algebra, p, m):
+    d = algebra.dim
+    extended = nca.build_algebra(algebra.blocks + (1,), algebra.trace_weights + (1.0,))
+    basis = [extended.from_coords(np.eye(d + 1)[i]) for i in range(d + 1)]
+    worst = 0.0
+    for i, u in enumerate(basis):
+        da = algebra.element(u.data[:-1]) - complex(u.data[-1][0, 0]) * algebra.identity()
+        for j, v in enumerate(basis):
+            db = algebra.element(v.data[:-1]) - complex(v.data[-1][0, 0]) * algebra.identity()
+            worst = max(worst, abs(m[i, j] - complex((p * (da.adjoint() * db)).trace())))
+    return worst
+
+
+@pytest.mark.parametrize("blocks, weights", [([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0]),
+                                             ([1] * 4, [0.5, 1.0, 2.0, 1.0])])
+def test_extension_pairing_identity_matches_loop(blocks, weights):
+    alg = nca.build_algebra(blocks, weights)
+    lams = np.random.default_rng(79).uniform(0.5, 2.0, len(blocks))
+    lams /= sum(l * w * n for l, w, n in zip(lams, weights, blocks))
+    p = alg.element([l * np.eye(n) for l, n in zip(lams, blocks)])
+    ea = nca.extend(alg, p)
+    loop = _pairing_loop(alg, p, ea.laplacian.matrix)
+    assert ea.residuals["pairing_identity"] <= 1e-12 and loop <= 1e-12
+    assert ea.residuals["min_eigenvalue"] == ea.laplacian.eigenvalues[0]
+
+
+# -- Leibniz -------------------------------------------------------------------
+
+
+def _leibniz_loop(e, orders=(1, 2), seed=0, count=20, tol=1e-9, pairs=None):
+    results = []
+    for order in orders:
+        rng = np.random.default_rng(seed + 17 * order)
+        alg = e.algebra if order == 1 else e.algebra.amplify(order)
+        if order == 1 and pairs is not None:
+            samples = list(pairs)
+        else:
+            samples = [(nca.random_self_adjoint(alg, rng), nca.random_self_adjoint(alg, rng))
+                       for _ in range(count)]
+        worst, witness = 0.0, None
+        for idx, (a, b) in enumerate(samples):
+            lhs = nca.energy_seminorm(e, a * b, order)
+            bound = (nca.energy_seminorm(e, a, order) * b.norm()
+                     + a.norm() * nca.energy_seminorm(e, b, order))
+            if lhs - bound > worst:
+                worst = lhs - bound
+                if worst > tol:
+                    witness = {"order": order, "pair_index": idx, "lhs": lhs, "bound": bound}
+        results.append((f"leibniz-n{order}", worst <= tol, max(worst, 0.0), witness))
+    return results
+
+
+def _leibniz_forms():
+    alg = nca.build_algebra([1] * 3, [1.0] * 3)
+    c = np.array([[0.0, -0.1, 1.0], [-0.1, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    negative = nca.energy_form(nca.network_cdc(alg, c, scale=0.5, allow_negative=True), force=True)
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    v = nca.random_element(alg, np.random.default_rng(83))
+    lindblad = nca.energy_form(nca.commutator_cdc([v, v.adjoint()]))
+    # E(a, b) = conj(tau(a)) tau(b) is no carre-du-champ energy: a traceless
+    # x with tau(x x) != 0 breaks the Leibniz inequality
+    t = np.zeros(alg.dim)
+    t[alg.diagonal_units] = alg.coord_weights
+    return [negative, lindblad, nca.EnergyForm(alg, np.outer(t, t))]
+
+
+def _agree(got, want):
+    assert len(got) == len(want)
+    for res, (name, passed, residual, witness) in zip(got, want):
+        assert (res.check, res.passed) == (name, passed)
+        assert abs(res.residual - residual) <= 1e-12 * max(1.0, residual)
+        assert (res.witness is None) == (witness is None)
+        if witness is not None:
+            assert res.witness["pair_index"] == witness["pair_index"]
+            assert res.witness["order"] == witness["order"]
+            for key in ("lhs", "bound"):
+                assert abs(res.witness[key] - witness[key]) <= 1e-12 * max(1.0, witness[key])
+
+
+@pytest.mark.parametrize("form", [0, 1, 2])
+@pytest.mark.parametrize("tol", [1e-9, -1.0])
+def test_batched_leibniz_matches_loop(form, tol):
+    e = _leibniz_forms()[form]
+    got = nca.leibniz_check(e, orders=(1, 2, 3), seed=5, count=12, tol=tol)
+    _agree(got, _leibniz_loop(e, orders=(1, 2, 3), seed=5, count=12, tol=tol))
+    rng = np.random.default_rng(89)
+    pairs = [(nca.random_element(e.algebra, rng), nca.random_element(e.algebra, rng))
+             for _ in range(6)]
+    if form == 2:
+        # two equal violating pairs: the witness is the first of them
+        x = e.algebra.basis_element(1) + e.algebra.basis_element(3)
+        pairs[2] = pairs[4] = (x, x)
+    got = nca.leibniz_check(e, orders=(1,), pairs=pairs, tol=tol)
+    _agree(got, _leibniz_loop(e, orders=(1,), pairs=pairs, tol=tol))
+    assert (got[0].witness is not None) == (form == 2)
+    if form == 2:
+        assert got[0].witness["pair_index"] == 2

@@ -81,7 +81,7 @@ from .quotient import (
     schur_quotient,
     split,
 )
-from .reporting import CheckResult, Tolerances, all_passed, dumps_canonical
+from .reporting import CheckResult, Tolerances, dumps_canonical
 from .resistance import (
     MarkovViolationWitness,
     NetworkMetricReport,

@@ -314,12 +314,7 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
     min_eig = float("nan")
     cp_ok = False
     if symmetric:
-        grams = []
-        for n_b, cols in alg.size_groups:
-            # [b, (i, r), (j, s)] = G[i, j, unit (r, s) of block b]
-            m = g[:, :, cols].reshape(d, d, len(cols), n_b, n_b).transpose(2, 0, 3, 1, 4)
-            m = m.reshape(len(cols), d * n_b, d * n_b)
-            grams.append((m + m.conj().swapaxes(1, 2)) / 2)
+        grams = _cp_blocks(alg, g)
         eigs = [np.linalg.eigvalsh(m) for m in grams]
         lows = [float(e[:, 0].min()) for e in eigs]
         min_eig = min(lows)
@@ -351,6 +346,15 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
         },
         witness=witness,
     )
+
+
+def _cp_blocks(alg: Algebra, g: np.ndarray) -> list:
+    """The complete-positivity gram, one Hermitian stack per block size:
+    [b, (i, r), (j, s)] = G[i, j, unit (r, s) of block b], symmetrized."""
+    d = alg.dim
+    stacks = [g[:, :, cols].reshape(d, d, len(cols), n_b, n_b).transpose(2, 0, 3, 1, 4)
+              .reshape(len(cols), d * n_b, d * n_b) for n_b, cols in alg.size_groups]
+    return [(m + m.conj().swapaxes(1, 2)) / 2 for m in stacks]
 
 
 def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:

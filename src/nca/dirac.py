@@ -1,7 +1,19 @@
 """The concrete one-form space of a carre-du-champ, its derivation and left
 action, the Hodge-Dirac operator, the commutator seminorm with its max
 formula, and the star-graph characterization of when that seminorm is an
-energy seminorm."""
+energy seminorm.
+
+The one-forms are the kernel of multiplication in A (x) A with the inner
+product <a (x) b, c (x) e> = tau(b* Gamma(a, c) e), its null space divided
+out.  Gamma(1, .) = 0 makes every 1 (x) y null, so each pair e_a (x) e_c has
+the class of (d e_a) e_c = P(e_a (x) e_c) = e_a (x) e_c - 1 (x) e_a e_c, which
+lies in the kernel.  The pair gram is B* B: with each complete-positivity
+block of ``is_cdc`` factored as m_b = F_b F_b* (eigenvalues above the rank
+cut), B[(b, m, c), (k, l)] = sqrt(w_b) conj(F_b[(k, row of l), m]) for the
+units l of block b in column c.  So the one-form space is the range of B P,
+and one thin SVD B P = U S V* gives its rank, the coordinates S V* of every
+pair and, lifted by P, an orthonormal frame inside the kernel.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -16,7 +28,7 @@ from .algebra import (
     Element,
     left_multiplication,
 )
-from .cdc import CdCForm, is_cdc, network_cdc
+from .cdc import CdCForm, _cp_blocks, is_cdc, network_cdc
 from .errors import DisconnectedError, PropertyViolationError
 from .reporting import CheckResult
 from .resistance import ResistanceNetwork, is_star
@@ -26,20 +38,15 @@ from .resistance import ResistanceNetwork, is_star
 class BimoduleSpace:
     """An orthonormal model of the one-form space of a carre-du-champ.
 
-    Built on the kernel of the multiplication map inside the algebraic tensor
-    square: the form <a (x) b, c (x) d> = b* Gamma(a, c) d induces a Gram
-    matrix there, whose null space is divided out.  ``dmatrix`` maps
-    orthonormal algebra coordinates to orthonormal one-form coordinates;
-    ``left_action`` stacks one ``(rank, rank)`` matrix per canonical basis
-    element.
+    ``pair_forms`` has shape (rank, d^2): column a*d + c holds the one-form
+    coordinates of (d e_a) e_c.  ``dmatrix`` maps orthonormal algebra
+    coordinates to one-form coordinates; ``left_action`` stacks one
+    ``(rank, rank)`` matrix per canonical basis element.
     """
 
     gamma: CdCForm
-    kernel_basis: np.ndarray
-    gram: np.ndarray
     rank: int
-    scale_roots: np.ndarray
-    frame: np.ndarray
+    pair_forms: np.ndarray
     dmatrix: np.ndarray
     left_action: np.ndarray
     residuals: dict = field(default_factory=dict)
@@ -57,7 +64,8 @@ class BimoduleSpace:
 
 def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
                    rank_tol=DEFAULT_RANK_TOL) -> BimoduleSpace:
-    """Realize the one-form space of a carre-du-champ concretely."""
+    """Realize the one-form space of a carre-du-champ concretely, as the
+    module docstring describes."""
     report = is_cdc(gamma, tol=pos_tol)
     if not report.is_cdc:
         raise PropertyViolationError(
@@ -66,54 +74,45 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
         )
     alg = gamma.algebra
     d = alg.dim
-    adj = alg.adj_table
+    units = alg.diagonal_units
+
+    # B from the factored blocks; the eigenvectors below the cut, spread the
+    # same way, span the null space of B
+    eigs = [np.linalg.eigh(m) for m in _cp_blocks(alg, gamma.gram)]
+    top = max(1.0, max(float(vals[:, -1].max()) for vals, _ in eigs))
+    rows, nulls = [], []
+    for (n_b, cols), (vals, vecs) in zip(alg.size_groups, eigs):
+        blk, m = np.nonzero(vals > rank_tol * top)
+        root_w = np.sqrt(alg.basis_weights[cols[blk, 0]] * vals[blk, m])
+        rows.append(_spread(d, n_b, cols[blk], vecs[blk, :, m].conj() * root_w[:, None]))
+        blk, m = np.nonzero(vals <= rank_tol * top)
+        nulls.append(_spread(d, n_b, cols[blk], vecs[blk, :, m]))
+    b = np.concatenate(rows).reshape(-1, d, d)
+
+    # B P gathers the columns B (1 (x) e_k) over mul_table, zero at -1
+    ones = np.pad(b[:, units].sum(axis=1), [(0, 0), (0, 1)])
+    _, svals, vh = np.linalg.svd((b - ones[:, alg.mul_table]).reshape(-1, d * d),
+                                 full_matrices=False)
+    rank = int(np.sum(svals ** 2 > rank_tol * max(1.0, svals.max(initial=0.0) ** 2)))
+    pair_forms = svals[:rank, None] * vh[:rank]
+    # d e~_i is the sum of (d e_i) e_u over the diagonal units u, over sqrt(w_i)
+    root_w = np.sqrt(alg.basis_weights)
+    dmatrix = pair_forms.reshape(rank, d, d)[:, :, units].sum(axis=2) / root_w
+
+    # P x = x - 1 (x) m(x), with m(x) summed over the products sorted by
+    # target, lifts the frame V / S and the null space of B P (that of B and
+    # the SVD's directions below the cut) into the kernel
     mul_i, mul_j, mul_k = alg.mul_nonzero
-    w = alg.coord_weights
+    by_k = np.argsort(mul_k, kind="stable")
+    basis = np.concatenate([vh[:rank].conj() / svals[:rank, None], *nulls, vh[rank:].conj()]).T
+    lifted = basis.reshape(d, d, -1).copy()
+    lifted[units] -= np.add.reduceat(basis[(mul_i * d + mul_j)[by_k]],
+                                     np.searchsorted(mul_k[by_k], np.arange(d)))
+    lifted = lifted.reshape(d * d, -1)
 
-    # kernel of the multiplication map a (x) b -> ab over the product basis
-    mmap = np.zeros((d, d * d))
-    mmap[mul_k, mul_i * d + mul_j] = 1.0
-    _, svals, vh = np.linalg.svd(mmap, full_matrices=True)
-    rank_m = int(np.sum(svals > rank_tol * max(1.0, svals.max())))
-    kernel = vh[rank_m:].conj().T  # (d^2, d^2 - d) orthonormal columns
-
-    # Gram of the induced inner product on the product basis, restricted:
-    # t[i, j, k, l] = tau(e_j* Gamma(e_i, e_k) e_l), which is nonzero only
-    # when e_j and e_l share a column x, and then w_x G[i, k, unit(row j, row l)]
-    rows, cols = alg.unit_positions
-    pair_j, pair_l = np.nonzero(cols[:, None] == cols[None, :])
-    t = np.zeros((d, d, d, d), dtype=complex)
-    t[:, pair_j, :, pair_l] = (
-        w[cols[pair_j]] * gamma.gram[:, :, alg._unit_at[rows[pair_j], rows[pair_l]]]
-    ).transpose(2, 0, 1)
-    t_mat = t.reshape(d * d, d * d)
-    gram = kernel.conj().T @ t_mat @ kernel
-    gram = (gram + gram.conj().T) / 2
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    top = max(1.0, float(eigvals[-1])) if eigvals.size else 1.0
-    psd_res = float(max(0.0, -eigvals[0])) if eigvals.size else 0.0
-    keep = eigvals > rank_tol * top
-    rank = int(keep.sum())
-    frame = eigvecs[:, keep]
-    null_vecs = eigvecs[:, ~keep]
-    roots = np.sqrt(eigvals[keep])
-    # a kernel vector v has one-form coordinates roots * (frame* v)
-    to_forms = roots[:, None] * (kernel @ frame).conj().T  # (rank, d^2)
-
-    # derivation columns: e~_i (x) 1 - 1 (x) e~_i, for the orthonormal basis
-    units = np.arange(d)[:, None]
-    diag_units = alg.diagonal_units[None, :]
-    inv_root_w = 1.0 / np.sqrt(alg.basis_weights)[:, None]
-    dcols = np.zeros((d, d, d))
-    dcols[units, diag_units, units] = inv_root_w
-    dcols[diag_units, units, units] -= inv_root_w
-    dmatrix = to_forms @ dcols.reshape(d * d, d)
-
-    # left action of each canonical unit e_i, descended to the quotient: it
-    # sends e_a (x) e_c to e_k (x) e_c for every product e_i e_a = e_k, so it
-    # gathers rows a*d + c of the lifted frame into rows k*d + c
-    lifted = kernel @ (frame / roots[None, :])
-    leaking = kernel @ null_vecs
+    # e_i sends e_a (x) e_c to e_k (x) e_c for every product e_i e_a = e_k, so
+    # it gathers rows a*d + c of the lifted vectors into rows k*d + c; the
+    # null space must act into the null space
     cols = np.arange(d)
     actions = np.empty((d, rank, rank), dtype=complex)
     null_res = 0.0
@@ -121,35 +120,34 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
         mine = mul_i == i
         dst = (mul_k[mine, None] * d + cols).reshape(-1)
         src = (mul_j[mine, None] * d + cols).reshape(-1)
-        actions[i] = to_forms[:, dst] @ lifted[src]
-        if null_vecs.size:
-            leak = to_forms[:, dst] @ leaking[src]
-            null_res = max(null_res, float(np.abs(leak).max(initial=0.0)))
-    star_res = float(
-        np.abs(actions.conj().transpose(0, 2, 1) - actions[adj]).max(initial=0.0)
-    )
+        acted = pair_forms[:, dst] @ lifted[src]
+        actions[i] = acted[:, :rank]
+        null_res = max(null_res, float(np.abs(acted[:, rank:]).max(initial=0.0)))
+    star_res = np.abs(actions.conj().transpose(0, 2, 1) - actions[alg.adj_table]).max(initial=0.0)
 
     # the derivation factors the Laplacian: dmatrix* dmatrix = Delta
-    root_w = np.sqrt(alg.basis_weights)
     delta = gamma.tau_values / np.outer(root_w, root_w)
-    fact_res = float(np.abs(dmatrix.conj().T @ dmatrix - delta).max())
-
     return BimoduleSpace(
-        gamma=gamma,
-        kernel_basis=kernel,
-        gram=gram,
-        rank=rank,
-        scale_roots=roots,
-        frame=frame,
-        dmatrix=dmatrix,
-        left_action=actions,
+        gamma=gamma, rank=rank, pair_forms=pair_forms, dmatrix=dmatrix, left_action=actions,
         residuals={
-            "gram_negative_part": psd_res,
+            "gram_negative_part": max(0.0, -min(float(v[:, 0].min()) for v, _ in eigs)),
             "null_space_invariance": null_res,
-            "star_representation": star_res,
-            "laplacian_factorization": fact_res,
+            "star_representation": float(star_res),
+            "laplacian_factorization": float(np.abs(dmatrix.conj().T @ dmatrix - delta).max()),
         },
     )
+
+
+def _spread(d, n_b, cols, f) -> np.ndarray:
+    """Pair vectors, rows of shape (q n_b, d^2), from vectors ``f`` of shape
+    (q, d n_b) over (k, r), one per block of size n_b with units ``cols[q]``:
+    for each column c of the block, f[q, (k, r)] at pair (k, unit (r, c))."""
+    q, r = len(cols), np.arange(n_b)
+    at = cols[:, r[None, :] * n_b + r[:, None]]  # [q, c, r]: the unit at (r, c)
+    out = np.zeros((q, n_b, d, d), dtype=complex)
+    out[np.arange(q)[:, None, None, None], r[None, :, None, None],
+        np.arange(d)[None, None, :, None], at[:, :, None, :]] = f.reshape(q, 1, d, n_b)
+    return out.reshape(-1, d * d)
 
 
 @dataclass(frozen=True)

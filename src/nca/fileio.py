@@ -168,20 +168,18 @@ def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
 
 def _network_file_to_spec(raw: dict) -> dict:
     """The bare network file format {"nodes": n, "c": [[...]]} expands to a
-    full spec over the node algebra with counting measure."""
-    try:
-        n = int(raw["nodes"])
-    except (TypeError, ValueError):
-        raise InputError("nodes: must be an integer")
-    out = {
-        "algebra": {"blocks": [1] * n, "trace_weights": [1.0] * n},
-        "generator": {"kind": "network", "c": raw["c"]},
-    }
-    for key in ("seed", "tolerances", "times", "pairs", "states", "projection"):
-        if key in raw:
-            out[key] = raw[key]
-    if raw.get("allow_negative"):
-        out["generator"]["allow_negative"] = True
+    full spec over the node algebra with counting measure; every other key
+    but ``allow_negative`` is a field of that spec."""
+    n = raw["nodes"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError(f"nodes: must be a positive integer, got {n!r}")
+    if "generator" in raw:
+        raise InputError("generator: a bare network file takes its generator from 'c'")
+    out = {key: value for key, value in raw.items()
+           if key not in ("nodes", "c", "allow_negative")}
+    out["algebra"] = {"blocks": [1] * n, "trace_weights": [1.0] * n}
+    out["generator"] = {"kind": "network", "c": raw["c"],
+                        "allow_negative": raw.get("allow_negative", False)}
     return out
 
 
@@ -281,15 +279,17 @@ def parse_spec(source) -> ProblemSpec:
             pairs = None
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append("seed: must be an integer")
         seed = 0
 
     tol_raw = raw.get("tolerances", {})
     tolerances = Tolerances()
     if isinstance(tol_raw, dict):
-        bad = [k for k in ("positivity", "rank", "equality")
-               if k in tol_raw and not _is_tolerance(tol_raw[k])]
+        names = ("positivity", "rank", "equality")
+        problems.extend(f"tolerances: unknown field {key!r}"
+                        for key in sorted(set(tol_raw) - set(names)))
+        bad = [k for k in names if k in tol_raw and not _is_tolerance(tol_raw[k])]
         if bad:
             problems.extend(f"tolerances.{k}: must be a finite nonnegative number, "
                             f"got {tol_raw[k]!r}" for k in bad)

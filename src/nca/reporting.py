@@ -28,10 +28,6 @@ class CheckResult:
         return out
 
 
-def all_passed(results) -> bool:
-    return all(r.passed for r in results)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used across all checks, overridable per run."""

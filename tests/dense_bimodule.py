@@ -1,0 +1,126 @@
+"""The product-basis one-form construction, kept as an independent reference
+for the factored one in ``nca.dirac``.
+
+It follows the definition literally: the kernel of the multiplication map
+a (x) b -> ab is read from an SVD of the d x d^2 multiplication matrix, the
+inner product <a (x) b, c (x) d> = tau(b* Gamma(a, c) d) is assembled as a
+(d, d, d, d) tensor over the product basis, restricted to the kernel and
+diagonalized, and its null space is divided out.  The left action loops
+over the canonical units.
+"""
+import numpy as np
+
+from nca import PropertyViolationError, is_cdc
+from nca.algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL
+from nca.reporting import CheckResult
+
+
+def dense_build_bimodule(gamma, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RANK_TOL) -> dict:
+    """The one-form space of ``gamma`` on the kernel of multiplication: the
+    kernel basis, gram, rank, frame, derivation matrix, left action and the
+    four residuals."""
+    report = is_cdc(gamma, tol=pos_tol)
+    if not report.is_cdc:
+        raise PropertyViolationError(
+            "one-form construction requires a carre-du-champ",
+            [CheckResult("is-cdc", False, witness=report.witness)],
+        )
+    alg = gamma.algebra
+    d = alg.dim
+    adj = alg.adj_table
+    mul_i, mul_j, mul_k = alg.mul_nonzero
+    w = alg.coord_weights
+
+    # kernel of the multiplication map a (x) b -> ab over the product basis
+    mmap = np.zeros((d, d * d))
+    mmap[mul_k, mul_i * d + mul_j] = 1.0
+    _, svals, vh = np.linalg.svd(mmap, full_matrices=True)
+    rank_m = int(np.sum(svals > rank_tol * max(1.0, svals.max())))
+    kernel = vh[rank_m:].conj().T  # (d^2, d^2 - d) orthonormal columns
+
+    # Gram of the induced inner product on the product basis, restricted:
+    # t[i, j, k, l] = tau(e_j* Gamma(e_i, e_k) e_l), which is nonzero only
+    # when e_j and e_l share a column x, and then w_x G[i, k, unit(row j, row l)]
+    rows, cols = alg.unit_positions
+    pair_j, pair_l = np.nonzero(cols[:, None] == cols[None, :])
+    t = np.zeros((d, d, d, d), dtype=complex)
+    t[:, pair_j, :, pair_l] = (
+        w[cols[pair_j]] * gamma.gram[:, :, alg._unit_at[rows[pair_j], rows[pair_l]]]
+    ).transpose(2, 0, 1)
+    t_mat = t.reshape(d * d, d * d)
+    gram = kernel.conj().T @ t_mat @ kernel
+    gram = (gram + gram.conj().T) / 2
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    top = max(1.0, float(eigvals[-1])) if eigvals.size else 1.0
+    psd_res = float(max(0.0, -eigvals[0])) if eigvals.size else 0.0
+    keep = eigvals > rank_tol * top
+    rank = int(keep.sum())
+    frame = eigvecs[:, keep]
+    null_vecs = eigvecs[:, ~keep]
+    roots = np.sqrt(eigvals[keep])
+    # a kernel vector v has one-form coordinates roots * (frame* v)
+    to_forms = roots[:, None] * (kernel @ frame).conj().T  # (rank, d^2)
+
+    # derivation columns: e~_i (x) 1 - 1 (x) e~_i, for the orthonormal basis
+    units = np.arange(d)[:, None]
+    diag_units = alg.diagonal_units[None, :]
+    inv_root_w = 1.0 / np.sqrt(alg.basis_weights)[:, None]
+    dcols = np.zeros((d, d, d))
+    dcols[units, diag_units, units] = inv_root_w
+    dcols[diag_units, units, units] -= inv_root_w
+    dmatrix = to_forms @ dcols.reshape(d * d, d)
+
+    # left action of each canonical unit e_i, descended to the quotient: it
+    # sends e_a (x) e_c to e_k (x) e_c for every product e_i e_a = e_k, so it
+    # gathers rows a*d + c of the lifted frame into rows k*d + c
+    lifted = kernel @ (frame / roots[None, :])
+    leaking = kernel @ null_vecs
+    cols = np.arange(d)
+    actions = np.empty((d, rank, rank), dtype=complex)
+    null_res = 0.0
+    for i in range(d):
+        mine = mul_i == i
+        dst = (mul_k[mine, None] * d + cols).reshape(-1)
+        src = (mul_j[mine, None] * d + cols).reshape(-1)
+        actions[i] = to_forms[:, dst] @ lifted[src]
+        if null_vecs.size:
+            leak = to_forms[:, dst] @ leaking[src]
+            null_res = max(null_res, float(np.abs(leak).max(initial=0.0)))
+    star_res = float(
+        np.abs(actions.conj().transpose(0, 2, 1) - actions[adj]).max(initial=0.0)
+    )
+
+    # the derivation factors the Laplacian: dmatrix* dmatrix = Delta
+    root_w = np.sqrt(alg.basis_weights)
+    delta = gamma.tau_values / np.outer(root_w, root_w)
+    fact_res = float(np.abs(dmatrix.conj().T @ dmatrix - delta).max())
+
+    return {
+        "kernel_basis": kernel,
+        "gram": gram,
+        "rank": rank,
+        "scale_roots": roots,
+        "frame": frame,
+        "to_forms": to_forms,
+        "dmatrix": dmatrix,
+        "left_action": actions,
+        "residuals": {
+            "gram_negative_part": psd_res,
+            "null_space_invariance": null_res,
+            "star_representation": star_res,
+            "laplacian_factorization": fact_res,
+        },
+    }
+
+
+def pair_projection(alg) -> np.ndarray:
+    """The d^2 x d^2 matrix of P(e_a (x) e_c) = e_a (x) e_c - 1 (x) e_a e_c,
+    which maps each pair onto the kernel of multiplication."""
+    d = alg.dim
+    proj = np.eye(d * d)
+    for a in range(d):
+        for c in range(d):
+            k = alg.mul_table[a, c]
+            if k >= 0:
+                proj[alg.diagonal_units * d + k, a * d + c] -= 1.0
+    return proj

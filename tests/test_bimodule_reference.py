@@ -1,0 +1,81 @@
+"""``build_bimodule`` against the product-basis reference in
+``dense_bimodule``, on random Lindblad forms over algebras with repeated
+block sizes and non-unit trace weights, on random networks and on the
+catalog.  The two routes pick different orthonormal frames, so they are
+compared through frame-independent quantities only."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nca
+from dense_bimodule import dense_build_bimodule, pair_projection
+
+RTOL = 1e-12
+
+blocks = st.lists(st.tuples(st.sampled_from([1, 2, 2, 3]),
+                            st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])),
+                  min_size=1, max_size=4).filter(lambda p: sum(n * n for n, _ in p) <= 18)
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= RTOL * max(1.0, np.abs(want).max(initial=0.0))
+
+
+def _compare(gamma, seed):
+    alg = gamma.algebra
+    bs = nca.build_bimodule(gamma)
+    ref = dense_build_bimodule(gamma)
+    assert bs.rank == ref["rank"]
+    for value in bs.residuals.values():
+        assert value <= 1e-10 * max(1.0, gamma.magnitude())
+
+    _close(bs.dmatrix.conj().T @ bs.dmatrix, ref["dmatrix"].conj().T @ ref["dmatrix"])
+    # the gram of the pairs (d e_a) e_c: the reference's coordinates hold for
+    # kernel vectors, and P maps each pair into the kernel
+    ref_pairs = ref["to_forms"] @ pair_projection(alg)
+    _close(bs.pair_forms.conj().T @ bs.pair_forms, ref_pairs.conj().T @ ref_pairs)
+
+    ref_bs = nca.BimoduleSpace(gamma=gamma, rank=ref["rank"], pair_forms=ref_pairs,
+                               dmatrix=ref["dmatrix"], left_action=ref["left_action"])
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        a, b, c = (nca.random_element(alg, rng) for _ in range(3))
+        inner = [np.vdot(space.derivative_coords(c), space.act_left(a) @ space.derivative_coords(b))
+                 for space in (bs, ref_bs)]
+        _close(inner[0], inner[1])
+        _close(nca.DiracOperator(bs).commutator_norm(a),
+               nca.DiracOperator(ref_bs).commutator_norm(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks, st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+def test_lindblad_forms_match_reference(pairs, count, seed):
+    alg = nca.build_algebra([n for n, _ in pairs], [w for _, w in pairs])
+    rng = np.random.default_rng(seed)
+    _compare(nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(count)]), seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
+def test_networks_match_reference(size, seed):
+    rng = np.random.default_rng(seed)
+    net = nca.random_network(size, rng)
+    alg = nca.build_algebra([1] * size, list(rng.choice([0.5, 1.0, 2.0], size)))
+    _compare(nca.network_cdc(alg, net.c, scale=0.5), seed)
+
+
+def test_catalog_matches_reference(catalog):
+    for ex in catalog:
+        _compare(ex.gamma, 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(blocks)
+def test_zero_form_has_rank_zero(pairs):
+    alg = nca.build_algebra([n for n, _ in pairs], [w for _, w in pairs])
+    bs = nca.build_bimodule(nca.commutator_cdc([alg.identity()]))
+    assert bs.rank == 0 and bs.pair_forms.shape == (0, alg.dim ** 2)
+    assert bs.left_action.shape == (alg.dim, 0, 0)
+    assert dense_build_bimodule(nca.commutator_cdc([alg.identity()]))["rank"] == 0

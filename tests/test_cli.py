@@ -172,6 +172,50 @@ def test_bare_network_file_format(tmp_path, capsys):
     assert report["data"]["resistance"][0][1] == pytest.approx(2.0 / 3.0)
 
 
+def test_bare_network_file_keeps_every_field(capsys):
+    # a bare file runs exactly as the full spec it stands for, weight_element
+    # (and with it the stddev suite) included
+    weight = [[[[0.2, 0.0]]], [[[0.3, 0.0]]], [[[0.5, 0.0]]]]
+    full = dict(K3_SPEC, weight_element=weight)
+    bare = {key: value for key, value in full.items() if key not in ("algebra", "generator")}
+    bare.update(nodes=3, c=K3_SPEC["generator"]["c"])
+    assert main(["all", json.dumps(full), "--json"]) == 0
+    want = capsys.readouterr().out
+    assert main(["all", json.dumps(bare), "--json"]) == 0
+    got = capsys.readouterr().out
+    assert got == want
+    assert any(c["check"].startswith("stddev:") for c in json.loads(got)["checks"])
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"mystery": 1}, "mystery"),
+    ({"nodes": 2.7}, "nodes"),
+    ({"nodes": True}, "nodes"),
+    ({"nodes": 0}, "nodes"),
+    ({"nodes": "2"}, "nodes"),
+    ({"generator": {"kind": "network", "c": [[0, 1], [1, 0]]}}, "generator"),
+    ({"tolerances": {"positivty": -1}}, "positivty"),
+    ({"seed": True}, "seed"),
+])
+def test_ignored_fields_exit_2(change, field, capsys):
+    spec = dict({"nodes": 2, "c": [[0, 1], [1, 0]]}, **change)
+    assert main(["all", json.dumps(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and field in captured.err
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"tolerances": {"positivity": 1e-9, "rank_tol": 1e-3}}, "rank_tol"),
+    ({"seed": False}, "seed"),
+])
+def test_full_spec_rejects_ignored_fields(change, field, capsys):
+    assert main(["check-cdc", json.dumps(dict(K3_SPEC, **change))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and field in captured.err
+
+
 def test_pairs_flag(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(K3_SPEC))

@@ -10,6 +10,7 @@ import nca
 from nca.errors import PropertyViolationError
 
 from conftest import K3_C, TWO_C
+from dense_bimodule import pair_projection
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +102,7 @@ def _right_derivative(bs, a, b):
                 k2 = mul[i, j]
                 if k2 >= 0:
                     vec[u * d + k2] -= coords_a[i] * coords_b[j]
-    kern_coords = bs.kernel_basis.conj().T @ vec
-    return bs.scale_roots * (bs.frame.conj().T @ kern_coords)
+    return bs.pair_forms @ vec
 
 
 def test_dirac_matrix_shape_and_selfadjointness(two_point_bimodule):
@@ -252,22 +252,44 @@ def test_network_commutator_norm_sup_formula():
 
 @pytest.mark.parametrize("blocks, weights", [([3], [1.0]), ([3, 2, 1], [1.0, 0.5, 2.0])])
 def test_left_action_matches_product_route(blocks, weights):
-    # the left action of e_i through the d^2 x d^2 matrix of e_a (x) e_c ->
-    # e_i e_a (x) e_c, restricted to the kernel and descended to the frame
+    # left_action[i] @ pair_forms == pair_forms @ M_i @ P, with M_i the
+    # d^2 x d^2 matrix of e_a (x) e_c -> e_i e_a (x) e_c and P that of
+    # e_a (x) e_c -> e_a (x) e_c - 1 (x) e_a e_c
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(29)
     bs = nca.build_bimodule(nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(2)]))
-    d, kernel, roots = alg.dim, bs.kernel_basis, bs.scale_roots
+    d = alg.dim
     cols = np.arange(d)
+    proj = pair_projection(alg)
     for i in range(d):
         lprod = np.zeros((d * d, d * d))
         for a in range(d):
             k = alg.mul_table[i, a]
             if k >= 0:
                 lprod[k * d + cols, a * d + cols] = 1.0
-        lker = kernel.conj().T @ lprod @ kernel
-        expected = (roots[:, None] * (bs.frame.conj().T @ lker)) @ (bs.frame / roots)
-        assert np.abs(bs.left_action[i] - expected).max() < 1e-14
+        expected = bs.pair_forms @ lprod @ proj
+        assert np.abs(bs.left_action[i] @ bs.pair_forms - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("blocks", [[2], [3], [2, 1]])
+def test_null_space_invariance_detects_a_leaking_form(monkeypatch, blocks):
+    # Gamma(a, b) = X(a)* X(b) with X(a) = a - tr(a)/n: positive and
+    # unit-annihilating, but X is no derivation, so left multiplication
+    # moves null pairs out of the null space; let it past is_cdc
+    dense_bimodule = importlib.import_module("dense_bimodule")
+    alg = nca.build_algebra(blocks, [1.0] * len(blocks))
+    n = alg.total_size
+    emb = alg.embedded_basis
+    x = emb - (np.trace(emb, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    rows, cols = alg.unit_positions
+    gamma = nca.CdCForm(alg, (x.conj().transpose(0, 2, 1)[:, None] @ x[None])[:, :, rows, cols])
+    assert not nca.is_cdc(gamma).star_representation
+    passing = nca.CdCReport(True, True, True, True)
+    for module in (importlib.import_module("nca.dirac"), dense_bimodule):
+        monkeypatch.setattr(module, "is_cdc", lambda g, tol: passing)
+    assert nca.build_bimodule(gamma).residuals["null_space_invariance"] > 0.1
+    ref = dense_bimodule.dense_build_bimodule(gamma)
+    assert ref["residuals"]["null_space_invariance"] > 0.1
 
 
 def test_bimodule_requires_cdc():

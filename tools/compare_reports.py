@@ -1,0 +1,155 @@
+"""Compare the canonical reports of two nca source trees.
+
+    python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC
+
+Each argument is a ``src`` directory holding the ``nca`` package.  For each
+side, one subprocess imports ``nca`` from that directory and runs
+``nca <command> <spec> --json`` for all nine commands on the network-suite
+and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, plus
+``K3_SPEC`` and ``LINDBLAD_SPEC`` from ``tests/test_cli.py``.  The script
+prints the structural differences (exit code, stderr, stdout shape, keys,
+list lengths, strings and booleans) and, for each float field that moved,
+its largest change relative to max(1, |x|).  It exits 1 when any structural
+difference is found, 0 otherwise.
+"""
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import run as bench_run  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2)
+WORKLOADS = ("network-suite", "matrix-suite")
+
+# runs every (command, spec) pair in one interpreter and prints a JSON list
+# of [command, exit code, stdout, stderr]
+RUNNER = """
+import contextlib, io, json, sys, traceback
+sys.path.insert(0, sys.argv[1])
+from nca.cli import COMMANDS, main
+specs = json.load(sys.stdin)
+out = []
+for command in COMMANDS:
+    for spec in specs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([command, spec, "--json"])
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        out.append([command, code, stdout.getvalue(), stderr.getvalue()])
+json.dump(out, sys.stdout)
+"""
+
+
+def cli_specs() -> dict:
+    """The literal ``K3_SPEC`` and ``LINDBLAD_SPEC`` of tests/test_cli.py."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("K3_SPEC", "LINDBLAD_SPEC"):
+                found[name] = json.dumps(ast.literal_eval(node.value))
+    return found
+
+
+def specs() -> dict:
+    named = {}
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for case in bench_run.make_cases(workload, np.random.default_rng(seed), workloads):
+                named[f"{case['name']}-seed{seed}"] = case["spec"]
+    named.update(cli_specs())
+    return named
+
+
+def run_side(src: str, named: dict) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", RUNNER, str(Path(src).resolve())],
+                          input=json.dumps(list(named.values())), capture_output=True,
+                          text=True, env=env, check=True)
+    rows = json.loads(proc.stdout)
+    names = list(named) * (len(rows) // len(named))
+    return {(command, name): (code, out, err)
+            for name, (command, code, out, err) in zip(names, rows)}
+
+
+def walk(a, b, path: str, where: str, moved: dict, structural: list):
+    """Record the structural differences and the float moves between two
+    parsed reports of the run ``where``.  A float field is named by its
+    ``path`` with list positions dropped, except that an entry of a
+    ``checks`` list is named by its check; ``moved`` keeps each field's
+    largest change and the run it came from."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            structural.append(f"{where} {path}: keys {sorted(a)} != {sorted(b)}")
+            return
+        for key in a:
+            walk(a[key], b[key], f"{path}.{key}", where, moved, structural)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            structural.append(f"{where} {path}: length {len(a)} != {len(b)}")
+            return
+        for x, y in zip(a, b):
+            named = isinstance(x, dict) and path.endswith("checks") and "check" in x
+            walk(x, y, f"{path}[{x['check'] if named else ''}]", where, moved, structural)
+    elif _is_number(a) and _is_number(b) and float in (type(a), type(b)):
+        change = abs(a - b) / max(1.0, abs(a))
+        if change > moved.get(path, (0.0, ""))[0]:
+            moved[path] = (change, where)
+    elif type(a) is not type(b) or a != b:
+        structural.append(f"{where} {path}: {a!r} != {b!r}")
+
+
+def _is_number(x) -> bool:
+    """Canonical JSON writes an integral float as an int, so ints and floats
+    compare as numbers; booleans do not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    named = specs()
+    parent, change = (run_side(src, named) for src in args)
+    structural, moved = [], {}
+    identical = 0
+    for key, (code_a, out_a, err_a) in parent.items():
+        code_b, out_b, err_b = change[key]
+        label = f"{key[0]} {key[1]}"
+        identical += out_a == out_b
+        if code_a != code_b:
+            structural.append(f"{label}: exit code {code_a} != {code_b}")
+        if err_a != err_b:
+            structural.append(f"{label}: stderr differs")
+        if out_a.count("\n") != out_b.count("\n"):
+            structural.append(f"{label}: stdout has {out_a.count(chr(10))} != "
+                              f"{out_b.count(chr(10))} lines")
+        if out_a.strip() and out_b.strip():
+            walk(json.loads(out_a), json.loads(out_b), key[0], label, moved, structural)
+    print(f"{len(parent)} reports, {identical} byte-identical")
+    print(f"structural differences: {len(structural)}")
+    for line in structural:
+        print("  " + line)
+    print(f"float fields that moved: {len(moved)} (largest change / max(1, |x|))")
+    for path, (change, where) in sorted(moved.items()):
+        print(f"  {path}: {change:.2e} ({where})")
+    return 1 if structural else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

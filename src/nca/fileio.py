@@ -240,7 +240,8 @@ def parse_spec(source) -> ProblemSpec:
         if isinstance(proj_raw, dict) and "keep_blocks" in proj_raw:
             keep = proj_raw["keep_blocks"]
             if not isinstance(keep, list) or not all(
-                isinstance(b, int) and 0 <= b < len(algebra.blocks) for b in keep
+                isinstance(b, int) and not isinstance(b, bool) and 0 <= b < len(algebra.blocks)
+                for b in keep
             ):
                 problems.append("projection.keep_blocks: need valid block indices")
             else:

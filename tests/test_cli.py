@@ -205,6 +205,17 @@ def test_ignored_fields_exit_2(change, field, capsys):
     assert captured.err.startswith("input error:") and field in captured.err
 
 
+@pytest.mark.parametrize("keep", [[True, 0], [False]])
+def test_boolean_block_index_exit_2(keep, capsys):
+    # JSON true is no block index, though Python counts bool as int
+    spec = {"nodes": 3, "c": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "projection": {"keep_blocks": keep}}
+    assert main(["quotient", json.dumps(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "keep_blocks" in captured.err
+
+
 @pytest.mark.parametrize("change, field", [
     ({"tolerances": {"positivity": 1e-9, "rank_tol": 1e-3}}, "rank_tol"),
     ({"seed": False}, "seed"),

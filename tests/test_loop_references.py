@@ -1,7 +1,8 @@
 """Index-formula and batched checks against the element-by-element loops
 they replace, kept here as references: the conditional complete negativity
 matrices of ``ccn_check``, the automorphism test of ``group_action_cdc``,
-the pairing identity of ``stddev.extend`` and ``leibniz_check``."""
+the pairing identity of ``stddev.extend``, ``leibniz_check`` and the
+parallelogram test of ``star_graph_check``."""
 import numpy as np
 import pytest
 
@@ -250,3 +251,81 @@ def test_batched_leibniz_matches_loop(form, tol):
     assert (got[0].witness is not None) == (form == 2)
     if form == 2:
         assert got[0].witness["pair_index"] == 2
+
+
+# -- star graph ----------------------------------------------------------------
+
+
+def _star_graph_loop(net, op, seed=0, tol=1e-9, random_pairs=8):
+    def l2(f):
+        return op.commutator_norm(f) ** 2
+
+    worst = 0.0
+    witness = None
+    eye = np.eye(net.size)
+    deltas = [net.function(eye[p]) for p in range(net.size)]
+    delta_l2 = [l2(f) for f in deltas]
+    pairs = [
+        (f"delta-{p}-{q}", deltas[p], deltas[q], delta_l2[p], delta_l2[q])
+        for p in range(net.size)
+        for q in range(p + 1, net.size)
+    ]
+    rng = np.random.default_rng(seed)
+    for k in range(random_pairs):
+        f = net.function(rng.standard_normal(net.size))
+        g = net.function(rng.standard_normal(net.size))
+        pairs.append((f"random-{k}", f, g, l2(f), l2(g)))
+    for name, f, g, l2_f, l2_g in pairs:
+        terms = [l2(f + g), l2(f - g), l2_f, l2_g]
+        gap = abs(terms[0] + terms[1] - 2 * terms[2] - 2 * terms[3])
+        rel_gap = gap / max(1.0, *terms)
+        if rel_gap > worst:
+            worst = rel_gap
+            witness = name
+    holds = worst <= max(tol, 1e-8)
+    return {
+        "is_star": nca.is_star(net),
+        "parallelogram_holds": holds,
+        "max_relative_residual": worst,
+        "witness": None if holds else witness,
+    }
+
+
+@pytest.mark.parametrize("size, star", [(2, False), (4, False), (6, False), (8, False),
+                                        (12, False), (16, False), (4, True), (7, True),
+                                        (16, True)])
+def test_star_graph_check_matches_loop(monkeypatch, size, star):
+    rng = np.random.default_rng(300 + size)
+    net = (nca.random_star_network if star else nca.random_network)(size, rng)
+    op = nca.dirac(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
+    wants = [_star_graph_loop(net, op, seed=size + k, random_pairs=k) for k in (0, 3, 8)]
+
+    # the batched route makes no commutator_norm calls
+    calls = []
+    norm = nca.DiracOperator.commutator_norm
+
+    def counted_norm(op, a):
+        calls.append(a)
+        return norm(op, a)
+
+    monkeypatch.setattr(nca.DiracOperator, "commutator_norm", counted_norm)
+    for k, want in zip((0, 3, 8), wants):
+        got = nca.star_graph_check(net, seed=size + k, random_pairs=k, op=op)
+        for key in ("is_star", "parallelogram_holds", "witness"):
+            assert got[key] == want[key], key
+        residual = want["max_relative_residual"]
+        assert abs(got["max_relative_residual"] - residual) <= 1e-12 * max(1.0, residual)
+        assert got["is_star"] == star or size == 2
+        assert got["parallelogram_holds"] == got["is_star"]
+    assert calls == []
+
+
+def test_star_graph_random_witness_matches_loop():
+    # a triangle whose worst pair is a random one, not a pair of point masses
+    net = nca.random_network(3, np.random.default_rng(12))
+    op = nca.dirac(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
+    want = _star_graph_loop(net, op, seed=12)
+    got = nca.star_graph_check(net, seed=12, op=op)
+    assert want["witness"] == got["witness"] == "random-7"
+    residual = want["max_relative_residual"]
+    assert abs(got["max_relative_residual"] - residual) <= 1e-12 * residual

@@ -260,16 +260,15 @@ def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm
     return CdCForm(algebra, scale * vals, scale=scale)
 
 
-def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL, require_cdc=True) -> np.ndarray:
+def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> np.ndarray:
     """Recover the conductance matrix c_py = Gamma(d_p, d_p)(y) / scale from a
     carre-du-champ on a commutative algebra."""
     alg = gamma.algebra
     if not alg.is_commutative:
         raise InputError("conductance extraction requires a commutative algebra")
-    if require_cdc:
-        report = is_cdc(gamma, tol=tol)
-        if not report.is_cdc:
-            raise InputError("form is not a carre-du-champ", [report.residuals])
+    report = is_cdc(gamma, tol=tol)
+    if not report.is_cdc:
+        raise InputError("form is not a carre-du-champ", [report.residuals])
     c = np.einsum("ppy->py", gamma.gram).real / gamma.scale
     np.fill_diagonal(c, 0.0)
     return c

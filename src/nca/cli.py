@@ -442,6 +442,8 @@ def main(argv=None) -> int:
     try:
         spec = parse_spec(args.spec)
         if args.seed is not None:
+            if args.seed < 0:
+                raise InputError(f"--seed: must be a nonnegative integer, got {args.seed}")
             spec.seed = args.seed
         overrides = {"positivity": args.tol_pos, "rank": args.tol_rank, "equality": args.tol_eq}
         bad = [k for k, v in overrides.items() if v is not None and not _is_tolerance(v)]
@@ -456,8 +458,8 @@ def main(argv=None) -> int:
                 spec.times = [float(x) for x in args.t.split(",") if x]
             except ValueError:
                 raise InputError(f"--t: cannot parse {args.t!r} as a comma-separated list")
-            if not all(_is_finite_number(t) and t >= 0 for t in spec.times):
-                raise InputError("--t: times must be finite nonnegative numbers")
+            if not spec.times or not all(_is_finite_number(t) and t >= 0 for t in spec.times):
+                raise InputError("--t: need a nonempty list of finite nonnegative times")
         if args.pairs is not None:
             try:
                 spec.pairs = [

@@ -20,7 +20,6 @@ from .algebra import (
     SpectralStack,
     SuperOperator,
     amplify_matrix,
-    amplify_superop,
     block_norms,
     block_products,
     hermitian_eigenvalues,
@@ -113,7 +112,7 @@ def energy_form(gamma: CdCForm, force=False, tol=DEFAULT_POS_TOL) -> EnergyForm:
 class Laplacian:
     """The positive operator with <a, L b> = E(a, b); Hermitian in the
     orthonormal basis by construction.  ``eigenvalues`` is the ascending
-    spectrum of its Hermitian part."""
+    spectrum of its Hermitian part; functions of L come from ``eigensystem``."""
 
     superop: SuperOperator
     eigenvalues: np.ndarray
@@ -121,8 +120,7 @@ class Laplacian:
 
     @property
     def kernel_dim(self) -> int:
-        w = self.eigenvalues
-        return int(np.sum(w <= self.rank_tol * max(1.0, float(w[-1]))))
+        return self.algebra.dim - len(self.range_eigensystem[0])
 
     @property
     def algebra(self) -> Algebra:
@@ -136,6 +134,18 @@ class Laplacian:
     def eigensystem(self):
         m = self.matrix
         return np.linalg.eigh((m + m.conj().T) / 2)
+
+    @cached_property
+    def range_eigensystem(self):
+        """The eigenpairs above the rank cut rank_tol * max(1, top): the range of L."""
+        w, v = self.eigensystem
+        keep = w > self.rank_tol * max(1.0, float(w[-1]))
+        return w[keep], v[:, keep]
+
+    def function(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The orthonormal-basis matrix V diag(f(w)) V* of f(L)."""
+        w, v = self.eigensystem
+        return (v * f(w)) @ v.conj().T
 
     def apply(self, a: Element) -> Element:
         return self.superop.apply(a)
@@ -270,7 +280,7 @@ def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2):
     return out
 
 
-def _markov_probes(e: EnergyForm, order: int, alg: Algebra,
+def _markov_probes(lap: Laplacian, order: int, alg: Algebra,
                    rng: np.random.Generator, ts=(0.05, 0.5, 5.0)) -> np.ndarray:
     """Elements where Markov violations concentrate, as rows of canonical
     coordinates.
@@ -280,20 +290,18 @@ def _markov_probes(e: EnergyForm, order: int, alg: Algebra,
     strictly increases the energy.  Small differences p - r q of extreme
     positives cover the same failure directly (the positive part restores p
     while the energy of the difference can dip below that of p).
+
+    The resolvent (1 + tL)^(-1) is a function of the form's Laplacian ``lap``
+    acting on every cell; a t with 1 + tw = 0 for an eigenvalue w is skipped.
     """
-    m = e.gram_orthonormal
-    m = (m + m.conj().T) / 2
-    if order > 1:
-        m = amplify_matrix(m, e.algebra, order)
     root = np.sqrt(alg.basis_weights)
     extremes = np.array([alg.canonical_coords(a) for a in _extreme_positives(alg, rng)])
-    eye = np.eye(alg.dim)
     probes = []
     for t in ts:
-        try:
-            images = np.linalg.solve(eye + t * m, (extremes * root).T).T / root
-        except np.linalg.LinAlgError:
+        if np.any(1 + t * lap.eigensystem[0] == 0):
             continue
+        resolvent = amplify_matrix(lap.function(lambda w: 1 / (1 + t * w)), lap.algebra, order)
+        images = (extremes * root) @ resolvent.T / root
         probes.extend(0.5 * (images + images[:, alg.adj_table].conj()))
     firsts = extremes[:4]
     for i, a in enumerate(firsts):
@@ -330,6 +338,7 @@ def markov_check(
     per block size), every function is applied to the shared eigenvectors,
     and each seminorm is one quadratic form with the amplified gram.
     """
+    lap = laplacian(e)
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + order)
@@ -339,7 +348,7 @@ def markov_check(
         else:
             samples = [alg.canonical_coords(random_self_adjoint(alg, rng)) for _ in range(count)]
         coords = np.concatenate([np.reshape(samples, (-1, alg.dim)),
-                                 _markov_probes(e, order, alg, rng)])
+                                 _markov_probes(lap, order, alg, rng)])
         spectra = SpectralStack(alg, coords)
         fns = _battery_knots(battery, rng, np.maximum(-spectra.lo, spectra.hi))
         names = [name for name, _, _ in fns]
@@ -467,8 +476,7 @@ def heat_semigroup(lap: Laplacian, t: float) -> SuperOperator:
     """The semigroup element exp(-t L) by Hermitian eigendecomposition."""
     if t < 0:
         raise InputError("time must be nonnegative")
-    w, v = lap.eigensystem
-    return SuperOperator(lap.algebra, (v * np.exp(-t * w)) @ v.conj().T)
+    return SuperOperator(lap.algebra, lap.function(lambda w: np.exp(-t * w)))
 
 
 def heat_map(lap: Laplacian, t: float, tol=DEFAULT_POS_TOL):
@@ -534,32 +542,21 @@ def resolvent_check(
     ``tol * (1 + |a|)``.  An order fails iff some entry exceeds its bound.
     The witness is the exceeding entry with the largest value, the first in
     t-major order (the unit entry before the samples) on ties; the residual
-    is the largest entry."""
-    if any(t < 0 for t in ts):
-        raise InputError("resolvent times must be nonnegative")
+    is the largest entry.  R_t comes from the eigendecomposition of L; at
+    order n it is R_t on every cell, since (I + t I (x) L)^(-1) = I (x) R_t."""
+    if len(ts) == 0 or any(t < 0 for t in ts):
+        raise InputError("resolvent times must be a nonempty list of nonnegative numbers")
+    resolvents = [lap.function(lambda w: 1 / (1 + t * w)) for t in ts]
     results = []
     for order in orders:
-        if order == 1:
-            alg, mat = lap.algebra, lap.matrix
-        else:
-            amp_op = amplify_superop(lap.superop, order)
-            alg, mat = amp_op.algebra, amp_op.matrix
+        alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
         rng = np.random.default_rng(seed + 101 * order)
         samples = [random_positive(alg, rng) for _ in range(count)]
         # orthonormal coordinates of the samples, then the identity
         rows = np.array([alg.to_coords(a) for a in samples] + [alg.identity_coords])
-        eye = np.eye(alg.dim)
-        images = []
-        for t in ts:
-            try:
-                images.append(rows @ np.linalg.solve(eye + t * mat, eye).T)
-            except np.linalg.LinAlgError as exc:
-                # impossible for a positive generator; surface as internal
-                raise RuntimeError(
-                    f"internal error: resolvent singular at t={t}"
-                ) from exc
         root = np.sqrt(alg.basis_weights)
-        images = np.array(images).reshape(len(ts), count + 1, alg.dim) / root
+        images = np.array([rows @ amplify_matrix(r, lap.algebra, order).T
+                           for r in resolvents]) / root
         unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
         ra = images[:, :count]
         herm = (ra + ra[..., alg.adj_table].conj()) / 2

@@ -262,10 +262,10 @@ def parse_spec(source) -> ProblemSpec:
             problems.append(f"weight_element: {exc}")
 
     times = raw.get("times", [0.0, 0.1, 1.0, 10.0])
-    if not isinstance(times, list) or any(
+    if not isinstance(times, list) or not times or any(
         not _is_finite_number(t) or t < 0 for t in times
     ):
-        problems.append("times: need a list of finite nonnegative numbers")
+        problems.append("times: need a nonempty list of finite nonnegative numbers")
         times = []
 
     pairs = raw.get("pairs")
@@ -283,6 +283,8 @@ def parse_spec(source) -> ProblemSpec:
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append("seed: must be an integer")
         seed = 0
+    elif seed < 0:
+        problems.append("seed: must be a nonnegative integer")
 
     tol_raw = raw.get("tolerances", {})
     tolerances = Tolerances()

@@ -3,7 +3,6 @@ the affine Hilbert-space embedding."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,29 +64,20 @@ def _difference_coords(mu: State, nu: State) -> np.ndarray:
     return alg.to_coords(mu.density - nu.density)
 
 
-def _split_against_kernel(lap: Laplacian, g: np.ndarray, tol=DEFAULT_EQ_TOL):
-    """Return the component of g inside the range of the Laplacian, raising
-    when mass sits in the kernel beyond the scalars (infinite distance)."""
-    w, v = lap.eigensystem
-    cut = lap.rank_tol * max(1.0, float(w[-1]))
-    comps = v.conj().T @ g
-    stuck = np.linalg.norm(comps[w <= cut])
-    if stuck > tol * max(1.0, np.linalg.norm(g)):
+def energy_metric(lap: Laplacian, mu: State, nu: State, tol=DEFAULT_EQ_TOL) -> float:
+    """sqrt(<mu - nu, pinv(L)(mu - nu)>) with the state difference realized
+    as the density difference in the L2 space; infinite (DisconnectedError)
+    when mass sits in the kernel beyond the scalars."""
+    g = _difference_coords(mu, nu)
+    # eigh sorts ascending: the kernel components come first, then the range
+    comps = lap.eigensystem[1].conj().T @ g
+    stuck, comps = comps[:lap.kernel_dim], comps[lap.kernel_dim:]
+    if np.linalg.norm(stuck) > tol * max(1.0, np.linalg.norm(g)):
         raise DisconnectedError(
             "state difference is not in the range of the Laplacian; the "
             "distance is infinite"
         )
-    return w, v, comps
-
-
-def energy_metric(lap: Laplacian, mu: State, nu: State, tol=DEFAULT_EQ_TOL) -> float:
-    """sqrt(<mu - nu, pinv(L)(mu - nu)>) with the state difference realized
-    as the density difference in the L2 space."""
-    g = _difference_coords(mu, nu)
-    w, _, comps = _split_against_kernel(lap, g, tol)
-    cut = lap.rank_tol * max(1.0, float(w[-1]))
-    keep = w > cut
-    return float(np.sqrt(np.sum(np.abs(comps[keep]) ** 2 / w[keep]).real))
+    return float(np.sqrt(np.sum(np.abs(comps) ** 2 / lap.range_eigensystem[0]).real))
 
 
 def dual_metric(e: EnergyForm, mu: State, nu: State, tol=DEFAULT_EQ_TOL) -> float:
@@ -108,7 +98,8 @@ def dual_metric(e: EnergyForm, mu: State, nu: State, tol=DEFAULT_EQ_TOL) -> floa
 @dataclass(frozen=True)
 class StateEmbedding:
     """The affine isometry of the state space into the Hilbert space carried
-    by the energy form, anchored at a base state."""
+    by the energy form, anchored at a base state.  It reads the Laplacian's
+    eigenpairs above its rank cut, as :func:`energy_metric` does."""
 
     lap: Laplacian
     base: State
@@ -117,17 +108,10 @@ class StateEmbedding:
         if not connectedness(self.lap):
             raise DisconnectedError("embedding requires a metrically connected Laplacian")
 
-    @cached_property
-    def _spectral(self):
-        w, v = self.lap.eigensystem
-        cut = self.lap.rank_tol * max(1.0, float(w[-1]))
-        keep = w > cut
-        return w[keep], v[:, keep]
-
     def coords(self, mu: State) -> np.ndarray:
         """Coordinates of the potential of mu - base in an orthonormal frame
         of the energy Hilbert space; Euclidean distances equal the energy
         metric."""
         g = _difference_coords(mu, self.base)
-        w, v = self._spectral
+        w, v = self.lap.range_eigensystem
         return (v.conj().T @ g) / np.sqrt(w)

@@ -341,6 +341,40 @@ def test_non_finite_overrides_exit_2(flags, capsys):
     assert captured.out == "" and captured.err.startswith("input error:")
 
 
+K3_NETWORK = {"nodes": 3, "c": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["heat", json.dumps(dict(K3_NETWORK, times=[]))],
+    ["all", json.dumps(K3_NETWORK), "--t", ""],
+])
+def test_empty_time_grid_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+    assert "nonempty list" in captured.err
+
+
+@pytest.mark.parametrize("command", ["all", "check-cdc"])
+@pytest.mark.parametrize("argv", [
+    [json.dumps(dict(K3_NETWORK, seed=-1))],
+    [json.dumps(K3_NETWORK), "--seed", "-3"],
+])
+def test_negative_seed_exit_2(command, argv, capsys):
+    assert main([command] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed: must be a nonnegative integer" in captured.err
+
+
+def test_negative_seed_listed_with_other_violations():
+    with pytest.raises(InputError) as err:
+        parse_spec(json.dumps(dict(K3_SPEC, seed=-1, times=[])))
+    assert sorted(err.value.details) == [
+        "seed: must be a nonnegative integer",
+        "times: need a nonempty list of finite nonnegative numbers",
+    ]
+
+
 NET5_SPEC = {
     "algebra": {"blocks": [1] * 5, "trace_weights": [1.0] * 5},
     "generator": {"kind": "network", "c": [

@@ -258,7 +258,7 @@ def test_batched_markov_matches_elementwise_definition(name, e):
     seed = 4
     # the battery runs on the given elements, then on the probes drawn from
     # the order-1 generator
-    probes = _markov_probes(e, 1, alg, np.random.default_rng(seed + 1))
+    probes = _markov_probes(nca.laplacian(e), 1, alg, np.random.default_rng(seed + 1))
     samples = elements + [alg.from_canonical_coords(x) for x in probes]
     pairs = [_elementwise(e, a, fn) for a in samples for _, fn in battery]
     reference = max(lhs - bound for lhs, bound in pairs)
@@ -279,7 +279,7 @@ def test_batched_markov_matches_elementwise_definition(name, e):
 
     # the default battery draws one seeded function per sample, after the probes
     draws = np.random.default_rng(seed + 1)
-    _markov_probes(e, 1, alg, draws)
+    _markov_probes(nca.laplacian(e), 1, alg, draws)
     expected = [
         (idx, fname, *_elementwise(e, a, fn))
         for idx, a in enumerate(samples)
@@ -500,6 +500,13 @@ def test_resolvent_identity_at_zero(k3_setup):
     _, _, _, lap = k3_setup
     for res in nca.resolvent_check(lap, [0.0], orders=(1,), seed=1):
         assert res.passed
+
+
+def test_resolvent_rejects_empty_or_negative_times(k3_setup):
+    _, _, _, lap = k3_setup
+    for ts in ([], (), np.array([]), [0.1, -1.0]):
+        with pytest.raises(InputError):
+            nca.resolvent_check(lap, ts)
 
 
 def test_resolvent_k3_entrywise():

@@ -1,15 +1,21 @@
 """Index-formula and batched checks against the element-by-element loops
 they replace, kept here as references: the conditional complete negativity
 matrices of ``ccn_check``, the automorphism test of ``group_action_cdc``,
-the pairing identity of ``stddev.extend``, ``leibniz_check`` and the
-parallelogram test of ``star_graph_check``."""
+the pairing identity of ``stddev.extend``, ``leibniz_check``, the
+parallelogram test of ``star_graph_check``, and the per-time solves of
+``resolvent_check`` and the Markov probes and the kernel split of
+``energy_metric`` that functions of the Laplacian's eigendecomposition
+replace."""
 import numpy as np
 import pytest
 
 import nca
 from conftest import K3_C, build_catalog, seeded_generators
+from nca.algebra import amplify_matrix, block_norms, hermitian_eigenvalues
 from nca.cdc import _check_automorphism
-from nca.errors import InputError
+from nca.energy import _extreme_positives, _markov_probes
+from nca.errors import DisconnectedError, InputError
+from test_energy import _rank_one_laplacian
 
 
 # -- conditional complete negativity ---------------------------------------
@@ -329,3 +335,199 @@ def test_star_graph_random_witness_matches_loop():
     assert want["witness"] == got["witness"] == "random-7"
     residual = want["max_relative_residual"]
     assert abs(got["max_relative_residual"] - residual) <= 1e-12 * residual
+
+
+# -- functions of the Laplacian ------------------------------------------------
+
+
+def _resolvent_solve(lap, ts, orders=(1, 2), seed=0, count=5, tol=1e-9):
+    """``resolvent_check`` with one solve per time on the amplified matrix."""
+    results = []
+    for order in orders:
+        if order == 1:
+            alg, mat = lap.algebra, lap.matrix
+        else:
+            amp_op = nca.amplify_superop(lap.superop, order)
+            alg, mat = amp_op.algebra, amp_op.matrix
+        rng = np.random.default_rng(seed + 101 * order)
+        samples = [nca.random_positive(alg, rng) for _ in range(count)]
+        rows = np.array([alg.to_coords(a) for a in samples] + [alg.identity_coords])
+        eye = np.eye(alg.dim)
+        images = [rows @ np.linalg.solve(eye + t * mat, eye).T for t in ts]
+        root = np.sqrt(alg.basis_weights)
+        images = np.array(images).reshape(len(ts), count + 1, alg.dim) / root
+        unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
+        ra = images[:, :count]
+        herm = (ra + ra[..., alg.adj_table].conj()) / 2
+        low = hermitian_eigenvalues(alg, herm).min(axis=-1)
+        neg = np.maximum(np.maximum(0.0, -low), block_norms(alg, ra - herm))
+        size = block_norms(alg, rows[:count] / root)
+        growth = block_norms(alg, ra) - size
+        entries = np.concatenate([unit[:, None], np.maximum(neg, growth)], axis=1)
+        bounds = np.concatenate([np.full((len(ts), 1), tol),
+                                 np.broadcast_to(tol * (1.0 + size), (len(ts), count))], axis=1)
+        over = entries > bounds
+        witness = None
+        if over.any():
+            ti, col = np.unravel_index(np.where(over, entries, -np.inf).argmax(), over.shape)
+            witness = {"order": order, "t": float(ts[ti]), "kind": "unit"}
+            if col > 0:
+                idx = col - 1
+                witness["kind"] = ("positivity" if neg[ti, idx] >= growth[ti, idx]
+                                   else "contraction")
+                witness["element_index"] = int(idx)
+        results.append((f"resolvent-n{order}", witness is None,
+                        max(float(entries.max(initial=0.0)), 0.0), witness))
+    return results
+
+
+def _markov_probes_solve(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
+    """``_markov_probes`` with one solve per time on the amplified Laplacian
+    matrix; a singular time is skipped."""
+    m = lap.matrix
+    if order > 1:
+        m = amplify_matrix(m, lap.algebra, order)
+    root = np.sqrt(alg.basis_weights)
+    extremes = np.array([alg.canonical_coords(a) for a in _extreme_positives(alg, rng)])
+    eye = np.eye(alg.dim)
+    probes = []
+    for t in ts:
+        try:
+            images = np.linalg.solve(eye + t * m, (extremes * root).T).T / root
+        except np.linalg.LinAlgError:
+            continue
+        probes.extend(0.5 * (images + images[:, alg.adj_table].conj()))
+    firsts = extremes[:4]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
+            for r in (0.05, 0.25):
+                probes.append(a - r * b)
+                probes.append(b - r * a)
+    return np.array(probes).reshape(-1, alg.dim)
+
+
+def _energy_metric_split(lap, mu, nu, tol=1e-9):
+    """``energy_metric`` with its own rank cut and kernel split."""
+    alg = mu.algebra
+    g = alg.to_coords(mu.density - nu.density)
+    w, v = lap.eigensystem
+    cut = lap.rank_tol * max(1.0, float(w[-1]))
+    comps = v.conj().T @ g
+    if np.linalg.norm(comps[w <= cut]) > tol * max(1.0, np.linalg.norm(g)):
+        raise DisconnectedError("state difference is not in the range of the Laplacian")
+    keep = w > cut
+    return float(np.sqrt(np.sum(np.abs(comps[keep]) ** 2 / w[keep]).real))
+
+
+def _laplacian_forms():
+    """The catalog forms, a K3 with conductance -0.1 and a Lindblad pair on
+    [3, 2, 1] with weights [1, 0.5, 2], as (name, energy form)."""
+    forms = [(ex.name, nca.energy_form(ex.gamma)) for ex in build_catalog()]
+    negative, lindblad = _leibniz_forms()[:2]
+    return forms + [("negative-k3", negative), ("lindblad-3-2-1", lindblad)]
+
+
+@pytest.mark.parametrize("form", range(len(_laplacian_forms()) + 1))
+def test_resolvent_check_matches_solve(form):
+    forms = _laplacian_forms()
+    # the rank-one Laplacian's resolvent is not positive, so its check has a witness
+    lap = _rank_one_laplacian()[1] if form == len(forms) else nca.laplacian(forms[form][1])
+    for seed, ts in ((0, (0.0, 0.1, 1.0, 10.0)), (3, (0.05, 5.0, 50.0))):
+        got = nca.resolvent_check(lap, ts, seed=seed)
+        want = _resolvent_solve(lap, ts, seed=seed)
+        for res, (name, passed, residual, witness) in zip(got, want, strict=True):
+            assert (res.check, res.passed, res.witness) == (name, passed, witness)
+            assert abs(res.residual - residual) <= 1e-12 * max(1.0, residual)
+    if form == len(forms):
+        assert not got[0].passed
+
+
+def test_amplified_resolvent_is_the_resolvent_of_the_amplified_laplacian():
+    for _, e in _laplacian_forms():
+        lap = nca.laplacian(e)
+        amp = nca.amplify_superop(lap.superop, 2).matrix
+        eye = np.eye(len(amp))
+        for t in (0.1, 1.0, 10.0):
+            got = amplify_matrix(lap.function(lambda w: 1 / (1 + t * w)), lap.algebra, 2)
+            want = np.linalg.solve(eye + t * amp, eye)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _singular_form():
+    # an orthonormal gram with eigenvalue exactly -2: 1 + tL is singular at t = 0.5
+    alg = nca.build_algebra([1] * 3, [1.0] * 3)
+    return nca.EnergyForm(alg, np.diag([0.0, 1.0, -2.0]))
+
+
+@pytest.mark.parametrize("form", range(len(_laplacian_forms()) + 1))
+def test_markov_probes_match_solve(form):
+    forms = _laplacian_forms()
+    lap = nca.laplacian(_singular_form() if form == len(forms) else forms[form][1])
+    for order in (1, 2):
+        alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
+        got = _markov_probes(lap, order, alg, np.random.default_rng(7), ts=(0.5, 1.0))
+        want = _markov_probes_solve(lap, order, alg, np.random.default_rng(7), ts=(0.5, 1.0))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    if form == len(forms):
+        # the singular time gives no resolvent images: only the 4 * 3 * 2
+        # differences of extreme positives and the images at t = 1 remain
+        assert len(got) == len(_extreme_positives(alg, np.random.default_rng(7))) + 24
+
+
+def _markov_agree(got, want):
+    for res, ref in zip(got, want, strict=True):
+        assert (res.check, res.passed) == (ref.check, ref.passed)
+        assert abs(res.residual - ref.residual) <= 1e-12 * max(1.0, ref.residual)
+        assert (res.witness is None) == (ref.witness is None)
+        if ref.witness is not None:
+            pairs = [(v["element_index"], v["function"]) for v in res.witness["violations"]]
+            assert pairs == [(v["element_index"], v["function"])
+                             for v in ref.witness["violations"]]
+
+
+@pytest.mark.parametrize("form", range(len(_laplacian_forms())))
+def test_markov_check_matches_solve_probes(monkeypatch, form):
+    name, e = _laplacian_forms()[form]
+    got = nca.markov_check(e, seed=3)
+    monkeypatch.setattr(nca.energy, "_markov_probes", _markov_probes_solve)
+    want = nca.markov_check(e, seed=3)
+    _markov_agree(got, want)
+    if name == "negative-k3":
+        assert not got[0].passed and not got[1].passed
+
+
+def _random_state(alg, rng):
+    a = nca.random_positive(alg, rng)
+    return nca.State(a * (1.0 / a.trace().real))
+
+
+@pytest.mark.parametrize("form", range(len(_laplacian_forms())))
+def test_energy_metric_matches_kernel_split(form):
+    e = _laplacian_forms()[form][1]
+    lap = nca.laplacian(e)
+    rng = np.random.default_rng(form)
+    states = [_random_state(e.algebra, rng) for _ in range(4)]
+    for mu in states:
+        for nu in states:
+            try:
+                want = _energy_metric_split(lap, mu, nu)
+            except DisconnectedError:
+                with pytest.raises(DisconnectedError):
+                    nca.energy_metric(lap, mu, nu)
+                continue
+            got = nca.energy_metric(lap, mu, nu)
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def test_energy_metric_disconnected_matches_kernel_split():
+    c = np.zeros((4, 4))
+    c[0, 1] = c[1, 0] = c[2, 3] = c[3, 2] = 1.0
+    alg = nca.build_algebra([1] * 4, [1.0] * 4)
+    lap = nca.laplacian(nca.energy_form(nca.network_cdc(alg, c, scale=0.5)))
+    points = [nca.point_state(alg, x) for x in range(4)]
+    assert nca.energy_metric(lap, points[0], points[1]) == _energy_metric_split(
+        lap, points[0], points[1])
+    for route in (nca.energy_metric, _energy_metric_split):
+        with pytest.raises(DisconnectedError):
+            route(lap, points[0], points[2])

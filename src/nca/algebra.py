@@ -53,28 +53,21 @@ class Algebra:
             problems.append(
                 f"blocks has length {len(blocks)} but trace_weights has length {len(weights)}"
             )
-        clean_blocks = []
-        for i, n in enumerate(blocks):
-            try:
-                n = int(n)
-            except (TypeError, ValueError):
-                n = -1
-            if n < 1:
-                problems.append(f"block {i} must have size >= 1")
-            clean_blocks.append(n)
-        clean_weights = []
-        for i, w in enumerate(weights):
-            try:
-                w = float(w)
-            except (TypeError, ValueError):
-                w = -1.0
-            if not w > 0:
-                problems.append(f"trace weight {i} must be strictly positive")
-            clean_weights.append(w)
+        # nothing is coerced: 1.5, true and "1" are no block size, "2" no weight
+        problems.extend(
+            f"block {i} must be an integer >= 1, got {n!r}" for i, n in enumerate(blocks)
+            if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1)
+        )
+        problems.extend(
+            f"trace weight {i} must be a finite number > 0, got {w!r}"
+            for i, w in enumerate(weights)
+            if not (isinstance(w, (int, float, np.integer, np.floating))
+                    and not isinstance(w, bool) and 0 < w < np.inf)
+        )
         if problems:
             raise InputError("invalid algebra", problems)
-        object.__setattr__(self, "blocks", tuple(clean_blocks))
-        object.__setattr__(self, "trace_weights", tuple(clean_weights))
+        object.__setattr__(self, "blocks", tuple(int(n) for n in blocks))
+        object.__setattr__(self, "trace_weights", tuple(float(w) for w in weights))
 
     # -- derived structure -------------------------------------------------
 
@@ -856,11 +849,25 @@ def encode_complex_matrix(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def decode_complex_matrix(data, what="matrix") -> np.ndarray:
+def decode_real_array(data, what: str) -> np.ndarray:
+    """A regular nest of finite numbers as a float array; strings, nulls,
+    booleans, NaN, infinities and ragged nests are rejected, not coerced."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what}: entries must be [re, im] pairs") from exc
+        arr = np.asarray(data)
+    except ValueError:  # ragged
+        arr = None
+    ok = arr is not None and arr.dtype.kind in "iuf" and np.isfinite(arr).all()
+    leaves = data  # asarray takes a boolean among numbers for 0 or 1
+    while ok and isinstance(leaves, list) and leaves and isinstance(leaves[0], list):
+        leaves = [x for row in leaves for x in row]
+    if not ok or bool in map(type, leaves if isinstance(leaves, list) else [leaves]):
+        raise InputError(f"{what}: expected a regular array of finite numbers")
+    return arr.astype(float)
+
+
+def decode_complex_matrix(data, what="matrix") -> np.ndarray:
+    """A 2-D array of [re, im] pairs as a complex matrix."""
+    arr = decode_real_array(data, what)
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise InputError(f"{what}: expected a 2-D array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

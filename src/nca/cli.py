@@ -39,7 +39,7 @@ from .energy import (
     resolvent_check,
 )
 from .errors import DisconnectedError, InputError, PropertyViolationError
-from .fileio import ProblemSpec, _is_finite_number, _is_tolerance, parse_spec
+from .fileio import ProblemSpec, parse_spec, read_spec
 from .quotient import central_projection, quotient_checks, split
 from .reporting import CheckResult, dumps_canonical
 from .resistance import (
@@ -175,7 +175,7 @@ def _metric_checks(problem: _Problem):
     e, lap = problem.energy, problem.laplacian
     tol = spec.tolerances.equality
     n = len(spec.states)
-    pairs = [(int(i), int(j)) for i, j in spec.pairs or combinations(range(n), 2)]
+    pairs = spec.pairs or combinations(range(n), 2)
     dist = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
     worst = 0.0
     connected_all = True
@@ -242,7 +242,7 @@ def _quotient_checks(problem: _Problem):
     if "keep_blocks" in spec.projection:
         p = central_projection(lap.algebra, spec.projection["keep_blocks"])
     else:
-        p = spec.projection["element"]
+        p = spec.projection["projection"]
     qd = split(lap, p, rank_tol=spec.tolerances.rank)
     checks = quotient_checks(qd, seed=spec.seed, tol=spec.tolerances.equality)
     schur = qd.quotient_laplacian.matrix
@@ -440,35 +440,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = parse_spec(args.spec)
+        # the flags set spec fields, so the one validation pass checks them too
+        raw = read_spec(args.spec)
         if args.seed is not None:
-            if args.seed < 0:
-                raise InputError(f"--seed: must be a nonnegative integer, got {args.seed}")
-            spec.seed = args.seed
-        overrides = {"positivity": args.tol_pos, "rank": args.tol_rank, "equality": args.tol_eq}
-        bad = [k for k, v in overrides.items() if v is not None and not _is_tolerance(v)]
-        if bad:
-            raise InputError("tolerance overrides must be finite nonnegative numbers",
-                             [f"{k}: got {overrides[k]!r}" for k in bad])
-        spec.tolerances = replace(
-            spec.tolerances, **{k: v for k, v in overrides.items() if v is not None}
-        )
+            raw["seed"] = args.seed
+        tols = {"positivity": args.tol_pos, "rank": args.tol_rank, "equality": args.tol_eq}
+        tols = {k: v for k, v in tols.items() if v is not None}
+        if tols and isinstance(raw.setdefault("tolerances", {}), dict):
+            raw["tolerances"].update(tols)
         if args.t is not None:
             try:
-                spec.times = [float(x) for x in args.t.split(",") if x]
+                raw["times"] = [float(x) for x in args.t.split(",") if x]
             except ValueError:
                 raise InputError(f"--t: cannot parse {args.t!r} as a comma-separated list")
-            if not spec.times or not all(_is_finite_number(t) and t >= 0 for t in spec.times):
-                raise InputError("--t: need a nonempty list of finite nonnegative times")
         if args.pairs is not None:
             try:
-                spec.pairs = [
+                raw["pairs"] = [
                     [int(a), int(b)]
                     for a, b in (p.split(":") for p in args.pairs.split(",") if p)
                 ]
             except ValueError:
                 raise InputError(f"--pairs: cannot parse {args.pairs!r}; expected i:j,k:l")
-        report = run_command(args.command, spec)
+        report = run_command(args.command, parse_spec(raw))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -1,24 +1,37 @@
 """Declarative problem specs in, machine-readable reports out.
 
-A spec file is JSON:
+A spec file is one JSON object.  ``_FIELDS`` holds one rule per field;
+``<element>`` (``<elem>``) is a list of per-block 2-D arrays of [re, im]
+pairs and ``<matrix>`` one such array:
 
-    {
-      "algebra": {"blocks": [2, 1], "trace_weights": [1.0, 2.0]},
-      "generator": {"kind": "lindblad", "vs": [<element>, ...]},
-      "states": [{"density": <element>}, ...],
-      "projection": {"keep_blocks": [0]} | {"projection": <element>},
-      "weight_element": <element>,
-      "times": [0.0, 0.1, 1.0],
-      "seed": 0,
-      "tolerances": {"positivity": 1e-9, "rank": 1e-10, "equality": 1e-9}
-    }
+    algebra.blocks                   nonempty list of integers >= 1 (required)
+    algebra.trace_weights            one finite number > 0 per block (required)
+    generator.kind                   lindblad | matrix | network | group | spectral_triple
+    generator.lindblad.vs            nonempty list of <element>
+    generator.matrix.superop         d x d <matrix> in the orthonormal basis
+    generator.matrix.scale           finite number (default 1)
+    generator.network.c              symmetric d x d matrix of finite numbers, blocks all 1
+    generator.network.allow_negative true | false (default false)
+    generator.network.scale          finite number (default 0.5)
+    generator.group.autos            nonempty list of d x d <matrix>
+    generator.group.weights          one finite number per auto
+    generator.spectral_triple.D      Hermitian <matrix> of the full size
+    generator.spectral_triple.scale  finite number (default 1)
+    states                           list of {"density": <element>}
+    projection                       {"keep_blocks": [block index, ...]} | {"projection": <elem>}
+    weight_element                   <element>
+    times                            nonempty list of finite numbers >= 0 (default [0, 0.1, 1, 10])
+    pairs                            nonempty list of [i, j] state index pairs (default all)
+    seed                             integer >= 0 (default 0)
+    tolerances.positivity|rank|equality  finite numbers >= 0 (default 1e-9, 1e-10, 1e-9)
 
-Elements are per-block 2-D arrays of [re, im] pairs.  Generator kinds:
-``lindblad`` (vs), ``matrix`` (superop, orthonormal-basis matrix), ``network``
-(c), ``group`` (autos as superoperator matrices, weights), and
-``spectral_triple`` (D, a Hermitian full matrix).  ``matrix``, ``network``
-and ``spectral_triple`` take an optional ``scale``; ``lindblad`` and ``group``
-reject one.  Validation collects every violation, not just the first.
+A bare network file ``{"nodes": n, "c": ..., "allow_negative": ...}`` stands
+for the spec over n points with unit weights and that network generator;
+its other keys are fields of that spec.  Unknown keys are rejected at every
+level, and ``c`` must be exactly symmetric.  The CLI flags ``--seed``,
+``--tol-*``, ``--t`` and ``--pairs`` set the fields they name before the one
+validation pass, so they obey the same rules.  The pass collects every
+violation, not just the first.
 """
 from __future__ import annotations
 
@@ -29,7 +42,14 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, Element, SuperOperator, decode_complex_matrix, decode_element
+from .algebra import (
+    Algebra,
+    Element,
+    SuperOperator,
+    decode_complex_matrix,
+    decode_element,
+    decode_real_array,
+)
 from .cdc import (
     CdCForm,
     commutator_cdc,
@@ -40,9 +60,7 @@ from .cdc import (
 )
 from .errors import InputError
 from .reporting import Tolerances
-
-GENERATOR_KINDS = ("lindblad", "matrix", "network", "group", "spectral_triple")
-_SCALE_DEFAULTS = {"matrix": 1.0, "network": 0.5, "spectral_triple": 1.0}
+from .states import State
 
 
 @dataclass
@@ -68,128 +86,206 @@ class ProblemSpec:
             return commutator_cdc(gen["vs"])
         if kind == "group":
             return group_action_cdc(gen["autos"], gen["weights"])
-        scale = gen.get("scale", _SCALE_DEFAULTS[kind])
+        # an absent scale takes the builder's own default
+        opts = {key: gen[key] for key in ("scale", "allow_negative") if key in gen}
         if kind == "matrix":
-            return gamma_from_generator(gen["superop"], scale=scale)
+            return gamma_from_generator(gen["superop"], **opts)
         if kind == "network":
-            return network_cdc(self.algebra, gen["c"], scale=scale,
-                               allow_negative=gen.get("allow_negative", False))
-        return spectral_triple_cdc(gen["D"], self.algebra, scale=scale)
+            return network_cdc(self.algebra, gen["c"], **opts)
+        return spectral_triple_cdc(gen["D"], self.algebra, **opts)
 
 
-def _decode_states(algebra: Algebra, raw, problems: list) -> list:
-    from .states import State
-
-    states = []
-    for idx, entry in enumerate(raw):
-        try:
-            if not isinstance(entry, dict) or "density" not in entry:
-                raise InputError("each state needs a 'density' element")
-            states.append(State(decode_element(algebra, entry["density"])))
-        except InputError as exc:
-            problems.append(f"states[{idx}]: {exc}")
-    return states
+# a key in this set is required in every object whose schema has it
+_REQUIRED = frozenset({"algebra", "blocks", "trace_weights", "nodes", "c", "vs", "superop",
+                       "autos", "weights", "D", "density"})
 
 
-def _is_finite_number(x) -> bool:
+class _Pass:
+    """One validation pass: the spec's algebra once its rule has built it,
+    and every violation found."""
+
+    def __init__(self):
+        self.alg = None
+        self.problems = []
+
+    def walk(self, raw, schema: dict, path: str) -> dict:
+        """Check the object ``raw`` against ``schema`` (key -> rule) and
+        return the decoded value of each field that passed.  A rule maps
+        (value, pass) to the decoded value or raises :class:`InputError`."""
+        if not isinstance(raw, dict):
+            self.problems.append(f"{path}: must be an object")
+            return {}
+        prefix = f"{path}." if path else ""
+        self.problems.extend(f"{prefix}{key}: unknown field"
+                             for key in sorted(raw.keys() - schema.keys()))
+        out = {}
+        for key, rule in schema.items():
+            if key in raw:
+                try:
+                    out[key] = rule(raw[key], self)
+                except InputError as exc:
+                    self.problems.extend(f"{prefix}{key}: {d}" for d in exc.details or [exc])
+            elif key in _REQUIRED:
+                self.problems.append(f"{prefix}{key}: required")
+        return out
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _is_tolerance(x) -> bool:
-    return _is_finite_number(x) and x >= 0
+def _rule(test, need, decode):
+    """The rule that decodes a value when ``test`` holds for it."""
+    def check(value, p):
+        if not test(value):
+            raise InputError(f"{need}, got {value!r}")
+        return decode(value)
+    return check
 
 
-def _decode_generator(algebra: Algebra, raw, problems: list) -> Optional[dict]:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        problems.append("generator: needs a 'kind' field")
-        return None
-    kind = raw.get("kind")
-    if kind not in GENERATOR_KINDS:
-        problems.append(
-            f"generator: unknown kind {kind!r}; expected one of {', '.join(GENERATOR_KINDS)}"
-        )
-        return None
-    out = {"kind": kind}
-    if "scale" in raw:
-        if kind not in _SCALE_DEFAULTS:
-            problems.append(f"generator.scale: the {kind} kind takes no scale")
-        elif not _is_finite_number(raw["scale"]):
-            problems.append(f"generator.scale: must be a finite number, got {raw['scale']!r}")
-        else:
-            out["scale"] = float(raw["scale"])
-    try:
-        if kind == "lindblad":
-            vs = raw.get("vs")
-            if not isinstance(vs, list) or not vs:
-                raise InputError("generator.vs: need a nonempty element list")
-            out["vs"] = [decode_element(algebra, v) for v in vs]
-        elif kind == "matrix":
-            mat = decode_complex_matrix(raw.get("superop"), "generator.superop")
-            out["superop"] = SuperOperator(algebra, mat)
-        elif kind == "network":
-            if not algebra.is_commutative:
-                raise InputError(
-                    "generator.network: requires a commutative algebra "
-                    "(all blocks of size 1)"
-                )
+def _list_of(rule, what):
+    """The rule for a nonempty list whose entries each pass ``rule``."""
+    def check(value, p):
+        if not isinstance(value, list) or not value:
+            raise InputError(f"need a nonempty list of {what}")
+        out = []
+        for i, entry in enumerate(value):
             try:
-                c = np.asarray(raw.get("c"), dtype=float)
-            except (TypeError, ValueError):
-                c = None
-            if c is None or c.shape != (algebra.dim, algebra.dim) or not np.isfinite(c).all():
-                raise InputError(
-                    f"generator.c: expected a {algebra.dim}x{algebra.dim} matrix of finite numbers"
-                )
-            out["c"] = c
-            out["allow_negative"] = bool(raw.get("allow_negative", False))
-        elif kind == "group":
-            autos = raw.get("autos")
-            weights = raw.get("weights")
-            if not isinstance(autos, list) or not isinstance(weights, list):
-                raise InputError("generator.group: needs 'autos' and 'weights' lists")
-            if len(autos) != len(weights):
-                raise InputError(
-                    f"generator.group: {len(autos)} autos but {len(weights)} weights"
-                )
-            out["autos"] = [
-                SuperOperator(algebra, decode_complex_matrix(a, f"generator.autos[{i}]"))
-                for i, a in enumerate(autos)
-            ]
-            if not all(_is_finite_number(w) for w in weights):
-                raise InputError("generator.weights: must be finite numbers")
-            out["weights"] = [float(w) for w in weights]
-        else:
-            out["D"] = decode_complex_matrix(raw.get("D"), "generator.D")
-    except InputError as exc:
-        problems.append(str(exc))
-        return None
-    return out
+                out.append(rule(entry, p))
+            except InputError as exc:
+                raise InputError(f"entry {i}: {exc}") from None
+        return out
+    return check
 
 
-def _network_file_to_spec(raw: dict) -> dict:
-    """The bare network file format {"nodes": n, "c": [[...]]} expands to a
-    full spec over the node algebra with counting measure; every other key
-    but ``allow_negative`` is a field of that spec."""
-    n = raw["nodes"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"nodes: must be a positive integer, got {n!r}")
-    if "generator" in raw:
-        raise InputError("generator: a bare network file takes its generator from 'c'")
-    out = {key: value for key, value in raw.items()
-           if key not in ("nodes", "c", "allow_negative")}
-    out["algebra"] = {"blocks": [1] * n, "trace_weights": [1.0] * n}
-    out["generator"] = {"kind": "network", "c": raw["c"],
-                        "allow_negative": raw.get("allow_negative", False)}
-    return out
+def _with_algebra(decode):
+    """The rule that decodes a value against the spec's algebra; it passes
+    over the value when the algebra failed its own rule."""
+    return lambda value, p: None if p.alg is None else decode(value, p.alg)
 
 
-def parse_spec(source) -> ProblemSpec:
-    """Parse and validate a spec from a JSON string or a path-like; collects
-    all violations before failing."""
+_list = _rule(lambda value: isinstance(value, list), "must be a list", list)
+_boolean = _rule(lambda value: isinstance(value, bool), "must be true or false", bool)
+_number = _rule(_is_number, "must be a finite number", float)
+_nonnegative = _rule(lambda value: _is_number(value) and value >= 0,
+                     "must be a finite nonnegative number", float)
+_pair = _rule(lambda value: isinstance(value, list) and len(value) == 2
+              and all(_is_int(i) and i >= 0 for i in value),
+              "must be a pair [i, j] of state indices", list)
+_element = _with_algebra(lambda value, alg: decode_element(alg, value))
+_density = _with_algebra(lambda value, alg: State(decode_element(alg, value)))
+_superop = _with_algebra(lambda value, alg: SuperOperator(alg, decode_complex_matrix(value)))
+
+
+def _any(value, p):
+    return value
+
+
+def _seed(value, p):
+    if not _is_int(value):
+        raise InputError("must be an integer")
+    if value < 0:
+        raise InputError("must be a nonnegative integer")
+    return value
+
+
+def _algebra(value, p):
+    got = p.walk(value, {"blocks": _list, "trace_weights": _list}, "algebra")
+    if len(got) == 2:
+        p.alg = Algebra(tuple(got["blocks"]), tuple(got["trace_weights"]))
+    return p.alg
+
+
+def _nodes(value, p):
+    if not (_is_int(value) and value >= 1):
+        raise InputError(f"must be a positive integer, got {value!r}")
+    p.alg = Algebra((1,) * value, (1.0,) * value)
+    return p.alg
+
+
+@_with_algebra
+def _conductances(value, alg):
+    if not alg.is_commutative:
+        raise InputError("a network needs a commutative algebra (all blocks of size 1)")
+    c = decode_real_array(value, "matrix")
+    if c.shape != (alg.dim, alg.dim):
+        raise InputError(f"expected a {alg.dim}x{alg.dim} matrix, got shape {c.shape}")
+    if not np.array_equal(c, c.T):
+        raise InputError("must be symmetric")
+    return c
+
+
+@_with_algebra
+def _block_indices(value, alg):
+    k = len(alg.blocks)
+    if not (isinstance(value, list) and all(_is_int(b) and 0 <= b < k for b in value)):
+        raise InputError(f"need a list of block indices in [0, {k}), got {value!r}")
+    return value
+
+
+_GENERATORS = {
+    "lindblad": {"vs": _list_of(_element, "elements")},
+    "matrix": {"superop": _superop, "scale": _number},
+    "network": {"c": _conductances, "allow_negative": _boolean, "scale": _number},
+    "group": {"autos": _list_of(_superop, "matrices"),
+              "weights": _list_of(_number, "finite numbers")},
+    "spectral_triple": {"D": lambda value, p: decode_complex_matrix(value), "scale": _number},
+}
+
+
+def _generator(value, p):
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if not (isinstance(kind, str) and kind in _GENERATORS):
+        raise InputError(f"needs a 'kind' among {', '.join(_GENERATORS)}, got {kind!r}")
+    schema = dict(_GENERATORS[kind], kind=_any)
+    p.problems.extend(f"generator.{key}: the {kind} kind takes no {key}"
+                      for key in sorted(value.keys() - schema.keys()))
+    got = p.walk({k: v for k, v in value.items() if k in schema}, schema, "generator")
+    autos, weights = got.get("autos"), got.get("weights")
+    if autos and weights and len(autos) != len(weights):
+        raise InputError(f"{len(autos)} autos but {len(weights)} weights")
+    return got
+
+
+def _states(value, p):
+    return [p.walk(entry, {"density": _density}, f"states[{i}]").get("density")
+            for i, entry in enumerate(_list(value, p))]
+
+
+def _projection(value, p):
+    got = p.walk(value, {"keep_blocks": _block_indices, "projection": _element}, "projection")
+    if isinstance(value, dict) and len(value.keys() & {"keep_blocks", "projection"}) != 1:
+        raise InputError("needs exactly one of 'keep_blocks' and 'projection'")
+    return got
+
+
+def _tolerances(value, p):
+    schema = dict.fromkeys(("positivity", "rank", "equality"), _nonnegative)
+    return Tolerances(**p.walk(value, schema, "tolerances"))
+
+
+_SHARED = {
+    "states": _states,
+    "projection": _projection,
+    "weight_element": _element,
+    "times": _list_of(_nonnegative, "finite nonnegative numbers"),
+    "pairs": _list_of(_pair, "[i, j] state index pairs"),
+    "seed": _seed,
+    "tolerances": _tolerances,
+}
+# the rule that builds the algebra comes first, so the later rules can read it
+_FIELDS = {"algebra": _algebra, "generator": _generator, **_SHARED}
+_NETWORK_FILE = {"nodes": _nodes, "c": _conductances, "allow_negative": _boolean, **_SHARED}
+
+
+def read_spec(source) -> dict:
+    """The JSON object of a spec given as JSON text or as a path."""
     text = source
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and not source.lstrip().startswith("{"):
+    if not str(source).lstrip().startswith("{"):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -201,120 +297,21 @@ def parse_spec(source) -> ProblemSpec:
         raise InputError(f"spec is not valid JSON (line {exc.lineno}, column {exc.colno})")
     if not isinstance(raw, dict):
         raise InputError("spec must be a JSON object")
+    return raw
 
-    if "algebra" not in raw and "nodes" in raw and "c" in raw:
-        raw = _network_file_to_spec(raw)
 
-    problems = []
-    known = {
-        "algebra", "generator", "states", "projection", "weight_element",
-        "times", "pairs", "seed", "tolerances",
-    }
-    for key in sorted(set(raw) - known):
-        problems.append(f"unknown field {key!r}")
-
-    alg_raw = raw.get("algebra")
-    algebra = None
-    if not isinstance(alg_raw, dict):
-        problems.append("algebra: required object with 'blocks' and 'trace_weights'")
-    else:
-        try:
-            algebra = Algebra(
-                tuple(alg_raw.get("blocks", ())),
-                tuple(alg_raw.get("trace_weights", ())),
-            )
-        except InputError as exc:
-            problems.extend(f"algebra: {d}" for d in (exc.details or [str(exc)]))
-    if algebra is None:
-        raise InputError("invalid spec", problems)
-
-    generator = None
-    if "generator" in raw:
-        generator = _decode_generator(algebra, raw["generator"], problems)
-
-    states = _decode_states(algebra, raw.get("states", []), problems)
-
-    projection = None
-    if "projection" in raw:
-        proj_raw = raw["projection"]
-        if isinstance(proj_raw, dict) and "keep_blocks" in proj_raw:
-            keep = proj_raw["keep_blocks"]
-            if not isinstance(keep, list) or not all(
-                isinstance(b, int) and not isinstance(b, bool) and 0 <= b < len(algebra.blocks)
-                for b in keep
-            ):
-                problems.append("projection.keep_blocks: need valid block indices")
-            else:
-                projection = {"keep_blocks": keep}
-        elif isinstance(proj_raw, dict) and "projection" in proj_raw:
-            try:
-                projection = {"element": decode_element(algebra, proj_raw["projection"])}
-            except InputError as exc:
-                problems.append(f"projection: {exc}")
-        else:
-            problems.append("projection: needs 'keep_blocks' or 'projection'")
-
-    weight = None
-    if "weight_element" in raw:
-        try:
-            weight = decode_element(algebra, raw["weight_element"])
-        except InputError as exc:
-            problems.append(f"weight_element: {exc}")
-
-    times = raw.get("times", [0.0, 0.1, 1.0, 10.0])
-    if not isinstance(times, list) or not times or any(
-        not _is_finite_number(t) or t < 0 for t in times
-    ):
-        problems.append("times: need a nonempty list of finite nonnegative numbers")
-        times = []
-
-    pairs = raw.get("pairs")
-    if pairs is not None:
-        if not isinstance(pairs, list) or any(
-            not (isinstance(p, list) and len(p) == 2) for p in pairs
-        ):
-            problems.append("pairs: need a list of [i, j] pairs")
-            pairs = None
-        elif any(not isinstance(i, int) or isinstance(i, bool) for p in pairs for i in p):
-            problems.append("pairs: state indices must be integers")
-            pairs = None
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append("seed: must be an integer")
-        seed = 0
-    elif seed < 0:
-        problems.append("seed: must be a nonnegative integer")
-
-    tol_raw = raw.get("tolerances", {})
-    tolerances = Tolerances()
-    if isinstance(tol_raw, dict):
-        names = ("positivity", "rank", "equality")
-        problems.extend(f"tolerances: unknown field {key!r}"
-                        for key in sorted(set(tol_raw) - set(names)))
-        bad = [k for k in names if k in tol_raw and not _is_tolerance(tol_raw[k])]
-        if bad:
-            problems.extend(f"tolerances.{k}: must be a finite nonnegative number, "
-                            f"got {tol_raw[k]!r}" for k in bad)
-        else:
-            tolerances = Tolerances(
-                positivity=float(tol_raw.get("positivity", 1e-9)),
-                rank=float(tol_raw.get("rank", 1e-10)),
-                equality=float(tol_raw.get("equality", 1e-9)),
-            )
-    else:
-        problems.append("tolerances: must be an object")
-
-    if problems:
-        raise InputError("invalid spec", problems)
-    return ProblemSpec(
-        algebra=algebra,
-        generator=generator,
-        states=states,
-        projection=projection,
-        weight_element=weight,
-        times=list(float(t) for t in times),
-        pairs=pairs,
-        seed=seed,
-        tolerances=tolerances,
-    )
+def parse_spec(source) -> ProblemSpec:
+    """Validate a spec, given as an already decoded JSON object or as
+    :func:`read_spec` takes it, in one pass over the field table; collects
+    all violations before failing."""
+    raw = source if isinstance(source, dict) else read_spec(source)
+    p = _Pass()
+    bare = "nodes" in raw and "algebra" not in raw
+    fields = p.walk(raw, _NETWORK_FILE if bare else _FIELDS, "")
+    if p.problems:
+        raise InputError("invalid spec", p.problems)
+    if bare:
+        fields["algebra"] = fields.pop("nodes")
+        fields["generator"] = {"kind": "network", "c": fields.pop("c"),
+                               "allow_negative": fields.pop("allow_negative", False)}
+    return ProblemSpec(**fields)

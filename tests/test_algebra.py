@@ -29,6 +29,26 @@ def test_build_algebra_rejects_bad_input():
         nca.build_algebra([1], [0.0])
 
 
+@pytest.mark.parametrize("blocks, weights, bad", [
+    ([1, 1.5], [1.0, 1.0], "block 1"),
+    ([True, 1], [1.0, 1.0], "block 0"),
+    (["1", 1], [1.0, 1.0], "block 0"),
+    ([1, 1], ["2", 1.0], "trace weight 0"),
+    ([1, 1], [1.0, float("inf")], "trace weight 1"),
+])
+def test_build_algebra_does_not_coerce(blocks, weights, bad):
+    with pytest.raises(InputError) as err:
+        nca.build_algebra(blocks, weights)
+    assert len(err.value.details) == 1 and err.value.details[0].startswith(bad)
+
+
+def test_build_algebra_takes_numpy_scalars():
+    alg = nca.build_algebra([np.int64(2), np.int32(1)], [np.float64(1.0), np.float32(0.5)])
+    assert alg.blocks == (2, 1) and alg.trace_weights == (1.0, 0.5)
+    assert all(type(n) is int for n in alg.blocks)
+    assert all(type(w) is float for w in alg.trace_weights)
+
+
 def test_matrix_unit_enumeration_block_major_row_major():
     alg = nca.build_algebra([2, 1], [1.0, 2.0])
     assert alg.basis_triple(0) == (0, 0, 0)

@@ -47,9 +47,15 @@ def test_parse_collects_all_violations():
     }
     with pytest.raises(InputError) as err:
         parse_spec(json.dumps(bad))
-    text = str(err.value)
-    assert "block" in text and "blocks has length" not in text or True
-    assert len(err.value.details) >= 3
+    # the fields that do not read the algebra are checked though it failed
+    assert err.value.details == [
+        "mystery: unknown field",
+        "algebra: blocks has length 2 but trace_weights has length 1",
+        "algebra: block 1 must be an integer >= 1, got 0",
+        "generator: needs a 'kind' among lindblad, matrix, network, group, "
+        "spectral_triple, got 'unknown'",
+        "seed: must be an integer",
+    ]
 
 
 def test_parse_rejects_malformed_json():
@@ -310,6 +316,8 @@ def test_scale_rejected_where_ignored(generator):
     ("tolerances.equality", "laplacian", {"tolerances": {"equality": "1e-9"}}),
     ("times", "heat", {"times": [0.0, float("inf")]}),
     ("times", "heat", {"times": [float("nan")]}),
+    ("generator.c", "check-cdc",
+     {"generator": dict(K3_SPEC["generator"], c=[[0, True, 1], [True, 0, 1], [1, 1, 0]])}),
 ])
 def test_malformed_numbers_exit_2(field, command, change, capsys):
     assert main([command, json.dumps(dict(K3_SPEC, **change))]) == 2
@@ -373,6 +381,101 @@ def test_negative_seed_listed_with_other_violations():
         "seed: must be a nonnegative integer",
         "times: need a nonempty list of finite nonnegative numbers",
     ]
+
+
+def _input_error(argv, capsys, field):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and field in captured.err
+    return captured.err
+
+
+NAN = float("nan")
+M2_SPEC = {"algebra": {"blocks": [2], "trace_weights": [1.0]}}
+C2_SPEC = {"algebra": {"blocks": [1, 1], "trace_weights": [1.0, 1.0]}}
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("states[0].density", dict(K3_SPEC, states=[
+        {"density": [[[[NAN, 0.0]]], [[[0.0, 0.0]]], [[[0.0, 0.0]]]]}] + K3_SPEC["states"][1:])),
+    ("weight_element", dict(K3_SPEC, weight_element=[[[[1.0, 0.0]]], [[[NAN, 0.0]]],
+                                                     [[[1.0, 0.0]]]])),
+    ("generator.vs", dict(M2_SPEC, generator={
+        "kind": "lindblad", "vs": [[[[[0, 0], [NAN, 0]], [[0, 0], [0, 0]]]]]})),
+    ("generator.superop", dict(M2_SPEC, generator={
+        "kind": "matrix", "superop": [[[0, 0]] * 4] * 3 + [[[0, 0]] * 3 + [[NAN, 0]]]})),
+    ("generator.autos", dict(C2_SPEC, generator={
+        "kind": "group", "autos": [[[[0, 0], [NAN, 0]], [[1, 0], [0, 0]]]], "weights": [1.0]})),
+    ("generator.D", dict(C2_SPEC, generator={
+        "kind": "spectral_triple", "D": [[[0, 0], [1, 0]], [[1, 0], [NAN, 0]]]})),
+])
+def test_non_finite_matrix_entries_exit_2(field, spec, capsys):
+    _input_error(["all", json.dumps(spec)], capsys, field)
+
+
+NEGATIVE_C = [[0, 1, -0.2], [1, 0, 1], [-0.2, 1, 0]]
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"nodes": 3, "c": NEGATIVE_C, "allow_negative": "no"}, "allow_negative"),
+    (dict(K3_SPEC, generator={"kind": "network", "c": NEGATIVE_C, "allow_negative": "no"}),
+     "generator.allow_negative"),
+    ({"nodes": 3, "c": NEGATIVE_C}, "allow_negative"),
+    (dict(K3_SPEC, generator={"kind": "network", "c": NEGATIVE_C}), "allow_negative"),
+])
+def test_allow_negative_must_be_a_boolean(spec, field, capsys):
+    _input_error(["check-cdc", json.dumps(spec)], capsys, field)
+
+
+PATH3_C = [[0, 1, 0], [3, 0, 1], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"nodes": 3, "c": PATH3_C}, "c: must be symmetric"),
+    (dict(K3_SPEC, generator={"kind": "network", "c": PATH3_C}), "generator.c: must be symmetric"),
+])
+def test_asymmetric_conductances_exit_2(spec, field, capsys):
+    _input_error(["all", json.dumps(spec)], capsys, field)
+    # the symmetrization is a star, and passes every check
+    assert main(["all", json.dumps({"nodes": 3, "c": [[0, 2, 0], [2, 0, 1], [0, 1, 0]]})]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("algebra", [
+    {"blocks": [1, 1.5, 1], "trace_weights": [1.0, 1.0, 1.0]},
+    {"blocks": [True, 1, 1], "trace_weights": [1.0, 1.0, 1.0]},
+    {"blocks": ["1", 1, 1], "trace_weights": [1.0, 1.0, 1.0]},
+    {"blocks": [1, 1, 1], "trace_weights": [1.0, "2", 1.0]},
+    {"blocks": [1, 1, 1], "trace_weights": [1.0, 1.0, float("inf")]},
+])
+def test_uncoerced_algebra_exit_2(algebra, capsys):
+    _input_error(["check-cdc", json.dumps(dict(K3_SPEC, algebra=algebra))], capsys, "algebra: ")
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"algebra": dict(K3_SPEC["algebra"], dims=3)}, "algebra.dims"),
+    ({"generator": dict(K3_SPEC["generator"], vs=[])}, "generator.vs"),
+    ({"projection": {"keep_blocks": [0], "projection": K3_SPEC["states"][0]["density"]}},
+     "projection"),
+    ({"projection": {"keep_blocks": [0], "keep": 1}}, "projection.keep"),
+    ({"states": [dict(K3_SPEC["states"][0], label="a")]}, "states[0].label"),
+    ({"pairs": []}, "pairs"),
+])
+def test_unknown_keys_rejected_at_every_level(change, field, capsys):
+    _input_error(["all", json.dumps(dict(K3_SPEC, **change))], capsys, field)
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--seed", "-3"], "seed: must be a nonnegative integer"),
+    (["--tol-rank", "nan"], "tolerances.rank"),
+    (["--t", "0,-1"], "times"),
+    (["--pairs", "0:1,1:-1"], "pairs"),
+])
+def test_flags_obey_the_field_rules(flags, field, capsys):
+    # a bad flag value is one more violation of the spec field it sets
+    err = _input_error(["metric", json.dumps(dict(K3_SPEC, mystery=1))] + flags, capsys, field)
+    assert "mystery" in err
 
 
 NET5_SPEC = {

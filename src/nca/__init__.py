@@ -71,6 +71,7 @@ from .dirac import (
     build_bimodule,
     dirac,
     dirac_seminorm,
+    dirac_seminorms,
     star_graph_check,
 )
 from .quotient import (

@@ -26,6 +26,7 @@ from .algebra import (
     DEFAULT_POS_TOL,
     DEFAULT_RANK_TOL,
     Element,
+    block_norms,
     left_multiplication,
 )
 from .cdc import CdCForm, _cp_blocks, is_cdc, network_cdc
@@ -60,6 +61,18 @@ class BimoduleSpace:
 
     def act_left(self, a: Element) -> np.ndarray:
         return np.tensordot(self.algebra.canonical_coords(a), self.left_action, axes=1)
+
+    @cached_property
+    def commutator_blocks(self) -> np.ndarray:
+        """The (d, rank, d) stack of B_i = d L_i - A_i d over the units e_i,
+        L_i sending e_j to e_k for each e_i e_j = e_k.  The block
+        B(a) = d L_a - A_a d of [D, pi(a)] is a's coordinates times it."""
+        d, dm = self.algebra.dim, self.dmatrix
+        mul_i, mul_j, mul_k = self.algebra.mul_nonzero
+        blocks = np.zeros((d, self.rank, d), dtype=complex)
+        blocks[mul_i, :, mul_j] = dm[:, mul_k].T
+        blocks -= self.left_action @ dm
+        return blocks
 
 
 def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
@@ -208,14 +221,29 @@ class DiracSeminorm:
 def dirac_seminorm(op: DiracOperator, a: Element) -> DiracSeminorm:
     """|[D, pi(a)]| computed two ways: as the largest singular value of the
     commutator, and as max(|Gamma(a, a)|, |Gamma(a*, a*)|)^(1/2) straight from
-    the form.  The discrepancy is reported alongside the value."""
-    value = op.commutator_norm(a)
-    gamma = op.bimodule.gamma
-    g_a = gamma.value(a, a).norm()
-    g_astar = gamma.value(a.adjoint(), a.adjoint()).norm()
-    from_form = float(np.sqrt(max(g_a, g_astar, 0.0)))
-    return DiracSeminorm(value=value, from_form=from_form,
-                         residual=abs(value - from_form))
+    the form.  The discrepancy is reported alongside the value.  This is the
+    one-row case of :func:`dirac_seminorms`."""
+    value, from_form = (float(x[0]) for x in
+                        dirac_seminorms(op, [op.algebra.canonical_coords(a)]))
+    return DiracSeminorm(value=value, from_form=from_form, residual=abs(value - from_form))
+
+
+def dirac_seminorms(op: DiracOperator, coords) -> tuple:
+    """The arrays ``(value, from_form)`` of :func:`dirac_seminorm` over the
+    rows of canonical coordinates ``coords`` (m, d).  The second block of
+    the commutator, d* A_a - L_a d*, is -B(a*)* up to the
+    ``star_representation`` residual, so |[D, pi(a)]| = max(|B(a)|, |B(a*)|):
+    ``commutator_blocks`` contracted with the rows of a and a*, and one
+    batched SVD.  Gamma(a, a) and Gamma(a*, a*) are one contraction with the
+    gram and one ``block_norms``."""
+    bs = op.bimodule
+    alg = bs.algebra
+    x = np.asarray(coords, dtype=complex).reshape(-1, alg.dim)
+    both = np.concatenate([x, x[:, alg.adj_table].conj()])
+    norms = np.linalg.norm(np.tensordot(both, bs.commutator_blocks, axes=1), 2, axis=(1, 2))
+    gammas = np.einsum("mi,mj,ijk->mk", both.conj(), both, bs.gamma.gram, optimize=True)
+    from_form = np.sqrt(block_norms(alg, gammas).reshape(2, -1).max(axis=0))
+    return norms.reshape(2, -1).max(axis=0), from_form
 
 
 def _squared_commutator_norms(bs: BimoduleSpace, coeffs) -> np.ndarray:
@@ -225,19 +253,14 @@ def _squared_commutator_norms(bs: BimoduleSpace, coeffs) -> np.ndarray:
 
     The block B(f) = d L_f - A_f d of the commutator is linear in f, so the
     Gram of f is the sum of f_p f_q M[p, q] over the Gram table
-    M[p, q] = B_p* B_q of the point masses: a gather for delta_p +- delta_q,
-    one contraction for ``coeffs``.  Each squared norm is the top eigenvalue
-    of its Gram, all from one batched ``eigvalsh``."""
-    n, rank, dm = bs.algebra.dim, bs.rank, bs.dmatrix
-    # B_p = d L_p - A_p d, where L_p sends e_j to e_k for each product
-    # e_p e_j = e_k.  The other block of [D, pi(f)], d* A_f - L_f d*, is
-    # -B(f*)*, and node values are real, so f* = f and both blocks have the
-    # same norm.
-    mul_i, mul_j, mul_k = bs.algebra.mul_nonzero
-    blocks = np.zeros((n, rank, n), dtype=complex)
-    blocks[mul_i, :, mul_j] = dm[:, mul_k].T
-    blocks -= bs.left_action @ dm
-    flat = blocks.transpose(1, 0, 2).reshape(rank, n * n)
+    M[p, q] = B_p* B_q of the point masses (``commutator_blocks``): a gather
+    for delta_p +- delta_q, one contraction for ``coeffs``.  Each squared
+    norm is the top eigenvalue of its Gram, all from one batched
+    ``eigvalsh``.  The other block of [D, pi(f)], d* A_f - L_f d*, is
+    -B(f*)*, and node values are real, so f* = f and both blocks have the
+    same norm."""
+    n, rank = bs.algebra.dim, bs.rank
+    flat = bs.commutator_blocks.transpose(1, 0, 2).reshape(rank, n * n)
     gram = (flat.conj().T @ flat).reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
     p, q = np.triu_indices(n, 1)

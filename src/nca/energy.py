@@ -486,42 +486,56 @@ def heat_map(lap: Laplacian, t: float, tol=DEFAULT_POS_TOL):
     Complete positivity is decided through the Choi matrix of the map
     composed with the trace conditional expectation of the full matrix
     algebra; the composition is completely positive exactly when the map is.
+    That matrix is read from its blocks (:func:`_choi_blocks`), with one
+    batched ``eigvalsh`` per pair of block sizes; on a network every block
+    is 1x1, so this reads the signs of the entries.  The map is completely
+    positive when the skew part is within ``tol`` times max(1, largest
+    entry) and the least eigenvalue is at least ``-tol`` times max(1, top).
     """
     phi = heat_semigroup(lap, t)
-    alg = lap.algebra
-    one = alg.identity()
+    one = lap.algebra.identity()
     unital_res = phi.apply(one).distance(one)
-
-    choi = _choi_matrix(phi)
-    # a completely positive map is Hermiticity-preserving, so a skew part of
-    # the Choi matrix already refutes it; never hide it by symmetrizing
-    skew = float(np.abs(choi - choi.conj().T).max())
-    eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-    min_eig = float(eigs[0])
-    scale = max(1.0, float(np.abs(choi).max()))
-    flags = {
+    return phi, {
         "unital": unital_res <= tol * (1.0 + one.norm()),
         "unital_residual": float(unital_res),
-        "cp": skew <= tol * scale and min_eig >= -tol * max(1.0, float(eigs[-1])),
+        **_choi_flags(phi, tol),
+    }
+
+
+def _choi_flags(phi: SuperOperator, tol: float) -> dict:
+    """The complete-positivity flags of :func:`heat_map` for any map."""
+    blocks = _choi_blocks(phi)
+    # a completely positive map is Hermiticity-preserving, so a skew part of
+    # the Choi matrix already refutes it; never hide it by symmetrizing
+    skew = max(float(np.abs(c - c.conj().swapaxes(1, 2)).max()) for c in blocks)
+    eigs = [np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2) for c in blocks]
+    min_eig = min(float(e[:, 0].min()) for e in eigs)
+    top = max(float(e[:, -1].max()) for e in eigs)
+    scale = max(1.0, max(float(np.abs(c).max()) for c in blocks))
+    return {
+        "cp": skew <= tol * scale and min_eig >= -tol * max(1.0, top),
         "choi_min_eigenvalue": min_eig,
         "choi_skew_residual": skew,
     }
-    return phi, flags
 
 
-def _choi_matrix(phi: SuperOperator) -> np.ndarray:
+def _choi_blocks(phi: SuperOperator) -> list:
     """The Choi matrix sum_ab E_ab (x) phi(pinch(E_ab)) of the map composed
-    with the conditional expectation of the full matrix algebra.
-
-    pinch(E_ab) is zero unless a and b lie in one block; there it is the
-    matrix unit i, so its image is column i of ``phi.matrix``, carried from
-    the orthonormal to the canonical basis by sqrt(w_i) / sqrt(w_j)."""
-    alg = phi.algebra
-    n = alg.total_size
-    rows, cols = alg.unit_positions
-    choi = np.zeros((n, n, n, n), dtype=complex)
-    choi[rows[:, None], rows[None, :], cols[:, None], cols[None, :]] = phi.canonical_matrix.T
-    return choi.reshape(n * n, n * n)
+    with the conditional expectation of the full matrix algebra, as one
+    stack per pair of block sizes (n, m) from ``size_groups``:
+    [(b, b'), (p, s), (q, u)] = M[j, i], M = ``phi.canonical_matrix``, for
+    the unit i at (p, q) of a block b of size n and the unit j at (s, u) of
+    a block b' of size m.  pinch(E_ab) is the unit i when (a, b) is its
+    entry, else zero, so the entry M[j, i] of the Choi matrix sits at row
+    (r_i, r_j) and column (c_i, c_j): a direct sum over the pairs of blocks,
+    d^2 entries in all, not n^4."""
+    m = phi.canonical_matrix
+    groups = phi.algebra.size_groups
+    return [m[cols_m[None, :, :, None], cols_n[:, None, None, :]]
+            .reshape(len(cols_n), len(cols_m), size_m, size_m, size_n, size_n)
+            .transpose(0, 1, 4, 2, 5, 3)
+            .reshape(-1, size_n * size_m, size_n * size_m)
+            for size_n, cols_n in groups for size_m, cols_m in groups]
 
 
 def resolvent_check(

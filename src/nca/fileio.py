@@ -21,7 +21,7 @@ pairs and ``<matrix>`` one such array:
     projection                       {"keep_blocks": [block index, ...]} | {"projection": <elem>}
     weight_element                   <element>
     times                            nonempty list of finite numbers >= 0 (default [0, 0.1, 1, 10])
-    pairs                            nonempty list of [i, j] state index pairs (default all)
+    pairs                            nonempty list of [i, j] indices into states (default all)
     seed                             integer >= 0 (default 0)
     tolerances.positivity|rank|equality  finite numbers >= 0 (default 1e-9, 1e-10, 1e-9)
 
@@ -102,10 +102,12 @@ _REQUIRED = frozenset({"algebra", "blocks", "trace_weights", "nodes", "c", "vs",
 
 class _Pass:
     """One validation pass: the spec's algebra once its rule has built it,
-    and every violation found."""
+    its decoded states (none until a ``states`` field is read, None when
+    that field failed its rule), and every violation found."""
 
     def __init__(self):
         self.alg = None
+        self.states = []
         self.problems = []
 
     def walk(self, raw, schema: dict, path: str) -> dict:
@@ -252,8 +254,20 @@ def _generator(value, p):
 
 
 def _states(value, p):
-    return [p.walk(entry, {"density": _density}, f"states[{i}]").get("density")
-            for i, entry in enumerate(_list(value, p))]
+    p.states = None
+    p.states = [p.walk(entry, {"density": _density}, f"states[{i}]").get("density")
+                for i, entry in enumerate(_list(value, p))]
+    return p.states
+
+
+def _pairs(value, p):
+    """Pairs of indices into the states read before them; unchecked against
+    a ``states`` field that failed its own rule."""
+    pairs = _list_of(_pair, "[i, j] state index pairs")(value, p)
+    bad = [pair for pair in pairs if p.states is not None and max(pair) >= len(p.states)]
+    if bad:
+        raise InputError(f"state pair {bad[0]} out of range for {len(p.states)} states")
+    return pairs
 
 
 def _projection(value, p):
@@ -268,12 +282,13 @@ def _tolerances(value, p):
     return Tolerances(**p.walk(value, schema, "tolerances"))
 
 
+# the states rule comes before the pairs rule, which reads the decoded states
 _SHARED = {
     "states": _states,
     "projection": _projection,
     "weight_element": _element,
     "times": _list_of(_nonnegative, "finite nonnegative numbers"),
-    "pairs": _list_of(_pair, "[i, j] state index pairs"),
+    "pairs": _pairs,
     "seed": _seed,
     "tolerances": _tolerances,
 }

@@ -478,6 +478,24 @@ def test_flags_obey_the_field_rules(flags, field, capsys):
     assert "mystery" in err
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("spec, flags", [
+    (dict(K3_SPEC, pairs=[[0, 1], [1, 2]]), []),
+    (K3_SPEC, ["--pairs", "0:1,0:2"]),
+    ({"nodes": 3, "c": K3_SPEC["generator"]["c"], "pairs": [[0, 9]]}, []),
+])
+def test_out_of_range_pairs_exit_2_in_every_command(command, spec, flags, capsys):
+    # the pairs rule reads the decoded states, so no command runs on a pair
+    # that names a missing state, whether it reads the pairs or not
+    _input_error([command, json.dumps(spec)] + flags, capsys, "pairs: state pair")
+
+
+def test_pairs_over_failed_states_report_only_the_states(capsys):
+    spec = dict(K3_SPEC, states="x", pairs=[[0, 9]])
+    err = _input_error(["check-cdc", json.dumps(spec)], capsys, "states: ")
+    assert "pairs" not in err
+
+
 NET5_SPEC = {
     "algebra": {"blocks": [1] * 5, "trace_weights": [1.0] * 5},
     "generator": {"kind": "network", "c": [

@@ -3,9 +3,11 @@ Leibniz properties, trace symmetries, and the Dirichlet-form reconstruction."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nca
-from nca.energy import _choi_matrix, _markov_probes
+from nca.energy import _choi_blocks, _choi_flags, _markov_probes
 from nca.errors import InputError, PropertyViolationError
 
 from conftest import K3_C, TWO_C
@@ -414,6 +416,33 @@ def _choi_by_units(phi):
     return choi
 
 
+def _choi_matrix(phi):
+    """Dense reference Choi matrix, shape (n^2, n^2): pinch(E_ab) is zero
+    unless a and b lie in one block; there it is the matrix unit i, so its
+    image is column i of ``phi.matrix``, carried from the orthonormal to the
+    canonical basis by sqrt(w_i) / sqrt(w_j)."""
+    alg = phi.algebra
+    n = alg.total_size
+    rows, cols = alg.unit_positions
+    choi = np.zeros((n, n, n, n), dtype=complex)
+    choi[rows[:, None], rows[None, :], cols[:, None], cols[None, :]] = phi.canonical_matrix.T
+    return choi.reshape(n * n, n * n)
+
+
+def _dense_choi_flags(phi, tol=1e-9):
+    """The eigenvalues and the complete-positivity flags from one
+    ``eigvalsh`` of the dense Choi matrix."""
+    choi = _choi_matrix(phi)
+    skew = float(np.abs(choi - choi.conj().T).max())
+    eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+    scale = max(1.0, float(np.abs(choi).max()))
+    return eigs, {
+        "cp": skew <= tol * scale and eigs[0] >= -tol * max(1.0, float(eigs[-1])),
+        "choi_min_eigenvalue": float(eigs[0]),
+        "choi_skew_residual": skew,
+    }
+
+
 def test_heat_choi_gathers_from_superop_matrix():
     rng = np.random.default_rng(97)
     mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
@@ -431,6 +460,52 @@ def test_heat_choi_gathers_from_superop_matrix():
         for t in (0.0, 0.3, 2.0):
             phi, _ = nca.heat_map(lap, t)
             assert np.abs(_choi_matrix(phi) - _choi_by_units(phi)).max() <= 1e-14
+
+
+def _maps_on(alg, rng):
+    """Heat maps of random forms, CP or not (the second form is not
+    tau-real); the blockwise transpose, not CP once a block has size >= 2;
+    a random Hermiticity-preserving map, almost surely not CP; and a random
+    map, whose Choi matrix is almost surely not Hermitian."""
+    v = nca.random_element(alg, rng)
+    n = alg.total_size
+    d_op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    maps = []
+    for gamma in (nca.commutator_cdc([v, v.adjoint()]), nca.commutator_cdc([v]),
+                  nca.spectral_triple_cdc(d_op + d_op.conj().T, alg)):
+        lap = nca.laplacian(nca.energy_form(gamma, force=True))
+        maps.extend(nca.heat_semigroup(lap, t) for t in (0.0, 0.4, 3.0))
+    transpose = np.zeros((alg.dim, alg.dim))
+    transpose[alg.adj_table, np.arange(alg.dim)] = 1.0
+    mat = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    raw = nca.SuperOperator(alg, mat)
+    return maps + [nca.SuperOperator(alg, transpose), 0.5 * (raw + raw.sharp()), raw]
+
+
+@settings(max_examples=25, deadline=None)
+@given(blocks=st.sampled_from([[2, 2, 1], [1, 3, 1, 3], [1, 1, 1], [2, 1, 2], [3], [2, 2]]),
+       weights=st.lists(st.floats(0.25, 4.0), min_size=4, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_heat_choi_blocks_match_dense_choi(blocks, weights, seed):
+    # the per-block-pair stacks hold the dense Choi matrix's spectrum, its
+    # skew residual and its verdict, CP or not
+    alg = nca.build_algebra(blocks, weights[:len(blocks)])
+    rng = np.random.default_rng(seed)
+    verdicts = set()
+    for phi in _maps_on(alg, rng):
+        want_eigs, want = _dense_choi_flags(phi)
+        got = _choi_flags(phi, 1e-9)
+        stacks = _choi_blocks(phi)
+        assert sum(c.shape[0] * c.shape[1] for c in stacks) == alg.total_size ** 2
+        eigs = np.sort(np.concatenate(
+            [np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2).reshape(-1) for c in stacks]))
+        bound = 1e-12 * max(1.0, float(np.abs(want_eigs).max()))
+        assert np.abs(eigs - want_eigs).max() <= bound
+        assert abs(got["choi_min_eigenvalue"] - want["choi_min_eigenvalue"]) <= bound
+        assert got["choi_skew_residual"] == want["choi_skew_residual"]
+        assert got["cp"] == want["cp"]
+        verdicts.add(got["cp"])
+    assert verdicts == {True, False}
 
 
 def test_heat_two_point_closed_form():

@@ -5,7 +5,7 @@ the pairing identity of ``stddev.extend``, ``leibniz_check``, the
 parallelogram test of ``star_graph_check``, and the per-time solves of
 ``resolvent_check`` and the Markov probes and the kernel split of
 ``energy_metric`` that functions of the Laplacian's eigendecomposition
-replace."""
+replace, and the one-element-at-a-time seminorms of the ``dirac`` suite."""
 import numpy as np
 import pytest
 
@@ -13,6 +13,8 @@ import nca
 from conftest import K3_C, build_catalog, seeded_generators
 from nca.algebra import amplify_matrix, block_norms, hermitian_eigenvalues
 from nca.cdc import _check_automorphism
+from nca.cli import run_command
+from nca.fileio import parse_spec
 from nca.energy import _extreme_positives, _markov_probes
 from nca.errors import DisconnectedError, InputError
 from test_energy import _rank_one_laplacian
@@ -335,6 +337,78 @@ def test_star_graph_random_witness_matches_loop():
     assert want["witness"] == got["witness"] == "random-7"
     residual = want["max_relative_residual"]
     assert abs(got["max_relative_residual"] - residual) <= 1e-12 * residual
+
+
+# -- Dirac seminorms -------------------------------------------------------------
+
+
+def _seminorm_loop(op, a):
+    """``(value, from_form)`` of one element: the two off-diagonal blocks of
+    the commutator by ``commutator_norm``, and two Gamma evaluations."""
+    gamma = op.bimodule.gamma
+    g_a = gamma.value(a, a).norm()
+    g_astar = gamma.value(a.adjoint(), a.adjoint()).norm()
+    return op.commutator_norm(a), float(np.sqrt(max(g_a, g_astar, 0.0)))
+
+
+def _dirac_forms():
+    rng = np.random.default_rng(61)
+    net = nca.random_network(7, rng)
+    m3 = nca.build_algebra([3], [1.0])
+    v = nca.random_element(m3, rng)
+    mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    w = nca.random_element(mixed, rng)
+    d_op = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return [
+        nca.network_cdc(net.algebra, net.c, scale=0.5),
+        nca.commutator_cdc([v, v.adjoint(), nca.random_self_adjoint(m3, rng)]),
+        nca.commutator_cdc([w, w.adjoint()]),
+        # not tau-real: |Gamma(a, a)| and |Gamma(a*, a*)| differ
+        nca.commutator_cdc([w]),
+        nca.spectral_triple_cdc(d_op + d_op.conj().T, mixed),
+    ]
+
+
+@pytest.mark.parametrize("form", range(len(_dirac_forms())))
+def test_dirac_seminorms_match_loop(form):
+    gamma = _dirac_forms()[form]
+    op = nca.dirac(nca.build_bimodule(gamma))
+    rng = np.random.default_rng(71 + form)
+    alg = gamma.algebra
+    elements = [(nca.random_element if k % 2 else nca.random_self_adjoint)(alg, rng)
+                for k in range(8)] + [alg.identity(), alg.zero()]
+    value, from_form = nca.dirac_seminorms(op, [alg.canonical_coords(a) for a in elements])
+    for k, a in enumerate(elements):
+        # the form side is a square root, so it is compared squared: rounding
+        # in Gamma(1, 1) = 0 reads ~1e-8 after the root
+        want_value, want_form = _seminorm_loop(op, a)
+        scale = max(1.0, want_value)
+        one = nca.dirac_seminorm(op, a)
+        for got in ((value[k], from_form[k]), (one.value, one.from_form)):
+            assert abs(got[0] - want_value) <= 1e-12 * scale
+            assert abs(got[1] ** 2 - want_form ** 2) <= 1e-12 * scale ** 2
+        assert one.residual == abs(one.value - one.from_form)
+
+
+@pytest.mark.parametrize("spec", [
+    {"nodes": 5, "c": [[0, 1, 0, 0, 2], [1, 0, 1, 0, 0], [0, 1, 0, 3, 0],
+                       [0, 0, 3, 0, 1], [2, 0, 0, 1, 0]], "seed": 4},
+    {"algebra": {"blocks": [2, 1], "trace_weights": [1.0, 2.0]},
+     "generator": {"kind": "lindblad", "vs": [[[[[0, 0], [1, 0]], [[0, 1], [0, 0]]],
+                                               [[[0.5, 0]]]]]},
+     "seed": 9},
+])
+def test_dirac_suite_norm_formula_matches_loop(spec):
+    # the suite draws its ten self-adjoint samples in the loop's rng order
+    parsed = parse_spec(spec)
+    op = nca.dirac(nca.build_bimodule(parsed.build_gamma()))
+    rng = np.random.default_rng(parsed.seed)
+    want = 0.0
+    for _ in range(10):
+        value, from_form = _seminorm_loop(op, nca.random_self_adjoint(parsed.algebra, rng))
+        want = max(want, abs(value - from_form))
+    got = run_command("dirac", parsed)["data"]["norm_formula_residual"]
+    assert abs(got - want) <= 1e-12
 
 
 # -- functions of the Laplacian ------------------------------------------------

@@ -6,7 +6,9 @@ Each argument is a ``src`` directory holding the ``nca`` package.  For each
 side, one subprocess imports ``nca`` from that directory and runs
 ``nca <command> <spec> --json`` for all nine commands on the network-suite
 and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, plus
-``K3_SPEC`` and ``LINDBLAD_SPEC`` from ``tests/test_cli.py``.  The script
+``K3_SPEC`` and ``LINDBLAD_SPEC`` from ``tests/test_cli.py`` and the
+``NEGATIVE_C`` triangle of that file as an ``allow_negative`` network, whose
+reports take the FAIL paths (``heat-cp-t0.1``, ``network-markov``).  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans) and, for each float field that moved,
 its largest change relative to max(1, |x|).  It exits 1 when any structural
@@ -54,7 +56,9 @@ json.dump(out, sys.stdout)
 
 
 def cli_specs() -> dict:
-    """The literal ``K3_SPEC`` and ``LINDBLAD_SPEC`` of tests/test_cli.py."""
+    """The literal ``K3_SPEC`` and ``LINDBLAD_SPEC`` of tests/test_cli.py,
+    and its ``NEGATIVE_C`` as the conductances of an ``allow_negative``
+    network file."""
     tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
     found = {}
     for node in tree.body:
@@ -62,6 +66,9 @@ def cli_specs() -> dict:
             name = getattr(node.targets[0], "id", None)
             if name in ("K3_SPEC", "LINDBLAD_SPEC"):
                 found[name] = json.dumps(ast.literal_eval(node.value))
+            elif name == "NEGATIVE_C":
+                found[name] = json.dumps({"nodes": 3, "c": ast.literal_eval(node.value),
+                                          "allow_negative": True})
     return found
 
 

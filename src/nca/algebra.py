@@ -212,6 +212,14 @@ class Algebra:
         return tuple(groups)
 
     @cached_property
+    def _draw_index(self):
+        """``(re, im)``: the places of each coordinate's real and imaginary part
+        in one draw that lists each block's real, then imaginary parts."""
+        sizes = [n * n for n in self.blocks]
+        re = np.arange(self.dim) + np.repeat(self._basis_offsets[:-1], sizes)
+        return re, re + np.repeat(sizes, sizes)
+
+    @cached_property
     def identity_coords(self):
         """Orthonormal coordinates of the identity element."""
         return self.to_coords(self.identity())
@@ -821,11 +829,11 @@ def matrix_direct_sum(algebra: Algebra, m: int, v: Element, n: int, w: Element) 
 
 
 def random_element(algebra: Algebra, rng: np.random.Generator, scale=1.0) -> Element:
-    data = [
-        scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for n in algebra.blocks
-    ]
-    return Element(algebra, data)
+    """Gaussian entries, real then imaginary parts block by block, from one
+    draw (the same numbers as one draw per part and block)."""
+    draw = rng.standard_normal(2 * algebra.dim)
+    re, im = algebra._draw_index
+    return _element(algebra, scale * (draw[re] + 1j * draw[im]))
 
 
 def random_self_adjoint(algebra: Algebra, rng: np.random.Generator, scale=1.0) -> Element:

@@ -48,7 +48,8 @@ from .algebra import (
     random_element,
     right_multiplication,
 )
-from .errors import InputError
+from .errors import InputError, PropertyViolationError
+from .reporting import CheckResult
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,12 @@ class CdCReport:
             and self.star_representation
             and self.completely_positive
         )
+
+    def require(self, message: str) -> None:
+        """Raise ``message`` and the witness unless the form is a carre-du-champ."""
+        if not self.is_cdc:
+            raise PropertyViolationError(
+                message, [CheckResult("is-cdc", False, witness=self.witness)])
 
 
 # -- builders ----------------------------------------------------------------

@@ -78,6 +78,10 @@ class _Problem:
         return self.spec.build_gamma()
 
     @cached_property
+    def cdc_report(self):
+        return is_cdc(self.gamma, tol=self.spec.tolerances.positivity)
+
+    @cached_property
     def energy(self):
         return energy_form(self.gamma, force=True)
 
@@ -92,9 +96,8 @@ class _Problem:
 
 
 def _cdc_checks(problem: _Problem):
-    spec, gamma = problem.spec, problem.gamma
+    spec, gamma, report = problem.spec, problem.gamma, problem.cdc_report
     tol = spec.tolerances.positivity
-    report = is_cdc(gamma, tol=tol)
     reality = reality_checks(gamma, tol=spec.tolerances.equality)
     checks = [
         CheckResult("cdc-symmetric", report.symmetric, report.residuals["symmetry"]),
@@ -251,7 +254,7 @@ def _quotient_checks(problem: _Problem):
 def _dirac_checks(problem: _Problem):
     spec, gamma = problem.spec, problem.gamma
     bs = build_bimodule(gamma, pos_tol=spec.tolerances.positivity,
-                        rank_tol=spec.tolerances.rank)
+                        rank_tol=spec.tolerances.rank, report=problem.cdc_report)
     op = dirac(bs)
     tol = spec.tolerances.equality
     rng = np.random.default_rng(spec.seed)

@@ -5,14 +5,21 @@ energy seminorm.
 
 The one-forms are the kernel of multiplication in A (x) A with the inner
 product <a (x) b, c (x) e> = tau(b* Gamma(a, c) e), its null space divided
-out.  Gamma(1, .) = 0 makes every 1 (x) y null, so each pair e_a (x) e_c has
-the class of (d e_a) e_c = P(e_a (x) e_c) = e_a (x) e_c - 1 (x) e_a e_c, which
-lies in the kernel.  The pair gram is B* B: with each complete-positivity
-block of ``is_cdc`` factored as m_b = F_b F_b* (eigenvalues above the rank
-cut), B[(b, m, c), (k, l)] = sqrt(w_b) conj(F_b[(k, row of l), m]) for the
-units l of block b in column c.  So the one-form space is the range of B P,
-and one thin SVD B P = U S V* gives its rank, the coordinates S V* of every
-pair and, lifted by P, an orthonormal frame inside the kernel.
+out; Gamma(1, .) = 0, so each pair e_a (x) e_c stands for (d e_a) e_c =
+P(e_a (x) e_c) = e_a (x) e_c - 1 (x) e_a e_c.  The pairs e_k (x) e_l with l in
+column c of block b span a copy V_bc of C^(d n_b) over (k, row of l), the
+copies are orthogonal, and the gram on each is w_b m_b, with
+m_b = F diag(lam) F* the complete-positivity block of ``is_cdc``.  So the rows
+B[(b, m, c), (k, l)] = sqrt(w_b lam_m) conj(F[(k, row of l), m]) over the
+eigenvalues above the rank cut are an orthonormal frame, and the columns of
+B P are the coordinates of the pairs: B B* = diag(w lam), and B (1 (x) y) = 0
+up to the unit residual of ``is_cdc``.  Left multiplication by e_i keeps the
+right-hand unit, so on every V_bc it is the block
+a_i = D^(1/2) F+* [(L_i (x) 1) F+ - iota_i mu(F+)] D^(-1/2) over the kept
+eigenvectors F+ with eigenvalues D; mu(F)[s] = sum_r F[(unit (s, r), r)] is
+the product map and iota_i places it at the rows (i, .).  With the
+eigenvectors below the cut in place of the right-hand F+ the product must
+vanish: the null space acts into the null space.
 """
 from __future__ import annotations
 
@@ -21,17 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_EQ_TOL,
-    DEFAULT_POS_TOL,
-    DEFAULT_RANK_TOL,
-    Element,
-    block_norms,
-    left_multiplication,
-)
-from .cdc import CdCForm, _cp_blocks, is_cdc, network_cdc
-from .errors import DisconnectedError, PropertyViolationError
-from .reporting import CheckResult
+from .algebra import DEFAULT_EQ_TOL, DEFAULT_POS_TOL, DEFAULT_RANK_TOL, Element, block_norms
+from .cdc import CdCForm, CdCReport, _cp_blocks, is_cdc, network_cdc
+from .errors import DisconnectedError
 from .resistance import ResistanceNetwork, is_star
 
 
@@ -41,15 +40,17 @@ class BimoduleSpace:
 
     ``pair_forms`` has shape (rank, d^2): column a*d + c holds the one-form
     coordinates of (d e_a) e_c.  ``dmatrix`` maps orthonormal algebra
-    coordinates to one-form coordinates; ``left_action`` stacks one
-    ``(rank, rank)`` matrix per canonical basis element.
+    coordinates to one-form coordinates.  ``action`` holds the left action
+    per algebra block b as ``(start, n_b, stack)``: the frame rows
+    start + m n_b + c, over the r_b kept eigenvalues m and the columns c,
+    on which e_i acts as ``stack[i]`` (shape (r_b, r_b)) for every c.
     """
 
     gamma: CdCForm
     rank: int
     pair_forms: np.ndarray
     dmatrix: np.ndarray
-    left_action: np.ndarray
+    action: tuple
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -60,7 +61,13 @@ class BimoduleSpace:
         return self.dmatrix @ self.algebra.to_coords(a)
 
     def act_left(self, a: Element) -> np.ndarray:
-        return np.tensordot(self.algebra.canonical_coords(a), self.left_action, axes=1)
+        """The (rank, rank) matrix of left multiplication by a."""
+        x = self.algebra.canonical_coords(a)
+        out = np.zeros((self.rank, self.rank), dtype=complex)
+        for start, n_b, stack in self.action:
+            stop = start + stack.shape[1] * n_b
+            out[start:stop, start:stop] = np.kron(np.tensordot(x, stack, axes=1), np.eye(n_b))
+        return out
 
     @cached_property
     def commutator_blocks(self) -> np.ndarray:
@@ -71,99 +78,96 @@ class BimoduleSpace:
         mul_i, mul_j, mul_k = self.algebra.mul_nonzero
         blocks = np.zeros((d, self.rank, d), dtype=complex)
         blocks[mul_i, :, mul_j] = dm[:, mul_k].T
-        blocks -= self.left_action @ dm
+        for start, n_b, stack in self.action:
+            r_b = stack.shape[1]
+            rows = slice(start, start + r_b * n_b)
+            blocks[:, rows] -= (stack @ dm[rows].reshape(r_b, n_b * d)).reshape(d, -1, d)
         return blocks
 
 
-def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL,
-                   rank_tol=DEFAULT_RANK_TOL) -> BimoduleSpace:
+def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RANK_TOL,
+                   report: CdCReport | None = None) -> BimoduleSpace:
     """Realize the one-form space of a carre-du-champ concretely, as the
-    module docstring describes."""
-    report = is_cdc(gamma, tol=pos_tol)
-    if not report.is_cdc:
-        raise PropertyViolationError(
-            "one-form construction requires a carre-du-champ",
-            [CheckResult("is-cdc", False, witness=report.witness)],
-        )
+    module docstring describes.  ``report`` is the ``is_cdc`` report of
+    ``gamma`` at ``pos_tol`` when the caller already holds it."""
+    (is_cdc(gamma, tol=pos_tol) if report is None else report).require(
+        "one-form construction requires a carre-du-champ")
     alg = gamma.algebra
     d = alg.dim
-    units = alg.diagonal_units
-
-    # B from the factored blocks; the eigenvectors below the cut, spread the
-    # same way, span the null space of B
     eigs = [np.linalg.eigh(m) for m in _cp_blocks(alg, gamma.gram)]
+    # the rank cut on the eigenvalues, then on the squared row norms w lam
     top = max(1.0, max(float(vals[:, -1].max()) for vals, _ in eigs))
-    rows, nulls = [], []
-    for (n_b, cols), (vals, vecs) in zip(alg.size_groups, eigs):
-        blk, m = np.nonzero(vals > rank_tol * top)
-        root_w = np.sqrt(alg.basis_weights[cols[blk, 0]] * vals[blk, m])
-        rows.append(_spread(d, n_b, cols[blk], vecs[blk, :, m].conj() * root_w[:, None]))
-        blk, m = np.nonzero(vals <= rank_tol * top)
-        nulls.append(_spread(d, n_b, cols[blk], vecs[blk, :, m]))
-    b = np.concatenate(rows).reshape(-1, d, d)
+    wlams = [alg.basis_weights[cols[:, :1]] * vals
+             for (_, cols), (vals, _) in zip(alg.size_groups, eigs)]
+    above = [vals > rank_tol * top for vals, _ in eigs]
+    wtop = max([1.0] + [float(wl[a].max(initial=0.0)) for wl, a in zip(wlams, above)])
+    keeps = [a & (wl > rank_tol * wtop) for wl, a in zip(wlams, above)]
 
-    # B P gathers the columns B (1 (x) e_k) over mul_table, zero at -1
-    ones = np.pad(b[:, units].sum(axis=1), [(0, 0), (0, 1)])
-    _, svals, vh = np.linalg.svd((b - ones[:, alg.mul_table]).reshape(-1, d * d),
-                                 full_matrices=False)
-    rank = int(np.sum(svals ** 2 > rank_tol * max(1.0, svals.max(initial=0.0) ** 2)))
-    pair_forms = svals[:rank, None] * vh[:rank]
+    rank = sum(int(keep.sum()) * n_b for (n_b, _), keep in zip(alg.size_groups, keeps))
+    b = np.zeros((rank, d, d), dtype=complex)
+    action, start = [], 0
+    null_res = star_res = 0.0
+    for (n_b, cols), (vals, vecs), keep in zip(alg.size_groups, eigs, keeps):
+        # one block of the frame and of the action per algebra block q with a
+        # kept eigenvalue; the null space must act into the null space
+        for q in np.flatnonzero(keep.any(axis=1)):
+            root_lam, root_w = np.sqrt(vals[q, keep[q]]), np.sqrt(alg.basis_weights[cols[q, 0]])
+            r = len(root_lam)
+            # row (m, c) of B holds kept vector m at the pairs (k, unit (row, c))
+            rows = b[start:start + r * n_b].reshape(r, n_b, d, d)
+            rows[:, np.arange(n_b)[:, None], :, cols[q].reshape(n_b, n_b).T] = (
+                (root_w * root_lam[:, None] * vecs[q][:, keep[q]].T.conj())
+                .reshape(r, d, n_b).transpose(2, 0, 1))
+            moved = root_lam[:, None] * _moved_frame(alg, n_b, cols[q], vecs[q], keep[q])
+            stack = moved[:, :, keep[q]] / root_lam
+            null_res = max(null_res, root_w * np.abs(moved[:, :, ~keep[q]]).max(initial=0.0))
+            star_res = max(star_res, float(np.abs(stack.conj().transpose(0, 2, 1)
+                                                  - stack[alg.adj_table]).max()))
+            action.append((start, n_b, stack))
+            start += r * n_b
+
+    # B P takes from each pair e_a (x) e_c the column B (1 (x) e_a e_c), a
+    # gather over mul_nonzero
+    one = alg.identity().coords
+    mul_i, mul_j, mul_k = alg.mul_nonzero
+    b[:, mul_i, mul_j] -= (one @ b)[:, mul_k]
     # d e~_i is the sum of (d e_i) e_u over the diagonal units u, over sqrt(w_i)
     root_w = np.sqrt(alg.basis_weights)
-    dmatrix = pair_forms.reshape(rank, d, d)[:, :, units].sum(axis=2) / root_w
-
-    # P x = x - 1 (x) m(x), with m(x) summed over the products sorted by
-    # target, lifts the frame V / S and the null space of B P (that of B and
-    # the SVD's directions below the cut) into the kernel
-    mul_i, mul_j, mul_k = alg.mul_nonzero
-    by_k = np.argsort(mul_k, kind="stable")
-    basis = np.concatenate([vh[:rank].conj() / svals[:rank, None], *nulls, vh[rank:].conj()]).T
-    lifted = basis.reshape(d, d, -1).copy()
-    lifted[units] -= np.add.reduceat(basis[(mul_i * d + mul_j)[by_k]],
-                                     np.searchsorted(mul_k[by_k], np.arange(d)))
-    lifted = lifted.reshape(d * d, -1)
-
-    # e_i sends e_a (x) e_c to e_k (x) e_c for every product e_i e_a = e_k, so
-    # it gathers rows a*d + c of the lifted vectors into rows k*d + c; the
-    # null space must act into the null space
-    cols = np.arange(d)
-    actions = np.empty((d, rank, rank), dtype=complex)
-    null_res = 0.0
-    for i in range(d):
-        mine = mul_i == i
-        dst = (mul_k[mine, None] * d + cols).reshape(-1)
-        src = (mul_j[mine, None] * d + cols).reshape(-1)
-        acted = pair_forms[:, dst] @ lifted[src]
-        actions[i] = acted[:, :rank]
-        null_res = max(null_res, float(np.abs(acted[:, rank:]).max(initial=0.0)))
-    # one (rank, rank) slice at a time: the whole stack's difference would
-    # hold three more copies of it
-    star_res = max(np.abs(actions[i].conj().T - actions[j]).max(initial=0.0)
-                   for i, j in enumerate(alg.adj_table))
+    dmatrix = (b @ one) / root_w
 
     # the derivation factors the Laplacian: dmatrix* dmatrix = Delta
     delta = gamma.tau_values / np.outer(root_w, root_w)
     return BimoduleSpace(
-        gamma=gamma, rank=rank, pair_forms=pair_forms, dmatrix=dmatrix, left_action=actions,
+        gamma=gamma, rank=rank, pair_forms=b.reshape(rank, d * d), dmatrix=dmatrix,
+        action=tuple(action),
         residuals={
             "gram_negative_part": max(0.0, -min(float(v[:, 0].min()) for v, _ in eigs)),
-            "null_space_invariance": null_res,
-            "star_representation": float(star_res),
+            "null_space_invariance": float(null_res),
+            "star_representation": star_res,
             "laplacian_factorization": float(np.abs(dmatrix.conj().T @ dmatrix - delta).max()),
         },
     )
 
 
-def _spread(d, n_b, cols, f) -> np.ndarray:
-    """Pair vectors, rows of shape (q n_b, d^2), from vectors ``f`` of shape
-    (q, d n_b) over (k, r), one per block of size n_b with units ``cols[q]``:
-    for each column c of the block, f[q, (k, r)] at pair (k, unit (r, c))."""
-    q, r = len(cols), np.arange(n_b)
-    at = cols[:, r[None, :] * n_b + r[:, None]]  # [q, c, r]: the unit at (r, c)
-    out = np.zeros((q, n_b, d, d), dtype=complex)
-    out[np.arange(q)[:, None, None, None], r[None, :, None, None],
-        np.arange(d)[None, None, :, None], at[:, :, None, :]] = f.reshape(q, 1, d, n_b)
-    return out.reshape(-1, d * d)
+def _moved_frame(alg, n_b, cols, vecs, keep) -> np.ndarray:
+    """W[i] = F+* [(L_i (x) 1) F - iota_i mu(F)], shape (d, m, d n_b), for the
+    eigenvectors F = ``vecs`` of the complete-positivity block of the block
+    of size n_b with units ``cols``, and the m columns F+ = F[:, keep]."""
+    d = alg.dim
+    f = vecs.reshape(d, n_b, -1)
+    fp = f[:, :, keep].conj()
+    m = fp.shape[2]
+    mu = f[cols.reshape(n_b, n_b), np.arange(n_b)].sum(axis=1)
+    out = -(fp.transpose(0, 2, 1) @ mu)
+    # the unit i at (s, t) of a block of size n sends row (unit (t, u), r)
+    # to row (unit (s, u), r): one batched product per block size
+    for n, units in alg.size_groups:
+        k = len(units)
+        left = fp[units].reshape(k, n, n * n_b, m).transpose(0, 1, 3, 2).reshape(k, n * m, -1)
+        right = f[units].reshape(k, n, n * n_b, -1).transpose(0, 2, 1, 3).reshape(k, n * n_b, -1)
+        out[units.reshape(-1)] += ((left @ right).reshape(k, n, m, n, -1)
+                                   .transpose(0, 1, 3, 2, 4).reshape(k * n * n, m, -1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,29 +190,8 @@ class DiracOperator:
         out[:d, d:] = self.bimodule.dmatrix.conj().T
         return out
 
-    def represent(self, a: Element) -> np.ndarray:
-        """pi(a) = left multiplication (+) left action on one-forms."""
-        d = self.algebra.dim
-        r = self.bimodule.rank
-        out = np.zeros((d + r, d + r), dtype=complex)
-        out[:d, :d] = left_multiplication(self.algebra, a).matrix
-        out[d:, d:] = self.bimodule.act_left(a)
-        return out
 
-    def commutator_norm(self, a: Element) -> float:
-        """|[D, pi(a)]|.  D is off-diagonal and pi(a) is diagonal, so the
-        commutator has just two nonzero blocks, d L_a - A_a d and
-        d* A_a - L_a d*, and its norm is the larger of their norms."""
-        dm = self.bimodule.dmatrix
-        dm_star = dm.conj().T
-        left = left_multiplication(self.algebra, a).matrix
-        act = self.bimodule.act_left(a)
-        return float(max(np.linalg.norm(dm @ left - act @ dm, 2),
-                         np.linalg.norm(dm_star @ act - left @ dm_star, 2)))
-
-
-def dirac(bs: BimoduleSpace) -> DiracOperator:
-    return DiracOperator(bs)
+dirac = DiracOperator
 
 
 @dataclass(frozen=True)
@@ -235,10 +218,17 @@ def dirac_seminorms(op: DiracOperator, coords) -> tuple:
     ``star_representation`` residual, so |[D, pi(a)]| = max(|B(a)|, |B(a*)|):
     ``commutator_blocks`` contracted with the rows of a and a*, and one
     batched SVD.  Gamma(a, a) and Gamma(a*, a*) are one contraction with the
-    gram and one ``block_norms``."""
+    gram and one ``block_norms``.
+
+    Each row first loses its identity component tau(a)/tau(1) 1: neither side
+    changes, but the rounding of Gamma(1, 1) stays out of ``from_form``."""
     bs = op.bimodule
     alg = bs.algebra
-    x = np.asarray(coords, dtype=complex).reshape(-1, alg.dim)
+    x = np.array(coords, dtype=complex).reshape(-1, alg.dim)
+    diag = alg.diagonal_units
+    # tau(1) is reduced as one more row, so that a = 1 loses exactly itself
+    taus = (np.concatenate([x[:, diag], np.ones((1, len(diag)))]) * alg.coord_weights).sum(axis=1)
+    x[:, diag] -= (taus[:-1] / taus[-1])[:, None]
     both = np.concatenate([x, x[:, alg.adj_table].conj()])
     norms = np.linalg.norm(np.tensordot(both, bs.commutator_blocks, axes=1), 2, axis=(1, 2))
     gammas = np.einsum("mi,mj,ijk->mk", both.conj(), both, bs.gamma.gram, optimize=True)

@@ -99,12 +99,8 @@ def energy_form(gamma: CdCForm, force=False, tol=DEFAULT_POS_TOL) -> EnergyForm:
     """E(a, b) = tau(Gamma(a, b)).  Refuses non-carre-du-champ input unless
     ``force`` is set (used only for deliberate counterexamples)."""
     if not force:
-        report = is_cdc(gamma, tol=tol)
-        if not report.is_cdc:
-            raise PropertyViolationError(
-                "form fails the carre-du-champ axioms; pass force=True to override",
-                [CheckResult("is-cdc", False, witness=report.witness)],
-            )
+        is_cdc(gamma, tol=tol).require(
+            "form fails the carre-du-champ axioms; pass force=True to override")
     return EnergyForm(gamma.algebra, gamma.tau_values, provenance=gamma)
 
 
@@ -659,10 +655,5 @@ def cdc_from_dirichlet_form(
             "reconstructed form does not reproduce the energy form",
             [CheckResult("trace-pairing", False, residual=pair_res)],
         )
-    report = is_cdc(gamma)
-    if not report.is_cdc:
-        raise PropertyViolationError(
-            "reconstructed form fails the carre-du-champ axioms",
-            [CheckResult("is-cdc", False, witness=report.witness)],
-        )
+    is_cdc(gamma).require("reconstructed form fails the carre-du-champ axioms")
     return gamma

@@ -7,10 +7,19 @@ inner product <a (x) b, c (x) d> = tau(b* Gamma(a, c) d) is assembled as a
 (d, d, d, d) tensor over the product basis, restricted to the kernel and
 diagonalized, and its null space is divided out.  The left action loops
 over the canonical units.
+
+It also keeps the dense readers of a one-form space that the library no
+longer holds: the ``(d, rank, rank)`` left-action stack, the representation
+pi(a) on L2(algebra) (+) L2(one-forms) and the commutator norm from the two
+off-diagonal blocks of [D, pi(a)].  Each reads a space through
+``algebra``, ``rank``, ``dmatrix`` and ``act_left`` only, so it serves both
+``nca.BimoduleSpace`` and :class:`ReferenceSpace`.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
-from nca import PropertyViolationError, is_cdc
+from nca import PropertyViolationError, is_cdc, left_multiplication
 from nca.algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL
 from nca.reporting import CheckResult
 
@@ -124,3 +133,54 @@ def pair_projection(alg) -> np.ndarray:
             if k >= 0:
                 proj[alg.diagonal_units * d + k, a * d + c] -= 1.0
     return proj
+
+
+def left_action_stack(space) -> np.ndarray:
+    """The ``(d, rank, rank)`` matrices of left multiplication by each
+    canonical unit."""
+    alg = space.algebra
+    return np.stack([space.act_left(alg.basis_element(i)) for i in range(alg.dim)])
+
+
+def represent(space, a) -> np.ndarray:
+    """pi(a) = left multiplication (+) left action on one-forms."""
+    d = space.algebra.dim
+    r = space.rank
+    out = np.zeros((d + r, d + r), dtype=complex)
+    out[:d, :d] = left_multiplication(space.algebra, a).matrix
+    out[d:, d:] = space.act_left(a)
+    return out
+
+
+def commutator_norm(space, a) -> float:
+    """|[D, pi(a)]|.  D is off-diagonal and pi(a) is diagonal, so the
+    commutator has just two nonzero blocks, d L_a - A_a d and
+    d* A_a - L_a d*, and its norm is the larger of their norms."""
+    dm = space.dmatrix
+    dm_star = dm.conj().T
+    left = left_multiplication(space.algebra, a).matrix
+    act = space.act_left(a)
+    return float(max(np.linalg.norm(dm @ left - act @ dm, 2),
+                     np.linalg.norm(dm_star @ act - left @ dm_star, 2)))
+
+
+@dataclass(frozen=True)
+class ReferenceSpace:
+    """A one-form space given by its dense left-action stack, such as the
+    one :func:`dense_build_bimodule` returns."""
+
+    gamma: object
+    rank: int
+    pair_forms: np.ndarray
+    dmatrix: np.ndarray
+    left_action: np.ndarray
+
+    @property
+    def algebra(self):
+        return self.gamma.algebra
+
+    def derivative_coords(self, a) -> np.ndarray:
+        return self.dmatrix @ self.algebra.to_coords(a)
+
+    def act_left(self, a) -> np.ndarray:
+        return np.tensordot(self.algebra.canonical_coords(a), self.left_action, axes=1)

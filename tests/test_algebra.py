@@ -350,3 +350,22 @@ def test_amplification_index_serves_seminorm_and_superop(blocks, weights, order)
     amplified = nca.amplify_superop(op, order)
     assert amplified.algebra.blocks == amp.blocks
     assert np.abs(amplified.matrix - reference).max() <= 1e-14
+
+
+@pytest.mark.parametrize("blocks", [[1, 3, 2, 1], [2], [1] * 7, [3, 2], [4, 1, 1]])
+def test_random_element_matches_per_block_draws(blocks):
+    # one bulk draw gathered into canonical coordinates gives bit for bit
+    # the numbers of one draw per real and imaginary part of each block,
+    # and leaves the generator in the same state
+    alg = nca.build_algebra(blocks, [1.0] * len(blocks))
+    for seed in (0, 1, 42):
+        for scale in (1.0, 0.5, 3e-4):
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                got = nca.random_element(alg, rng, scale)
+                want = nca.Element(alg, [
+                    scale * (loop_rng.standard_normal((n, n)) + 1j * loop_rng.standard_normal((n, n)))
+                    for n in blocks
+                ])
+                assert np.array_equal(got.coords, want.coords)
+            assert rng.standard_normal() == loop_rng.standard_normal()

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nca
-from dense_bimodule import dense_build_bimodule, pair_projection
+from dense_bimodule import (ReferenceSpace, commutator_norm, dense_build_bimodule,
+                            left_action_stack, pair_projection)
 
 RTOL = 1e-12
 
@@ -37,16 +38,15 @@ def _compare(gamma, seed):
     ref_pairs = ref["to_forms"] @ pair_projection(alg)
     _close(bs.pair_forms.conj().T @ bs.pair_forms, ref_pairs.conj().T @ ref_pairs)
 
-    ref_bs = nca.BimoduleSpace(gamma=gamma, rank=ref["rank"], pair_forms=ref_pairs,
-                               dmatrix=ref["dmatrix"], left_action=ref["left_action"])
+    ref_bs = ReferenceSpace(gamma=gamma, rank=ref["rank"], pair_forms=ref_pairs,
+                            dmatrix=ref["dmatrix"], left_action=ref["left_action"])
     rng = np.random.default_rng(seed)
     for _ in range(3):
         a, b, c = (nca.random_element(alg, rng) for _ in range(3))
         inner = [np.vdot(space.derivative_coords(c), space.act_left(a) @ space.derivative_coords(b))
                  for space in (bs, ref_bs)]
         _close(inner[0], inner[1])
-        _close(nca.DiracOperator(bs).commutator_norm(a),
-               nca.DiracOperator(ref_bs).commutator_norm(a))
+        _close(commutator_norm(bs, a), commutator_norm(ref_bs, a))
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,5 +77,55 @@ def test_zero_form_has_rank_zero(pairs):
     alg = nca.build_algebra([n for n, _ in pairs], [w for _, w in pairs])
     bs = nca.build_bimodule(nca.commutator_cdc([alg.identity()]))
     assert bs.rank == 0 and bs.pair_forms.shape == (0, alg.dim ** 2)
-    assert bs.left_action.shape == (alg.dim, 0, 0)
+    assert left_action_stack(bs).shape == (alg.dim, 0, 0)
     assert dense_build_bimodule(nca.commutator_cdc([alg.identity()]))["rank"] == 0
+
+
+
+def _form(kind, blocks, weights, rng):
+    """A network form on len(weights) nodes, or a commutator or
+    spectral-triple form on ``blocks`` with the leading weights."""
+    if kind == "network":
+        net = nca.random_network(len(weights), rng)
+        return nca.network_cdc(nca.build_algebra([1] * len(weights), weights), net.c, scale=0.5)
+    alg = nca.build_algebra(blocks, weights[:len(blocks)])
+    if kind == "spectral-triple":
+        n = alg.total_size
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return nca.spectral_triple_cdc(x + x.conj().T, alg)
+    return nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(rng.integers(1, 4))])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["commutator", "spectral-triple", "network"]),
+       st.sampled_from([[2, 2, 1], [3], [1, 1, 1, 1], [3, 2, 1], [2, 1]]),
+       st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=6),
+       st.integers(0, 2 ** 31 - 1))
+def test_factored_route_matches_dense_route(kind, blocks, log_weights, seed):
+    # trace weights across six decades; the complete-positivity blocks of
+    # these forms have null spaces, so the null-space residual is exercised
+    rng = np.random.default_rng(seed)
+    gamma = _form(kind, blocks, [10.0 ** x for x in log_weights], rng)
+    alg = gamma.algebra
+    bs = nca.build_bimodule(gamma)
+    ref = dense_build_bimodule(gamma)
+    assert bs.rank == ref["rank"]
+    ref_pairs = ref["to_forms"] @ pair_projection(alg)
+    _close(bs.pair_forms.conj().T @ bs.pair_forms, ref_pairs.conj().T @ ref_pairs)
+    # the residuals are rounding of the weighted pair gram on both routes,
+    # so they agree to a fraction of its largest entry
+    scale = max(1.0, gamma.magnitude() * max(alg.trace_weights))
+    for key, want in ref["residuals"].items():
+        assert abs(bs.residuals[key] - want) <= 1e-12 * max(scale, want), key
+
+    ref_bs = ReferenceSpace(gamma=gamma, rank=ref["rank"], pair_forms=ref_pairs,
+                            dmatrix=ref["dmatrix"], left_action=ref["left_action"])
+    elements = [nca.random_element(alg, rng) for _ in range(4)]
+    values, _ = nca.dirac_seminorms(nca.dirac(bs), [alg.canonical_coords(a) for a in elements])
+    for a, value in zip(elements, values):
+        want = commutator_norm(ref_bs, a)
+        assert abs(value - want) <= 1e-12 * max(1.0, want)
+    for a, b, c in zip(elements, elements[1:], elements[2:]):
+        inner = [np.vdot(space.derivative_coords(c), space.act_left(a) @ space.derivative_coords(b))
+                 for space in (bs, ref_bs)]
+        _close(inner[0], inner[1])

@@ -2,6 +2,9 @@
 factorization of the Laplacian, the commutator-norm formula, and the
 star-graph characterization."""
 import importlib
+import importlib.util
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from nca.dirac import _squared_commutator_norms
 from nca.errors import DisconnectedError, PropertyViolationError
 
 from conftest import K3_C, TWO_C
-from dense_bimodule import pair_projection
+from dense_bimodule import commutator_norm, pair_projection, represent
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +203,9 @@ def test_commutator_norm_matches_full_commutator():
         for k in range(10):
             sample = nca.random_self_adjoint if k % 2 else nca.random_element
             a = sample(gamma.algebra, rng)
-            pi = op.represent(a)
+            pi = represent(op.bimodule, a)
             full = np.linalg.norm(op.matrix @ pi - pi @ op.matrix, 2)
-            assert abs(op.commutator_norm(a) - full) <= 1e-12 * full, gamma.algebra.blocks
+            assert abs(commutator_norm(op.bimodule, a) - full) <= 1e-12 * full, gamma.algebra.blocks
 
 
 def test_network_commutator_norm_closed_forms():
@@ -253,7 +256,7 @@ def test_network_commutator_norm_sup_formula():
 
 @pytest.mark.parametrize("blocks, weights", [([3], [1.0]), ([3, 2, 1], [1.0, 0.5, 2.0])])
 def test_left_action_matches_product_route(blocks, weights):
-    # left_action[i] @ pair_forms == pair_forms @ M_i @ P, with M_i the
+    # act_left(e_i) @ pair_forms == pair_forms @ M_i @ P, with M_i the
     # d^2 x d^2 matrix of e_a (x) e_c -> e_i e_a (x) e_c and P that of
     # e_a (x) e_c -> e_a (x) e_c - 1 (x) e_a e_c
     alg = nca.build_algebra(blocks, weights)
@@ -269,7 +272,7 @@ def test_left_action_matches_product_route(blocks, weights):
             if k >= 0:
                 lprod[k * d + cols, a * d + cols] = 1.0
         expected = bs.pair_forms @ lprod @ proj
-        assert np.abs(bs.left_action[i] @ bs.pair_forms - expected).max() < 1e-14
+        assert np.abs(bs.act_left(alg.basis_element(i)) @ bs.pair_forms - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("blocks", [[2], [3], [2, 1]])
@@ -332,7 +335,7 @@ def test_star_graph_batched_norms_match_commutator_norm(size):
                  + [eye[a] - eye[b] for a, b in zip(p, q)] + list(values))
     assert len(l2) == len(functions)
     for got, vals in zip(l2, functions):
-        want = op.commutator_norm(net.function(vals)) ** 2
+        want = commutator_norm(op.bimodule, net.function(vals)) ** 2
         assert abs(got - want) <= 1e-12 * want
 
     # the claim that lets one block stand for both: for real f the blocks
@@ -384,3 +387,48 @@ def test_spectral_triple_round_trip_changes_dirac():
     assert new_norm == pytest.approx(0.5, abs=1e-10)
     # with rho = 1/c != 1 the two operators differ in spectrum size
     assert rebuilt.matrix.shape != d_initial.shape
+
+
+def test_seminorm_of_near_scalars_has_no_form_rounding():
+    # Gamma(1, 1) is rounding, and its square root used to put ~1e-8 into
+    # the form side; the identity component is removed before both sides
+    rng = np.random.default_rng(61)
+    net = nca.random_network(6, rng)
+    m3 = nca.build_algebra([3], [1.0])
+    v = nca.random_element(m3, rng)
+    mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    w = nca.random_element(mixed, rng)
+    forms = [
+        nca.network_cdc(net.algebra, net.c, scale=0.5),
+        nca.commutator_cdc([v, v.adjoint()]),
+        nca.commutator_cdc([w, w.adjoint()]),
+    ]
+    for gamma in forms:
+        op = nca.dirac(nca.build_bimodule(gamma))
+        one = gamma.algebra.identity()
+        at_one = nca.dirac_seminorm(op, one)
+        assert at_one.value == at_one.from_form == at_one.residual == 0.0
+        near = nca.dirac_seminorm(op, one + 1e-6 * nca.random_element(gamma.algebra, rng))
+        assert near.value > 1e-7
+        assert near.residual <= 1e-12 * near.value, gamma.algebra.blocks
+
+
+def test_build_bimodule_holds_no_action_stack():
+    # the seed-7 N=24 network of the benchmark's network_case: one
+    # (d, rank, rank) complex stack of the left action would be 54.6 MiB
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("nca_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    case = workloads.network_case(np.random.default_rng(7), 24)
+    gamma = nca.network_cdc(nca.build_algebra([1] * 24, [1.0] * 24), case["c"], scale=0.5)
+    tracemalloc.start()
+    try:
+        bs = nca.build_bimodule(gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = gamma.algebra.dim * bs.rank ** 2 * 16
+    assert bs.rank == 386
+    assert peak < stack / 2

@@ -11,6 +11,7 @@ import pytest
 
 import nca
 from conftest import K3_C, build_catalog, seeded_generators
+from dense_bimodule import commutator_norm
 from nca.algebra import amplify_matrix, block_norms, hermitian_eigenvalues
 from nca.cdc import _check_automorphism
 from nca.cli import run_command
@@ -266,7 +267,7 @@ def test_batched_leibniz_matches_loop(form, tol):
 
 def _star_graph_loop(net, op, seed=0, tol=1e-9, random_pairs=8):
     def l2(f):
-        return op.commutator_norm(f) ** 2
+        return commutator_norm(op.bimodule, f) ** 2
 
     worst = 0.0
     witness = None
@@ -308,15 +309,15 @@ def test_star_graph_check_matches_loop(monkeypatch, size, star):
     op = nca.dirac(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
     wants = [_star_graph_loop(net, op, seed=size + k, random_pairs=k) for k in (0, 3, 8)]
 
-    # the batched route makes no commutator_norm calls
+    # the batched route makes no per-element act_left calls
     calls = []
-    norm = nca.DiracOperator.commutator_norm
+    act = nca.BimoduleSpace.act_left
 
-    def counted_norm(op, a):
+    def counted_act(space, a):
         calls.append(a)
-        return norm(op, a)
+        return act(space, a)
 
-    monkeypatch.setattr(nca.DiracOperator, "commutator_norm", counted_norm)
+    monkeypatch.setattr(nca.BimoduleSpace, "act_left", counted_act)
     for k, want in zip((0, 3, 8), wants):
         got = nca.star_graph_check(net, seed=size + k, random_pairs=k, op=op)
         for key in ("is_star", "parallelogram_holds", "witness"):
@@ -344,11 +345,12 @@ def test_star_graph_random_witness_matches_loop():
 
 def _seminorm_loop(op, a):
     """``(value, from_form)`` of one element: the two off-diagonal blocks of
-    the commutator by ``commutator_norm``, and two Gamma evaluations."""
+    the commutator by the reference ``commutator_norm``, and two Gamma
+    evaluations."""
     gamma = op.bimodule.gamma
     g_a = gamma.value(a, a).norm()
     g_astar = gamma.value(a.adjoint(), a.adjoint()).norm()
-    return op.commutator_norm(a), float(np.sqrt(max(g_a, g_astar, 0.0)))
+    return commutator_norm(op.bimodule, a), float(np.sqrt(max(g_a, g_astar, 0.0)))
 
 
 def _dirac_forms():

@@ -50,7 +50,6 @@ from .energy import (
     Laplacian,
     cdc_from_dirichlet_form,
     connectedness,
-    default_battery,
     energy_form,
     energy_form_of_laplacian,
     energy_seminorm,

@@ -567,8 +567,9 @@ def block_stacks(algebra: Algebra, coords) -> list:
 def block_norms(algebra: Algebra, coords) -> np.ndarray:
     """C*-norm of each element given by canonical coordinates of shape
     (..., d), as :meth:`Element.norm`: the largest singular value over its
-    blocks, with one batched call per block size."""
-    return np.max([np.linalg.norm(m, 2, axis=(-2, -1)).max(axis=-1)
+    blocks, with one batched call per block size (``abs`` for 1x1 blocks)."""
+    return np.max([(np.abs(m[..., 0, 0]) if m.shape[-1] == 1
+                    else np.linalg.norm(m, 2, axis=(-2, -1))).max(axis=-1)
                    for m in block_stacks(algebra, coords)], axis=0)
 
 
@@ -776,13 +777,13 @@ def amplification_index(algebra: Algebra, order: int):
 
 
 def amplify_matrix(matrix, algebra: Algebra, order: int) -> np.ndarray:
-    """A d x d matrix over the basis of ``algebra`` acting on every cell of
-    order x order matrices: ``M[inners, inners]`` between units of the same
-    cell, zero across cells.  Both the orthonormal and the canonical basis
-    amplify this way, because the trace weights are unchanged."""
+    """A d x d matrix (or a stack of them) over the basis of ``algebra``
+    acting on every cell of order x order matrices: ``M[inners, inners]``
+    between units of the same cell, zero across cells.  Both the orthonormal
+    and the canonical basis amplify this way (the weights are unchanged)."""
     cells, inners = amplification_index(algebra, order)
     same_cell = cells[:, None] == cells[None, :]
-    return np.where(same_cell, np.asarray(matrix)[np.ix_(inners, inners)], 0)
+    return np.where(same_cell, np.asarray(matrix)[..., inners[:, None], inners], 0)
 
 
 def amplify_superop(n: SuperOperator, order: int) -> SuperOperator:
@@ -828,17 +829,30 @@ def matrix_direct_sum(algebra: Algebra, m: int, v: Element, n: int, w: Element) 
 # -- seeded sampling ---------------------------------------------------------
 
 
-def random_element(algebra: Algebra, rng: np.random.Generator, scale=1.0) -> Element:
-    """Gaussian entries, real then imaginary parts block by block, from one
-    draw (the same numbers as one draw per part and block)."""
-    draw = rng.standard_normal(2 * algebra.dim)
+def random_rows(algebra: Algebra, rng: np.random.Generator, count: int,
+                scale=1.0) -> np.ndarray:
+    """Canonical coordinates (count, d) of Gaussian elements from one draw in
+    row-major order, each row real then imaginary parts block by block: the
+    stream of ``count`` :func:`random_element` calls, or of one per block."""
+    draw = rng.standard_normal((count, 2 * algebra.dim))
     re, im = algebra._draw_index
-    return _element(algebra, scale * (draw[re] + 1j * draw[im]))
+    return scale * (draw[:, re] + 1j * draw[:, im])
+
+
+def random_self_adjoint_rows(algebra: Algebra, rng: np.random.Generator, count: int,
+                             scale=1.0) -> np.ndarray:
+    """(x + x*)/2 for each row x of :func:`random_rows`."""
+    x = random_rows(algebra, rng, count, scale)
+    return 0.5 * (x + x[:, algebra.adj_table].conj())
+
+
+def random_element(algebra: Algebra, rng: np.random.Generator, scale=1.0) -> Element:
+    """Gaussian entries: the one-row case of :func:`random_rows`."""
+    return _element(algebra, random_rows(algebra, rng, 1, scale)[0])
 
 
 def random_self_adjoint(algebra: Algebra, rng: np.random.Generator, scale=1.0) -> Element:
-    x = random_element(algebra, rng, scale)
-    return 0.5 * (x + x.adjoint())
+    return _element(algebra, random_self_adjoint_rows(algebra, rng, 1, scale)[0])
 
 
 def random_positive(algebra: Algebra, rng: np.random.Generator, scale=1.0, floor=0.0) -> Element:

@@ -44,8 +44,9 @@ from .algebra import (
     amplification_index,
     block_norms,
     block_products,
+    hermitian_eigenvalues,
     left_multiplication,
-    random_element,
+    random_rows,
     right_multiplication,
 )
 from .errors import InputError, PropertyViolationError
@@ -425,26 +426,20 @@ def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL, extra_tuples=4) -> 
     if eigs[-1] > bound:
         return False
 
-    rng = np.random.default_rng(seed)
-    for _ in range(extra_tuples):
-        a_list = [random_element(alg, rng) for _ in range(3)]
-        b_list = [random_element(alg, rng) for _ in range(3)]
-        total = alg.zero()
-        for a, b in zip(a_list, b_list):
-            total = total + a * b
-        a_list.append(one)
-        b_list.append(-1.0 * total)
-        acc = alg.zero()
-        for aj, bj in zip(a_list, b_list):
-            for ak, bk in zip(a_list, b_list):
-                acc = acc + bj.adjoint() * n.apply(aj.adjoint() * ak) * bk
-        if (acc - acc.adjoint()).norm() > tol * (1.0 + acc.norm()):
-            return False
-        herm = 0.5 * (acc + acc.adjoint())
-        top = float(herm.eigenvalues().real.max())
-        if top > tol * (1.0 + herm.norm()):
-            return False
-    return True
+    # seeded tuples a_1..a_3, b_1..b_3, completed by a_4 = 1, b_4 = -sum a_j b_j:
+    # sum_jk b_j* N(a_j* a_k) b_k of all tuples at once
+    draw = random_rows(alg, np.random.default_rng(seed), 6 * extra_tuples)
+    a, b = draw.reshape(extra_tuples, 2, 3, d).swapaxes(0, 1)
+    a = np.concatenate([a, np.broadcast_to(one.coords, (extra_tuples, 1, d))], axis=1)
+    b = np.concatenate([b, -1.0 * block_products(alg, a[:, :3], b).sum(axis=1)[:, None]], axis=1)
+    adj = alg.adj_table
+    images = block_products(alg, a[:, :, None, adj].conj(), a[:, None]) @ n.canonical_matrix.T
+    acc = block_products(alg, block_products(alg, b[:, :, None, adj].conj(), images),
+                         b[:, None]).reshape(extra_tuples, -1, d).sum(axis=1)
+    herm = 0.5 * (acc + acc[:, adj].conj())
+    skew = block_norms(alg, acc - acc[:, adj].conj()) > tol * (1.0 + block_norms(alg, acc))
+    top = hermitian_eigenvalues(alg, herm).max(axis=-1)
+    return not (skew | (top > tol * (1.0 + block_norms(alg, herm)))).any()
 
 
 def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:

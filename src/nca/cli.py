@@ -19,12 +19,13 @@ from .algebra import (
     DEFAULT_POS_TOL,
     DEFAULT_RANK_TOL,
     encode_element,
-    random_self_adjoint,
+    random_self_adjoint_rows,
 )
 from .cdc import ccn_check, is_cdc, lindblad_generator
 from .dirac import build_bimodule, dirac, dirac_seminorms, star_graph_check
 from .energy import (
     EnergyForm,
+    _seminorms,
     cdc_from_dirichlet_form,
     connectedness,
     energy_form,
@@ -48,7 +49,7 @@ from .resistance import (
     metric_checks,
 )
 from .states import dual_metric, energy_metric
-from .stddev import extend, independent_copies_cdc, stddev_laplacian, stddev_seminorm
+from .stddev import extend, independent_copies_cdc, stddev_laplacian, stddev_seminorms
 
 COMMANDS = (
     "check-cdc",
@@ -257,9 +258,7 @@ def _dirac_checks(problem: _Problem):
                         rank_tol=spec.tolerances.rank, report=problem.cdc_report)
     op = dirac(bs)
     tol = spec.tolerances.equality
-    rng = np.random.default_rng(spec.seed)
-    samples = [bs.algebra.canonical_coords(random_self_adjoint(bs.algebra, rng))
-               for _ in range(10)]
+    samples = random_self_adjoint_rows(bs.algebra, np.random.default_rng(spec.seed), 10)
     value, from_form = dirac_seminorms(op, samples)
     worst = float(np.abs(value - from_form).max())
     checks = [
@@ -318,11 +317,8 @@ def _stddev_checks(problem: _Problem):
         float(np.abs(gamma_ic.gram - gamma_quot.gram).max()), *routes.values()
     )
     e = energy_form_of_laplacian(lap)
-    rng = np.random.default_rng(spec.seed)
-    sem_gap = 0.0
-    for _ in range(10):
-        a = random_self_adjoint(spec.algebra, rng)
-        sem_gap = max(sem_gap, abs(stddev_seminorm(ea, a) - e.seminorm(a)))
+    samples = random_self_adjoint_rows(spec.algebra, np.random.default_rng(spec.seed), 10)
+    sem_gap = float(np.abs(stddev_seminorms(ea, samples) - _seminorms(e.gram, samples)).max())
     checks = [
         CheckResult("stddev-route-agreement", route_gap <= max(tol, 1e-9), route_gap),
         CheckResult("stddev-seminorm-identity", sem_gap <= max(tol, 1e-9), sem_gap),

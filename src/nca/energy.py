@@ -26,7 +26,7 @@ from .algebra import (
     piecewise_linear_lipschitz,
     piecewise_linear_values,
     random_positive,
-    random_self_adjoint,
+    random_self_adjoint_rows,
 )
 from .cdc import CdCForm, gamma_from_generator, is_cdc
 from .errors import InputError, PropertyViolationError
@@ -47,7 +47,6 @@ __all__ = [
     "resolvent_check",
     "cdc_from_dirichlet_form",
     "connectedness",
-    "default_battery",
 ]
 
 
@@ -139,9 +138,10 @@ class Laplacian:
         return w[keep], v[:, keep]
 
     def function(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """The orthonormal-basis matrix V diag(f(w)) V* of f(L)."""
+        """The orthonormal-basis matrix V diag(f(w)) V* of f(L), or a stack of
+        them when f(w) has leading axes."""
         w, v = self.eigensystem
-        return (v * f(w)) @ v.conj().T
+        return (v * f(w)[..., None, :]) @ v.conj().T
 
     def apply(self, a: Element) -> Element:
         return self.superop.apply(a)
@@ -208,71 +208,64 @@ def energy_seminorm(e: EnergyForm, a: Element, order: int = 1) -> float:
     return float(_seminorms(amplify_matrix(e.gram, e.algebra, order), coords))
 
 
+def _quadratic_forms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The real part of x* G x for every row x of coordinates."""
+    return ((coords.conj() @ gram) * coords).sum(axis=-1).real
+
+
 def _seminorms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """sqrt(max(x* G x, 0)) for every row x of canonical coordinates."""
-    values = ((coords.conj() @ gram) * coords).sum(axis=-1).real
-    return np.sqrt(np.maximum(values, 0.0))
+    return np.sqrt(np.maximum(_quadratic_forms(gram, coords), 0.0))
 
 
-def default_battery(a: Element, rng: Optional[np.random.Generator] = None):
-    """Piecewise-linear test functions for the Markov property: the positive
-    part and the clamp used in the reconstruction argument, the absolute
-    value, and one seeded three-breakpoint function."""
-    battery = [
-        ("relu", PiecewiseLinear.relu()),
-        ("clamp", PiecewiseLinear.clamp_above(a.norm())),
-        ("abs", PiecewiseLinear.absolute()),
-    ]
-    if rng is not None:
-        battery.append(("seeded-3pt", _seeded_three_knot(rng)))
-    return battery
+def _seeded_knots(rng: np.random.Generator, count: int):
+    """Knot rows ``(xs, ys)``, each (count, 3), of seeded functions from one
+    (count, 6) uniform draw on [-2, 2]: sorted xs, redrawn while two lie
+    within 1e-3, then ys.  A rejected triple is cut from the draw and the
+    generator tops it up, so this is the stream of one function at a time."""
+    draw = rng.uniform(-2.0, 2.0, (count, 6))
+    first = 0  # the rows before it are accepted
+    while True:
+        xs = np.sort(draw[:, :3], axis=1)
+        bad = np.flatnonzero(np.diff(xs[first:], axis=1).min(axis=1) < 1e-3)
+        if len(bad) == 0:
+            return xs, draw[:, 3:]
+        first += int(bad[0])
+        flat = draw.reshape(-1)
+        draw = np.concatenate([flat[:6 * first], flat[6 * first + 3:],
+                               rng.uniform(-2.0, 2.0, 3)]).reshape(count, 6)
 
 
-def _seeded_three_knot(rng: np.random.Generator) -> PiecewiseLinear:
-    xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
-    while np.diff(xs).min() < 1e-3:
-        xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
-    ys = rng.uniform(-2.0, 2.0, size=3)
-    return PiecewiseLinear(tuple(xs), tuple(ys))
-
-
-def _battery_knots(battery, rng: np.random.Generator, radius: np.ndarray) -> list:
-    """``(name, xs, ys)`` per battery function, with knot rows of shape
-    (1, K) for a function shared by every sample or (samples, K) for one
-    function per sample.  The default battery is :func:`default_battery` for
-    each sample: its clamp sits at the sample's spectral radius ``radius``,
-    and the seeded functions are drawn from ``rng`` one sample after the
-    other."""
-    def shared(fn):
-        return np.array([fn.xs]), np.array([fn.ys])
-
+def _battery_tables(battery, rng: np.random.Generator, radius: np.ndarray) -> list:
+    """``(names, xs, ys)`` knot tables (1 or samples, functions, K) in battery
+    order: one shared table per function of a given battery, or the default
+    battery as one table: relu, the reconstruction argument's clamp min(t, r)
+    at each sample's spectral radius r, abs, and a seeded function each."""
     if battery is not None:
-        return [(name, *shared(fn)) for name, fn in battery]
-    seeded = [_seeded_three_knot(rng) for _ in radius]
+        return [([name], np.array([[fn.xs]]), np.array([[fn.ys]])) for name, fn in battery]
+    seeded_xs, seeded_ys = _seeded_knots(rng, len(radius))
     level = radius[:, None]
-    return [
-        ("relu", *shared(PiecewiseLinear.relu())),
-        ("clamp", level + [-1.0, 0.0, 1.0], level + [-1.0, 0.0, 0.0]),
-        ("abs", *shared(PiecewiseLinear.absolute())),
-        ("seeded-3pt", np.array([fn.xs for fn in seeded]), np.array([fn.ys for fn in seeded])),
-    ]
+    relu, absolute = PiecewiseLinear.relu(), PiecewiseLinear.absolute()
+    xs = np.stack(np.broadcast_arrays(relu.xs, level + [-1.0, 0.0, 1.0], absolute.xs,
+                                      seeded_xs), axis=1)
+    ys = np.stack(np.broadcast_arrays(relu.ys, level + [-1.0, 0.0, 0.0], absolute.ys,
+                                      seeded_ys), axis=1)
+    return [(["relu", "clamp", "abs", "seeded-3pt"], xs, ys)]
 
 
-def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2):
-    """Diagonal matrix units and a few seeded rank-one projections: the
-    extreme rays where positivity-type violations concentrate."""
-    out = [alg.basis_element(i) for i in alg.diagonal_units]
-    for _ in range(rank_ones):
+def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2) -> np.ndarray:
+    """Canonical coordinates of the diagonal matrix units and a few seeded
+    rank-one projections: the extreme rays where violations concentrate."""
+    diag, offs = alg.diagonal_units, alg._basis_offsets
+    out = np.zeros((len(diag) + rank_ones, alg.dim), dtype=complex)
+    out[np.arange(len(diag)), diag] = 1.0
+    for row in out[len(diag):]:
         b = int(rng.integers(len(alg.blocks)))
         nb = alg.blocks[b]
         v = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
-        proj = np.outer(v, v.conj()) / np.vdot(v, v)
-        data = [np.zeros((n, n)) for n in alg.blocks]
-        data[b] = proj
-        out.append(alg.element(data))
+        row[offs[b]:offs[b + 1]] = (np.outer(v, v.conj()) / np.vdot(v, v)).reshape(-1)
     if len(out) > 8:
-        keep = rng.choice(len(out), size=8, replace=False)
-        out = [out[int(k)] for k in sorted(keep)]
+        out = out[np.sort(rng.choice(len(out), size=8, replace=False))]
     return out
 
 
@@ -287,25 +280,21 @@ def _markov_probes(lap: Laplacian, order: int, alg: Algebra,
     positives cover the same failure directly (the positive part restores p
     while the energy of the difference can dip below that of p).
 
-    The resolvent (1 + tL)^(-1) is a function of the form's Laplacian ``lap``
-    acting on every cell; a t with 1 + tw = 0 for an eigenvalue w is skipped.
+    The resolvents (1 + tL)^(-1) for every t are one stack of functions of
+    the form's Laplacian ``lap``, from its one eigendecomposition, acting on
+    every cell; a t with 1 + tw = 0 for an eigenvalue w is skipped.
     """
     root = np.sqrt(alg.basis_weights)
-    extremes = np.array([alg.canonical_coords(a) for a in _extreme_positives(alg, rng)])
-    probes = []
-    for t in ts:
-        if np.any(1 + t * lap.eigensystem[0] == 0):
-            continue
-        resolvent = amplify_matrix(lap.function(lambda w: 1 / (1 + t * w)), lap.algebra, order)
-        images = (extremes * root) @ resolvent.T / root
-        probes.extend(0.5 * (images + images[:, alg.adj_table].conj()))
+    extremes = _extreme_positives(alg, rng)
+    ts = np.array([t for t in ts if not np.any(1 + t * lap.eigensystem[0] == 0)])
+    resolvents = amplify_matrix(lap.function(lambda w: 1 / (1 + ts[:, None] * w)),
+                                lap.algebra, order)
+    images = ((extremes * root) @ resolvents.swapaxes(-1, -2) / root).reshape(-1, alg.dim)
     firsts = extremes[:4]
-    for i, a in enumerate(firsts):
-        for b in firsts[i + 1 :]:
-            for r in (0.05, 0.25):
-                probes.append(a - r * b)
-                probes.append(b - r * a)
-    return np.array(probes).reshape(-1, alg.dim)
+    i, j = np.triu_indices(len(firsts), 1)
+    a, b, r = firsts[i, None], firsts[j, None], np.array([0.05, 0.25])[:, None]
+    diffs = np.stack([a - r * b, b - r * a], axis=2).reshape(-1, alg.dim)
+    return np.concatenate([0.5 * (images + images[:, alg.adj_table].conj()), diffs])
 
 
 def markov_check(
@@ -330,9 +319,13 @@ def markov_check(
     in sample-major order: every function of one sample before the next
     sample.
 
+    Each battery is one draw: the samples are one
+    :func:`random_self_adjoint_rows` call and the seeded functions one
+    :func:`_seeded_knots` call, each the stream of one draw per element.
     All samples of an order are decomposed together (one batched ``eigh``
-    per block size), every function is applied to the shared eigenvectors,
-    and each seminorm is one quadratic form with the amplified gram.
+    per block size), the default battery is one (samples, 4, 3) knot table
+    applied to the shared eigenvectors, and each seminorm is one quadratic
+    form with the amplified gram.
     """
     lap = laplacian(e)
     results = []
@@ -340,43 +333,29 @@ def markov_check(
         rng = np.random.default_rng(seed + order)
         alg = e.algebra if order == 1 else e.algebra.amplify(order)
         if order == 1 and elements is not None:
-            samples = [alg.canonical_coords(a) for a in elements]
+            samples = np.reshape([alg.canonical_coords(a) for a in elements], (-1, alg.dim))
         else:
-            samples = [alg.canonical_coords(random_self_adjoint(alg, rng)) for _ in range(count)]
-        coords = np.concatenate([np.reshape(samples, (-1, alg.dim)),
-                                 _markov_probes(lap, order, alg, rng)])
+            samples = random_self_adjoint_rows(alg, rng, count)
+        coords = np.concatenate([samples, _markov_probes(lap, order, alg, rng)])
         spectra = SpectralStack(alg, coords)
-        fns = _battery_knots(battery, rng, np.maximum(-spectra.lo, spectra.hi))
-        names = [name for name, _, _ in fns]
-        lips = np.stack(
-            [piecewise_linear_lipschitz(xs, ys, spectra.lo, spectra.hi) for _, xs, ys in fns],
-            axis=1,
-        )
-        images = spectra.apply(
-            lambda w: np.stack([piecewise_linear_values(xs, ys, w) for _, xs, ys in fns], axis=1)
-        )
+        tables = _battery_tables(battery, rng, np.maximum(-spectra.lo, spectra.hi))
+        names = [name for table_names, _, _ in tables for name in table_names]
+        lo, hi = spectra.lo[:, None], spectra.hi[:, None]
+        lips = np.concatenate(
+            [piecewise_linear_lipschitz(xs, ys, lo, hi) for _, xs, ys in tables], axis=1)
+        images = spectra.apply(lambda w: np.concatenate(
+            [piecewise_linear_values(xs, ys, w[:, None]) for _, xs, ys in tables], axis=1))
         gram = amplify_matrix(e.gram, e.algebra, order)
         lhs = _seminorms(gram, images)
         bound = lips * _seminorms(gram, coords)[:, None]
         violation = lhs - bound
         worst = float(violation.max(initial=0.0))
-        violations = [
-            {
-                "element_index": int(idx),
-                "function": names[f],
-                "lhs": float(lhs[idx, f]),
-                "bound": float(bound[idx, f]),
-            }
-            for idx, f in zip(*np.nonzero(violation > tol))
-        ][:10]
-        results.append(
-            CheckResult(
-                f"markov-n{order}",
-                worst <= tol,
-                residual=worst,
-                witness={"order": order, "violations": violations} if violations else None,
-            )
-        )
+        violations = [{"element_index": int(idx), "function": names[f],
+                       "lhs": float(lhs[idx, f]), "bound": float(bound[idx, f])}
+                      for idx, f in zip(*np.nonzero(violation > tol))][:10]
+        results.append(CheckResult(
+            f"markov-n{order}", worst <= tol, residual=worst,
+            witness={"order": order, "violations": violations} if violations else None))
     return results
 
 
@@ -391,24 +370,22 @@ def leibniz_check(
     """Verify L(ab) <= L(a) |b| + |a| L(b) on seeded pairs.
 
     At each order the pairs are the given ``pairs`` (order 1 only) or
-    ``count`` seeded pairs of self-adjoint elements, drawn a then b.  All
-    pairs of an order are evaluated together: the products run one batched
-    matmul per block size, and each side is one quadratic form with the
-    amplified gram.  The witness is the first pair with the largest
+    ``count`` seeded pairs of self-adjoint elements, drawn a then b as the
+    rows of one :func:`random_self_adjoint_rows` draw, which is the stream
+    of one draw per element.  All pairs of an order are evaluated together:
+    the products run one batched matmul per block size, and each side is
+    one quadratic form with the amplified gram.  The witness is the first pair with the largest
     violation, when that is positive and exceeds ``tol``."""
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + 17 * order)
         alg = e.algebra if order == 1 else e.algebra.amplify(order)
         if order == 1 and pairs is not None:
-            samples = list(pairs)
+            rows = np.reshape([alg.canonical_coords(x) for a, b in pairs for x in (a, b)],
+                              (-1, alg.dim))
         else:
-            samples = [
-                (random_self_adjoint(alg, rng), random_self_adjoint(alg, rng))
-                for _ in range(count)
-            ]
-        a = np.array([alg.canonical_coords(x) for x, _ in samples]).reshape(-1, alg.dim)
-        b = np.array([alg.canonical_coords(y) for _, y in samples]).reshape(-1, alg.dim)
+            rows = random_self_adjoint_rows(alg, rng, 2 * count)
+        a, b = rows[0::2], rows[1::2]
         gram = amplify_matrix(e.gram, e.algebra, order)
         lhs = _seminorms(gram, block_products(alg, a, b))
         bound = (_seminorms(gram, a) * block_norms(alg, b)
@@ -420,9 +397,7 @@ def leibniz_check(
             idx = int(violation.argmax())
             witness = {"order": order, "pair_index": idx,
                        "lhs": float(lhs[idx]), "bound": float(bound[idx])}
-        results.append(
-            CheckResult(f"leibniz-n{order}", worst <= tol, residual=worst, witness=witness)
-        )
+        results.append(CheckResult(f"leibniz-n{order}", worst <= tol, worst, witness))
     return results
 
 
@@ -556,7 +531,7 @@ def resolvent_check(
     order n it is R_t on every cell, since (I + t I (x) L)^(-1) = I (x) R_t."""
     if len(ts) == 0 or any(t < 0 for t in ts):
         raise InputError("resolvent times must be a nonempty list of nonnegative numbers")
-    resolvents = [lap.function(lambda w: 1 / (1 + t * w)) for t in ts]
+    resolvents = lap.function(lambda w: 1 / (1 + np.asarray(ts, dtype=float)[:, None] * w))
     results = []
     for order in orders:
         alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
@@ -565,8 +540,7 @@ def resolvent_check(
         # orthonormal coordinates of the samples, then the identity
         rows = np.array([alg.to_coords(a) for a in samples] + [alg.identity_coords])
         root = np.sqrt(alg.basis_weights)
-        images = np.array([rows @ amplify_matrix(r, lap.algebra, order).T
-                           for r in resolvents]) / root
+        images = rows @ amplify_matrix(resolvents, lap.algebra, order).swapaxes(-1, -2) / root
         unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
         ra = images[:, :count]
         herm = (ra + ra[..., alg.adj_table].conj()) / 2

@@ -173,8 +173,8 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
     squared energy metric.
 
     Every energy distance is read from one :class:`StateEmbedding` of the
-    point states.  The embedding is affine, so a mixture's coordinates are
-    its weights times the coordinates of its points."""
+    point states, all at once.  The embedding is affine, so a mixture's
+    coordinates are its weights times the coordinates of its points."""
     n = net.size
     rho_r = all_pairs_resistance(net)
 
@@ -184,9 +184,10 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
     scale = 1.0 + rho_r.max()
     triangle = tri_worst <= tol * scale
 
-    points = [point_state(net.algebra, x) for x in range(n)]
-    emb = StateEmbedding(network_laplacian(net), points[0])
-    coords = np.array([emb.coords(s) for s in points])
+    # the node algebra has unit weights, so the point states' densities are
+    # its units, and their differences from point 0 are the rows of I - e_0
+    emb = StateEmbedding(network_laplacian(net), point_state(net.algebra, 0))
+    coords = emb.embed(np.eye(n) - np.eye(n)[0])
     energy = _distances(coords)
     pairs = np.triu_indices(n, 1)
     sq_worst = float(np.abs(energy * energy - rho_r)[pairs].max(initial=0.0))

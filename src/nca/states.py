@@ -112,6 +112,10 @@ class StateEmbedding:
         """Coordinates of the potential of mu - base in an orthonormal frame
         of the energy Hilbert space; Euclidean distances equal the energy
         metric."""
-        g = _difference_coords(mu, self.base)
+        return self.embed(_difference_coords(mu, self.base))
+
+    def embed(self, diffs: np.ndarray) -> np.ndarray:
+        """:meth:`coords` of the density differences mu - base given by
+        their orthonormal coordinates ``diffs``, one per row."""
         w, v = self.lap.range_eigensystem
-        return (v.conj().T @ g) / np.sqrt(w)
+        return (diffs @ v.conj()) / np.sqrt(w)

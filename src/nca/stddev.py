@@ -15,6 +15,7 @@ from .algebra import (
     Algebra,
     Element,
     SuperOperator,
+    block_products,
     central_scalars,
     right_multiplication,
 )
@@ -132,8 +133,17 @@ def stddev_seminorm(ea: ExtendedAlgebra, a: Element) -> float:
     """The standard deviation of a for the state mu: |a - mu(a)| in the
     mu-norm."""
     ea.base._own(a)
-    centered = a - complex(ea.mu(a)) * ea.base.identity()
-    return float(np.sqrt(max(ea.mu(centered.adjoint() * centered).real, 0.0)))
+    return float(stddev_seminorms(ea, a.coords[None])[0])
+
+
+def stddev_seminorms(ea: ExtendedAlgebra, coords: np.ndarray) -> np.ndarray:
+    """:func:`stddev_seminorm` of each row of canonical coordinates (rows, d)."""
+    alg, p, diag = ea.base, ea.weight.coords, ea.base.diagonal_units
+    mean = block_products(alg, p, coords)[:, diag] @ alg.coord_weights
+    centered = coords - mean[:, None] * alg.identity().coords
+    square = block_products(alg, centered[:, alg.adj_table].conj(), centered)
+    variance = (block_products(alg, p, square)[:, diag] @ alg.coord_weights).real
+    return np.sqrt(np.maximum(variance, 0.0))
 
 
 def independent_copies_cdc(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> CdCForm:

@@ -369,3 +369,29 @@ def test_random_element_matches_per_block_draws(blocks):
                 ])
                 assert np.array_equal(got.coords, want.coords)
             assert rng.standard_normal() == loop_rng.standard_normal()
+
+
+@pytest.mark.parametrize("blocks", [[1] * 7, [3, 2, 1], [2]])
+def test_random_rows_match_per_element_draws(blocks):
+    # the rows samplers read the stream of one element drawn after the
+    # other, each block's real then imaginary part, bit for bit, and leave
+    # the generator in the same state
+    alg = nca.build_algebra(blocks, [1.0] * len(blocks))
+    for seed in (0, 7, 43):
+        for scale in (1.0, 0.5):
+            for sampler in (nca.algebra.random_rows, nca.algebra.random_self_adjoint_rows):
+                self_adjoint = sampler is nca.algebra.random_self_adjoint_rows
+                rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sampler(alg, rng, 5, scale)
+                want = []
+                for _ in range(5):
+                    x = nca.Element(alg, [scale * (loop_rng.standard_normal((n, n))
+                                                   + 1j * loop_rng.standard_normal((n, n)))
+                                          for n in blocks])
+                    want.append((0.5 * (x + x.adjoint()) if self_adjoint else x).coords)
+                assert got.shape == (5, alg.dim)
+                assert np.array_equal(got, np.array(want))
+                assert rng.standard_normal() == loop_rng.standard_normal()
+            one = nca.random_self_adjoint(alg, np.random.default_rng(seed), scale)
+            rows = nca.algebra.random_self_adjoint_rows(alg, np.random.default_rng(seed), 1, scale)
+            assert np.array_equal(one.coords, rows[0])

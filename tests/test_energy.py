@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nca
-from nca.energy import _choi_blocks, _choi_flags, _markov_probes
+from nca.energy import _choi_blocks, _choi_flags, _markov_probes, _seeded_knots
 from nca.errors import InputError, PropertyViolationError
 
 from conftest import K3_C, TWO_C
@@ -223,6 +223,48 @@ def test_markov_detects_negative_conductance():
     assert lhs ** 2 - rhs ** 2 == pytest.approx(witness.violation, rel=1e-9)
 
 
+def seeded_three_knot(rng):
+    """The seeded function of the default Markov battery, drawn on its own:
+    three uniform xs on [-2, 2], sorted and redrawn while two lie within
+    1e-3, then three ys."""
+    xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
+    while np.diff(xs).min() < 1e-3:
+        xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
+    ys = rng.uniform(-2.0, 2.0, size=3)
+    return nca.PiecewiseLinear(tuple(xs), tuple(ys))
+
+
+def default_battery(a, rng=None):
+    """The default Markov battery for one self-adjoint element: the positive
+    part and the clamp at |a| used in the reconstruction argument, the
+    absolute value, and, given ``rng``, one seeded three-knot function."""
+    battery = [
+        ("relu", nca.PiecewiseLinear.relu()),
+        ("clamp", nca.PiecewiseLinear.clamp_above(a.norm())),
+        ("abs", nca.PiecewiseLinear.absolute()),
+    ]
+    if rng is not None:
+        battery.append(("seeded-3pt", seeded_three_knot(rng)))
+    return battery
+
+
+@pytest.mark.parametrize("seed, count, rejected", [
+    (43, 20, [2]), (86, 20, [0]), (6822, 20, [1, 5]), (10269, 3, [0]), (5, 20, []),
+])
+def test_seeded_knots_match_per_function_draws(seed, count, rejected):
+    # one (count, 6) draw, with each rejected triple cut and topped up,
+    # reads the stream of one function drawn after the other, and leaves the
+    # generator in the same state; 10269 rejects its first triple twice
+    raw = np.sort(np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 6))[:, :3], axis=1)
+    assert list(np.flatnonzero(np.diff(raw, axis=1).min(axis=1) < 1e-3)) == rejected
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs, ys = _seeded_knots(rng, count)
+    want = [seeded_three_knot(loop_rng) for _ in range(count)]
+    assert np.array_equal(xs, [fn.xs for fn in want])
+    assert np.array_equal(ys, [fn.ys for fn in want])
+    assert rng.random() == loop_rng.random()
+
+
 def _battery_forms():
     """A 6-node network, a Lindblad triple v, v*, h on M3, and a Lindblad
     pair on [3,2,1] with weights [1, 0.5, 2]."""
@@ -285,7 +327,7 @@ def test_batched_markov_matches_elementwise_definition(name, e):
     expected = [
         (idx, fname, *_elementwise(e, a, fn))
         for idx, a in enumerate(samples)
-        for fname, fn in nca.default_battery(a, draws)
+        for fname, fn in default_battery(a, draws)
     ][:10]
     (res,) = nca.markov_check(e, orders=(1,), seed=seed, elements=elements, tol=-np.inf)
     got = res.witness["violations"]

@@ -1,24 +1,35 @@
 """Index-formula and batched checks against the element-by-element loops
 they replace, kept here as references: the conditional complete negativity
-matrices of ``ccn_check``, the automorphism test of ``group_action_cdc``,
-the pairing identity of ``stddev.extend``, ``leibniz_check``, the
-parallelogram test of ``star_graph_check``, and the per-time solves of
-``resolvent_check`` and the Markov probes and the kernel split of
-``energy_metric`` that functions of the Laplacian's eigendecomposition
-replace, and the one-element-at-a-time seminorms of the ``dirac`` suite."""
+matrices and seeded tuples of ``ccn_check``, the automorphism test of
+``group_action_cdc``, the pairing identity of ``stddev.extend``,
+``leibniz_check``, the parallelogram test of ``star_graph_check``, and the
+per-time solves of ``resolvent_check`` and the Markov probes and the kernel
+split of ``energy_metric`` that functions of the Laplacian's
+eigendecomposition replace, the one-element-at-a-time seminorms of the
+``dirac`` suite, and the batteries drawn one sample at a time: Markov,
+Leibniz, the fiber infimum of ``quotient_checks`` and the seminorm identity
+of the ``stddev`` suite."""
 import numpy as np
 import pytest
 
 import nca
 from conftest import K3_C, build_catalog, seeded_generators
 from dense_bimodule import commutator_norm
-from nca.algebra import amplify_matrix, block_norms, hermitian_eigenvalues
+from nca.algebra import (
+    SpectralStack,
+    amplify_matrix,
+    block_norms,
+    block_products,
+    hermitian_eigenvalues,
+    piecewise_linear_lipschitz,
+    piecewise_linear_values,
+)
 from nca.cdc import _check_automorphism
 from nca.cli import run_command
 from nca.fileio import parse_spec
-from nca.energy import _extreme_positives, _markov_probes
+from nca.energy import _extreme_positives, _markov_probes, _seminorms
 from nca.errors import DisconnectedError, InputError
-from test_energy import _rank_one_laplacian
+from test_energy import _rank_one_laplacian, seeded_three_knot
 
 
 # -- conditional complete negativity ---------------------------------------
@@ -464,7 +475,7 @@ def _markov_probes_solve(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
     if order > 1:
         m = amplify_matrix(m, lap.algebra, order)
     root = np.sqrt(alg.basis_weights)
-    extremes = np.array([alg.canonical_coords(a) for a in _extreme_positives(alg, rng)])
+    extremes = _extreme_positives(alg, rng)
     eye = np.eye(alg.dim)
     probes = []
     for t in ts:
@@ -607,3 +618,299 @@ def test_energy_metric_disconnected_matches_kernel_split():
     for route in (nca.energy_metric, _energy_metric_split):
         with pytest.raises(DisconnectedError):
             route(lap, points[0], points[2])
+
+
+# -- batteries drawn one sample at a time ---------------------------------------
+
+
+def _extreme_positives_loop(alg, rng, rank_ones=2):
+    """``_extreme_positives`` built one element at a time."""
+    out = [alg.basis_element(i) for i in alg.diagonal_units]
+    for _ in range(rank_ones):
+        b = int(rng.integers(len(alg.blocks)))
+        nb = alg.blocks[b]
+        v = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+        data = [np.zeros((n, n)) for n in alg.blocks]
+        data[b] = np.outer(v, v.conj()) / np.vdot(v, v)
+        out.append(alg.element(data))
+    if len(out) > 8:
+        keep = rng.choice(len(out), size=8, replace=False)
+        out = [out[int(k)] for k in sorted(keep)]
+    return np.array([a.coords for a in out])
+
+
+def _markov_probes_loop(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
+    """``_markov_probes`` with one resolvent per time and one difference of
+    extreme positives at a time."""
+    root = np.sqrt(alg.basis_weights)
+    extremes = _extreme_positives_loop(alg, rng)
+    probes = []
+    for t in ts:
+        if np.any(1 + t * lap.eigensystem[0] == 0):
+            continue
+        resolvent = amplify_matrix(lap.function(lambda w: 1 / (1 + t * w)), lap.algebra, order)
+        images = (extremes * root) @ resolvent.T / root
+        probes.extend(0.5 * (images + images[:, alg.adj_table].conj()))
+    firsts = extremes[:4]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
+            for r in (0.05, 0.25):
+                probes.append(a - r * b)
+                probes.append(b - r * a)
+    return np.array(probes).reshape(-1, alg.dim)
+
+
+def _markov_loop(e, orders=(1, 2), seed=0, count=20, tol=1e-9):
+    """``markov_check`` with the default battery drawn one element and one
+    seeded function at a time, and each function applied on its own."""
+    lap = nca.laplacian(e)
+    relu, absolute = nca.PiecewiseLinear.relu(), nca.PiecewiseLinear.absolute()
+    results = []
+    for order in orders:
+        rng = np.random.default_rng(seed + order)
+        alg = e.algebra if order == 1 else e.algebra.amplify(order)
+        samples = [nca.random_self_adjoint(alg, rng).coords for _ in range(count)]
+        coords = np.concatenate([np.reshape(samples, (-1, alg.dim)),
+                                 _markov_probes_loop(lap, order, alg, rng)])
+        spectra = SpectralStack(alg, coords)
+        level = np.maximum(-spectra.lo, spectra.hi)[:, None]
+        seeded = [seeded_three_knot(rng) for _ in level]
+        fns = [("relu", np.array([relu.xs]), np.array([relu.ys])),
+               ("clamp", level + [-1.0, 0.0, 1.0], level + [-1.0, 0.0, 0.0]),
+               ("abs", np.array([absolute.xs]), np.array([absolute.ys])),
+               ("seeded-3pt", np.array([fn.xs for fn in seeded]),
+                np.array([fn.ys for fn in seeded]))]
+        lips = np.stack([piecewise_linear_lipschitz(xs, ys, spectra.lo, spectra.hi)
+                         for _, xs, ys in fns], axis=1)
+        images = spectra.apply(
+            lambda w: np.stack([piecewise_linear_values(xs, ys, w) for _, xs, ys in fns], axis=1))
+        gram = amplify_matrix(e.gram, e.algebra, order)
+        lhs = _seminorms(gram, images)
+        bound = lips * _seminorms(gram, coords)[:, None]
+        violation = lhs - bound
+        worst = float(violation.max(initial=0.0))
+        violations = []
+        for idx in range(len(coords)):
+            for f, (name, _, _) in enumerate(fns):
+                if violation[idx, f] > tol and len(violations) < 10:
+                    violations.append({"element_index": idx, "function": name,
+                                       "lhs": float(lhs[idx, f]),
+                                       "bound": float(bound[idx, f])})
+        results.append(nca.CheckResult(
+            f"markov-n{order}", worst <= tol, residual=worst,
+            witness={"order": order, "violations": violations} if violations else None))
+    return results
+
+
+def _leibniz_draws(e, orders=(1, 2), seed=0, count=20, tol=1e-9):
+    """``leibniz_check`` with its pairs drawn one element at a time, a then b."""
+    results = []
+    for order in orders:
+        rng = np.random.default_rng(seed + 17 * order)
+        alg = e.algebra if order == 1 else e.algebra.amplify(order)
+        pairs = [(nca.random_self_adjoint(alg, rng), nca.random_self_adjoint(alg, rng))
+                 for _ in range(count)]
+        a = np.array([x.coords for x, _ in pairs]).reshape(-1, alg.dim)
+        b = np.array([y.coords for _, y in pairs]).reshape(-1, alg.dim)
+        gram = amplify_matrix(e.gram, e.algebra, order)
+        lhs = _seminorms(gram, block_products(alg, a, b))
+        bound = (_seminorms(gram, a) * block_norms(alg, b)
+                 + block_norms(alg, a) * _seminorms(gram, b))
+        violation = lhs - bound
+        worst = float(violation.max(initial=0.0))
+        witness = None
+        if worst > max(tol, 0.0):
+            idx = int(violation.argmax())
+            witness = {"order": order, "pair_index": idx,
+                       "lhs": float(lhs[idx]), "bound": float(bound[idx])}
+        results.append(nca.CheckResult(f"leibniz-n{order}", worst <= tol, worst, witness))
+    return results
+
+
+def _knot_rejections(monkeypatch):
+    """Record, for every seeded-function draw, whether its first reading
+    holds a rejected knot triple."""
+    rejected = []
+    knots = nca.energy._seeded_knots
+
+    def recording(rng, count):
+        probe = np.random.default_rng()
+        probe.bit_generator.state = rng.bit_generator.state
+        raw = np.sort(probe.uniform(-2.0, 2.0, (count, 6))[:, :3], axis=1)
+        rejected.append(bool((np.diff(raw, axis=1).min(axis=1) < 1e-3).any()))
+        return knots(rng, count)
+
+    monkeypatch.setattr(nca.energy, "_seeded_knots", recording)
+    return rejected
+
+
+def test_markov_and_leibniz_batteries_match_draw_loops(monkeypatch):
+    # one draw per battery is exactly the per-element stream: the same
+    # CheckResults, floats and witnesses bit for bit, knot rejections included
+    rejected = _knot_rejections(monkeypatch)
+    for name, e in _laplacian_forms():
+        for seed in (0, 3, 11, 29, 42):
+            got = nca.markov_check(e, orders=(1, 2, 3), seed=seed)
+            assert got == _markov_loop(e, orders=(1, 2, 3), seed=seed), name
+            assert name != "negative-k3" or not got[0].passed
+            assert nca.markov_check(e, seed=seed, count=5, tol=-1.0) == _markov_loop(
+                e, seed=seed, count=5, tol=-1.0), name
+            for tol in (1e-9, -1.0):
+                got = nca.leibniz_check(e, orders=(1, 2, 3), seed=seed, tol=tol)
+                assert got == _leibniz_draws(e, orders=(1, 2, 3), seed=seed, tol=tol), name
+    assert any(rejected)
+
+
+def _fiber_infimum_loop(qd, seed=0, count=20, tol=1e-9):
+    """The fiber-infimum check of ``quotient_checks``, one sample at a time."""
+    ambient_e = nca.energy_form_of_laplacian(qd.ambient)
+    e_b = nca.energy_form_of_laplacian(qd.quotient_laplacian)
+    rng = np.random.default_rng(seed)
+    worst, witness = 0.0, None
+    for idx in range(count):
+        b = nca.random_element(qd.algebra_b, rng)
+        lift = nca.fiber_minimizer(qd, b)
+        direct = ambient_e.value(lift, lift).real
+        via_schur = e_b.value(b, b).real
+        gap = abs(direct - via_schur)
+        eps = nca.random_element(qd.algebra_c, rng, scale=0.5)
+        c_part = qd.algebra_c.from_canonical_coords(lift.coords[qd.idx_c])
+        perturbed = qd.assemble(qd.restrict(lift), eps + c_part)
+        extra = ambient_e.value(perturbed, perturbed).real - direct
+        eps_coords = qd.algebra_c.to_coords(eps)
+        expected_extra = float((eps_coords.conj() @ qd.s_block @ eps_coords).real)
+        gap = max(gap, abs(extra - expected_extra))
+        if gap > worst:
+            worst = gap
+            if gap > tol * (1.0 + abs(direct)):
+                witness = {"sample": idx, "direct": direct, "schur": via_schur}
+    return nca.CheckResult("fiber-infimum", witness is None, worst, witness)
+
+
+def _quotient_splits():
+    """Splits whose ambient form passes the preconditions of
+    ``quotient_checks``: two networks and two spectral triples."""
+    rng = np.random.default_rng(97)
+    out = []
+    for size, keep in ((3, [0, 1]), (6, [0, 2, 4])):
+        net = nca.random_network(size, rng)
+        lap = nca.laplacian(nca.energy_form(nca.network_cdc(net.algebra, net.c, scale=0.5)))
+        out.append(nca.split(lap, nca.central_projection(net.algebra, keep)))
+    for blocks, keep in (([3, 2, 1], [0]), ([2, 2], [1])):
+        weights = [1.0] * len(blocks)
+        alg = nca.build_algebra(blocks, weights)
+        x = rng.standard_normal((sum(blocks),) * 2) + 1j * rng.standard_normal((sum(blocks),) * 2)
+        gamma = nca.spectral_triple_cdc((x + x.conj().T) / 4, alg)
+        lap = nca.laplacian(nca.energy_form(gamma))
+        out.append(nca.split(lap, nca.central_projection(alg, keep)))
+    return out
+
+
+def _fiber_agree(got, want):
+    (res,) = [r for r in got if r.check == "fiber-infimum"]
+    assert res.passed == want.passed
+    assert abs(res.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+    assert (res.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert res.witness["sample"] == want.witness["sample"]
+        for key in ("direct", "schur"):
+            want_value = want.witness[key]
+            assert abs(res.witness[key] - want_value) <= 1e-12 * max(1.0, abs(want_value))
+
+
+@pytest.mark.parametrize("split", range(4))
+def test_fiber_infimum_matches_loop(monkeypatch, split):
+    qd = _quotient_splits()[split]
+    for seed in (0, 5, 13):
+        _fiber_agree(nca.quotient_checks(qd, seed=seed), _fiber_infimum_loop(qd, seed=seed))
+
+    # lifts moved off the minimizer by an amount that depends on the sample:
+    # several samples raise the running worst gap and only some exceed their
+    # bound, and the witness is the last of those
+    lifts = nca.quotient._fiber_lifts
+
+    def moved(qd, b):
+        out = lifts(qd, b)
+        out[:, qd.idx_c] += 1e-6 * np.abs(b[:, :1]) ** 3
+        return out
+
+    monkeypatch.setattr(nca.quotient, "_fiber_lifts", moved)
+    witnesses = []
+    for seed in (0, 5, 13):
+        for tol in (1e-9, 1e-7, 1e-5):
+            want = _fiber_infimum_loop(qd, seed=seed, tol=tol)
+            _fiber_agree(nca.quotient_checks(qd, seed=seed, tol=tol), want)
+            witnesses.append(want.witness)
+    assert any(w is None for w in witnesses)
+    assert any(w is not None and w["sample"] > 0 for w in witnesses)
+
+
+def _stddev_gap_loop(spec):
+    """The seminorm identity of the ``stddev`` suite, one sample at a time,
+    with the standard deviation from element arithmetic."""
+    ea = nca.extend(spec.algebra, spec.weight_element)
+    e = nca.energy_form_of_laplacian(nca.stddev_laplacian(ea))
+    rng = np.random.default_rng(spec.seed)
+    gap = 0.0
+    for _ in range(10):
+        a = nca.random_self_adjoint(spec.algebra, rng)
+        centered = a - complex(ea.mu(a)) * spec.algebra.identity()
+        deviation = float(np.sqrt(max(ea.mu(centered.adjoint() * centered).real, 0.0)))
+        assert abs(nca.stddev_seminorm(ea, a) - deviation) <= 1e-12 * max(1.0, deviation)
+        gap = max(gap, abs(deviation - e.seminorm(a)))
+    return gap
+
+
+@pytest.mark.parametrize("blocks, weights", [([1] * 4, [1.0] * 4), ([3, 2, 1], [1.0, 0.5, 2.0]),
+                                             ([2, 2], [1.0, 3.0])])
+def test_stddev_seminorm_identity_matches_loop(blocks, weights):
+    rng = np.random.default_rng(101)
+    for seed in (0, 4, 9):
+        lams = rng.uniform(0.5, 2.0, len(blocks))
+        lams /= sum(l * w * n for l, w, n in zip(lams, weights, blocks))
+        weight = [[[[l, 0.0] if r == c else [0.0, 0.0] for c in range(n)] for r in range(n)]
+                  for l, n in zip(lams, blocks)]
+        spec = parse_spec({"algebra": {"blocks": blocks, "trace_weights": weights},
+                           "weight_element": weight, "seed": seed})
+        want = _stddev_gap_loop(spec)
+        (got,) = [c for c in run_command("stddev", spec)["checks"]
+                  if c["check"] == "stddev-seminorm-identity"]
+        assert got["passed"] == (want <= 1e-9)
+        assert abs(got["residual"] - want) <= 1e-12 * max(1.0, want)
+
+
+def test_batteries_make_no_per_sample_calls(monkeypatch):
+    # every battery draws its samples as rows and evaluates them together:
+    # no per-element sampler or lift is called, and each Markov order draws
+    # its seeded functions in one call
+    calls, knot_calls = [], []
+    for module in (nca.algebra, nca.energy, nca.quotient, nca.cli, nca.stddev, nca.cdc):
+        for name in ("random_element", "random_self_adjoint", "fiber_minimizer"):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    knots = nca.energy._seeded_knots
+
+    def counted_knots(rng, count):
+        knot_calls.append(count)
+        return knots(rng, count)
+
+    monkeypatch.setattr(nca.energy, "_seeded_knots", counted_knots)
+    qd = _quotient_splits()[2]
+    e = nca.energy_form_of_laplacian(qd.ambient)
+    nca.markov_check(e, orders=(1, 2, 3))
+    assert len(knot_calls) == 3
+    nca.leibniz_check(e, orders=(1, 2))
+    nca.quotient_checks(qd)
+    spec = parse_spec({"algebra": {"blocks": [2, 1], "trace_weights": [1.0, 1.0]},
+                       "weight_element": [[[[0.25, 0], [0, 0]], [[0, 0], [0.25, 0]]],
+                                          [[[0.5, 0]]]],
+                       "generator": {"kind": "lindblad",
+                                     "vs": [[[[[0, 0], [1, 0]], [[0, 1], [0, 0]]], [[[0.5, 0]]]]]},
+                       "seed": 3})
+    for command in ("stddev", "dirac", "check-cdc"):
+        run_command(command, spec)
+    assert calls == []

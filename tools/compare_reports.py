@@ -5,10 +5,14 @@
 Each argument is a ``src`` directory holding the ``nca`` package.  For each
 side, one subprocess imports ``nca`` from that directory and runs
 ``nca <command> <spec> --json`` for all nine commands on the network-suite
-and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, plus
+and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, the
+network-suite ``network-N6`` specs at seeds 7 and 8, plus
 ``K3_SPEC`` and ``LINDBLAD_SPEC`` from ``tests/test_cli.py`` and the
 ``NEGATIVE_C`` triangle of that file as an ``allow_negative`` network, whose
-reports take the FAIL paths (``heat-cp-t0.1``, ``network-markov``).  The script
+reports take the FAIL paths (``heat-cp-t0.1``, ``network-markov``).  The
+Markov batteries of the two ``network-N6`` specs, like those of the seed-1
+``lindblad-M3`` and ``lindblad-M5`` specs, reject and redraw the knots of a
+seeded function (seed 8 twice in one draw).  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans) and, for each float field that moved,
 its largest change relative to max(1, |x|).  It exits 1 when any structural
@@ -32,6 +36,8 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 WORKLOADS = ("network-suite", "matrix-suite")
+# (workload, seed, case name) of further single specs
+EXTRA_CASES = (("network-suite", 7, "network-N6"), ("network-suite", 8, "network-N6"))
 
 # runs every (command, spec) pair in one interpreter and prints a JSON list
 # of [command, exit code, stdout, stderr]
@@ -78,6 +84,9 @@ def specs() -> dict:
         for seed in SEEDS:
             for case in bench_run.make_cases(workload, np.random.default_rng(seed), workloads):
                 named[f"{case['name']}-seed{seed}"] = case["spec"]
+    for workload, seed, name in EXTRA_CASES:
+        cases = bench_run.make_cases(workload, np.random.default_rng(seed), workloads)
+        named[f"{name}-seed{seed}"] = next(c["spec"] for c in cases if c["name"] == name)
     named.update(cli_specs())
     return named
 

@@ -152,26 +152,6 @@ class Algebra:
         return i, j, self.mul_table[i, j]
 
     @cached_property
-    def left_mul_source(self):
-        """left_mul_source[a, m] = the l with e_a e_l = e_m, or -1: the
-        coefficient of e_m in e_a x is that of e_l in x."""
-        i, j, k = self.mul_nonzero
-        out = np.full((self.dim, self.dim), -1, dtype=int)
-        out[i, k] = j
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def right_mul_source(self):
-        """right_mul_source[b, m] = the l with e_l e_b = e_m, or -1: the
-        coefficient of e_m in x e_b is that of e_l in x."""
-        i, j, k = self.mul_nonzero
-        out = np.full((self.dim, self.dim), -1, dtype=int)
-        out[j, k] = i
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def adj_table(self):
         """adj_table[i] = canonical index of (e_i)*, the unit at the
         transposed entry."""
@@ -855,9 +835,15 @@ def random_self_adjoint(algebra: Algebra, rng: np.random.Generator, scale=1.0) -
     return _element(algebra, random_self_adjoint_rows(algebra, rng, 1, scale)[0])
 
 
+def random_positive_rows(algebra: Algebra, rng: np.random.Generator, count: int,
+                         scale=1.0) -> np.ndarray:
+    """x* x for each row x of :func:`random_rows`."""
+    x = random_rows(algebra, rng, count, scale)
+    return block_products(algebra, x[:, algebra.adj_table].conj(), x)
+
+
 def random_positive(algebra: Algebra, rng: np.random.Generator, scale=1.0, floor=0.0) -> Element:
-    x = random_element(algebra, rng, scale)
-    p = x.adjoint() * x
+    p = _element(algebra, random_positive_rows(algebra, rng, 1, scale)[0])
     if floor:
         p = p + float(floor) * algebra.identity()
     return p

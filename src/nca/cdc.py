@@ -8,19 +8,18 @@ matrix unit e_k in ``Gamma(e_i, e_j)``, so ``gram`` has shape (d, d, d)
 with d = sum of n_b^2.  Sesquilinearity (conjugate-linear in the first slot)
 recovers all other values, so every axiom is checked on basis tuples only.
 
-Every check and reader is an index gather over the structure constants.  A
-product of a unit with an element picks at most one source coordinate per
-target unit: e_a x holds at e_m the coefficient of x at
-``left_mul_source[a, m]``, and x e_b the one at ``right_mul_source[b, m]``
-(-1 where the product has no e_m part; gathers read it from a zero slot
-padded onto the array).  So, with G = ``gram`` and adj = ``adj_table``:
+Every check and reader is an index formula over the structure constants.
+A product of two units is another unit or zero, and ``mul_nonzero`` lists
+the nonzero ones as triples (i, j, k) with e_i e_j = e_k.  So, with
+G = ``gram`` and adj = ``adj_table``:
 
 * symmetry, Gamma(e_i, e_j)* = Gamma(e_j, e_i), is G - conj(G[j, i, adj]);
 * the star-representation identity
   Gamma(e_i e_j, e_k) - Gamma(e_j, e_i* e_k) = e_j* Gamma(e_i, e_k) - Gamma(e_j, e_i*) e_k
-  is four gathers, G[mul[i, j], k], G[j, mul[adj i, k]],
-  G[i, k, left_mul_source[adj j]] and G[j, adj i, right_mul_source[k]],
-  evaluated one i at a time so only (d, d, d) slices are held;
+  has four terms that each vanish off a product of units, so each is
+  scattered from the triples onto its own support of the (i, j, k, m) gap
+  and the rest stays zero.  The gap is held over chunks of i of a fixed
+  number of entries, not all d^4 at once;
 * complete positivity is positivity of the basis gram
   [(i, x), (j, y)] -> Gamma(e_i, e_j)_{xy}.  It is a direct sum over the
   blocks b, block b being the (d n_b) x (d n_b) matrix of G[i, j, unit (r, s)
@@ -139,19 +138,17 @@ def gamma_from_generator(n: SuperOperator, scale=1.0, tol=DEFAULT_EQ_TOL) -> CdC
         raise InputError(
             f"generator must annihilate the identity (residual {one_res:.3e})"
         )
+    # each term is nonzero only where a product e_i e_j = e_k is, so it is
+    # written there: N(e_p*) e_j at [p, j, k] from N(e_p*)_i, N(e_i* e_j) at
+    # [adj i, j] from N(e_k), e_i* N(e_q) at [adj i, q, k] from N(e_q)_j
     adj = alg.adj_table
-    d = alg.dim
-    ne = _padded(n.canonical_matrix.T)  # ne[i] = N(e_i)
-    t_left = ne[adj][:, alg.right_mul_source]  # N(e_i*) e_j
-    t_mid = ne[alg.mul_table[adj], :d]  # N(e_i* e_j)
-    t_right = ne[:d][:, alg.left_mul_source[adj]].transpose(1, 0, 2)  # e_i* N(e_j)
-    return CdCForm(alg, scale * (t_left - t_mid + t_right), scale=scale)
-
-
-def _padded(a: np.ndarray) -> np.ndarray:
-    """``a`` with one zero slot appended on every axis, so that the index -1
-    of a structure-constant table reads zero."""
-    return np.pad(a, [(0, 1)] * a.ndim)
+    i, j, k = alg.mul_nonzero
+    ne = n.canonical_matrix.T  # ne[i] = N(e_i)
+    gram = np.zeros((alg.dim,) * 3, dtype=complex)
+    gram[:, j, k] = ne[adj][:, i]
+    gram[adj[i], j] -= ne[k]
+    gram[adj[i], :, k] += ne[:, j].T
+    return CdCForm(alg, scale * gram, scale=scale)
 
 
 def _unit_entries_of_products(alg: Algebra, x: np.ndarray) -> np.ndarray:
@@ -185,17 +182,17 @@ def _check_automorphism(alpha: SuperOperator, tol=DEFAULT_POS_TOL):
         problems.append("not unital")
     if np.linalg.matrix_rank(alpha.matrix, tol=tol * alg.dim) < alg.dim:
         problems.append("not invertible")
-    # images[i] = alpha(e_i) in canonical coordinates, with a zero row at
-    # index -1; alpha(e_i) alpha(e_j) must be the image of e_i e_j, and
+    # images[i] = alpha(e_i) in canonical coordinates; alpha(e_i) alpha(e_j)
+    # must be the image of e_i e_j, which is zero off ``mul_nonzero``, and
     # alpha(e_i)* that of e_i*
-    d = alg.dim
-    images = np.zeros((d + 1, d), dtype=complex)
-    images[:d] = alpha.canonical_matrix.T
-    products = block_products(alg, images[:d, None], images[None, :d])
-    worst_mult = float(block_norms(alg, products - images[alg.mul_table]).max())
+    images = alpha.canonical_matrix.T
+    gap = block_products(alg, images[:, None], images[None, :])
+    i, j, k = alg.mul_nonzero
+    gap[i, j] -= images[k]
+    worst_mult = float(block_norms(alg, gap).max())
     if worst_mult > tol:
         problems.append(f"not multiplicative (residual {worst_mult:.3e})")
-    adjoints = images[:d, alg.adj_table].conj()
+    adjoints = images[:, alg.adj_table].conj()
     worst_star = float(block_norms(alg, images[alg.adj_table] - adjoints).max())
     if worst_star > tol:
         problems.append(f"does not preserve the involution (residual {worst_star:.3e})")
@@ -364,23 +361,37 @@ def _cp_blocks(alg: Algebra, g: np.ndarray) -> list:
     return [(m + m.conj().swapaxes(1, 2)) / 2 for m in stacks]
 
 
+_STAR_CHUNK = 2 ** 16  # complex gap entries that _star_gaps holds at once
+
+
 def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
-    """``out[i, j, k]``: the largest coefficient magnitude of the gap
-    Gamma(e_i e_j, e_k) - Gamma(e_j, e_i* e_k) - e_j* Gamma(e_i, e_k)
-    + Gamma(e_j, e_i*) e_k, built one i at a time from (d, d, d) gathers."""
+    """``out[p, q, r]``: the largest coefficient magnitude of the gap
+    Gamma(e_p e_q, e_r) - Gamma(e_q, e_p* e_r) - e_q* Gamma(e_p, e_r)
+    + Gamma(e_q, e_p*) e_r.
+
+    Each term is a product of units, so over the triples e_i e_j = e_k of
+    ``mul_nonzero`` (a = adj i) it is written, in the order of the formula,
+    only onto its support: the first at [i, j] from G[k], the second at
+    [a, :, j] from G[:, k], the third at [:, a, :, k] from G[:, :, j] and
+    the fourth at [:, :, j, k] from G[:, adj p, i]; every other entry is an
+    exact zero.  The (p, q, r, m) gap is held over chunks of p of at most
+    ``_STAR_CHUNK`` entries, or of one p when d^3 is larger."""
     d = alg.dim
     adj = alg.adj_table
-    mul = alg.mul_table
-    second = mul[adj]  # e_i* e_k
-    left = alg.left_mul_source[adj]  # [j, m]: the l with e_j* e_l = e_m
-    right = alg.right_mul_source  # [k, m]: the l with e_l e_k = e_m
-    gz = _padded(g)
+    i, j, k = alg.mul_nonzero
+    a = adj[i]
+    step = max(1, _STAR_CHUNK // d ** 3)
     out = np.empty((d, d, d))
-    for i in range(d):
-        gap = gz[mul[i], :d, :d] - gz[:d, second[i], :d]
-        gap -= gz[i, :d][:, left].transpose(1, 0, 2)
-        gap += gz[:d, adj[i]][:, right]
-        out[i] = np.abs(gap).max(axis=2)
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        gap = np.zeros((hi - lo, d, d, d), dtype=complex)
+        first = (lo <= i) & (i < hi)
+        gap[i[first] - lo, j[first]] = g[k[first]]
+        second = (lo <= a) & (a < hi)
+        gap[a[second] - lo, :, j[second]] -= g[:, k[second]].swapaxes(0, 1)
+        gap[:, a, :, k] -= g[lo:hi][:, :, j].transpose(2, 0, 1)
+        gap[:, :, j, k] += g[:, adj[lo:hi]][:, :, i].swapaxes(0, 1)
+        out[lo:hi] = np.abs(gap).max(axis=3)
     return out
 
 

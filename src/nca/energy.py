@@ -25,7 +25,7 @@ from .algebra import (
     hermitian_eigenvalues,
     piecewise_linear_lipschitz,
     piecewise_linear_values,
-    random_positive,
+    random_positive_rows,
     random_self_adjoint_rows,
 )
 from .cdc import CdCForm, gamma_from_generator, is_cdc
@@ -409,7 +409,6 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
     basis triples.  Balanced implies real."""
     alg = gamma.algebra
     adj = alg.adj_table
-    mul = alg.mul_table
     tg = gamma.tau_values
     scale = 1.0 + float(np.abs(tg).max())
 
@@ -417,12 +416,15 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
     real_res = float(real_gap.max())
 
     # tau(Gamma(e_i e_j, e_k)) = tau(Gamma(e_k*, e_j*) e_i*) + tau(e_j* Gamma(e_i, e_k))
-    lhs = np.where((mul >= 0)[:, :, None], tg[mul.clip(min=0)], 0.0)
     # tau(G[p, q] e_m*) = tau(e_m* G[p, q]) = w_m G[p, q, m]
     tau_g = gamma.gram * alg.basis_weights
     t1 = tau_g[np.ix_(adj, adj)].transpose(2, 1, 0)  # [i,j,k] = tau(G[k*,j*] e_i*)
     t2 = tau_g.transpose(0, 2, 1)  # [i,j,k] = tau(e_j* G[i, k])
-    bal_gap = np.abs(lhs - t1 - t2)
+    # the left side is zero off the nonzero products e_i e_j = e_k
+    i, j, k = alg.mul_nonzero
+    bal_gap = -t1
+    bal_gap[i, j] += tg[k]
+    bal_gap = np.abs(bal_gap - t2)
     bal_res = float(bal_gap.max())
 
     out = {
@@ -536,10 +538,10 @@ def resolvent_check(
     for order in orders:
         alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
         rng = np.random.default_rng(seed + 101 * order)
-        samples = [random_positive(alg, rng) for _ in range(count)]
-        # orthonormal coordinates of the samples, then the identity
-        rows = np.array([alg.to_coords(a) for a in samples] + [alg.identity_coords])
+        # orthonormal coordinates of the positive samples, then the identity
         root = np.sqrt(alg.basis_weights)
+        rows = np.concatenate([root * random_positive_rows(alg, rng, count),
+                               alg.identity_coords[None]])
         images = rows @ amplify_matrix(resolvents, lap.algebra, order).swapaxes(-1, -2) / root
         unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
         ra = images[:, :count]

@@ -192,20 +192,16 @@ def test_multiplication_operators_match_elementwise_rule(blocks, weights):
 
 
 @pytest.mark.parametrize("blocks, weights", [([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0])])
-def test_product_source_tables_match_unit_products(blocks, weights):
-    # e_a e_l = e_m exactly when left_mul_source[a, m] = l, and
-    # e_l e_b = e_m exactly when right_mul_source[b, m] = l
+def test_mul_nonzero_matches_unit_products(blocks, weights):
+    # e_i e_j = e_k for each triple (i, j, k) of mul_nonzero, and every
+    # other product of two units is zero
     alg = nca.build_algebra(blocks, weights)
     units = [alg.basis_element(i) for i in range(alg.dim)]
     coords = np.array([[alg.canonical_coords(a * b) for b in units] for a in units])
-    for a in range(alg.dim):
-        for m in range(alg.dim):
-            left = np.flatnonzero(coords[a, :, m])
-            right = np.flatnonzero(coords[:, a, m])
-            assert list(left) == ([] if alg.left_mul_source[a, m] < 0
-                                  else [alg.left_mul_source[a, m]])
-            assert list(right) == ([] if alg.right_mul_source[a, m] < 0
-                                   else [alg.right_mul_source[a, m]])
+    want = np.zeros_like(coords)
+    i, j, k = alg.mul_nonzero
+    want[i, j, k] = 1
+    assert np.array_equal(coords, want)
 
 
 def test_conditional_expectation():
@@ -371,16 +367,18 @@ def test_random_element_matches_per_block_draws(blocks):
             assert rng.standard_normal() == loop_rng.standard_normal()
 
 
-@pytest.mark.parametrize("blocks", [[1] * 7, [3, 2, 1], [2]])
+@pytest.mark.parametrize("blocks", [[1] * 7, [3, 2, 1], [2], [4, 4, 2, 2]])
 def test_random_rows_match_per_element_draws(blocks):
     # the rows samplers read the stream of one element drawn after the
     # other, each block's real then imaginary part, bit for bit, and leave
     # the generator in the same state
     alg = nca.build_algebra(blocks, [1.0] * len(blocks))
+    samplers = {nca.algebra.random_rows: lambda x: x,
+                nca.algebra.random_self_adjoint_rows: lambda x: 0.5 * (x + x.adjoint()),
+                nca.algebra.random_positive_rows: lambda x: x.adjoint() * x}
     for seed in (0, 7, 43):
         for scale in (1.0, 0.5):
-            for sampler in (nca.algebra.random_rows, nca.algebra.random_self_adjoint_rows):
-                self_adjoint = sampler is nca.algebra.random_self_adjoint_rows
+            for sampler, of_element in samplers.items():
                 rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = sampler(alg, rng, 5, scale)
                 want = []
@@ -388,7 +386,7 @@ def test_random_rows_match_per_element_draws(blocks):
                     x = nca.Element(alg, [scale * (loop_rng.standard_normal((n, n))
                                                    + 1j * loop_rng.standard_normal((n, n)))
                                           for n in blocks])
-                    want.append((0.5 * (x + x.adjoint()) if self_adjoint else x).coords)
+                    want.append(of_element(x).coords)
                 assert got.shape == (5, alg.dim)
                 assert np.array_equal(got, np.array(want))
                 assert rng.standard_normal() == loop_rng.standard_normal()

@@ -668,11 +668,10 @@ def test_resolvent_flags_violation_below_an_earlier_maximum(monkeypatch):
     alg, lap = _rank_one_laplacian()
     t, c, eps, small = 10.0, 500.0, 5e-7, 1e-6
     s = t / (1.0 + t)
-    samples = iter([
-        alg.element([[[2 * c + 6 * eps / s]], [[c]], [[0.0]]]),  # R_t f(2) = -eps
-        alg.element([[[small]], [[0.0]], [[0.0]]]),  # R_t f(2) = -small s / 6
-    ])
-    monkeypatch.setattr(nca.energy, "random_positive", lambda algebra, rng: next(samples))
+    samples = np.array([[2 * c + 6 * eps / s, c, 0.0],  # R_t f(2) = -eps
+                        [small, 0.0, 0.0]], dtype=complex)  # R_t f(2) = -small s / 6
+    monkeypatch.setattr(nca.energy, "random_positive_rows",
+                        lambda algebra, rng, count: samples[:count])
     (res,) = nca.resolvent_check(lap, (t,), orders=(1,), count=2)
     assert not res.passed
     assert res.witness == {"order": 1, "t": 10.0, "kind": "positivity", "element_index": 1}

@@ -885,7 +885,8 @@ def test_batteries_make_no_per_sample_calls(monkeypatch):
     # its seeded functions in one call
     calls, knot_calls = [], []
     for module in (nca.algebra, nca.energy, nca.quotient, nca.cli, nca.stddev, nca.cdc):
-        for name in ("random_element", "random_self_adjoint", "fiber_minimizer"):
+        for name in ("random_element", "random_self_adjoint", "random_positive",
+                     "fiber_minimizer"):
             if hasattr(module, name):
                 def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                     calls.append(_name)
@@ -904,6 +905,7 @@ def test_batteries_make_no_per_sample_calls(monkeypatch):
     nca.markov_check(e, orders=(1, 2, 3))
     assert len(knot_calls) == 3
     nca.leibniz_check(e, orders=(1, 2))
+    nca.resolvent_check(qd.ambient, (0.5, 5.0))
     nca.quotient_checks(qd)
     spec = parse_spec({"algebra": {"blocks": [2, 1], "trace_weights": [1.0, 1.0]},
                        "weight_element": [[[[0.25, 0], [0, 0]], [[0, 0], [0.25, 0]]],

@@ -1,6 +1,8 @@
 """The packed carre-du-champ against the dense reference in ``dense_cdc``:
 the axiom checks on random forms, the complete-positivity witness, the
-builders, and the memory held by ``is_cdc``."""
+builders, and the memory held by ``is_cdc``.  The scatters from
+``mul_nonzero`` in ``_star_gaps`` and ``gamma_from_generator`` are checked
+bit for bit against the padded gathers they replace."""
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nca
+from nca.cdc import _star_gaps
 from nca.errors import InputError
 
 from dense_cdc import dense_is_cdc
@@ -18,6 +21,7 @@ ALGEBRAS = [
     ([1] * 7, [1.0, 0.5, 2.0, 1.0, 3.0, 0.7, 1.3]),
     ([2, 2], [1.0, 3.0]),
     ([4], [1.0]),
+    ([5], [1.0]),
 ]
 
 
@@ -27,17 +31,23 @@ def _random_form(alg, kind, rng):
     ``generator``: the form of a random map N with N(1) = 0 and N = N#,
     which is symmetric and a star representation but almost surely not
     completely positive."""
-    d = alg.dim
     if kind == "generator":
-        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        one = alg.identity_coords
-        mat -= np.outer(mat @ one, one.conj()) / (one.conj() @ one)
-        n = nca.SuperOperator(alg, mat)
-        return nca.gamma_from_generator(0.5 * (n + n.sharp()))
+        return nca.gamma_from_generator(_random_generator(alg, rng))
+    d = alg.dim
     g = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
     if kind == "symmetrized":
         g = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
     return nca.CdCForm(alg, g)
+
+
+def _random_generator(alg, rng):
+    """A random map N with N(1) = 0 and N = N#."""
+    d = alg.dim
+    mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    one = alg.identity_coords
+    mat -= np.outer(mat @ one, one.conj()) / (one.conj() @ one)
+    n = nca.SuperOperator(alg, mat)
+    return 0.5 * (n + n.sharp())
 
 
 def _assert_matches_reference(gamma):
@@ -113,6 +123,72 @@ def test_form_rejects_dense_shape(m2):
     dense = np.zeros((m2.dim, m2.dim, m2.total_size, m2.total_size))
     with pytest.raises(InputError, match=r"\(d, d, d\)"):
         nca.CdCForm(m2, dense)
+
+
+# -- the scatters from the nonzero products against the gathers they replace --
+
+
+def _mul_sources(alg):
+    """``left[a, m]``: the l with e_a e_l = e_m, and ``right[b, m]``: the l
+    with e_l e_b = e_m, or -1 where there is none.  The coefficient of e_m
+    in e_a x is that of e_left[a, m] in x, and in x e_b that of e_right[b, m]."""
+    i, j, k = alg.mul_nonzero
+    left, right = np.full((2, alg.dim, alg.dim), -1)
+    left[i, k] = j
+    right[j, k] = i
+    return left, right
+
+
+def _gather_star_gaps(alg, g):
+    """``_star_gaps`` as four gathers over all d^4 entries, one i at a time;
+    the index -1 of a structure-constant table reads a zero slot padded
+    onto G."""
+    d = alg.dim
+    adj, mul = alg.adj_table, alg.mul_table
+    left, right = _mul_sources(alg)
+    left = left[adj]  # [j, m]: the l with e_j* e_l = e_m
+    gz = np.pad(g, [(0, 1)] * 3)
+    out = np.empty((d, d, d))
+    for i in range(d):
+        gap = gz[mul[i], :d, :d] - gz[:d, mul[adj[i]], :d]
+        gap -= gz[i, :d][:, left].transpose(1, 0, 2)
+        gap += gz[:d, adj[i]][:, right]
+        out[i] = np.abs(gap).max(axis=2)
+    return out
+
+
+def _gather_generator_gram(n, scale):
+    """The gram of ``gamma_from_generator`` as three gathers over all d^3
+    entries, with the same padded zero slot."""
+    alg = n.algebra
+    adj, d = alg.adj_table, alg.dim
+    left, right = _mul_sources(alg)
+    ne = np.pad(n.canonical_matrix.T, [(0, 1)] * 2)  # ne[i] = N(e_i)
+    t_left = ne[adj][:, right]  # N(e_i*) e_j
+    t_mid = ne[alg.mul_table[adj], :d]  # N(e_i* e_j)
+    t_right = ne[:d][:, left[adj]].transpose(1, 0, 2)  # e_i* N(e_j)
+    return scale * (t_left - t_mid + t_right)
+
+
+# the default chunk budget leaves several chunks of i on [5], [1] * 20 and
+# [3, 3, 2], the last one ragged; a budget of 1 holds one i per chunk
+@pytest.mark.parametrize("blocks, weights, budget", [
+    ([5], [1.0], None),
+    ([1] * 20, list(np.linspace(0.5, 2.0, 20)), None),
+    ([3, 3, 2], [1.0, 0.5, 2.0], None),
+] + [(blocks, weights, 1) for blocks, weights in ALGEBRAS])
+def test_scatters_match_gathers(monkeypatch, blocks, weights, budget):
+    if budget is not None:
+        monkeypatch.setattr(nca.cdc, "_STAR_CHUNK", budget)
+    alg = nca.build_algebra(blocks, weights)
+    rng = np.random.default_rng(alg.dim)
+    n = _random_generator(alg, rng)
+    for scale in (1.0, 0.5):
+        assert np.array_equal(nca.gamma_from_generator(n, scale).gram,
+                              _gather_generator_gram(n, scale))
+    for kind in ("raw", "symmetrized", "generator"):
+        g = _random_form(alg, kind, rng).gram
+        assert np.array_equal(_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
 
 
 # -- the builders against their dense definitions ---------------------------

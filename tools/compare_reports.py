@@ -12,7 +12,12 @@ network-suite ``network-N6`` specs at seeds 7 and 8, plus
 reports take the FAIL paths (``heat-cp-t0.1``, ``network-markov``).  The
 Markov batteries of the two ``network-N6`` specs, like those of the seed-1
 ``lindblad-M3`` and ``lindblad-M5`` specs, reject and redraw the knots of a
-seeded function (seed 8 twice in one draw).  The script
+seeded function (seed 8 twice in one draw).  A further subprocess per side
+reports the library's ``is_cdc`` (flags, residuals, witness) and
+``reality_checks`` on the seed-1 large-forms forms (networks, an order-2
+amplification, a commutator form) and on a raw and a symmetrized random
+gram on [3, 2, 1]: no spec can fail the star-representation identity, and
+these two reach its failing residual and its witness.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans) and, for each float field that moved,
 its largest change relative to max(1, |x|).  It exits 1 when any structural
@@ -61,6 +66,46 @@ json.dump(out, sys.stdout)
 """
 
 
+# prints a JSON list of [name, report] for the library forms, from the nca
+# of argv[1] and the bench/ of argv[2]
+LIBRARY_RUNNER = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[2])
+import run as bench_run, workloads
+from nca.algebra import Algebra
+from nca.cdc import CdCForm, amplify_cdc, commutator_cdc, is_cdc, network_cdc
+from nca.energy import reality_checks
+
+def forms():
+    for case in bench_run.make_cases("large-forms", np.random.default_rng(1), workloads):
+        if case["kind"] == "commutator":
+            alg = Algebra(tuple(case["sizes"]), (1.0,) * len(case["sizes"]))
+            yield case["name"], commutator_cdc([alg.element(v) for v in case["vs"]])
+        else:
+            n = case["c"].shape[0]
+            gamma = network_cdc(Algebra((1,) * n, (1.0,) * n), case["c"])
+            yield case["name"], amplify_cdc(gamma, case.get("order", 1))
+    alg = Algebra((3, 2, 1), (1.0, 0.5, 2.0))
+    d = alg.dim
+    g = np.random.default_rng(1).standard_normal((d, d, d, 2)) @ [1, 1j]
+    yield "raw-3-2-1", CdCForm(alg, g)
+    sym = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
+    yield "symmetrized-3-2-1", CdCForm(alg, sym)
+
+out = []
+for name, gamma in forms():
+    r = is_cdc(gamma)
+    report = {"flags": [r.symmetric, r.unit_annihilating, r.star_representation,
+                        r.completely_positive],
+              "residuals": r.residuals, "witness": r.witness,
+              "reality": reality_checks(gamma)}
+    out.append([name, json.dumps(report, sort_keys=True)])
+json.dump(out, sys.stdout)
+"""
+
+
 def cli_specs() -> dict:
     """The literal ``K3_SPEC`` and ``LINDBLAD_SPEC`` of tests/test_cli.py,
     and its ``NEGATIVE_C`` as the conductances of an ``allow_negative``
@@ -98,8 +143,14 @@ def run_side(src: str, named: dict) -> dict:
                           text=True, env=env, check=True)
     rows = json.loads(proc.stdout)
     names = list(named) * (len(rows) // len(named))
-    return {(command, name): (code, out, err)
-            for name, (command, code, out, err) in zip(names, rows)}
+    reports = {(command, name): (code, out, err)
+               for name, (command, code, out, err) in zip(names, rows)}
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_RUNNER, str(Path(src).resolve()),
+                           str(ROOT / "bench")], capture_output=True, text=True, env=env,
+                          check=True)
+    for name, out in json.loads(proc.stdout):
+        reports[("library", name)] = (0, out, "")
+    return reports
 
 
 def walk(a, b, path: str, where: str, moved: dict, structural: list):

@@ -68,7 +68,6 @@ from .dirac import (
     DiracOperator,
     DiracSeminorm,
     build_bimodule,
-    dirac,
     dirac_seminorm,
     dirac_seminorms,
     star_graph_check,

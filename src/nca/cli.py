@@ -22,7 +22,7 @@ from .algebra import (
     random_self_adjoint_rows,
 )
 from .cdc import ccn_check, is_cdc, lindblad_generator
-from .dirac import build_bimodule, dirac, dirac_seminorms, star_graph_check
+from .dirac import DiracOperator, build_bimodule, dirac_seminorms, star_graph_check
 from .energy import (
     EnergyForm,
     _seminorms,
@@ -256,7 +256,7 @@ def _dirac_checks(problem: _Problem):
     spec, gamma = problem.spec, problem.gamma
     bs = build_bimodule(gamma, pos_tol=spec.tolerances.positivity,
                         rank_tol=spec.tolerances.rank, report=problem.cdc_report)
-    op = dirac(bs)
+    op = DiracOperator(bs)
     tol = spec.tolerances.equality
     samples = random_self_adjoint_rows(bs.algebra, np.random.default_rng(spec.seed), 10)
     value, from_form = dirac_seminorms(op, samples)

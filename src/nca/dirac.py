@@ -11,10 +11,18 @@ column c of block b span a copy V_bc of C^(d n_b) over (k, row of l), the
 copies are orthogonal, and the gram on each is w_b m_b, with
 m_b = F diag(lam) F* the complete-positivity block of ``is_cdc``.  So the rows
 B[(b, m, c), (k, l)] = sqrt(w_b lam_m) conj(F[(k, row of l), m]) over the
-eigenvalues above the rank cut are an orthonormal frame, and the columns of
-B P are the coordinates of the pairs: B B* = diag(w lam), and B (1 (x) y) = 0
-up to the unit residual of ``is_cdc``.  Left multiplication by e_i keeps the
-right-hand unit, so on every V_bc it is the block
+eigenvalues above the rank cut are an orthonormal frame: B B* = diag(w lam),
+and B (1 (x) y) = 0 up to the unit residual of ``is_cdc``.
+
+Left multiplication keeps the right-hand unit.  So the block
+B_i = d L_i - A_i d of [D, pi(e_i)] sends e~_l = e_l / sqrt(w_b), for the unit
+l = (s, c) of block b, to (d e_i) e~_l = B P(e_i (x) e_l) / sqrt(w_b), which
+lies in V_bc with the coordinates S_b[i][:, s], the same for every column c:
+S_b[i][m, s] = sqrt(lam_m) conj(F[(i, s), m]) - [i = unit (t, s)] nu[m, t],
+where nu is the first term summed over the diagonal units i, the correction
+of P.  The derivation d e~_j = sum_u (d e_j) e_u / sqrt(w_j) over the
+diagonal units u has the entry S_b[j][m, c] sqrt(w_b / w_j) at row (b, m, c).
+On every V_bc, e_i acts by the block
 a_i = D^(1/2) F+* [(L_i (x) 1) F+ - iota_i mu(F+)] D^(-1/2) over the kept
 eigenvectors F+ with eigenvalues D; mu(F)[s] = sum_r F[(unit (s, r), r)] is
 the product map and iota_i places it at the rows (i, .).  With the
@@ -24,7 +32,6 @@ vanish: the null space acts into the null space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,17 +45,18 @@ from .resistance import ResistanceNetwork, is_star
 class BimoduleSpace:
     """An orthonormal model of the one-form space of a carre-du-champ.
 
-    ``pair_forms`` has shape (rank, d^2): column a*d + c holds the one-form
-    coordinates of (d e_a) e_c.  ``dmatrix`` maps orthonormal algebra
-    coordinates to one-form coordinates.  ``action`` holds the left action
-    per algebra block b as ``(start, n_b, stack)``: the frame rows
-    start + m n_b + c, over the r_b kept eigenvalues m and the columns c,
-    on which e_i acts as ``stack[i]`` (shape (r_b, r_b)) for every c.
+    ``dmatrix`` maps orthonormal algebra coordinates to one-form
+    coordinates.  ``action`` holds ``(start, units, stack, commutator)`` per
+    algebra block b with a kept eigenvalue: ``units`` (n_b, n_b) are the
+    canonical indices of its matrix units, and its frame rows are
+    start + m n_b + c, over the r_b kept eigenvalues m and the columns c.
+    On them e_i acts as ``stack[i]`` (shape (r_b, r_b)) for every c, and
+    B_i = d L_i - A_i d sends e~_(units[s, c]) to ``commutator[i][:, s]``
+    (the stack S_b of the module docstring, shape (d, r_b, n_b)).
     """
 
     gamma: CdCForm
     rank: int
-    pair_forms: np.ndarray
     dmatrix: np.ndarray
     action: tuple
     residuals: dict = field(default_factory=dict)
@@ -59,30 +67,6 @@ class BimoduleSpace:
 
     def derivative_coords(self, a: Element) -> np.ndarray:
         return self.dmatrix @ self.algebra.to_coords(a)
-
-    def act_left(self, a: Element) -> np.ndarray:
-        """The (rank, rank) matrix of left multiplication by a."""
-        x = self.algebra.canonical_coords(a)
-        out = np.zeros((self.rank, self.rank), dtype=complex)
-        for start, n_b, stack in self.action:
-            stop = start + stack.shape[1] * n_b
-            out[start:stop, start:stop] = np.kron(np.tensordot(x, stack, axes=1), np.eye(n_b))
-        return out
-
-    @cached_property
-    def commutator_blocks(self) -> np.ndarray:
-        """The (d, rank, d) stack of B_i = d L_i - A_i d over the units e_i,
-        L_i sending e_j to e_k for each e_i e_j = e_k.  The block
-        B(a) = d L_a - A_a d of [D, pi(a)] is a's coordinates times it."""
-        d, dm = self.algebra.dim, self.dmatrix
-        mul_i, mul_j, mul_k = self.algebra.mul_nonzero
-        blocks = np.zeros((d, self.rank, d), dtype=complex)
-        blocks[mul_i, :, mul_j] = dm[:, mul_k].T
-        for start, n_b, stack in self.action:
-            r_b = stack.shape[1]
-            rows = slice(start, start + r_b * n_b)
-            blocks[:, rows] -= (stack @ dm[rows].reshape(r_b, n_b * d)).reshape(d, -1, d)
-        return blocks
 
 
 def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RANK_TOL,
@@ -104,42 +88,40 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
     keeps = [a & (wl > rank_tol * wtop) for wl, a in zip(wlams, above)]
 
     rank = sum(int(keep.sum()) * n_b for (n_b, _), keep in zip(alg.size_groups, keeps))
-    b = np.zeros((rank, d, d), dtype=complex)
+    root_w = np.sqrt(alg.basis_weights)
+    # Delta is taken before the action stacks are held, to keep the peak low
+    delta = gamma.tau_values / np.outer(root_w, root_w)
+    dmatrix = np.empty((rank, d), dtype=complex)
     action, start = [], 0
     null_res = star_res = 0.0
     for (n_b, cols), (vals, vecs), keep in zip(alg.size_groups, eigs, keeps):
         # one block of the frame and of the action per algebra block q with a
         # kept eigenvalue; the null space must act into the null space
         for q in np.flatnonzero(keep.any(axis=1)):
-            root_lam, root_w = np.sqrt(vals[q, keep[q]]), np.sqrt(alg.basis_weights[cols[q, 0]])
-            r = len(root_lam)
-            # row (m, c) of B holds kept vector m at the pairs (k, unit (row, c))
-            rows = b[start:start + r * n_b].reshape(r, n_b, d, d)
-            rows[:, np.arange(n_b)[:, None], :, cols[q].reshape(n_b, n_b).T] = (
-                (root_w * root_lam[:, None] * vecs[q][:, keep[q]].T.conj())
-                .reshape(r, d, n_b).transpose(2, 0, 1))
+            root_lam, units = np.sqrt(vals[q, keep[q]]), cols[q].reshape(n_b, n_b)
+            r, root_wb = len(root_lam), root_w[units[0, 0]]
+            # the first term of S_b[i][m, s], then P's correction nu[m, t] at
+            # the units i = (t, s)
+            comm = (root_lam[:, None] * vecs[q][:, keep[q]].T.conj()).reshape(r, d, n_b)
+            comm = comm.transpose(1, 0, 2)
+            comm[units, :, np.arange(n_b)] -= comm[alg.diagonal_units].sum(axis=0).T[:, None]
+            rows = comm.transpose(1, 2, 0).reshape(r * n_b, d)
+            dmatrix[start:start + r * n_b] = rows * (root_wb / root_w)
             moved = root_lam[:, None] * _moved_frame(alg, n_b, cols[q], vecs[q], keep[q])
             stack = moved[:, :, keep[q]] / root_lam
-            null_res = max(null_res, root_w * np.abs(moved[:, :, ~keep[q]]).max(initial=0.0))
-            star_res = max(star_res, float(np.abs(stack.conj().transpose(0, 2, 1)
-                                                  - stack[alg.adj_table]).max()))
-            action.append((start, n_b, stack))
+            null_res = max(null_res, root_wb * np.abs(moved[:, :, ~keep[q]]).max(initial=0.0))
+            # a C-ordered gap keeps the subtraction from buffering, and neither
+            # it nor the frame is held into the next block's frame
+            gap = np.conjugate(stack.transpose(0, 2, 1), order="C")
+            gap -= stack[alg.adj_table]
+            star_res = max(star_res, float(np.abs(gap).max()))
+            del moved, gap
+            action.append((start, units, stack, comm))
             start += r * n_b
 
-    # B P takes from each pair e_a (x) e_c the column B (1 (x) e_a e_c), a
-    # gather over mul_nonzero
-    one = alg.identity().coords
-    mul_i, mul_j, mul_k = alg.mul_nonzero
-    b[:, mul_i, mul_j] -= (one @ b)[:, mul_k]
-    # d e~_i is the sum of (d e_i) e_u over the diagonal units u, over sqrt(w_i)
-    root_w = np.sqrt(alg.basis_weights)
-    dmatrix = (b @ one) / root_w
-
     # the derivation factors the Laplacian: dmatrix* dmatrix = Delta
-    delta = gamma.tau_values / np.outer(root_w, root_w)
     return BimoduleSpace(
-        gamma=gamma, rank=rank, pair_forms=b.reshape(rank, d * d), dmatrix=dmatrix,
-        action=tuple(action),
+        gamma=gamma, rank=rank, dmatrix=dmatrix, action=tuple(action),
         residuals={
             "gram_negative_part": max(0.0, -min(float(v[:, 0].min()) for v, _ in eigs)),
             "null_space_invariance": float(null_res),
@@ -173,25 +155,14 @@ def _moved_frame(alg, n_b, cols, vecs, keep) -> np.ndarray:
 @dataclass(frozen=True)
 class DiracOperator:
     """The self-adjoint block operator pairing the derivation with its
-    adjoint on L2(algebra) (+) L2(one-forms)."""
+    adjoint on L2(algebra) (+) L2(one-forms).  Its matrix is never formed:
+    the seminorms read its commutators off ``bimodule.action``."""
 
     bimodule: BimoduleSpace
 
     @property
     def algebra(self):
         return self.bimodule.algebra
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        d = self.algebra.dim
-        r = self.bimodule.rank
-        out = np.zeros((d + r, d + r), dtype=complex)
-        out[d:, :d] = self.bimodule.dmatrix
-        out[:d, d:] = self.bimodule.dmatrix.conj().T
-        return out
-
-
-dirac = DiracOperator
 
 
 @dataclass(frozen=True)
@@ -211,14 +182,25 @@ def dirac_seminorm(op: DiracOperator, a: Element) -> DiracSeminorm:
     return DiracSeminorm(value=value, from_form=from_form, residual=abs(value - from_form))
 
 
+def _commutator_groups(bs: BimoduleSpace) -> list:
+    """The commutator stacks of ``bs.action`` stacked by shape: one
+    (k, d, r_b, n_b) array per distinct (r_b, n_b)."""
+    groups = {}
+    for *_, comm in bs.action:
+        groups.setdefault(comm.shape, []).append(comm)
+    return [np.stack(group) for group in groups.values()]
+
+
 def dirac_seminorms(op: DiracOperator, coords) -> tuple:
     """The arrays ``(value, from_form)`` of :func:`dirac_seminorm` over the
     rows of canonical coordinates ``coords`` (m, d).  The second block of
     the commutator, d* A_a - L_a d*, is -B(a*)* up to the
-    ``star_representation`` residual, so |[D, pi(a)]| = max(|B(a)|, |B(a*)|):
-    ``commutator_blocks`` contracted with the rows of a and a*, and one
-    batched SVD.  Gamma(a, a) and Gamma(a*, a*) are one contraction with the
-    gram and one ``block_norms``.
+    ``star_representation`` residual, so |[D, pi(a)]| = max(|B(a)|, |B(a*)|).
+    B(a) is the direct sum over blocks b and columns c of the (r_b, n_b)
+    matrices sum_i a_i S_b[i], so its norm is the largest of theirs: the
+    rows of a and a* contracted with the commutator stacks, one batched SVD
+    per stack shape.  Gamma(a, a) and Gamma(a*, a*) are one contraction with
+    the gram and one ``block_norms``.
 
     Each row first loses its identity component tau(a)/tau(1) 1: neither side
     changes, but the rounding of Gamma(1, 1) stays out of ``from_form``."""
@@ -230,37 +212,40 @@ def dirac_seminorms(op: DiracOperator, coords) -> tuple:
     taus = (np.concatenate([x[:, diag], np.ones((1, len(diag)))]) * alg.coord_weights).sum(axis=1)
     x[:, diag] -= (taus[:-1] / taus[-1])[:, None]
     both = np.concatenate([x, x[:, alg.adj_table].conj()])
-    norms = np.linalg.norm(np.tensordot(both, bs.commutator_blocks, axes=1), 2, axis=(1, 2))
+    norms = np.zeros(len(both))
+    for stacks in _commutator_groups(bs):
+        blocks = np.tensordot(both, stacks, axes=([1], [1]))
+        norms = np.maximum(norms, np.linalg.norm(blocks, 2, axis=(2, 3)).max(axis=1))
     gammas = np.einsum("mi,mj,ijk->mk", both.conj(), both, bs.gamma.gram, optimize=True)
     from_form = np.sqrt(block_norms(alg, gammas).reshape(2, -1).max(axis=0))
     return norms.reshape(2, -1).max(axis=0), from_form
 
 
-def _squared_commutator_norms(bs: BimoduleSpace, coeffs) -> np.ndarray:
+def _star_squared_norms(bs: BimoduleSpace, coeffs) -> np.ndarray:
     """|[D, pi(f)]|^2 on a network's one-form space for the N point masses,
     then delta_p + delta_q and delta_p - delta_q for p < q, then each row of
     ``coeffs`` (real node values, shape (m, N)).
 
-    The block B(f) = d L_f - A_f d of the commutator is linear in f, so the
-    Gram of f is the sum of f_p f_q M[p, q] over the Gram table
-    M[p, q] = B_p* B_q of the point masses (``commutator_blocks``): a gather
-    for delta_p +- delta_q, one contraction for ``coeffs``.  Each squared
-    norm is the top eigenvalue of its Gram, all from one batched
-    ``eigvalsh``.  The other block of [D, pi(f)], d* A_f - L_f d*, is
+    Every block is 1 x 1, so B(f) is the direct sum over the nodes c of the
+    columns s_c f, with s_c[m, i] = S_c[i][m, 0], and |B(f)|^2 is the largest
+    of the quadratic forms f^T Q_c f over the real (N, N) tables
+    Q_c = Re(s_c* s_c).  The other block of [D, pi(f)], d* A_f - L_f d*, is
     -B(f*)*, and node values are real, so f* = f and both blocks have the
     same norm."""
-    n, rank = bs.algebra.dim, bs.rank
-    flat = bs.commutator_blocks.transpose(1, 0, 2).reshape(rank, n * n)
-    gram = (flat.conj().T @ flat).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-
+    n = bs.algebra.dim
     p, q = np.triu_indices(n, 1)
-    point = gram[np.arange(n), np.arange(n)]
-    cross = gram[p, q] + gram[q, p]
-    grams = np.concatenate([
-        point, point[p] + point[q] + cross, point[p] + point[q] - cross,
-        np.einsum("mp,mq,pqij->mij", coeffs, coeffs, gram, optimize=True),
-    ])
-    return np.clip(np.linalg.eigvalsh(grams)[:, -1], 0.0, None)
+    out = np.zeros(n + 2 * len(p) + len(coeffs))
+    for stacks in _commutator_groups(bs):
+        s = stacks[..., 0]
+        table = (s.conj() @ s.transpose(0, 2, 1)).real
+        point = table[:, np.arange(n), np.arange(n)]
+        cross = table[:, p, q] + table[:, q, p]
+        forms = np.concatenate([
+            point, point[:, p] + point[:, q] + cross, point[:, p] + point[:, q] - cross,
+            np.einsum("mp,cpq,mq->cm", coeffs, table, coeffs, optimize=True),
+        ], axis=1)
+        out = np.maximum(out, forms.max(axis=0))
+    return out
 
 
 def star_graph_check(net: ResistanceNetwork, scale=0.5, seed=0, tol=DEFAULT_EQ_TOL,
@@ -270,22 +255,22 @@ def star_graph_check(net: ResistanceNetwork, scale=0.5, seed=0, tol=DEFAULT_EQ_T
     seminorm side and from sparsity inspection are both reported.
 
     The law is tested on every pair of point masses and on ``random_pairs``
-    random pairs.  The squared seminorms come from the Gram table of the
-    point-mass commutator blocks (N^2 d^2 complex numbers, d = N) and one
-    batched ``eigvalsh``, as ``_squared_commutator_norms`` describes.
-    ``op`` is the Dirac operator of the network form at ``scale`` when the
-    caller has already built it; by default it is built here."""
+    random pairs.  The squared seminorms are quadratic forms in the node
+    values over one real (N, N) table per node, as ``_star_squared_norms``
+    describes.  ``op`` is the Dirac operator of the network form at
+    ``scale`` when the caller has already built it; by default it is built
+    here."""
     if not net.is_connected():
         raise DisconnectedError("star characterization requires a connected network")
     if op is None:
-        op = dirac(build_bimodule(network_cdc(net.algebra, net.c, scale=scale)))
+        op = DiracOperator(build_bimodule(network_cdc(net.algebra, net.c, scale=scale)))
     # f then g for each random pair; the terms of a pair are the squared
     # norms of f + g, f - g, f and g
     n = net.size
     draws = np.random.default_rng(seed).standard_normal((random_pairs, 2, n))
     f, g = draws[:, 0], draws[:, 1]
     coeffs = np.stack([f + g, f - g, f, g], axis=1).reshape(-1, n)
-    l2 = _squared_commutator_norms(op.bimodule, coeffs)
+    l2 = _star_squared_norms(op.bimodule, coeffs)
     p, q = np.triu_indices(n, 1)
     point, plus, minus, rand = np.split(l2, np.cumsum([n, len(p), len(p)]))
     terms = np.concatenate([np.stack([plus, minus, point[p], point[q]], axis=1),

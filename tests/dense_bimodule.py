@@ -9,11 +9,16 @@ diagonalized, and its null space is divided out.  The left action loops
 over the canonical units.
 
 It also keeps the dense readers of a one-form space that the library no
-longer holds: the ``(d, rank, rank)`` left-action stack, the representation
-pi(a) on L2(algebra) (+) L2(one-forms) and the commutator norm from the two
-off-diagonal blocks of [D, pi(a)].  Each reads a space through
-``algebra``, ``rank``, ``dmatrix`` and ``act_left`` only, so it serves both
-``nca.BimoduleSpace`` and :class:`ReferenceSpace`.
+longer holds: the ``(rank, rank)`` left action of an element and the
+``(d, rank, rank)`` stack of it, the representation pi(a) on
+L2(algebra) (+) L2(one-forms), the matrix of the Dirac operator and the
+commutator norm from the two off-diagonal blocks of [D, pi(a)].  Each reads
+a space through ``algebra``, ``rank``, ``dmatrix`` and :func:`act_left`
+only, so it serves both ``nca.BimoduleSpace`` and :class:`ReferenceSpace`.
+The readers of ``nca.BimoduleSpace`` alone rebuild the pair coordinates
+(d e_a) e_c from its per-block commutator stacks, and the ``(d, rank, d)``
+stack of the commutator blocks B_i = d L_i - A_i d from the derivation and
+the left action, with the point-mass Gram table built on it.
 """
 from dataclasses import dataclass
 
@@ -135,11 +140,89 @@ def pair_projection(alg) -> np.ndarray:
     return proj
 
 
+def act_left(space, a) -> np.ndarray:
+    """The (rank, rank) matrix of left multiplication by a: on the frame
+    rows of each block of ``nca.BimoduleSpace.action`` the contraction of
+    a's coordinates with its stack, once for every column."""
+    x = space.algebra.canonical_coords(a)
+    if isinstance(space, ReferenceSpace):
+        return np.tensordot(x, space.left_action, axes=1)
+    out = np.zeros((space.rank, space.rank), dtype=complex)
+    for start, units, stack, _ in space.action:
+        stop = start + stack.shape[1] * len(units)
+        out[start:stop, start:stop] = np.kron(np.tensordot(x, stack, axes=1), np.eye(len(units)))
+    return out
+
+
 def left_action_stack(space) -> np.ndarray:
     """The ``(d, rank, rank)`` matrices of left multiplication by each
     canonical unit."""
     alg = space.algebra
-    return np.stack([space.act_left(alg.basis_element(i)) for i in range(alg.dim)])
+    return np.stack([act_left(space, alg.basis_element(i)) for i in range(alg.dim)])
+
+
+def pair_forms(space) -> np.ndarray:
+    """The (rank, d^2) one-form coordinates of the pairs (d e_a) e_l of an
+    ``nca.BimoduleSpace``: column a d + l, for l = units[s, c] of a block,
+    holds sqrt(w_b) S_b[a][:, s] on the frame rows of column c, and every
+    other entry is zero."""
+    alg = space.algebra
+    d = alg.dim
+    out = np.zeros((space.rank, d, d), dtype=complex)
+    for start, units, _, comm in space.action:
+        n_b, r = len(units), comm.shape[1]
+        rows = out[start:start + r * n_b].reshape(r, n_b, d, d)
+        root_w = np.sqrt(alg.basis_weights[units[0, 0]])
+        for s in range(n_b):
+            for c in range(n_b):
+                rows[:, c, :, units[s, c]] = root_w * comm[:, :, s].T
+    return out.reshape(space.rank, d * d)
+
+
+def commutator_blocks(space) -> np.ndarray:
+    """The (d, rank, d) stack of B_i = d L_i - A_i d over the units e_i of an
+    ``nca.BimoduleSpace``, L_i sending e_j to e_k for each e_i e_j = e_k and
+    A_i d taken block by block from the stored action.  The block
+    B(a) = d L_a - A_a d of [D, pi(a)] is a's coordinates times it."""
+    d, dm = space.algebra.dim, space.dmatrix
+    mul_i, mul_j, mul_k = space.algebra.mul_nonzero
+    blocks = np.zeros((d, space.rank, d), dtype=complex)
+    blocks[mul_i, :, mul_j] = dm[:, mul_k].T
+    for start, units, stack, _ in space.action:
+        r_b = stack.shape[1]
+        rows = slice(start, start + r_b * len(units))
+        blocks[:, rows] -= (stack @ dm[rows].reshape(r_b, len(units) * d)).reshape(d, -1, d)
+    return blocks
+
+
+def squared_commutator_norms(space, coeffs) -> np.ndarray:
+    """|[D, pi(f)]|^2 on a network's one-form space for the N point masses,
+    then delta_p + delta_q and delta_p - delta_q for p < q, then each row of
+    ``coeffs`` (real node values, shape (m, N)).  The Gram of f is the sum
+    of f_p f_q M[p, q] over the Gram table M[p, q] = B_p* B_q of the point
+    masses from :func:`commutator_blocks`, and each squared norm is the top
+    eigenvalue of its Gram."""
+    n, rank = space.algebra.dim, space.rank
+    flat = commutator_blocks(space).transpose(1, 0, 2).reshape(rank, n * n)
+    gram = (flat.conj().T @ flat).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    p, q = np.triu_indices(n, 1)
+    point = gram[np.arange(n), np.arange(n)]
+    cross = gram[p, q] + gram[q, p]
+    grams = np.concatenate([
+        point, point[p] + point[q] + cross, point[p] + point[q] - cross,
+        np.einsum("mp,mq,pqij->mij", coeffs, coeffs, gram, optimize=True),
+    ])
+    return np.clip(np.linalg.eigvalsh(grams)[:, -1], 0.0, None)
+
+
+def dirac_matrix(space) -> np.ndarray:
+    """The (d + rank)-square matrix of the Dirac operator: the derivation
+    below the diagonal and its adjoint above."""
+    d, r = space.algebra.dim, space.rank
+    out = np.zeros((d + r, d + r), dtype=complex)
+    out[d:, :d] = space.dmatrix
+    out[:d, d:] = space.dmatrix.conj().T
+    return out
 
 
 def represent(space, a) -> np.ndarray:
@@ -148,7 +231,7 @@ def represent(space, a) -> np.ndarray:
     r = space.rank
     out = np.zeros((d + r, d + r), dtype=complex)
     out[:d, :d] = left_multiplication(space.algebra, a).matrix
-    out[d:, d:] = space.act_left(a)
+    out[d:, d:] = act_left(space, a)
     return out
 
 
@@ -159,7 +242,7 @@ def commutator_norm(space, a) -> float:
     dm = space.dmatrix
     dm_star = dm.conj().T
     left = left_multiplication(space.algebra, a).matrix
-    act = space.act_left(a)
+    act = act_left(space, a)
     return float(max(np.linalg.norm(dm @ left - act @ dm, 2),
                      np.linalg.norm(dm_star @ act - left @ dm_star, 2)))
 
@@ -171,7 +254,6 @@ class ReferenceSpace:
 
     gamma: object
     rank: int
-    pair_forms: np.ndarray
     dmatrix: np.ndarray
     left_action: np.ndarray
 
@@ -181,6 +263,3 @@ class ReferenceSpace:
 
     def derivative_coords(self, a) -> np.ndarray:
         return self.dmatrix @ self.algebra.to_coords(a)
-
-    def act_left(self, a) -> np.ndarray:
-        return np.tensordot(self.algebra.canonical_coords(a), self.left_action, axes=1)

@@ -146,7 +146,7 @@ def test_07_derivation_factorization_and_norm_formula():
         gap = np.abs(bs.dmatrix.conj().T @ bs.dmatrix - lap.matrix).max()
         if gap > 1e-9:
             failures.append((ex.name, "factorization", gap))
-        op = nca.dirac(bs)
+        op = nca.DiracOperator(bs)
         for trial in range(20):
             a = nca.random_element(ex.algebra, rng)
             res = nca.dirac_seminorm(op, a)

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import nca
-from nca.dirac import _squared_commutator_norms
+from nca.dirac import _star_squared_norms
 from nca.errors import DisconnectedError, PropertyViolationError
 
 from conftest import K3_C, TWO_C
-from dense_bimodule import commutator_norm, pair_projection, represent
+from dense_bimodule import (act_left, commutator_norm, dirac_matrix, pair_forms, pair_projection,
+                            represent, squared_commutator_norms)
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +29,7 @@ def test_zero_form_gives_empty_space(m2):
     gamma = nca.commutator_cdc([m2.identity()])
     bs = nca.build_bimodule(gamma)
     assert bs.rank == 0
-    op = nca.dirac(bs)
-    assert np.abs(op.matrix).max() == 0
+    assert np.abs(dirac_matrix(bs)).max() == 0
 
 
 def test_two_point_rank(two_point_bimodule):
@@ -71,7 +71,7 @@ def test_leibniz_rule_in_coordinates(catalog):
             b = nca.random_element(alg, rng)
             lhs = bs.derivative_coords(a * b)
             # a (db): left action on the derivative
-            first = bs.act_left(a) @ bs.derivative_coords(b)
+            first = act_left(bs, a) @ bs.derivative_coords(b)
             # (da) b: right multiplication is pushed through the universal
             # picture via d(ab) - a(db)
             rhs = first + _right_derivative(bs, a, b)
@@ -106,13 +106,12 @@ def _right_derivative(bs, a, b):
                 k2 = mul[i, j]
                 if k2 >= 0:
                     vec[u * d + k2] -= coords_a[i] * coords_b[j]
-    return bs.pair_forms @ vec
+    return pair_forms(bs) @ vec
 
 
 def test_dirac_matrix_shape_and_selfadjointness(two_point_bimodule):
     _, _, bs = two_point_bimodule
-    op = nca.dirac(bs)
-    m = op.matrix
+    m = dirac_matrix(bs)
     assert m.shape == (bs.algebra.dim + bs.rank,) * 2
     assert np.abs(m - m.conj().T).max() == 0
     grading = np.diag([1.0] * bs.algebra.dim + [-1.0] * bs.rank)
@@ -123,22 +122,21 @@ def test_dirac_square_spectrum_matches_laplacian():
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
     gamma = nca.network_cdc(alg, K3_C, scale=0.5)
     bs = nca.build_bimodule(gamma)
-    op = nca.dirac(bs)
     lap = nca.laplacian(nca.energy_form(gamma))
-    square = op.matrix @ op.matrix
+    square = dirac_matrix(bs) @ dirac_matrix(bs)
     restricted = square[: alg.dim, : alg.dim]
     assert np.abs(restricted - lap.matrix).max() < 1e-10
 
 
 def test_seminorm_vanishes_on_unit(two_point_bimodule):
     _, _, bs = two_point_bimodule
-    op = nca.dirac(bs)
+    op = nca.DiracOperator(bs)
     assert nca.dirac_seminorm(op, bs.algebra.identity()).value < 1e-12
 
 
 def test_seminorm_one_sided_case(m2):
     gamma = nca.commutator_cdc([m2.basis_element(1)])
-    op = nca.dirac(nca.build_bimodule(gamma))
+    op = nca.DiracOperator(nca.build_bimodule(gamma))
     v = m2.basis_element(1)
     result = nca.dirac_seminorm(op, v)
     # the derivative of v vanishes but the derivative of v* does not, so the
@@ -152,7 +150,7 @@ def test_seminorm_one_sided_case(m2):
 def test_seminorm_sup_formula_two_point():
     alg = nca.build_algebra([1, 1], [1.0, 1.0])
     gamma = nca.network_cdc(alg, TWO_C, scale=1.0)
-    op = nca.dirac(nca.build_bimodule(gamma))
+    op = nca.DiracOperator(nca.build_bimodule(gamma))
     f = alg.element([[[1.0]], [[0.0]]])
     assert nca.dirac_seminorm(op, f).value == pytest.approx(1.0, abs=1e-10)
 
@@ -160,7 +158,7 @@ def test_seminorm_sup_formula_two_point():
 def test_seminorm_star_invariance_and_formula(catalog):
     rng = np.random.default_rng(173)
     for ex in catalog:
-        op = nca.dirac(nca.build_bimodule(ex.gamma))
+        op = nca.DiracOperator(nca.build_bimodule(ex.gamma))
         for _ in range(5):
             a = nca.random_element(ex.algebra, rng)
             res = nca.dirac_seminorm(op, a)
@@ -172,7 +170,7 @@ def test_seminorm_star_invariance_and_formula(catalog):
 def test_seminorm_leibniz(catalog):
     rng = np.random.default_rng(179)
     for ex in catalog[:4]:
-        op = nca.dirac(nca.build_bimodule(ex.gamma))
+        op = nca.DiracOperator(nca.build_bimodule(ex.gamma))
         for _ in range(4):
             a = nca.random_element(ex.algebra, rng)
             b = nca.random_element(ex.algebra, rng)
@@ -204,7 +202,8 @@ def test_commutator_norm_matches_full_commutator():
             sample = nca.random_self_adjoint if k % 2 else nca.random_element
             a = sample(gamma.algebra, rng)
             pi = represent(op.bimodule, a)
-            full = np.linalg.norm(op.matrix @ pi - pi @ op.matrix, 2)
+            dm = dirac_matrix(op.bimodule)
+            full = np.linalg.norm(dm @ pi - pi @ dm, 2)
             assert abs(commutator_norm(op.bimodule, a) - full) <= 1e-12 * full, gamma.algebra.blocks
 
 
@@ -217,7 +216,7 @@ def test_network_commutator_norm_closed_forms():
         c = net.c
         hat = c.sum(axis=1)
         gamma = nca.network_cdc(net.algebra, c, scale=1.0)
-        op = nca.dirac(nca.build_bimodule(gamma))
+        op = nca.DiracOperator(nca.build_bimodule(gamma))
         eye = np.eye(net.size)
         for p in range(net.size):
             for q in range(p + 1, net.size):
@@ -243,7 +242,7 @@ def test_network_commutator_norm_sup_formula():
     rng = np.random.default_rng(197)
     net = nca.random_network(5, rng)
     gamma = nca.network_cdc(net.algebra, net.c, scale=1.0)
-    op = nca.dirac(nca.build_bimodule(gamma))
+    op = nca.DiracOperator(nca.build_bimodule(gamma))
     for _ in range(5):
         vals = rng.standard_normal(net.size)
         f = net.function(vals)
@@ -265,14 +264,15 @@ def test_left_action_matches_product_route(blocks, weights):
     d = alg.dim
     cols = np.arange(d)
     proj = pair_projection(alg)
+    pairs = pair_forms(bs)
     for i in range(d):
         lprod = np.zeros((d * d, d * d))
         for a in range(d):
             k = alg.mul_table[i, a]
             if k >= 0:
                 lprod[k * d + cols, a * d + cols] = 1.0
-        expected = bs.pair_forms @ lprod @ proj
-        assert np.abs(bs.act_left(alg.basis_element(i)) @ bs.pair_forms - expected).max() < 1e-14
+        expected = pairs @ lprod @ proj
+        assert np.abs(act_left(bs, alg.basis_element(i)) @ pairs - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("blocks", [[2], [3], [2, 1]])
@@ -322,21 +322,24 @@ def test_star_graph_flags():
 
 @pytest.mark.parametrize("size", [6, 8, 12, 16])
 def test_star_graph_batched_norms_match_commutator_norm(size):
-    # each squared norm read off the point-mass Gram table agrees with the
-    # commutator route, for point masses, delta_p +- delta_q and random f
+    # each squared norm read off the per-node tables, and each read off the
+    # point-mass Gram table, agrees with the commutator route, for point
+    # masses, delta_p +- delta_q and random f
     rng = np.random.default_rng(200 + size)
     net = nca.random_network(size, rng)
-    op = nca.dirac(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
+    op = nca.DiracOperator(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
     values = rng.standard_normal((3, size))
-    l2 = _squared_commutator_norms(op.bimodule, values)
+    l2 = _star_squared_norms(op.bimodule, values)
+    gram = squared_commutator_norms(op.bimodule, values)
     eye = np.eye(size)
     p, q = np.triu_indices(size, 1)
     functions = (list(eye) + [eye[a] + eye[b] for a, b in zip(p, q)]
                  + [eye[a] - eye[b] for a, b in zip(p, q)] + list(values))
-    assert len(l2) == len(functions)
-    for got, vals in zip(l2, functions):
+    assert len(l2) == len(gram) == len(functions)
+    for got, got_gram, vals in zip(l2, gram, functions):
         want = commutator_norm(op.bimodule, net.function(vals)) ** 2
         assert abs(got - want) <= 1e-12 * want
+        assert abs(got_gram - want) <= 1e-12 * want
 
     # the claim that lets one block stand for both: for real f the blocks
     # d L_f - A_f d and d* A_f - L_f d* have equal 2-norms
@@ -344,7 +347,7 @@ def test_star_graph_batched_norms_match_commutator_norm(size):
     for vals in values:
         f = net.function(vals)
         left = nca.left_multiplication(net.algebra, f).matrix
-        act = op.bimodule.act_left(f)
+        act = act_left(op.bimodule, f)
         first = np.linalg.norm(dm @ left - act @ dm, 2)
         second = np.linalg.norm(dm.conj().T @ act - left @ dm.conj().T, 2)
         assert abs(first - second) <= 1e-12 * first
@@ -381,12 +384,12 @@ def test_spectral_triple_round_trip_changes_dirac():
     # the original operator gives |f(x)-f(y)| / rho = 1/2
     original = np.linalg.norm(d_initial @ np.diag([1.0, 0.0]) - np.diag([1.0, 0.0]) @ d_initial, 2)
     assert original == pytest.approx(0.5)
-    rebuilt = nca.dirac(nca.build_bimodule(gamma))
+    rebuilt = nca.DiracOperator(nca.build_bimodule(gamma))
     new_norm = nca.dirac_seminorm(rebuilt, f).value
     # rebuilt seminorm sees c^2 = 1/4 under the square root
     assert new_norm == pytest.approx(0.5, abs=1e-10)
     # with rho = 1/c != 1 the two operators differ in spectrum size
-    assert rebuilt.matrix.shape != d_initial.shape
+    assert dirac_matrix(rebuilt.bimodule).shape != d_initial.shape
 
 
 def test_seminorm_of_near_scalars_has_no_form_rounding():
@@ -404,7 +407,7 @@ def test_seminorm_of_near_scalars_has_no_form_rounding():
         nca.commutator_cdc([w, w.adjoint()]),
     ]
     for gamma in forms:
-        op = nca.dirac(nca.build_bimodule(gamma))
+        op = nca.DiracOperator(nca.build_bimodule(gamma))
         one = gamma.algebra.identity()
         at_one = nca.dirac_seminorm(op, one)
         assert at_one.value == at_one.from_form == at_one.residual == 0.0
@@ -415,7 +418,9 @@ def test_seminorm_of_near_scalars_has_no_form_rounding():
 
 def test_build_bimodule_holds_no_action_stack():
     # the seed-7 N=24 network of the benchmark's network_case: one
-    # (d, rank, rank) complex stack of the left action would be 54.6 MiB
+    # (d, rank, rank) complex stack of the left action would be 54.6 MiB, one
+    # (rank, d, d) array of the pairs 3.39 MiB and one (N^2, N^2) Gram table
+    # of the point-mass commutator blocks 5.06 MiB
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "bench", "workloads.py")
     spec = importlib.util.spec_from_file_location("nca_bench_workloads", path)
@@ -426,9 +431,18 @@ def test_build_bimodule_holds_no_action_stack():
     tracemalloc.start()
     try:
         bs = nca.build_bimodule(gamma)
-        peak = tracemalloc.get_traced_memory()[1]
+        build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stack = gamma.algebra.dim * bs.rank ** 2 * 16
+    net, op = nca.ResistanceNetwork(case["c"]), nca.DiracOperator(bs)
+    tracemalloc.start()
+    try:
+        nca.star_graph_check(net, op=op)
+        star_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = gamma.algebra.dim
     assert bs.rank == 386
-    assert peak < stack / 2
+    assert build_peak < d * bs.rank ** 2 * 16 / 2
+    assert build_peak < bs.rank * d * d * 16
+    assert star_peak < d ** 4 * 16

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -152,6 +153,12 @@ class Algebra:
         return i, j, self.mul_table[i, j]
 
     @cached_property
+    def _triple_starts(self):
+        """The triples of ``mul_nonzero`` whose first unit is e_a are those
+        from ``_triple_starts[a]`` to ``_triple_starts[a + 1]``."""
+        return np.searchsorted(self.mul_nonzero[0], np.arange(self.dim + 1))
+
+    @cached_property
     def adj_table(self):
         """adj_table[i] = canonical index of (e_i)*, the unit at the
         transposed entry."""
@@ -190,6 +197,19 @@ class Algebra:
             owned = [b for b, nb in enumerate(self.blocks) if nb == n]
             groups.append((n, self._basis_offsets[owned][:, None] + np.arange(n * n)))
         return tuple(groups)
+
+    @cached_property
+    def _block_runs(self):
+        """``(n, units, lines)`` for each run of adjacent blocks of one size
+        n: the slices of their canonical units and of their rows (and
+        columns) in the embedding."""
+        runs, b = [], 0
+        for n, run in groupby(self.blocks):
+            e = b + len(list(run))
+            runs.append((n, slice(self._basis_offsets[b], self._basis_offsets[e]),
+                         slice(self._space_offsets[b], self._space_offsets[e])))
+            b = e
+        return tuple(runs)
 
     @cached_property
     def _draw_index(self):

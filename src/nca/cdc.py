@@ -16,10 +16,11 @@ G = ``gram`` and adj = ``adj_table``:
 * symmetry, Gamma(e_i, e_j)* = Gamma(e_j, e_i), is G - conj(G[j, i, adj]);
 * the star-representation identity
   Gamma(e_i e_j, e_k) - Gamma(e_j, e_i* e_k) = e_j* Gamma(e_i, e_k) - Gamma(e_j, e_i*) e_k
-  has four terms that each vanish off a product of units, so each is
-  scattered from the triples onto its own support of the (i, j, k, m) gap
-  and the rest stays zero.  The gap is held over chunks of i of a fixed
-  number of entries, not all d^4 at once;
+  is checked by the largest coefficient of its gap on each row (i, j, k).
+  The first two terms reach only the rows of the triples, which are
+  evaluated whole; on every other row the last two lie on one row and one
+  column of the embedding, so the maximum comes from per-line maxima of |G|
+  and the one unit where they meet.  No d^4 gap is held;
 * complete positivity is positivity of the basis gram
   [(i, x), (j, y)] -> Gamma(e_i, e_j)_{xy}.  It is a direct sum over the
   blocks b, block b being the (d n_b) x (d n_b) matrix of G[i, j, unit (r, s)
@@ -29,7 +30,7 @@ G = ``gram`` and adj = ``adj_table``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -361,7 +362,7 @@ def _cp_blocks(alg: Algebra, g: np.ndarray) -> list:
     return [(m + m.conj().swapaxes(1, 2)) / 2 for m in stacks]
 
 
-_STAR_CHUNK = 2 ** 16  # complex gap entries that _star_gaps holds at once
+_STAR_CHUNK = 2 ** 16  # entries that the two slabs of one chunk of _star_gaps hold
 
 
 def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
@@ -369,29 +370,122 @@ def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
     Gamma(e_p e_q, e_r) - Gamma(e_q, e_p* e_r) - e_q* Gamma(e_p, e_r)
     + Gamma(e_q, e_p*) e_r.
 
-    Each term is a product of units, so over the triples e_i e_j = e_k of
-    ``mul_nonzero`` (a = adj i) it is written, in the order of the formula,
-    only onto its support: the first at [i, j] from G[k], the second at
-    [a, :, j] from G[:, k], the third at [:, a, :, k] from G[:, :, j] and
-    the fourth at [:, :, j, k] from G[:, adj p, i]; every other entry is an
-    exact zero.  The (p, q, r, m) gap is held over chunks of p of at most
-    ``_STAR_CHUNK`` entries, or of one p when d^3 is larger."""
+    Write R, S for the row and the column of a unit in the embedding.  The
+    third term lies on the units of row S q, the fourth on those of column
+    S r, and the two meet at most at the unit at (S q, S r).  A row that
+    neither of the first two terms reaches is zero elsewhere, and an entry
+    that holds one term alone is 0 - x or 0 + x, of magnitude exactly |x|.
+    So its maximum is the largest of three: the maximum of |G[p, r]| over
+    the units of row R q and that of |G[q, adj p]| over the units of column
+    R r, each without the unit that lands where the terms meet, and the
+    magnitude of the sum there.
+
+    The first term fills the rows (i, j, :) and the second the rows
+    (adj i, :, j) of the triples e_i e_j = e_k of ``mul_nonzero``.  These are
+    evaluated whole, in the order of the formula, and written last: the
+    second term's slabs without the first term, then the first term's,
+    which overwrite the rows that both reach.  The work goes by chunks of p
+    whose two slabs hold at most ``_STAR_CHUNK`` entries together, or by one
+    p when they are larger."""
     d = alg.dim
     adj = alg.adj_table
     i, j, k = alg.mul_nonzero
-    a = adj[i]
-    step = max(1, _STAR_CHUNK // d ** 3)
+    starts = alg._triple_starts
+    (qr, rx, qy), (zero3, zero4), second, owner, pair_starts, (u, v, w) = _star_tables(alg)
+    rows = alg.unit_positions[0]
+    step = max(1, _STAR_CHUNK // (2 * max(alg.blocks) * d * d))
     out = np.empty((d, d, d))
     for lo in range(0, d, step):
         hi = min(lo + step, d)
-        gap = np.zeros((hi - lo, d, d, d), dtype=complex)
-        first = (lo <= i) & (i < hi)
-        gap[i[first] - lo, j[first]] = g[k[first]]
-        second = (lo <= a) & (a < hi)
-        gap[a[second] - lo, :, j[second]] -= g[:, k[second]].swapaxes(0, 1)
-        gap[:, a, :, k] -= g[lo:hi][:, :, j].transpose(2, 0, 1)
-        gap[:, :, j, k] += g[:, adj[lo:hi]][:, :, i].swapaxes(0, 1)
-        out[lo:hi] = np.abs(gap).max(axis=3)
+        c = hi - lo
+        # every row as if only the third and fourth terms reached it, [p, q, r]
+        g3 = g[lo:hi].reshape(c, d * d)  # [p, (r, l)]: G[p, r, l]
+        g4 = g.swapaxes(0, 1)[adj[lo:hi]].reshape(c, d * d)  # [p, (q, l)]: G[q, adj p, l]
+        ab3, ab4 = np.abs(g3), np.abs(g4)
+        ab3[:, zero3] = 0  # the units that land where the terms meet
+        ab4[:, zero4] = 0
+        chunk = out[lo:hi]
+        np.maximum(_line_maxima(alg, ab3.reshape(c, d, d), -1).take(rows, axis=2)
+                   .transpose(0, 2, 1),  # [p, r, q] read as [p, q, r]
+                   _line_maxima(alg, ab4.reshape(c, d, d), -2).take(rows, axis=2), out=chunk)
+        flat = chunk.reshape(c, d * d)
+        flat[:, qr] = np.maximum(flat.take(qr, axis=1),
+                                 np.abs(g4.take(qy, axis=1) - g3.take(rx, axis=1)))
+
+        slabs = slice(starts[lo], starts[hi])
+        pairs = slice(pair_starts[lo], pair_starts[hi])
+        s, p = owner[pairs] - starts[lo], i[slabs]
+        # the second term's rows (p, :, r) for e_p* e_r = e_k2, [q, slab, m],
+        # negated, which leaves every magnitude as it is: the second term,
+        # then the third over all q and the fourth over column S r
+        r = j[second[slabs]]
+        gap = g[:, k[second[slabs]]]
+        gap[adj[i], :, k] += g[p, r][:, j].T
+        gap[:, s, adj[k[w[pairs]]]] -= g[:, adj[p[s]], adj[j[w[pairs]]]]
+        out[p, :, r] = np.abs(gap).max(axis=2).T
+        # the first term's rows (p, q, :) for e_p e_q = e_k1, [slab, r, m]:
+        # the first term, the second at e_p* e_r != 0, the third over row
+        # S q and the fourth over all r
+        q = j[slabs]
+        gap = g[k[slabs]]
+        gap[s, j[u[pairs]]] -= g[q[s], k[u[pairs]]]
+        gap[s, :, k[v[pairs]]] -= g[p[s], :, j[v[pairs]]]
+        gap[:, j, k] += g[q, adj[p]][:, i]
+        out[p, q] = np.abs(gap).max(axis=2)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _star_tables(alg: Algebra):
+    """The index arrays of ``_star_gaps``, which depend on the blocks alone.
+
+    ``(qr, rx, qy)``: for each pair of units e_q, e_r of one block, the flat
+    places (q, r), (r, x) and (q, y) of a (d, d) array, where e_x is the unit
+    at (R q, S r) and e_y the unit at (S q, R r).  ``(zero3, zero4)``: the
+    places (r, l) with e_l in column S r and (q, l) with e_l in row S q.
+
+    Each p owns one slab of rows per triple of p: the triple x = (p, q, k1)
+    of ``mul_nonzero`` for the first term and ``second[x]`` = (adj p, r, k2)
+    for the second, from x = ``_triple_starts[p]`` on.  ``owner`` repeats
+    each slab once per unit of its block, from ``pair_starts[p]`` on; aligned
+    with it, ``u``, ``v`` and ``w`` are the triples of adj p and of adj q
+    (the first term's slab) and of adj r (the second's).
+    """
+    d = alg.dim
+    adj = alg.adj_table
+    i, j, k = alg.mul_nonzero
+    rows, cols = alg.unit_positions
+    at = alg._unit_at
+    q, r = np.nonzero(at[rows[:, None], cols[None, :]] >= 0)
+    meet = q * d + r, r * d + at[rows[q], cols[r]], q * d + at[cols[q], rows[r]]
+    second = _triples_of(alg, adj)[1]
+    owner, u = _triples_of(alg, adj[i])
+    v = _triples_of(alg, adj[j])[1]
+    w = _triples_of(alg, adj[j[second]])[1]
+    pair_starts = np.searchsorted(owner, alg._triple_starts)
+    return meet, (j * d + k, adj[i] * d + k), second, owner, pair_starts, (u, v, w)
+
+
+def _triples_of(alg: Algebra, units: np.ndarray):
+    """``(s, t)``: every triple t of ``mul_nonzero`` whose first unit is
+    ``units[s]``, in the order of ``units``."""
+    starts = alg._triple_starts
+    counts = starts[units + 1] - starts[units]
+    s = np.repeat(np.arange(len(units)), counts)
+    return s, np.arange(len(s)) + np.repeat(starts[units] + counts - np.cumsum(counts), counts)
+
+
+def _line_maxima(alg: Algebra, a: np.ndarray, axis: int) -> np.ndarray:
+    """``out[..., x]``: the largest a[..., l] over the units l in row x
+    (``axis`` -1) or column x (``axis`` -2) of the embedding, as a running
+    maximum over one slice per unit of the line.  ``a`` is overwritten."""
+    out = np.empty(a.shape[:-1] + (alg.total_size,))
+    for n, units, lines in alg._block_runs:
+        run = a[..., units].reshape(a.shape[:-1] + (-1, n, n)).swapaxes(axis, -1)
+        top = run[..., 0]
+        for unit in range(1, n):
+            np.maximum(top, run[..., unit], out=top)
+        out[..., lines] = top.reshape(out.shape[:-1] + (-1,))
     return out
 
 

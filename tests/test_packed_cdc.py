@@ -1,9 +1,12 @@
 """The packed carre-du-champ against the dense reference in ``dense_cdc``:
 the axiom checks on random forms, the complete-positivity witness, the
-builders, and the memory held by ``is_cdc``.  The scatters from
-``mul_nonzero`` in ``_star_gaps`` and ``gamma_from_generator`` are checked
-bit for bit against the padded gathers they replace."""
+builders, and the memory held by ``_star_gaps``.  ``_star_gaps``, which
+splits the star gap into the rows of its first two terms and the rows that
+only its last two reach, and the scatters of ``gamma_from_generator`` are
+checked bit for bit against padded gathers over every entry."""
 import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,13 +173,17 @@ def _gather_generator_gram(n, scale):
     return scale * (t_left - t_mid + t_right)
 
 
-# the default chunk budget leaves several chunks of i on [5], [1] * 20 and
-# [3, 3, 2], the last one ragged; a budget of 1 holds one i per chunk
+# the default chunk budget holds all of p on [1] * 20 and [3, 3, 2], and
+# leaves several chunks of p on [5] (the last one ragged), [2] * 8, the shape
+# of an amplified form, and [6]; a budget of 1 holds one p per chunk
 @pytest.mark.parametrize("blocks, weights, budget", [
     ([5], [1.0], None),
     ([1] * 20, list(np.linspace(0.5, 2.0, 20)), None),
     ([3, 3, 2], [1.0, 0.5, 2.0], None),
-] + [(blocks, weights, 1) for blocks, weights in ALGEBRAS])
+] + [(blocks, weights, 1) for blocks, weights in ALGEBRAS] + [
+    ([2] * 8, list(np.linspace(0.5, 2.0, 8)), None),
+    ([6], [1.0], None),
+])
 def test_scatters_match_gathers(monkeypatch, blocks, weights, budget):
     if budget is not None:
         monkeypatch.setattr(nca.cdc, "_STAR_CHUNK", budget)
@@ -189,6 +196,21 @@ def test_scatters_match_gathers(monkeypatch, blocks, weights, budget):
     for kind in ("raw", "symmetrized", "generator"):
         g = _random_form(alg, kind, rng).gram
         assert np.array_equal(_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@settings(max_examples=20, deadline=None)
+@given(blocks=st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=4),
+                        st.integers(1, 12).map(lambda n: [1] * n)),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_star_gaps_match_gathers(blocks, seed, budget):
+    rng = np.random.default_rng(seed)
+    alg = nca.build_algebra(blocks, list(rng.uniform(0.5, 2.0, len(blocks))))
+    chunk = mock.patch.object(nca.cdc, "_STAR_CHUNK", budget) if budget else nullcontext()
+    with chunk:
+        for kind in ("raw", "symmetrized", "generator"):
+            g = _random_form(alg, kind, rng).gram
+            assert np.array_equal(_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
 
 
 # -- the builders against their dense definitions ---------------------------
@@ -257,14 +279,22 @@ def _network_form(size, seed):
     return nca.network_cdc(net.algebra, net.c)
 
 
+def _commutator_form(size, seed):
+    alg = nca.build_algebra([size], [1.0])
+    v = nca.random_element(alg, np.random.default_rng(seed))
+    return nca.commutator_cdc([v, v.adjoint(), v + v.adjoint()])
+
+
 def test_is_cdc_memory_stays_bounded():
-    gamma = _network_form(24, 24)
-    tracemalloc.start()
-    try:
-        report = nca.is_cdc(gamma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.is_cdc
-    assert peak < 50 * 2 ** 20
-    assert nca.is_cdc(_network_form(48, 48)).is_cdc
+    # each bound is the peak of the whole (p, q, r, m) gap held in chunks of
+    # _STAR_CHUNK entries, which the row classes must stay under
+    for gamma, bound_mib in [(_network_form(24, 24), 1.79), (_network_form(48, 48), 4.22),
+                             (_commutator_form(6, 6), 1.78)]:
+        tracemalloc.start()
+        try:
+            _star_gaps(gamma.algebra, gamma.gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20, gamma.algebra.blocks
+        assert nca.is_cdc(gamma).is_cdc

@@ -16,8 +16,9 @@ seeded function (seed 8 twice in one draw).  A further subprocess per side
 reports the library's ``is_cdc`` (flags, residuals, witness) and
 ``reality_checks`` on the seed-1 large-forms forms (networks, an order-2
 amplification, a commutator form) and on a raw and a symmetrized random
-gram on [3, 2, 1]: no spec can fail the star-representation identity, and
-these two reach its failing residual and its witness.  The script
+gram on each of [3, 2, 1], [1] * 12 and [2, 2, 2]: no spec can fail the
+star-representation identity, and these reach its failing residual and its
+witness, on one large block and on many small ones.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans) and, for each float field that moved,
 its largest change relative to max(1, |x|).  It exits 1 when any structural
@@ -87,12 +88,15 @@ def forms():
             n = case["c"].shape[0]
             gamma = network_cdc(Algebra((1,) * n, (1.0,) * n), case["c"])
             yield case["name"], amplify_cdc(gamma, case.get("order", 1))
-    alg = Algebra((3, 2, 1), (1.0, 0.5, 2.0))
-    d = alg.dim
-    g = np.random.default_rng(1).standard_normal((d, d, d, 2)) @ [1, 1j]
-    yield "raw-3-2-1", CdCForm(alg, g)
-    sym = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
-    yield "symmetrized-3-2-1", CdCForm(alg, sym)
+    for label, blocks, weights in (("3-2-1", (3, 2, 1), (1.0, 0.5, 2.0)),
+                                   ("1x12", (1,) * 12, tuple(np.linspace(0.5, 2.0, 12))),
+                                   ("2-2-2", (2, 2, 2), (1.0, 0.5, 2.0))):
+        alg = Algebra(blocks, weights)
+        d = alg.dim
+        g = np.random.default_rng(1).standard_normal((d, d, d, 2)) @ [1, 1j]
+        yield f"raw-{label}", CdCForm(alg, g)
+        sym = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
+        yield f"symmetrized-{label}", CdCForm(alg, sym)
 
 out = []
 for name, gamma in forms():

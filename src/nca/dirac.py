@@ -27,7 +27,9 @@ a_i = D^(1/2) F+* [(L_i (x) 1) F+ - iota_i mu(F+)] D^(-1/2) over the kept
 eigenvectors F+ with eigenvalues D; mu(F)[s] = sum_r F[(unit (s, r), r)] is
 the product map and iota_i places it at the rows (i, .).  With the
 eigenvectors below the cut in place of the right-hand F+ the product must
-vanish: the null space acts into the null space.
+vanish: the null space acts into the null space.  The left action is formed
+block by block only for that residual and for a_i* = a_(i*), and is not
+kept: every Dirac quantity is read off the stacks S_b.
 """
 from __future__ import annotations
 
@@ -46,13 +48,13 @@ class BimoduleSpace:
     """An orthonormal model of the one-form space of a carre-du-champ.
 
     ``dmatrix`` maps orthonormal algebra coordinates to one-form
-    coordinates.  ``action`` holds ``(start, units, stack, commutator)`` per
+    coordinates.  ``action`` holds ``(start, units, commutator)`` per
     algebra block b with a kept eigenvalue: ``units`` (n_b, n_b) are the
     canonical indices of its matrix units, and its frame rows are
     start + m n_b + c, over the r_b kept eigenvalues m and the columns c.
-    On them e_i acts as ``stack[i]`` (shape (r_b, r_b)) for every c, and
-    B_i = d L_i - A_i d sends e~_(units[s, c]) to ``commutator[i][:, s]``
-    (the stack S_b of the module docstring, shape (d, r_b, n_b)).
+    On them B_i = d L_i - A_i d sends e~_(units[s, c]) to
+    ``commutator[i][:, s]`` (the stack S_b of the module docstring, shape
+    (d, r_b, n_b)).  The left action itself is not held.
     """
 
     gamma: CdCForm
@@ -89,8 +91,6 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
 
     rank = sum(int(keep.sum()) * n_b for (n_b, _), keep in zip(alg.size_groups, keeps))
     root_w = np.sqrt(alg.basis_weights)
-    # Delta is taken before the action stacks are held, to keep the peak low
-    delta = gamma.tau_values / np.outer(root_w, root_w)
     dmatrix = np.empty((rank, d), dtype=complex)
     action, start = [], 0
     null_res = star_res = 0.0
@@ -107,19 +107,21 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
             comm[units, :, np.arange(n_b)] -= comm[alg.diagonal_units].sum(axis=0).T[:, None]
             rows = comm.transpose(1, 2, 0).reshape(r * n_b, d)
             dmatrix[start:start + r * n_b] = rows * (root_wb / root_w)
+            # the left action a_i of the block is checked and not kept; the
+            # next block's arrays replace these, since freeing them first
+            # makes the heap shrink and re-fault on every block.  A C-ordered
+            # gap keeps the subtraction from buffering
             moved = root_lam[:, None] * _moved_frame(alg, n_b, cols[q], vecs[q], keep[q])
             stack = moved[:, :, keep[q]] / root_lam
             null_res = max(null_res, root_wb * np.abs(moved[:, :, ~keep[q]]).max(initial=0.0))
-            # a C-ordered gap keeps the subtraction from buffering, and neither
-            # it nor the frame is held into the next block's frame
             gap = np.conjugate(stack.transpose(0, 2, 1), order="C")
             gap -= stack[alg.adj_table]
             star_res = max(star_res, float(np.abs(gap).max()))
-            del moved, gap
-            action.append((start, units, stack, comm))
+            action.append((start, units, comm))
             start += r * n_b
 
     # the derivation factors the Laplacian: dmatrix* dmatrix = Delta
+    delta = gamma.tau_values / np.outer(root_w, root_w)
     return BimoduleSpace(
         gamma=gamma, rank=rank, dmatrix=dmatrix, action=tuple(action),
         residuals={

@@ -57,7 +57,6 @@ class EnergyForm:
 
     algebra: Algebra
     gram: np.ndarray
-    provenance: Optional[CdCForm] = None
 
     def __post_init__(self):
         d = self.algebra.dim
@@ -100,7 +99,7 @@ def energy_form(gamma: CdCForm, force=False, tol=DEFAULT_POS_TOL) -> EnergyForm:
     if not force:
         is_cdc(gamma, tol=tol).require(
             "form fails the carre-du-champ axioms; pass force=True to override")
-    return EnergyForm(gamma.algebra, gamma.tau_values, provenance=gamma)
+    return EnergyForm(gamma.algebra, gamma.tau_values)
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def gamma_delta(lap: Laplacian, tol=DEFAULT_EQ_TOL) -> CdCForm:
     return gamma_from_generator(lap.superop, scale=0.5, tol=tol)
 
 
-def connectedness(lap: Laplacian, tol=None) -> bool:
+def connectedness(lap: Laplacian) -> bool:
     """True iff the near-null eigenspace is exactly the scalars."""
     if lap.kernel_dim != 1:
         return False

@@ -8,24 +8,30 @@ inner product <a (x) b, c (x) d> = tau(b* Gamma(a, c) d) is assembled as a
 diagonalized, and its null space is divided out.  The left action loops
 over the canonical units.
 
-It also keeps the dense readers of a one-form space that the library no
-longer holds: the ``(rank, rank)`` left action of an element and the
+It also keeps the dense readers of a one-form space that the library does
+not hold: the ``(rank, rank)`` left action of an element and the
 ``(d, rank, rank)`` stack of it, the representation pi(a) on
 L2(algebra) (+) L2(one-forms), the matrix of the Dirac operator and the
 commutator norm from the two off-diagonal blocks of [D, pi(a)].  Each reads
 a space through ``algebra``, ``rank``, ``dmatrix`` and :func:`act_left`
 only, so it serves both ``nca.BimoduleSpace`` and :class:`ReferenceSpace`.
-The readers of ``nca.BimoduleSpace`` alone rebuild the pair coordinates
-(d e_a) e_c from its per-block commutator stacks, and the ``(d, rank, d)``
-stack of the commutator blocks B_i = d L_i - A_i d from the derivation and
-the left action, with the point-mass Gram table built on it.
+An ``nca.BimoduleSpace`` keeps only its per-block commutator stacks, so
+:func:`library_action` rebuilds the per-block left action of the library's
+route for it.  The readers of ``nca.BimoduleSpace`` alone rebuild the pair
+coordinates (d e_a) e_c from its commutator stacks, and the
+``(d, rank, d)`` stack of the commutator blocks B_i = d L_i - A_i d from
+the derivation and the left action, with the point-mass Gram table built
+on it.
 """
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from nca import PropertyViolationError, is_cdc, left_multiplication
 from nca.algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL
+from nca.cdc import _cp_blocks
+from nca.dirac import _moved_frame
 from nca.reporting import CheckResult
 
 
@@ -140,15 +146,51 @@ def pair_projection(alg) -> np.ndarray:
     return proj
 
 
+_ACTIONS = {}  # id of a live nca.BimoduleSpace -> its library_action
+
+
+def library_action(space) -> list:
+    """The (d, r_b, r_b) left action a_i of each block of an
+    ``nca.BimoduleSpace``, in ``space.action`` order, rebuilt by the library's
+    route, which does not keep it: the eigenvectors of the block's
+    complete-positivity block from ``_cp_blocks`` and ``eigh``, moved by
+    ``_moved_frame``.  The eigenvalues ascend and the rank cut is monotone in
+    them, so the kept ones are the top r_b, with r_b the frame rows of the
+    block's commutator stack.  Each space's stacks are built once and
+    dropped with the space."""
+    if id(space) not in _ACTIONS:
+        weakref.finalize(space, _ACTIONS.pop, id(space))
+        _ACTIONS[id(space)] = _rebuild_action(space)
+    return _ACTIONS[id(space)]
+
+
+def _rebuild_action(space) -> list:
+    alg = space.algebra
+    eigs = [np.linalg.eigh(m) for m in _cp_blocks(alg, space.gamma.gram)]
+    found = {}
+    for (n_b, cols), (vals, vecs) in zip(alg.size_groups, eigs):
+        for q, units in enumerate(cols):
+            found[units[0]] = n_b, units, vals[q], vecs[q]
+    out = []
+    for _, units, comm in space.action:
+        n_b, cols, vals, vecs = found[units[0, 0]]
+        keep = np.arange(len(vals)) >= len(vals) - comm.shape[1]
+        root_lam = np.sqrt(vals[keep])
+        moved = root_lam[:, None] * _moved_frame(alg, n_b, cols, vecs, keep)
+        out.append(moved[:, :, keep] / root_lam)
+    return out
+
+
 def act_left(space, a) -> np.ndarray:
     """The (rank, rank) matrix of left multiplication by a: on the frame
     rows of each block of ``nca.BimoduleSpace.action`` the contraction of
-    a's coordinates with its stack, once for every column."""
+    a's coordinates with the block's :func:`library_action`, once for every
+    column."""
     x = space.algebra.canonical_coords(a)
     if isinstance(space, ReferenceSpace):
         return np.tensordot(x, space.left_action, axes=1)
     out = np.zeros((space.rank, space.rank), dtype=complex)
-    for start, units, stack, _ in space.action:
+    for (start, units, _), stack in zip(space.action, library_action(space)):
         stop = start + stack.shape[1] * len(units)
         out[start:stop, start:stop] = np.kron(np.tensordot(x, stack, axes=1), np.eye(len(units)))
     return out
@@ -169,7 +211,7 @@ def pair_forms(space) -> np.ndarray:
     alg = space.algebra
     d = alg.dim
     out = np.zeros((space.rank, d, d), dtype=complex)
-    for start, units, _, comm in space.action:
+    for start, units, comm in space.action:
         n_b, r = len(units), comm.shape[1]
         rows = out[start:start + r * n_b].reshape(r, n_b, d, d)
         root_w = np.sqrt(alg.basis_weights[units[0, 0]])
@@ -182,13 +224,13 @@ def pair_forms(space) -> np.ndarray:
 def commutator_blocks(space) -> np.ndarray:
     """The (d, rank, d) stack of B_i = d L_i - A_i d over the units e_i of an
     ``nca.BimoduleSpace``, L_i sending e_j to e_k for each e_i e_j = e_k and
-    A_i d taken block by block from the stored action.  The block
+    A_i d taken block by block from :func:`library_action`.  The block
     B(a) = d L_a - A_a d of [D, pi(a)] is a's coordinates times it."""
     d, dm = space.algebra.dim, space.dmatrix
     mul_i, mul_j, mul_k = space.algebra.mul_nonzero
     blocks = np.zeros((d, space.rank, d), dtype=complex)
     blocks[mul_i, :, mul_j] = dm[:, mul_k].T
-    for start, units, stack, _ in space.action:
+    for (start, units, _), stack in zip(space.action, library_action(space)):
         r_b = stack.shape[1]
         rows = slice(start, start + r_b * len(units))
         blocks[:, rows] -= (stack @ dm[rows].reshape(r_b, len(units) * d)).reshape(d, -1, d)

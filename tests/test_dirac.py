@@ -418,9 +418,10 @@ def test_seminorm_of_near_scalars_has_no_form_rounding():
 
 def test_build_bimodule_holds_no_action_stack():
     # the seed-7 N=24 network of the benchmark's network_case: one
-    # (d, rank, rank) complex stack of the left action would be 54.6 MiB, one
-    # (rank, d, d) array of the pairs 3.39 MiB and one (N^2, N^2) Gram table
-    # of the point-mass commutator blocks 5.06 MiB
+    # (d, rank, rank) complex stack of the left action would be 54.6 MiB, the
+    # (d, r_b, r_b) stacks of it per block 2.33 MiB together, one (rank, d, d)
+    # array of the pairs 3.39 MiB and one (N^2, N^2) Gram table of the
+    # point-mass commutator blocks 5.06 MiB
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "bench", "workloads.py")
     spec = importlib.util.spec_from_file_location("nca_bench_workloads", path)
@@ -443,6 +444,11 @@ def test_build_bimodule_holds_no_action_stack():
         tracemalloc.stop()
     d = gamma.algebra.dim
     assert bs.rank == 386
+    assert all(len(entry) == 3 for entry in bs.action)
+    for start, units, comm in bs.action:
+        assert isinstance(start, int) and units.shape == (1, 1)
+        assert comm.shape == (d, comm.shape[1], 1)
+    assert build_peak < sum(d * comm.shape[1] ** 2 * 16 for *_, comm in bs.action)
     assert build_peak < d * bs.rank ** 2 * 16 / 2
     assert build_peak < bs.rank * d * d * 16
     assert star_peak < d ** 4 * 16

@@ -2,13 +2,13 @@
 they replace, kept here as references: the conditional complete negativity
 matrices and seeded tuples of ``ccn_check``, the automorphism test of
 ``group_action_cdc``, the pairing identity of ``stddev.extend``,
-``leibniz_check``, the parallelogram test of ``star_graph_check``, and the
-per-time solves of ``resolvent_check`` and the Markov probes and the kernel
-split of ``energy_metric`` that functions of the Laplacian's
-eigendecomposition replace, the one-element-at-a-time seminorms of the
-``dirac`` suite, and the batteries drawn one sample at a time: Markov,
-Leibniz, the fiber infimum of ``quotient_checks`` and the seminorm identity
-of the ``stddev`` suite."""
+``leibniz_check``, the parallelogram test of ``star_graph_check``, the hub
+search of ``is_star``, and the per-time solves of ``resolvent_check`` and
+the Markov probes and the kernel split of ``energy_metric`` that functions
+of the Laplacian's eigendecomposition replace, the one-element-at-a-time
+seminorms of the ``dirac`` suite, and the batteries drawn one sample at a
+time: Markov, Leibniz, the fiber infimum of ``quotient_checks`` and the
+seminorm identity of the ``stddev`` suite."""
 import numpy as np
 import pytest
 
@@ -338,6 +338,41 @@ def test_star_graph_random_witness_matches_loop():
     assert want["witness"] == got["witness"] == "random-7"
     residual = want["max_relative_residual"]
     assert abs(got["max_relative_residual"] - residual) <= 1e-12 * residual
+
+
+def _is_star_loop(net):
+    """True when some hub t carries every edge: no edge joins two other nodes."""
+    for t in range(net.size):
+        others = [x for x in range(net.size) if x != t]
+        if all(net.c[x, y] == 0 for i, x in enumerate(others) for y in others[i + 1:]):
+            return True
+    return False
+
+
+def _network(size, edges):
+    c = np.zeros((size, size))
+    for x, y, value in edges:
+        c[x, y] = c[y, x] = value
+    return nca.ResistanceNetwork(c, allow_negative=True)
+
+
+def test_is_star_matches_loop():
+    rng = np.random.default_rng(43)
+    nets = [nca.random_network(int(rng.integers(2, 9)), rng, density=density,
+                               ensure_connected=False)
+            for density in (0.1, 0.2, 0.3, 0.5, 0.9) for _ in range(12)]
+    nets += [nca.random_star_network(size, rng) for size in (2, 3, 6)]
+    for net in nets:
+        assert nca.is_star(net) == _is_star_loop(net)
+    # edgeless, one edge, a path, a star plus an isolated node, a star with
+    # a negative spoke and a triangle with a negative edge
+    cases = [(_network(4, []), True), (_network(4, [(1, 3, 0.5)]), True),
+             (_network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]), False),
+             (_network(5, [(2, 0, 1.0), (2, 1, 0.5), (2, 3, 2.0)]), True),
+             (_network(4, [(0, 1, -0.4), (0, 2, 1.0), (0, 3, 1.0)]), True),
+             (_network(3, [(0, 1, -0.4), (0, 2, 1.0), (1, 2, 1.0)]), False)]
+    for net, star in cases:
+        assert nca.is_star(net) == _is_star_loop(net) == star
 
 
 # -- Dirac seminorms -------------------------------------------------------------

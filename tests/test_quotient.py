@@ -88,6 +88,22 @@ def test_quotient_of_direct_sum_is_untouched_block():
     assert np.abs(qd.quotient_laplacian.matrix - 5.0 * np.array([[1.0, -1], [-1, 1]])).max() < 1e-12
 
 
+def test_quotient_keeps_the_rank_cut():
+    # a path 0-1-2-3 whose last edge is 1e-6: with node 2 eliminated, the
+    # quotient's weak direction is kept at the default cut and cut at 1e-3,
+    # as the ambient's is
+    c = np.zeros((4, 4))
+    for x, y, value in ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-6)):
+        c[x, y] = c[y, x] = value
+    alg = nca.build_algebra([1] * 4, [1.0] * 4)
+    energy = nca.energy_form(nca.network_cdc(alg, c, scale=0.5))
+    for rank_tol, connected in ((nca.algebra.DEFAULT_RANK_TOL, True), (1e-3, False)):
+        lap = nca.laplacian(energy, rank_tol=rank_tol)
+        quot = nca.split(lap, nca.central_projection(alg, [0, 1, 3])).quotient_laplacian
+        assert quot.rank_tol == lap.rank_tol
+        assert nca.connectedness(lap) == nca.connectedness(quot) == connected
+
+
 def test_fiber_minimizer_values(k3_split):
     _, _, qd = k3_split
     one_b = qd.algebra_b.identity()

@@ -6,23 +6,25 @@ Each argument is a ``src`` directory holding the ``nca`` package.  For each
 side, one subprocess imports ``nca`` from that directory and runs
 ``nca <command> <spec> --json`` for all nine commands on the network-suite
 and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, the
-network-suite ``network-N6`` specs at seeds 7 and 8, plus
-``K3_SPEC`` and ``LINDBLAD_SPEC`` from ``tests/test_cli.py`` and the
-``NEGATIVE_C`` triangle of that file as an ``allow_negative`` network, whose
-reports take the FAIL paths (``heat-cp-t0.1``, ``network-markov``).  The
-Markov batteries of the two ``network-N6`` specs, like those of the seed-1
-``lindblad-M3`` and ``lindblad-M5`` specs, reject and redraw the knots of a
-seeded function (seed 8 twice in one draw).  A further subprocess per side
-reports the library's ``is_cdc`` (flags, residuals, witness) and
-``reality_checks`` on the seed-1 large-forms forms (networks, an order-2
-amplification, a commutator form) and on a raw and a symmetrized random
-gram on each of [3, 2, 1], [1] * 12 and [2, 2, 2]: no spec can fail the
-star-representation identity, and these reach its failing residual and its
-witness, on one large block and on many small ones.  The script
-prints the structural differences (exit code, stderr, stdout shape, keys,
-list lengths, strings and booleans) and, for each float field that moved,
-its largest change relative to max(1, |x|).  It exits 1 when any structural
-difference is found, 0 otherwise.
+network-suite ``network-N6`` specs at seeds 7 and 8, the
+``network_case(default_rng(7), n)`` specs for n = 24 and 48, whose one-form
+spaces are the largest compared, plus ``K3_SPEC`` and ``LINDBLAD_SPEC``
+from ``tests/test_cli.py`` and the ``NEGATIVE_C`` triangle of that file as
+an ``allow_negative`` network, whose reports take the FAIL paths
+(``heat-cp-t0.1``, ``network-markov``).  The Markov batteries of the two
+``network-N6`` specs, like those of the seed-1 ``lindblad-M3`` and
+``lindblad-M5`` specs, reject and redraw the knots of a seeded function
+(seed 8 twice in one draw).  A further subprocess per side reports the
+library's ``is_cdc`` (flags, residuals, witness) and ``reality_checks`` on
+the seed-1 large-forms forms (networks, an order-2 amplification, a
+commutator form) and on a raw and a symmetrized random gram on each of
+[3, 2, 1], [1] * 12 and [2, 2, 2]: no spec can fail the star-representation
+identity, and these reach its failing residual and its witness, on one
+large block and on many small ones.  The script prints the structural
+differences (exit code, stderr, stdout shape, keys, list lengths, strings
+and booleans) and, for each float field that moved, its largest change
+relative to max(1, |x|).  It exits 1 when any structural difference is
+found, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -44,6 +46,8 @@ SEEDS = (1, 2)
 WORKLOADS = ("network-suite", "matrix-suite")
 # (workload, seed, case name) of further single specs
 EXTRA_CASES = (("network-suite", 7, "network-N6"), ("network-suite", 8, "network-N6"))
+# node counts of further seed-7 network_case specs
+LARGE_NETWORKS = (24, 48)
 
 # runs every (command, spec) pair in one interpreter and prints a JSON list
 # of [command, exit code, stdout, stderr]
@@ -136,6 +140,8 @@ def specs() -> dict:
     for workload, seed, name in EXTRA_CASES:
         cases = bench_run.make_cases(workload, np.random.default_rng(seed), workloads)
         named[f"{name}-seed{seed}"] = next(c["spec"] for c in cases if c["name"] == name)
+    for n in LARGE_NETWORKS:
+        named[f"network-N{n}-seed7"] = workloads.network_case(np.random.default_rng(7), n)["spec"]
     named.update(cli_specs())
     return named
 

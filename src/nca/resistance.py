@@ -3,10 +3,10 @@ matrices, harmonic potentials, resistance distance, the maximum principle,
 and the square relation between resistance and the energy metric."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,9 +160,43 @@ def _mixture_grid(step: float):
 
 
 def _distances(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``coords``; exactly symmetric
-    with an exactly zero diagonal."""
-    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    """Euclidean distances between the rows of ``coords``, one row at a time;
+    exactly symmetric with an exactly zero diagonal."""
+    return np.stack([np.linalg.norm(row - coords, axis=-1) for row in coords])
+
+
+def _unrank_triple(n: int, k: int) -> tuple:
+    """The k-th triple of ``combinations(range(n), 3)``, without listing them."""
+    triple, x = [], 0
+    for left in (2, 1, 0):
+        # the triples whose next node is x number comb(n - x - 1, left)
+        while k >= math.comb(n - x - 1, left):
+            k -= math.comb(n - x - 1, left)
+            x += 1
+        triple.append(x)
+        x += 1
+    return tuple(triple)
+
+
+def _node_triples(n: int, rng: np.random.Generator) -> list:
+    """Every triple of nodes when there are at most four, else four distinct
+    ones drawn at random in the order of ``combinations(range(n), 3)``."""
+    count = math.comb(n, 3)
+    ranks = range(count) if count <= 4 else rng.choice(count, size=4, replace=False)
+    return [_unrank_triple(n, int(k)) for k in ranks]
+
+
+def _mixture_search(dist2: np.ndarray):
+    """The largest d2(i, k) - (d2(i, j) + d2(j, k)) over the grid and its
+    first (i, j, k) in C order, one (m, m) slab per row i: the first row that
+    reaches the largest value, then the first (j, k) in that row."""
+    def slab(i):
+        return dist2[i][None, :] - (dist2[i][:, None] + dist2)
+
+    row_best = np.array([slab(i).max() for i in range(len(dist2))])
+    i = int(row_best.argmax())
+    j, k = np.unravel_index(slab(i).argmax(), dist2.shape)
+    return float(row_best[i]), (i, int(j), int(k))
 
 
 def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
@@ -203,24 +237,17 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
 
     # seeded grid of mixtures over node triples, searching for a triple of
     # states violating the triangle inequality of the squared energy metric
-    rng = np.random.default_rng(seed)
-    triples = list(combinations(range(n), 3))
-    if len(triples) > 4:
-        chosen = rng.choice(len(triples), size=4, replace=False)
-        triples = [triples[int(k)] for k in chosen]
     weights = _mixture_grid(step)
     counterexample = None
-    for nodes in triples:
+    for nodes in _node_triples(n, np.random.default_rng(seed)):
         dist2 = _distances(np.asarray(weights) @ coords[list(nodes)]) ** 2
-        # viol[i, j, k] = d2(i, k) - (d2(i, j) + d2(j, k)); the mirrored
-        # triples (i, j, k) and (k, j, i) tie exactly, and the first wins
-        viol = dist2[:, None, :] - (dist2[:, :, None] + dist2[None, :, :])
-        best = float(viol.max())
+        # the mirrored triples (i, j, k) and (k, j, i) tie exactly, and the
+        # first wins
+        best, witness = _mixture_search(dist2)
         if best > mixture_margin:
-            i, j, k = np.unravel_index(viol.argmax(), viol.shape)
             counterexample = {
                 "nodes": [int(v) for v in nodes],
-                "weights": [list(weights[int(i)]), list(weights[int(j)]), list(weights[int(k)])],
+                "weights": [list(weights[i]) for i in witness],
                 "violation": best,
             }
             break

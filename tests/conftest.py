@@ -1,6 +1,8 @@
 """Shared fixtures: the catalog of worked examples exercised across the
 suites, and seeded generator families."""
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -72,6 +74,16 @@ def build_catalog():
     examples.append(ExampleCdC("m2c-lindblad", m2c, gamma, gen, True, connected=False))
 
     return examples
+
+
+def bench_network_c(n, seed=7):
+    """The conductances of the benchmark's ``network_case(default_rng(seed), n)``
+    from ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("nca_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.network_case(np.random.default_rng(seed), n)["c"]
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,6 @@
 factorization of the Laplacian, the commutator-norm formula, and the
 star-graph characterization."""
 import importlib
-import importlib.util
-import os
 import tracemalloc
 
 import numpy as np
@@ -13,7 +11,7 @@ import nca
 from nca.dirac import _star_squared_norms
 from nca.errors import DisconnectedError, PropertyViolationError
 
-from conftest import K3_C, TWO_C
+from conftest import K3_C, TWO_C, bench_network_c
 from dense_bimodule import (act_left, commutator_norm, dirac_matrix, pair_forms, pair_projection,
                             represent, squared_commutator_norms)
 
@@ -422,20 +420,15 @@ def test_build_bimodule_holds_no_action_stack():
     # (d, r_b, r_b) stacks of it per block 2.33 MiB together, one (rank, d, d)
     # array of the pairs 3.39 MiB and one (N^2, N^2) Gram table of the
     # point-mass commutator blocks 5.06 MiB
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("nca_bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    case = workloads.network_case(np.random.default_rng(7), 24)
-    gamma = nca.network_cdc(nca.build_algebra([1] * 24, [1.0] * 24), case["c"], scale=0.5)
+    c = bench_network_c(24)
+    gamma = nca.network_cdc(nca.build_algebra([1] * 24, [1.0] * 24), c, scale=0.5)
     tracemalloc.start()
     try:
         bs = nca.build_bimodule(gamma)
         build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    net, op = nca.ResistanceNetwork(case["c"]), nca.DiracOperator(bs)
+    net, op = nca.ResistanceNetwork(c), nca.DiracOperator(bs)
     tracemalloc.start()
     try:
         nca.star_graph_check(net, op=op)

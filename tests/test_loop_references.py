@@ -6,11 +6,19 @@ matrices and seeded tuples of ``ccn_check``, the automorphism test of
 search of ``is_star``, and the per-time solves of ``resolvent_check`` and
 the Markov probes and the kernel split of ``energy_metric`` that functions
 of the Laplacian's eigendecomposition replace, the one-element-at-a-time
-seminorms of the ``dirac`` suite, and the batteries drawn one sample at a
+seminorms of the ``dirac`` suite, the batteries drawn one sample at a
 time: Markov, Leibniz, the fiber infimum of ``quotient_checks`` and the
-seminorm identity of the ``stddev`` suite."""
+seminorm identity of the ``stddev`` suite, and the broadcasts of
+``metric_checks`` that one row at a time replaces: the state distances, the
+mixed-state search and the listed node triples."""
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nca
 from conftest import K3_C, build_catalog, seeded_generators
@@ -29,6 +37,7 @@ from nca.cli import run_command
 from nca.fileio import parse_spec
 from nca.energy import _extreme_positives, _markov_probes, _seminorms
 from nca.errors import DisconnectedError, InputError
+from nca.resistance import _mixture_grid, _mixture_search, _node_triples, _unrank_triple
 from test_energy import _rank_one_laplacian, seeded_three_knot
 
 
@@ -940,3 +949,94 @@ def test_batteries_make_no_per_sample_calls(monkeypatch):
     for command in ("stddev", "dirac", "check-cdc"):
         run_command(command, spec)
     assert calls == []
+
+
+# -- metric checks ---------------------------------------------------------------
+
+
+def _distances_broadcast(coords):
+    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+
+
+def _mixture_search_broadcast(dist2):
+    # viol[i, j, k] = d2(i, k) - (d2(i, j) + d2(j, k)), one (m, m, m) table
+    viol = dist2[:, None, :] - (dist2[:, :, None] + dist2[None, :, :])
+    i, j, k = np.unravel_index(viol.argmax(), viol.shape)
+    return float(viol.max()), (int(i), int(j), int(k))
+
+
+def _node_triples_listed(n, rng):
+    triples = list(itertools.combinations(range(n), 3))
+    if len(triples) > 4:
+        chosen = rng.choice(len(triples), size=4, replace=False)
+        triples = [triples[int(k)] for k in chosen]
+    return triples
+
+
+def _broadcast_metric_checks(net, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nca.resistance, "_distances", _distances_broadcast)
+        patch.setattr(nca.resistance, "_mixture_search", _mixture_search_broadcast)
+        patch.setattr(nca.resistance, "_node_triples", _node_triples_listed)
+        return nca.metric_checks(net, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 16), st.integers(0, 2 ** 31 - 1), st.sampled_from([1e-6, 10.0]))
+def test_metric_checks_match_broadcast_route(n, seed, margin):
+    # every field bit for bit, the counterexample's nodes, weights and
+    # violation among them; a margin of 10 searches all four triples
+    net = nca.random_network(n, np.random.default_rng(seed))
+    got = nca.metric_checks(net, seed=seed, mixture_margin=margin)
+    want = _broadcast_metric_checks(net, seed=seed, mixture_margin=margin)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+    assert np.array_equal(got.energy, got.energy.T) and not np.diag(got.energy).any()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mixture_search_ties_match_broadcast(seed):
+    # small integer distances tie across rows and within them, so the first
+    # row reaching the maximum and the first (j, k) in it must be taken
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 12))
+    dist2 = np.triu(rng.integers(0, 3, (m, m)), 1).astype(float)
+    dist2 += dist2.T
+    assert _mixture_search(dist2) == _mixture_search_broadcast(dist2)
+
+
+def test_mixture_witness_is_the_first_of_its_mirrored_pair():
+    # (i, j, k) and (k, j, i) tie exactly; the witness is the one with i < k
+    searched = []
+
+    def spy(dist2):
+        searched.append((dist2, _mixture_search(dist2)))
+        return searched[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nca.resistance, "_mixture_search", spy)
+        report = nca.metric_checks(nca.ResistanceNetwork(K3_C), seed=0)
+    dist2, (best, (i, j, k)) = searched[-1]
+    assert i < k
+    assert dist2[i, k] - (dist2[i, j] + dist2[j, k]) == dist2[k, i] - (dist2[k, j] + dist2[j, i])
+    assert (best, (i, j, k)) == _mixture_search_broadcast(dist2)
+    weights = _mixture_grid(0.1)
+    assert report.mixture_counterexample["weights"] == [list(weights[x]) for x in (i, j, k)]
+    assert report.mixture_counterexample["violation"] == best
+
+
+def test_node_triples_unrank_the_listed_triples():
+    for n in range(3, 21):
+        listed = list(itertools.combinations(range(n), 3))
+        assert [_unrank_triple(n, k) for k in range(math.comb(n, 3))] == listed
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _node_triples(n, rng) == _node_triples_listed(n, ref)
+            # n <= 4 takes every triple and draws nothing
+            assert rng.random() == ref.random()
+    assert _node_triples(4, np.random.default_rng(0)) == list(itertools.combinations(range(4), 3))
+    assert _node_triples(2, np.random.default_rng(0)) == []

@@ -1,6 +1,7 @@
 """Resistance networks: Laplacians, potentials, resistance distance, the
 maximum principle, and the Markov-violation witness."""
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import nca
 from nca.errors import DisconnectedError, InputError
 
-from conftest import K3_C
+from conftest import K3_C, bench_network_c
 
 
 def test_network_validation():
@@ -184,6 +185,21 @@ def test_metric_checks_match_pairwise_energy_metric():
             assert {k: got[k] for k in ("nodes", "weights")} == {
                 k: witness[k] for k in ("nodes", "weights")}
             assert abs(got["violation"] - witness["violation"]) < 1e-12
+
+
+@pytest.mark.parametrize("n, bound_mib", [(16, 1.0), (24, 1.5)])
+def test_metric_checks_memory_stays_bounded(n, bound_mib):
+    # the seed-7 network_case of the benchmark; one (66, 66, 66) float table
+    # of the mixed-state grid is 2.2 MiB, and broadcasting it puts the peak
+    # at 4.6 MiB for N=16 and 5.0 MiB for N=24
+    net = nca.ResistanceNetwork(bench_network_c(n))
+    tracemalloc.start()
+    try:
+        nca.metric_checks(net, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 def test_kernel_matches_graph_connectivity():

@@ -9,9 +9,17 @@ roots on the same seed.  The side that runs first alternates from pair to
 pair, so a slow drift of the machine's speed falls on both sides alike.
 
 For every end-to-end metric of ``BENCHMARK.json`` the script prints both
-medians, their ratio, the parent's interquartile range, the number of pairs
-the change won, and ``WORSE`` when the change's median is worse than the
-parent's by more than the metric's bound (relative to the parent's median).
+medians, their ratio, both sides' interquartile ranges, the number of pairs
+the change won (ties count for neither side) and its verdicts:
+
+- ``GAIN`` when the change won at least nine tenths of the complete pairs
+  and its median is better than the parent's by more than the parent's IQR;
+- ``UNRESOLVED`` when the parent's IQR, relative to its median, exceeds the
+  metric's bound and not every run of the change beats every run of the
+  parent, so the runs spread too widely to call the metric unchanged;
+- ``WORSE`` when the change's median is worse than the parent's by more than
+  the metric's bound, relative to the parent's median.
+
 It then lists every run that reported ``correct: false``, ``failed > 0`` or
 no result.  It reads ``bench/`` and ``BENCHMARK.json`` and writes nothing.
 """
@@ -75,18 +83,27 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {len(complete)} complete pairs of {args.pairs}, "
           f"--seconds {args.seconds:g}, seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(f"{'metric':14} {'parent':>10} {'change':>10} {'ratio':>7} {'parent IQR':>11} "
-          f"{'won':>6}  flag")
+          f"{'change IQR':>11} {'won':>6}  verdicts")
     for metric in metrics if complete else []:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, bound = metric["name"], metric["bound"]
+        # sign turns every metric into one where lower is better
+        sign = 1.0 if metric["better"] == "lower" else -1.0
         parent = np.array([results["parent"][k]["metrics"][name]["value"] for k in complete])
         change = np.array([results["change"][k]["metrics"][name]["value"] for k in complete])
         p_med, c_med = float(np.median(parent)), float(np.median(change))
-        q1, q3 = np.percentile(parent, [25, 75])
-        won = int(np.sum(change < parent if lower else change > parent))
+        p_iqr, c_iqr = (float(np.subtract(*np.percentile(x, [75, 25]))) for x in (parent, change))
+        won = int(np.sum(sign * change < sign * parent))
         ratio = c_med / p_med if p_med else float("nan")
-        worse = (ratio - 1.0 if lower else 1.0 - ratio) > metric["bound"]
-        print(f"{name:14} {p_med:10.4g} {c_med:10.4g} {ratio:7.3f} {q3 - q1:11.3g} "
-              f"{won:>3}/{len(complete):<2}  {'WORSE' if worse else ''}")
+        verdicts = []
+        if won >= 0.9 * len(complete) and sign * (p_med - c_med) > p_iqr:
+            verdicts.append("GAIN")
+        if (p_iqr > bound * abs(p_med)
+                and not (sign * change).max() < (sign * parent).min()):
+            verdicts.append("UNRESOLVED")
+        if sign * (ratio - 1.0) > bound:
+            verdicts.append("WORSE")
+        print(f"{name:14} {p_med:10.4g} {c_med:10.4g} {ratio:7.3f} {p_iqr:11.3g} {c_iqr:11.3g} "
+              f"{won:>3}/{len(complete):<2}  {' '.join(verdicts)}")
     print("problem runs:", "none" if not problems else "")
     for problem in problems:
         print("  " + problem)

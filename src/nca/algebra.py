@@ -569,7 +569,7 @@ def block_norms(algebra: Algebra, coords) -> np.ndarray:
     (..., d), as :meth:`Element.norm`: the largest singular value over its
     blocks, with one batched call per block size (``abs`` for 1x1 blocks)."""
     return np.max([(np.abs(m[..., 0, 0]) if m.shape[-1] == 1
-                    else np.linalg.norm(m, 2, axis=(-2, -1))).max(axis=-1)
+                    else np.linalg.svd(m, compute_uv=False)[..., 0]).max(axis=-1)
                    for m in block_stacks(algebra, coords)], axis=0)
 
 
@@ -639,11 +639,12 @@ class SpectralStack:
             count, k, n = w.shape
             values = np.asarray(fn(w.reshape(count, k * n)), dtype=complex)
             width = values.shape[1]
-            scaled = v[:, None] * values.reshape(count, width, k, 1, n)
-            mats = scaled @ v.conj().swapaxes(-1, -2)[:, None]
+            rows = (v[:, :, None] * values.reshape(count, width, k, 1, n).swapaxes(1, 2)
+                    ).reshape(count, k, width * n, n)  # every function's V diag(F(w))
+            mats = (rows @ v.conj().swapaxes(-1, -2)).reshape(count, k, width, n * n)
             if out is None:
                 out = np.empty((count, width, self.algebra.dim), dtype=complex)
-            out[:, :, cols.reshape(-1)] = mats.reshape(count, width, k * n * n)
+            out[:, :, cols.reshape(-1)] = mats.swapaxes(1, 2).reshape(count, width, k * n * n)
         return out
 
 

@@ -7,6 +7,8 @@ algebra's own coordinates: ``gram[i, j, k]`` is the coefficient of the
 matrix unit e_k in ``Gamma(e_i, e_j)``, so ``gram`` has shape (d, d, d)
 with d = sum of n_b^2.  Sesquilinearity (conjugate-linear in the first slot)
 recovers all other values, so every axiom is checked on basis tuples only.
+A real gram (a network, its amplifications) stays float64, so every check
+below runs in real arithmetic, with real symmetric solvers on the CP blocks.
 
 Every check and reader is an index formula over the structure constants.
 A product of two units is another unit or zero, and ``mul_nonzero`` lists
@@ -58,10 +60,11 @@ class CdCForm:
     """An algebra-valued sesquilinear form over the canonical basis.
 
     ``gram`` has shape (d, d, d): ``gram[i, j, k]`` is the coefficient of
-    the unit e_k in Gamma(e_i, e_j).  ``scale`` records the conventional
-    prefactor (1 for generator and commutator forms, 1/2 for Laplacian and
-    network forms) so cross-module comparisons never mix conventions
-    silently.
+    the unit e_k in Gamma(e_i, e_j); it is read-only, float64 for real or
+    integer data and complex128 for complex data.  ``scale`` records the
+    conventional prefactor (1 for generator and commutator forms, 1/2 for
+    Laplacian and network forms) so cross-module comparisons never mix
+    conventions silently.
     """
 
     algebra: Algebra
@@ -70,7 +73,7 @@ class CdCForm:
 
     def __post_init__(self):
         d = self.algebra.dim
-        g = np.array(self.gram, dtype=complex)
+        g = np.array(self.gram, dtype=np.result_type(np.asarray(self.gram), float))
         if g.shape != (d, d, d):
             raise InputError(f"gram tensor must have shape (d, d, d) = {(d, d, d)}, got {g.shape}")
         g.setflags(write=False)
@@ -569,7 +572,7 @@ def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:
     i_1, i_2 = np.nonzero(row[:, None] == row[None, :])
     rows, cols = base.unit_positions
     target = amp._unit_at[pos[col[i_1]][:, rows], pos[col[i_2]][:, cols]]
-    gram = np.zeros((amp.dim,) * 3, dtype=complex)
+    gram = np.zeros((amp.dim,) * 3, dtype=gamma.gram.dtype)
     gram[i_1[:, None], i_2[:, None], target] = gamma.gram[inners[i_1], inners[i_2]]
     return CdCForm(amp, gram, scale=gamma.scale)
 

@@ -217,7 +217,7 @@ def dirac_seminorms(op: DiracOperator, coords) -> tuple:
     norms = np.zeros(len(both))
     for stacks in _commutator_groups(bs):
         blocks = np.tensordot(both, stacks, axes=([1], [1]))
-        norms = np.maximum(norms, np.linalg.norm(blocks, 2, axis=(2, 3)).max(axis=1))
+        norms = np.maximum(norms, np.linalg.svd(blocks, compute_uv=False)[..., 0].max(axis=1))
     gammas = np.einsum("mi,mj,ijk->mk", both.conj(), both, bs.gamma.gram, optimize=True)
     from_form = np.sqrt(block_norms(alg, gammas).reshape(2, -1).max(axis=0))
     return norms.reshape(2, -1).max(axis=0), from_form

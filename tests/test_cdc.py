@@ -1,12 +1,16 @@
 """Carre-du-champ builders, axiomatic checks, conditional complete
-negativity, amplification, and the commutative classification."""
+negativity, amplification, the commutative classification, and the dtype
+of the gram: real forms keep float64 grams, and every check on them agrees
+with the same check on a complex copy."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nca
 from nca.errors import InputError
 
-from conftest import K3_C, seeded_generators
+from conftest import K3_C, bench_network_c, seeded_generators
 
 
 # -- gamma_from_generator ------------------------------------------------
@@ -352,3 +356,112 @@ def test_network_form_matches_loop_bitwise(size):
     for scale in (0.5, 1.0):
         gamma = nca.network_cdc(alg, c, scale=scale, allow_negative=True)
         assert np.array_equal(alg.embed(gamma.gram), _network_gram_loop(size, c, scale))
+
+
+# -- the dtype of the gram -------------------------------------------------------
+
+
+def test_gram_dtype_follows_the_data(m2):
+    alg = nca.build_algebra([1] * 3, [1.0] * 3)
+    net = nca.network_cdc(alg, K3_C)
+    assert net.gram.dtype == np.float64
+    assert nca.amplify_cdc(net, 2).gram.dtype == np.float64
+    ints = np.arange(27).reshape(3, 3, 3)
+    form = nca.CdCForm(alg, ints)
+    assert form.gram.dtype == np.float64 and not form.gram.flags.writeable
+    assert np.array_equal(form.gram, ints)
+    two_point = nca.build_algebra([1, 1], [0.5, 0.5])
+    lap = nca.SuperOperator(alg, np.diag(K3_C.sum(axis=1)) - K3_C)
+    for gamma in (nca.commutator_cdc([m2.basis_element(1)]),
+                  nca.spectral_triple_cdc(np.array([[0.0, 1.0], [1.0, 0.0]]), two_point),
+                  nca.gamma_from_generator(lap, scale=0.5)):
+        assert gamma.gram.dtype == np.complex128
+
+
+def _real_grams():
+    """Real grams, each checked on the float64 path and on a complex copy:
+    random raw and symmetrized grams, which fail the star identity, and a
+    network with a negative conductance, which fails positivity."""
+    rng = np.random.default_rng(17)
+    for blocks, weights in (([1] * 12, list(np.linspace(0.5, 2.0, 12))),
+                            ([2, 2, 2], [1.0, 0.5, 2.0]), ([3, 2, 1], [1.0, 0.5, 2.0])):
+        alg = nca.build_algebra(blocks, weights)
+        g = rng.standard_normal((alg.dim,) * 3)
+        yield alg, g
+        yield alg, (g + g.transpose(1, 0, 2)[:, :, alg.adj_table]) / 2
+    alg = nca.build_algebra([1] * 4, [1.0, 2.0, 0.5, 1.5])
+    c = np.ones((4, 4)) - np.eye(4)
+    c[0, 1] = c[1, 0] = -0.4
+    yield alg, nca.network_cdc(alg, c, allow_negative=True).gram
+
+
+def _real_cdc_forms():
+    """Real carre-du-champs, for the one-form space on both paths."""
+    weighted = nca.build_algebra([1] * 5, [1.0, 2.0, 0.5, 1.5, 1.0])
+    k3 = nca.network_cdc(nca.build_algebra([1] * 3, [1.0] * 3), K3_C)
+    return [nca.network_cdc(weighted, nca.random_network(5, np.random.default_rng(3)).c),
+            nca.network_cdc(nca.build_algebra([1] * 16, [1.0] * 16), bench_network_c(16)),
+            nca.amplify_cdc(k3, 2)]
+
+
+def _close(a, b, scale):
+    return (np.isnan(a) and np.isnan(b)) or abs(a - b) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_real_gram_checks_match_complex_copy(case):
+    alg, g = list(_real_grams())[case]
+    real, cplx = nca.CdCForm(alg, g), nca.CdCForm(alg, g.astype(complex))
+    assert real.gram.dtype == np.float64 and cplx.gram.dtype == np.complex128
+    scale = 1.0 + real.magnitude()
+    got, want = nca.is_cdc(real), nca.is_cdc(cplx)
+    assert ([got.symmetric, got.unit_annihilating, got.star_representation,
+             got.completely_positive]
+            == [want.symmetric, want.unit_annihilating, want.star_representation,
+                want.completely_positive])
+    assert got.residuals.keys() == want.residuals.keys()
+    assert all(_close(got.residuals[key], want.residuals[key], scale) for key in got.residuals)
+    assert got.witness.keys() == want.witness.keys()
+    for key, value in got.witness.items():
+        if key == "vector":
+            x, y = (np.array(w[key]) @ [1, 1j] for w in (got.witness, want.witness))
+            assert min(np.abs(x - y).max(), np.abs(x + y).max()) <= 1e-12
+        elif key in ("residual", "eigenvalue"):
+            assert _close(value, want.witness[key], scale)
+        else:
+            assert value == want.witness[key]
+    got, want = nca.reality_checks(real), nca.reality_checks(cplx)
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        assert _close(value, want[key], scale) if key.endswith("residual") else value == want[key]
+
+
+def test_real_gram_witness_kinds_are_all_reached():
+    kinds = {nca.is_cdc(nca.CdCForm(alg, g)).witness["kind"] for alg, g in _real_grams()}
+    assert kinds == {"symmetry", "star-representation", "negative-direction"}
+
+
+@pytest.mark.parametrize("form", range(3))
+def test_real_bimodule_matches_complex_copy(form):
+    real = _real_cdc_forms()[form]
+    cplx = nca.CdCForm(real.algebra, real.gram.astype(complex), scale=real.scale)
+    assert real.gram.dtype == np.float64
+    got, want = nca.build_bimodule(real), nca.build_bimodule(cplx)
+    assert got.rank == want.rank
+    scale = 1.0 + real.magnitude()
+    for key, value in got.residuals.items():
+        assert abs(value - want.residuals[key]) <= 1e-12 * scale
+
+
+def test_real_network_is_cdc_memory_stays_bounded():
+    # the seed-7 N=48 network peaks at 3.43 MiB with a float64 gram and at
+    # 6.86 MiB with a complex one
+    gamma = nca.network_cdc(nca.build_algebra([1] * 48, [1.0] * 48), bench_network_c(48))
+    tracemalloc.start()
+    try:
+        report = nca.is_cdc(gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_cdc
+    assert peak < 5 * 2 ** 20

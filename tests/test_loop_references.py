@@ -10,7 +10,10 @@ seminorms of the ``dirac`` suite, the batteries drawn one sample at a
 time: Markov, Leibniz, the fiber infimum of ``quotient_checks`` and the
 seminorm identity of the ``stddev`` suite, and the broadcasts of
 ``metric_checks`` that one row at a time replaces: the state distances, the
-mixed-state search and the listed node triples."""
+mixed-state search and the listed node triples.  The per-function products
+of ``SpectralStack.apply`` and the top singular values through
+``np.linalg.norm(., 2)`` in ``block_norms`` and ``dirac_seminorms`` are
+kept as references too."""
 import dataclasses
 import itertools
 import math
@@ -28,12 +31,16 @@ from nca.algebra import (
     amplify_matrix,
     block_norms,
     block_products,
+    block_stacks,
     hermitian_eigenvalues,
     piecewise_linear_lipschitz,
     piecewise_linear_values,
+    random_rows,
+    random_self_adjoint_rows,
 )
 from nca.cdc import _check_automorphism
 from nca.cli import run_command
+from nca.dirac import _commutator_groups
 from nca.fileio import parse_spec
 from nca.energy import _extreme_positives, _markov_probes, _seminorms
 from nca.errors import DisconnectedError, InputError
@@ -384,6 +391,55 @@ def test_is_star_matches_loop():
         assert nca.is_star(net) == _is_star_loop(net) == star
 
 
+# -- block norms and spectral stacks ------------------------------------------
+
+
+_STACK_BLOCKS = [[1] * 5, [2], [3], [5], [10], [3, 2, 1], [2, 2, 1, 1], [10, 5, 3, 2, 1]]
+
+
+def _block_norms_norm(algebra, coords):
+    """``block_norms`` with the top singular value from ``np.linalg.norm``."""
+    return np.max([(np.abs(m[..., 0, 0]) if m.shape[-1] == 1
+                    else np.linalg.norm(m, 2, axis=(-2, -1))).max(axis=-1)
+                   for m in block_stacks(algebra, coords)], axis=0)
+
+
+def _spectral_apply_per_function(stack, fn):
+    """``SpectralStack.apply`` with one (n, n) product per function."""
+    out = None
+    for cols, w, v in stack.groups:
+        count, k, n = w.shape
+        values = np.asarray(fn(w.reshape(count, k * n)), dtype=complex)
+        width = values.shape[1]
+        scaled = v[:, None] * values.reshape(count, width, k, 1, n)
+        mats = scaled @ v.conj().swapaxes(-1, -2)[:, None]
+        if out is None:
+            out = np.empty((count, width, stack.algebra.dim), dtype=complex)
+        out[:, :, cols.reshape(-1)] = mats.reshape(count, width, k * n * n)
+    return out
+
+
+@pytest.mark.parametrize("blocks", _STACK_BLOCKS)
+def test_block_norms_match_norm_route(blocks):
+    alg = nca.build_algebra(blocks, [1.0] * len(blocks))
+    rng = np.random.default_rng(len(blocks) + sum(blocks))
+    for shape in ((1,), (9,), (3, 4)):
+        coords = random_rows(alg, rng, math.prod(shape)).reshape(shape + (alg.dim,))
+        assert np.array_equal(block_norms(alg, coords), _block_norms_norm(alg, coords))
+
+
+@pytest.mark.parametrize("blocks", _STACK_BLOCKS)
+def test_spectral_stack_matches_per_function_products(blocks):
+    alg = nca.build_algebra(blocks, list(np.linspace(0.5, 2.0, len(blocks))))
+    rng = np.random.default_rng(sum(blocks))
+    for count in (1, 7):
+        stack = SpectralStack(alg, random_self_adjoint_rows(alg, rng, count))
+        for width in (1, 3, 16):
+            def fn(w):
+                return np.stack([np.sin((f + 1) * w) + 1j * f * w for f in range(width)], axis=1)
+            assert np.array_equal(stack.apply(fn), _spectral_apply_per_function(stack, fn))
+
+
 # -- Dirac seminorms -------------------------------------------------------------
 
 
@@ -434,6 +490,33 @@ def test_dirac_seminorms_match_loop(form):
             assert abs(got[0] - want_value) <= 1e-12 * scale
             assert abs(got[1] ** 2 - want_form ** 2) <= 1e-12 * scale ** 2
         assert one.residual == abs(one.value - one.from_form)
+
+
+def _dirac_seminorms_norm(op, coords):
+    """``dirac_seminorms`` with the top singular value from ``np.linalg.norm``."""
+    bs = op.bimodule
+    alg = bs.algebra
+    x = np.array(coords, dtype=complex).reshape(-1, alg.dim)
+    diag = alg.diagonal_units
+    taus = (np.concatenate([x[:, diag], np.ones((1, len(diag)))]) * alg.coord_weights).sum(axis=1)
+    x[:, diag] -= (taus[:-1] / taus[-1])[:, None]
+    both = np.concatenate([x, x[:, alg.adj_table].conj()])
+    norms = np.zeros(len(both))
+    for stacks in _commutator_groups(bs):
+        blocks = np.tensordot(both, stacks, axes=([1], [1]))
+        norms = np.maximum(norms, np.linalg.norm(blocks, 2, axis=(2, 3)).max(axis=1))
+    gammas = np.einsum("mi,mj,ijk->mk", both.conj(), both, bs.gamma.gram, optimize=True)
+    from_form = np.sqrt(block_norms(alg, gammas).reshape(2, -1).max(axis=0))
+    return norms.reshape(2, -1).max(axis=0), from_form
+
+
+@pytest.mark.parametrize("form", range(len(_dirac_forms())))
+def test_dirac_seminorms_match_norm_route(form):
+    gamma = _dirac_forms()[form]
+    op = nca.DiracOperator(nca.build_bimodule(gamma))
+    coords = random_rows(gamma.algebra, np.random.default_rng(form), 12)
+    for got, want in zip(nca.dirac_seminorms(op, coords), _dirac_seminorms_norm(op, coords)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("spec", [

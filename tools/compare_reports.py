@@ -20,11 +20,13 @@ the seed-1 large-forms forms (networks, an order-2 amplification, a
 commutator form) and on a raw and a symmetrized random gram on each of
 [3, 2, 1], [1] * 12 and [2, 2, 2]: no spec can fail the star-representation
 identity, and these reach its failing residual and its witness, on one
-large block and on many small ones.  The script prints the structural
-differences (exit code, stderr, stdout shape, keys, list lengths, strings
-and booleans) and, for each float field that moved, its largest change
-relative to max(1, |x|).  It exits 1 when any structural difference is
-found, 0 otherwise.
+large block and on many small ones.  The real parts of the last two pairs
+take the float64 path to its symmetry and star-representation witnesses
+and its CP eigenvalues.  That makes 275 reports.  The script prints the
+structural differences (exit code, stderr, stdout shape, keys, list
+lengths, strings and booleans) and, for each float field that moved, its
+largest change relative to max(1, |x|).  It exits 1 when any structural
+difference is found, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -101,6 +103,9 @@ def forms():
         yield f"raw-{label}", CdCForm(alg, g)
         sym = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
         yield f"symmetrized-{label}", CdCForm(alg, sym)
+        if label != "3-2-1":  # their real parts take the float64 path
+            yield f"real-raw-{label}", CdCForm(alg, g.real)
+            yield f"real-symmetrized-{label}", CdCForm(alg, sym.real)
 
 out = []
 for name, gamma in forms():

@@ -1,4 +1,4 @@
-"""Carre-du-champ forms: the four builders, axiomatic verification, complete
+"""Carre-du-champ forms: the five builders, axiomatic verification, complete
 positivity, conditional complete negativity, amplification, and the
 commutative classification by conductance matrices.
 
@@ -155,13 +155,16 @@ def gamma_from_generator(n: SuperOperator, scale=1.0, tol=DEFAULT_EQ_TOL) -> CdC
     return CdCForm(alg, scale * gram, scale=scale)
 
 
-def _unit_entries_of_products(alg: Algebra, x: np.ndarray) -> np.ndarray:
-    """``out[i, j, k]``: the entry of x_i* x_j at the position of the unit
-    e_k, for a stack ``x`` of n x n matrices.  Where the products are
-    block-diagonal this is their coordinates; otherwise it is the trace
-    conditional expectation onto the algebra, which keeps the blocks."""
+def _unit_entries_of_products(alg: Algebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``out[i, j, k]``: the entry at the unit e_k of sum_f left[f, i]* right[f, j]
+    for (m, d, n, n) stacks of m factors, their trace conditional expectation
+    onto the algebra.  It is one product [k, i, (f, z)] @ [k, (f, z), j] batched
+    over k, whose operands gather the stacks' columns at the units' rows and columns."""
     rows, cols = alg.unit_positions
-    return np.einsum("izk,jzk->ijk", x.conj()[:, :, rows], x[:, :, cols])
+    m, d, n, _ = right.shape
+    a = left.transpose(3, 1, 0, 2).reshape(n, -1).conj()[rows].reshape(d, d, m * n)
+    b = right.transpose(3, 0, 2, 1).reshape(n, -1)[cols].reshape(d, m * n, d)
+    return (a @ b).transpose(1, 2, 0)
 
 
 def commutator_cdc(vs: Sequence[Element]) -> CdCForm:
@@ -169,16 +172,15 @@ def commutator_cdc(vs: Sequence[Element]) -> CdCForm:
     if not vs:
         raise InputError("need at least one element")
     alg = vs[0].algebra
-    emb = alg.embedded_basis
-    gram = np.zeros((alg.dim,) * 3, dtype=complex)
     for v in vs:
         alg._own(v)
-        vf = v.full()
-        gram += _unit_entries_of_products(alg, vf[None, :, :] @ emb - emb @ vf[None, :, :])
-    return CdCForm(alg, gram, scale=1.0)
+    emb = alg.embedded_basis
+    vf = np.stack([v.full() for v in vs])[:, None]
+    comm = vf @ emb - emb @ vf
+    return CdCForm(alg, _unit_entries_of_products(alg, comm, comm), scale=1.0)
 
 
-def _check_automorphism(alpha: SuperOperator, tol=DEFAULT_POS_TOL):
+def _check_automorphism(alpha: SuperOperator, tol=DEFAULT_POS_TOL) -> np.ndarray:
     alg = alpha.algebra
     problems = []
     one = alg.identity()
@@ -202,6 +204,7 @@ def _check_automorphism(alpha: SuperOperator, tol=DEFAULT_POS_TOL):
         problems.append(f"does not preserve the involution (residual {worst_star:.3e})")
     if problems:
         raise InputError("map is not a unital *-automorphism", problems)
+    return images
 
 
 def group_action_cdc(autos: Sequence[SuperOperator], weights: Sequence[float],
@@ -217,13 +220,10 @@ def group_action_cdc(autos: Sequence[SuperOperator], weights: Sequence[float],
     if any(w < 0 for w in weights):
         raise InputError("weights must be nonnegative")
     alg = autos[0].algebra
-    d = alg.dim
-    gram = np.zeros((d, d, d), dtype=complex)
-    for alpha, c in zip(autos, weights):
-        _check_automorphism(alpha, tol)
-        diff = alg.embed(alpha.canonical_matrix.T - np.eye(d))  # alpha(e_i) - e_i
-        gram += c * _unit_entries_of_products(alg, diff)
-    return CdCForm(alg, gram, scale=1.0)
+    # diff[x, i] = alpha_x(e_i) - e_i
+    diff = alg.embed(np.stack([_check_automorphism(a, tol) for a in autos]) - np.eye(alg.dim))
+    left = np.asarray(weights, dtype=float)[:, None, None, None] * diff
+    return CdCForm(alg, _unit_entries_of_products(alg, left, diff), scale=1.0)
 
 
 def spectral_triple_cdc(dirac_matrix, algebra: Algebra, scale=1.0,
@@ -238,8 +238,8 @@ def spectral_triple_cdc(dirac_matrix, algebra: Algebra, scale=1.0,
     if np.abs(d_mat - d_mat.conj().T).max() > tol * (1.0 + np.abs(d_mat).max()):
         raise InputError("operator must be Hermitian")
     emb = algebra.embedded_basis
-    comm = d_mat[None, :, :] @ emb - emb @ d_mat[None, :, :]
-    return CdCForm(algebra, scale * _unit_entries_of_products(algebra, comm), scale=scale)
+    comm = (d_mat @ emb - emb @ d_mat)[None]
+    return CdCForm(algebra, scale * _unit_entries_of_products(algebra, comm, comm), scale=scale)
 
 
 def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm:
@@ -394,7 +394,7 @@ def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
     adj = alg.adj_table
     i, j, k = alg.mul_nonzero
     starts = alg._triple_starts
-    (qr, rx, qy), (zero3, zero4), second, owner, pair_starts, (u, v, w) = _star_tables(alg)
+    (qr, rx, qy), (zero3, zero4), (adj_i, r2, k2), pair_starts, by_pair = _star_tables(alg)
     rows = alg.unit_positions[0]
     step = max(1, _STAR_CHUNK // (2 * max(alg.blocks) * d * d))
     out = np.empty((d, d, d))
@@ -416,24 +416,23 @@ def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
                                  np.abs(g4.take(qy, axis=1) - g3.take(rx, axis=1)))
 
         slabs = slice(starts[lo], starts[hi])
-        pairs = slice(pair_starts[lo], pair_starts[hi])
-        s, p = owner[pairs] - starts[lo], i[slabs]
+        s, ps, qs, aps, ju, ku, jv, kv, jw, kw = by_pair[:, pair_starts[lo]:pair_starts[hi]]
+        s = s - starts[lo]
+        p, q, r = i[slabs], j[slabs], r2[slabs]
         # the second term's rows (p, :, r) for e_p* e_r = e_k2, [q, slab, m],
         # negated, which leaves every magnitude as it is: the second term,
         # then the third over all q and the fourth over column S r
-        r = j[second[slabs]]
-        gap = g[:, k[second[slabs]]]
-        gap[adj[i], :, k] += g[p, r][:, j].T
-        gap[:, s, adj[k[w[pairs]]]] -= g[:, adj[p[s]], adj[j[w[pairs]]]]
+        gap = g[:, k2[slabs]]
+        gap[adj_i, :, k] += g[p, r][:, j].T
+        gap[:, s, kw] -= g[:, aps, jw]
         out[p, :, r] = np.abs(gap).max(axis=2).T
         # the first term's rows (p, q, :) for e_p e_q = e_k1, [slab, r, m]:
         # the first term, the second at e_p* e_r != 0, the third over row
         # S q and the fourth over all r
-        q = j[slabs]
         gap = g[k[slabs]]
-        gap[s, j[u[pairs]]] -= g[q[s], k[u[pairs]]]
-        gap[s, :, k[v[pairs]]] -= g[p[s], :, j[v[pairs]]]
-        gap[:, j, k] += g[q, adj[p]][:, i]
+        gap[s, ju] -= g[qs, ku]
+        gap[s, :, kv] -= g[ps, :, jv]
+        gap[:, j, k] += g[q, adj_i[slabs]][:, i]
         out[p, q] = np.abs(gap).max(axis=2)
     return out
 
@@ -447,13 +446,13 @@ def _star_tables(alg: Algebra):
     at (R q, S r) and e_y the unit at (S q, R r).  ``(zero3, zero4)``: the
     places (r, l) with e_l in column S r and (q, l) with e_l in row S q.
 
-    Each p owns one slab of rows per triple of p: the triple x = (p, q, k1)
-    of ``mul_nonzero`` for the first term and ``second[x]`` = (adj p, r, k2)
-    for the second, from x = ``_triple_starts[p]`` on.  ``owner`` repeats
-    each slab once per unit of its block, from ``pair_starts[p]`` on; aligned
-    with it, ``u``, ``v`` and ``w`` are the triples of adj p and of adj q
-    (the first term's slab) and of adj r (the second's).
-    """
+    Each p owns one slab of rows per triple x = (p, q, k1) of ``mul_nonzero``
+    for the first term and (adj p, r, k2) for the second, from x =
+    ``_triple_starts[p]`` on; ``(adj i, r, k2)`` holds them by x.  The last
+    array repeats each slab once per unit of its block, from ``pair_starts[p]``
+    on, as the units that the gathers read: x, p, q, adj p, j[u], k[u], j[v],
+    k[v], adj j[w] and adj k[w], for the triples u of adj p and v of adj q (the
+    first term's slab) and w of adj r (the second's)."""
     d = alg.dim
     adj = alg.adj_table
     i, j, k = alg.mul_nonzero
@@ -462,11 +461,12 @@ def _star_tables(alg: Algebra):
     q, r = np.nonzero(at[rows[:, None], cols[None, :]] >= 0)
     meet = q * d + r, r * d + at[rows[q], cols[r]], q * d + at[cols[q], rows[r]]
     second = _triples_of(alg, adj)[1]
-    owner, u = _triples_of(alg, adj[i])
+    x, u = _triples_of(alg, adj[i])
     v = _triples_of(alg, adj[j])[1]
     w = _triples_of(alg, adj[j[second]])[1]
-    pair_starts = np.searchsorted(owner, alg._triple_starts)
-    return meet, (j * d + k, adj[i] * d + k), second, owner, pair_starts, (u, v, w)
+    return (meet, (j * d + k, adj[i] * d + k), (adj[i], j[second], k[second]),
+            np.searchsorted(x, alg._triple_starts),
+            np.stack([x, i[x], j[x], adj[i[x]], j[u], k[u], j[v], k[v], adj[j[w]], adj[k[w]]]))
 
 
 def _triples_of(alg: Algebra, units: np.ndarray):

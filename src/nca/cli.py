@@ -106,6 +106,7 @@ def _cdc_checks(problem: _Problem):
         CheckResult("cdc-star-representation", report.star_representation,
                     report.residuals["star_representation"]),
         CheckResult("cdc-completely-positive", report.completely_positive,
+                    max(0.0, -report.residuals["gram_min_eigenvalue"]),
                     witness=report.witness if not report.completely_positive else None),
     ]
     data = {

@@ -1,5 +1,6 @@
 """The dense carre-du-champ check, kept as an independent reference for the
-packed one in ``nca.cdc``.
+packed one in ``nca.cdc``, and the per-factor einsum route of the
+product-defined builders, a reference for their one batched product.
 
 Here a form is the (d, d, n, n) array whose slice [i, j] is the
 block-diagonal embedding of Gamma(e_i, e_j) (``alg.embed(gamma.gram)``).
@@ -73,3 +74,30 @@ def dense_is_cdc(alg, g, tol=1e-9) -> dict:
         "big": big,
         "witness": witness,
     }
+
+
+def _einsum_unit_entries(alg, x):
+    """``out[i, j, k]``: the entry of x_i* x_j at the position of the unit
+    e_k, for a stack ``x`` of n x n matrices, by one einsum."""
+    rows, cols = alg.unit_positions
+    return np.einsum("izk,jzk->ijk", x.conj()[:, :, rows], x[:, :, cols])
+
+
+def einsum_commutator_gram(alg, vs):
+    """The gram of sum_j [v_j, a]* [v_j, b], one einsum per element."""
+    emb = alg.embedded_basis
+    return sum(_einsum_unit_entries(alg, v.full() @ emb - emb @ v.full()) for v in vs)
+
+
+def einsum_group_action_gram(alg, autos, weights):
+    """The gram of sum_x c_x (alpha_x(a) - a)* (alpha_x(b) - b), one einsum
+    per automorphism."""
+    eye = np.eye(alg.dim)
+    return sum(c * _einsum_unit_entries(alg, alg.embed(alpha.canonical_matrix.T - eye))
+               for alpha, c in zip(autos, weights))
+
+
+def einsum_spectral_triple_gram(alg, d_op, scale=1.0):
+    """The gram of scale * E([D, a]* [D, b]) by one einsum."""
+    emb = alg.embedded_basis
+    return scale * _einsum_unit_entries(alg, d_op @ emb - emb @ d_op)

@@ -258,16 +258,18 @@ def test_matrix_generator_kind():
     assert report["data"]["ccn"] is True
 
 
+GROUP_SPEC = {
+    "algebra": {"blocks": [1, 1], "trace_weights": [1.0, 1.0]},
+    "generator": {
+        "kind": "group",
+        "autos": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],
+        "weights": [1.0],
+    },
+}
+
+
 def test_group_generator_kind():
-    spec_dict = {
-        "algebra": {"blocks": [1, 1], "trace_weights": [1.0, 1.0]},
-        "generator": {
-            "kind": "group",
-            "autos": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],
-            "weights": [1.0],
-        },
-    }
-    spec = parse_spec(json.dumps(spec_dict))
+    spec = parse_spec(json.dumps(GROUP_SPEC))
     report = run_command("check-cdc", spec)
     assert report["data"]["is_cdc"] is True
 
@@ -426,6 +428,14 @@ NEGATIVE_C = [[0, 1, -0.2], [1, 0, 1], [-0.2, 1, 0]]
 ])
 def test_allow_negative_must_be_a_boolean(spec, field, capsys):
     _input_error(["check-cdc", json.dumps(spec)], capsys, field)
+
+
+def test_failing_complete_positivity_reports_its_residual():
+    spec = parse_spec(json.dumps({"nodes": 3, "c": NEGATIVE_C, "allow_negative": True}))
+    check = next(c for c in run_command("check-cdc", spec)["checks"]
+                 if c["check"] == "cdc-completely-positive")
+    assert check["passed"] is False
+    assert check["residual"] > 0
 
 
 PATH3_C = [[0, 1, 0], [3, 0, 1], [0, 1, 0]]

@@ -1042,10 +1042,13 @@ def _distances_broadcast(coords):
 
 
 def _mixture_search_broadcast(dist2):
-    # viol[i, j, k] = d2(i, k) - (d2(i, j) + d2(j, k)), one (m, m, m) table
+    # viol[i, j, k] = d2(i, k) - (d2(i, j) + d2(j, k)), one (m, m, m) table;
+    # the witness is its first entry within 1e-12 * max(1, |max|) of the max
     viol = dist2[:, None, :] - (dist2[:, :, None] + dist2[None, :, :])
-    i, j, k = np.unravel_index(viol.argmax(), viol.shape)
-    return float(viol.max()), (int(i), int(j), int(k))
+    best = float(viol.max())
+    near = viol >= best - 1e-12 * max(1.0, abs(best))
+    i, j, k = np.unravel_index(near.argmax(), viol.shape)
+    return best, (int(i), int(j), int(k))
 
 
 def _node_triples_listed(n, rng):

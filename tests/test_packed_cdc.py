@@ -1,6 +1,7 @@
 """The packed carre-du-champ against the dense reference in ``dense_cdc``:
 the axiom checks on random forms, the complete-positivity witness, the
-builders, and the memory held by ``_star_gaps``.  ``_star_gaps``, which
+builders (the product-defined ones also against their per-factor einsum
+route), and the memory held by ``_star_gaps``.  ``_star_gaps``, which
 splits the star gap into the rows of its first two terms and the rows that
 only its last two reach, and the scatters of ``gamma_from_generator`` are
 checked bit for bit against padded gathers over every entry."""
@@ -17,7 +18,12 @@ import nca
 from nca.cdc import _star_gaps
 from nca.errors import InputError
 
-from dense_cdc import dense_is_cdc
+from dense_cdc import (
+    dense_is_cdc,
+    einsum_commutator_gram,
+    einsum_group_action_gram,
+    einsum_spectral_triple_gram,
+)
 
 ALGEBRAS = [
     ([3, 2, 1], [1.0, 0.5, 2.0]),
@@ -252,6 +258,42 @@ def test_builders_match_dense_definitions():
     dense = 1.5 * np.einsum("izx,jzy->ijxy", diff.conj(), diff)
     packed = nca.group_action_cdc([alpha], [1.5]).gram
     assert np.abs(alg.embed(packed) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def _assert_close(gram, ref):
+    assert np.abs(gram - ref).max() <= 1e-13 * max(1.0, np.abs(gram).max())
+
+
+def _unitary(alg, rng):
+    return alg.element([np.linalg.qr(m)[0] for m in nca.random_element(alg, rng).data])
+
+
+@pytest.mark.parametrize("blocks, weights", [
+    ([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0]), ([4], [1.0]), ([6], [1.0])])
+def test_product_builders_match_einsum_route(blocks, weights):
+    # one batched product over all factors against one einsum per factor;
+    # the sums run in another order, so they agree up to rounding
+    alg = nca.build_algebra(blocks, weights)
+    rng = np.random.default_rng(sum(blocks))
+    vs = [nca.random_element(alg, rng) for _ in range(3)]
+    singles = [nca.commutator_cdc([v]).gram for v in vs]
+    for v, gram in zip(vs, singles):
+        _assert_close(gram, einsum_commutator_gram(alg, [v]))
+    gram = nca.commutator_cdc(vs).gram
+    _assert_close(gram, einsum_commutator_gram(alg, vs))
+    _assert_close(gram, sum(singles))
+
+    autos = [nca.conjugation_superop(alg, _unitary(alg, rng)) for _ in range(2)]
+    gram = nca.group_action_cdc(autos, [0.5, 2.0]).gram
+    _assert_close(gram, einsum_group_action_gram(alg, autos, [0.5, 2.0]))
+    _assert_close(gram, sum(nca.group_action_cdc([a], [c]).gram
+                            for a, c in zip(autos, [0.5, 2.0])))
+
+    n = alg.total_size
+    herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    d_op = herm + herm.conj().T
+    _assert_close(nca.spectral_triple_cdc(d_op, alg, scale=2.0).gram,
+                  einsum_spectral_triple_gram(alg, d_op, scale=2.0))
 
 
 def test_independent_copies_match_dense_definition():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nca
+from nca.energy import Laplacian
 from nca.errors import DisconnectedError, InputError
 
 from conftest import K3_C, bench_network_c
@@ -117,6 +118,18 @@ def test_metric_checks_k3(k3_net):
     assert report.triangle and report.square_relation and report.acute_angles_pure
     assert report.mixture_counterexample is not None
     assert report.mixture_counterexample["violation"] > 1e-6
+
+
+def test_mixture_witness_is_tie_stable(k3_net, monkeypatch):
+    # K3's mixtures violate the squared triangle inequality by the same
+    # amount on several triples, up to rounding; the Laplacian's eigenvectors
+    # taken in real arithmetic round differently from the complex ones
+    want = nca.metric_checks(k3_net, seed=0).mixture_counterexample
+    monkeypatch.setattr(Laplacian, "eigensystem",
+                        property(lambda lap: np.linalg.eigh(lap.matrix.real)))
+    got = nca.metric_checks(k3_net, seed=0).mixture_counterexample
+    assert {k: got[k] for k in ("nodes", "weights")} == {k: want[k] for k in ("nodes", "weights")}
+    assert got["violation"] == pytest.approx(want["violation"], rel=1e-12)
 
 
 def test_all_pairs_resistance_matches_each_pair():

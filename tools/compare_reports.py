@@ -8,8 +8,9 @@ side, one subprocess imports ``nca`` from that directory and runs
 and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, the
 network-suite ``network-N6`` specs at seeds 7 and 8, the
 ``network_case(default_rng(7), n)`` specs for n = 24 and 48, whose one-form
-spaces are the largest compared, plus ``K3_SPEC`` and ``LINDBLAD_SPEC``
-from ``tests/test_cli.py`` and the ``NEGATIVE_C`` triangle of that file as
+spaces are the largest compared, plus ``K3_SPEC``, ``LINDBLAD_SPEC`` and
+``GROUP_SPEC`` (the one spec that reaches ``group_action_cdc``) from
+``tests/test_cli.py`` and the ``NEGATIVE_C`` triangle of that file as
 an ``allow_negative`` network, whose reports take the FAIL paths
 (``heat-cp-t0.1``, ``network-markov``).  The Markov batteries of the two
 ``network-N6`` specs, like those of the seed-1 ``lindblad-M3`` and
@@ -22,7 +23,7 @@ commutator form) and on a raw and a symmetrized random gram on each of
 identity, and these reach its failing residual and its witness, on one
 large block and on many small ones.  The real parts of the last two pairs
 take the float64 path to its symmetry and star-representation witnesses
-and its CP eigenvalues.  That makes 275 reports.  The script prints the
+and its CP eigenvalues.  That makes 284 reports.  The script prints the
 structural differences (exit code, stderr, stdout shape, keys, list
 lengths, strings and booleans) and, for each float field that moved, its
 largest change relative to max(1, |x|).  It exits 1 when any structural
@@ -120,15 +121,15 @@ json.dump(out, sys.stdout)
 
 
 def cli_specs() -> dict:
-    """The literal ``K3_SPEC`` and ``LINDBLAD_SPEC`` of tests/test_cli.py,
-    and its ``NEGATIVE_C`` as the conductances of an ``allow_negative``
-    network file."""
+    """The literal ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` of
+    tests/test_cli.py, and its ``NEGATIVE_C`` as the conductances of an
+    ``allow_negative`` network file."""
     tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
     found = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             name = getattr(node.targets[0], "id", None)
-            if name in ("K3_SPEC", "LINDBLAD_SPEC"):
+            if name in ("K3_SPEC", "LINDBLAD_SPEC", "GROUP_SPEC"):
                 found[name] = json.dumps(ast.literal_eval(node.value))
             elif name == "NEGATIVE_C":
                 found[name] = json.dumps({"nodes": 3, "c": ast.literal_eval(node.value),

@@ -669,32 +669,35 @@ def conditional_expectation(matrix, algebra: Algebra) -> Element:
 # -- superoperators ---------------------------------------------------------
 
 
+def frozen_array(data, shape: tuple, requirement: str) -> np.ndarray:
+    """A read-only copy of ``data`` of dtype ``result_type(data, float)``; raises
+    ``requirement``, with the shape found, unless the copy has ``shape``."""
+    out = np.array(data, dtype=np.result_type(np.asarray(data), float))
+    if out.shape != shape:
+        raise InputError(f"{requirement}, got {out.shape}")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class SuperOperator:
-    """A C-linear map on the algebra, stored as a matrix in the orthonormal
-    L2 basis."""
+    """A C-linear map on the algebra, stored as a :func:`frozen_array`
+    matrix in the orthonormal L2 basis."""
 
     algebra: Algebra
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
         d = self.algebra.dim
-        if m.shape != (d, d):
-            raise InputError(f"superoperator matrix must be {d}x{d}, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen_array(
+            self.matrix, (d, d), f"superoperator matrix must be {d}x{d}"))
 
     @classmethod
     def from_function(cls, algebra: Algebra, fn: Callable) -> "SuperOperator":
         """Build the matrix by applying an elementwise rule to the
         orthonormal basis."""
-        d = algebra.dim
-        cols = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            e = algebra.from_coords(np.eye(d)[i])
-            cols[:, i] = algebra.to_coords(fn(e))
-        return cls(algebra, cols)
+        cols = [algebra.to_coords(fn(algebra.from_coords(e))) for e in np.eye(algebra.dim)]
+        return cls(algebra, np.transpose(cols))
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "SuperOperator":
@@ -728,7 +731,7 @@ class SuperOperator:
         return SuperOperator(self.algebra, self.matrix - other.matrix)
 
     def __rmul__(self, scalar) -> "SuperOperator":
-        return SuperOperator(self.algebra, complex(scalar) * self.matrix)
+        return SuperOperator(self.algebra, scalar * self.matrix)
 
     def sharp(self) -> "SuperOperator":
         """The map c -> (N(c*))*.  The involution permutes units within one

@@ -7,8 +7,9 @@ algebra's own coordinates: ``gram[i, j, k]`` is the coefficient of the
 matrix unit e_k in ``Gamma(e_i, e_j)``, so ``gram`` has shape (d, d, d)
 with d = sum of n_b^2.  Sesquilinearity (conjugate-linear in the first slot)
 recovers all other values, so every axiom is checked on basis tuples only.
-A real gram (a network, its amplifications) stays float64, so every check
-below runs in real arithmetic, with real symmetric solvers on the CP blocks.
+A gram keeps its data's dtype (``frozen_array``): a real gram (a network,
+its amplifications, the form of a real generator) stays float64, so every
+check below runs in real arithmetic, with real symmetric solvers on the CP blocks.
 
 Every check and reader is an index formula over the structure constants.
 A product of two units is another unit or zero, and ``mul_nonzero`` lists
@@ -46,6 +47,7 @@ from .algebra import (
     amplification_index,
     block_norms,
     block_products,
+    frozen_array,
     hermitian_eigenvalues,
     left_multiplication,
     random_rows,
@@ -61,10 +63,10 @@ class CdCForm:
 
     ``gram`` has shape (d, d, d): ``gram[i, j, k]`` is the coefficient of
     the unit e_k in Gamma(e_i, e_j); it is read-only, float64 for real or
-    integer data and complex128 for complex data.  ``scale`` records the
-    conventional prefactor (1 for generator and commutator forms, 1/2 for
-    Laplacian and network forms) so cross-module comparisons never mix
-    conventions silently.
+    integer data and complex128 for complex data (:func:`frozen_array`).
+    ``scale`` records the conventional prefactor (1 for generator and
+    commutator forms, 1/2 for Laplacian and network forms) so cross-module
+    comparisons never mix conventions silently.
     """
 
     algebra: Algebra
@@ -73,11 +75,8 @@ class CdCForm:
 
     def __post_init__(self):
         d = self.algebra.dim
-        g = np.array(self.gram, dtype=np.result_type(np.asarray(self.gram), float))
-        if g.shape != (d, d, d):
-            raise InputError(f"gram tensor must have shape (d, d, d) = {(d, d, d)}, got {g.shape}")
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram", frozen_array(
+            self.gram, (d, d, d), f"gram tensor must have shape (d, d, d) = {(d, d, d)}"))
 
     def value(self, a: Element, b: Element) -> Element:
         """Gamma(a, b), conjugate-linear in ``a``."""
@@ -148,7 +147,7 @@ def gamma_from_generator(n: SuperOperator, scale=1.0, tol=DEFAULT_EQ_TOL) -> CdC
     adj = alg.adj_table
     i, j, k = alg.mul_nonzero
     ne = n.canonical_matrix.T  # ne[i] = N(e_i)
-    gram = np.zeros((alg.dim,) * 3, dtype=complex)
+    gram = np.zeros((alg.dim,) * 3, dtype=ne.dtype)
     gram[:, j, k] = ne[adj][:, i]
     gram[adj[i], j] -= ne[k]
     gram[adj[i], :, k] += ne[:, j].T

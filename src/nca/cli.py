@@ -100,13 +100,15 @@ def _cdc_checks(problem: _Problem):
     spec, gamma, report = problem.spec, problem.gamma, problem.cdc_report
     tol = spec.tolerances.positivity
     reality = reality_checks(gamma, tol=spec.tolerances.equality)
+    # the symmetry gap is the skew part of the basis gram, which rules out positivity
+    cp_res = (max(0.0, -report.residuals["gram_min_eigenvalue"]) if report.symmetric
+              else report.residuals["symmetry"])
     checks = [
         CheckResult("cdc-symmetric", report.symmetric, report.residuals["symmetry"]),
         CheckResult("cdc-unit-annihilation", report.unit_annihilating, report.residuals["unit"]),
         CheckResult("cdc-star-representation", report.star_representation,
                     report.residuals["star_representation"]),
-        CheckResult("cdc-completely-positive", report.completely_positive,
-                    max(0.0, -report.residuals["gram_min_eigenvalue"]),
+        CheckResult("cdc-completely-positive", report.completely_positive, cp_res,
                     witness=report.witness if not report.completely_positive else None),
     ]
     data = {

@@ -22,6 +22,7 @@ from .algebra import (
     amplify_matrix,
     block_norms,
     block_products,
+    frozen_array,
     hermitian_eigenvalues,
     piecewise_linear_lipschitz,
     piecewise_linear_values,
@@ -52,19 +53,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnergyForm:
-    """The scalar form E(a, b) = tau(Gamma(a, b)), stored over the canonical
-    basis; conjugate-linear in the first slot."""
+    """The scalar form E(a, b) = tau(Gamma(a, b)), stored as a
+    :func:`frozen_array` over the canonical basis; conjugate-linear in the first slot."""
 
     algebra: Algebra
     gram: np.ndarray
 
     def __post_init__(self):
         d = self.algebra.dim
-        g = np.array(self.gram, dtype=complex)
-        if g.shape != (d, d):
-            raise InputError(f"energy gram must be {d}x{d}, got {g.shape}")
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram", frozen_array(
+            self.gram, (d, d), f"energy gram must be {d}x{d}"))
 
     @cached_property
     def gram_orthonormal(self) -> np.ndarray:
@@ -104,13 +102,23 @@ def energy_form(gamma: CdCForm, force=False, tol=DEFAULT_POS_TOL) -> EnergyForm:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """The positive operator with <a, L b> = E(a, b); Hermitian in the
-    orthonormal basis by construction.  ``eigenvalues`` is the ascending
-    spectrum of its Hermitian part; functions of L come from ``eigensystem``."""
+    """The positive operator with <a, L b> = E(a, b); its orthonormal-basis
+    matrix must be Hermitian to within 1e-8 (1 + largest entry).  It is
+    decomposed once, by the ``eigh`` of ``eigensystem``: ``eigenvalues`` and
+    every function of L are read from it, real for a real matrix."""
 
     superop: SuperOperator
-    eigenvalues: np.ndarray
     rank_tol: float = DEFAULT_RANK_TOL
+
+    def __post_init__(self):
+        m = self.matrix
+        herm_gap = float(np.abs(m - m.conj().T).max())
+        if herm_gap > 1e-8 * (1.0 + float(np.abs(m).max())):
+            raise InputError(f"Laplacian matrix must be Hermitian (residual {herm_gap:.3e})")
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.eigensystem[0]
 
     @property
     def kernel_dim(self) -> int:
@@ -151,23 +159,12 @@ class Laplacian:
     def natural(self) -> "Laplacian":
         """(L + L#)/2: preserves the involution, generates the heat
         semigroup, and has the same carre-du-champ."""
-        avg = 0.5 * (self.superop + self.sharp())
-        return _laplacian_from_superop(avg, self.rank_tol)
-
-
-def _laplacian_from_superop(superop: SuperOperator, rank_tol=DEFAULT_RANK_TOL) -> Laplacian:
-    m = superop.matrix
-    herm_gap = float(np.abs(m - m.conj().T).max())
-    if herm_gap > 1e-8 * (1.0 + float(np.abs(m).max())):
-        raise InputError(f"Laplacian matrix must be Hermitian (residual {herm_gap:.3e})")
-    return Laplacian(superop, np.linalg.eigvalsh((m + m.conj().T) / 2), rank_tol)
+        return Laplacian(0.5 * (self.superop + self.sharp()), self.rank_tol)
 
 
 def laplacian(e: EnergyForm, rank_tol=DEFAULT_RANK_TOL) -> Laplacian:
     m = e.gram_orthonormal
-    return _laplacian_from_superop(
-        SuperOperator(e.algebra, (m + m.conj().T) / 2), rank_tol
-    )
+    return Laplacian(SuperOperator(e.algebra, (m + m.conj().T) / 2), rank_tol)
 
 
 def energy_form_of_laplacian(lap: Laplacian) -> EnergyForm:
@@ -622,8 +619,7 @@ def cdc_from_dirichlet_form(
     scale = 1.0 + e.magnitude()
     if checks:
         _require_dirichlet(e, tol, lambda: markov_check(e, orders=(1, 2), seed=seed, tol=tol))
-    lap = laplacian(e)
-    gamma = gamma_delta(lap)
+    gamma = gamma_delta(laplacian(e))
     pair_res = float(np.abs(gamma.tau_values - e.gram).max())
     if pair_res > max(tol, 1e-9) * scale:
         raise PropertyViolationError(

@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .energy import (
     Laplacian,
-    _laplacian_from_superop,
     _quadratic_forms,
     _require_dirichlet,
     cdc_from_dirichlet_form,
@@ -94,7 +93,7 @@ class QuotientData:
             s_inv_j = np.linalg.solve(self.s_block, self.j_block)
             schur = self.r_block - self.j_block.conj().T @ s_inv_j
         schur = (schur + schur.conj().T) / 2
-        return _laplacian_from_superop(SuperOperator(self.algebra_b, schur), self.ambient.rank_tol)
+        return Laplacian(SuperOperator(self.algebra_b, schur), self.ambient.rank_tol)
 
     def restrict(self, a: Element) -> Element:
         """pa, viewed in the quotient algebra."""

@@ -20,7 +20,7 @@ from .algebra import (
     SuperOperator,
 )
 from .cdc import network_cdc
-from .energy import EnergyForm, Laplacian, _laplacian_from_superop, energy_form
+from .energy import EnergyForm, Laplacian, energy_form
 from .errors import DisconnectedError, InputError
 from .states import StateEmbedding, point_state
 
@@ -87,7 +87,7 @@ class ResistanceNetwork:
 def network_laplacian(net: ResistanceNetwork) -> Laplacian:
     """(L f)(x) = sum_y (f(x) - f(y)) c_xy, as a Laplace operator on the node
     algebra; identical to the Laplacian of the half-scaled network form."""
-    return _laplacian_from_superop(SuperOperator(net.algebra, net.laplacian_matrix))
+    return Laplacian(SuperOperator(net.algebra, net.laplacian_matrix))
 
 
 def network_energy_form(net: ResistanceNetwork) -> EnergyForm:
@@ -345,8 +345,7 @@ def markov_violation_witness(net: ResistanceNetwork, tol=DEFAULT_POS_TOL):
     """Requires the energy form to be nonnegative.  Returns None when all
     conductances are nonnegative; otherwise builds the explicit witness whose
     clipped energy exceeds the original."""
-    lap_mat = net.laplacian_matrix
-    eigs = np.linalg.eigvalsh((lap_mat + lap_mat.T) / 2)
+    eigs = network_laplacian(net).eigenvalues
     if eigs[0] < -tol * max(1.0, eigs[-1]):
         raise InputError("the energy form itself is not nonnegative")
     if net.c.min() >= 0:

@@ -20,7 +20,7 @@ from .algebra import (
     right_multiplication,
 )
 from .cdc import CdCForm
-from .energy import Laplacian, _laplacian_from_superop
+from .energy import Laplacian
 from .errors import InputError
 from .quotient import central_projection, schur_quotient, split
 
@@ -87,12 +87,12 @@ def extend(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> ExtendedAlgebra
     mu_row[algebra.diagonal_units] = np.repeat(lams * np.sqrt(algebra.trace_weights),
                                                algebra.blocks)
 
-    m = np.zeros((d + 1, d + 1), dtype=complex)
+    m = np.zeros((d + 1, d + 1))
     m[:d, :d] = np.diag(mult)
     m[d, :d] = -mu_row
     m[:d, d] = -mu_row
     m[d, d] = 1.0
-    lap = _laplacian_from_superop(SuperOperator(extended, m))
+    lap = Laplacian(SuperOperator(extended, m))
 
     # construction checks: the pairing identity m[i, j] = mu(x_i* x_j) on the
     # orthonormal basis a_i (+) alpha_i of the extension, with x_i the

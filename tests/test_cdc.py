@@ -372,9 +372,9 @@ def test_gram_dtype_follows_the_data(m2):
     assert np.array_equal(form.gram, ints)
     two_point = nca.build_algebra([1, 1], [0.5, 0.5])
     lap = nca.SuperOperator(alg, np.diag(K3_C.sum(axis=1)) - K3_C)
+    assert nca.gamma_from_generator(lap, scale=0.5).gram.dtype == np.float64
     for gamma in (nca.commutator_cdc([m2.basis_element(1)]),
-                  nca.spectral_triple_cdc(np.array([[0.0, 1.0], [1.0, 0.0]]), two_point),
-                  nca.gamma_from_generator(lap, scale=0.5)):
+                  nca.spectral_triple_cdc(np.array([[0.0, 1.0], [1.0, 0.0]]), two_point)):
         assert gamma.gram.dtype == np.complex128
 
 
@@ -451,6 +451,47 @@ def test_real_bimodule_matches_complex_copy(form):
     scale = 1.0 + real.magnitude()
     for key, value in got.residuals.items():
         assert abs(value - want.residuals[key]) <= 1e-12 * scale
+
+
+def _energy_layer(e):
+    """The flags and residuals of the energy layer on one form."""
+    lap = nca.laplacian(e)
+    _, heat = nca.heat_map(lap, 1.0)
+    results = (nca.resolvent_check(lap, (0.1, 1.0)) + nca.markov_check(e)
+               + nca.leibniz_check(e))
+    flags = [lap.kernel_dim, nca.connectedness(lap), heat["unital"], heat["cp"]]
+    flags += [r.passed for r in results]
+    residuals = [heat["unital_residual"], heat["choi_min_eigenvalue"],
+                 heat["choi_skew_residual"], *lap.eigenvalues]
+    return flags, residuals + [r.residual for r in results]
+
+
+@pytest.mark.parametrize("form", range(3))
+def test_real_energy_layer_matches_complex_copy(form):
+    real = _real_cdc_forms()[form]
+    e = nca.EnergyForm(real.algebra, real.tau_values)
+    cplx = nca.EnergyForm(real.algebra, e.gram.astype(complex))
+    assert cplx.gram.dtype == np.complex128
+    got, want = _energy_layer(e), _energy_layer(cplx)
+    assert got[0] == want[0]
+    assert np.allclose(got[1], want[1], rtol=0, atol=1e-12 * (1.0 + e.magnitude()))
+    lap = nca.laplacian(e)
+    arrays = [e.gram, lap.matrix, lap.eigensystem[1], nca.heat_map(lap, 1.0)[0].matrix,
+              lap.natural().matrix, nca.gamma_delta(lap).gram]
+    assert [a.dtype for a in arrays] == [np.float64] * 6
+
+
+def test_lindblad_energy_layer_stays_complex(m2):
+    gamma = nca.commutator_cdc([m2.basis_element(1), m2.basis_element(2)])
+    lap = nca.laplacian(nca.energy_form(gamma))
+    assert gamma.tau_values.dtype == lap.matrix.dtype == np.complex128
+
+
+def test_laplacian_rejects_a_non_hermitian_matrix(m2):
+    m = np.zeros((4, 4))
+    m[0, 1] = 1.0
+    with pytest.raises(InputError, match=r"must be Hermitian \(residual 1\.000e\+00\)"):
+        nca.Laplacian(nca.SuperOperator(m2, m))
 
 
 def test_real_network_is_cdc_memory_stays_bounded():

@@ -438,6 +438,20 @@ def test_failing_complete_positivity_reports_its_residual():
     assert check["residual"] > 0
 
 
+def test_asymmetric_form_reports_its_symmetry_gap_as_the_cp_residual():
+    # N(1) = 0 but N != N#: the form is not symmetric, so it is not positive
+    spec = parse_spec(json.dumps({
+        "algebra": {"blocks": [1, 1], "trace_weights": [1.0, 1.0]},
+        "generator": {"kind": "matrix",
+                      "superop": [[[1, 0], [-1, 0]], [[0, -1], [0, 1]]]},
+    }))
+    checks = {c["check"]: c for c in run_command("check-cdc", spec)["checks"]}
+    assert checks["cdc-symmetric"]["passed"] is False
+    assert checks["cdc-symmetric"]["residual"] == 2.0
+    assert checks["cdc-completely-positive"]["passed"] is False
+    assert checks["cdc-completely-positive"]["residual"] == 2.0
+
+
 PATH3_C = [[0, 1, 0], [3, 0, 1], [0, 1, 0]]
 
 

@@ -8,10 +8,12 @@ side, one subprocess imports ``nca`` from that directory and runs
 and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, the
 network-suite ``network-N6`` specs at seeds 7 and 8, the
 ``network_case(default_rng(7), n)`` specs for n = 24 and 48, whose one-form
-spaces are the largest compared, plus ``K3_SPEC``, ``LINDBLAD_SPEC`` and
-``GROUP_SPEC`` (the one spec that reaches ``group_action_cdc``) from
-``tests/test_cli.py`` and the ``NEGATIVE_C`` triangle of that file as
-an ``allow_negative`` network, whose reports take the FAIL paths
+spaces are the largest compared, and the n = 8 one with trace weights
+``linspace(0.5, 2, 8)`` and each point state's density scaled by 1/w (the
+one network whose orthonormal basis is not the canonical one), plus
+``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
+``group_action_cdc``) from ``tests/test_cli.py`` and the ``NEGATIVE_C``
+triangle of that file as an ``allow_negative`` network, whose reports take the FAIL paths
 (``heat-cp-t0.1``, ``network-markov``).  The Markov batteries of the two
 ``network-N6`` specs, like those of the seed-1 ``lindblad-M3`` and
 ``lindblad-M5`` specs, reject and redraw the knots of a seeded function
@@ -23,7 +25,7 @@ commutator form) and on a raw and a symmetrized random gram on each of
 identity, and these reach its failing residual and its witness, on one
 large block and on many small ones.  The real parts of the last two pairs
 take the float64 path to its symmetry and star-representation witnesses
-and its CP eigenvalues.  That makes 284 reports.  The script prints the
+and its CP eigenvalues.  That makes 293 reports.  The script prints the
 structural differences (exit code, stderr, stdout shape, keys, list
 lengths, strings and booleans) and, for each float field that moved, its
 largest change relative to max(1, |x|).  It exits 1 when any structural
@@ -51,6 +53,8 @@ WORKLOADS = ("network-suite", "matrix-suite")
 EXTRA_CASES = (("network-suite", 7, "network-N6"), ("network-suite", 8, "network-N6"))
 # node counts of further seed-7 network_case specs
 LARGE_NETWORKS = (24, 48)
+# node count of the seed-7 network_case given non-unit trace weights
+WEIGHTED_NETWORK = 8
 
 # runs every (command, spec) pair in one interpreter and prints a JSON list
 # of [command, exit code, stdout, stderr]
@@ -137,6 +141,19 @@ def cli_specs() -> dict:
     return found
 
 
+def weighted_network_spec(n: int) -> str:
+    """The seed-7 ``network_case`` on n nodes with trace weights
+    ``linspace(0.5, 2, n)``; each point state's density is scaled by 1/w,
+    so that it stays a state."""
+    spec = json.loads(workloads.network_case(np.random.default_rng(7), n)["spec"])
+    weights = np.linspace(0.5, 2.0, n)
+    spec["algebra"]["trace_weights"] = weights.tolist()
+    for state in spec["states"]:
+        state["density"] = [[[[x / w for x in entry] for entry in row] for row in block]
+                            for block, w in zip(state["density"], weights)]
+    return json.dumps(spec)
+
+
 def specs() -> dict:
     named = {}
     for workload in WORKLOADS:
@@ -148,6 +165,7 @@ def specs() -> dict:
         named[f"{name}-seed{seed}"] = next(c["spec"] for c in cases if c["name"] == name)
     for n in LARGE_NETWORKS:
         named[f"network-N{n}-seed7"] = workloads.network_case(np.random.default_rng(7), n)["spec"]
+    named[f"weighted-network-N{WEIGHTED_NETWORK}-seed7"] = weighted_network_spec(WEIGHTED_NETWORK)
     named.update(cli_specs())
     return named
 

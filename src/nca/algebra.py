@@ -122,12 +122,10 @@ class Algebra:
     def unit_positions(self):
         """``(rows, cols)``: the entry of the block-diagonal embedding that
         each canonical unit occupies."""
-        rows, cols = [], []
-        for off, nb in zip(self._space_offsets, self.blocks):
-            r, s = np.divmod(np.arange(nb * nb), nb)
-            rows.append(off + r)
-            cols.append(off + s)
-        return np.concatenate(rows), np.concatenate(cols)
+        sizes = np.asarray(self.blocks)
+        owner = np.repeat(np.arange(len(sizes)), sizes * sizes)
+        r, s = np.divmod(np.arange(self.dim) - self._basis_offsets[owner], sizes[owner])
+        return self._space_offsets[owner] + r, self._space_offsets[owner] + s
 
     @cached_property
     def _unit_at(self):

@@ -507,22 +507,20 @@ def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL, extra_tuples=4) -> 
     if n.apply(one).norm() > tol * op_scale:
         raise InputError("generator must annihilate the identity")
     d, size = alg.dim, alg.total_size
-    m = d + 1
-    ne = np.zeros((m, size, size), dtype=complex)
+    ne = np.zeros((d + 1, size, size), dtype=complex)
     ne[:d] = alg.embed(n.canonical_matrix.T)  # N(e_i); index -1 reads zero
 
     # W[(J, x), (K, y)] = [N(A_J* A_K)]_{x, y} for A = (e_1, ..., e_d, 1):
-    # A_J* A_K is the unit prod[J, K], or zero where prod[J, K] = -1
-    prod = np.full((m, m), -1)  # N(1 * 1) = 0
-    prod[:d, :d] = alg.mul_table[alg.adj_table]
-    prod[:d, d] = alg.adj_table
-    prod[d, :d] = np.arange(d)
-    w = ne[prod].transpose(0, 2, 1, 3).reshape(m * size, m * size)
+    # A_J* A_K is the unit mul_table[adj J, K] (N(e_J*) and N(e_K) on the
+    # last row and column), or zero where the product is -1
+    w11 = ne[alg.mul_table[alg.adj_table]].transpose(0, 2, 1, 3).reshape(d * size, d * size)
+    w12 = ne[alg.adj_table].reshape(d * size, size)
+    w21 = ne[:d].transpose(1, 0, 2).reshape(size, d * size)
 
-    # tuples with sum a_j b_j = 0: b_last = -sum_j e_j b_j
-    lift = np.concatenate([np.eye(d * size),
-                           -alg.embedded_basis.transpose(1, 0, 2).reshape(size, d * size)])
-    t = lift.conj().T @ w @ lift
+    # tuples with sum a_j b_j = 0: b_last = -sum_j e_j b_j = -E b, so the
+    # matrix is [1, -E*] W [1; -E], and W's last diagonal block N(1 1) is 0
+    e = alg.embedded_basis.transpose(1, 0, 2).reshape(size, d * size)
+    t = w11 - w12 @ e - e.conj().T @ w21
     # a nonpositive element is in particular self-adjoint, so a skew part is
     # already a violation
     scale = 1.0 + float(np.abs(t).max())

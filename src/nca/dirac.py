@@ -29,10 +29,12 @@ the product map and iota_i places it at the rows (i, .).  With the
 eigenvectors below the cut in place of the right-hand F+ the product must
 vanish: the null space acts into the null space.  The left action is formed
 block by block only for that residual and for a_i* = a_(i*), and is not
-kept: every Dirac quantity is read off the stacks S_b.
+kept: every Dirac quantity is read off the stacks S_b.  The product over
+all eigenvectors, the moved frame, is formed a few units i at a time.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +77,14 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
                    report: CdCReport | None = None) -> BimoduleSpace:
     """Realize the one-form space of a carre-du-champ concretely, as the
     module docstring describes.  ``report`` is the ``is_cdc`` report of
-    ``gamma`` at ``pos_tol`` when the caller already holds it."""
+    ``gamma`` at ``pos_tol`` when the caller already holds it.
+
+    The moved frame W of each block, (d, r_b, d n_b), is never held whole:
+    ``_moved_frames`` yields it in boxes of units of at most
+    ``_FRAME_CHUNK`` entries (one unit when a unit alone is larger, one box
+    per block size when the frame fits), which give the same entries as
+    one box.  The kept columns fill the (d, r_b, r_b) stack of the left
+    action and the null columns only raise ``null_space_invariance``."""
     (is_cdc(gamma, tol=pos_tol) if report is None else report).require(
         "one-form construction requires a carre-du-champ")
     alg = gamma.algebra
@@ -107,13 +116,18 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
             comm[units, :, np.arange(n_b)] -= comm[alg.diagonal_units].sum(axis=0).T[:, None]
             rows = comm.transpose(1, 2, 0).reshape(r * n_b, d)
             dmatrix[start:start + r * n_b] = rows * (root_wb / root_w)
-            # the left action a_i of the block is checked and not kept; the
-            # next block's arrays replace these, since freeing them first
-            # makes the heap shrink and re-fault on every block.  A C-ordered
-            # gap keeps the subtraction from buffering
-            moved = root_lam[:, None] * _moved_frame(alg, n_b, cols[q], vecs[q], keep[q])
-            stack = moved[:, :, keep[q]] / root_lam
-            null_res = max(null_res, root_wb * np.abs(moved[:, :, ~keep[q]]).max(initial=0.0))
+            # the left action a_i of the block is checked and not kept.  Its
+            # units go by chunks of at most _FRAME_CHUNK entries of the moved
+            # frame: the kept columns fill the stack, the null columns only
+            # raise a running maximum.  A C-ordered gap keeps the subtraction
+            # from buffering
+            per = _FRAME_CHUNK // (r * len(vals[q]))
+            stack = np.empty((d, r, r), dtype=vecs.dtype)
+            null = ~keep[q]
+            for box, frame in _moved_frames(alg, n_b, cols[q], vecs[q], keep[q], per):
+                frame *= root_lam[:, None]
+                stack[box] = frame[:, :, keep[q]] / root_lam
+                null_res = max(null_res, root_wb * np.abs(frame[:, :, null]).max(initial=0.0))
             gap = np.conjugate(stack.transpose(0, 2, 1), order="C")
             gap -= stack[alg.adj_table]
             star_res = max(star_res, float(np.abs(gap).max()))
@@ -133,25 +147,38 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
     )
 
 
-def _moved_frame(alg, n_b, cols, vecs, keep) -> np.ndarray:
-    """W[i] = F+* [(L_i (x) 1) F - iota_i mu(F)], shape (d, m, d n_b), for the
-    eigenvectors F = ``vecs`` of the complete-positivity block of the block
-    of size n_b with units ``cols``, and the m columns F+ = F[:, keep]."""
+_FRAME_CHUNK = 2 ** 13  # entries of the moved frame that one chunk of build_bimodule holds
+
+
+def _moved_frames(alg, n_b, cols, vecs, keep, per=None):
+    """W[i] = F+* [(L_i (x) 1) F - iota_i mu(F)], shape (m, d n_b) for each
+    unit i, for the eigenvectors F = ``vecs`` of the complete-positivity
+    block of the block of size n_b with units ``cols``, and the m columns
+    F+ = F[:, keep].  Yields ``(units, W[units])`` over boxes of the blocks,
+    rows and columns of each block size with at most ``per`` units, or one
+    unit when a row is longer; by default one box per block size.  Every
+    unit is its own product in a batch, so the box size does not change the
+    entries."""
     d = alg.dim
     f = vecs.reshape(d, n_b, -1)
     fp = f[:, :, keep].conj()
     m = fp.shape[2]
     mu = f[cols.reshape(n_b, n_b), np.arange(n_b)].sum(axis=1)
-    out = -(fp.transpose(0, 2, 1) @ mu)
     # the unit i at (s, t) of a block of size n sends row (unit (t, u), r)
-    # to row (unit (s, u), r): one batched product per block size
+    # to row (unit (s, u), r): W[i] = F+[(s, .)]* F[(t, .)] - F+[i]* mu,
+    # with the rows (s, .) and (t, .) read over (u, r)
     for n, units in alg.size_groups:
         k = len(units)
-        left = fp[units].reshape(k, n, n * n_b, m).transpose(0, 1, 3, 2).reshape(k, n * m, -1)
-        right = f[units].reshape(k, n, n * n_b, -1).transpose(0, 2, 1, 3).reshape(k, n * n_b, -1)
-        out[units.reshape(-1)] += ((left @ right).reshape(k, n, m, n, -1)
-                                   .transpose(0, 1, 3, 2, 4).reshape(k * n * n, m, -1))
-    return out
+        units = units.reshape(k, n, n)
+        left = fp[units].reshape(k, n, n * n_b, m).transpose(0, 1, 3, 2)
+        right = f[units].reshape(k, n, n * n_b, -1)
+        size = k * n * n if per is None else max(1, per)
+        kb, sb, tb = max(1, size // (n * n)), min(n, max(1, size // n)), min(n, size)
+        for b, s, t in itertools.product(range(0, k, kb), range(0, n, sb), range(0, n, tb)):
+            box = units[b:b + kb, s:s + sb, t:t + tb]
+            frame = left[b:b + kb, s:s + sb, None] @ right[b:b + kb, None, t:t + tb]
+            frame -= fp[box].swapaxes(-1, -2) @ mu
+            yield box.reshape(-1), frame.reshape(box.size, *frame.shape[-2:])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nca
+from nca.fileio import parse_spec
 
 K3_C = np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
 TWO_C = np.array([[0.0, 1], [1, 0]])
@@ -76,14 +77,25 @@ def build_catalog():
     return examples
 
 
-def bench_network_c(n, seed=7):
-    """The conductances of the benchmark's ``network_case(default_rng(seed), n)``
-    from ``bench/workloads.py``."""
+def _bench_workloads():
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("nca_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return workloads.network_case(np.random.default_rng(seed), n)["c"]
+    return workloads
+
+
+def bench_network_c(n, seed=7):
+    """The conductances of the benchmark's ``network_case(default_rng(seed), n)``
+    from ``bench/workloads.py``."""
+    return _bench_workloads().network_case(np.random.default_rng(seed), n)["c"]
+
+
+def bench_lindblad_gamma(n, seed=7):
+    """The form of the benchmark's ``lindblad_case(default_rng(seed), n)``
+    from ``bench/workloads.py``, built from its spec as the CLI builds it."""
+    case = _bench_workloads().lindblad_case(np.random.default_rng(seed), n)
+    return parse_spec(case["spec"]).build_gamma()
 
 
 @pytest.fixture(scope="session")

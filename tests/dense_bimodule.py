@@ -31,7 +31,7 @@ import numpy as np
 from nca import PropertyViolationError, is_cdc, left_multiplication
 from nca.algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL
 from nca.cdc import _cp_blocks
-from nca.dirac import _moved_frame
+from nca.dirac import _moved_frames
 from nca.reporting import CheckResult
 
 
@@ -154,7 +154,7 @@ def library_action(space) -> list:
     ``nca.BimoduleSpace``, in ``space.action`` order, rebuilt by the library's
     route, which does not keep it: the eigenvectors of the block's
     complete-positivity block from ``_cp_blocks`` and ``eigh``, moved by
-    ``_moved_frame``.  The eigenvalues ascend and the rank cut is monotone in
+    ``_moved_frames`` in one box per block size.  The eigenvalues ascend and the rank cut is monotone in
     them, so the kept ones are the top r_b, with r_b the frame rows of the
     block's commutator stack.  Each space's stacks are built once and
     dropped with the space."""
@@ -176,8 +176,10 @@ def _rebuild_action(space) -> list:
         n_b, cols, vals, vecs = found[units[0, 0]]
         keep = np.arange(len(vals)) >= len(vals) - comm.shape[1]
         root_lam = np.sqrt(vals[keep])
-        moved = root_lam[:, None] * _moved_frame(alg, n_b, cols, vecs, keep)
-        out.append(moved[:, :, keep] / root_lam)
+        stack = np.empty((alg.dim, len(root_lam), len(root_lam)), dtype=vecs.dtype)
+        for box, frame in _moved_frames(alg, n_b, cols, vecs, keep):
+            stack[box] = (root_lam[:, None] * frame)[:, :, keep] / root_lam
+        out.append(stack)
     return out
 
 

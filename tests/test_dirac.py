@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import nca
-from nca.dirac import _star_squared_norms
+from nca.cdc import _cp_blocks
+from nca.dirac import _moved_frames, _star_squared_norms
 from nca.errors import DisconnectedError, PropertyViolationError
 
-from conftest import K3_C, TWO_C, bench_network_c
+from conftest import K3_C, TWO_C, bench_lindblad_gamma, bench_network_c
 from dense_bimodule import (act_left, commutator_norm, dirac_matrix, pair_forms, pair_projection,
                             represent, squared_commutator_norms)
 
@@ -273,18 +274,23 @@ def test_left_action_matches_product_route(blocks, weights):
         assert np.abs(act_left(bs, alg.basis_element(i)) @ pairs - expected).max() < 1e-14
 
 
-@pytest.mark.parametrize("blocks", [[2], [3], [2, 1]])
-def test_null_space_invariance_detects_a_leaking_form(monkeypatch, blocks):
-    # Gamma(a, b) = X(a)* X(b) with X(a) = a - tr(a)/n: positive and
-    # unit-annihilating, but X is no derivation, so left multiplication
-    # moves null pairs out of the null space; let it past is_cdc
-    dense_bimodule = importlib.import_module("dense_bimodule")
+def _leaking_form(blocks):
+    """Gamma(a, b) = X(a)* X(b) with X(a) = a - tr(a)/n: positive and
+    unit-annihilating, but X is no derivation, so left multiplication moves
+    null pairs out of the null space."""
     alg = nca.build_algebra(blocks, [1.0] * len(blocks))
     n = alg.total_size
     emb = alg.embedded_basis
     x = emb - (np.trace(emb, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
     rows, cols = alg.unit_positions
-    gamma = nca.CdCForm(alg, (x.conj().transpose(0, 2, 1)[:, None] @ x[None])[:, :, rows, cols])
+    return nca.CdCForm(alg, (x.conj().transpose(0, 2, 1)[:, None] @ x[None])[:, :, rows, cols])
+
+
+@pytest.mark.parametrize("blocks", [[2], [3], [2, 1]])
+def test_null_space_invariance_detects_a_leaking_form(monkeypatch, blocks):
+    # let the leaking form past is_cdc
+    dense_bimodule = importlib.import_module("dense_bimodule")
+    gamma = _leaking_form(blocks)
     assert not nca.is_cdc(gamma).star_representation
     passing = nca.CdCReport(True, True, True, True)
     for module in (importlib.import_module("nca.dirac"), dense_bimodule):
@@ -445,3 +451,72 @@ def test_build_bimodule_holds_no_action_stack():
     assert build_peak < d * bs.rank ** 2 * 16 / 2
     assert build_peak < bs.rank * d * d * 16
     assert star_peak < d ** 4 * 16
+
+
+def _chunk_forms(catalog):
+    """``(name, form, report)``: the catalog forms, the seed-1 M5 form of the
+    benchmark's lindblad_case, a form on [3, 2, 1] with unequal weights, the
+    seed-7 N=12 network and the leaking form on [2, 1] with a passing
+    ``is_cdc`` report, whose null-space residual is not rounding."""
+    mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    rng = np.random.default_rng(31)
+    net = nca.build_algebra([1] * 12, [1.0] * 12)
+    return [(ex.name, ex.gamma, None) for ex in catalog] + [
+        ("lindblad-M5-seed1", bench_lindblad_gamma(5, seed=1), None),
+        ("3-2-1", nca.commutator_cdc([nca.random_element(mixed, rng) for _ in range(2)]), None),
+        ("network-N12", nca.network_cdc(net, bench_network_c(12), scale=0.5), None),
+        ("leaking-2-1", _leaking_form([2, 1]), nca.CdCReport(True, True, True, True)),
+    ]
+
+
+def test_moved_frame_boxes_are_exact(catalog):
+    # every unit is its own product of a batch, so boxes of one unit, of
+    # part of a row, of rows and of blocks give the entries of one box per
+    # block size, and cover each unit once
+    for name, gamma, _ in _chunk_forms(catalog):
+        alg = gamma.algebra
+        for (n_b, cols), cp in zip(alg.size_groups, _cp_blocks(alg, gamma.gram)):
+            vals, vecs = np.linalg.eigh(cp)
+            for q in range(len(cols)):
+                keep = vals[q] > 1e-9 * vals[q, -1]
+                frames = {}
+                for per in (None, 1, 2, 5, 11):
+                    boxes = list(_moved_frames(alg, n_b, cols[q], vecs[q], keep, per))
+                    units = np.concatenate([box for box, _ in boxes])
+                    assert np.array_equal(np.sort(units), np.arange(alg.dim)), (name, per)
+                    frames[per] = np.concatenate([frame for _, frame in boxes])[np.argsort(units)]
+                    assert np.array_equal(frames[per], frames[None]), (name, per)
+
+
+def test_frame_chunks_are_exact(monkeypatch, catalog):
+    # a chunk of one entry holds one unit of the moved frame
+    forms = _chunk_forms(catalog)
+    whole = [nca.build_bimodule(gamma, report=report) for _, gamma, report in forms]
+    monkeypatch.setattr(nca.dirac, "_FRAME_CHUNK", 1)
+    for (name, gamma, report), expected in zip(forms, whole):
+        bs = nca.build_bimodule(gamma, report=report)
+        assert np.array_equal(bs.dmatrix, expected.dmatrix), name
+        assert len(bs.action) == len(expected.action), name
+        for (start, units, comm), (start0, units0, comm0) in zip(bs.action, expected.action):
+            assert start == start0 and np.array_equal(units, units0), name
+            assert np.array_equal(comm, comm0), name
+        assert bs.residuals == expected.residuals, name
+    assert whole[-1].residuals["null_space_invariance"] > 0.1
+
+
+def test_build_bimodule_peak_is_cp_block_sized():
+    # the seed-7 M6 form of the benchmark's lindblad_case: its moved frame
+    # (d, r, d n_b) = (36, 18, 216) is 2.14 MiB complex, and the build held
+    # four to five of them (10.3 MiB); the complete-positivity block
+    # (d n_b)^2 is 0.71 MiB, and _cp_blocks with eigh peak at 2.26 MiB
+    gamma = bench_lindblad_gamma(6)
+    report = nca.is_cdc(gamma)
+    tracemalloc.start()
+    try:
+        bs = nca.build_bimodule(gamma, report=report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d_nb = gamma.algebra.dim * 6
+    assert [comm.shape[1] for *_, comm in bs.action] == [18]
+    assert peak < 4 * d_nb ** 2 * 16

@@ -8,7 +8,9 @@ side, one subprocess imports ``nca`` from that directory and runs
 and matrix-suite specs of ``bench/workloads.py`` at seeds 1 and 2, the
 network-suite ``network-N6`` specs at seeds 7 and 8, the
 ``network_case(default_rng(7), n)`` specs for n = 24 and 48, whose one-form
-spaces are the largest compared, and the n = 8 one with trace weights
+spaces are the largest compared, the ``lindblad_case(default_rng(7), n)``
+specs for n = 6 and 7, whose moved frames ``build_bimodule`` forms in
+several chunks, and the n = 8 network with trace weights
 ``linspace(0.5, 2, 8)`` and each point state's density scaled by 1/w (the
 one network whose orthonormal basis is not the canonical one), plus
 ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
@@ -25,7 +27,7 @@ commutator form) and on a raw and a symmetrized random gram on each of
 identity, and these reach its failing residual and its witness, on one
 large block and on many small ones.  The real parts of the last two pairs
 take the float64 path to its symmetry and star-representation witnesses
-and its CP eigenvalues.  That makes 293 reports.  The script prints the
+and its CP eigenvalues.  That makes 311 reports.  The script prints the
 structural differences (exit code, stderr, stdout shape, keys, list
 lengths, strings and booleans) and, for each float field that moved, its
 largest change relative to max(1, |x|).  It exits 1 when any structural
@@ -53,6 +55,8 @@ WORKLOADS = ("network-suite", "matrix-suite")
 EXTRA_CASES = (("network-suite", 7, "network-N6"), ("network-suite", 8, "network-N6"))
 # node counts of further seed-7 network_case specs
 LARGE_NETWORKS = (24, 48)
+# sizes of further seed-7 lindblad_case specs
+LARGE_LINDBLADS = (6, 7)
 # node count of the seed-7 network_case given non-unit trace weights
 WEIGHTED_NETWORK = 8
 
@@ -165,6 +169,8 @@ def specs() -> dict:
         named[f"{name}-seed{seed}"] = next(c["spec"] for c in cases if c["name"] == name)
     for n in LARGE_NETWORKS:
         named[f"network-N{n}-seed7"] = workloads.network_case(np.random.default_rng(7), n)["spec"]
+    for n in LARGE_LINDBLADS:
+        named[f"lindblad-M{n}-seed7"] = workloads.lindblad_case(np.random.default_rng(7), n)["spec"]
     named[f"weighted-network-N{WEIGHTED_NETWORK}-seed7"] = weighted_network_spec(WEIGHTED_NETWORK)
     named.update(cli_specs())
     return named

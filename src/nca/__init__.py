@@ -77,7 +77,6 @@ from .quotient import (
     central_projection,
     fiber_minimizer,
     quotient_checks,
-    schur_quotient,
     split,
 )
 from .reporting import CheckResult, Tolerances, dumps_canonical
@@ -91,7 +90,6 @@ from .resistance import (
     maximum_principle_check,
     metric_checks,
     network_energy_form,
-    network_laplacian,
     potential,
     random_network,
     random_star_network,

@@ -491,7 +491,10 @@ def _line_maxima(alg: Algebra, a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL, extra_tuples=4) -> bool:
+_CCN_TUPLES = 4  # seeded tuples that ccn_check tries beyond the basis
+
+
+def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL) -> bool:
     """Conditional complete negativity, checked directly on tuples
     (a_j, b_j) with sum a_j b_j = 0.
 
@@ -533,14 +536,14 @@ def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL, extra_tuples=4) -> 
 
     # seeded tuples a_1..a_3, b_1..b_3, completed by a_4 = 1, b_4 = -sum a_j b_j:
     # sum_jk b_j* N(a_j* a_k) b_k of all tuples at once
-    draw = random_rows(alg, np.random.default_rng(seed), 6 * extra_tuples)
-    a, b = draw.reshape(extra_tuples, 2, 3, d).swapaxes(0, 1)
-    a = np.concatenate([a, np.broadcast_to(one.coords, (extra_tuples, 1, d))], axis=1)
+    draw = random_rows(alg, np.random.default_rng(seed), 6 * _CCN_TUPLES)
+    a, b = draw.reshape(_CCN_TUPLES, 2, 3, d).swapaxes(0, 1)
+    a = np.concatenate([a, np.broadcast_to(one.coords, (_CCN_TUPLES, 1, d))], axis=1)
     b = np.concatenate([b, -1.0 * block_products(alg, a[:, :3], b).sum(axis=1)[:, None]], axis=1)
     adj = alg.adj_table
     images = block_products(alg, a[:, :, None, adj].conj(), a[:, None]) @ n.canonical_matrix.T
     acc = block_products(alg, block_products(alg, b[:, :, None, adj].conj(), images),
-                         b[:, None]).reshape(extra_tuples, -1, d).sum(axis=1)
+                         b[:, None]).reshape(_CCN_TUPLES, -1, d).sum(axis=1)
     herm = 0.5 * (acc + acc[:, adj].conj())
     skew = block_norms(alg, acc - acc[:, adj].conj()) > tol * (1.0 + block_norms(alg, acc))
     top = hermitian_eigenvalues(alg, herm).max(axis=-1)

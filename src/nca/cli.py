@@ -327,7 +327,7 @@ def _stddev_checks(problem: _Problem):
         CheckResult("stddev-seminorm-identity", sem_gap <= max(tol, 1e-9), sem_gap),
         CheckResult("stddev-extension-connected", connectedness(ea.laplacian)),
     ]
-    checks.extend(markov_check(e, seed=spec.seed, tol=tol))
+    checks.extend(markov_check(lap, seed=spec.seed, tol=tol))
     checks.extend(leibniz_check(e, seed=spec.seed, tol=tol))
     return checks, {"extension_residuals": dict(ea.residuals), "route_residuals": routes}
 

@@ -294,7 +294,7 @@ def _markov_probes(lap: Laplacian, order: int, alg: Algebra,
 
 
 def markov_check(
-    e: EnergyForm,
+    lap: Laplacian,
     orders: Sequence[int] = (1, 2),
     seed: int = 0,
     count: int = 20,
@@ -302,10 +302,10 @@ def markov_check(
     elements: Optional[Sequence[Element]] = None,
     battery=None,
 ) -> list:
-    """Verify L(F(a)) <= Lip(F)|hull sigma(a) * L(a) for a battery of
-    piecewise-linear functions over seeded self-adjoint elements plus
-    resolvent probes, at the requested matrix amplifications.  Returns one
-    aggregated result per order.
+    """Verify L(F(a)) <= Lip(F)|hull sigma(a) * L(a), for the form of the
+    Laplacian ``lap``, on a battery of piecewise-linear functions over seeded
+    self-adjoint elements plus probes read from the resolvents of ``lap``, at
+    the requested matrix amplifications.  Returns one result per order.
 
     At each order the samples are numbered in the order they are drawn: the
     given ``elements`` (order 1 only) or ``count`` seeded self-adjoint
@@ -323,7 +323,7 @@ def markov_check(
     applied to the shared eigenvectors, and each seminorm is one quadratic
     form with the amplified gram.
     """
-    lap = laplacian(e)
+    e = energy_form_of_laplacian(lap)
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + order)
@@ -573,10 +573,10 @@ def resolvent_check(
 # -- reconstruction -----------------------------------------------------------
 
 
-def _require_dirichlet(e: EnergyForm, tol: float, markov: Callable[[], list]):
-    """Raise unless the form is real, Hermitian and completely positive, and
-    then passes the Markov results ``markov()``; these are asked for only
-    once the other preconditions hold."""
+def _require_dirichlet(e: EnergyForm, lap: Laplacian, tol: float, markov: Callable[[], list]):
+    """Raise unless the form is real, Hermitian and completely positive (by
+    the spectrum of its Laplacian ``lap``), and then passes the Markov
+    results ``markov()``; these are asked for only once the others hold."""
     scale = 1.0 + e.magnitude()
     failures = []
     real_res = e.real_residual()
@@ -589,7 +589,7 @@ def _require_dirichlet(e: EnergyForm, tol: float, markov: Callable[[], list]):
     if herm_res > tol * scale:
         failures.append(CheckResult("hermitian", False, residual=herm_res))
     else:
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        eigs = lap.eigenvalues
         if eigs[0] < -tol * max(1.0, float(eigs[-1])):
             failures.append(
                 CheckResult(
@@ -617,9 +617,10 @@ def cdc_from_dirichlet_form(
     Markov form: apply the half-scaled generator construction to its Laplace
     operator, then confirm the trace pairing reproduces the form."""
     scale = 1.0 + e.magnitude()
+    lap = laplacian(e)
     if checks:
-        _require_dirichlet(e, tol, lambda: markov_check(e, orders=(1, 2), seed=seed, tol=tol))
-    gamma = gamma_delta(laplacian(e))
+        _require_dirichlet(e, lap, tol, lambda: markov_check(lap, seed=seed, tol=tol))
+    gamma = gamma_delta(lap)
     pair_res = float(np.abs(gamma.tau_values - e.gram).max())
     if pair_res > max(tol, 1e-9) * scale:
         raise PropertyViolationError(

@@ -155,10 +155,6 @@ def split(lap: Laplacian, p: Element, rank_tol=DEFAULT_RANK_TOL,
     )
 
 
-def schur_quotient(qd: QuotientData) -> Laplacian:
-    return qd.quotient_laplacian
-
-
 def fiber_minimizer(qd: QuotientData, b: Element) -> Element:
     """The lift b (+) (-S^(-1) J b), the energy minimizer over the fiber above b."""
     qd.algebra_b._own(b)
@@ -197,7 +193,7 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
                            residual=float(max(0.0, -eigs[0]))))
     pre.extend(
         CheckResult("ambient-" + r.check, r.passed, r.residual, r.witness)
-        for r in markov_check(ambient_e, orders=(1, 2), seed=seed, count=max(5, count // 2), tol=tol)
+        for r in markov_check(qd.ambient, seed=seed, count=max(5, count // 2), tol=tol)
     )
     results.extend(pre)
     if not all(r.passed for r in pre):
@@ -231,9 +227,9 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
     results.append(CheckResult("fiber-infimum", witness is None, worst, witness))
 
     # one battery serves both quotient-is-cdc and quotient-markov-n1/n2
-    markov = markov_check(e_b, orders=(1, 2), seed=seed, count=count, tol=tol)
+    markov = markov_check(quot, orders=(1, 2), seed=seed, count=count, tol=tol)
     try:
-        _require_dirichlet(e_b, tol, lambda: markov)
+        _require_dirichlet(e_b, quot, tol, lambda: markov)
         cdc_from_dirichlet_form(e_b, checks=False, seed=seed, tol=tol)
         results.append(CheckResult("quotient-is-cdc", True))
     except PropertyViolationError as exc:

@@ -66,8 +66,10 @@ class ResistanceNetwork:
         return Algebra((1,) * self.size, (1.0,) * self.size)
 
     @cached_property
-    def laplacian_matrix(self) -> np.ndarray:
-        return np.diag(self.c.sum(axis=1)) - self.c
+    def laplacian(self) -> Laplacian:
+        """(L f)(x) = sum_y (f(x) - f(y)) c_xy on the node algebra, the Laplacian
+        of the half-scaled network form; every check of the network reads it."""
+        return Laplacian(SuperOperator(self.algebra, np.diag(self.c.sum(axis=1)) - self.c))
 
     def is_connected(self) -> bool:
         """Graph connectivity over the nonzero conductances."""
@@ -84,12 +86,6 @@ class ResistanceNetwork:
         return np.array(f.coords)
 
 
-def network_laplacian(net: ResistanceNetwork) -> Laplacian:
-    """(L f)(x) = sum_y (f(x) - f(y)) c_xy, as a Laplace operator on the node
-    algebra; identical to the Laplacian of the half-scaled network form."""
-    return Laplacian(SuperOperator(net.algebra, net.laplacian_matrix))
-
-
 def network_energy_form(net: ResistanceNetwork) -> EnergyForm:
     gamma = network_cdc(net.algebra, net.c, scale=0.5, allow_negative=net.allow_negative)
     return energy_form(gamma, force=net.allow_negative)
@@ -98,25 +94,25 @@ def network_energy_form(net: ResistanceNetwork) -> EnergyForm:
 def _solve_potential(net: ResistanceNetwork, rhs: np.ndarray) -> np.ndarray:
     if not net.is_connected():
         raise DisconnectedError("network is not connected")
-    sol, *_ = np.linalg.lstsq(net.laplacian_matrix, rhs, rcond=None)
+    sol, *_ = np.linalg.lstsq(net.laplacian.matrix, rhs, rcond=None)
     return sol - sol.mean(axis=0)  # the trace-zero representative of each column
 
 
 def potential(net: ResistanceNetwork, p: int, q: int) -> Element:
     """The trace-zero solution of L h = delta_p - delta_q; harmonic away from
     p and q, maximal at p, minimal at q."""
-    if p == q:
-        raise InputError("potential requires two distinct nodes")
     if not (0 <= p < net.size and 0 <= q < net.size):
         raise InputError("node index out of range")
+    if p == q:
+        raise InputError("potential requires two distinct nodes")
     rhs = np.zeros(net.size)
     rhs[p], rhs[q] = 1.0, -1.0
     return net.function(_solve_potential(net, rhs))
 
 
 def resistance_distance(net: ResistanceNetwork, p: int, q: int) -> float:
-    if p == q:
-        return 0.0
+    if p == q and 0 <= p < net.size:
+        return 0.0  # potential rejects every other pair of equal nodes
     h = net.values(potential(net, p, q)).real
     return float(h[p] - h[q])
 
@@ -222,7 +218,7 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
 
     # the node algebra has unit weights, so the point states' densities are
     # its units, and their differences from point 0 are the rows of I - e_0
-    emb = StateEmbedding(network_laplacian(net), point_state(net.algebra, 0))
+    emb = StateEmbedding(net.laplacian, point_state(net.algebra, 0))
     coords = emb.embed(np.eye(n) - np.eye(n)[0])
     energy = _distances(coords)
     pairs = np.triu_indices(n, 1)
@@ -301,18 +297,22 @@ def maximum_principle_check(net: ResistanceNetwork, f: Element, region: Sequence
     Reports precondition failures instead of crashing."""
     vals = net.values(f)
     report = {"passed": True, "precondition_failures": [], "components_checked": 0}
+    failures = report["precondition_failures"]
     if np.abs(vals.imag).max(initial=0.0) > tol * (1.0 + np.abs(vals).max()):
-        report["precondition_failures"].append("function is not real-valued")
-    lap_vals = net.laplacian_matrix @ vals.real
-    scale = 1.0 + np.abs(net.laplacian_matrix @ np.abs(vals.real)).max()
-    not_harmonic = [int(y) for y in region if abs(lap_vals[y]) > tol * scale]
-    if not_harmonic:
-        report["precondition_failures"].append(
-            f"function is not harmonic at nodes {not_harmonic}"
-        )
+        failures.append("function is not real-valued")
+    outside = [int(y) for y in region if not 0 <= y < net.size]
+    if outside:
+        failures.append(f"region nodes {outside} are not nodes of the network")
+    else:
+        lap = net.laplacian.matrix
+        lap_vals = lap @ vals.real
+        scale = 1.0 + np.abs(lap @ np.abs(vals.real)).max()
+        not_harmonic = [int(y) for y in region if abs(lap_vals[y]) > tol * scale]
+        if not_harmonic:
+            failures.append(f"function is not harmonic at nodes {not_harmonic}")
     report["max_node"] = int(np.argmax(vals.real))
     report["min_node"] = int(np.argmin(vals.real))
-    if report["precondition_failures"]:
+    if failures:
         report["passed"] = False
         return report
     v = vals.real
@@ -345,7 +345,7 @@ def markov_violation_witness(net: ResistanceNetwork, tol=DEFAULT_POS_TOL):
     """Requires the energy form to be nonnegative.  Returns None when all
     conductances are nonnegative; otherwise builds the explicit witness whose
     clipped energy exceeds the original."""
-    eigs = network_laplacian(net).eigenvalues
+    eigs = net.laplacian.eigenvalues
     if eigs[0] < -tol * max(1.0, eigs[-1]):
         raise InputError("the energy form itself is not nonnegative")
     if net.c.min() >= 0:

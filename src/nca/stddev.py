@@ -22,7 +22,7 @@ from .algebra import (
 from .cdc import CdCForm
 from .energy import Laplacian
 from .errors import InputError
-from .quotient import central_projection, schur_quotient, split
+from .quotient import central_projection, split
 
 
 def _central_positive_scalars(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL):
@@ -120,8 +120,7 @@ def stddev_laplacian(ea: ExtendedAlgebra, tol=DEFAULT_EQ_TOL) -> Laplacian:
     """Eliminate the scalar summand by the Schur complement and confirm the
     closed form a -> p (a - mu(a))."""
     proj = central_projection(ea.extended, range(len(ea.base.blocks)))
-    qd = split(ea.laplacian, proj)
-    lap = schur_quotient(qd)
+    lap = split(ea.laplacian, proj).quotient_laplacian
 
     gap = float(np.abs(lap.matrix - ea.closed_form.matrix).max())
     if gap > max(tol, 1e-10) * (1.0 + float(np.abs(lap.matrix).max())):

@@ -1,6 +1,7 @@
 """Shared fixtures: the catalog of worked examples exercised across the
 suites, and seeded generator families."""
 import importlib.util
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -91,6 +92,12 @@ def bench_network_c(n, seed=7):
     return _bench_workloads().network_case(np.random.default_rng(seed), n)["c"]
 
 
+def bench_network_spec(n, seed=7):
+    """The spec of the benchmark's ``network_case(default_rng(seed), n)``
+    from ``bench/workloads.py``, as a dict."""
+    return json.loads(_bench_workloads().network_case(np.random.default_rng(seed), n)["spec"])
+
+
 def bench_lindblad_gamma(n, seed=7):
     """The form of the benchmark's ``lindblad_case(default_rng(seed), n)``
     from ``bench/workloads.py``, built from its spec as the CLI builds it."""
@@ -122,7 +129,7 @@ def seeded_generators(count=20):
     for size in (3, 4, 5, 3, 4, 5, 3):
         net = nca.random_network(size, rng)
         alg = net.algebra
-        out.append(("network", nca.SuperOperator(alg, net.laplacian_matrix)))
+        out.append(("network", net.laplacian.superop))
     # networks with one negative conductance
     for size in (3, 4, 5):
         net = nca.random_network(size, rng)

@@ -46,7 +46,7 @@ def test_02_ccn_equivalence():
 def test_03_k3_resistance_and_triangle():
     failures = []
     net = nca.ResistanceNetwork(K3_C)
-    lap = nca.network_laplacian(net)
+    lap = net.laplacian
     for p in range(3):
         for q in range(p + 1, 3):
             if abs(nca.resistance_distance(net, p, q) - 2.0 / 3.0) > 1e-10:
@@ -86,7 +86,8 @@ def test_05_markov_leibniz_suite():
     failures = []
     for ex in CATALOG:
         e = nca.energy_form(ex.gamma)
-        for res in nca.markov_check(e, orders=(1, 2), seed=42, count=20, tol=1e-9):
+        for res in nca.markov_check(nca.laplacian(e), orders=(1, 2), seed=42, count=20,
+                                    tol=1e-9):
             if not res.passed:
                 failures.append((ex.name, res.check, res.witness))
         for res in nca.leibniz_check(e, orders=(1, 2), seed=42, count=20, tol=1e-9):
@@ -230,7 +231,7 @@ def test_10_quotient_suite():
 
     rng = np.random.default_rng(1010)
     net5 = nca.random_network(5, rng)
-    lap5 = nca.network_laplacian(net5)
+    lap5 = net5.laplacian
     qd1 = nca.split(lap5, nca.central_projection(net5.algebra, [0, 1, 2, 3]))
     qd2 = nca.split(
         qd1.quotient_laplacian, nca.central_projection(qd1.algebra_b, [0, 1])
@@ -288,7 +289,7 @@ def test_12_standard_deviation_recovery():
                 if np.abs(routes[i] - routes[j]).max() > 1e-9:
                     failures.append(("route", alg.blocks, i, j))
         e = nca.energy_form_of_laplacian(lap_schur)
-        for res in nca.markov_check(e, seed=12, count=20, tol=1e-9):
+        for res in nca.markov_check(lap_schur, seed=12, count=20, tol=1e-9):
             if not res.passed:
                 failures.append((alg.blocks, res.check))
         for res in nca.leibniz_check(e, seed=12, count=20, tol=1e-9):

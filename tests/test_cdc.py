@@ -457,7 +457,7 @@ def _energy_layer(e):
     """The flags and residuals of the energy layer on one form."""
     lap = nca.laplacian(e)
     _, heat = nca.heat_map(lap, 1.0)
-    results = (nca.resolvent_check(lap, (0.1, 1.0)) + nca.markov_check(e)
+    results = (nca.resolvent_check(lap, (0.1, 1.0)) + nca.markov_check(lap)
                + nca.leibniz_check(e))
     flags = [lap.kernel_dim, nca.connectedness(lap), heat["unital"], heat["cp"]]
     flags += [r.passed for r in results]

@@ -1,11 +1,13 @@
 """Spec parsing, report emission, exit codes, and determinism."""
 import importlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import nca
+from conftest import bench_network_spec
 from nca.cli import COMMANDS, emit_report, main, run_command
 from nca.errors import InputError
 from nca.fileio import ProblemSpec, parse_spec
@@ -602,3 +604,22 @@ def test_resistance_suite_solves_all_pairs_once(monkeypatch):
     assert calls == [5]
     rho = np.asarray(report["data"]["resistance"])
     assert np.array_equal(rho, all_pairs(nca.ResistanceNetwork(NET5_SPEC["generator"]["c"])))
+
+
+def test_all_decomposes_each_laplacian_once(monkeypatch):
+    # the seed-7 N=8 network keeping blocks [0, 2, 5]: the (8, 8) form
+    # Laplacian of the spec and the network's own Laplacian, the (3, 3)
+    # quotient, whose one eigh the Markov battery, the Dirichlet check and
+    # connectedness share, and the (5, 5) corner that split eliminates
+    spec = bench_network_spec(8)
+    spec["projection"] = {"keep_blocks": [0, 2, 5]}
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            if np.ndim(a) == 2:
+                calls[_name, len(a)] += 1
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = run_command("all", parse_spec(spec))
+    assert report["summary"]["failed"] == 0
+    assert calls == {("eigh", 8): 2, ("eigh", 3): 1, ("eigvalsh", 5): 1}

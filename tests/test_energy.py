@@ -203,7 +203,7 @@ def test_markov_two_point_clamp():
 def test_markov_and_leibniz_pass_on_catalog(catalog):
     for ex in catalog:
         e = nca.energy_form(ex.gamma)
-        for res in nca.markov_check(e, seed=5, count=8):
+        for res in nca.markov_check(nca.laplacian(e), seed=5, count=8):
             assert res.passed, (ex.name, res.check, res.witness)
         for res in nca.leibniz_check(e, seed=5, count=8):
             assert res.passed, (ex.name, res.check, res.witness)
@@ -302,17 +302,18 @@ def test_batched_markov_matches_elementwise_definition(name, e):
     seed = 4
     # the battery runs on the given elements, then on the probes drawn from
     # the order-1 generator
-    probes = _markov_probes(nca.laplacian(e), 1, alg, np.random.default_rng(seed + 1))
+    lap = nca.laplacian(e)
+    probes = _markov_probes(lap, 1, alg, np.random.default_rng(seed + 1))
     samples = elements + [alg.from_canonical_coords(x) for x in probes]
     pairs = [_elementwise(e, a, fn) for a in samples for _, fn in battery]
     reference = max(lhs - bound for lhs, bound in pairs)
-    (res,) = nca.markov_check(e, orders=(1,), seed=seed, elements=elements, battery=battery)
+    (res,) = nca.markov_check(lap, orders=(1,), seed=seed, elements=elements, battery=battery)
     assert res.check == "markov-n1" and res.passed, name
     assert abs(res.residual - max(reference, 0.0)) <= 1e-10, name
 
     # with every pair reported, the first ten witnesses are the first ten
     # (element, function) pairs in sample-major order
-    (res,) = nca.markov_check(e, orders=(1,), seed=seed, elements=elements, battery=battery,
+    (res,) = nca.markov_check(lap, orders=(1,), seed=seed, elements=elements, battery=battery,
                               tol=-np.inf)
     got = res.witness["violations"]
     assert [(v["element_index"], v["function"]) for v in got] == [
@@ -323,13 +324,13 @@ def test_batched_markov_matches_elementwise_definition(name, e):
 
     # the default battery draws one seeded function per sample, after the probes
     draws = np.random.default_rng(seed + 1)
-    _markov_probes(nca.laplacian(e), 1, alg, draws)
+    _markov_probes(lap, 1, alg, draws)
     expected = [
         (idx, fname, *_elementwise(e, a, fn))
         for idx, a in enumerate(samples)
         for fname, fn in default_battery(a, draws)
     ][:10]
-    (res,) = nca.markov_check(e, orders=(1,), seed=seed, elements=elements, tol=-np.inf)
+    (res,) = nca.markov_check(lap, orders=(1,), seed=seed, elements=elements, tol=-np.inf)
     got = res.witness["violations"]
     assert [(v["element_index"], v["function"]) for v in got] == [x[:2] for x in expected]
     for v, (_, _, lhs, bound) in zip(got, expected):
@@ -340,7 +341,7 @@ def test_markov_witnesses_on_negative_conductance():
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
     c = np.array([[0.0, -0.1, 1.0], [-0.1, 0.0, 1.0], [1.0, 1.0, 0.0]])
     e = nca.energy_form(nca.network_cdc(alg, c, scale=0.5, allow_negative=True), force=True)
-    n1, n2 = nca.markov_check(e, seed=3)
+    n1, n2 = nca.markov_check(nca.laplacian(e), seed=3)
     assert not n1.passed and not n2.passed
 
     def listed(res):
@@ -355,15 +356,14 @@ def test_markov_witnesses_on_negative_conductance():
 
 
 def test_markov_rejects_non_self_adjoint_element(k3_setup):
-    _, _, e, _ = k3_setup
-    alg = e.algebra
+    alg, _, _, lap = k3_setup
     skew = alg.element([[[1.0]], [[1j]], [[0.0]]])
     with pytest.raises(InputError):
-        nca.markov_check(e, orders=(1,), elements=[alg.identity(), skew])
+        nca.markov_check(lap, orders=(1,), elements=[alg.identity(), skew])
     m2 = nca.build_algebra([2], [1.0])
     e2 = nca.energy_form(nca.commutator_cdc([m2.basis_element(1), m2.basis_element(2)]))
     with pytest.raises(InputError):
-        nca.markov_check(e2, orders=(1,), elements=[m2.basis_element(1)])
+        nca.markov_check(nca.laplacian(e2), orders=(1,), elements=[m2.basis_element(1)])
 
 
 # -- trace symmetries ---------------------------------------------------------

@@ -692,9 +692,10 @@ def _markov_agree(got, want):
 @pytest.mark.parametrize("form", range(len(_laplacian_forms())))
 def test_markov_check_matches_solve_probes(monkeypatch, form):
     name, e = _laplacian_forms()[form]
-    got = nca.markov_check(e, seed=3)
+    lap = nca.laplacian(e)
+    got = nca.markov_check(lap, seed=3)
     monkeypatch.setattr(nca.energy, "_markov_probes", _markov_probes_solve)
-    want = nca.markov_check(e, seed=3)
+    want = nca.markov_check(lap, seed=3)
     _markov_agree(got, want)
     if name == "negative-k3":
         assert not got[0].passed and not got[1].passed
@@ -776,10 +777,10 @@ def _markov_probes_loop(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
     return np.array(probes).reshape(-1, alg.dim)
 
 
-def _markov_loop(e, orders=(1, 2), seed=0, count=20, tol=1e-9):
+def _markov_loop(lap, orders=(1, 2), seed=0, count=20, tol=1e-9):
     """``markov_check`` with the default battery drawn one element and one
     seeded function at a time, and each function applied on its own."""
-    lap = nca.laplacian(e)
+    e = nca.energy_form_of_laplacian(lap)
     relu, absolute = nca.PiecewiseLinear.relu(), nca.PiecewiseLinear.absolute()
     results = []
     for order in orders:
@@ -865,12 +866,13 @@ def test_markov_and_leibniz_batteries_match_draw_loops(monkeypatch):
     # CheckResults, floats and witnesses bit for bit, knot rejections included
     rejected = _knot_rejections(monkeypatch)
     for name, e in _laplacian_forms():
+        lap = nca.laplacian(e)
         for seed in (0, 3, 11, 29, 42):
-            got = nca.markov_check(e, orders=(1, 2, 3), seed=seed)
-            assert got == _markov_loop(e, orders=(1, 2, 3), seed=seed), name
+            got = nca.markov_check(lap, orders=(1, 2, 3), seed=seed)
+            assert got == _markov_loop(lap, orders=(1, 2, 3), seed=seed), name
             assert name != "negative-k3" or not got[0].passed
-            assert nca.markov_check(e, seed=seed, count=5, tol=-1.0) == _markov_loop(
-                e, seed=seed, count=5, tol=-1.0), name
+            assert nca.markov_check(lap, seed=seed, count=5, tol=-1.0) == _markov_loop(
+                lap, seed=seed, count=5, tol=-1.0), name
             for tol in (1e-9, -1.0):
                 got = nca.leibniz_check(e, orders=(1, 2, 3), seed=seed, tol=tol)
                 assert got == _leibniz_draws(e, orders=(1, 2, 3), seed=seed, tol=tol), name
@@ -1018,7 +1020,7 @@ def test_batteries_make_no_per_sample_calls(monkeypatch):
     monkeypatch.setattr(nca.energy, "_seeded_knots", counted_knots)
     qd = _quotient_splits()[2]
     e = nca.energy_form_of_laplacian(qd.ambient)
-    nca.markov_check(e, orders=(1, 2, 3))
+    nca.markov_check(qd.ambient, orders=(1, 2, 3))
     assert len(knot_calls) == 3
     nca.leibniz_check(e, orders=(1, 2))
     nca.resolvent_check(qd.ambient, (0.5, 5.0))

@@ -30,17 +30,17 @@ def test_network_validation():
 
 
 def test_laplacian_values(k3_net):
-    lap = nca.network_laplacian(k3_net)
+    lap = k3_net.laplacian
     assert np.abs(lap.matrix - np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])).max() == 0
     assert lap.apply(k3_net.algebra.identity()).norm() == 0
 
     single = nca.ResistanceNetwork(np.array([[0.0, 2.5], [2.5, 0]]))
-    assert np.abs(nca.network_laplacian(single).matrix - 2.5 * np.array([[1.0, -1], [-1, 1]])).max() == 0
+    assert np.abs(single.laplacian.matrix - 2.5 * np.array([[1.0, -1], [-1, 1]])).max() == 0
 
 
 def test_laplacian_agrees_with_form_route(k3_net):
     via_form = nca.laplacian(nca.network_energy_form(k3_net))
-    assert np.abs(via_form.matrix - nca.network_laplacian(k3_net).matrix).max() < 1e-14
+    assert np.abs(via_form.matrix - k3_net.laplacian.matrix).max() < 1e-14
 
 
 def test_potential_k3(k3_net):
@@ -60,7 +60,7 @@ def test_potential_two_node():
 def test_potential_harmonicity_and_bounds():
     rng = np.random.default_rng(109)
     net = nca.random_network(6, rng)
-    lap = net.laplacian_matrix
+    lap = net.laplacian.matrix
     for p, q in [(0, 3), (2, 5)]:
         h = net.values(nca.potential(net, p, q)).real
         image = lap @ h
@@ -92,11 +92,19 @@ def test_resistance_values(k3_net):
     assert nca.resistance_distance(two, 0, 1) == pytest.approx(0.25, abs=1e-12)
 
 
+def test_resistance_rejects_equal_nodes_out_of_range():
+    two = nca.ResistanceNetwork(np.array([[0.0, 4.0], [4.0, 0]]))
+    for p in (2, 5, -1, -2):
+        with pytest.raises(InputError):
+            nca.resistance_distance(two, p, p)
+    assert nca.resistance_distance(two, 1, 1) == 0.0
+
+
 def test_resistance_matches_pseudoinverse_oracle():
     rng = np.random.default_rng(113)
     for _ in range(5):
         net = nca.random_network(int(rng.integers(3, 8)), rng)
-        pinv = np.linalg.pinv(net.laplacian_matrix)
+        pinv = np.linalg.pinv(net.laplacian.matrix)
         for p in range(net.size):
             for q in range(net.size):
                 oracle = pinv[p, p] + pinv[q, q] - 2 * pinv[p, q]
@@ -149,7 +157,7 @@ def test_all_pairs_resistance_matches_each_pair():
 def _metric_checks_pairwise(net, seed, margin, step=0.1):
     """The metric checks state pair by state pair through energy_metric."""
     n = net.size
-    lap = nca.network_laplacian(net)
+    lap = net.laplacian
     rho = nca.all_pairs_resistance(net)
     points = [nca.point_state(net.algebra, x) for x in range(n)]
     energy = np.array([[nca.energy_metric(lap, points[p], points[q]) for q in range(n)]
@@ -219,7 +227,7 @@ def test_kernel_matches_graph_connectivity():
     rng = np.random.default_rng(127)
     for _ in range(5):
         net = nca.random_network(5, rng, ensure_connected=False)
-        lap = nca.network_laplacian(net)
+        lap = net.laplacian
         comps = _component_count(net)
         assert lap.kernel_dim == comps
         assert nca.connectedness(lap) == (comps == 1)
@@ -255,6 +263,15 @@ def test_maximum_principle(k3_net):
     bumpy = k3_net.function([1.0, 0.0, 0.0])
     report = nca.maximum_principle_check(k3_net, bumpy, [0])
     assert not report["passed"] and report["precondition_failures"]
+
+
+@pytest.mark.parametrize("region, outside", [([7], [7]), ([-2], [-2]), ([0, 3], [3])])
+def test_maximum_principle_reports_region_nodes_out_of_range(k3_net, region, outside):
+    constant = k3_net.function([2.0, 2.0, 2.0])
+    report = nca.maximum_principle_check(k3_net, constant, region)
+    assert not report["passed"] and report["components_checked"] == 0
+    assert report["precondition_failures"] == [
+        f"region nodes {outside} are not nodes of the network"]
 
 
 def test_markov_violation_witness():

@@ -134,8 +134,9 @@ def test_variance_of_trace(m2_normalized):
 
 def test_stddev_form_markov_and_leibniz(c2_uniform, m2_normalized):
     for _, p, ea in (c2_uniform, m2_normalized):
-        e = nca.energy_form_of_laplacian(nca.stddev_laplacian(ea))
-        for res in nca.markov_check(e, seed=11, count=10):
+        lap = nca.stddev_laplacian(ea)
+        e = nca.energy_form_of_laplacian(lap)
+        for res in nca.markov_check(lap, seed=11, count=10):
             assert res.passed, (res.check, res.witness)
         for res in nca.leibniz_check(e, seed=11, count=10):
             assert res.passed, (res.check, res.witness)

@@ -295,12 +295,19 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
     scale = 1.0 + gamma.magnitude()
     witness = None
 
-    sym_gap = np.abs(g - g.transpose(1, 0, 2)[:, :, alg.adj_table].conj())
-    sym_res = float(sym_gap.max())
+    # the symmetry gap by chunks of rows i, whose two slabs hold at most
+    # _STAR_CHUNK entries; a failing chunk is formed again for its witness
+    step = max(1, _STAR_CHUNK // (2 * d * d))
+
+    def sym_gap(lo):
+        return np.abs(g[lo:lo + step] - g.swapaxes(0, 1)[lo:lo + step][:, :, alg.adj_table].conj())
+    sym_max = np.array([sym_gap(lo).max() for lo in range(0, d, step)])
+    sym_res = float(sym_max.max())
     symmetric = sym_res <= tol * scale
     if not symmetric:
-        i, j = np.unravel_index(sym_gap.max(axis=2).argmax(), (d, d))
-        witness = {"kind": "symmetry", "pair": [int(i), int(j)], "residual": sym_res}
+        lo = step * int(sym_max.argmax())
+        i, j = divmod(lo * d + int(sym_gap(lo).argmax()) // d, d)
+        witness = {"kind": "symmetry", "pair": [i, j], "residual": sym_res}
 
     unit_res = gamma.unit_residual()
     unit_ok = unit_res <= tol * scale
@@ -315,13 +322,14 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
             "triple": [int(i), int(j), int(k)],
             "residual": star_res,
         }
+    del star_gap  # the complete-positivity stage below sets the peak
 
     # the skew part of the basis gram is the symmetry gap, so only a
     # symmetric form is tested for positivity
     min_eig = float("nan")
     cp_ok = False
     if symmetric:
-        grams = _cp_blocks(alg, g)
+        grams = list(_cp_blocks(alg, g))
         eigs = [np.linalg.eigvalsh(m) for m in grams]
         lows = [float(e[:, 0].min()) for e in eigs]
         min_eig = min(lows)
@@ -355,13 +363,23 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
     )
 
 
-def _cp_blocks(alg: Algebra, g: np.ndarray) -> list:
-    """The complete-positivity gram, one Hermitian stack per block size:
-    [b, (i, r), (j, s)] = G[i, j, unit (r, s) of block b], symmetrized."""
+def _cp_blocks(alg: Algebra, g: np.ndarray):
+    """The complete-positivity gram, one Hermitian stack per block size in turn:
+    [b, (i, r), (j, s)] = G[i, j, unit (r, s) of block b], symmetrized: the
+    conjugate transpose is read off the gram once, and G added to it commutes."""
     d = alg.dim
-    stacks = [g[:, :, cols].reshape(d, d, len(cols), n_b, n_b).transpose(2, 0, 3, 1, 4)
-              .reshape(len(cols), d * n_b, d * n_b) for n_b, cols in alg.size_groups]
-    return [(m + m.conj().swapaxes(1, 2)) / 2 for m in stacks]
+    for n_b, cols in alg.size_groups:
+        m = g[:, :, _unit_run(cols)].reshape(d, d, -1, n_b, n_b).transpose(2, 0, 3, 1, 4)
+        h = np.conjugate(m.transpose(0, 3, 4, 1, 2), order="C")  # [b, i, r, j, s]
+        h += m
+        h /= 2
+        yield h.reshape(len(cols), d * n_b, d * n_b)
+
+
+def _unit_run(units: np.ndarray):
+    """The ascending ``units`` as a slice, which reads a view, when they are consecutive."""
+    lo, hi = int(units.flat[0]), int(units.flat[-1]) + 1
+    return slice(lo, hi) if hi - lo == units.size else units
 
 
 _STAR_CHUNK = 2 ** 16  # entries that the two slabs of one chunk of _star_gaps hold

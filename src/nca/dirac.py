@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_EQ_TOL, DEFAULT_POS_TOL, DEFAULT_RANK_TOL, Element, block_norms
-from .cdc import CdCForm, CdCReport, _cp_blocks, is_cdc, network_cdc
+from .cdc import CdCForm, CdCReport, _cp_blocks, _unit_run, is_cdc, network_cdc
 from .errors import DisconnectedError
 from .resistance import ResistanceNetwork, is_star
 
@@ -169,9 +169,9 @@ def _moved_frames(alg, n_b, cols, vecs, keep, per=None):
     # with the rows (s, .) and (t, .) read over (u, r)
     for n, units in alg.size_groups:
         k = len(units)
-        units = units.reshape(k, n, n)
-        left = fp[units].reshape(k, n, n * n_b, m).transpose(0, 1, 3, 2)
-        right = f[units].reshape(k, n, n * n_b, -1)
+        run, units = _unit_run(units), units.reshape(k, n, n)
+        left = fp[run].reshape(k, n, n * n_b, m).transpose(0, 1, 3, 2)
+        right = f[run].reshape(k, n, n * n_b, -1)
         size = k * n * n if per is None else max(1, per)
         kb, sb, tb = max(1, size // (n * n)), min(n, max(1, size // n)), min(n, size)
         for b, s, t in itertools.product(range(0, k, kb), range(0, n, sb), range(0, n, tb)):

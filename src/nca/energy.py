@@ -29,7 +29,7 @@ from .algebra import (
     random_positive_rows,
     random_self_adjoint_rows,
 )
-from .cdc import CdCForm, gamma_from_generator, is_cdc
+from .cdc import _STAR_CHUNK, CdCForm, gamma_from_generator, is_cdc
 from .errors import InputError, PropertyViolationError
 from .reporting import CheckResult
 
@@ -412,16 +412,19 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
     real_res = float(real_gap.max())
 
     # tau(Gamma(e_i e_j, e_k)) = tau(Gamma(e_k*, e_j*) e_i*) + tau(e_j* Gamma(e_i, e_k))
-    # tau(G[p, q] e_m*) = tau(e_m* G[p, q]) = w_m G[p, q, m]
-    tau_g = gamma.gram * alg.basis_weights
-    t1 = tau_g[np.ix_(adj, adj)].transpose(2, 1, 0)  # [i,j,k] = tau(G[k*,j*] e_i*)
-    t2 = tau_g.transpose(0, 2, 1)  # [i,j,k] = tau(e_j* G[i, k])
-    # the left side is zero off the nonzero products e_i e_j = e_k
-    i, j, k = alg.mul_nonzero
-    bal_gap = -t1
-    bal_gap[i, j] += tg[k]
-    bal_gap = np.abs(bal_gap - t2)
-    bal_res = float(bal_gap.max())
+    # tau(G[p, q] e_m*) = tau(e_m* G[p, q]) = w_m G[p, q, m].  The gap goes into
+    # gaps[k, j, i] by chunks of k as in is_cdc; G (-w) is -(G w) up to signed zeros
+    g, w, d = gamma.gram, alg.basis_weights, alg.dim
+    i, j, k = alg.mul_nonzero  # the left side is zero off the products e_i e_j = e_k
+    gaps = np.empty((d, d, d))
+    step = max(1, _STAR_CHUNK // (2 * d * d))
+    for ks in (slice(lo, lo + step) for lo in range(0, d, step)):
+        gap = g[np.ix_(adj[ks], adj)]
+        gap *= -w  # -tau(G[k*, j*] e_i*)
+        gap[:, j, i] += tg[k, ks].T
+        gap -= np.multiply(g[:, ks].transpose(1, 2, 0), w[:, None], order="C")  # tau(e_j* G[i, k])
+        np.abs(gap, out=gaps[ks])
+    bal_res = float(gaps.max())
 
     out = {
         "tau_real": real_res <= tol * scale,
@@ -433,8 +436,8 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
         i, j = np.unravel_index(real_gap.argmax(), real_gap.shape)
         out["real_witness"] = [int(i), int(j)]
     if not out["tau_balanced"]:
-        i, j, k = np.unravel_index(bal_gap.argmax(), bal_gap.shape)
-        out["balanced_witness"] = [int(i), int(j), int(k)]
+        i, j = np.unravel_index(gaps.max(axis=0).T.argmax(), (d, d))  # the first in C order
+        out["balanced_witness"] = [int(i), int(j), int(gaps[:, j, i].argmax())]
     return out
 
 

@@ -60,6 +60,10 @@ class ResistanceNetwork:
     def size(self) -> int:
         return self.c.shape[0]
 
+    def _is_node(self, p) -> bool:
+        """Whether ``p`` is an integer, and not a bool, that names a node."""
+        return isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < self.size
+
     @cached_property
     def algebra(self) -> Algebra:
         """Functions on the nodes with counting measure."""
@@ -101,8 +105,8 @@ def _solve_potential(net: ResistanceNetwork, rhs: np.ndarray) -> np.ndarray:
 def potential(net: ResistanceNetwork, p: int, q: int) -> Element:
     """The trace-zero solution of L h = delta_p - delta_q; harmonic away from
     p and q, maximal at p, minimal at q."""
-    if not (0 <= p < net.size and 0 <= q < net.size):
-        raise InputError("node index out of range")
+    if not (net._is_node(p) and net._is_node(q)):
+        raise InputError("node indices must be integers in range")
     if p == q:
         raise InputError("potential requires two distinct nodes")
     rhs = np.zeros(net.size)
@@ -111,7 +115,7 @@ def potential(net: ResistanceNetwork, p: int, q: int) -> Element:
 
 
 def resistance_distance(net: ResistanceNetwork, p: int, q: int) -> float:
-    if p == q and 0 <= p < net.size:
+    if p == q and net._is_node(p):
         return 0.0  # potential rejects every other pair of equal nodes
     h = net.values(potential(net, p, q)).real
     return float(h[p] - h[q])
@@ -300,9 +304,9 @@ def maximum_principle_check(net: ResistanceNetwork, f: Element, region: Sequence
     failures = report["precondition_failures"]
     if np.abs(vals.imag).max(initial=0.0) > tol * (1.0 + np.abs(vals).max()):
         failures.append("function is not real-valued")
-    outside = [int(y) for y in region if not 0 <= y < net.size]
+    outside = [str(y) for y in region if not net._is_node(y)]
     if outside:
-        failures.append(f"region nodes {outside} are not nodes of the network")
+        failures.append(f"region nodes [{', '.join(outside)}] are not nodes of the network")
     else:
         lap = net.laplacian.matrix
         lap_vals = lap @ vals.real

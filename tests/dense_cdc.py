@@ -1,6 +1,7 @@
 """The dense carre-du-champ check, kept as an independent reference for the
 packed one in ``nca.cdc``, and the per-factor einsum route of the
-product-defined builders, a reference for their one batched product.
+product-defined builders, a reference for their one batched product, and
+the trace symmetries by whole (d, d, d) arrays, a reference for their chunks.
 
 Here a form is the (d, d, n, n) array whose slice [i, j] is the
 block-diagonal embedding of Gamma(e_i, e_j) (``alg.embed(gamma.gram)``).
@@ -74,6 +75,33 @@ def dense_is_cdc(alg, g, tol=1e-9) -> dict:
         "big": big,
         "witness": witness,
     }
+
+
+def dense_reality_checks(gamma, tol=1e-9) -> dict:
+    """``nca.reality_checks`` by its whole-array formulas: the tau-balanced
+    gap is formed over all (i, j, k) at once, from tau(G) = G w_m."""
+    alg = gamma.algebra
+    adj = alg.adj_table
+    tg = gamma.tau_values
+    scale = 1.0 + float(np.abs(tg).max())
+    real_gap = np.abs(tg[np.ix_(adj, adj)] - tg.T)
+    real_res = float(real_gap.max())
+    tau_g = gamma.gram * alg.basis_weights
+    t1 = tau_g[np.ix_(adj, adj)].transpose(2, 1, 0)  # [i,j,k] = tau(G[k*,j*] e_i*)
+    t2 = tau_g.transpose(0, 2, 1)  # [i,j,k] = tau(e_j* G[i, k])
+    i, j, k = alg.mul_nonzero
+    bal_gap = -t1
+    bal_gap[i, j] += tg[k]
+    bal_gap = np.abs(bal_gap - t2)
+    bal_res = float(bal_gap.max())
+    out = {"tau_real": real_res <= tol * scale, "tau_balanced": bal_res <= tol * scale,
+           "real_residual": real_res, "balanced_residual": bal_res}
+    if not out["tau_real"]:
+        out["real_witness"] = [int(x) for x in np.unravel_index(real_gap.argmax(), real_gap.shape)]
+    if not out["tau_balanced"]:
+        out["balanced_witness"] = [int(x) for x in
+                                   np.unravel_index(bal_gap.argmax(), bal_gap.shape)]
+    return out
 
 
 def _einsum_unit_entries(alg, x):

@@ -508,7 +508,7 @@ def test_build_bimodule_peak_is_cp_block_sized():
     # the seed-7 M6 form of the benchmark's lindblad_case: its moved frame
     # (d, r, d n_b) = (36, 18, 216) is 2.14 MiB complex, and the build held
     # four to five of them (10.3 MiB); the complete-positivity block
-    # (d n_b)^2 is 0.71 MiB, and _cp_blocks with eigh peak at 2.26 MiB
+    # (d n_b)^2 is 0.71 MiB, and _cp_blocks with eigh peak at 1.43 MiB
     gamma = bench_lindblad_gamma(6)
     report = nca.is_cdc(gamma)
     tracemalloc.start()

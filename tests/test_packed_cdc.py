@@ -1,7 +1,8 @@
 """The packed carre-du-champ against the dense reference in ``dense_cdc``:
 the axiom checks on random forms, the complete-positivity witness, the
 builders (the product-defined ones also against their per-factor einsum
-route), and the memory held by ``_star_gaps``.  ``_star_gaps``, which
+route), ``reality_checks`` against its whole-array formulas, and the memory
+held by ``_star_gaps``, ``is_cdc`` and ``reality_checks``.  ``_star_gaps``, which
 splits the star gap into the rows of its first two terms and the rows that
 only its last two reach, and the scatters of ``gamma_from_generator`` are
 checked bit for bit against padded gathers over every entry."""
@@ -20,6 +21,7 @@ from nca.errors import InputError
 
 from dense_cdc import (
     dense_is_cdc,
+    dense_reality_checks,
     einsum_commutator_gram,
     einsum_group_action_gram,
     einsum_spectral_triple_gram,
@@ -219,6 +221,31 @@ def test_star_gaps_match_gathers(blocks, seed, budget):
             assert np.array_equal(_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
 
 
+# the default chunk budget holds every k at once on these algebras; 600
+# entries leave two chunks of k on [1] * 7 and [2, 2], 3000 leave two to
+# thirteen on the other three, the last one ragged on [4] and [5], and a
+# budget of 1 holds one k per chunk
+@pytest.mark.parametrize("budget", [None, 600, 3000, 1])
+@pytest.mark.parametrize("blocks, weights", ALGEBRAS)
+def test_reality_checks_match_whole_arrays(monkeypatch, blocks, weights, budget):
+    # raw grams reach both witnesses, and the real part of one takes the
+    # float64 path to them; a symmetrized gram fails both, and the
+    # commutator form of v and v* passes both
+    if budget is not None:
+        monkeypatch.setattr(nca.energy, "_STAR_CHUNK", budget)
+    alg = nca.build_algebra(blocks, weights)
+    rng = np.random.default_rng(alg.dim)
+    raw = [_random_form(alg, "raw", rng) for _ in range(2)]
+    v = nca.random_element(alg, rng)
+    forms = raw + [nca.CdCForm(alg, raw[0].gram.real), _random_form(alg, "symmetrized", rng),
+                   nca.commutator_cdc([v, v.adjoint()])]
+    for gamma in forms:
+        assert nca.reality_checks(gamma) == dense_reality_checks(gamma)
+    for gamma in forms[:3]:
+        assert {"real_witness", "balanced_witness"} <= set(nca.reality_checks(gamma))
+    assert nca.reality_checks(forms[-1])["tau_balanced"]
+
+
 # -- the builders against their dense definitions ---------------------------
 
 
@@ -340,3 +367,29 @@ def test_is_cdc_memory_stays_bounded():
             tracemalloc.stop()
         assert peak <= bound_mib * 2 ** 20, gamma.algebra.blocks
         assert nca.is_cdc(gamma).is_cdc
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, in bytes, on its second run: the
+    caches of the algebra and of the form are filled by the first."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# past the gram, is_cdc holds one chunk, then the float (d, d, d) star gap
+# with the chunks of _star_gaps, then one CP stack; reality_checks holds one
+# float (d, d, d) gap and one chunk.  With whole-gram gaps the two peaked at
+# 3.43 and 4.24 MiB on N48, 2.97 and 3.22 on M6, and 7.30 and 8.10 on M7,
+# whose complex gram is 1.80 MiB
+@pytest.mark.parametrize("build, size, cdc_mib, reality_mib", [
+    (_network_form, 48, 2.65, 1.55), (_commutator_form, 6, 1.65, 1.70),
+    (_commutator_form, 7, 2.00, 2.20)])
+def test_form_checks_hold_one_gram_sized_temporary(build, size, cdc_mib, reality_mib):
+    gamma = build(size, size)
+    assert _traced_peak(lambda: nca.is_cdc(gamma)) <= cdc_mib * 2 ** 20
+    assert _traced_peak(lambda: nca.reality_checks(gamma)) <= reality_mib * 2 ** 20

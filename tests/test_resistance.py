@@ -73,8 +73,13 @@ def test_potential_harmonicity_and_bounds():
 
 
 def test_potential_errors(k3_net):
-    with pytest.raises(InputError):
-        nca.potential(k3_net, 1, 1)
+    # a node is an integer in range: floats and bools are rejected, numpy
+    # integers name nodes
+    for p, q in [(1, 1), (0, 1.0), (0.5, 2), (True, 2), (0, np.float64(2))]:
+        with pytest.raises(InputError):
+            nca.potential(k3_net, p, q)
+    assert np.array_equal(nca.potential(k3_net, np.int64(0), np.int32(1)).coords,
+                          nca.potential(k3_net, 0, 1).coords)
     disconnected = np.zeros((4, 4))
     disconnected[0, 1] = disconnected[1, 0] = 1.0
     disconnected[2, 3] = disconnected[3, 2] = 1.0
@@ -94,10 +99,13 @@ def test_resistance_values(k3_net):
 
 def test_resistance_rejects_equal_nodes_out_of_range():
     two = nca.ResistanceNetwork(np.array([[0.0, 4.0], [4.0, 0]]))
-    for p in (2, 5, -1, -2):
+    for p in (2, 5, -1, -2, 0.5, 1.0, True):
         with pytest.raises(InputError):
             nca.resistance_distance(two, p, p)
+    with pytest.raises(InputError):
+        nca.resistance_distance(two, 0, 1.0)
     assert nca.resistance_distance(two, 1, 1) == 0.0
+    assert nca.resistance_distance(two, np.int64(1), np.int64(1)) == 0.0
 
 
 def test_resistance_matches_pseudoinverse_oracle():
@@ -265,7 +273,8 @@ def test_maximum_principle(k3_net):
     assert not report["passed"] and report["precondition_failures"]
 
 
-@pytest.mark.parametrize("region, outside", [([7], [7]), ([-2], [-2]), ([0, 3], [3])])
+@pytest.mark.parametrize("region, outside", [([7], [7]), ([-2], [-2]), ([0, 3], [3]),
+                                             ([1.5], [1.5]), ([0, 2.0], [2.0]), ([True], [True])])
 def test_maximum_principle_reports_region_nodes_out_of_range(k3_net, region, outside):
     constant = k3_net.function([2.0, 2.0, 2.0])
     report = nca.maximum_principle_check(k3_net, constant, region)

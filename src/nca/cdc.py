@@ -32,7 +32,7 @@ G = ``gram`` and adj = ``adj_table``:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -54,7 +54,7 @@ from .algebra import (
     right_multiplication,
 )
 from .errors import InputError, PropertyViolationError
-from .reporting import CheckResult
+from .reporting import CheckResult, judge
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,7 @@ class CdCReport:
     completely_positive: bool
     residuals: dict = field(default_factory=dict)
     witness: Optional[dict] = None
+    checks: list = field(default_factory=list)  # the four verdicts, cdc-symmetric first
 
     @property
     def is_cdc(self) -> bool:
@@ -302,39 +303,38 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
     def sym_gap(lo):
         return np.abs(g[lo:lo + step] - g.swapaxes(0, 1)[lo:lo + step][:, :, alg.adj_table].conj())
     sym_max = np.array([sym_gap(lo).max() for lo in range(0, d, step)])
-    sym_res = float(sym_max.max())
-    symmetric = sym_res <= tol * scale
-    if not symmetric:
+    sym = judge("cdc-symmetric", sym_max.max(), scale, tol)
+    if not sym.passed:
         lo = step * int(sym_max.argmax())
         i, j = divmod(lo * d + int(sym_gap(lo).argmax()) // d, d)
-        witness = {"kind": "symmetry", "pair": [i, j], "residual": sym_res}
+        witness = {"kind": "symmetry", "pair": [i, j], "residual": sym.residual}
 
-    unit_res = gamma.unit_residual()
-    unit_ok = unit_res <= tol * scale
+    unit = judge("cdc-unit-annihilation", gamma.unit_residual(), scale, tol)
 
     star_gap = _star_gaps(alg, g)
-    star_res = float(star_gap.max())
-    star_ok = star_res <= tol * scale
-    if not star_ok and witness is None:
+    star = judge("cdc-star-representation", star_gap.max(), scale, tol)
+    if not star.passed and witness is None:
         i, j, k = np.unravel_index(star_gap.argmax(), (d, d, d))
         witness = {
             "kind": "star-representation",
             "triple": [int(i), int(j), int(k)],
-            "residual": star_res,
+            "residual": star.residual,
         }
     del star_gap  # the complete-positivity stage below sets the peak
 
     # the skew part of the basis gram is the symmetry gap, so only a
-    # symmetric form is tested for positivity
+    # symmetric form is tested for positivity; an asymmetric one fails it
+    # by its symmetry residual
     min_eig = float("nan")
-    cp_ok = False
-    if symmetric:
+    cp = replace(sym, check="cdc-completely-positive")
+    if sym.passed:
         grams = list(_cp_blocks(alg, g))
         eigs = [np.linalg.eigvalsh(m) for m in grams]
         lows = [float(e[:, 0].min()) for e in eigs]
         min_eig = min(lows)
-        cp_ok = min_eig >= -tol * max(1.0, max(float(e[:, -1].max()) for e in eigs))
-        if not cp_ok and witness is None:
+        cp = judge("cdc-completely-positive", max(0.0, -min_eig),
+                   max(1.0, max(float(e[:, -1].max()) for e in eigs)), tol)
+        if not cp.passed and witness is None:
             group = int(np.argmin(lows))
             block = int(eigs[group][:, 0].argmin())
             n_b, cols = alg.size_groups[group]
@@ -347,19 +347,22 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
                 "eigenvalue": min_eig,
                 "vector": [[float(z.real), float(z.imag)] for z in vec.reshape(-1)],
             }
+    if not cp.passed:
+        cp.witness = witness
 
     return CdCReport(
-        symmetric=symmetric,
-        unit_annihilating=unit_ok,
-        star_representation=star_ok,
-        completely_positive=cp_ok,
+        symmetric=sym.passed,
+        unit_annihilating=unit.passed,
+        star_representation=star.passed,
+        completely_positive=cp.passed,
         residuals={
-            "symmetry": sym_res,
-            "unit": unit_res,
-            "star_representation": star_res,
+            "symmetry": sym.residual,
+            "unit": unit.residual,
+            "star_representation": star.residual,
             "gram_min_eigenvalue": min_eig,
         },
         witness=witness,
+        checks=[sym, unit, star, cp],
     )
 
 

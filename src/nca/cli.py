@@ -42,7 +42,7 @@ from .energy import (
 from .errors import DisconnectedError, InputError, PropertyViolationError
 from .fileio import ProblemSpec, parse_spec, read_spec
 from .quotient import central_projection, quotient_checks, split
-from .reporting import CheckResult, dumps_canonical
+from .reporting import CheckResult, dumps_canonical, judge
 from .resistance import (
     ResistanceNetwork,
     markov_violation_witness,
@@ -100,17 +100,6 @@ def _cdc_checks(problem: _Problem):
     spec, gamma, report = problem.spec, problem.gamma, problem.cdc_report
     tol = spec.tolerances.positivity
     reality = reality_checks(gamma, tol=spec.tolerances.equality)
-    # the symmetry gap is the skew part of the basis gram, which rules out positivity
-    cp_res = (max(0.0, -report.residuals["gram_min_eigenvalue"]) if report.symmetric
-              else report.residuals["symmetry"])
-    checks = [
-        CheckResult("cdc-symmetric", report.symmetric, report.residuals["symmetry"]),
-        CheckResult("cdc-unit-annihilation", report.unit_annihilating, report.residuals["unit"]),
-        CheckResult("cdc-star-representation", report.star_representation,
-                    report.residuals["star_representation"]),
-        CheckResult("cdc-completely-positive", report.completely_positive, cp_res,
-                    witness=report.witness if not report.completely_positive else None),
-    ]
     data = {
         "is_cdc": report.is_cdc,
         "tau_real": reality["tau_real"],
@@ -122,7 +111,7 @@ def _cdc_checks(problem: _Problem):
     elif spec.generator and spec.generator["kind"] == "lindblad":
         gen = lindblad_generator(spec.algebra, spec.generator["vs"])
         data["ccn"] = ccn_check(gen, seed=spec.seed, tol=tol)
-    return checks, data
+    return report.checks, data
 
 
 def _laplacian_checks(problem: _Problem):
@@ -132,11 +121,9 @@ def _laplacian_checks(problem: _Problem):
     unit_res = lap.apply(one).norm()
     eigs = lap.eigenvalues
     checks = [
-        CheckResult("laplacian-annihilates-unit", unit_res <= tol * (1 + one.norm()),
-                    float(unit_res)),
-        CheckResult("laplacian-positive",
-                    bool(eigs[0] >= -spec.tolerances.positivity * max(1.0, eigs[-1])),
-                    float(max(0.0, -eigs[0]))),
+        judge("laplacian-annihilates-unit", unit_res, 1 + one.norm(), tol),
+        judge("laplacian-positive", max(0.0, -eigs[0]), max(1.0, eigs[-1]),
+              spec.tolerances.positivity),
     ]
     data = {
         "kernel_dim": int(lap.kernel_dim),
@@ -145,7 +132,7 @@ def _laplacian_checks(problem: _Problem):
     }
     if e.is_real(tol):
         try:
-            cdc_from_dirichlet_form(e, checks=False, tol=tol)
+            cdc_from_dirichlet_form(e, lap, checks=False, tol=tol)
             checks.append(CheckResult("laplacian-form-reconstruction", True))
         except PropertyViolationError as exc:
             checks.append(CheckResult("laplacian-form-reconstruction", False,
@@ -162,15 +149,12 @@ def _heat_checks(problem: _Problem):
     maps = {}
     for t in spec.times:
         maps[t], flags = heat_map(generator, t, tol=tol)
-        checks.append(CheckResult(f"heat-unital-t{t:g}", flags["unital"],
-                                  flags["unital_residual"]))
-        checks.append(CheckResult(f"heat-cp-t{t:g}", flags["cp"],
-                                  abs(min(0.0, flags["choi_min_eigenvalue"]))))
+        checks.extend(flags["checks"])
     if len(spec.times) >= 2:
         s, t = spec.times[-2], spec.times[-1]
         phi_st = heat_semigroup(generator, s + t)
         gap = float(np.abs(maps[s].compose(maps[t]).matrix - phi_st.matrix).max())
-        checks.append(CheckResult("heat-semigroup-law", gap <= spec.tolerances.equality, gap))
+        checks.append(judge("heat-semigroup-law", gap, 1.0, spec.tolerances.equality))
     checks.extend(resolvent_check(generator, spec.times, seed=spec.seed, tol=tol))
     return checks, {"generator_symmetrized": symmetrized}
 
@@ -197,7 +181,7 @@ def _metric_checks(problem: _Problem):
             dist[i][j] = dist[j][i] = DISCONNECTED
     checks = [
         CheckResult("metric-connected", connected_all),
-        CheckResult("metric-dual-agreement", worst <= max(tol, 1e-9), worst),
+        judge("metric-dual-agreement", worst, 1.0, max(tol, 1e-9)),
     ]
     return checks, {"distances": dist}
 
@@ -223,20 +207,13 @@ def _resistance_checks(problem: _Problem):
                             witness={"reason": "network graph is disconnected"})
         return [check], {"resistance": DISCONNECTED}
     report = metric_checks(net, seed=spec.seed)
-    checks = [
-        CheckResult("resistance-triangle", report.triangle, report.residuals["triangle"]),
-        CheckResult("resistance-square-relation", report.square_relation,
-                    report.residuals["square_relation"]),
-        CheckResult("resistance-acute-angles", report.acute_angles_pure,
-                    report.residuals["acute_angles"]),
-    ]
     data = {
         "resistance": [[float(x) for x in row] for row in report.resistance],
         "energy": [[float(x) for x in row] for row in report.energy],
         # absence of a witness is never a proof, only a grid statement
         "mixture_counterexample": report.mixture_counterexample or "not found at this resolution",
     }
-    return checks, data
+    return report.checks, data
 
 
 def _quotient_checks(problem: _Problem):
@@ -265,12 +242,12 @@ def _dirac_checks(problem: _Problem):
     value, from_form = dirac_seminorms(op, samples)
     worst = float(np.abs(value - from_form).max())
     checks = [
-        CheckResult(name, bs.residuals[key] <= max(tol, 1e-9), bs.residuals[key])
+        judge(name, bs.residuals[key], 1.0, max(tol, 1e-9))
         for name, key in (("dirac-factorizes-laplacian", "laplacian_factorization"),
                           ("dirac-null-space-invariant", "null_space_invariance"),
                           ("dirac-left-action-star", "star_representation"))
     ]
-    checks.append(CheckResult("dirac-norm-formula", worst <= max(tol, 1e-8), worst))
+    checks.append(judge("dirac-norm-formula", worst, 1.0, max(tol, 1e-8)))
     data = {
         "dim_omega": int(bs.rank),
         "delta_factorization_residual": bs.residuals["laplacian_factorization"],
@@ -323,8 +300,8 @@ def _stddev_checks(problem: _Problem):
     samples = random_self_adjoint_rows(spec.algebra, np.random.default_rng(spec.seed), 10)
     sem_gap = float(np.abs(stddev_seminorms(ea, samples) - _seminorms(e.gram, samples)).max())
     checks = [
-        CheckResult("stddev-route-agreement", route_gap <= max(tol, 1e-9), route_gap),
-        CheckResult("stddev-seminorm-identity", sem_gap <= max(tol, 1e-9), sem_gap),
+        judge("stddev-route-agreement", route_gap, 1.0, max(tol, 1e-9)),
+        judge("stddev-seminorm-identity", sem_gap, 1.0, max(tol, 1e-9)),
         CheckResult("stddev-extension-connected", connectedness(ea.laplacian)),
     ]
     checks.extend(markov_check(lap, seed=spec.seed, tol=tol))
@@ -408,7 +385,8 @@ def emit_report(report: dict, fmt: str = "human") -> str:
     ]
     for entry in report["checks"]:
         mark = "PASS" if entry["passed"] else "FAIL"
-        lines.append(f"{mark:4}  {entry['check']:44} residual {entry['residual']:.3e}")
+        line = f"{mark:4}  {entry['check']:44} residual {entry['residual']:.3e}"
+        lines.append(line + (f"  bound {entry['bound']:.3e}" if "bound" in entry else ""))
         if not entry["passed"] and "witness" in entry:
             lines.append(f"      witness: {entry['witness']}")
     if report.get("data"):

@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .cdc import _STAR_CHUNK, CdCForm, gamma_from_generator, is_cdc
 from .errors import InputError, PropertyViolationError
-from .reporting import CheckResult
+from .reporting import judge
 
 __all__ = [
     "EnergyForm",
@@ -349,9 +349,8 @@ def markov_check(
         violations = [{"element_index": int(idx), "function": names[f],
                        "lhs": float(lhs[idx, f]), "bound": float(bound[idx, f])}
                       for idx, f in zip(*np.nonzero(violation > tol))][:10]
-        results.append(CheckResult(
-            f"markov-n{order}", worst <= tol, residual=worst,
-            witness={"order": order, "violations": violations} if violations else None))
+        results.append(judge(f"markov-n{order}", worst, 1.0, tol,
+                             {"order": order, "violations": violations} if violations else None))
     return results
 
 
@@ -393,7 +392,7 @@ def leibniz_check(
             idx = int(violation.argmax())
             witness = {"order": order, "pair_index": idx,
                        "lhs": float(lhs[idx]), "bound": float(bound[idx])}
-        results.append(CheckResult(f"leibniz-n{order}", worst <= tol, worst, witness))
+        results.append(judge(f"leibniz-n{order}", worst, 1.0, tol, witness))
     return results
 
 
@@ -453,7 +452,8 @@ def heat_semigroup(lap: Laplacian, t: float) -> SuperOperator:
 
 def heat_map(lap: Laplacian, t: float, tol=DEFAULT_POS_TOL):
     """:func:`heat_semigroup` at time ``t``, with unitality and
-    complete-positivity flags.
+    complete-positivity flags and, under ``checks``, their verdicts
+    ``heat-unital-t<t>`` and ``heat-cp-t<t>``.
 
     Complete positivity is decided through the Choi matrix of the map
     composed with the trace conditional expectation of the full matrix
@@ -466,16 +466,16 @@ def heat_map(lap: Laplacian, t: float, tol=DEFAULT_POS_TOL):
     """
     phi = heat_semigroup(lap, t)
     one = lap.algebra.identity()
-    unital_res = phi.apply(one).distance(one)
-    return phi, {
-        "unital": unital_res <= tol * (1.0 + one.norm()),
-        "unital_residual": float(unital_res),
-        **_choi_flags(phi, tol),
-    }
+    unital = judge(f"heat-unital-t{t:g}", phi.apply(one).distance(one), 1.0 + one.norm(), tol)
+    cp, flags = _choi_flags(phi, tol, f"heat-cp-t{t:g}")
+    return phi, {"unital": unital.passed, "unital_residual": unital.residual, "cp": cp.passed,
+                 **flags, "checks": [unital, cp]}
 
 
-def _choi_flags(phi: SuperOperator, tol: float) -> dict:
-    """The complete-positivity flags of :func:`heat_map` for any map."""
+def _choi_flags(phi: SuperOperator, tol: float, check: str):
+    """The complete-positivity verdict ``check`` of :func:`heat_map` for any
+    map, and its residuals.  The verdict reports the skew part when that
+    fails, else the negative part of the least eigenvalue."""
     blocks = _choi_blocks(phi)
     # a completely positive map is Hermiticity-preserving, so a skew part of
     # the Choi matrix already refutes it; never hide it by symmetrizing
@@ -483,12 +483,10 @@ def _choi_flags(phi: SuperOperator, tol: float) -> dict:
     eigs = [np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2) for c in blocks]
     min_eig = min(float(e[:, 0].min()) for e in eigs)
     top = max(float(e[:, -1].max()) for e in eigs)
-    scale = max(1.0, max(float(np.abs(c).max()) for c in blocks))
-    return {
-        "cp": skew <= tol * scale and min_eig >= -tol * max(1.0, top),
-        "choi_min_eigenvalue": min_eig,
-        "choi_skew_residual": skew,
-    }
+    cp = judge(check, skew, max(1.0, max(float(np.abs(c).max()) for c in blocks)), tol)
+    if cp.passed:
+        cp = judge(check, max(0.0, -min_eig), max(1.0, top), tol)
+    return cp, {"choi_min_eigenvalue": min_eig, "choi_skew_residual": skew}
 
 
 def _choi_blocks(phi: SuperOperator) -> list:
@@ -550,9 +548,8 @@ def resolvent_check(
         size = block_norms(alg, rows[:count] / root)
         growth = block_norms(alg, ra) - size
         entries = np.concatenate([unit[:, None], np.maximum(neg, growth)], axis=1)
-        bounds = np.concatenate([np.full((len(ts), 1), tol),
-                                 np.broadcast_to(tol * (1.0 + size), (len(ts), count))], axis=1)
-        over = entries > bounds
+        scales = np.concatenate([[1.0], 1.0 + size])
+        over = entries > tol * scales
         witness = None
         if over.any():
             ti, col = np.unravel_index(np.where(over, entries, -np.inf).argmax(), over.shape)
@@ -562,14 +559,7 @@ def resolvent_check(
                 witness["kind"] = ("positivity" if neg[ti, idx] >= growth[ti, idx]
                                    else "contraction")
                 witness["element_index"] = int(idx)
-        results.append(
-            CheckResult(
-                f"resolvent-n{order}",
-                witness is None,
-                residual=max(float(entries.max(initial=0.0)), 0.0),
-                witness=witness,
-            )
-        )
+        results.append(judge(f"resolvent-n{order}", entries, scales, tol, witness))
     return results
 
 
@@ -581,27 +571,14 @@ def _require_dirichlet(e: EnergyForm, lap: Laplacian, tol: float, markov: Callab
     the spectrum of its Laplacian ``lap``), and then passes the Markov
     results ``markov()``; these are asked for only once the others hold."""
     scale = 1.0 + e.magnitude()
-    failures = []
-    real_res = e.real_residual()
-    if real_res > tol * scale:
-        failures.append(
-            CheckResult("reality", False, residual=real_res)
-        )
     m = e.gram_orthonormal
-    herm_res = float(np.abs(m - m.conj().T).max())
-    if herm_res > tol * scale:
-        failures.append(CheckResult("hermitian", False, residual=herm_res))
-    else:
+    checks = [judge("reality", e.real_residual(), scale, tol),
+              judge("hermitian", np.abs(m - m.conj().T).max(), scale, tol)]
+    if checks[1].passed:
         eigs = lap.eigenvalues
-        if eigs[0] < -tol * max(1.0, float(eigs[-1])):
-            failures.append(
-                CheckResult(
-                    "complete-positivity",
-                    False,
-                    residual=float(-eigs[0]),
-                    witness={"min_eigenvalue": float(eigs[0])},
-                )
-            )
+        checks.append(judge("complete-positivity", -eigs[0], max(1.0, float(eigs[-1])), tol,
+                            {"min_eigenvalue": float(eigs[0])}))
+    failures = [c for c in checks if not c.passed]
     if not failures:
         failures = [r for r in markov() if not r.passed]
     if failures:
@@ -612,23 +589,22 @@ def _require_dirichlet(e: EnergyForm, lap: Laplacian, tol: float, markov: Callab
 
 def cdc_from_dirichlet_form(
     e: EnergyForm,
+    lap: Laplacian,
     checks: bool = True,
     seed: int = 0,
     tol: float = DEFAULT_EQ_TOL,
 ) -> CdCForm:
     """Rebuild a carre-du-champ from a real, completely positive, completely
-    Markov form: apply the half-scaled generator construction to its Laplace
-    operator, then confirm the trace pairing reproduces the form."""
-    scale = 1.0 + e.magnitude()
-    lap = laplacian(e)
+    Markov form ``e`` with Laplacian ``lap``: apply the half-scaled generator
+    construction to the Laplace operator, then confirm the trace pairing
+    reproduces the form."""
     if checks:
         _require_dirichlet(e, lap, tol, lambda: markov_check(lap, seed=seed, tol=tol))
     gamma = gamma_delta(lap)
-    pair_res = float(np.abs(gamma.tau_values - e.gram).max())
-    if pair_res > max(tol, 1e-9) * scale:
+    pairing = judge("trace-pairing", np.abs(gamma.tau_values - e.gram).max(),
+                    1.0 + e.magnitude(), max(tol, 1e-9))
+    if not pairing.passed:
         raise PropertyViolationError(
-            "reconstructed form does not reproduce the energy form",
-            [CheckResult("trace-pairing", False, residual=pair_res)],
-        )
+            "reconstructed form does not reproduce the energy form", [pairing])
     is_cdc(gamma).require("reconstructed form fails the carre-du-champ axioms")
     return gamma

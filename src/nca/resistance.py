@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -22,6 +22,7 @@ from .algebra import (
 from .cdc import network_cdc
 from .energy import EnergyForm, Laplacian, energy_form
 from .errors import DisconnectedError, InputError
+from .reporting import judge
 from .states import StateEmbedding, point_state
 
 
@@ -137,16 +138,15 @@ def all_pairs_resistance(net: ResistanceNetwork) -> np.ndarray:
 
 @dataclass
 class NetworkMetricReport:
-    """``resistance`` holds the resistance distance and ``energy`` the energy
-    metric between every pair of point states."""
+    """``checks`` holds the verdicts ``resistance-triangle``,
+    ``resistance-square-relation`` and ``resistance-acute-angles``,
+    ``resistance`` the resistance distance and ``energy`` the energy metric
+    between every pair of point states."""
 
-    triangle: bool
-    square_relation: bool
-    acute_angles_pure: bool
+    checks: list
     mixture_counterexample: Optional[dict]
     resistance: np.ndarray
     energy: np.ndarray
-    residuals: dict = field(default_factory=dict)
 
 
 def _mixture_grid(step: float):
@@ -216,9 +216,8 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
 
     # tri[p, r, q] = rho(p, q) - rho(p, r) - rho(r, q)
     tri = rho_r[:, None, :] - rho_r[:, :, None] - rho_r[None, :, :]
-    tri_worst = max(0.0, float(tri.max()))
     scale = 1.0 + rho_r.max()
-    triangle = tri_worst <= tol * scale
+    checks = [judge("resistance-triangle", max(0.0, float(tri.max())), scale, tol)]
 
     # the node algebra has unit weights, so the point states' densities are
     # its units, and their differences from point 0 are the rows of I - e_0
@@ -226,16 +225,15 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
     coords = emb.embed(np.eye(n) - np.eye(n)[0])
     energy = _distances(coords)
     pairs = np.triu_indices(n, 1)
-    sq_worst = float(np.abs(energy * energy - rho_r)[pairs].max(initial=0.0))
-    square = sq_worst <= tol * scale
+    checks.append(judge("resistance-square-relation",
+                        np.abs(energy * energy - rho_r)[pairs].max(initial=0.0), scale, tol))
 
     # ip[x, y, z] = <coords[x] - coords[y], coords[z] - coords[y]>; the
     # triples that are not distinct give exactly 0 or a squared norm, so
     # they never raise the worst case above its floor of 0
     diff = coords[None, :, :] - coords[:, None, :]
     ip = np.einsum("yxk,yzk->xyz", diff.conj(), diff).real
-    angle_worst = max(0.0, float(-ip.min()))
-    acute = angle_worst <= tol * scale
+    checks.append(judge("resistance-acute-angles", max(0.0, float(-ip.min())), scale, tol))
 
     # seeded grid of mixtures over node triples, searching for a triple of
     # states violating the triangle inequality of the squared energy metric
@@ -252,19 +250,7 @@ def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
             }
             break
 
-    return NetworkMetricReport(
-        triangle=triangle,
-        square_relation=square,
-        acute_angles_pure=acute,
-        mixture_counterexample=counterexample,
-        resistance=rho_r,
-        energy=energy,
-        residuals={
-            "triangle": tri_worst,
-            "square_relation": sq_worst,
-            "acute_angles": angle_worst,
-        },
-    )
+    return NetworkMetricReport(checks, counterexample, rho_r, energy)
 
 
 def _closure(net: ResistanceNetwork, nodes) -> set:

@@ -335,7 +335,7 @@ def test_14_dirichlet_form_reconstruction():
             continue
         e = nca.energy_form(ex.gamma)
         try:
-            rebuilt = nca.cdc_from_dirichlet_form(e, seed=14, tol=1e-9)
+            rebuilt = nca.cdc_from_dirichlet_form(e, nca.laplacian(e), seed=14, tol=1e-9)
         except nca.PropertyViolationError as exc:
             failures.append((ex.name, "rejected", [c.check for c in exc.checks]))
             continue
@@ -350,7 +350,7 @@ def test_14_dirichlet_form_reconstruction():
         nca.network_cdc(alg, c, scale=0.5, allow_negative=True), force=True
     )
     try:
-        nca.cdc_from_dirichlet_form(bad, seed=14)
+        nca.cdc_from_dirichlet_form(bad, nca.laplacian(bad), seed=14)
         failures.append("negative conductance form was not rejected")
     except nca.PropertyViolationError as exc:
         if not any(chk.check.startswith("markov") for chk in exc.checks):

@@ -623,3 +623,27 @@ def test_all_decomposes_each_laplacian_once(monkeypatch):
     report = run_command("all", parse_spec(spec))
     assert report["summary"]["failed"] == 0
     assert calls == {("eigh", 8): 2, ("eigh", 3): 1, ("eigvalsh", 5): 1}
+
+
+# checks whose verdict compares no residual with a bound
+UNBOUNDED = ("quotient-is-cdc", "laplacian-form-reconstruction", "precondition", "is-cdc",
+             "network-markov", "dirac-star-characterization")
+
+
+@pytest.mark.parametrize("spec_dict", [
+    K3_SPEC, LINDBLAD_SPEC, GROUP_SPEC, {"nodes": 3, "c": NEGATIVE_C, "allow_negative": True},
+])
+def test_every_compared_residual_reports_its_bound(spec_dict):
+    report = run_command("all", parse_spec(json.dumps(spec_dict)))
+    lines = emit_report(report).splitlines()
+    for entry in report["checks"]:
+        name = entry["check"].split(":")[-1]
+        (line,) = [x for x in lines if f" {entry['check']} " in x]
+        if name.endswith("-connected") or name in UNBOUNDED:
+            assert "bound" not in entry and "bound" not in line
+            continue
+        assert line.endswith(f"residual {entry['residual']:.3e}  bound {entry['bound']:.3e}")
+        assert not entry["passed"] or entry["residual"] <= entry["bound"]
+        # these two hold each entry to its own bound and report the largest entry
+        if not name.startswith(("resolvent-n", "fiber-infimum")):
+            assert entry["passed"] == (entry["residual"] <= entry["bound"]), name

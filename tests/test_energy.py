@@ -536,7 +536,7 @@ def test_heat_choi_blocks_match_dense_choi(blocks, weights, seed):
     verdicts = set()
     for phi in _maps_on(alg, rng):
         want_eigs, want = _dense_choi_flags(phi)
-        got = _choi_flags(phi, 1e-9)
+        cp, got = _choi_flags(phi, 1e-9, "cp")
         stacks = _choi_blocks(phi)
         assert sum(c.shape[0] * c.shape[1] for c in stacks) == alg.total_size ** 2
         eigs = np.sort(np.concatenate(
@@ -545,8 +545,8 @@ def test_heat_choi_blocks_match_dense_choi(blocks, weights, seed):
         assert np.abs(eigs - want_eigs).max() <= bound
         assert abs(got["choi_min_eigenvalue"] - want["choi_min_eigenvalue"]) <= bound
         assert got["choi_skew_residual"] == want["choi_skew_residual"]
-        assert got["cp"] == want["cp"]
-        verdicts.add(got["cp"])
+        assert cp.passed == want["cp"]
+        verdicts.add(cp.passed)
     assert verdicts == {True, False}
 
 
@@ -698,7 +698,7 @@ def test_reconstruction_matches_gamma_delta(catalog):
         if not ex.tau_real:
             continue
         e = nca.energy_form(ex.gamma)
-        rebuilt = nca.cdc_from_dirichlet_form(e, seed=7)
+        rebuilt = nca.cdc_from_dirichlet_form(e, nca.laplacian(e), seed=7)
         direct = nca.gamma_delta(nca.laplacian(e))
         assert np.abs(rebuilt.gram - direct.gram).max() == 0, ex.name
         assert np.abs(rebuilt.tau_values - e.gram).max() < 1e-9, ex.name
@@ -717,7 +717,7 @@ def test_reconstruction_variance_form():
             mu_ab = 0.5 * np.trace((a.adjoint() * b).full())
             gram[i, j] = mu_ab - mu_a * mu_b
     e = nca.EnergyForm(alg, gram)
-    gamma = nca.cdc_from_dirichlet_form(e, seed=9)
+    gamma = nca.cdc_from_dirichlet_form(e, nca.laplacian(e), seed=9)
     p = alg.identity()
     expected = nca.independent_copies_cdc(alg, p)
     assert np.abs(gamma.gram - expected.gram).max() < 1e-10
@@ -729,5 +729,5 @@ def test_reconstruction_rejects_negative_conductance():
     gamma = nca.network_cdc(alg, c, scale=0.5, allow_negative=True)
     e = nca.energy_form(gamma, force=True)
     with pytest.raises(PropertyViolationError) as err:
-        nca.cdc_from_dirichlet_form(e, seed=11)
+        nca.cdc_from_dirichlet_form(e, nca.laplacian(e), seed=11)
     assert any(c.check.startswith("markov") for c in err.value.checks)

@@ -815,7 +815,8 @@ def _markov_loop(lap, orders=(1, 2), seed=0, count=20, tol=1e-9):
                                        "bound": float(bound[idx, f])})
         results.append(nca.CheckResult(
             f"markov-n{order}", worst <= tol, residual=worst,
-            witness={"order": order, "violations": violations} if violations else None))
+            witness={"order": order, "violations": violations} if violations else None,
+            bound=tol))
     return results
 
 
@@ -840,7 +841,7 @@ def _leibniz_draws(e, orders=(1, 2), seed=0, count=20, tol=1e-9):
             idx = int(violation.argmax())
             witness = {"order": order, "pair_index": idx,
                        "lhs": float(lhs[idx]), "bound": float(bound[idx])}
-        results.append(nca.CheckResult(f"leibniz-n{order}", worst <= tol, worst, witness))
+        results.append(nca.CheckResult(f"leibniz-n{order}", worst <= tol, worst, witness, tol))
     return results
 
 
@@ -880,11 +881,15 @@ def test_markov_and_leibniz_batteries_match_draw_loops(monkeypatch):
 
 
 def _fiber_infimum_loop(qd, seed=0, count=20, tol=1e-9):
-    """The fiber-infimum check of ``quotient_checks``, one sample at a time."""
+    """The fiber-infimum check of ``quotient_checks``, one sample at a time:
+    it fails when any sample's gap exceeds tol (1 + |direct|), and reports
+    the worst gap with the bound of the first sample that reached it.  The
+    witness is the last sample that raised the worst gap and exceeded its
+    bound, else the first sample that exceeded its bound."""
     ambient_e = nca.energy_form_of_laplacian(qd.ambient)
     e_b = nca.energy_form_of_laplacian(qd.quotient_laplacian)
     rng = np.random.default_rng(seed)
-    worst, witness = 0.0, None
+    worst, worst_bound, witness, first_over = 0.0, None, None, None
     for idx in range(count):
         b = nca.random_element(qd.algebra_b, rng)
         lift = nca.fiber_minimizer(qd, b)
@@ -898,11 +903,16 @@ def _fiber_infimum_loop(qd, seed=0, count=20, tol=1e-9):
         eps_coords = qd.algebra_c.to_coords(eps)
         expected_extra = float((eps_coords.conj() @ qd.s_block @ eps_coords).real)
         gap = max(gap, abs(extra - expected_extra))
-        if gap > worst:
-            worst = gap
-            if gap > tol * (1.0 + abs(direct)):
-                witness = {"sample": idx, "direct": direct, "schur": via_schur}
-    return nca.CheckResult("fiber-infimum", witness is None, worst, witness)
+        bound = tol * (1.0 + abs(direct))
+        sample = {"sample": idx, "direct": direct, "schur": via_schur}
+        if gap > bound and first_over is None:
+            first_over = sample
+        if gap > worst or worst_bound is None:
+            worst, worst_bound = max(gap, worst), bound
+            if gap > bound:
+                witness = sample
+    witness = witness or first_over
+    return nca.CheckResult("fiber-infimum", witness is None, worst, witness, worst_bound)
 
 
 def _quotient_splits():
@@ -928,6 +938,8 @@ def _fiber_agree(got, want):
     (res,) = [r for r in got if r.check == "fiber-infimum"]
     assert res.passed == want.passed
     assert abs(res.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+    if want.residual > 1e-10:  # below that, rounding picks the worst sample
+        assert abs(res.bound - want.bound) <= 1e-12 * want.bound
     assert (res.witness is None) == (want.witness is None)
     if want.witness is not None:
         assert res.witness["sample"] == want.witness["sample"]

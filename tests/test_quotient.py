@@ -149,6 +149,33 @@ def test_quotient_checks_k3(k3_split):
         assert res.passed, (res.check, res.witness)
 
 
+def test_fiber_infimum_fails_on_a_sample_that_sets_no_record(k3_split, monkeypatch):
+    # sample 0 has the worst gap, 1e-4, within its bound 1e-9 (1 + 1e6);
+    # sample 1 has a smaller gap, 1e-6, that exceeds its own bound of about
+    # 1e-9, so it fails the check though it raises no running worst gap
+    _, _, qd = k3_split
+    forms = nca.quotient._quadratic_forms
+    calls = []
+
+    def shifted(gram, coords):
+        # the calls are: the direct values, the Schur values, the perturbed
+        # lifts' values and the eliminated-corner energies
+        out = forms(gram, coords).copy()
+        calls.append(len(calls))
+        if calls[-1] in (0, 2):
+            out[0] += 1e6  # the perturbation's extra energy is unchanged
+        elif calls[-1] == 1:
+            out[:2] += [1e6 + 1e-4, 1e-6]
+        return out
+
+    monkeypatch.setattr(nca.quotient, "_quadratic_forms", shifted)
+    (res,) = [r for r in nca.quotient_checks(qd, seed=3, count=10) if r.check == "fiber-infimum"]
+    assert not res.passed
+    assert res.witness["sample"] == 1
+    assert abs(res.residual - 1e-4) <= 1e-9
+    assert 1e-3 < res.bound < 1.01e-3
+
+
 def test_quotient_checks_reject_unreal_ambient(m2):
     gamma = nca.commutator_cdc([m2.basis_element(1)])  # not tau-real
     alg2 = nca.build_algebra([2, 1], [1.0, 1.0])
@@ -183,7 +210,7 @@ def test_iterated_quotient_still_cdc():
     qd2 = nca.split(lap1, nca.central_projection(qd1.algebra_b, [0, 1]))
     lap2 = qd2.quotient_laplacian
     e2 = nca.energy_form_of_laplacian(lap2)
-    rebuilt = nca.cdc_from_dirichlet_form(e2, seed=5)
+    rebuilt = nca.cdc_from_dirichlet_form(e2, lap2, seed=5)
     assert nca.is_cdc(rebuilt).is_cdc
     for res in nca.quotient_checks(qd2, seed=5, count=8):
         assert res.passed, (res.check, res.witness)

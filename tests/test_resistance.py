@@ -125,13 +125,14 @@ def test_series_path_equality_edge_case():
     path[1, 2] = path[2, 1] = 1.0
     net = nca.ResistanceNetwork(path)
     assert nca.resistance_distance(net, 0, 2) == pytest.approx(2.0, abs=1e-12)
-    report = nca.metric_checks(net, seed=0)
-    assert report.triangle and report.square_relation
+    triangle, square, _ = nca.metric_checks(net, seed=0).checks
+    assert triangle.passed and square.passed
 
 
 def test_metric_checks_k3(k3_net):
     report = nca.metric_checks(k3_net, seed=0)
-    assert report.triangle and report.square_relation and report.acute_angles_pure
+    assert [c.check for c in report.checks if c.passed] == [
+        "resistance-triangle", "resistance-square-relation", "resistance-acute-angles"]
     assert report.mixture_counterexample is not None
     assert report.mixture_counterexample["violation"] > 1e-6
 
@@ -205,8 +206,9 @@ def test_metric_checks_match_pairwise_energy_metric():
         report = nca.metric_checks(net, seed=6, mixture_margin=margin)
         energy, square, angle, witness = _metric_checks_pairwise(net, 6, margin)
         assert np.abs(report.energy - energy).max() < 1e-12
-        assert abs(report.residuals["square_relation"] - square) < 1e-12
-        assert abs(report.residuals["acute_angles"] - angle) < 1e-12
+        _, square_check, angle_check = report.checks
+        assert abs(square_check.residual - square) < 1e-12
+        assert abs(angle_check.residual - angle) < 1e-12
         got = report.mixture_counterexample
         if witness is None:
             assert got is None

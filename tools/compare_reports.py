@@ -195,16 +195,17 @@ def run_side(src: str, named: dict) -> dict:
 
 def walk(a, b, path: str, where: str, moved: dict, structural: list):
     """Record the structural differences and the float moves between two
-    parsed reports of the run ``where``.  A float field is named by its
-    ``path`` with list positions dropped, except that an entry of a
-    ``checks`` list is named by its check; ``moved`` keeps each field's
+    parsed reports of the run ``where``.  Dicts whose keys differ are
+    recorded and then compared on the keys they share.  A float field is
+    named by its ``path`` with list positions dropped, except that an entry
+    of a ``checks`` list is named by its check; ``moved`` keeps each field's
     largest change and the run it came from."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             structural.append(f"{where} {path}: keys {sorted(a)} != {sorted(b)}")
-            return
         for key in a:
-            walk(a[key], b[key], f"{path}.{key}", where, moved, structural)
+            if key in b:
+                walk(a[key], b[key], f"{path}.{key}", where, moved, structural)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             structural.append(f"{where} {path}: length {len(a)} != {len(b)}")

@@ -28,7 +28,7 @@ from .energy import (
     markov_check,
 )
 from .errors import DisconnectedError, InputError, PropertyViolationError
-from .reporting import CheckResult, judge
+from .reporting import CheckResult, judge, over_bound
 
 
 def central_projection(algebra: Algebra, keep_blocks) -> Element:
@@ -215,7 +215,7 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
     # each sample is held to its own bound; the witness is the last sample
     # that raised the running worst gap and exceeded its bound, else the
     # first sample that exceeded its bound
-    over = gap > tol * scales
+    over = over_bound(gap, scales, tol)
     witness = None
     if over.any():
         record = gap > np.maximum.accumulate(np.concatenate([[0.0], gap]))[:-1]

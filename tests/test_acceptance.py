@@ -249,9 +249,9 @@ def test_11_heat_and_resolvent_suite():
         lap = nca.laplacian(nca.energy_form(ex.gamma)).natural()
         for t in grid:
             _, flags = nca.heat_map(lap, t, tol=1e-9)
-            if not flags["unital"]:
+            if not flags["checks"][0].passed:
                 failures.append((ex.name, t, "unital"))
-            if not flags["cp"] or flags["choi_min_eigenvalue"] < -1e-9:
+            if not flags["checks"][1].passed or flags["choi_min_eigenvalue"] < -1e-9:
                 failures.append((ex.name, t, "cp", flags["choi_min_eigenvalue"]))
         for res in nca.resolvent_check(lap, grid, orders=(1, 2), seed=0, count=5):
             if not res.passed:

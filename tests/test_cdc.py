@@ -459,9 +459,9 @@ def _energy_layer(e):
     _, heat = nca.heat_map(lap, 1.0)
     results = (nca.resolvent_check(lap, (0.1, 1.0)) + nca.markov_check(lap)
                + nca.leibniz_check(e))
-    flags = [lap.kernel_dim, nca.connectedness(lap), heat["unital"], heat["cp"]]
+    flags = [lap.kernel_dim, nca.connectedness(lap), *(c.passed for c in heat["checks"])]
     flags += [r.passed for r in results]
-    residuals = [heat["unital_residual"], heat["choi_min_eigenvalue"],
+    residuals = [heat["checks"][0].residual, heat["choi_min_eigenvalue"],
                  heat["choi_skew_residual"], *lap.eigenvalues]
     return flags, residuals + [r.residual for r in results]
 

@@ -442,7 +442,7 @@ def test_heat_identity_at_zero(k3_setup):
     _, _, _, lap = k3_setup
     phi, flags = nca.heat_map(lap, 0.0)
     assert np.abs(phi.matrix - np.eye(3)).max() < 1e-12
-    assert flags["unital"] and flags["cp"]
+    assert flags["checks"][0].passed and flags["checks"][1].passed
 
 
 def _choi_by_units(phi):
@@ -559,7 +559,7 @@ def test_heat_two_point_closed_form():
         got = np.array([m[0, 0] for m in phi.apply(f).data]).real
         expected = np.array([(1 + np.exp(-2 * t)) / 2, (1 - np.exp(-2 * t)) / 2])
         assert np.abs(got - expected).max() < 1e-10
-        assert flags["unital"] and flags["cp"]
+        assert flags["checks"][0].passed and flags["checks"][1].passed
 
 
 def test_heat_matches_independent_exponential(lindblad_pair_setup):
@@ -605,9 +605,9 @@ def test_heat_on_raw_involution_breaking_generator(m2):
     gamma = nca.commutator_cdc([m2.basis_element(1)])
     lap = nca.laplacian(nca.energy_form(gamma))
     _, flags_raw = nca.heat_map(lap, 1.0)
-    assert not flags_raw["cp"]
+    assert not flags_raw["checks"][1].passed
     _, flags_nat = nca.heat_map(lap.natural(), 1.0)
-    assert flags_nat["cp"] and flags_nat["unital"]
+    assert flags_nat["checks"][1].passed and flags_nat["checks"][0].passed
 
 
 # -- resolvents ----------------------------------------------------------------

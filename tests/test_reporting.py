@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nca.reporting import CheckResult, judge
+from nca.reporting import CheckResult, judge, over_bound
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -36,6 +36,15 @@ def test_judge_arrays_hold_each_entry_to_its_own_bound():
     # magnitude broadcasts over the residual's shape
     res = judge("x", np.array([[1.0, 3.0], [2.0, 0.0]]), [1.0, 4.0], 1.0)
     assert (res.passed, res.residual, res.bound) == (False, 3.0, 4.0)
+
+
+def test_over_bound_marks_the_entries_judge_fails():
+    # the witness masks of the per-entry checks: a NaN entry is over any bound
+    residual, magnitude = [5.0, 2.0, float("nan"), 0.5], [10.0, 1.0, 1.0, 1.0]
+    assert over_bound(residual, magnitude, 1.0).tolist() == [False, True, True, False]
+    for i in range(len(residual)):
+        assert judge("x", residual[i], magnitude[i], 1.0).passed == (
+            not over_bound(residual[i], magnitude[i], 1.0))
 
 
 def _compare_reports():

@@ -35,6 +35,7 @@ from .errors import InputError
 DEFAULT_POS_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EQ_TOL = 1e-9
+_ROW_CHUNK = 2 ** 12  # entries of one chunk of rows: SpectralStack.apply, _quadratic_forms
 
 
 @dataclass(frozen=True)
@@ -599,10 +600,11 @@ def self_adjoint_rows(algebra: Algebra, coords, tol: float) -> np.ndarray:
 def hermitian_eigenvalues(algebra: Algebra, coords) -> np.ndarray:
     """Eigenvalues of the Hermitian parts (a + a*)/2 of the elements with
     canonical coordinates (..., d): shape (..., n), each block ascending,
-    the blocks grouped by size as in ``size_groups``."""
+    the blocks grouped by size as in ``size_groups``; 1x1 blocks by their real parts."""
     lead = np.shape(coords)[:-1]
     return np.concatenate(
-        [np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).reshape(lead + (-1,))
+        [(m[..., 0].real if m.shape[-1] == 1
+          else np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2)).reshape(lead + (-1,))
          for m in block_stacks(algebra, coords)], axis=-1)
 
 
@@ -611,8 +613,8 @@ class SpectralStack:
 
     ``coords`` holds one element per row in canonical coordinates.  Blocks
     of equal size are stacked, so each block size costs one batched
-    ``eigh``.  Every row must be self-adjoint within
-    ``tol * (1 + |a|)``, as for :func:`apply_spectral`.
+    ``eigh`` (1x1 blocks need none: their eigenvectors are ``None``).  Every
+    row must be self-adjoint within ``tol * (1 + |a|)``, as for :func:`apply_spectral`.
     """
 
     def __init__(self, algebra: Algebra, coords, tol=DEFAULT_POS_TOL):
@@ -622,7 +624,8 @@ class SpectralStack:
         self.algebra = algebra
         self.groups = []
         for (_, cols), m in zip(algebra.size_groups, block_stacks(algebra, coords)):
-            w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+            w, v = ((m[..., 0].real, None) if m.shape[-1] == 1
+                    else np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2))
             self.groups.append((cols, w, v))
         self.lo = np.min([w.min(axis=(1, 2)) for _, w, _ in self.groups], axis=0)
         self.hi = np.max([w.max(axis=(1, 2)) for _, w, _ in self.groups], axis=0)
@@ -631,18 +634,25 @@ class SpectralStack:
         """Canonical coordinates of F(a) = V diag(F(w)) V* for every row and
         every function.  ``fn`` maps eigenvalues of shape (rows, m) to
         values of shape (rows, functions, m); the result has shape
-        (rows, functions, d)."""
+        (rows, functions, d).  1x1 blocks take F(w) itself.  Larger ones go
+        about ``_ROW_CHUNK`` entries of rows at a time, straight into the
+        result; each row's block is one product of every function's rows."""
         out = None
         for cols, w, v in self.groups:
             count, k, n = w.shape
-            values = np.asarray(fn(w.reshape(count, k * n)), dtype=complex)
+            values = np.asarray(fn(w.reshape(count, k * n)))
             width = values.shape[1]
-            rows = (v[:, :, None] * values.reshape(count, width, k, 1, n).swapaxes(1, 2)
-                    ).reshape(count, k, width * n, n)  # every function's V diag(F(w))
-            mats = (rows @ v.conj().swapaxes(-1, -2)).reshape(count, k, width, n * n)
             if out is None:
                 out = np.empty((count, width, self.algebra.dim), dtype=complex)
-            out[:, :, cols.reshape(-1)] = mats.swapaxes(1, 2).reshape(count, width, k * n * n)
+            if v is None:
+                out[:, :, cols.reshape(-1)] = values
+                continue
+            step = max(1, _ROW_CHUNK // (k * width * n * n))
+            for at in (slice(start, start + step) for start in range(0, count, step)):
+                parts = values[at].reshape(-1, width, k, 1, n).swapaxes(1, 2)
+                rows = (v[at, :, None] * parts).reshape(-1, k, width * n, n)
+                mats = (rows @ v[at].conj().swapaxes(-1, -2)).reshape(-1, k, width, n * n)
+                out[at, :, cols.reshape(-1)] = mats.swapaxes(1, 2).reshape(-1, width, k * n * n)
         return out
 
 

@@ -296,6 +296,7 @@ def _stddev_checks(problem: _Problem):
     route_gap = max(
         float(np.abs(gamma_ic.gram - gamma_quot.gram).max()), *routes.values()
     )
+    del gamma_ic, gamma_quot  # free the two (d, d, d) grams before the batteries
     e = energy_form_of_laplacian(lap)
     samples = random_self_adjoint_rows(spec.algebra, np.random.default_rng(spec.seed), 10)
     sem_gap = float(np.abs(stddev_seminorms(ea, samples) - _seminorms(e.gram, samples)).max())

@@ -4,13 +4,14 @@ carre-du-champ from a real completely Markov form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
+    _ROW_CHUNK,
     DEFAULT_EQ_TOL,
     DEFAULT_POS_TOL,
     DEFAULT_RANK_TOL,
@@ -109,6 +110,7 @@ class Laplacian:
 
     superop: SuperOperator
     rank_tol: float = DEFAULT_RANK_TOL
+    _resolvents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -149,6 +151,13 @@ class Laplacian:
         them when f(w) has leading axes."""
         w, v = self.eigensystem
         return (v * f(w)[..., None, :]) @ v.conj().T
+
+    def resolvents(self, ts) -> np.ndarray:
+        """The stack of (1 + tL)^(-1) over the times ``ts``, built once per tuple of times."""
+        key = tuple(map(float, ts))
+        if key not in self._resolvents:
+            self._resolvents[key] = self.function(lambda w: 1 / (1 + np.array(key)[:, None] * w))
+        return self._resolvents[key]
 
     def apply(self, a: Element) -> Element:
         return self.superop.apply(a)
@@ -205,8 +214,17 @@ def energy_seminorm(e: EnergyForm, a: Element, order: int = 1) -> float:
 
 
 def _quadratic_forms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The real part of x* G x for every row x of coordinates."""
-    return ((coords.conj() @ gram) * coords).sum(axis=-1).real
+    """The real part of x* G x for every row x of coordinates, ``_ROW_CHUNK`` entries
+    at a time; a chunk never splits a (rows, d) matrix, so each stays one GEMM."""
+    stack = coords.reshape((-1,) + coords.shape[-2:]) if coords.ndim > 2 else coords[None]
+    gram = gram.astype(np.result_type(gram, stack), copy=False)  # cast once, not per chunk
+    out = np.empty(stack.shape[:-1])
+    step = max(1, _ROW_CHUNK // max(1, stack[:1].size))
+    for start in range(0, len(stack), step):
+        t = stack[start:start + step].conj() @ gram
+        t *= stack[start:start + step]
+        out[start:start + step] = t.sum(axis=-1).real
+    return out.reshape(coords.shape[:-1])
 
 
 def _seminorms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -276,16 +294,17 @@ def _markov_probes(lap: Laplacian, order: int, alg: Algebra,
     positives cover the same failure directly (the positive part restores p
     while the energy of the difference can dip below that of p).
 
-    The resolvents (1 + tL)^(-1) for every t are one stack of functions of
-    the form's Laplacian ``lap``, from its one eigendecomposition, acting on
-    every cell; a t with 1 + tw = 0 for an eigenvalue w is skipped.
+    The resolvents (1 + tL)^(-1) are the stack ``lap.resolvents``, built once
+    for every order, and act on every cell; each is amplified on its own.  A
+    t with 1 + tw = 0 for an eigenvalue w is skipped.
     """
     root = np.sqrt(alg.basis_weights)
     extremes = _extreme_positives(alg, rng)
-    ts = np.array([t for t in ts if not np.any(1 + t * lap.eigensystem[0] == 0)])
-    resolvents = amplify_matrix(lap.function(lambda w: 1 / (1 + ts[:, None] * w)),
-                                lap.algebra, order)
-    images = ((extremes * root) @ resolvents.swapaxes(-1, -2) / root).reshape(-1, alg.dim)
+    ts = [t for t in ts if not np.any(1 + t * lap.eigensystem[0] == 0)]
+    images = np.empty((len(ts), len(extremes), alg.dim), dtype=complex)
+    for image, resolvent in zip(images, lap.resolvents(ts)):
+        image[:] = (extremes * root) @ amplify_matrix(resolvent, lap.algebra, order).T / root
+    images = images.reshape(-1, alg.dim)
     firsts = extremes[:4]
     i, j = np.triu_indices(len(firsts), 1)
     a, b, r = firsts[i, None], firsts[j, None], np.array([0.05, 0.25])[:, None]
@@ -320,8 +339,8 @@ def markov_check(
     :func:`_seeded_knots` call, each the stream of one draw per element.
     All samples of an order are decomposed together (one batched ``eigh``
     per block size), the default battery is one (samples, 4, 3) knot table
-    applied to the shared eigenvectors, and each seminorm is one quadratic
-    form with the amplified gram.
+    applied to the shared eigenvectors, and the seminorms are quadratic
+    forms with the amplified gram, both a chunk of samples at a time.
     """
     e = energy_form_of_laplacian(lap)
     results = []
@@ -529,7 +548,7 @@ def resolvent_check(
     order n it is R_t on every cell, since (I + t I (x) L)^(-1) = I (x) R_t."""
     if len(ts) == 0 or any(t < 0 for t in ts):
         raise InputError("resolvent times must be a nonempty list of nonnegative numbers")
-    resolvents = lap.function(lambda w: 1 / (1 + np.asarray(ts, dtype=float)[:, None] * w))
+    resolvents = lap.resolvents(ts)
     results = []
     for order in orders:
         alg = lap.algebra if order == 1 else lap.algebra.amplify(order)

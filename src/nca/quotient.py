@@ -181,6 +181,8 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
     perturbations eps are one draw over B (+) C, the stream of drawing b
     then eps per sample, and are evaluated together: one solve for all
     lifts and one quadratic form per side."""
+    if count < 1:
+        raise InputError(f"quotient checks need a sample count of at least 1, got {count}")
     ambient_e = energy_form_of_laplacian(qd.ambient)
     results = []
 

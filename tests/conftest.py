@@ -98,11 +98,16 @@ def bench_network_spec(n, seed=7):
     return json.loads(_bench_workloads().network_case(np.random.default_rng(seed), n)["spec"])
 
 
+def bench_lindblad_spec(n, seed=7):
+    """The parsed spec of the benchmark's ``lindblad_case(default_rng(seed), n)``
+    from ``bench/workloads.py``."""
+    return parse_spec(_bench_workloads().lindblad_case(np.random.default_rng(seed), n)["spec"])
+
+
 def bench_lindblad_gamma(n, seed=7):
     """The form of the benchmark's ``lindblad_case(default_rng(seed), n)``
     from ``bench/workloads.py``, built from its spec as the CLI builds it."""
-    case = _bench_workloads().lindblad_case(np.random.default_rng(seed), n)
-    return parse_spec(case["spec"]).build_gamma()
+    return bench_lindblad_spec(n, seed).build_gamma()
 
 
 @pytest.fixture(scope="session")

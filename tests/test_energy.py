@@ -1,5 +1,7 @@
 """Energy forms, Laplace operators, heat semigroups, resolvents, Markov and
 Leibniz properties, trace symmetries, and the Dirichlet-form reconstruction."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,7 @@ import nca
 from nca.energy import _choi_blocks, _choi_flags, _markov_probes, _seeded_knots
 from nca.errors import InputError, PropertyViolationError
 
-from conftest import K3_C, TWO_C
+from conftest import K3_C, TWO_C, bench_lindblad_spec
 
 
 @pytest.fixture(scope="module")
@@ -731,3 +733,25 @@ def test_reconstruction_rejects_negative_conductance():
     with pytest.raises(PropertyViolationError) as err:
         nca.cdc_from_dirichlet_form(e, nca.laplacian(e), seed=11)
     assert any(c.check.startswith("markov") for c in err.value.checks)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_markov_check_peaks_below_is_cdc():
+    # the stddev suite's battery on the seed-1 M5 spec of the benchmark's
+    # lindblad_case: with all samples' products, the whole quadratic forms
+    # and the three amplified probe resolvents held at once, its order-2 pass
+    # peaked at 1.76 MiB, above the 1.37 MiB of is_cdc on the spec's form;
+    # chunks of samples and one resolvent at a time bring it to 1.15 MiB
+    spec = bench_lindblad_spec(5, seed=1)
+    lap = nca.stddev_laplacian(nca.extend(spec.algebra, spec.weight_element))
+    gamma = spec.build_gamma()
+    markov = _traced_peak(lambda: nca.markov_check(lap, seed=spec.seed))
+    assert markov < _traced_peak(lambda: nca.is_cdc(gamma))

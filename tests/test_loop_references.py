@@ -10,10 +10,12 @@ seminorms of the ``dirac`` suite, the batteries drawn one sample at a
 time: Markov, Leibniz, the fiber infimum of ``quotient_checks`` and the
 seminorm identity of the ``stddev`` suite, and the broadcasts of
 ``metric_checks`` that one row at a time replaces: the state distances, the
-mixed-state search and the listed node triples.  The per-function products
-of ``SpectralStack.apply`` and the top singular values through
-``np.linalg.norm(., 2)`` in ``block_norms`` and ``dirac_seminorms`` are
-kept as references too."""
+mixed-state search and the listed node triples.  ``SpectralStack.apply``
+with all rows at once and with one product per function, batched
+``eigvalsh`` on 1x1 blocks in ``hermitian_eigenvalues``, the one-shot
+quadratic forms, the amplified stack of Markov probe resolvents, and the
+top singular values through ``np.linalg.norm(., 2)`` in ``block_norms``
+and ``dirac_seminorms`` are kept as references too."""
 import dataclasses
 import itertools
 import math
@@ -27,6 +29,7 @@ import nca
 from conftest import K3_C, build_catalog, seeded_generators
 from dense_bimodule import commutator_norm
 from nca.algebra import (
+    _ROW_CHUNK,
     SpectralStack,
     amplify_matrix,
     block_norms,
@@ -42,7 +45,7 @@ from nca.cdc import _check_automorphism
 from nca.cli import run_command
 from nca.dirac import _commutator_groups
 from nca.fileio import parse_spec
-from nca.energy import _extreme_positives, _markov_probes, _seminorms
+from nca.energy import _extreme_positives, _markov_probes, _quadratic_forms, _seminorms
 from nca.errors import DisconnectedError, InputError
 from nca.resistance import _mixture_grid, _mixture_search, _node_triples, _unrank_triple
 from test_energy import _rank_one_laplacian, seeded_three_knot
@@ -404,11 +407,32 @@ def _block_norms_norm(algebra, coords):
                    for m in block_stacks(algebra, coords)], axis=0)
 
 
+def _spectral_apply_stacked(stack, fn):
+    """``SpectralStack.apply`` with all rows in one stacked product, and 1x1
+    blocks through their eigenvector 1."""
+    out = None
+    for cols, w, v in stack.groups:
+        count, k, n = w.shape
+        if v is None:
+            v = np.ones((count, k, 1, 1), dtype=complex)
+        values = np.asarray(fn(w.reshape(count, k * n)), dtype=complex)
+        width = values.shape[1]
+        rows = (v[:, :, None] * values.reshape(count, width, k, 1, n).swapaxes(1, 2)
+                ).reshape(count, k, width * n, n)
+        mats = (rows @ v.conj().swapaxes(-1, -2)).reshape(count, k, width, n * n)
+        if out is None:
+            out = np.empty((count, width, stack.algebra.dim), dtype=complex)
+        out[:, :, cols.reshape(-1)] = mats.swapaxes(1, 2).reshape(count, width, k * n * n)
+    return out
+
+
 def _spectral_apply_per_function(stack, fn):
     """``SpectralStack.apply`` with one (n, n) product per function."""
     out = None
     for cols, w, v in stack.groups:
         count, k, n = w.shape
+        if v is None:
+            v = np.ones((count, k, 1, 1), dtype=complex)
         values = np.asarray(fn(w.reshape(count, k * n)), dtype=complex)
         width = values.shape[1]
         scaled = v[:, None] * values.reshape(count, width, k, 1, n)
@@ -417,6 +441,19 @@ def _spectral_apply_per_function(stack, fn):
             out = np.empty((count, width, stack.algebra.dim), dtype=complex)
         out[:, :, cols.reshape(-1)] = mats.reshape(count, width, k * n * n)
     return out
+
+
+def _hermitian_eigenvalues_eigvalsh(algebra, coords):
+    """``hermitian_eigenvalues`` with a batched ``eigvalsh`` on 1x1 blocks too."""
+    lead = np.shape(coords)[:-1]
+    return np.concatenate(
+        [np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).reshape(lead + (-1,))
+         for m in block_stacks(algebra, coords)], axis=-1)
+
+
+def _quadratic_forms_whole(gram, coords):
+    """``_quadratic_forms`` over all rows in one piece."""
+    return ((coords.conj() @ gram) * coords).sum(axis=-1).real
 
 
 @pytest.mark.parametrize("blocks", _STACK_BLOCKS)
@@ -430,6 +467,8 @@ def test_block_norms_match_norm_route(blocks):
 
 @pytest.mark.parametrize("blocks", _STACK_BLOCKS)
 def test_spectral_stack_matches_per_function_products(blocks):
+    # chunks of rows, several of them at width 16 on a 10x10 block, and 1x1
+    # blocks with no product, against all rows at once and one function at a time
     alg = nca.build_algebra(blocks, list(np.linspace(0.5, 2.0, len(blocks))))
     rng = np.random.default_rng(sum(blocks))
     for count in (1, 7):
@@ -437,7 +476,42 @@ def test_spectral_stack_matches_per_function_products(blocks):
         for width in (1, 3, 16):
             def fn(w):
                 return np.stack([np.sin((f + 1) * w) + 1j * f * w for f in range(width)], axis=1)
-            assert np.array_equal(stack.apply(fn), _spectral_apply_per_function(stack, fn))
+            got = stack.apply(fn)
+            assert np.array_equal(got, _spectral_apply_stacked(stack, fn))
+            assert np.array_equal(got, _spectral_apply_per_function(stack, fn))
+
+
+@pytest.mark.parametrize("blocks", [[1] * 5, [3, 2, 1], [2, 2, 1, 1]])
+def test_one_by_one_eigenvalues_match_eigvalsh(blocks):
+    alg = nca.build_algebra(blocks, list(np.linspace(0.5, 2.0, len(blocks))))
+    rng = np.random.default_rng(len(blocks))
+    for shape in ((1,), (9,), (3, 4)):
+        # not self-adjoint: the eigenvalues are those of the Hermitian parts
+        coords = random_rows(alg, rng, math.prod(shape)).reshape(shape + (alg.dim,))
+        assert np.array_equal(hermitian_eigenvalues(alg, coords),
+                              _hermitian_eigenvalues_eigvalsh(alg, coords))
+    # SpectralStack skips eigh on 1x1 blocks, whose eigenvector eigh gives as 1
+    rows = random_self_adjoint_rows(alg, rng, 6)
+    for (_, w, v), m in zip(SpectralStack(alg, rows).groups, block_stacks(alg, rows)):
+        assert (v is None) == (m.shape[-1] == 1)
+        if v is None:
+            w_eigh, v_eigh = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+            assert np.array_equal(w, w_eigh) and np.all(v_eigh == 1)
+
+
+def test_quadratic_forms_match_one_shot():
+    # stacks long enough for several chunks, and single matrices, vectors and
+    # empty rows, over real and complex grams
+    rng = np.random.default_rng(5)
+    for d in (3, 25, 100):
+        cgram = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for gram in (cgram, cgram.real.copy()):
+            for shape in ((d,), (0, d), (1, d), (68, d), (3 * _ROW_CHUNK // d, d),
+                          (68, 4, d), (2, 3, 5, d), (0, 4, d)):
+                coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                got = _quadratic_forms(gram, coords)
+                assert got.shape == shape[:-1]
+                assert np.array_equal(got, _quadratic_forms_whole(gram, coords))
 
 
 # -- Dirac seminorms -------------------------------------------------------------
@@ -662,6 +736,22 @@ def _singular_form():
     return nca.EnergyForm(alg, np.diag([0.0, 1.0, -2.0]))
 
 
+def _markov_probes_stacked(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
+    """``_markov_probes`` with the resolvents of every time built and
+    amplified as one stack."""
+    root = np.sqrt(alg.basis_weights)
+    extremes = _extreme_positives(alg, rng)
+    ts = np.array([t for t in ts if not np.any(1 + t * lap.eigensystem[0] == 0)])
+    resolvents = amplify_matrix(lap.function(lambda w: 1 / (1 + ts[:, None] * w)),
+                                lap.algebra, order)
+    images = ((extremes * root) @ resolvents.swapaxes(-1, -2) / root).reshape(-1, alg.dim)
+    firsts = extremes[:4]
+    i, j = np.triu_indices(len(firsts), 1)
+    a, b, r = firsts[i, None], firsts[j, None], np.array([0.05, 0.25])[:, None]
+    diffs = np.stack([a - r * b, b - r * a], axis=2).reshape(-1, alg.dim)
+    return np.concatenate([0.5 * (images + images[:, alg.adj_table].conj()), diffs])
+
+
 @pytest.mark.parametrize("form", range(len(_laplacian_forms()) + 1))
 def test_markov_probes_match_solve(form):
     forms = _laplacian_forms()
@@ -672,10 +762,23 @@ def test_markov_probes_match_solve(form):
         want = _markov_probes_solve(lap, order, alg, np.random.default_rng(7), ts=(0.5, 1.0))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        # one resolvent amplified at a time, bit for bit the amplified stack
+        assert np.array_equal(got, _markov_probes_stacked(lap, order, alg,
+                                                          np.random.default_rng(7), ts=(0.5, 1.0)))
     if form == len(forms):
         # the singular time gives no resolvent images: only the 4 * 3 * 2
         # differences of extreme positives and the images at t = 1 remain
         assert len(got) == len(_extreme_positives(alg, np.random.default_rng(7))) + 24
+
+
+def test_markov_check_builds_the_probe_resolvents_once(monkeypatch):
+    lap = nca.laplacian(_laplacian_forms()[-1][1])
+    calls = []
+    function = nca.Laplacian.function
+    monkeypatch.setattr(nca.Laplacian, "function",
+                        lambda self, f: calls.append(1) or function(self, f))
+    nca.markov_check(lap, orders=(1, 2, 3))
+    assert len(calls) == 1
 
 
 def _markov_agree(got, want):

@@ -20,6 +20,12 @@ def k3_split():
     return alg, lap, nca.split(lap, p)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_quotient_checks_reject_a_count_below_one(k3_split, count):
+    with pytest.raises(InputError, match=f"got {count}"):
+        nca.quotient_checks(k3_split[2], count=count)
+
+
 def test_split_blocks(k3_split):
     _, _, qd = k3_split
     assert np.abs(qd.r_block - np.array([[2.0, -1], [-1, 2]])).max() == 0

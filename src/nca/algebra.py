@@ -36,6 +36,30 @@ DEFAULT_POS_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EQ_TOL = 1e-9
 _ROW_CHUNK = 2 ** 12  # entries of one chunk of rows: SpectralStack.apply, _quadratic_forms
+_GAP_CHUNK = 2 ** 16  # entries of one chunk of a gap: magnitude, is_cdc, reality_checks
+
+
+def row_chunks(count: int, row_entries: int, budget=None) -> list:
+    """Slices of ``count`` rows of ``row_entries`` entries each, at most
+    ``budget`` (``_ROW_CHUNK``) entries at a time, or one row when it is larger."""
+    step = max(1, (budget or _ROW_CHUNK) // max(1, row_entries))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def chunked_max(form: Callable, count: int, row_entries: int) -> tuple:
+    """The largest entry of a gap over ``count`` leading rows that ``form(rows)``
+    builds for a slice of them, ``_GAP_CHUNK`` entries (or one row) at a time,
+    and a function that forms the chunk holding it again and returns the
+    index of its first maximal entry in C order."""
+    chunks = row_chunks(count, row_entries, _GAP_CHUNK)
+    maxima = np.array([form(rows).max() for rows in chunks])
+
+    def first():
+        rows = chunks[int(maxima.argmax())]
+        gap = form(rows)
+        at = np.unravel_index(gap.argmax(), gap.shape)
+        return (rows.start + int(at[0]),) + tuple(int(x) for x in at[1:])
+    return float(maxima.max()), first
 
 
 @dataclass(frozen=True)
@@ -112,12 +136,6 @@ class Algebra:
     def basis_index(self, block, row, col):
         n = self.blocks[block]
         return int(self._basis_offsets[block] + row * n + col)
-
-    def basis_triple(self, index):
-        block = int(np.searchsorted(self._basis_offsets, index, side="right") - 1)
-        rem = index - self._basis_offsets[block]
-        n = self.blocks[block]
-        return block, int(rem // n), int(rem % n)
 
     @cached_property
     def unit_positions(self):
@@ -402,9 +420,6 @@ class Element:
     def distance(self, other: "Element") -> float:
         return (self - other).norm()
 
-    def allclose(self, other: "Element", tol=DEFAULT_EQ_TOL) -> bool:
-        return self.distance(other) <= tol * (1.0 + self.norm() + other.norm())
-
     def __repr__(self):
         return f"Element(blocks={self.algebra.blocks})"
 
@@ -647,8 +662,7 @@ class SpectralStack:
             if v is None:
                 out[:, :, cols.reshape(-1)] = values
                 continue
-            step = max(1, _ROW_CHUNK // (k * width * n * n))
-            for at in (slice(start, start + step) for start in range(0, count, step)):
+            for at in row_chunks(count, k * width * n * n):
                 parts = values[at].reshape(-1, width, k, 1, n).swapaxes(1, 2)
                 rows = (v[at, :, None] * parts).reshape(-1, k, width * n, n)
                 mats = (rows @ v[at].conj().swapaxes(-1, -2)).reshape(-1, k, width, n * n)
@@ -746,10 +760,6 @@ class SuperOperator:
         block, so the orthonormal weights cancel and N# = conj(N[adj][:, adj])."""
         adj = self.algebra.adj_table
         return SuperOperator(self.algebra, self.matrix[np.ix_(adj, adj)].conj())
-
-    def is_hermitian(self, tol=DEFAULT_EQ_TOL) -> bool:
-        gap = np.abs(self.matrix - self.matrix.conj().T).max()
-        return gap <= tol * (1.0 + np.abs(self.matrix).max())
 
 
 def left_multiplication(algebra: Algebra, h: Element) -> SuperOperator:

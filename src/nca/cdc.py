@@ -47,6 +47,7 @@ from .algebra import (
     amplification_index,
     block_norms,
     block_products,
+    chunked_max,
     frozen_array,
     hermitian_eigenvalues,
     left_multiplication,
@@ -95,7 +96,8 @@ class CdCForm:
         return float(np.abs(np.einsum("i,ijk->jk", one, self.gram)).max())
 
     def magnitude(self) -> float:
-        return float(np.abs(self.gram).max())
+        g = self.gram
+        return chunked_max(lambda rows: np.abs(g[rows]), len(g), g[0].size)[0]
 
 
 @dataclass
@@ -296,31 +298,22 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
     scale = 1.0 + gamma.magnitude()
     witness = None
 
-    # the symmetry gap by chunks of rows i, whose two slabs hold at most
-    # _STAR_CHUNK entries; a failing chunk is formed again for its witness
-    step = max(1, _STAR_CHUNK // (2 * d * d))
-
-    def sym_gap(lo):
-        return np.abs(g[lo:lo + step] - g.swapaxes(0, 1)[lo:lo + step][:, :, alg.adj_table].conj())
-    sym_max = np.array([sym_gap(lo).max() for lo in range(0, d, step)])
-    sym = judge("cdc-symmetric", sym_max.max(), scale, tol)
+    # each gap by chunks of rows i whose two slabs fit the chunk budget
+    sym_max, sym_at = chunked_max(
+        lambda rows: np.abs(g[rows] - g.swapaxes(0, 1)[rows][:, :, alg.adj_table].conj()),
+        d, 2 * d * d)
+    sym = judge("cdc-symmetric", sym_max, scale, tol)
     if not sym.passed:
-        lo = step * int(sym_max.argmax())
-        i, j = divmod(lo * d + int(sym_gap(lo).argmax()) // d, d)
-        witness = {"kind": "symmetry", "pair": [i, j], "residual": sym.residual}
+        witness = {"kind": "symmetry", "pair": list(sym_at()[:2]), "residual": sym.residual}
 
     unit = judge("cdc-unit-annihilation", gamma.unit_residual(), scale, tol)
 
-    star_gap = _star_gaps(alg, g)
-    star = judge("cdc-star-representation", star_gap.max(), scale, tol)
+    star_max, star_at = chunked_max(lambda rows: _star_gaps(alg, g, rows),
+                                    d, 2 * max(alg.blocks) * d * d)
+    star = judge("cdc-star-representation", star_max, scale, tol)
     if not star.passed and witness is None:
-        i, j, k = np.unravel_index(star_gap.argmax(), (d, d, d))
-        witness = {
-            "kind": "star-representation",
-            "triple": [int(i), int(j), int(k)],
-            "residual": star.residual,
-        }
-    del star_gap  # the complete-positivity stage below sets the peak
+        witness = {"kind": "star-representation", "triple": list(star_at()),
+                   "residual": star.residual}
 
     # the skew part of the basis gram is the symmetry gap, so only a
     # symmetric form is tested for positivity; an asymmetric one fails it
@@ -385,13 +378,10 @@ def _unit_run(units: np.ndarray):
     return slice(lo, hi) if hi - lo == units.size else units
 
 
-_STAR_CHUNK = 2 ** 16  # entries that the two slabs of one chunk of _star_gaps hold
-
-
-def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
-    """``out[p, q, r]``: the largest coefficient magnitude of the gap
-    Gamma(e_p e_q, e_r) - Gamma(e_q, e_p* e_r) - e_q* Gamma(e_p, e_r)
-    + Gamma(e_q, e_p*) e_r.
+def _star_gaps(alg: Algebra, g: np.ndarray, rows: slice) -> np.ndarray:
+    """``out[p - rows.start, q, r]`` for the p of ``rows``: the largest
+    coefficient magnitude of the gap Gamma(e_p e_q, e_r) - Gamma(e_q, e_p* e_r)
+    - e_q* Gamma(e_p, e_r) + Gamma(e_q, e_p*) e_r.
 
     Write R, S for the row and the column of a unit in the embedding.  The
     third term lies on the units of row S q, the fourth on those of column
@@ -407,53 +397,48 @@ def _star_gaps(alg: Algebra, g: np.ndarray) -> np.ndarray:
     (adj i, :, j) of the triples e_i e_j = e_k of ``mul_nonzero``.  These are
     evaluated whole, in the order of the formula, and written last: the
     second term's slabs without the first term, then the first term's,
-    which overwrite the rows that both reach.  The work goes by chunks of p
-    whose two slabs hold at most ``_STAR_CHUNK`` entries together, or by one
-    p when they are larger."""
+    which overwrite the rows that both reach."""
     d = alg.dim
     adj = alg.adj_table
     i, j, k = alg.mul_nonzero
     starts = alg._triple_starts
     (qr, rx, qy), (zero3, zero4), (adj_i, r2, k2), pair_starts, by_pair = _star_tables(alg)
-    rows = alg.unit_positions[0]
-    step = max(1, _STAR_CHUNK // (2 * max(alg.blocks) * d * d))
-    out = np.empty((d, d, d))
-    for lo in range(0, d, step):
-        hi = min(lo + step, d)
-        c = hi - lo
-        # every row as if only the third and fourth terms reached it, [p, q, r]
-        g3 = g[lo:hi].reshape(c, d * d)  # [p, (r, l)]: G[p, r, l]
-        g4 = g.swapaxes(0, 1)[adj[lo:hi]].reshape(c, d * d)  # [p, (q, l)]: G[q, adj p, l]
-        ab3, ab4 = np.abs(g3), np.abs(g4)
-        ab3[:, zero3] = 0  # the units that land where the terms meet
-        ab4[:, zero4] = 0
-        chunk = out[lo:hi]
-        np.maximum(_line_maxima(alg, ab3.reshape(c, d, d), -1).take(rows, axis=2)
-                   .transpose(0, 2, 1),  # [p, r, q] read as [p, q, r]
-                   _line_maxima(alg, ab4.reshape(c, d, d), -2).take(rows, axis=2), out=chunk)
-        flat = chunk.reshape(c, d * d)
-        flat[:, qr] = np.maximum(flat.take(qr, axis=1),
-                                 np.abs(g4.take(qy, axis=1) - g3.take(rx, axis=1)))
+    units = alg.unit_positions[0]
+    lo, hi = rows.start, rows.stop
+    c = hi - lo
+    out = np.empty((c, d, d))
+    # every row as if only the third and fourth terms reached it, [p, q, r]
+    g3 = g[rows].reshape(c, d * d)  # [p, (r, l)]: G[p, r, l]
+    g4 = g.swapaxes(0, 1)[adj[rows]].reshape(c, d * d)  # [p, (q, l)]: G[q, adj p, l]
+    ab3, ab4 = np.abs(g3), np.abs(g4)
+    ab3[:, zero3] = 0  # the units that land where the terms meet
+    ab4[:, zero4] = 0
+    np.maximum(_line_maxima(alg, ab3.reshape(c, d, d), -1).take(units, axis=2)
+               .transpose(0, 2, 1),  # [p, r, q] read as [p, q, r]
+               _line_maxima(alg, ab4.reshape(c, d, d), -2).take(units, axis=2), out=out)
+    flat = out.reshape(c, d * d)
+    flat[:, qr] = np.maximum(flat.take(qr, axis=1),
+                             np.abs(g4.take(qy, axis=1) - g3.take(rx, axis=1)))
 
-        slabs = slice(starts[lo], starts[hi])
-        s, ps, qs, aps, ju, ku, jv, kv, jw, kw = by_pair[:, pair_starts[lo]:pair_starts[hi]]
-        s = s - starts[lo]
-        p, q, r = i[slabs], j[slabs], r2[slabs]
-        # the second term's rows (p, :, r) for e_p* e_r = e_k2, [q, slab, m],
-        # negated, which leaves every magnitude as it is: the second term,
-        # then the third over all q and the fourth over column S r
-        gap = g[:, k2[slabs]]
-        gap[adj_i, :, k] += g[p, r][:, j].T
-        gap[:, s, kw] -= g[:, aps, jw]
-        out[p, :, r] = np.abs(gap).max(axis=2).T
-        # the first term's rows (p, q, :) for e_p e_q = e_k1, [slab, r, m]:
-        # the first term, the second at e_p* e_r != 0, the third over row
-        # S q and the fourth over all r
-        gap = g[k[slabs]]
-        gap[s, ju] -= g[qs, ku]
-        gap[s, :, kv] -= g[ps, :, jv]
-        gap[:, j, k] += g[q, adj_i[slabs]][:, i]
-        out[p, q] = np.abs(gap).max(axis=2)
+    slabs = slice(starts[lo], starts[hi])
+    s, ps, qs, aps, ju, ku, jv, kv, jw, kw = by_pair[:, pair_starts[lo]:pair_starts[hi]]
+    s = s - starts[lo]
+    p, q, r = i[slabs], j[slabs], r2[slabs]
+    # the second term's rows (p, :, r) for e_p* e_r = e_k2, [q, slab, m],
+    # negated, which leaves every magnitude as it is: the second term,
+    # then the third over all q and the fourth over column S r
+    gap = g[:, k2[slabs]]
+    gap[adj_i, :, k] += g[p, r][:, j].T
+    gap[:, s, kw] -= g[:, aps, jw]
+    out[p - lo, :, r] = np.abs(gap).max(axis=2).T
+    # the first term's rows (p, q, :) for e_p e_q = e_k1, [slab, r, m]:
+    # the first term, the second at e_p* e_r != 0, the third over row
+    # S q and the fourth over all r
+    gap = g[k[slabs]]
+    gap[s, ju] -= g[qs, ku]
+    gap[s, :, kv] -= g[ps, :, jv]
+    gap[:, j, k] += g[q, adj_i[slabs]][:, i]
+    out[p - lo, q] = np.abs(gap).max(axis=2)
     return out
 
 

@@ -11,7 +11,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import (
-    _ROW_CHUNK,
     DEFAULT_EQ_TOL,
     DEFAULT_POS_TOL,
     DEFAULT_RANK_TOL,
@@ -23,14 +22,16 @@ from .algebra import (
     amplify_matrix,
     block_norms,
     block_products,
+    chunked_max,
     frozen_array,
     hermitian_eigenvalues,
     piecewise_linear_lipschitz,
     piecewise_linear_values,
     random_positive_rows,
     random_self_adjoint_rows,
+    row_chunks,
 )
-from .cdc import _STAR_CHUNK, CdCForm, gamma_from_generator, is_cdc
+from .cdc import CdCForm, gamma_from_generator, is_cdc
 from .errors import InputError, PropertyViolationError
 from .reporting import judge, over_bound
 
@@ -214,16 +215,15 @@ def energy_seminorm(e: EnergyForm, a: Element, order: int = 1) -> float:
 
 
 def _quadratic_forms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The real part of x* G x for every row x of coordinates, ``_ROW_CHUNK`` entries
-    at a time; a chunk never splits a (rows, d) matrix, so each stays one GEMM."""
+    """The real part of x* G x for every row x of coordinates, by ``row_chunks``;
+    a chunk never splits a (rows, d) matrix, so each stays one GEMM."""
     stack = coords.reshape((-1,) + coords.shape[-2:]) if coords.ndim > 2 else coords[None]
     gram = gram.astype(np.result_type(gram, stack), copy=False)  # cast once, not per chunk
     out = np.empty(stack.shape[:-1])
-    step = max(1, _ROW_CHUNK // max(1, stack[:1].size))
-    for start in range(0, len(stack), step):
-        t = stack[start:start + step].conj() @ gram
-        t *= stack[start:start + step]
-        out[start:start + step] = t.sum(axis=-1).real
+    for rows in row_chunks(len(stack), stack[:1].size):
+        t = stack[rows].conj() @ gram
+        t *= stack[rows]
+        out[rows] = t.sum(axis=-1).real
     return out.reshape(coords.shape[:-1])
 
 
@@ -430,19 +430,22 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
     real_res = float(real_gap.max())
 
     # tau(Gamma(e_i e_j, e_k)) = tau(Gamma(e_k*, e_j*) e_i*) + tau(e_j* Gamma(e_i, e_k))
-    # tau(G[p, q] e_m*) = tau(e_m* G[p, q]) = w_m G[p, q, m].  The gap goes into
-    # gaps[k, j, i] by chunks of k as in is_cdc; G (-w) is -(G w) up to signed zeros
+    # tau(G[p, q] e_m*) = tau(e_m* G[p, q]) = w_m G[p, q, m].  The gap [i, j, k]
+    # goes by chunks of i as in is_cdc; G (-w) is -(G w) up to signed zeros
     g, w, d = gamma.gram, alg.basis_weights, alg.dim
     i, j, k = alg.mul_nonzero  # the left side is zero off the products e_i e_j = e_k
-    gaps = np.empty((d, d, d))
-    step = max(1, _STAR_CHUNK // (2 * d * d))
-    for ks in (slice(lo, lo + step) for lo in range(0, d, step)):
-        gap = g[np.ix_(adj[ks], adj)]
-        gap *= -w  # -tau(G[k*, j*] e_i*)
-        gap[:, j, i] += tg[k, ks].T
-        gap -= np.multiply(g[:, ks].transpose(1, 2, 0), w[:, None], order="C")  # tau(e_j* G[i, k])
-        np.abs(gap, out=gaps[ks])
-    bal_res = float(gaps.max())
+    starts = alg._triple_starts
+
+    def balanced_gap(rows):  # held [i, k, j], read [i, j, k]
+        gap = np.multiply(g[:, :, rows].transpose(2, 0, 1)[:, adj[:, None], adj],
+                          -w[rows, None, None], order="C")  # -tau(G[k*, j*] e_i*)
+        at = slice(starts[rows.start], starts[rows.stop])
+        gap[i[at] - rows.start, :, j[at]] += tg[k[at]]
+        gap -= g[rows] * w  # tau(e_j* G[i, k])
+        return np.abs(gap).swapaxes(1, 2)
+    # a row holds two slabs of the gram's dtype, counted in float64 entries so
+    # that a complex gram's chunks stay inside the heap that is_cdc leaves
+    bal_res, bal_at = chunked_max(balanced_gap, d, 2 * g[0].nbytes // 8)
 
     out = {
         "tau_real": real_res <= tol * scale,
@@ -451,11 +454,9 @@ def reality_checks(gamma: CdCForm, tol=DEFAULT_EQ_TOL) -> dict:
         "balanced_residual": bal_res,
     }
     if not out["tau_real"]:
-        i, j = np.unravel_index(real_gap.argmax(), real_gap.shape)
-        out["real_witness"] = [int(i), int(j)]
+        out["real_witness"] = [int(x) for x in np.unravel_index(real_gap.argmax(), (d, d))]
     if not out["tau_balanced"]:
-        i, j = np.unravel_index(gaps.max(axis=0).T.argmax(), (d, d))  # the first in C order
-        out["balanced_witness"] = [int(i), int(j), int(gaps[:, j, i].argmax())]
+        out["balanced_witness"] = list(bal_at())
     return out
 
 
@@ -557,7 +558,9 @@ def resolvent_check(
         root = np.sqrt(alg.basis_weights)
         rows = np.concatenate([root * random_positive_rows(alg, rng, count),
                                alg.identity_coords[None]])
-        images = rows @ amplify_matrix(resolvents, lap.algebra, order).swapaxes(-1, -2) / root
+        images = np.empty((len(ts), len(rows), alg.dim), dtype=complex)
+        for image, resolvent in zip(images, resolvents):  # one time t at a time
+            image[:] = rows @ amplify_matrix(resolvent, lap.algebra, order).T / root
         unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
         ra = images[:, :count]
         herm = (ra + ra[..., alg.adj_table].conj()) / 2

@@ -33,9 +33,6 @@ class State:
     def algebra(self) -> Algebra:
         return self.density.algebra
 
-    def expect(self, a: Element) -> complex:
-        return (self.density * a).trace()
-
 
 def point_state(algebra: Algebra, x: int) -> State:
     """The evaluation at a point of a commutative algebra (the delta density

@@ -49,13 +49,18 @@ def test_build_algebra_takes_numpy_scalars():
     assert all(type(w) is float for w in alg.trace_weights)
 
 
+def _basis_triple(alg, index):
+    """(block, row, column) of the canonical unit ``index``, the inverse of ``basis_index``."""
+    block = int(np.searchsorted(alg._basis_offsets, index, side="right") - 1)
+    row, col = divmod(index - int(alg._basis_offsets[block]), alg.blocks[block])
+    return block, row, col
+
+
 def test_matrix_unit_enumeration_block_major_row_major():
     alg = nca.build_algebra([2, 1], [1.0, 2.0])
-    assert alg.basis_triple(0) == (0, 0, 0)
-    assert alg.basis_triple(1) == (0, 0, 1)
-    assert alg.basis_triple(2) == (0, 1, 0)
-    assert alg.basis_triple(3) == (0, 1, 1)
-    assert alg.basis_triple(4) == (1, 0, 0)
+    assert [_basis_triple(alg, i) for i in range(alg.dim)] == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+    assert [alg.basis_index(*_basis_triple(alg, i)) for i in range(alg.dim)] == list(range(5))
 
 
 def test_orthonormal_basis_gram_is_identity():
@@ -280,11 +285,6 @@ def test_element_predicates():
     assert h.is_self_adjoint()
     assert not m2.basis_element(1).is_self_adjoint()
     assert sorted(np.round(m2.element([np.diag([3.0, -1.0])]).eigenvalues().real, 9)) == [-1.0, 3.0]
-    assert h.allclose(h + 1e-13 * m2.identity())
-    assert not h.allclose(h + m2.identity())
-    # left multiplication by a self-adjoint element is Hermitian on L2
-    assert nca.left_multiplication(m2, h).is_hermitian()
-    assert not nca.left_multiplication(m2, m2.basis_element(1)).is_hermitian()
 
 
 def test_element_encoding_roundtrip():
@@ -332,7 +332,7 @@ def test_amplification_index_serves_seminorm_and_superop(blocks, weights, order)
                            + 1j * rng.standard_normal((alg.dim, alg.dim)))
     cells, inners = [], []
     for idx in range(amp.dim):
-        b, row, col = amp.basis_triple(idx)
+        b, row, col = _basis_triple(amp, idx)
         nb = alg.blocks[b]
         j, r = divmod(row, nb)
         k, s = divmod(col, nb)

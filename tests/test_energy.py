@@ -755,3 +755,14 @@ def test_markov_check_peaks_below_is_cdc():
     gamma = spec.build_gamma()
     markov = _traced_peak(lambda: nca.markov_check(lap, seed=spec.seed))
     assert markov < _traced_peak(lambda: nca.is_cdc(gamma))
+
+
+def test_resolvent_check_holds_one_amplified_resolvent():
+    # the heat suite's resolvent check on the seed-1 M5 spec of the
+    # benchmark's lindblad_case: amplifying and applying the resolvents of
+    # all four times as one stack peaked at 1.33 MiB, one time at a time
+    # at 0.45 MiB
+    spec = bench_lindblad_spec(5, seed=1)
+    lap = nca.laplacian(nca.energy_form(spec.build_gamma()))
+    peak = _traced_peak(lambda: nca.resolvent_check(lap, spec.times, seed=spec.seed))
+    assert peak <= 0.6 * 2 ** 20

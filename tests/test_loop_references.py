@@ -13,7 +13,8 @@ seminorm identity of the ``stddev`` suite, and the broadcasts of
 mixed-state search and the listed node triples.  ``SpectralStack.apply``
 with all rows at once and with one product per function, batched
 ``eigvalsh`` on 1x1 blocks in ``hermitian_eigenvalues``, the one-shot
-quadratic forms, the amplified stack of Markov probe resolvents, and the
+quadratic forms, the amplified stacks of Markov probe resolvents and of
+``resolvent_check``'s resolvents, and the
 top singular values through ``np.linalg.norm(., 2)`` in ``block_norms``
 and ``dirac_seminorms`` are kept as references too."""
 import dataclasses
@@ -38,6 +39,7 @@ from nca.algebra import (
     hermitian_eigenvalues,
     piecewise_linear_lipschitz,
     piecewise_linear_values,
+    random_positive_rows,
     random_rows,
     random_self_adjoint_rows,
 )
@@ -47,6 +49,7 @@ from nca.dirac import _commutator_groups
 from nca.fileio import parse_spec
 from nca.energy import _extreme_positives, _markov_probes, _quadratic_forms, _seminorms
 from nca.errors import DisconnectedError, InputError
+from nca.reporting import judge
 from nca.resistance import _mixture_grid, _mixture_search, _node_triples, _unrank_triple
 from test_energy import _rank_one_laplacian, seeded_three_knot
 
@@ -704,6 +707,31 @@ def _laplacian_forms():
     return forms + [("negative-k3", negative), ("lindblad-3-2-1", lindblad)]
 
 
+def _resolvent_stacked(lap, ts, orders=(1, 2), seed=0, count=5, tol=1e-9):
+    """``resolvent_check`` with the resolvents of every time amplified and
+    applied as one stack."""
+    results = []
+    for order in orders:
+        alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
+        rng = np.random.default_rng(seed + 101 * order)
+        root = np.sqrt(alg.basis_weights)
+        rows = np.concatenate([root * random_positive_rows(alg, rng, count),
+                               alg.identity_coords[None]])
+        resolvents = amplify_matrix(lap.resolvents(ts), lap.algebra, order)
+        images = rows @ resolvents.swapaxes(-1, -2) / root
+        unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
+        ra = images[:, :count]
+        herm = (ra + ra[..., alg.adj_table].conj()) / 2
+        low = hermitian_eigenvalues(alg, herm).min(axis=-1)
+        neg = np.maximum(np.maximum(0.0, -low), block_norms(alg, ra - herm))
+        size = block_norms(alg, rows[:count] / root)
+        growth = block_norms(alg, ra) - size
+        entries = np.concatenate([unit[:, None], np.maximum(neg, growth)], axis=1)
+        scales = np.concatenate([[1.0], 1.0 + size])
+        results.append((entries, scales))
+    return results
+
+
 @pytest.mark.parametrize("form", range(len(_laplacian_forms()) + 1))
 def test_resolvent_check_matches_solve(form):
     forms = _laplacian_forms()
@@ -715,6 +743,10 @@ def test_resolvent_check_matches_solve(form):
         for res, (name, passed, residual, witness) in zip(got, want, strict=True):
             assert (res.check, res.passed, res.witness) == (name, passed, witness)
             assert abs(res.residual - residual) <= 1e-12 * max(1.0, residual)
+        # one resolvent amplified and applied at a time, bit for bit the stack
+        for res, (entries, scales) in zip(got, _resolvent_stacked(lap, ts, seed=seed)):
+            ref = judge(res.check, entries, scales, 1e-9)
+            assert (res.passed, res.residual, res.bound) == (ref.passed, ref.residual, ref.bound)
     if form == len(forms):
         assert not got[0].passed
 

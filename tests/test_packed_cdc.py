@@ -2,7 +2,7 @@
 the axiom checks on random forms, the complete-positivity witness, the
 builders (the product-defined ones also against their per-factor einsum
 route), ``reality_checks`` against its whole-array formulas, and the memory
-held by ``_star_gaps``, ``is_cdc`` and ``reality_checks``.  ``_star_gaps``, which
+held by ``is_cdc`` and ``reality_checks``.  ``_star_gaps``, which
 splits the star gap into the rows of its first two terms and the rows that
 only its last two reach, and the scatters of ``gamma_from_generator`` are
 checked bit for bit against padded gathers over every entry."""
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nca
+from nca.algebra import row_chunks
 from nca.cdc import _star_gaps
 from nca.errors import InputError
 
@@ -98,13 +99,21 @@ def _assert_negative_direction(witness, big, bound):
     assert abs(rayleigh - witness["eigenvalue"]) <= bound
 
 
+def _gap_chunk(budget):
+    """The gap chunk budget set to ``budget``, or left as it is for None."""
+    return mock.patch.object(nca.algebra, "_GAP_CHUNK", budget) if budget else nullcontext()
+
+
+# a gap chunk budget of 1 forms every gap of is_cdc one row i at a time
 @pytest.mark.parametrize("blocks, weights", ALGEBRAS)
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1),
-       kind=st.sampled_from(["raw", "symmetrized", "generator"]))
-def test_packed_is_cdc_matches_dense_reference(blocks, weights, seed, kind):
+       kind=st.sampled_from(["raw", "symmetrized", "generator"]),
+       budget=st.sampled_from([None, 1]))
+def test_packed_is_cdc_matches_dense_reference(blocks, weights, seed, kind, budget):
     alg = nca.build_algebra(blocks, weights)
-    _assert_matches_reference(_random_form(alg, kind, np.random.default_rng(seed)))
+    with _gap_chunk(budget):
+        _assert_matches_reference(_random_form(alg, kind, np.random.default_rng(seed)))
 
 
 def test_reference_agreement_on_valid_and_witnessed_forms(catalog):
@@ -148,6 +157,13 @@ def _mul_sources(alg):
     left[i, k] = j
     right[j, k] = i
     return left, right
+
+
+def _chunked_star_gaps(alg, g):
+    """``_star_gaps`` over every p, one chunk of rows of ``is_cdc`` at a time."""
+    d = alg.dim
+    chunks = row_chunks(d, 2 * max(alg.blocks) * d * d, nca.algebra._GAP_CHUNK)
+    return np.concatenate([_star_gaps(alg, g, rows) for rows in chunks])
 
 
 def _gather_star_gaps(alg, g):
@@ -194,7 +210,7 @@ def _gather_generator_gram(n, scale):
 ])
 def test_scatters_match_gathers(monkeypatch, blocks, weights, budget):
     if budget is not None:
-        monkeypatch.setattr(nca.cdc, "_STAR_CHUNK", budget)
+        monkeypatch.setattr(nca.algebra, "_GAP_CHUNK", budget)
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(alg.dim)
     n = _random_generator(alg, rng)
@@ -203,7 +219,7 @@ def test_scatters_match_gathers(monkeypatch, blocks, weights, budget):
                               _gather_generator_gram(n, scale))
     for kind in ("raw", "symmetrized", "generator"):
         g = _random_form(alg, kind, rng).gram
-        assert np.array_equal(_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
+        assert np.array_equal(_chunked_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -214,17 +230,16 @@ def test_scatters_match_gathers(monkeypatch, blocks, weights, budget):
 def test_star_gaps_match_gathers(blocks, seed, budget):
     rng = np.random.default_rng(seed)
     alg = nca.build_algebra(blocks, list(rng.uniform(0.5, 2.0, len(blocks))))
-    chunk = mock.patch.object(nca.cdc, "_STAR_CHUNK", budget) if budget else nullcontext()
-    with chunk:
+    with _gap_chunk(budget):
         for kind in ("raw", "symmetrized", "generator"):
             g = _random_form(alg, kind, rng).gram
-            assert np.array_equal(_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
+            assert np.array_equal(_chunked_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
 
 
-# the default chunk budget holds every k at once on these algebras; 600
-# entries leave two chunks of k on [1] * 7 and [2, 2], 3000 leave two to
-# thirteen on the other three, the last one ragged on [4] and [5], and a
-# budget of 1 holds one k per chunk
+# the default chunk budget holds every i at once on these algebras; 600 and
+# 3000 entries leave 2 to 25 chunks of i, some of them ragged (a complex
+# gram's chunks are half as tall as a real one's), and a budget of 1 holds
+# one i per chunk
 @pytest.mark.parametrize("budget", [None, 600, 3000, 1])
 @pytest.mark.parametrize("blocks, weights", ALGEBRAS)
 def test_reality_checks_match_whole_arrays(monkeypatch, blocks, weights, budget):
@@ -232,7 +247,7 @@ def test_reality_checks_match_whole_arrays(monkeypatch, blocks, weights, budget)
     # float64 path to them; a symmetrized gram fails both, and the
     # commutator form of v and v* passes both
     if budget is not None:
-        monkeypatch.setattr(nca.energy, "_STAR_CHUNK", budget)
+        monkeypatch.setattr(nca.algebra, "_GAP_CHUNK", budget)
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(alg.dim)
     raw = [_random_form(alg, "raw", rng) for _ in range(2)]
@@ -355,18 +370,19 @@ def _commutator_form(size, seed):
 
 
 def test_is_cdc_memory_stays_bounded():
-    # each bound is the peak of the whole (p, q, r, m) gap held in chunks of
-    # _STAR_CHUNK entries, which the row classes must stay under
+    # each bound is the peak of the star gap alone when its whole (p, q, r, m)
+    # gap was formed in chunks, which a first is_cdc, its caches unfilled,
+    # must stay under
     for gamma, bound_mib in [(_network_form(24, 24), 1.79), (_network_form(48, 48), 4.22),
                              (_commutator_form(6, 6), 1.78)]:
         tracemalloc.start()
         try:
-            _star_gaps(gamma.algebra, gamma.gram)
+            report = nca.is_cdc(gamma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2 ** 20, gamma.algebra.blocks
-        assert nca.is_cdc(gamma).is_cdc
+        assert report.is_cdc
 
 
 def _traced_peak(call) -> int:
@@ -381,14 +397,15 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-# past the gram, is_cdc holds one chunk, then the float (d, d, d) star gap
-# with the chunks of _star_gaps, then one CP stack; reality_checks holds one
-# float (d, d, d) gap and one chunk.  With whole-gram gaps the two peaked at
-# 3.43 and 4.24 MiB on N48, 2.97 and 3.22 on M6, and 7.30 and 8.10 on M7,
-# whose complex gram is 1.80 MiB
+# past the gram, each gap of is_cdc and reality_checks holds one chunk at a
+# time, and is_cdc then one CP stack, which sets its peak on M7.  With whole
+# float (d, d, d) star and tau-balanced gaps the two peaked at 2.57 and 1.46
+# MiB on N48, 1.55 and 1.59 on M6, and 1.91 and 2.09 on M7, whose complex
+# gram is 1.80 MiB; with whole-gram gaps at 3.43 and 4.24, 2.97 and 3.22,
+# and 7.30 and 8.10
 @pytest.mark.parametrize("build, size, cdc_mib, reality_mib", [
-    (_network_form, 48, 2.65, 1.55), (_commutator_form, 6, 1.65, 1.70),
-    (_commutator_form, 7, 2.00, 2.20)])
+    (_network_form, 48, 1.9, 0.9), (_commutator_form, 6, 1.4, 1.4),
+    (_commutator_form, 7, 2.00, 1.4)])
 def test_form_checks_hold_one_gram_sized_temporary(build, size, cdc_mib, reality_mib):
     gamma = build(size, size)
     assert _traced_peak(lambda: nca.is_cdc(gamma)) <= cdc_mib * 2 ** 20

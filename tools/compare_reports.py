@@ -23,13 +23,17 @@ triangle of that file as an ``allow_negative`` network, whose reports take the F
 library's ``is_cdc`` (flags, residuals, witness) and ``reality_checks`` on
 the seed-1 large-forms forms (networks, an order-2 amplification, a
 commutator form) and on a raw and a symmetrized random gram on each of
-[3, 2, 1], [1] * 12 and [2, 2, 2]: no spec can fail the star-representation
-identity, and these reach its failing residual and its witness, on one
-large block and on many small ones.  The real parts of the last two pairs
-take the float64 path to its symmetry and star-representation witnesses
-and its CP eigenvalues.  That makes 311 reports.  The script prints the
-structural differences (exit code, stderr, stdout shape, keys, list
-lengths, strings and booleans) and, for each float field that moved, its
+[3, 2, 1], [1] * 12, [2, 2, 2], [6] and [1] * 48: no spec can fail the
+star-representation identity, and these reach its failing residual and its
+witness, on one large block and on many small ones.  The grams on [6] and
+[1] * 48 span several chunks of each gap (9 star-representation, 2
+symmetry and 3 tau-balanced chunks on [6]; 4, 4 and 7 on [1] * 48), and
+some of their symmetry, star-representation and tau-balanced witnesses each
+lie past the first chunk.  The real parts of the [1] * 12 and [2, 2, 2]
+pairs take the float64 path to its symmetry and star-representation
+witnesses and its CP eigenvalues.  That makes 315 reports.  The script
+prints the structural differences (exit code, stderr, stdout shape, keys,
+list lengths, strings and booleans) and, for each float field that moved, its
 largest change relative to max(1, |x|).  It exits 1 when any structural
 difference is found, 0 otherwise.
 """
@@ -103,16 +107,20 @@ def forms():
             n = case["c"].shape[0]
             gamma = network_cdc(Algebra((1,) * n, (1.0,) * n), case["c"])
             yield case["name"], amplify_cdc(gamma, case.get("order", 1))
-    for label, blocks, weights in (("3-2-1", (3, 2, 1), (1.0, 0.5, 2.0)),
-                                   ("1x12", (1,) * 12, tuple(np.linspace(0.5, 2.0, 12))),
-                                   ("2-2-2", (2, 2, 2), (1.0, 0.5, 2.0))):
+    # the grams on [6] and [1] * 48 span several chunks of each gap
+    for label, blocks, weights, seed in (
+            ("3-2-1", (3, 2, 1), (1.0, 0.5, 2.0), 1),
+            ("1x12", (1,) * 12, tuple(np.linspace(0.5, 2.0, 12)), 1),
+            ("2-2-2", (2, 2, 2), (1.0, 0.5, 2.0), 1),
+            ("6", (6,), (1.0,), 36),
+            ("1x48", (1,) * 48, tuple(np.linspace(0.5, 2.0, 48)), 48)):
         alg = Algebra(blocks, weights)
         d = alg.dim
-        g = np.random.default_rng(1).standard_normal((d, d, d, 2)) @ [1, 1j]
+        g = np.random.default_rng(seed).standard_normal((d, d, d, 2)) @ [1, 1j]
         yield f"raw-{label}", CdCForm(alg, g)
         sym = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
         yield f"symmetrized-{label}", CdCForm(alg, sym)
-        if label != "3-2-1":  # their real parts take the float64 path
+        if label in ("1x12", "2-2-2"):  # their real parts take the float64 path
             yield f"real-raw-{label}", CdCForm(alg, g.real)
             yield f"real-symmetrized-{label}", CdCForm(alg, sym.real)
 

@@ -13,7 +13,6 @@ from .algebra import (
     SuperOperator,
     amplify_superop,
     build_algebra,
-    conditional_expectation,
     decode_element,
     encode_element,
     from_cells,

@@ -18,8 +18,8 @@ the orthonormal basis and are assembled from the structure constants
 (``mul_table`` / ``mul_nonzero``, ``adj_table`` and the trace weights) by
 index formulas.  The involution is conjugate-linear, so it is never a matrix
 itself; in coordinates it is the ``adj_table`` permutation followed by
-complex conjugation.  :meth:`SuperOperator.from_function`, which applies a
-rule to each basis element, is kept as an independent reference.
+complex conjugation.  The tests keep the elementwise rule, which applies a
+map to each basis element, as an independent reference.
 """
 from __future__ import annotations
 
@@ -37,6 +37,12 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EQ_TOL = 1e-9
 _ROW_CHUNK = 2 ** 12  # entries of one chunk of rows: SpectralStack.apply, _quadratic_forms
 _GAP_CHUNK = 2 ** 16  # entries of one chunk of a gap: magnitude, is_cdc, reality_checks
+
+
+def is_integer(x) -> bool:
+    """Whether ``x`` is an integer and not a bool: no index, block size, node
+    or seed is coerced from 0.9, 1.0 or True."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def row_chunks(count: int, row_entries: int, budget=None) -> list:
@@ -82,7 +88,7 @@ class Algebra:
         # nothing is coerced: 1.5, true and "1" are no block size, "2" no weight
         problems.extend(
             f"block {i} must be an integer >= 1, got {n!r}" for i, n in enumerate(blocks)
-            if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1)
+            if not (is_integer(n) and n >= 1)
         )
         problems.extend(
             f"trace weight {i} must be a finite number > 0, got {w!r}"
@@ -132,10 +138,6 @@ class Algebra:
     def coord_weights(self):
         """Trace weight of the block owning each embedded-matrix row."""
         return np.repeat(np.asarray(self.trace_weights), self.blocks)
-
-    def basis_index(self, block, row, col):
-        n = self.blocks[block]
-        return int(self._basis_offsets[block] + row * n + col)
 
     @cached_property
     def unit_positions(self):
@@ -259,18 +261,11 @@ class Algebra:
         coords[index] = 1.0
         return _element(self, coords)
 
-    def from_full(self, matrix, tol=1e-12) -> "Element":
-        """Extract an element from its block-diagonal embedding; rejects
-        matrices with mass outside the blocks."""
-        a = self.pinch(matrix)
-        off_block = np.abs(np.asarray(matrix)[self._unit_at < 0])
-        if off_block.max(initial=0.0) > tol * (1.0 + np.abs(matrix).max(initial=0.0)):
-            raise InputError("matrix is not block-diagonal for this algebra")
-        return a
-
     def pinch(self, matrix) -> "Element":
         """Orthogonal projection of a full matrix onto the embedded algebra
-        (keep the diagonal blocks, drop everything else)."""
+        (keep the diagonal blocks, drop everything else): the trace-compatible
+        conditional expectation from M_n, the orthogonal projection for the
+        (normalized) trace inner product."""
         matrix = np.asarray(matrix, dtype=complex)
         n = self.total_size
         if matrix.shape != (n, n):
@@ -464,15 +459,6 @@ def central_scalars(a: Element, tol: float):
     return lams, gap > tol * (1.0 + np.abs(lams))
 
 
-def apply_spectral(a: Element, fn: Callable, tol=DEFAULT_POS_TOL):
-    """Apply a scalar function to a self-adjoint element through its
-    eigendecomposition.  Returns (result, eigenvalues)."""
-    spectra = SpectralStack(a.algebra, a.coords[None], tol)
-    coords = spectra.apply(lambda w: np.broadcast_to(fn(w), w.shape)[:, None])[0, 0]
-    eigs = np.concatenate([w.reshape(-1) for _, w, _ in spectra.groups])
-    return _element(a.algebra, coords), eigs
-
-
 @dataclass(frozen=True)
 class PiecewiseLinear:
     """A real piecewise-linear function given by knots; linear extrapolation
@@ -490,10 +476,6 @@ class PiecewiseLinear:
             raise InputError("knots must be strictly increasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-
-    @cached_property
-    def slopes(self):
-        return _knot_slopes(np.asarray(self.xs), np.asarray(self.ys))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -629,7 +611,7 @@ class SpectralStack:
     ``coords`` holds one element per row in canonical coordinates.  Blocks
     of equal size are stacked, so each block size costs one batched
     ``eigh`` (1x1 blocks need none: their eigenvectors are ``None``).  Every
-    row must be self-adjoint within ``tol * (1 + |a|)``, as for :func:`apply_spectral`.
+    row must be self-adjoint within ``tol * (1 + |a|)``, as for :func:`functional_calculus`.
     """
 
     def __init__(self, algebra: Algebra, coords, tol=DEFAULT_POS_TOL):
@@ -676,16 +658,10 @@ def functional_calculus(a: Element, fn: PiecewiseLinear, tol=DEFAULT_POS_TOL):
     Returns ``(fn(a), lip)`` where ``lip`` is the Lipschitz constant of ``fn``
     restricted to the convex hull of the spectrum of ``a``.
     """
-    result, eigs = apply_spectral(a, fn, tol)
-    lip = fn.lipschitz_on(float(eigs.min()), float(eigs.max()))
-    return result, lip
-
-
-def conditional_expectation(matrix, algebra: Algebra) -> Element:
-    """Trace-compatible conditional expectation from M_n onto the embedded
-    algebra: the orthogonal projection for the (normalized) trace inner
-    product, i.e. keep the diagonal blocks."""
-    return algebra.pinch(matrix)
+    spectra = SpectralStack(a.algebra, a.coords[None], tol)
+    coords = spectra.apply(lambda w: fn(w)[:, None])[0, 0]
+    lip = fn.lipschitz_on(float(spectra.lo[0]), float(spectra.hi[0]))
+    return _element(a.algebra, coords), lip
 
 
 # -- superoperators ---------------------------------------------------------
@@ -713,13 +689,6 @@ class SuperOperator:
         d = self.algebra.dim
         object.__setattr__(self, "matrix", frozen_array(
             self.matrix, (d, d), f"superoperator matrix must be {d}x{d}"))
-
-    @classmethod
-    def from_function(cls, algebra: Algebra, fn: Callable) -> "SuperOperator":
-        """Build the matrix by applying an elementwise rule to the
-        orthonormal basis."""
-        cols = [algebra.to_coords(fn(algebra.from_coords(e))) for e in np.eye(algebra.dim)]
-        return cls(algebra, np.transpose(cols))
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "SuperOperator":

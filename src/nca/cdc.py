@@ -48,6 +48,7 @@ from .algebra import (
     block_norms,
     block_products,
     chunked_max,
+    decode_real_array,
     frozen_array,
     hermitian_eigenvalues,
     left_multiplication,
@@ -250,7 +251,7 @@ def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm
     if not algebra.is_commutative:
         raise InputError("network forms require a commutative algebra")
     size = algebra.dim
-    c = np.asarray(c, dtype=float)
+    c = decode_real_array(c, "conductance matrix")
     if c.shape != (size, size):
         raise InputError(f"conductance matrix must be {size}x{size}, got {c.shape}")
     if np.abs(np.diag(c)).max(initial=0.0) > 0:
@@ -567,17 +568,13 @@ def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:
     amp = base.amplify(order)
     cells, inners = amplification_index(base, order)
     row, col = np.divmod(cells, order)
-    # pos[k, x]: the amplified row of base row x in matrix cell column k
-    x_block = np.repeat(np.arange(len(base.blocks)), base.blocks)
-    x_sizes = np.asarray(base.blocks)[x_block]
-    x_inner = np.arange(base.total_size) - base._space_offsets[x_block]
-    pos = amp._space_offsets[x_block] + np.arange(order)[:, None] * x_sizes + x_inner
-    # units in the same cell row pair up; each copies its base value into
-    # cell (col_1, col_2): base unit u at (r, s) lands on the amplified unit
-    # at (pos[col_1, r], pos[col_2, s])
+    # unit[cell, u]: the amplified unit that holds base unit u in that cell.
+    # Units in the same cell row pair up; each copies its base value into
+    # cell (col_1, col_2), where base unit u lands on unit[col_1 * order + col_2, u]
+    unit = np.empty((order * order, base.dim), dtype=int)
+    unit[cells, inners] = np.arange(amp.dim)
     i_1, i_2 = np.nonzero(row[:, None] == row[None, :])
-    rows, cols = base.unit_positions
-    target = amp._unit_at[pos[col[i_1]][:, rows], pos[col[i_2]][:, cols]]
+    target = unit[col[i_1] * order + col[i_2]]
     gram = np.zeros((amp.dim,) * 3, dtype=gamma.gram.dtype)
     gram[i_1[:, None], i_2[:, None], target] = gamma.gram[inners[i_1], inners[i_2]]
     return CdCForm(amp, gram, scale=gamma.scale)

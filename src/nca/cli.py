@@ -51,18 +51,6 @@ from .resistance import (
 from .states import dual_metric, energy_metric
 from .stddev import extend, independent_copies_cdc, stddev_laplacian, stddev_seminorms
 
-COMMANDS = (
-    "check-cdc",
-    "laplacian",
-    "heat",
-    "metric",
-    "resistance",
-    "quotient",
-    "dirac",
-    "stddev",
-    "all",
-)
-
 DISCONNECTED = "disconnected"
 
 
@@ -320,6 +308,7 @@ _RUNNERS = {
     "dirac": _dirac_checks,
     "stddev": _stddev_checks,
 }
+COMMANDS = (*_RUNNERS, "all")
 
 
 def _applicable(spec: ProblemSpec):

@@ -69,9 +69,6 @@ class BimoduleSpace:
     def algebra(self):
         return self.gamma.algebra
 
-    def derivative_coords(self, a: Element) -> np.ndarray:
-        return self.dmatrix @ self.algebra.to_coords(a)
-
 
 def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RANK_TOL,
                    report: CdCReport | None = None) -> BimoduleSpace:

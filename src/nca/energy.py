@@ -35,24 +35,6 @@ from .cdc import CdCForm, gamma_from_generator, is_cdc
 from .errors import InputError, PropertyViolationError
 from .reporting import judge, over_bound
 
-__all__ = [
-    "EnergyForm",
-    "Laplacian",
-    "energy_form",
-    "laplacian",
-    "gamma_delta",
-    "energy_seminorm",
-    "markov_check",
-    "leibniz_check",
-    "reality_checks",
-    "heat_semigroup",
-    "heat_map",
-    "resolvent_check",
-    "cdc_from_dirichlet_form",
-    "connectedness",
-]
-
-
 @dataclass(frozen=True)
 class EnergyForm:
     """The scalar form E(a, b) = tau(Gamma(a, b)), stored as a
@@ -163,13 +145,10 @@ class Laplacian:
     def apply(self, a: Element) -> Element:
         return self.superop.apply(a)
 
-    def sharp(self) -> SuperOperator:
-        return self.superop.sharp()
-
     def natural(self) -> "Laplacian":
         """(L + L#)/2: preserves the involution, generates the heat
         semigroup, and has the same carre-du-champ."""
-        return Laplacian(0.5 * (self.superop + self.sharp()), self.rank_tol)
+        return Laplacian(0.5 * (self.superop + self.superop.sharp()), self.rank_tol)
 
 
 def laplacian(e: EnergyForm, rank_tol=DEFAULT_RANK_TOL) -> Laplacian:

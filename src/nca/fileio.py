@@ -49,6 +49,7 @@ from .algebra import (
     decode_complex_matrix,
     decode_element,
     decode_real_array,
+    is_integer,
 )
 from .cdc import (
     CdCForm,
@@ -132,10 +133,6 @@ class _Pass:
         return out
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -176,7 +173,7 @@ _number = _rule(_is_number, "must be a finite number", float)
 _nonnegative = _rule(lambda value: _is_number(value) and value >= 0,
                      "must be a finite nonnegative number", float)
 _pair = _rule(lambda value: isinstance(value, list) and len(value) == 2
-              and all(_is_int(i) and i >= 0 for i in value),
+              and all(is_integer(i) and i >= 0 for i in value),
               "must be a pair [i, j] of state indices", list)
 _element = _with_algebra(lambda value, alg: decode_element(alg, value))
 _density = _with_algebra(lambda value, alg: State(decode_element(alg, value)))
@@ -188,7 +185,7 @@ def _any(value, p):
 
 
 def _seed(value, p):
-    if not _is_int(value):
+    if not is_integer(value):
         raise InputError("must be an integer")
     if value < 0:
         raise InputError("must be a nonnegative integer")
@@ -203,7 +200,7 @@ def _algebra(value, p):
 
 
 def _nodes(value, p):
-    if not (_is_int(value) and value >= 1):
+    if not (is_integer(value) and value >= 1):
         raise InputError(f"must be a positive integer, got {value!r}")
     p.alg = Algebra((1,) * value, (1.0,) * value)
     return p.alg
@@ -224,7 +221,7 @@ def _conductances(value, alg):
 @_with_algebra
 def _block_indices(value, alg):
     k = len(alg.blocks)
-    if not (isinstance(value, list) and all(_is_int(b) and 0 <= b < k for b in value)):
+    if not (isinstance(value, list) and all(is_integer(b) and 0 <= b < k for b in value)):
         raise InputError(f"need a list of block indices in [0, {k}), got {value!r}")
     return value
 

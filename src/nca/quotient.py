@@ -15,6 +15,7 @@ from .algebra import (
     Element,
     SuperOperator,
     central_scalars,
+    is_integer,
     random_rows,
 )
 from .energy import (
@@ -33,8 +34,8 @@ from .reporting import CheckResult, judge, over_bound
 
 def central_projection(algebra: Algebra, keep_blocks) -> Element:
     """The central projection selecting a subset of the blocks."""
-    keep = set(int(b) for b in keep_blocks)
-    if not keep or any(b < 0 or b >= len(algebra.blocks) for b in keep):
+    keep = list(keep_blocks)
+    if not keep or not all(is_integer(b) and 0 <= b < len(algebra.blocks) for b in keep):
         raise InputError("keep_blocks must be a nonempty set of valid block indices")
     data = [
         np.eye(n) if b in keep else np.zeros((n, n))
@@ -94,20 +95,6 @@ class QuotientData:
             schur = self.r_block - self.j_block.conj().T @ s_inv_j
         schur = (schur + schur.conj().T) / 2
         return Laplacian(SuperOperator(self.algebra_b, schur), self.ambient.rank_tol)
-
-    def restrict(self, a: Element) -> Element:
-        """pa, viewed in the quotient algebra."""
-        self.ambient.algebra._own(a)
-        return self.algebra_b.from_canonical_coords(a.coords[self.idx_b])
-
-    def assemble(self, b: Element, c: Element) -> Element:
-        """The ambient element b (+) c."""
-        self.algebra_b._own(b)
-        self.algebra_c._own(c)
-        coords = np.empty(self.ambient.algebra.dim, dtype=complex)
-        coords[self.idx_b] = b.coords
-        coords[self.idx_c] = c.coords
-        return self.ambient.algebra.from_canonical_coords(coords)
 
 
 def split(lap: Laplacian, p: Element, rank_tol=DEFAULT_RANK_TOL,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,11 +60,7 @@ class Tolerances:
     equality: float = 1e-9
 
     def to_dict(self) -> dict:
-        return {
-            "positivity": self.positivity,
-            "rank": self.rank,
-            "equality": self.equality,
-        }
+        return asdict(self)
 
 
 # -- deterministic JSON -------------------------------------------------------

@@ -3,10 +3,10 @@ matrices, harmonic potentials, resistance distance, the maximum principle,
 and the square relation between resistance and the energy metric."""
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +18,8 @@ from .algebra import (
     Element,
     PiecewiseLinear,
     SuperOperator,
+    decode_real_array,
+    is_integer,
 )
 from .cdc import network_cdc
 from .energy import EnergyForm, Laplacian, energy_form
@@ -38,7 +40,7 @@ class ResistanceNetwork:
     allow_negative: bool = False
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=float)
+        c = decode_real_array(self.c, "conductance matrix")
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise InputError(f"conductance matrix must be square of size >= 2, got {c.shape}")
         if np.abs(np.diag(c)).max() > 0:
@@ -63,7 +65,7 @@ class ResistanceNetwork:
 
     def _is_node(self, p) -> bool:
         """Whether ``p`` is an integer, and not a bool, that names a node."""
-        return isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < self.size
+        return is_integer(p) and 0 <= p < self.size
 
     @cached_property
     def algebra(self) -> Algebra:
@@ -165,25 +167,13 @@ def _distances(coords: np.ndarray) -> np.ndarray:
     return np.stack([np.linalg.norm(row - coords, axis=-1) for row in coords])
 
 
-def _unrank_triple(n: int, k: int) -> tuple:
-    """The k-th triple of ``combinations(range(n), 3)``, without listing them."""
-    triple, x = [], 0
-    for left in (2, 1, 0):
-        # the triples whose next node is x number comb(n - x - 1, left)
-        while k >= math.comb(n - x - 1, left):
-            k -= math.comb(n - x - 1, left)
-            x += 1
-        triple.append(x)
-        x += 1
-    return tuple(triple)
-
-
 def _node_triples(n: int, rng: np.random.Generator) -> list:
     """Every triple of nodes when there are at most four, else four distinct
     ones drawn at random in the order of ``combinations(range(n), 3)``."""
-    count = math.comb(n, 3)
-    ranks = range(count) if count <= 4 else rng.choice(count, size=4, replace=False)
-    return [_unrank_triple(n, int(k)) for k in ranks]
+    triples = list(combinations(range(n), 3))
+    if len(triples) <= 4:
+        return triples
+    return [triples[k] for k in rng.choice(len(triples), size=4, replace=False)]
 
 
 def _mixture_search(dist2: np.ndarray):

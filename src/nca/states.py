@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_EQ_TOL, Algebra, Element, is_positive
+from .algebra import DEFAULT_EQ_TOL, Algebra, Element, is_integer, is_positive
 from .energy import EnergyForm, Laplacian, connectedness
 from .errors import DisconnectedError, InputError
 
@@ -39,8 +39,8 @@ def point_state(algebra: Algebra, x: int) -> State:
     rescaled so its trace is one)."""
     if not algebra.is_commutative:
         raise InputError("point states require a commutative algebra")
-    if not 0 <= x < algebra.dim:
-        raise InputError(f"point {x} out of range")
+    if not (is_integer(x) and 0 <= x < algebra.dim):
+        raise InputError(f"point must be an integer in [0, {algebra.dim}), got {x!r}")
     return State(algebra.basis_element(x) * (1.0 / algebra.trace_weights[x]))
 
 

@@ -17,6 +17,7 @@ from .algebra import (
     SuperOperator,
     block_products,
     central_scalars,
+    left_multiplication,
     right_multiplication,
 )
 from .cdc import CdCForm
@@ -62,17 +63,18 @@ class ExtendedAlgebra:
         """The faithful tracial state tau(p a)."""
         return (self.weight * a).trace()
 
-    def extend_element(self, a: Element, alpha: complex) -> Element:
-        self.base._own(a)
-        return self.extended.from_canonical_coords(np.append(a.coords, alpha))
-
     @cached_property
     def closed_form(self) -> SuperOperator:
-        """The variance Laplacian's closed form a -> p (a - mu(a)), built
-        elementwise as the reference for the Schur route."""
-        one = self.base.identity()
-        return SuperOperator.from_function(
-            self.base, lambda a: self.weight * (a - complex(self.mu(a)) * one))
+        """The variance Laplacian's closed form a -> p (a - mu(a)), the
+        reference for the Schur route: left multiplication by p minus the
+        rank-one map a -> mu(a) p.  mu(e_i) = tau(p e_i) is w_i times the
+        coordinate of p at the unit e_i*, so in the orthonormal basis that map
+        is outer(sqrt(w) p, mu / sqrt(w))."""
+        alg, p = self.base, self.weight.coords
+        root = np.sqrt(alg.basis_weights)
+        mu = alg.basis_weights * p[alg.adj_table]
+        return SuperOperator(alg, left_multiplication(alg, self.weight).matrix
+                             - np.outer(root * p, mu / root))
 
 
 def extend(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> ExtendedAlgebra:

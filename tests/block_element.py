@@ -5,8 +5,21 @@ Here an element is one complex matrix per block, and every operation is a
 Python loop over the blocks: the product multiplies block by block, the
 norm takes the largest per-block spectral norm, the spectrum concatenates
 per-block eigenvalues in block order.
+
+``superop_from_function`` is the elementwise reference for the
+superoperators that ``nca`` builds from the structure constants.
 """
 import numpy as np
+
+import nca
+
+
+def superop_from_function(algebra, fn):
+    """The superoperator whose matrix in the orthonormal basis applies the
+    elementwise rule ``fn`` (an ``nca.Element`` to an ``nca.Element``) to
+    each orthonormal basis element."""
+    cols = [algebra.to_coords(fn(algebra.from_coords(e))) for e in np.eye(algebra.dim)]
+    return nca.SuperOperator(algebra, np.transpose(cols))
 
 
 class BlockElement:

@@ -183,6 +183,11 @@ def _rebuild_action(space) -> list:
     return out
 
 
+def derivative_coords(space, a) -> np.ndarray:
+    """The one-form coordinates of the derivative of a."""
+    return space.dmatrix @ space.algebra.to_coords(a)
+
+
 def act_left(space, a) -> np.ndarray:
     """The (rank, rank) matrix of left multiplication by a: on the frame
     rows of each block of ``nca.BimoduleSpace.action`` the contraction of
@@ -304,6 +309,3 @@ class ReferenceSpace:
     @property
     def algebra(self):
         return self.gamma.algebra
-
-    def derivative_coords(self, a) -> np.ndarray:
-        return self.dmatrix @ self.algebra.to_coords(a)

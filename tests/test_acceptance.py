@@ -5,6 +5,7 @@ import numpy as np
 
 import nca
 
+from block_element import superop_from_function
 from conftest import K3_C, TWO_C, build_catalog, seeded_generators
 
 CATALOG = build_catalog()
@@ -279,7 +280,7 @@ def test_12_standard_deviation_recovery():
     for alg, p in setups:
         ea = nca.extend(alg, p)
         lap_schur = nca.stddev_laplacian(ea)
-        closed = nca.SuperOperator.from_function(
+        closed = superop_from_function(
             alg, lambda x: p * (x - complex(ea.mu(x)) * alg.identity())
         )
         lap_ic = nca.laplacian(nca.energy_form(nca.independent_copies_cdc(alg, p)))

@@ -1,6 +1,6 @@
-"""Every target of the benchmark's per-layer tracer still resolves, so that
-renaming or deleting a traced name fails here and not only in a traced
-benchmark run."""
+"""Every target of the benchmark's per-layer tracer, and every library name
+that the harness calls directly, still resolves, so that renaming or
+deleting one fails here and not only in a benchmark run."""
 import importlib
 import importlib.util
 import os
@@ -11,6 +11,22 @@ import nca.cli
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "bench", "tracing.py")
+
+
+# the names that bench/run.py calls in run_forms, run_cli and Run.setup
+HARNESS_CALLS = (
+    ("nca.algebra", "Algebra"),
+    ("nca.cdc", "network_cdc"),
+    ("nca.cdc", "amplify_cdc"),
+    ("nca.cdc", "commutator_cdc"),
+    ("nca.cdc", "is_cdc"),
+    ("nca.energy", "reality_checks"),
+    ("nca.energy", "energy_form"),
+    ("nca.energy", "laplacian"),
+    ("nca.energy", "connectedness"),
+    ("nca.cli", "main"),
+    ("nca.fileio", "parse_spec"),
+)
 
 
 def _tracing():
@@ -38,3 +54,10 @@ def test_tracer_installs_and_restores():
     assert tracer.counts["algebra.element_norm"] == 1
     assert all(getattr(sys.modules[mod], attr) is fn for (mod, attr), fn in before.items())
     assert nca.cli._RUNNERS == runners
+
+
+def test_every_name_the_harness_calls_resolves():
+    missing = [f"{mod}.{attr}" for mod, attr in HARNESS_CALLS
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert missing == []
+    assert callable(getattr(nca.algebra.Algebra, "element", None))

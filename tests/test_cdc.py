@@ -10,6 +10,7 @@ import pytest
 import nca
 from nca.errors import InputError
 
+from block_element import superop_from_function
 from conftest import K3_C, bench_network_c, seeded_generators
 
 
@@ -329,7 +330,7 @@ def test_generators_match_elementwise_rules(blocks, weights):
             lambda f: alg.element([f.data[perm[x]] for x in range(alg.dim)]),
         ))
     for built, rule in pairs:
-        reference = nca.SuperOperator.from_function(alg, rule)
+        reference = superop_from_function(alg, rule)
         assert np.abs(built.matrix - reference.matrix).max() < 1e-13
 
 

@@ -9,8 +9,11 @@ of the Laplacian's eigendecomposition replace, the one-element-at-a-time
 seminorms of the ``dirac`` suite, the batteries drawn one sample at a
 time: Markov, Leibniz, the fiber infimum of ``quotient_checks`` and the
 seminorm identity of the ``stddev`` suite, and the broadcasts of
-``metric_checks`` that one row at a time replaces: the state distances, the
-mixed-state search and the listed node triples.  ``SpectralStack.apply``
+``metric_checks`` that one row at a time replaces: the state distances and
+the mixed-state search, and the node triples unranked one at a time that
+one listing replaces.  The target units of ``amplify_cdc`` found by their
+places in the embedding, which an inverse of ``amplification_index``
+replaces, ``SpectralStack.apply``
 with all rows at once and with one product per function, batched
 ``eigvalsh`` on 1x1 blocks in ``hermitian_eigenvalues``, the one-shot
 quadratic forms, the amplified stacks of Markov probe resolvents and of
@@ -32,6 +35,7 @@ from dense_bimodule import commutator_norm
 from nca.algebra import (
     _ROW_CHUNK,
     SpectralStack,
+    amplification_index,
     amplify_matrix,
     block_norms,
     block_products,
@@ -50,7 +54,7 @@ from nca.fileio import parse_spec
 from nca.energy import _extreme_positives, _markov_probes, _quadratic_forms, _seminorms
 from nca.errors import DisconnectedError, InputError
 from nca.reporting import judge
-from nca.resistance import _mixture_grid, _mixture_search, _node_triples, _unrank_triple
+from nca.resistance import _mixture_grid, _mixture_search, _node_triples
 from test_energy import _rank_one_laplacian, seeded_three_knot
 
 
@@ -1032,8 +1036,9 @@ def _fiber_infimum_loop(qd, seed=0, count=20, tol=1e-9):
         via_schur = e_b.value(b, b).real
         gap = abs(direct - via_schur)
         eps = nca.random_element(qd.algebra_c, rng, scale=0.5)
-        c_part = qd.algebra_c.from_canonical_coords(lift.coords[qd.idx_c])
-        perturbed = qd.assemble(qd.restrict(lift), eps + c_part)
+        coords = np.array(lift.coords)
+        coords[qd.idx_c] += eps.coords
+        perturbed = qd.ambient.algebra.from_canonical_coords(coords)
         extra = ambient_e.value(perturbed, perturbed).real - direct
         eps_coords = qd.algebra_c.to_coords(eps)
         expected_extra = float((eps_coords.conj() @ qd.s_block @ eps_coords).real)
@@ -1200,19 +1205,32 @@ def _mixture_search_broadcast(dist2):
     return best, (int(i), int(j), int(k))
 
 
-def _node_triples_listed(n, rng):
-    triples = list(itertools.combinations(range(n), 3))
-    if len(triples) > 4:
-        chosen = rng.choice(len(triples), size=4, replace=False)
-        triples = [triples[int(k)] for k in chosen]
-    return triples
+def _unrank_triple(n, k):
+    """The k-th triple of ``combinations(range(n), 3)``, without listing them."""
+    triple, x = [], 0
+    for left in (2, 1, 0):
+        # the triples whose next node is x number comb(n - x - 1, left)
+        while k >= math.comb(n - x - 1, left):
+            k -= math.comb(n - x - 1, left)
+            x += 1
+        triple.append(x)
+        x += 1
+    return tuple(triple)
+
+
+def _node_triples_unranked(n, rng):
+    """Every triple when there are at most four, else the same four draws as
+    ``_node_triples``, each unranked on its own."""
+    count = math.comb(n, 3)
+    ranks = range(count) if count <= 4 else rng.choice(count, size=4, replace=False)
+    return [_unrank_triple(n, int(k)) for k in ranks]
 
 
 def _broadcast_metric_checks(net, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nca.resistance, "_distances", _distances_broadcast)
         patch.setattr(nca.resistance, "_mixture_search", _mixture_search_broadcast)
-        patch.setattr(nca.resistance, "_node_triples", _node_triples_listed)
+        patch.setattr(nca.resistance, "_node_triples", _node_triples_unranked)
         return nca.metric_checks(net, **kwargs)
 
 
@@ -1268,10 +1286,44 @@ def test_node_triples_unrank_the_listed_triples():
     for n in range(3, 21):
         listed = list(itertools.combinations(range(n), 3))
         assert [_unrank_triple(n, k) for k in range(math.comb(n, 3))] == listed
-        for seed in range(3):
+    for n in range(3, 49):
+        for seed in range(4):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _node_triples(n, rng) == _node_triples_listed(n, ref)
+            assert _node_triples(n, rng) == _node_triples_unranked(n, ref)
             # n <= 4 takes every triple and draws nothing
             assert rng.random() == ref.random()
     assert _node_triples(4, np.random.default_rng(0)) == list(itertools.combinations(range(4), 3))
     assert _node_triples(2, np.random.default_rng(0)) == []
+
+
+def _amplify_cdc_by_positions(gamma, order):
+    """The gram of ``amplify_cdc`` with each target unit found by its place in
+    the embedding: units in the same cell row pair up, and base unit u at
+    (r, s) lands in cell (col_1, col_2) on the amplified unit at
+    (pos[col_1, r], pos[col_2, s])."""
+    base = gamma.algebra
+    amp = base.amplify(order)
+    cells, inners = amplification_index(base, order)
+    row, col = np.divmod(cells, order)
+    # pos[k, x]: the amplified row of base row x in matrix cell column k
+    x_block = np.repeat(np.arange(len(base.blocks)), base.blocks)
+    x_sizes = np.asarray(base.blocks)[x_block]
+    x_inner = np.arange(base.total_size) - base._space_offsets[x_block]
+    pos = amp._space_offsets[x_block] + np.arange(order)[:, None] * x_sizes + x_inner
+    i_1, i_2 = np.nonzero(row[:, None] == row[None, :])
+    rows, cols = base.unit_positions
+    target = amp._unit_at[pos[col[i_1]][:, rows], pos[col[i_2]][:, cols]]
+    gram = np.zeros((amp.dim,) * 3, dtype=gamma.gram.dtype)
+    gram[i_1[:, None], i_2[:, None], target] = gamma.gram[inners[i_1], inners[i_2]]
+    return gram
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_amplify_cdc_matches_embedding_positions(order):
+    # bit for bit, on real and complex grams over equal and unequal blocks
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    weighted = nca.commutator_cdc([nca.random_element(alg, np.random.default_rng(71))])
+    for gamma in [ex.gamma for ex in build_catalog()] + [weighted]:
+        got = nca.amplify_cdc(gamma, order).gram
+        want = _amplify_cdc_by_positions(gamma, order)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

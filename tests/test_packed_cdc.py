@@ -348,7 +348,7 @@ def test_independent_copies_match_dense_definition():
     for i in range(alg.dim):
         for j in range(alg.dim):
             a_star_b = emb[adj[i]] @ emb[j]
-            mu_ab = complex((p * alg.from_full(a_star_b)).trace())
+            mu_ab = complex((p * alg.pinch(a_star_b)).trace())
             term = mu_ab * ident - mu[adj[i]] * emb[j] - mu[j] * emb[adj[i]] + a_star_b
             dense[i, j] = 0.5 * term @ p.full()
     packed = nca.independent_copies_cdc(alg, p).gram

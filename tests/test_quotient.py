@@ -12,6 +12,11 @@ from nca.fileio import parse_spec
 from conftest import K3_C
 
 
+def _restrict(qd, a):
+    """pa, viewed in the quotient algebra."""
+    return qd.algebra_b.from_canonical_coords(a.coords[qd.idx_b])
+
+
 @pytest.fixture(scope="module")
 def k3_split():
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
@@ -41,8 +46,10 @@ def test_split_guards(k3_split):
         nca.split(lap, alg.identity())  # not proper
     with pytest.raises(InputError):
         nca.split(lap, 0.5 * alg.identity())  # not idempotent
-    with pytest.raises(InputError):
-        nca.central_projection(alg, [])
+    # block indices are integers: 0.9, 1.5, 1.0 and True are not coerced
+    for bad in ([], [0.9], [1.5], [1.0], [True], [0, 3], [-1]):
+        with pytest.raises(InputError):
+            nca.central_projection(alg, bad)
 
 
 def test_split_noncentral_rejected(m2):
@@ -129,7 +136,9 @@ def test_completed_square_identity(k3_split):
     for _ in range(10):
         b = nca.random_element(qd.algebra_b, rng)
         c = nca.random_element(qd.algebra_c, rng)
-        a = qd.assemble(b, c)
+        coords = np.empty(alg.dim, dtype=complex)
+        coords[qd.idx_b], coords[qd.idx_c] = b.coords, c.coords
+        a = alg.from_canonical_coords(coords)  # b (+) c
         b_coords = qd.algebra_b.to_coords(b)
         c_coords = qd.algebra_c.to_coords(c)
         shift = np.linalg.solve(qd.s_block, qd.j_block @ b_coords) + c_coords
@@ -144,7 +153,7 @@ def test_quotient_seminorm_monotone(k3_split):
     rng = np.random.default_rng(139)
     for _ in range(15):
         a = nca.random_element(alg, rng)
-        quotient_norm = e_b.seminorm(qd.restrict(a))
+        quotient_norm = e_b.seminorm(_restrict(qd, a))
         assert quotient_norm <= e.seminorm(a) + 1e-10
 
 
@@ -263,4 +272,4 @@ def test_decoupled_singular_corner_lifts(tmp_path, capsys, seed):
     b = nca.random_element(qd.algebra_b, rng)
     lift = nca.fiber_minimizer(qd, b)
     assert all(np.isfinite(m).all() for m in lift.data)
-    assert qd.restrict(lift).distance(b) == 0
+    assert _restrict(qd, lift).distance(b) == 0

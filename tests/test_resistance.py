@@ -27,6 +27,17 @@ def test_network_validation():
         net = nca.ResistanceNetwork(asym)
     assert caught and "asymmetric" in str(caught[0].message)
     assert net.c[0, 1] == pytest.approx(1.0)
+    # a NaN or infinite conductance is rejected before the symmetry test
+    pair = nca.build_algebra([1, 1], [1.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for c in (np.array([[0.0, bad], [bad, 0]]), np.array([[0.0, bad], [1, 0]])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(InputError, match="finite"):
+                    nca.ResistanceNetwork(c)
+            assert not caught
+            with pytest.raises(InputError, match="finite"):
+                nca.network_cdc(pair, c)
 
 
 def test_laplacian_values(k3_net):

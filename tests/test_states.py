@@ -22,6 +22,12 @@ def test_state_validation(m2):
     rho = 0.5 * m2.identity()
     with pytest.raises(InputError):
         nca.State(m2.element([np.diag([1.5, -0.5])]))
+    # a point is an integer: 1.0, 0.9 and True are not coerced
+    points = nca.build_algebra([1] * 3, [1.0] * 3)
+    for bad in (1.0, 0.9, True, 3, -1):
+        with pytest.raises(InputError):
+            nca.point_state(points, bad)
+    assert nca.point_state(points, np.int64(1)).density.distance(points.basis_element(1)) == 0
 
 
 def test_zero_distance_for_equal_states(k3):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import nca
+from block_element import superop_from_function
 from nca.errors import InputError
+
+
+def _lift(ea, a, alpha):
+    """a (+) alpha in the extended algebra."""
+    return ea.extended.from_canonical_coords(np.append(a.coords, alpha))
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +66,7 @@ def test_extension_pairing_against_mu(c2_uniform):
     rng = np.random.default_rng(151)
     for _ in range(8):
         a = nca.random_element(alg, rng)
-        lifted = ea.extend_element(a, 0.0)
+        lifted = _lift(ea, a, 0.0)
         lhs = nca.tau_inner(lifted, ea.laplacian.apply(lifted))
         rhs = ea.mu(a.adjoint() * a)
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
@@ -79,10 +85,10 @@ def test_extension_cdc_closed_form(c2_uniform):
         beta = complex(rng.standard_normal() + 1j * rng.standard_normal())
         da = a - alpha * one
         db = b - beta * one
-        got = gamma.value(ea.extend_element(a, alpha), ea.extend_element(b, beta))
+        got = gamma.value(_lift(ea, a, alpha), _lift(ea, b, beta))
         first = 0.5 * (p * da.adjoint() * db)
         second = 0.5 * ea.mu(da.adjoint() * db)
-        expected = ea.extend_element(first, second)
+        expected = _lift(ea, first, second)
         assert got.distance(expected) < 1e-9 * (1 + expected.norm())
 
 
@@ -110,13 +116,29 @@ def test_three_routes_agree(c2_uniform, m2_normalized):
         lap_schur = nca.stddev_laplacian(ea)
         gamma_ic = nca.independent_copies_cdc(alg, p)
         lap_ic = nca.laplacian(nca.energy_form(gamma_ic))
-        closed = nca.SuperOperator.from_function(
+        closed = superop_from_function(
             alg, lambda a: p * (a - complex(ea.mu(a)) * alg.identity())
         )
         assert np.abs(lap_schur.matrix - closed.matrix).max() < 1e-12
         assert np.abs(lap_schur.matrix - lap_ic.matrix).max() < 1e-12
         gamma_quot = nca.gamma_delta(lap_schur)
         assert np.abs(gamma_quot.gram - gamma_ic.gram).max() < 1e-12
+
+
+@pytest.mark.parametrize("blocks, weights", [
+    ([1, 1], [0.5, 0.5]), ([2], [0.5]), ([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0]),
+    ([5], [1.0]), ([1] * 6, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+])
+def test_closed_form_matches_elementwise_rule(blocks, weights):
+    # the closed form from left multiplication and one rank-one map, against
+    # the rule a -> p (a - mu(a)) applied to each basis element
+    alg = nca.build_algebra(blocks, weights)
+    lams = np.random.default_rng(len(blocks)).uniform(0.5, 2.0, len(blocks))
+    lams /= np.dot(lams * np.array(weights), blocks)  # tau(p) = 1
+    p = alg.element([lam * np.eye(n) for lam, n in zip(lams, blocks)])
+    ea = nca.extend(alg, p)
+    rule = superop_from_function(alg, lambda a: p * (a - complex(ea.mu(a)) * alg.identity()))
+    assert np.abs(ea.closed_form.matrix - rule.matrix).max() <= 1e-15
 
 
 def test_variance_of_trace(m2_normalized):

@@ -257,6 +257,8 @@ class Algebra:
         return _element(self, coords)
 
     def basis_element(self, index) -> "Element":
+        if not (is_integer(index) and 0 <= index < self.dim):
+            raise InputError(f"basis index must be an integer in [0, {self.dim}), got {index!r}")
         coords = np.zeros(self.dim, dtype=complex)
         coords[index] = 1.0
         return _element(self, coords)
@@ -304,8 +306,8 @@ class Algebra:
         """The algebra of n x n matrices over this one (blocks scale by n,
         weights are unchanged: the matrix factor carries its unnormalized
         trace)."""
-        if n < 1:
-            raise InputError("amplification order must be >= 1")
+        if not (is_integer(n) and n >= 1):
+            raise InputError(f"amplification order must be an integer >= 1, got {n!r}")
         return Algebra(tuple(n * nb for nb in self.blocks), self.trace_weights)
 
     def _own(self, a: "Element"):
@@ -398,9 +400,6 @@ class Element:
         """The block-diagonal embedding into M_n, n = sum of block sizes."""
         return self.algebra.embed(self.coords)
 
-    def block(self, b) -> np.ndarray:
-        return self.data[b]
-
     def is_self_adjoint(self, tol=DEFAULT_POS_TOL) -> bool:
         return bool(self_adjoint_rows(self.algebra, self.coords[None], tol)[0])
 
@@ -492,14 +491,6 @@ class PiecewiseLinear:
     # common battery members
 
     @classmethod
-    def identity(cls):
-        return cls((0.0, 1.0), (0.0, 1.0))
-
-    @classmethod
-    def affine(cls, intercept, slope):
-        return cls((0.0, 1.0), (intercept, intercept + slope))
-
-    @classmethod
     def relu(cls):
         """max(t, 0)"""
         return cls((-1.0, 0.0, 1.0), (0.0, 0.0, 1.0))
@@ -508,12 +499,6 @@ class PiecewiseLinear:
     def absolute(cls):
         """|t|"""
         return cls((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
-
-    @classmethod
-    def clamp_above(cls, r):
-        """min(t, r)"""
-        r = float(r)
-        return cls((r - 1.0, r, r + 1.0), (r - 1.0, r, r))
 
 
 def _knot_slopes(xs, ys):
@@ -690,20 +675,9 @@ class SuperOperator:
         object.__setattr__(self, "matrix", frozen_array(
             self.matrix, (d, d), f"superoperator matrix must be {d}x{d}"))
 
-    @classmethod
-    def identity(cls, algebra: Algebra) -> "SuperOperator":
-        return cls(algebra, np.eye(algebra.dim))
-
-    @classmethod
-    def zero(cls, algebra: Algebra) -> "SuperOperator":
-        return cls(algebra, np.zeros((algebra.dim, algebra.dim)))
-
     def apply(self, a: Element) -> Element:
         self.algebra._own(a)
         return self.algebra.from_coords(self.matrix @ self.algebra.to_coords(a))
-
-    def __call__(self, a: Element) -> Element:
-        return self.apply(a)
 
     @property
     def canonical_matrix(self) -> np.ndarray:
@@ -842,22 +816,11 @@ def random_element(algebra: Algebra, rng: np.random.Generator, scale=1.0) -> Ele
     return _element(algebra, random_rows(algebra, rng, 1, scale)[0])
 
 
-def random_self_adjoint(algebra: Algebra, rng: np.random.Generator, scale=1.0) -> Element:
-    return _element(algebra, random_self_adjoint_rows(algebra, rng, 1, scale)[0])
-
-
 def random_positive_rows(algebra: Algebra, rng: np.random.Generator, count: int,
                          scale=1.0) -> np.ndarray:
     """x* x for each row x of :func:`random_rows`."""
     x = random_rows(algebra, rng, count, scale)
     return block_products(algebra, x[:, algebra.adj_table].conj(), x)
-
-
-def random_positive(algebra: Algebra, rng: np.random.Generator, scale=1.0, floor=0.0) -> Element:
-    p = _element(algebra, random_positive_rows(algebra, rng, 1, scale)[0])
-    if floor:
-        p = p + float(floor) * algebra.identity()
-    return p
 
 
 # -- file encoding ---------------------------------------------------------

@@ -18,6 +18,7 @@ from . import __version__
 from .algebra import (
     DEFAULT_POS_TOL,
     DEFAULT_RANK_TOL,
+    encode_complex_matrix,
     encode_element,
     random_self_adjoint_rows,
 )
@@ -116,7 +117,7 @@ def _laplacian_checks(problem: _Problem):
     data = {
         "kernel_dim": int(lap.kernel_dim),
         "connected": connectedness(lap),
-        "eigenvalues": [float(x) for x in eigs],
+        "eigenvalues": eigs.tolist(),
     }
     if e.is_real(tol):
         try:
@@ -196,8 +197,8 @@ def _resistance_checks(problem: _Problem):
         return [check], {"resistance": DISCONNECTED}
     report = metric_checks(net, seed=spec.seed)
     data = {
-        "resistance": [[float(x) for x in row] for row in report.resistance],
-        "energy": [[float(x) for x in row] for row in report.energy],
+        "resistance": report.resistance.tolist(),
+        "energy": report.energy.tolist(),
         # absence of a witness is never a proof, only a grid statement
         "mixture_counterexample": report.mixture_counterexample or "not found at this resolution",
     }
@@ -215,9 +216,7 @@ def _quotient_checks(problem: _Problem):
         p = spec.projection["projection"]
     qd = split(lap, p, rank_tol=spec.tolerances.rank)
     checks = quotient_checks(qd, seed=spec.seed, tol=spec.tolerances.equality)
-    schur = qd.quotient_laplacian.matrix
-    data = {"schur_complement": [[[float(z.real), float(z.imag)] for z in row] for row in schur]}
-    return checks, data
+    return checks, {"schur_complement": encode_complex_matrix(qd.quotient_laplacian.matrix)}
 
 
 def _dirac_checks(problem: _Problem):

@@ -181,18 +181,6 @@ def connectedness(lap: Laplacian) -> bool:
 # -- seminorms at matrix amplification ---------------------------------------
 
 
-def energy_seminorm(e: EnergyForm, a: Element, order: int = 1) -> float:
-    """L over order x order matrices: the square root of the sum of E over
-    the matrix entries."""
-    if order < 1:
-        raise InputError("amplification order must be >= 1")
-    if order == 1:
-        e.algebra._own(a)
-        return e.seminorm(a)
-    coords = e.algebra.amplify(order).canonical_coords(a)
-    return float(_seminorms(amplify_matrix(e.gram, e.algebra, order), coords))
-
-
 def _quadratic_forms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The real part of x* G x for every row x of coordinates, by ``row_chunks``;
     a chunk never splits a (rows, d) matrix, so each stays one GEMM."""

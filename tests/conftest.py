@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 import nca
+from nca.algebra import random_element
+from nca.cdc import CdCForm, lindblad_generator
 from nca.fileio import parse_spec
+from nca.resistance import random_network
+from generators import permutation_superop
 
 K3_C = np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
 TWO_C = np.array([[0.0, 1], [1, 0]])
@@ -23,7 +27,7 @@ class ExampleCdC:
 
     name: str
     algebra: nca.Algebra
-    gamma: nca.CdCForm
+    gamma: CdCForm
     generator: Optional[nca.SuperOperator]
     tau_real: bool
     connected: bool
@@ -52,12 +56,12 @@ def build_catalog():
         ("m2-lindblad-pair", [e12, e21], True, True),
         ("m2-lindblad-single", [e12], False, False),
     ]:
-        gen = nca.lindblad_generator(m2, vs)
+        gen = lindblad_generator(m2, vs)
         gamma = nca.commutator_cdc(vs)
         examples.append(ExampleCdC(name, m2, gamma, gen, real, connected=connected))
 
     c2 = nca.build_algebra([1, 1], [1.0, 1.0])
-    swap = nca.permutation_superop(c2, [1, 0])
+    swap = permutation_superop(c2, [1, 0])
     gamma = nca.group_action_cdc([swap], [1.0])
     lap = nca.laplacian(nca.energy_form(gamma))
     examples.append(ExampleCdC("c2-swap", c2, gamma, lap.superop, True, connected=True))
@@ -71,7 +75,7 @@ def build_catalog():
     m2c = nca.build_algebra([2, 1], [1.0, 2.0])
     v1 = m2c.element([np.array([[0.0, 1], [0, 0]]), np.zeros((1, 1))])
     vs = [v1, v1.adjoint()]
-    gen = nca.lindblad_generator(m2c, vs)
+    gen = lindblad_generator(m2c, vs)
     gamma = nca.commutator_cdc(vs)
     examples.append(ExampleCdC("m2c-lindblad", m2c, gamma, gen, True, connected=False))
 
@@ -132,12 +136,12 @@ def seeded_generators(count=20):
     rng = np.random.default_rng(2024)
     # nonnegative networks
     for size in (3, 4, 5, 3, 4, 5, 3):
-        net = nca.random_network(size, rng)
+        net = random_network(size, rng)
         alg = net.algebra
         out.append(("network", net.laplacian.superop))
     # networks with one negative conductance
     for size in (3, 4, 5):
-        net = nca.random_network(size, rng)
+        net = random_network(size, rng)
         c = net.c.copy()
         c[0, 1] = c[1, 0] = -0.05
         lap = np.diag(c.sum(axis=1)) - c
@@ -146,12 +150,12 @@ def seeded_generators(count=20):
     m2 = nca.build_algebra([2], [1.0])
     m2c = nca.build_algebra([2, 1], [1.0, 1.0])
     for alg in (m2, m2, m2c, m2c, m2):
-        vs = [nca.random_element(alg, rng) for _ in range(2)]
-        out.append(("lindblad", nca.lindblad_generator(alg, vs)))
+        vs = [random_element(alg, rng) for _ in range(2)]
+        out.append(("lindblad", lindblad_generator(alg, vs)))
     # group actions (cyclic shifts)
     for size in (3, 4, 5):
         alg = nca.build_algebra([1] * size, [1.0] * size)
-        shift = nca.permutation_superop(alg, [(x + 1) % size for x in range(size)])
+        shift = permutation_superop(alg, [(x + 1) % size for x in range(size)])
         gamma = nca.group_action_cdc([shift], [float(rng.uniform(0.5, 1.5))])
         out.append(("group", nca.laplacian(nca.energy_form(gamma)).superop))
     # generic maps with N(1) = 0, no other structure

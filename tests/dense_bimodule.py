@@ -14,10 +14,10 @@ not hold: the ``(rank, rank)`` left action of an element and the
 L2(algebra) (+) L2(one-forms), the matrix of the Dirac operator and the
 commutator norm from the two off-diagonal blocks of [D, pi(a)].  Each reads
 a space through ``algebra``, ``rank``, ``dmatrix`` and :func:`act_left`
-only, so it serves both ``nca.BimoduleSpace`` and :class:`ReferenceSpace`.
-An ``nca.BimoduleSpace`` keeps only its per-block commutator stacks, so
+only, so it serves both ``nca.dirac.BimoduleSpace`` and :class:`ReferenceSpace`.
+An ``nca.dirac.BimoduleSpace`` keeps only its per-block commutator stacks, so
 :func:`library_action` rebuilds the per-block left action of the library's
-route for it.  The readers of ``nca.BimoduleSpace`` alone rebuild the pair
+route for it.  The readers of ``nca.dirac.BimoduleSpace`` alone rebuild the pair
 coordinates (d e_a) e_c from its commutator stacks, and the
 ``(d, rank, d)`` stack of the commutator blocks B_i = d L_i - A_i d from
 the derivation and the left action, with the point-mass Gram table built
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nca import PropertyViolationError, is_cdc, left_multiplication
-from nca.algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL
+from nca import PropertyViolationError, is_cdc
+from nca.algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL, left_multiplication
 from nca.cdc import _cp_blocks
 from nca.dirac import _moved_frames
 from nca.reporting import CheckResult
@@ -146,12 +146,12 @@ def pair_projection(alg) -> np.ndarray:
     return proj
 
 
-_ACTIONS = {}  # id of a live nca.BimoduleSpace -> its library_action
+_ACTIONS = {}  # id of a live nca.dirac.BimoduleSpace -> its library_action
 
 
 def library_action(space) -> list:
     """The (d, r_b, r_b) left action a_i of each block of an
-    ``nca.BimoduleSpace``, in ``space.action`` order, rebuilt by the library's
+    ``nca.dirac.BimoduleSpace``, in ``space.action`` order, rebuilt by the library's
     route, which does not keep it: the eigenvectors of the block's
     complete-positivity block from ``_cp_blocks`` and ``eigh``, moved by
     ``_moved_frames`` in one box per block size.  The eigenvalues ascend and the rank cut is monotone in
@@ -190,7 +190,7 @@ def derivative_coords(space, a) -> np.ndarray:
 
 def act_left(space, a) -> np.ndarray:
     """The (rank, rank) matrix of left multiplication by a: on the frame
-    rows of each block of ``nca.BimoduleSpace.action`` the contraction of
+    rows of each block of ``nca.dirac.BimoduleSpace.action`` the contraction of
     a's coordinates with the block's :func:`library_action`, once for every
     column."""
     x = space.algebra.canonical_coords(a)
@@ -212,7 +212,7 @@ def left_action_stack(space) -> np.ndarray:
 
 def pair_forms(space) -> np.ndarray:
     """The (rank, d^2) one-form coordinates of the pairs (d e_a) e_l of an
-    ``nca.BimoduleSpace``: column a d + l, for l = units[s, c] of a block,
+    ``nca.dirac.BimoduleSpace``: column a d + l, for l = units[s, c] of a block,
     holds sqrt(w_b) S_b[a][:, s] on the frame rows of column c, and every
     other entry is zero."""
     alg = space.algebra
@@ -230,7 +230,7 @@ def pair_forms(space) -> np.ndarray:
 
 def commutator_blocks(space) -> np.ndarray:
     """The (d, rank, d) stack of B_i = d L_i - A_i d over the units e_i of an
-    ``nca.BimoduleSpace``, L_i sending e_j to e_k for each e_i e_j = e_k and
+    ``nca.dirac.BimoduleSpace``, L_i sending e_j to e_k for each e_i e_j = e_k and
     A_i d taken block by block from :func:`library_action`.  The block
     B(a) = d L_a - A_a d of [D, pi(a)] is a's coordinates times it."""
     d, dm = space.algebra.dim, space.dmatrix

@@ -4,6 +4,10 @@ to see them live)."""
 import numpy as np
 
 import nca
+from nca.algebra import amplify_matrix, from_cells, matrix_direct_sum, random_element
+from nca.energy import _seminorms, energy_form_of_laplacian
+from nca.quotient import central_projection
+from nca.resistance import is_star, network_energy_form, random_network, random_star_network
 
 from block_element import superop_from_function
 from conftest import K3_C, TWO_C, build_catalog, seeded_generators
@@ -60,7 +64,7 @@ def test_03_k3_resistance_and_triangle():
     rng = np.random.default_rng(1003)
     for trial in range(50):
         size = int(rng.integers(3, 9))
-        sample = nca.random_network(size, rng)
+        sample = random_network(size, rng)
         rho = nca.all_pairs_resistance(sample)
         worst = max(
             rho[i, k] - rho[i, j] - rho[j, k]
@@ -101,9 +105,9 @@ def test_05_markov_leibniz_suite():
     if witness is None or witness.violation <= 0:
         failures.append("negative conductance witness missing")
     else:
-        e = nca.network_energy_form(net)
+        e = network_energy_form(net)
         clipped, lip = nca.functional_calculus(witness.f, witness.fn)
-        if nca.energy_seminorm(e, clipped) <= lip * nca.energy_seminorm(e, witness.f):
+        if e.seminorm(clipped) <= lip * e.seminorm(witness.f):
             failures.append("witness does not violate the Markov bound")
     _verdict(5, "Markov and Leibniz across the catalog", failures)
 
@@ -116,24 +120,26 @@ def test_06_l2_matricial_property():
     rng = np.random.default_rng(1006)
     for m, n in [(1, 1), (1, 2), (2, 2)]:
         for _ in range(5):
-            v = nca.random_element(alg.amplify(m), rng)
-            w = nca.random_element(alg.amplify(n), rng)
-            both = nca.matrix_direct_sum(alg, m, v, n, w)
-            lhs = nca.energy_seminorm(e, both, m + n) ** 2
-            rhs = nca.energy_seminorm(e, v, m) ** 2 + nca.energy_seminorm(e, w, n) ** 2
+            v = random_element(alg.amplify(m), rng)
+            w = random_element(alg.amplify(n), rng)
+            both = matrix_direct_sum(alg, m, v, n, w)
+            lhs = _seminorms(amplify_matrix(e.gram, alg, m + n), both.coords) ** 2
+            rhs = (_seminorms(amplify_matrix(e.gram, alg, m), v.coords) ** 2
+                   + _seminorms(amplify_matrix(e.gram, alg, n), w.coords) ** 2)
             if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
                 failures.append(("l2", m, n, abs(lhs - rhs)))
     for order in (2, 3):
         for _ in range(5):
             alpha = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
             beta = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
-            v = nca.random_element(alg.amplify(order), rng)
-            scalars = lambda mat: nca.from_cells(
+            v = random_element(alg.amplify(order), rng)
+            scalars = lambda mat: from_cells(
                 alg, order,
                 [[complex(mat[j, k]) * alg.identity() for k in range(order)] for j in range(order)],
             )
-            lhs = nca.energy_seminorm(e, scalars(alpha) * v * scalars(beta), order)
-            bound = np.linalg.norm(alpha, 2) * nca.energy_seminorm(e, v, order) * np.linalg.norm(beta, 2)
+            lhs, norm_v = _seminorms(amplify_matrix(e.gram, alg, order),
+                                     np.array([(scalars(alpha) * v * scalars(beta)).coords, v.coords]))
+            bound = np.linalg.norm(alpha, 2) * norm_v * np.linalg.norm(beta, 2)
             if lhs > bound + 1e-9 * (1 + bound):
                 failures.append(("bimodule", order, lhs - bound))
     _verdict(6, "matricial seminorm identities", failures)
@@ -150,7 +156,7 @@ def test_07_derivation_factorization_and_norm_formula():
             failures.append((ex.name, "factorization", gap))
         op = nca.DiracOperator(bs)
         for trial in range(20):
-            a = nca.random_element(ex.algebra, rng)
+            a = random_element(ex.algebra, rng)
             res = nca.dirac_seminorm(op, a)
             if res.residual > 1e-8 * (1 + res.value):
                 failures.append((ex.name, "norm-formula", trial, res.residual))
@@ -222,7 +228,7 @@ def test_10_quotient_suite():
     failures = []
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
     lap = nca.laplacian(nca.energy_form(nca.network_cdc(alg, K3_C, scale=0.5)))
-    qd = nca.split(lap, nca.central_projection(alg, [0, 1]))
+    qd = nca.split(lap, central_projection(alg, [0, 1]))
     expected = np.array([[1.5, -1.5], [-1.5, 1.5]])
     if np.abs(qd.quotient_laplacian.matrix - expected).max() > 1e-12:
         failures.append("K3 Schur complement value")
@@ -231,11 +237,11 @@ def test_10_quotient_suite():
             failures.append(("k3", res.check, res.witness))
 
     rng = np.random.default_rng(1010)
-    net5 = nca.random_network(5, rng)
+    net5 = random_network(5, rng)
     lap5 = net5.laplacian
-    qd1 = nca.split(lap5, nca.central_projection(net5.algebra, [0, 1, 2, 3]))
+    qd1 = nca.split(lap5, central_projection(net5.algebra, [0, 1, 2, 3]))
     qd2 = nca.split(
-        qd1.quotient_laplacian, nca.central_projection(qd1.algebra_b, [0, 1])
+        qd1.quotient_laplacian, central_projection(qd1.algebra_b, [0, 1])
     )
     for res in nca.quotient_checks(qd2, seed=0, count=20, tol=1e-9):
         if not res.passed:
@@ -289,7 +295,7 @@ def test_12_standard_deviation_recovery():
             for j in range(i + 1, 3):
                 if np.abs(routes[i] - routes[j]).max() > 1e-9:
                     failures.append(("route", alg.blocks, i, j))
-        e = nca.energy_form_of_laplacian(lap_schur)
+        e = energy_form_of_laplacian(lap_schur)
         for res in nca.markov_check(lap_schur, seed=12, count=20, tol=1e-9):
             if not res.passed:
                 failures.append((alg.blocks, res.check))
@@ -311,7 +317,7 @@ def test_13_star_graph_characterization():
     rng = np.random.default_rng(1013)
     count_star = count_other = 0
     while count_star < 10:
-        net = nca.random_star_network(int(rng.integers(3, 7)), rng)
+        net = random_star_network(int(rng.integers(3, 7)), rng)
         out = nca.star_graph_check(net, seed=count_star)
         if not out["is_star"]:
             failures.append("star sampler produced a non-star")
@@ -319,8 +325,8 @@ def test_13_star_graph_characterization():
             failures.append(("star flag mismatch", count_star, out))
         count_star += 1
     while count_other < 10:
-        net = nca.random_network(int(rng.integers(3, 7)), rng)
-        if nca.is_star(net):
+        net = random_network(int(rng.integers(3, 7)), rng)
+        if is_star(net):
             continue
         out = nca.star_graph_check(net, seed=100 + count_other)
         if out["is_star"] != out["parallelogram_holds"]:

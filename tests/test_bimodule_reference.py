@@ -14,7 +14,9 @@ import nca
 from dense_bimodule import (ReferenceSpace, act_left, commutator_blocks, commutator_norm,
                             dense_build_bimodule, derivative_coords, left_action_stack,
                             pair_forms, pair_projection, squared_commutator_norms)
+from nca.algebra import random_element, random_self_adjoint_rows
 from nca.dirac import _star_squared_norms
+from nca.resistance import random_network
 
 RTOL = 1e-12
 
@@ -47,7 +49,7 @@ def _compare(gamma, seed):
                             dmatrix=ref["dmatrix"], left_action=ref["left_action"])
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        a, b, c = (nca.random_element(alg, rng) for _ in range(3))
+        a, b, c = (random_element(alg, rng) for _ in range(3))
         inner = [np.vdot(derivative_coords(space, c),
                          act_left(space, a) @ derivative_coords(space, b))
                  for space in (bs, ref_bs)]
@@ -60,14 +62,14 @@ def _compare(gamma, seed):
 def test_lindblad_forms_match_reference(pairs, count, seed):
     alg = nca.build_algebra([n for n, _ in pairs], [w for _, w in pairs])
     rng = np.random.default_rng(seed)
-    _compare(nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(count)]), seed)
+    _compare(nca.commutator_cdc([random_element(alg, rng) for _ in range(count)]), seed)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
 def test_networks_match_reference(size, seed):
     rng = np.random.default_rng(seed)
-    net = nca.random_network(size, rng)
+    net = random_network(size, rng)
     alg = nca.build_algebra([1] * size, list(rng.choice([0.5, 1.0, 2.0], size)))
     _compare(nca.network_cdc(alg, net.c, scale=0.5), seed)
 
@@ -92,14 +94,14 @@ def _form(kind, blocks, weights, rng):
     """A network form on len(weights) nodes, or a commutator or
     spectral-triple form on ``blocks`` with the leading weights."""
     if kind == "network":
-        net = nca.random_network(len(weights), rng)
+        net = random_network(len(weights), rng)
         return nca.network_cdc(nca.build_algebra([1] * len(weights), weights), net.c, scale=0.5)
     alg = nca.build_algebra(blocks, weights[:len(blocks)])
     if kind == "spectral-triple":
         n = alg.total_size
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return nca.spectral_triple_cdc(x + x.conj().T, alg)
-    return nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(rng.integers(1, 4))])
+    return nca.commutator_cdc([random_element(alg, rng) for _ in range(rng.integers(1, 4))])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -126,7 +128,7 @@ def test_factored_route_matches_dense_route(kind, blocks, log_weights, seed):
 
     ref_bs = ReferenceSpace(gamma=gamma, rank=ref["rank"],
                             dmatrix=ref["dmatrix"], left_action=ref["left_action"])
-    elements = [nca.random_element(alg, rng) for _ in range(4)]
+    elements = [random_element(alg, rng) for _ in range(4)]
     values, _ = nca.dirac_seminorms(nca.DiracOperator(bs),
                                     [alg.canonical_coords(a) for a in elements])
     for a, value in zip(elements, values):
@@ -157,15 +159,15 @@ def test_per_block_commutators_match_dense_routes(case, seed):
     # table, and the star-graph verdict and witness on either route
     rng = np.random.default_rng(seed)
     if isinstance(case, int):
-        net = nca.random_network(case, rng)
+        net = random_network(case, rng)
         gamma = nca.network_cdc(net.algebra, net.c, scale=0.5)
     else:
         alg = nca.build_algebra(*PER_BLOCK_ALGEBRAS[case])
-        gamma = nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(2)])
+        gamma = nca.commutator_cdc([random_element(alg, rng) for _ in range(2)])
     alg = gamma.algebra
     op = nca.DiracOperator(nca.build_bimodule(gamma))
-    elements = [nca.random_element(alg, rng) for _ in range(3)]
-    elements.append(nca.random_self_adjoint(alg, rng))
+    elements = [random_element(alg, rng) for _ in range(3)]
+    elements.append(alg.from_canonical_coords(random_self_adjoint_rows(alg, rng, 1)[0]))
     values, _ = nca.dirac_seminorms(op, [alg.canonical_coords(a) for a in elements])
     blocks = commutator_blocks(op.bimodule)
     for a, value in zip(elements, values):

@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 
 import nca
+from nca.algebra import (
+    from_cells,
+    left_multiplication,
+    random_element,
+    right_multiplication,
+    to_cells,
+)
+from nca.cdc import CdCForm, lindblad_generator
+from nca.energy import EnergyForm, Laplacian
 from nca.errors import InputError
+from nca.resistance import random_network
+from generators import conjugation_superop, double_commutator_generator, permutation_superop
 
 from block_element import superop_from_function
 from conftest import K3_C, bench_network_c, seeded_generators
@@ -18,13 +29,13 @@ from conftest import K3_C, bench_network_c, seeded_generators
 
 
 def test_generator_zero_gives_zero_form(m2):
-    gamma = nca.gamma_from_generator(nca.SuperOperator.zero(m2))
+    gamma = nca.gamma_from_generator(nca.SuperOperator(m2, np.zeros((m2.dim, m2.dim))))
     assert gamma.magnitude() == 0
 
 
 def test_generator_requires_unit_annihilation(m2):
     with pytest.raises(InputError):
-        nca.gamma_from_generator(nca.SuperOperator.identity(m2))
+        nca.gamma_from_generator(nca.SuperOperator(m2, np.eye(m2.dim)))
 
 
 def test_network_generator_reproduces_network_form():
@@ -37,24 +48,24 @@ def test_network_generator_reproduces_network_form():
 
 def test_double_commutator_value(m2):
     e11 = m2.basis_element(0)
-    n = nca.double_commutator_generator(m2, [m2.basis_element(1)])
+    n = double_commutator_generator(m2, [m2.basis_element(1)])
     gamma = nca.gamma_from_generator(n, scale=1.0)
     assert gamma.value(e11, e11).distance(m2.identity()) < 1e-12
 
 
 def test_lindblad_generator_matches_commutator_form(m2):
     rng = np.random.default_rng(31)
-    vs = [nca.random_element(m2, rng) for _ in range(2)]
-    via_generator = nca.gamma_from_generator(nca.lindblad_generator(m2, vs), scale=1.0)
+    vs = [random_element(m2, rng) for _ in range(2)]
+    via_generator = nca.gamma_from_generator(lindblad_generator(m2, vs), scale=1.0)
     direct = nca.commutator_cdc(vs)
     assert np.abs(via_generator.gram - direct.gram).max() < 1e-10 * (1 + direct.magnitude())
 
 
 def test_generator_invariant_under_inner_derivations(m2):
     rng = np.random.default_rng(37)
-    n = nca.lindblad_generator(m2, [nca.random_element(m2, rng)])
-    w = nca.random_element(m2, rng)
-    derivation = nca.left_multiplication(m2, w) - nca.right_multiplication(m2, w)
+    n = lindblad_generator(m2, [random_element(m2, rng)])
+    w = random_element(m2, rng)
+    derivation = left_multiplication(m2, w) - right_multiplication(m2, w)
     shifted = nca.gamma_from_generator(n + derivation)
     base = nca.gamma_from_generator(n)
     assert np.abs(shifted.gram - base.gram).max() < 1e-10 * (1 + base.magnitude())
@@ -63,7 +74,7 @@ def test_generator_invariant_under_inner_derivations(m2):
 def test_symmetry_iff_sharp_difference_is_derivation(m2):
     rng = np.random.default_rng(41)
     # a Lindblad sum: N - N# = [[v*, v], .] is an inner derivation -> symmetric
-    n_good = nca.lindblad_generator(m2, [nca.random_element(m2, rng)])
+    n_good = lindblad_generator(m2, [random_element(m2, rng)])
     assert nca.is_cdc(nca.gamma_from_generator(n_good)).symmetric
 
     # a generic unit-annihilating map: the difference fails the Leibniz rule
@@ -101,7 +112,7 @@ def test_commutator_basic_value(m2):
 
 def test_group_action_swap_value():
     c2 = nca.build_algebra([1, 1], [1.0, 1.0])
-    swap = nca.permutation_superop(c2, [1, 0])
+    swap = permutation_superop(c2, [1, 0])
     gamma = nca.group_action_cdc([swap], [1.0])
     f = c2.element([[[1.0]], [[0.0]]])
     vals = gamma.value(f, f)
@@ -112,7 +123,7 @@ def test_group_action_swap_value():
 
 def test_group_action_trivial_action_gives_zero():
     c2 = nca.build_algebra([1, 1], [1.0, 1.0])
-    ident = nca.permutation_superop(c2, [0, 1])
+    ident = permutation_superop(c2, [0, 1])
     assert nca.group_action_cdc([ident], [3.0]).magnitude() == 0
 
 
@@ -126,7 +137,7 @@ def test_group_action_rejects_non_automorphism(m2):
 def test_group_action_conjugation_on_m2(m2):
     theta = 0.3
     u = m2.element([np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])])
-    alpha = nca.conjugation_superop(m2, u)
+    alpha = conjugation_superop(m2, u)
     gamma = nca.group_action_cdc([alpha], [2.0])
     assert nca.is_cdc(gamma).is_cdc
 
@@ -224,7 +235,7 @@ def test_ccn_examples(m2):
     assert nca.ccn_check(lap)
 
     rng = np.random.default_rng(59)
-    n_v = nca.lindblad_generator(m2, [nca.random_element(m2, rng)])
+    n_v = lindblad_generator(m2, [random_element(m2, rng)])
     assert nca.ccn_check(n_v)
 
     c = K3_C.copy()
@@ -248,6 +259,13 @@ def test_amplify_identity_order_one(m2):
     assert nca.amplify_cdc(gamma, 1) is gamma
 
 
+def test_amplify_rejects_a_boolean_order(m2):
+    # True == 1, yet no order is coerced from a bool
+    gamma = nca.commutator_cdc([m2.basis_element(1)])
+    with pytest.raises(InputError):
+        nca.amplify_cdc(gamma, True)
+
+
 def test_amplified_form_is_cdc(m2):
     gamma = nca.commutator_cdc([m2.basis_element(1)])
     big = nca.amplify_cdc(gamma, 2)
@@ -266,13 +284,13 @@ def test_amplified_values_match_entrywise_rule(m2):
     ]
     for alg, order, seed in cases:
         rng = np.random.default_rng(seed)
-        gamma = nca.commutator_cdc([nca.random_element(alg, rng)])
+        gamma = nca.commutator_cdc([random_element(alg, rng)])
         big = nca.amplify_cdc(gamma, order)
-        grid_a = [[nca.random_element(alg, rng) for _ in range(order)] for _ in range(order)]
-        grid_b = [[nca.random_element(alg, rng) for _ in range(order)] for _ in range(order)]
-        a = nca.from_cells(alg, order, grid_a)
-        b = nca.from_cells(alg, order, grid_b)
-        cells = nca.to_cells(alg, order, big.value(a, b))
+        grid_a = [[random_element(alg, rng) for _ in range(order)] for _ in range(order)]
+        grid_b = [[random_element(alg, rng) for _ in range(order)] for _ in range(order)]
+        a = from_cells(alg, order, grid_a)
+        b = from_cells(alg, order, grid_b)
+        cells = to_cells(alg, order, big.value(a, b))
         for j in range(order):
             for k in range(order):
                 expected = alg.zero()
@@ -314,19 +332,19 @@ def _generator_rules(vs):
 def test_generators_match_elementwise_rules(blocks, weights):
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(23)
-    vs = [nca.random_element(alg, rng) for _ in range(2)]
+    vs = [random_element(alg, rng) for _ in range(2)]
     lindblad, double_commutator = _generator_rules(vs)
     pairs = [
-        (nca.lindblad_generator(alg, vs), lindblad),
-        (nca.double_commutator_generator(alg, vs), double_commutator),
+        (lindblad_generator(alg, vs), lindblad),
+        (double_commutator_generator(alg, vs), double_commutator),
     ]
     # a unitary: the unitary factor of each block of a random element
-    u = alg.element([np.linalg.qr(m)[0] for m in nca.random_element(alg, rng).data])
-    pairs.append((nca.conjugation_superop(alg, u), lambda a: u * a * u.adjoint()))
+    u = alg.element([np.linalg.qr(m)[0] for m in random_element(alg, rng).data])
+    pairs.append((conjugation_superop(alg, u), lambda a: u * a * u.adjoint()))
     if alg.is_commutative:
         perm = [2, 0, 3, 1]
         pairs.append((
-            nca.permutation_superop(alg, perm),
+            permutation_superop(alg, perm),
             lambda f: alg.element([f.data[perm[x]] for x in range(alg.dim)]),
         ))
     for built, rule in pairs:
@@ -368,7 +386,7 @@ def test_gram_dtype_follows_the_data(m2):
     assert net.gram.dtype == np.float64
     assert nca.amplify_cdc(net, 2).gram.dtype == np.float64
     ints = np.arange(27).reshape(3, 3, 3)
-    form = nca.CdCForm(alg, ints)
+    form = CdCForm(alg, ints)
     assert form.gram.dtype == np.float64 and not form.gram.flags.writeable
     assert np.array_equal(form.gram, ints)
     two_point = nca.build_algebra([1, 1], [0.5, 0.5])
@@ -400,7 +418,7 @@ def _real_cdc_forms():
     """Real carre-du-champs, for the one-form space on both paths."""
     weighted = nca.build_algebra([1] * 5, [1.0, 2.0, 0.5, 1.5, 1.0])
     k3 = nca.network_cdc(nca.build_algebra([1] * 3, [1.0] * 3), K3_C)
-    return [nca.network_cdc(weighted, nca.random_network(5, np.random.default_rng(3)).c),
+    return [nca.network_cdc(weighted, random_network(5, np.random.default_rng(3)).c),
             nca.network_cdc(nca.build_algebra([1] * 16, [1.0] * 16), bench_network_c(16)),
             nca.amplify_cdc(k3, 2)]
 
@@ -412,7 +430,7 @@ def _close(a, b, scale):
 @pytest.mark.parametrize("case", range(7))
 def test_real_gram_checks_match_complex_copy(case):
     alg, g = list(_real_grams())[case]
-    real, cplx = nca.CdCForm(alg, g), nca.CdCForm(alg, g.astype(complex))
+    real, cplx = CdCForm(alg, g), CdCForm(alg, g.astype(complex))
     assert real.gram.dtype == np.float64 and cplx.gram.dtype == np.complex128
     scale = 1.0 + real.magnitude()
     got, want = nca.is_cdc(real), nca.is_cdc(cplx)
@@ -438,14 +456,14 @@ def test_real_gram_checks_match_complex_copy(case):
 
 
 def test_real_gram_witness_kinds_are_all_reached():
-    kinds = {nca.is_cdc(nca.CdCForm(alg, g)).witness["kind"] for alg, g in _real_grams()}
+    kinds = {nca.is_cdc(CdCForm(alg, g)).witness["kind"] for alg, g in _real_grams()}
     assert kinds == {"symmetry", "star-representation", "negative-direction"}
 
 
 @pytest.mark.parametrize("form", range(3))
 def test_real_bimodule_matches_complex_copy(form):
     real = _real_cdc_forms()[form]
-    cplx = nca.CdCForm(real.algebra, real.gram.astype(complex), scale=real.scale)
+    cplx = CdCForm(real.algebra, real.gram.astype(complex), scale=real.scale)
     assert real.gram.dtype == np.float64
     got, want = nca.build_bimodule(real), nca.build_bimodule(cplx)
     assert got.rank == want.rank
@@ -470,8 +488,8 @@ def _energy_layer(e):
 @pytest.mark.parametrize("form", range(3))
 def test_real_energy_layer_matches_complex_copy(form):
     real = _real_cdc_forms()[form]
-    e = nca.EnergyForm(real.algebra, real.tau_values)
-    cplx = nca.EnergyForm(real.algebra, e.gram.astype(complex))
+    e = EnergyForm(real.algebra, real.tau_values)
+    cplx = EnergyForm(real.algebra, e.gram.astype(complex))
     assert cplx.gram.dtype == np.complex128
     got, want = _energy_layer(e), _energy_layer(cplx)
     assert got[0] == want[0]
@@ -492,7 +510,7 @@ def test_laplacian_rejects_a_non_hermitian_matrix(m2):
     m = np.zeros((4, 4))
     m[0, 1] = 1.0
     with pytest.raises(InputError, match=r"must be Hermitian \(residual 1\.000e\+00\)"):
-        nca.Laplacian(nca.SuperOperator(m2, m))
+        Laplacian(nca.SuperOperator(m2, m))
 
 
 def test_real_network_is_cdc_memory_stays_bounded():

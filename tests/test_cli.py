@@ -8,6 +8,7 @@ import pytest
 
 import nca
 from conftest import bench_network_spec
+from nca.algebra import decode_element, encode_element
 from nca.cli import COMMANDS, emit_report, main, run_command
 from nca.errors import InputError
 from nca.fileio import ProblemSpec, parse_spec
@@ -70,8 +71,8 @@ def test_element_roundtrip_through_spec():
     spec = parse_spec(json.dumps(LINDBLAD_SPEC))
     v = spec.generator["vs"][0]
     assert v.data[0][0, 1] == 1.0
-    encoded = nca.encode_element(v)
-    assert nca.decode_element(spec.algebra, encoded).distance(v) == 0
+    encoded = encode_element(v)
+    assert decode_element(spec.algebra, encoded).distance(v) == 0
 
 
 def test_run_check_cdc_lindblad():

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import nca
-from nca.cdc import _cp_blocks
+from nca.algebra import left_multiplication, random_element, random_rows, random_self_adjoint_rows
+from nca.cdc import CdCForm, CdCReport, _cp_blocks
 from nca.dirac import _moved_frames, _star_squared_norms
 from nca.errors import DisconnectedError, PropertyViolationError
+from nca.resistance import random_network, random_star_network
 
 from conftest import K3_C, TWO_C, bench_lindblad_gamma, bench_network_c
 from dense_bimodule import (act_left, commutator_norm, derivative_coords, dirac_matrix, pair_forms,
@@ -66,8 +68,8 @@ def test_leibniz_rule_in_coordinates(catalog):
         bs = nca.build_bimodule(ex.gamma)
         alg = ex.algebra
         for _ in range(4):
-            a = nca.random_element(alg, rng)
-            b = nca.random_element(alg, rng)
+            a = random_element(alg, rng)
+            b = random_element(alg, rng)
             lhs = derivative_coords(bs, a * b)
             # a (db): left action on the derivative
             first = act_left(bs, a) @ derivative_coords(bs, b)
@@ -155,7 +157,7 @@ def test_seminorm_star_invariance_and_formula(catalog):
     for ex in catalog:
         op = nca.DiracOperator(nca.build_bimodule(ex.gamma))
         for _ in range(5):
-            a = nca.random_element(ex.algebra, rng)
+            a = random_element(ex.algebra, rng)
             res = nca.dirac_seminorm(op, a)
             res_star = nca.dirac_seminorm(op, a.adjoint())
             assert abs(res.value - res_star.value) < 1e-9 * (1 + res.value), ex.name
@@ -167,8 +169,8 @@ def test_seminorm_leibniz(catalog):
     for ex in catalog[:4]:
         op = nca.DiracOperator(nca.build_bimodule(ex.gamma))
         for _ in range(4):
-            a = nca.random_element(ex.algebra, rng)
-            b = nca.random_element(ex.algebra, rng)
+            a = random_element(ex.algebra, rng)
+            b = random_element(ex.algebra, rng)
             lhs = nca.dirac_seminorm(op, a * b).value
             bound = (
                 nca.dirac_seminorm(op, a).value * b.norm()
@@ -181,21 +183,21 @@ def test_commutator_norm_matches_full_commutator():
     # the norm taken from the two off-diagonal blocks equals the norm of the
     # whole (d + r) x (d + r) commutator
     rng = np.random.default_rng(199)
-    net = nca.random_network(6, rng)
+    net = random_network(6, rng)
     m3 = nca.build_algebra([3], [1.0])
-    v = nca.random_element(m3, rng)
+    v = random_element(m3, rng)
     mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    w = nca.random_element(mixed, rng)
+    w = random_element(mixed, rng)
     forms = [
         nca.network_cdc(net.algebra, net.c, scale=0.5),
-        nca.commutator_cdc([v, v.adjoint(), nca.random_self_adjoint(m3, rng)]),
+        nca.commutator_cdc([v, v.adjoint(), m3.from_canonical_coords(random_self_adjoint_rows(m3, rng, 1)[0])]),
         nca.commutator_cdc([w, w.adjoint()]),
     ]
     for gamma in forms:
         op = nca.DiracOperator(nca.build_bimodule(gamma))
         for k in range(10):
-            sample = nca.random_self_adjoint if k % 2 else nca.random_element
-            a = sample(gamma.algebra, rng)
+            sample = random_self_adjoint_rows if k % 2 else random_rows
+            a = gamma.algebra.from_canonical_coords(sample(gamma.algebra, rng, 1)[0])
             pi = represent(op.bimodule, a)
             dm = dirac_matrix(op.bimodule)
             full = np.linalg.norm(dm @ pi - pi @ dm, 2)
@@ -207,7 +209,7 @@ def test_network_commutator_norm_closed_forms():
     # norm of delta sums has an explicit max formula in the conductances
     rng = np.random.default_rng(193)
     for _ in range(3):
-        net = nca.random_network(4, rng)
+        net = random_network(4, rng)
         c = net.c
         hat = c.sum(axis=1)
         gamma = nca.network_cdc(net.algebra, c, scale=1.0)
@@ -235,7 +237,7 @@ def test_network_commutator_norm_sup_formula():
     # the seminorm of a random real function is the sup over nodes of the
     # square root of the local quadratic dispersion
     rng = np.random.default_rng(197)
-    net = nca.random_network(5, rng)
+    net = random_network(5, rng)
     gamma = nca.network_cdc(net.algebra, net.c, scale=1.0)
     op = nca.DiracOperator(nca.build_bimodule(gamma))
     for _ in range(5):
@@ -255,7 +257,7 @@ def test_left_action_matches_product_route(blocks, weights):
     # e_a (x) e_c -> e_a (x) e_c - 1 (x) e_a e_c
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(29)
-    bs = nca.build_bimodule(nca.commutator_cdc([nca.random_element(alg, rng) for _ in range(2)]))
+    bs = nca.build_bimodule(nca.commutator_cdc([random_element(alg, rng) for _ in range(2)]))
     d = alg.dim
     cols = np.arange(d)
     proj = pair_projection(alg)
@@ -279,7 +281,7 @@ def _leaking_form(blocks):
     emb = alg.embedded_basis
     x = emb - (np.trace(emb, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
     rows, cols = alg.unit_positions
-    return nca.CdCForm(alg, (x.conj().transpose(0, 2, 1)[:, None] @ x[None])[:, :, rows, cols])
+    return CdCForm(alg, (x.conj().transpose(0, 2, 1)[:, None] @ x[None])[:, :, rows, cols])
 
 
 @pytest.mark.parametrize("blocks", [[2], [3], [2, 1]])
@@ -288,7 +290,7 @@ def test_null_space_invariance_detects_a_leaking_form(monkeypatch, blocks):
     dense_bimodule = importlib.import_module("dense_bimodule")
     gamma = _leaking_form(blocks)
     assert not nca.is_cdc(gamma).star_representation
-    passing = nca.CdCReport(True, True, True, True)
+    passing = CdCReport(True, True, True, True)
     for module in (importlib.import_module("nca.dirac"), dense_bimodule):
         monkeypatch.setattr(module, "is_cdc", lambda g, tol: passing)
     assert nca.build_bimodule(gamma).residuals["null_space_invariance"] > 0.1
@@ -307,7 +309,7 @@ def test_bimodule_requires_cdc():
 
 def test_star_graph_flags():
     rng = np.random.default_rng(181)
-    star = nca.random_star_network(4, rng)
+    star = random_star_network(4, rng)
     out = nca.star_graph_check(star)
     assert out["is_star"] and out["parallelogram_holds"]
 
@@ -326,7 +328,7 @@ def test_star_graph_batched_norms_match_commutator_norm(size):
     # point-mass Gram table, agrees with the commutator route, for point
     # masses, delta_p +- delta_q and random f
     rng = np.random.default_rng(200 + size)
-    net = nca.random_network(size, rng)
+    net = random_network(size, rng)
     op = nca.DiracOperator(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
     values = rng.standard_normal((3, size))
     l2 = _star_squared_norms(op.bimodule, values)
@@ -346,7 +348,7 @@ def test_star_graph_batched_norms_match_commutator_norm(size):
     dm = op.bimodule.dmatrix
     for vals in values:
         f = net.function(vals)
-        left = nca.left_multiplication(net.algebra, f).matrix
+        left = left_multiplication(net.algebra, f).matrix
         act = act_left(op.bimodule, f)
         first = np.linalg.norm(dm @ left - act @ dm, 2)
         second = np.linalg.norm(dm.conj().T @ act - left @ dm.conj().T, 2)
@@ -362,8 +364,8 @@ def test_star_graph_rejects_disconnected_network():
 
 def test_star_graph_scale_independent():
     rng = np.random.default_rng(191)
-    star = nca.random_star_network(5, rng)
-    k4 = nca.random_network(4, rng)
+    star = random_star_network(5, rng)
+    k4 = random_network(4, rng)
     for net in (star, k4):
         half = nca.star_graph_check(net, scale=0.5)
         unit = nca.star_graph_check(net, scale=1.0)
@@ -396,11 +398,11 @@ def test_seminorm_of_near_scalars_has_no_form_rounding():
     # Gamma(1, 1) is rounding, and its square root used to put ~1e-8 into
     # the form side; the identity component is removed before both sides
     rng = np.random.default_rng(61)
-    net = nca.random_network(6, rng)
+    net = random_network(6, rng)
     m3 = nca.build_algebra([3], [1.0])
-    v = nca.random_element(m3, rng)
+    v = random_element(m3, rng)
     mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    w = nca.random_element(mixed, rng)
+    w = random_element(mixed, rng)
     forms = [
         nca.network_cdc(net.algebra, net.c, scale=0.5),
         nca.commutator_cdc([v, v.adjoint()]),
@@ -411,7 +413,7 @@ def test_seminorm_of_near_scalars_has_no_form_rounding():
         one = gamma.algebra.identity()
         at_one = nca.dirac_seminorm(op, one)
         assert at_one.value == at_one.from_form == at_one.residual == 0.0
-        near = nca.dirac_seminorm(op, one + 1e-6 * nca.random_element(gamma.algebra, rng))
+        near = nca.dirac_seminorm(op, one + 1e-6 * random_element(gamma.algebra, rng))
         assert near.value > 1e-7
         assert near.residual <= 1e-12 * near.value, gamma.algebra.blocks
 
@@ -459,9 +461,9 @@ def _chunk_forms(catalog):
     net = nca.build_algebra([1] * 12, [1.0] * 12)
     return [(ex.name, ex.gamma, None) for ex in catalog] + [
         ("lindblad-M5-seed1", bench_lindblad_gamma(5, seed=1), None),
-        ("3-2-1", nca.commutator_cdc([nca.random_element(mixed, rng) for _ in range(2)]), None),
+        ("3-2-1", nca.commutator_cdc([random_element(mixed, rng) for _ in range(2)]), None),
         ("network-N12", nca.network_cdc(net, bench_network_c(12), scale=0.5), None),
-        ("leaking-2-1", _leaking_form([2, 1]), nca.CdCReport(True, True, True, True)),
+        ("leaking-2-1", _leaking_form([2, 1]), CdCReport(True, True, True, True)),
     ]
 
 

@@ -6,6 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nca
+from nca.algebra import (
+    PiecewiseLinear,
+    from_cells,
+    is_positive,
+    random_element,
+    random_positive_rows,
+    random_self_adjoint_rows,
+    to_cells,
+)
+from generators import clamp_above
 import block_element as ref
 
 RTOL = 1e-13
@@ -35,7 +45,7 @@ def _setup(pairs, seed):
 @given(algebras, st.integers(0, 2 ** 31 - 1))
 def test_ring_operations_match_block_reference(pairs, seed):
     alg, rng = _setup(pairs, seed)
-    a, b = nca.random_element(alg, rng), nca.random_element(alg, rng)
+    a, b = random_element(alg, rng), random_element(alg, rng)
     ra, rb = ref.BlockElement.of(a), ref.BlockElement.of(b)
     _same(a + b, ra + rb)
     _same(a - b, ra - rb)
@@ -63,24 +73,24 @@ def test_ring_operations_match_block_reference(pairs, seed):
 @given(algebras, st.integers(0, 2 ** 31 - 1))
 def test_spectral_operations_match_block_reference(pairs, seed):
     alg, rng = _setup(pairs, seed)
-    a = nca.random_element(alg, rng)
-    h = nca.random_self_adjoint(alg, rng)
-    p = nca.random_positive(alg, rng)
+    a = random_element(alg, rng)
+    h = alg.from_canonical_coords(random_self_adjoint_rows(alg, rng, 1)[0])
+    p = alg.from_canonical_coords(random_positive_rows(alg, rng, 1)[0])
     for x in (a, h, p, h - 3.0 * alg.identity()):
         rx = ref.BlockElement.of(x)
         assert x.is_self_adjoint() == rx.is_self_adjoint()
-        assert nca.is_positive(x) == ref.is_positive(rx)
+        assert is_positive(x) == ref.is_positive(rx)
         got, want = x.eigenvalues(), rx.eigenvalues()
         if rx.is_self_adjoint():
             got, want = np.sort(got), np.sort(want)
         else:
             got, want = np.sort_complex(got), np.sort_complex(want)
         _close(got, want, rx.norm())
-    assert not a.is_self_adjoint() and h.is_self_adjoint() and nca.is_positive(p)
+    assert not a.is_self_adjoint() and h.is_self_adjoint() and is_positive(p)
     rh = ref.BlockElement.of(h)
-    three = nca.PiecewiseLinear((-1.0, 0.2, 0.7), (0.5, -0.3, 1.1))
-    for fn in (nca.PiecewiseLinear.relu(), nca.PiecewiseLinear.absolute(),
-               nca.PiecewiseLinear.clamp_above(0.3), three):
+    three = PiecewiseLinear((-1.0, 0.2, 0.7), (0.5, -0.3, 1.1))
+    for fn in (PiecewiseLinear.relu(), PiecewiseLinear.absolute(),
+               clamp_above(0.3), three):
         got, lip = nca.functional_calculus(h, fn)
         want, want_lip = ref.functional_calculus(rh, fn)
         _same(got, want)
@@ -91,11 +101,11 @@ def test_spectral_operations_match_block_reference(pairs, seed):
 @given(algebras, st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
 def test_cells_match_block_reference(pairs, order, seed):
     alg, rng = _setup(pairs, seed)
-    grid = [[nca.random_element(alg, rng) for _ in range(order)] for _ in range(order)]
-    big = nca.from_cells(alg, order, grid)
+    grid = [[random_element(alg, rng) for _ in range(order)] for _ in range(order)]
+    big = from_cells(alg, order, grid)
     ref_grid = [[ref.BlockElement.of(x) for x in row] for row in grid]
     _same(big, ref.from_cells(alg, order, ref_grid))
-    back = nca.to_cells(alg, order, big)
+    back = to_cells(alg, order, big)
     want = ref.to_cells(alg, order, ref.BlockElement.of(big))
     for j in range(order):
         for k in range(order):

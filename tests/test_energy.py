@@ -9,8 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nca
-from nca.energy import _choi_blocks, _choi_flags, _markov_probes, _seeded_knots
+from nca.algebra import (
+    PiecewiseLinear,
+    amplify_matrix,
+    amplify_superop,
+    from_cells,
+    is_positive,
+    matrix_direct_sum,
+    random_element,
+    random_positive_rows,
+    random_self_adjoint_rows,
+)
+from nca.energy import (
+    EnergyForm,
+    _choi_blocks,
+    _choi_flags,
+    _markov_probes,
+    _seeded_knots,
+    _seminorms,
+)
 from nca.errors import InputError, PropertyViolationError
+from nca.resistance import random_network
+from generators import clamp_above, double_commutator_generator
 
 from conftest import K3_C, TWO_C, bench_lindblad_spec
 
@@ -81,7 +101,7 @@ def test_laplacian_reproduces_energy_on_basis(lindblad_pair_setup):
 def test_laplacian_is_double_commutator_sum(lindblad_pair_setup):
     alg, _, _, lap = lindblad_pair_setup
     vs = [alg.basis_element(1), alg.basis_element(2)]
-    direct = nca.double_commutator_generator(alg, vs)
+    direct = double_commutator_generator(alg, vs)
     assert np.abs(lap.matrix - direct.matrix).max() < 1e-12
 
 
@@ -106,18 +126,18 @@ def test_gamma_delta_network_matches_symmetrized(k3_setup):
 
 def test_gamma_delta_zero():
     alg = nca.build_algebra([2], [1.0])
-    lap = nca.laplacian(nca.EnergyForm(alg, np.zeros((4, 4))))
+    lap = nca.laplacian(EnergyForm(alg, np.zeros((4, 4))))
     assert nca.gamma_delta(lap).magnitude() == 0
 
 
 def test_gamma_delta_pointwise_positive(m2):
     rng = np.random.default_rng(67)
-    gamma = nca.commutator_cdc([nca.random_element(m2, rng)])
+    gamma = nca.commutator_cdc([random_element(m2, rng)])
     lap = nca.laplacian(nca.energy_form(gamma))
     gd = nca.gamma_delta(lap)
     for _ in range(10):
-        a = nca.random_element(m2, rng)
-        assert nca.is_positive(gd.value(a, a), tol=1e-9)
+        a = random_element(m2, rng)
+        assert is_positive(gd.value(a, a), tol=1e-9)
     assert nca.is_cdc(gd).is_cdc
 
 
@@ -126,7 +146,7 @@ def test_amplified_laplacian_is_tensor_with_identity(k3_setup, lindblad_pair_set
         _, gamma, _, lap = setup
         big_gamma = nca.amplify_cdc(gamma, 2)
         big_lap = nca.laplacian(nca.energy_form(big_gamma))
-        tensor = nca.amplify_superop(lap.superop, 2)
+        tensor = amplify_superop(lap.superop, 2)
         assert np.abs(big_lap.matrix - tensor.matrix).max() < 1e-10
 
 
@@ -135,24 +155,25 @@ def test_amplified_laplacian_is_tensor_with_identity(k3_setup, lindblad_pair_set
 
 def test_seminorm_basics(k3_setup):
     alg, _, e, _ = k3_setup
-    assert nca.energy_seminorm(e, alg.identity()) == 0.0
+    assert e.seminorm(alg.identity()) == 0.0
     two = nca.build_algebra([1, 1], [1.0, 1.0])
     e2 = nca.energy_form(nca.network_cdc(two, TWO_C, scale=0.5))
     f = two.element([[[1.0]], [[0.0]]])
-    assert nca.energy_seminorm(e2, f) == pytest.approx(1.0)
+    assert e2.seminorm(f) == pytest.approx(1.0)
 
 
 def test_l2_matricial_direct_sums(lindblad_pair_setup):
     alg, _, e, _ = lindblad_pair_setup
     rng = np.random.default_rng(71)
     for m, n in [(1, 1), (1, 2), (2, 2)]:
-        v = nca.random_element(alg.amplify(m) if m > 1 else alg, rng)
-        w = nca.random_element(alg.amplify(n) if n > 1 else alg, rng)
-        v_amp = v if m > 1 else nca.from_cells(alg, 1, [[v]])
-        w_amp = w if n > 1 else nca.from_cells(alg, 1, [[w]])
-        both = nca.matrix_direct_sum(alg, m, v_amp, n, w_amp)
-        lhs = nca.energy_seminorm(e, both, m + n) ** 2
-        rhs = nca.energy_seminorm(e, v, m) ** 2 + nca.energy_seminorm(e, w, n) ** 2
+        v = random_element(alg.amplify(m) if m > 1 else alg, rng)
+        w = random_element(alg.amplify(n) if n > 1 else alg, rng)
+        v_amp = v if m > 1 else from_cells(alg, 1, [[v]])
+        w_amp = w if n > 1 else from_cells(alg, 1, [[w]])
+        both = matrix_direct_sum(alg, m, v_amp, n, w_amp)
+        lhs = _seminorms(amplify_matrix(e.gram, alg, m + n), both.coords) ** 2
+        rhs = (_seminorms(amplify_matrix(e.gram, alg, m), v.coords) ** 2
+               + _seminorms(amplify_matrix(e.gram, alg, n), w.coords) ** 2)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -161,22 +182,21 @@ def _scalar_matrix(alg, order, mat):
         [complex(mat[j, k]) * alg.identity() for k in range(order)]
         for j in range(order)
     ]
-    return nca.from_cells(alg, order, cells)
+    return from_cells(alg, order, cells)
 
 
 def test_normed_bimodule_bound(lindblad_pair_setup):
     alg, _, e, _ = lindblad_pair_setup
     rng = np.random.default_rng(73)
     order = 2
+    gram = amplify_matrix(e.gram, alg, order)
     for _ in range(10):
         alpha = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
         beta = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
-        v = nca.random_element(alg.amplify(order), rng)
+        v = random_element(alg.amplify(order), rng)
         prod = _scalar_matrix(alg, order, alpha) * v * _scalar_matrix(alg, order, beta)
-        lhs = nca.energy_seminorm(e, prod, order)
-        bound = (
-            np.linalg.norm(alpha, 2) * nca.energy_seminorm(e, v, order) * np.linalg.norm(beta, 2)
-        )
+        lhs, norm_v = _seminorms(gram, np.array([prod.coords, v.coords]))
+        bound = np.linalg.norm(alpha, 2) * norm_v * np.linalg.norm(beta, 2)
         assert lhs <= bound + 1e-9 * (1 + bound)
 
 
@@ -187,19 +207,19 @@ def test_markov_affine_equality(k3_setup):
     _, _, e, _ = k3_setup
     alg = e.algebra
     rng = np.random.default_rng(79)
-    a = nca.random_self_adjoint(alg, rng)
-    shifted, lip = nca.functional_calculus(a, nca.PiecewiseLinear.affine(3.0, 1.0))
+    a = alg.from_canonical_coords(random_self_adjoint_rows(alg, rng, 1)[0])
+    shifted, lip = nca.functional_calculus(a, PiecewiseLinear((0.0, 1.0), (3.0, 4.0)))
     assert lip == 1.0
-    assert abs(nca.energy_seminorm(e, shifted) - nca.energy_seminorm(e, a)) < 1e-10
+    assert abs(e.seminorm(shifted) - e.seminorm(a)) < 1e-10
 
 
 def test_markov_two_point_clamp():
     two = nca.build_algebra([1, 1], [1.0, 1.0])
     e = nca.energy_form(nca.network_cdc(two, TWO_C, scale=0.5))
     f = two.element([[[2.0]], [[0.0]]])
-    clamped, lip = nca.functional_calculus(f, nca.PiecewiseLinear.clamp_above(1.0))
-    assert nca.energy_seminorm(e, clamped) == pytest.approx(1.0)
-    assert lip * nca.energy_seminorm(e, f) == pytest.approx(2.0)
+    clamped, lip = nca.functional_calculus(f, clamp_above(1.0))
+    assert e.seminorm(clamped) == pytest.approx(1.0)
+    assert lip * e.seminorm(f) == pytest.approx(2.0)
 
 
 def test_markov_and_leibniz_pass_on_catalog(catalog):
@@ -219,8 +239,8 @@ def test_markov_detects_negative_conductance():
     net = nca.ResistanceNetwork(c, allow_negative=True)
     witness = nca.markov_violation_witness(net)
     clipped, lip = nca.functional_calculus(witness.f, witness.fn)
-    lhs = nca.energy_seminorm(e, clipped)
-    rhs = lip * nca.energy_seminorm(e, witness.f)
+    lhs = e.seminorm(clipped)
+    rhs = lip * e.seminorm(witness.f)
     assert lhs > rhs + 1e-6
     assert lhs ** 2 - rhs ** 2 == pytest.approx(witness.violation, rel=1e-9)
 
@@ -233,7 +253,7 @@ def seeded_three_knot(rng):
     while np.diff(xs).min() < 1e-3:
         xs = np.sort(rng.uniform(-2.0, 2.0, size=3))
     ys = rng.uniform(-2.0, 2.0, size=3)
-    return nca.PiecewiseLinear(tuple(xs), tuple(ys))
+    return PiecewiseLinear(tuple(xs), tuple(ys))
 
 
 def default_battery(a, rng=None):
@@ -241,9 +261,9 @@ def default_battery(a, rng=None):
     part and the clamp at |a| used in the reconstruction argument, the
     absolute value, and, given ``rng``, one seeded three-knot function."""
     battery = [
-        ("relu", nca.PiecewiseLinear.relu()),
-        ("clamp", nca.PiecewiseLinear.clamp_above(a.norm())),
-        ("abs", nca.PiecewiseLinear.absolute()),
+        ("relu", PiecewiseLinear.relu()),
+        ("clamp", clamp_above(a.norm())),
+        ("abs", PiecewiseLinear.absolute()),
     ]
     if rng is not None:
         battery.append(("seeded-3pt", seeded_three_knot(rng)))
@@ -271,35 +291,35 @@ def _battery_forms():
     """A 6-node network, a Lindblad triple v, v*, h on M3, and a Lindblad
     pair on [3,2,1] with weights [1, 0.5, 2]."""
     rng = np.random.default_rng(83)
-    net = nca.random_network(6, rng)
+    net = random_network(6, rng)
     yield "network-6", nca.energy_form(nca.network_cdc(net.algebra, net.c, scale=0.5))
     m3 = nca.build_algebra([3], [1.0])
-    v = nca.random_element(m3, rng)
+    v = random_element(m3, rng)
     yield "m3-triple", nca.energy_form(
         nca.commutator_cdc([v, v.adjoint(), 0.5 * (v + v.adjoint())])
     )
     mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    v = nca.random_element(mixed, rng)
+    v = random_element(mixed, rng)
     yield "321-pair", nca.energy_form(nca.commutator_cdc([v, v.adjoint()]))
 
 
 def _elementwise(e, a, fn):
     """lhs and bound of the Markov inequality for one element and function."""
     fa, lip = nca.functional_calculus(a, fn)
-    return nca.energy_seminorm(e, fa), lip * nca.energy_seminorm(e, a)
+    return e.seminorm(fa), lip * e.seminorm(a)
 
 
 @pytest.mark.parametrize("name, e", list(_battery_forms()))
 def test_batched_markov_matches_elementwise_definition(name, e):
     alg = e.algebra
     rng = np.random.default_rng(89)
-    elements = [nca.random_self_adjoint(alg, rng) for _ in range(5)]
+    elements = [alg.from_canonical_coords(x) for x in random_self_adjoint_rows(alg, rng, 5)]
     battery = [
-        ("relu", nca.PiecewiseLinear.relu()),
-        ("abs", nca.PiecewiseLinear.absolute()),
-        ("clamp", nca.PiecewiseLinear.clamp_above(0.4)),
-        ("kink", nca.PiecewiseLinear((-1.0, 0.2, 1.5), (0.5, -0.1, 2.0))),
-        ("identity", nca.PiecewiseLinear.identity()),
+        ("relu", PiecewiseLinear.relu()),
+        ("abs", PiecewiseLinear.absolute()),
+        ("clamp", clamp_above(0.4)),
+        ("kink", PiecewiseLinear((-1.0, 0.2, 1.5), (0.5, -0.1, 2.0))),
+        ("identity", PiecewiseLinear((0.0, 1.0), (0.0, 1.0))),
     ]
     seed = 4
     # the battery runs on the given elements, then on the probes drawn from
@@ -490,9 +510,9 @@ def _dense_choi_flags(phi, tol=1e-9):
 def test_heat_choi_gathers_from_superop_matrix():
     rng = np.random.default_rng(97)
     mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    v = nca.random_element(mixed, rng)
+    v = random_element(mixed, rng)
     d_op = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    net = nca.random_network(6, rng)
+    net = random_network(6, rng)
     # the Lindblad pair keeps each block to itself; the spectral triple
     # couples blocks of different weights
     for gamma in (
@@ -511,7 +531,7 @@ def _maps_on(alg, rng):
     tau-real); the blockwise transpose, not CP once a block has size >= 2;
     a random Hermiticity-preserving map, almost surely not CP; and a random
     map, whose Choi matrix is almost surely not Hermitian."""
-    v = nca.random_element(alg, rng)
+    v = random_element(alg, rng)
     n = alg.total_size
     d_op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     maps = []
@@ -653,7 +673,7 @@ def _rank_one_laplacian():
     # not positive, R_t f = f - s <v, f> v with s = t / (1 + t)
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
     v = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
-    return alg, nca.laplacian(nca.EnergyForm(alg, np.outer(v, v)))
+    return alg, nca.laplacian(EnergyForm(alg, np.outer(v, v)))
 
 
 def test_resolvent_witness_on_rank_one_laplacian():
@@ -718,7 +738,7 @@ def test_reconstruction_variance_form():
             mu_b = 0.5 * np.trace(b.full())
             mu_ab = 0.5 * np.trace((a.adjoint() * b).full())
             gram[i, j] = mu_ab - mu_a * mu_b
-    e = nca.EnergyForm(alg, gram)
+    e = EnergyForm(alg, gram)
     gamma = nca.cdc_from_dirichlet_form(e, nca.laplacian(e), seed=9)
     p = alg.identity()
     expected = nca.independent_copies_cdc(alg, p)

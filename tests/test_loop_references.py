@@ -34,28 +34,55 @@ from conftest import K3_C, build_catalog, seeded_generators
 from dense_bimodule import commutator_norm
 from nca.algebra import (
     _ROW_CHUNK,
+    PiecewiseLinear,
     SpectralStack,
     amplification_index,
     amplify_matrix,
+    amplify_superop,
     block_norms,
     block_products,
     block_stacks,
     hermitian_eigenvalues,
+    left_multiplication,
     piecewise_linear_lipschitz,
     piecewise_linear_values,
+    random_element,
     random_positive_rows,
     random_rows,
     random_self_adjoint_rows,
+    right_multiplication,
 )
-from nca.cdc import _check_automorphism
+from nca.cdc import _check_automorphism, lindblad_generator
 from nca.cli import run_command
 from nca.dirac import _commutator_groups
-from nca.fileio import parse_spec
-from nca.energy import _extreme_positives, _markov_probes, _quadratic_forms, _seminorms
+from nca.energy import (
+    EnergyForm,
+    Laplacian,
+    _extreme_positives,
+    _markov_probes,
+    _quadratic_forms,
+    _seminorms,
+    energy_form_of_laplacian,
+)
 from nca.errors import DisconnectedError, InputError
-from nca.reporting import judge
-from nca.resistance import _mixture_grid, _mixture_search, _node_triples
+from nca.fileio import parse_spec
+from nca.quotient import central_projection
+from nca.reporting import CheckResult, judge
+from nca.resistance import (
+    _mixture_grid,
+    _mixture_search,
+    _node_triples,
+    is_star,
+    random_network,
+    random_star_network,
+)
+from generators import conjugation_superop, permutation_superop
 from test_energy import _rank_one_laplacian, seeded_three_knot
+
+
+def _draw(rows, alg, rng):
+    """One element from a rows sampler: the stream of one draw at a time."""
+    return alg.from_canonical_coords(rows(alg, rng, 1)[0])
 
 
 # -- conditional complete negativity ---------------------------------------
@@ -89,8 +116,8 @@ def _ccn_loop(n, seed=0, tol=1e-9, extra_tuples=4):
         return False
     rng = np.random.default_rng(seed)
     for _ in range(extra_tuples):
-        a_list = [nca.random_element(alg, rng) for _ in range(3)]
-        b_list = [nca.random_element(alg, rng) for _ in range(3)]
+        a_list = [random_element(alg, rng) for _ in range(3)]
+        b_list = [random_element(alg, rng) for _ in range(3)]
         total = alg.zero()
         for a, b in zip(a_list, b_list):
             total = total + a * b
@@ -113,7 +140,7 @@ def _ccn_inputs():
     gens += [ex.generator for ex in build_catalog() if ex.generator is not None]
     alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
     rng = np.random.default_rng(71)
-    lind = nca.lindblad_generator(alg, [nca.random_element(alg, rng) for _ in range(2)])
+    lind = lindblad_generator(alg, [random_element(alg, rng) for _ in range(2)])
     gens += [lind, -1.0 * lind]  # the negated generator is not CCN
     c = K3_C.copy()
     c[0, 1] = c[1, 0] = -0.5
@@ -163,19 +190,19 @@ def _automorphism_inputs():
     m2 = nca.build_algebra([2], [1.0])
     theta = 0.3
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    maps = [nca.permutation_superop(c2, [1, 0]), nca.permutation_superop(c2, [0, 1]),
-            nca.conjugation_superop(m2, m2.element([rot])),
+    maps = [permutation_superop(c2, [1, 0]), permutation_superop(c2, [0, 1]),
+            conjugation_superop(m2, m2.element([rot])),
             nca.SuperOperator(m2, np.random.default_rng(43).standard_normal((4, 4)))]
     for size in (3, 4, 5):
         alg = nca.build_algebra([1] * size, [1.0, 2.0, 0.5, 1.0, 1.5][:size])
-        maps.append(nca.permutation_superop(alg, [(x + 1) % size for x in range(size)]))
+        maps.append(permutation_superop(alg, [(x + 1) % size for x in range(size)]))
     alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
     rng = np.random.default_rng(73)
-    u = nca.random_element(alg, rng)  # invertible, not unitary
+    u = random_element(alg, rng)  # invertible, not unitary
     u_inv = alg.element([np.linalg.inv(m) for m in u.data])
-    similarity = nca.left_multiplication(alg, u).compose(nca.right_multiplication(alg, u_inv))
+    similarity = left_multiplication(alg, u).compose(right_multiplication(alg, u_inv))
     unitary = alg.element([np.linalg.qr(m)[0] for m in u.data])
-    inner = nca.conjugation_superop(alg, unitary)
+    inner = conjugation_superop(alg, unitary)
     noise = 1e-6 * rng.standard_normal((alg.dim, alg.dim))
     maps += [similarity, inner, nca.SuperOperator(alg, inner.matrix + noise)]
     return maps
@@ -237,13 +264,13 @@ def _leibniz_loop(e, orders=(1, 2), seed=0, count=20, tol=1e-9, pairs=None):
         if order == 1 and pairs is not None:
             samples = list(pairs)
         else:
-            samples = [(nca.random_self_adjoint(alg, rng), nca.random_self_adjoint(alg, rng))
-                       for _ in range(count)]
+            samples = [(_draw(random_self_adjoint_rows, alg, rng),
+                        _draw(random_self_adjoint_rows, alg, rng)) for _ in range(count)]
+        gram = amplify_matrix(e.gram, e.algebra, order)
         worst, witness = 0.0, None
         for idx, (a, b) in enumerate(samples):
-            lhs = nca.energy_seminorm(e, a * b, order)
-            bound = (nca.energy_seminorm(e, a, order) * b.norm()
-                     + a.norm() * nca.energy_seminorm(e, b, order))
+            lhs, norm_a, norm_b = _seminorms(gram, np.array([(a * b).coords, a.coords, b.coords]))
+            bound = norm_a * b.norm() + a.norm() * norm_b
             if lhs - bound > worst:
                 worst = lhs - bound
                 if worst > tol:
@@ -257,13 +284,13 @@ def _leibniz_forms():
     c = np.array([[0.0, -0.1, 1.0], [-0.1, 0.0, 1.0], [1.0, 1.0, 0.0]])
     negative = nca.energy_form(nca.network_cdc(alg, c, scale=0.5, allow_negative=True), force=True)
     alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    v = nca.random_element(alg, np.random.default_rng(83))
+    v = random_element(alg, np.random.default_rng(83))
     lindblad = nca.energy_form(nca.commutator_cdc([v, v.adjoint()]))
     # E(a, b) = conj(tau(a)) tau(b) is no carre-du-champ energy: a traceless
     # x with tau(x x) != 0 breaks the Leibniz inequality
     t = np.zeros(alg.dim)
     t[alg.diagonal_units] = alg.coord_weights
-    return [negative, lindblad, nca.EnergyForm(alg, np.outer(t, t))]
+    return [negative, lindblad, EnergyForm(alg, np.outer(t, t))]
 
 
 def _agree(got, want):
@@ -286,7 +313,7 @@ def test_batched_leibniz_matches_loop(form, tol):
     got = nca.leibniz_check(e, orders=(1, 2, 3), seed=5, count=12, tol=tol)
     _agree(got, _leibniz_loop(e, orders=(1, 2, 3), seed=5, count=12, tol=tol))
     rng = np.random.default_rng(89)
-    pairs = [(nca.random_element(e.algebra, rng), nca.random_element(e.algebra, rng))
+    pairs = [(random_element(e.algebra, rng), random_element(e.algebra, rng))
              for _ in range(6)]
     if form == 2:
         # two equal violating pairs: the witness is the first of them
@@ -330,7 +357,7 @@ def _star_graph_loop(net, op, seed=0, tol=1e-9, random_pairs=8):
             witness = name
     holds = worst <= max(tol, 1e-8)
     return {
-        "is_star": nca.is_star(net),
+        "is_star": is_star(net),
         "parallelogram_holds": holds,
         "max_relative_residual": worst,
         "witness": None if holds else witness,
@@ -342,7 +369,7 @@ def _star_graph_loop(net, op, seed=0, tol=1e-9, random_pairs=8):
                                         (16, True)])
 def test_star_graph_check_matches_loop(size, star):
     rng = np.random.default_rng(300 + size)
-    net = (nca.random_star_network if star else nca.random_network)(size, rng)
+    net = (random_star_network if star else random_network)(size, rng)
     op = nca.DiracOperator(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
     wants = [_star_graph_loop(net, op, seed=size + k, random_pairs=k) for k in (0, 3, 8)]
     for k, want in zip((0, 3, 8), wants):
@@ -357,7 +384,7 @@ def test_star_graph_check_matches_loop(size, star):
 
 def test_star_graph_random_witness_matches_loop():
     # a triangle whose worst pair is a random one, not a pair of point masses
-    net = nca.random_network(3, np.random.default_rng(12))
+    net = random_network(3, np.random.default_rng(12))
     op = nca.DiracOperator(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
     want = _star_graph_loop(net, op, seed=12)
     got = nca.star_graph_check(net, seed=12, op=op)
@@ -384,12 +411,12 @@ def _network(size, edges):
 
 def test_is_star_matches_loop():
     rng = np.random.default_rng(43)
-    nets = [nca.random_network(int(rng.integers(2, 9)), rng, density=density,
+    nets = [random_network(int(rng.integers(2, 9)), rng, density=density,
                                ensure_connected=False)
             for density in (0.1, 0.2, 0.3, 0.5, 0.9) for _ in range(12)]
-    nets += [nca.random_star_network(size, rng) for size in (2, 3, 6)]
+    nets += [random_star_network(size, rng) for size in (2, 3, 6)]
     for net in nets:
-        assert nca.is_star(net) == _is_star_loop(net)
+        assert is_star(net) == _is_star_loop(net)
     # edgeless, one edge, a path, a star plus an isolated node, a star with
     # a negative spoke and a triangle with a negative edge
     cases = [(_network(4, []), True), (_network(4, [(1, 3, 0.5)]), True),
@@ -398,7 +425,7 @@ def test_is_star_matches_loop():
              (_network(4, [(0, 1, -0.4), (0, 2, 1.0), (0, 3, 1.0)]), True),
              (_network(3, [(0, 1, -0.4), (0, 2, 1.0), (1, 2, 1.0)]), False)]
     for net, star in cases:
-        assert nca.is_star(net) == _is_star_loop(net) == star
+        assert is_star(net) == _is_star_loop(net) == star
 
 
 # -- block norms and spectral stacks ------------------------------------------
@@ -536,15 +563,15 @@ def _seminorm_loop(op, a):
 
 def _dirac_forms():
     rng = np.random.default_rng(61)
-    net = nca.random_network(7, rng)
+    net = random_network(7, rng)
     m3 = nca.build_algebra([3], [1.0])
-    v = nca.random_element(m3, rng)
+    v = random_element(m3, rng)
     mixed = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    w = nca.random_element(mixed, rng)
+    w = random_element(mixed, rng)
     d_op = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     return [
         nca.network_cdc(net.algebra, net.c, scale=0.5),
-        nca.commutator_cdc([v, v.adjoint(), nca.random_self_adjoint(m3, rng)]),
+        nca.commutator_cdc([v, v.adjoint(), _draw(random_self_adjoint_rows, m3, rng)]),
         nca.commutator_cdc([w, w.adjoint()]),
         # not tau-real: |Gamma(a, a)| and |Gamma(a*, a*)| differ
         nca.commutator_cdc([w]),
@@ -558,7 +585,7 @@ def test_dirac_seminorms_match_loop(form):
     op = nca.DiracOperator(nca.build_bimodule(gamma))
     rng = np.random.default_rng(71 + form)
     alg = gamma.algebra
-    elements = [(nca.random_element if k % 2 else nca.random_self_adjoint)(alg, rng)
+    elements = [_draw(random_rows if k % 2 else random_self_adjoint_rows, alg, rng)
                 for k in range(8)] + [alg.identity(), alg.zero()]
     value, from_form = nca.dirac_seminorms(op, [alg.canonical_coords(a) for a in elements])
     for k, a in enumerate(elements):
@@ -615,7 +642,7 @@ def test_dirac_suite_norm_formula_matches_loop(spec):
     rng = np.random.default_rng(parsed.seed)
     want = 0.0
     for _ in range(10):
-        value, from_form = _seminorm_loop(op, nca.random_self_adjoint(parsed.algebra, rng))
+        value, from_form = _seminorm_loop(op, _draw(random_self_adjoint_rows, parsed.algebra, rng))
         want = max(want, abs(value - from_form))
     got = run_command("dirac", parsed)["data"]["norm_formula_residual"]
     assert abs(got - want) <= 1e-12
@@ -631,10 +658,10 @@ def _resolvent_solve(lap, ts, orders=(1, 2), seed=0, count=5, tol=1e-9):
         if order == 1:
             alg, mat = lap.algebra, lap.matrix
         else:
-            amp_op = nca.amplify_superop(lap.superop, order)
+            amp_op = amplify_superop(lap.superop, order)
             alg, mat = amp_op.algebra, amp_op.matrix
         rng = np.random.default_rng(seed + 101 * order)
-        samples = [nca.random_positive(alg, rng) for _ in range(count)]
+        samples = [_draw(random_positive_rows, alg, rng) for _ in range(count)]
         rows = np.array([alg.to_coords(a) for a in samples] + [alg.identity_coords])
         eye = np.eye(alg.dim)
         images = [rows @ np.linalg.solve(eye + t * mat, eye).T for t in ts]
@@ -758,7 +785,7 @@ def test_resolvent_check_matches_solve(form):
 def test_amplified_resolvent_is_the_resolvent_of_the_amplified_laplacian():
     for _, e in _laplacian_forms():
         lap = nca.laplacian(e)
-        amp = nca.amplify_superop(lap.superop, 2).matrix
+        amp = amplify_superop(lap.superop, 2).matrix
         eye = np.eye(len(amp))
         for t in (0.1, 1.0, 10.0):
             got = amplify_matrix(lap.function(lambda w: 1 / (1 + t * w)), lap.algebra, 2)
@@ -769,7 +796,7 @@ def test_amplified_resolvent_is_the_resolvent_of_the_amplified_laplacian():
 def _singular_form():
     # an orthonormal gram with eigenvalue exactly -2: 1 + tL is singular at t = 0.5
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
-    return nca.EnergyForm(alg, np.diag([0.0, 1.0, -2.0]))
+    return EnergyForm(alg, np.diag([0.0, 1.0, -2.0]))
 
 
 def _markov_probes_stacked(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
@@ -810,8 +837,8 @@ def test_markov_probes_match_solve(form):
 def test_markov_check_builds_the_probe_resolvents_once(monkeypatch):
     lap = nca.laplacian(_laplacian_forms()[-1][1])
     calls = []
-    function = nca.Laplacian.function
-    monkeypatch.setattr(nca.Laplacian, "function",
+    function = Laplacian.function
+    monkeypatch.setattr(Laplacian, "function",
                         lambda self, f: calls.append(1) or function(self, f))
     nca.markov_check(lap, orders=(1, 2, 3))
     assert len(calls) == 1
@@ -841,7 +868,7 @@ def test_markov_check_matches_solve_probes(monkeypatch, form):
 
 
 def _random_state(alg, rng):
-    a = nca.random_positive(alg, rng)
+    a = _draw(random_positive_rows, alg, rng)
     return nca.State(a * (1.0 / a.trace().real))
 
 
@@ -919,13 +946,13 @@ def _markov_probes_loop(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
 def _markov_loop(lap, orders=(1, 2), seed=0, count=20, tol=1e-9):
     """``markov_check`` with the default battery drawn one element and one
     seeded function at a time, and each function applied on its own."""
-    e = nca.energy_form_of_laplacian(lap)
-    relu, absolute = nca.PiecewiseLinear.relu(), nca.PiecewiseLinear.absolute()
+    e = energy_form_of_laplacian(lap)
+    relu, absolute = PiecewiseLinear.relu(), PiecewiseLinear.absolute()
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + order)
         alg = e.algebra if order == 1 else e.algebra.amplify(order)
-        samples = [nca.random_self_adjoint(alg, rng).coords for _ in range(count)]
+        samples = [random_self_adjoint_rows(alg, rng, 1)[0] for _ in range(count)]
         coords = np.concatenate([np.reshape(samples, (-1, alg.dim)),
                                  _markov_probes_loop(lap, order, alg, rng)])
         spectra = SpectralStack(alg, coords)
@@ -952,7 +979,7 @@ def _markov_loop(lap, orders=(1, 2), seed=0, count=20, tol=1e-9):
                     violations.append({"element_index": idx, "function": name,
                                        "lhs": float(lhs[idx, f]),
                                        "bound": float(bound[idx, f])})
-        results.append(nca.CheckResult(
+        results.append(CheckResult(
             f"markov-n{order}", worst <= tol, residual=worst,
             witness={"order": order, "violations": violations} if violations else None,
             bound=tol))
@@ -965,7 +992,7 @@ def _leibniz_draws(e, orders=(1, 2), seed=0, count=20, tol=1e-9):
     for order in orders:
         rng = np.random.default_rng(seed + 17 * order)
         alg = e.algebra if order == 1 else e.algebra.amplify(order)
-        pairs = [(nca.random_self_adjoint(alg, rng), nca.random_self_adjoint(alg, rng))
+        pairs = [(_draw(random_self_adjoint_rows, alg, rng), _draw(random_self_adjoint_rows, alg, rng))
                  for _ in range(count)]
         a = np.array([x.coords for x, _ in pairs]).reshape(-1, alg.dim)
         b = np.array([y.coords for _, y in pairs]).reshape(-1, alg.dim)
@@ -980,7 +1007,7 @@ def _leibniz_draws(e, orders=(1, 2), seed=0, count=20, tol=1e-9):
             idx = int(violation.argmax())
             witness = {"order": order, "pair_index": idx,
                        "lhs": float(lhs[idx]), "bound": float(bound[idx])}
-        results.append(nca.CheckResult(f"leibniz-n{order}", worst <= tol, worst, witness, tol))
+        results.append(CheckResult(f"leibniz-n{order}", worst <= tol, worst, witness, tol))
     return results
 
 
@@ -1025,17 +1052,17 @@ def _fiber_infimum_loop(qd, seed=0, count=20, tol=1e-9):
     the worst gap with the bound of the first sample that reached it.  The
     witness is the last sample that raised the worst gap and exceeded its
     bound, else the first sample that exceeded its bound."""
-    ambient_e = nca.energy_form_of_laplacian(qd.ambient)
-    e_b = nca.energy_form_of_laplacian(qd.quotient_laplacian)
+    ambient_e = energy_form_of_laplacian(qd.ambient)
+    e_b = energy_form_of_laplacian(qd.quotient_laplacian)
     rng = np.random.default_rng(seed)
     worst, worst_bound, witness, first_over = 0.0, None, None, None
     for idx in range(count):
-        b = nca.random_element(qd.algebra_b, rng)
+        b = random_element(qd.algebra_b, rng)
         lift = nca.fiber_minimizer(qd, b)
         direct = ambient_e.value(lift, lift).real
         via_schur = e_b.value(b, b).real
         gap = abs(direct - via_schur)
-        eps = nca.random_element(qd.algebra_c, rng, scale=0.5)
+        eps = random_element(qd.algebra_c, rng, scale=0.5)
         coords = np.array(lift.coords)
         coords[qd.idx_c] += eps.coords
         perturbed = qd.ambient.algebra.from_canonical_coords(coords)
@@ -1052,7 +1079,7 @@ def _fiber_infimum_loop(qd, seed=0, count=20, tol=1e-9):
             if gap > bound:
                 witness = sample
     witness = witness or first_over
-    return nca.CheckResult("fiber-infimum", witness is None, worst, witness, worst_bound)
+    return CheckResult("fiber-infimum", witness is None, worst, witness, worst_bound)
 
 
 def _quotient_splits():
@@ -1061,16 +1088,16 @@ def _quotient_splits():
     rng = np.random.default_rng(97)
     out = []
     for size, keep in ((3, [0, 1]), (6, [0, 2, 4])):
-        net = nca.random_network(size, rng)
+        net = random_network(size, rng)
         lap = nca.laplacian(nca.energy_form(nca.network_cdc(net.algebra, net.c, scale=0.5)))
-        out.append(nca.split(lap, nca.central_projection(net.algebra, keep)))
+        out.append(nca.split(lap, central_projection(net.algebra, keep)))
     for blocks, keep in (([3, 2, 1], [0]), ([2, 2], [1])):
         weights = [1.0] * len(blocks)
         alg = nca.build_algebra(blocks, weights)
         x = rng.standard_normal((sum(blocks),) * 2) + 1j * rng.standard_normal((sum(blocks),) * 2)
         gamma = nca.spectral_triple_cdc((x + x.conj().T) / 4, alg)
         lap = nca.laplacian(nca.energy_form(gamma))
-        out.append(nca.split(lap, nca.central_projection(alg, keep)))
+        out.append(nca.split(lap, central_projection(alg, keep)))
     return out
 
 
@@ -1119,11 +1146,11 @@ def _stddev_gap_loop(spec):
     """The seminorm identity of the ``stddev`` suite, one sample at a time,
     with the standard deviation from element arithmetic."""
     ea = nca.extend(spec.algebra, spec.weight_element)
-    e = nca.energy_form_of_laplacian(nca.stddev_laplacian(ea))
+    e = energy_form_of_laplacian(nca.stddev_laplacian(ea))
     rng = np.random.default_rng(spec.seed)
     gap = 0.0
     for _ in range(10):
-        a = nca.random_self_adjoint(spec.algebra, rng)
+        a = _draw(random_self_adjoint_rows, spec.algebra, rng)
         centered = a - complex(ea.mu(a)) * spec.algebra.identity()
         deviation = float(np.sqrt(max(ea.mu(centered.adjoint() * centered).real, 0.0)))
         assert abs(nca.stddev_seminorm(ea, a) - deviation) <= 1e-12 * max(1.0, deviation)
@@ -1171,7 +1198,7 @@ def test_batteries_make_no_per_sample_calls(monkeypatch):
 
     monkeypatch.setattr(nca.energy, "_seeded_knots", counted_knots)
     qd = _quotient_splits()[2]
-    e = nca.energy_form_of_laplacian(qd.ambient)
+    e = energy_form_of_laplacian(qd.ambient)
     nca.markov_check(qd.ambient, orders=(1, 2, 3))
     assert len(knot_calls) == 3
     nca.leibniz_check(e, orders=(1, 2))
@@ -1239,7 +1266,7 @@ def _broadcast_metric_checks(net, **kwargs):
 def test_metric_checks_match_broadcast_route(n, seed, margin):
     # every field bit for bit, the counterexample's nodes, weights and
     # violation among them; a margin of 10 searches all four triples
-    net = nca.random_network(n, np.random.default_rng(seed))
+    net = random_network(n, np.random.default_rng(seed))
     got = nca.metric_checks(net, seed=seed, mixture_margin=margin)
     want = _broadcast_metric_checks(net, seed=seed, mixture_margin=margin)
     for field in dataclasses.fields(got):
@@ -1322,7 +1349,7 @@ def _amplify_cdc_by_positions(gamma, order):
 def test_amplify_cdc_matches_embedding_positions(order):
     # bit for bit, on real and complex grams over equal and unequal blocks
     alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    weighted = nca.commutator_cdc([nca.random_element(alg, np.random.default_rng(71))])
+    weighted = nca.commutator_cdc([random_element(alg, np.random.default_rng(71))])
     for gamma in [ex.gamma for ex in build_catalog()] + [weighted]:
         got = nca.amplify_cdc(gamma, order).gram
         want = _amplify_cdc_by_positions(gamma, order)

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nca
-from nca.algebra import row_chunks
-from nca.cdc import _star_gaps
+from nca.algebra import random_element, row_chunks
+from nca.cdc import CdCForm, _star_gaps, lindblad_generator
 from nca.errors import InputError
+from nca.resistance import random_network
+from generators import conjugation_superop
 
 from dense_cdc import (
     dense_is_cdc,
@@ -49,7 +51,7 @@ def _random_form(alg, kind, rng):
     g = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
     if kind == "symmetrized":
         g = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
-    return nca.CdCForm(alg, g)
+    return CdCForm(alg, g)
 
 
 def _random_generator(alg, rng):
@@ -142,7 +144,7 @@ def test_cp_witness_is_embedded_from_its_block():
 def test_form_rejects_dense_shape(m2):
     dense = np.zeros((m2.dim, m2.dim, m2.total_size, m2.total_size))
     with pytest.raises(InputError, match=r"\(d, d, d\)"):
-        nca.CdCForm(m2, dense)
+        CdCForm(m2, dense)
 
 
 # -- the scatters from the nonzero products against the gathers they replace --
@@ -251,8 +253,8 @@ def test_reality_checks_match_whole_arrays(monkeypatch, blocks, weights, budget)
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(alg.dim)
     raw = [_random_form(alg, "raw", rng) for _ in range(2)]
-    v = nca.random_element(alg, rng)
-    forms = raw + [nca.CdCForm(alg, raw[0].gram.real), _random_form(alg, "symmetrized", rng),
+    v = random_element(alg, rng)
+    forms = raw + [CdCForm(alg, raw[0].gram.real), _random_form(alg, "symmetrized", rng),
                    nca.commutator_cdc([v, v.adjoint()])]
     for gamma in forms:
         assert nca.reality_checks(gamma) == dense_reality_checks(gamma)
@@ -268,7 +270,7 @@ def test_builders_match_dense_definitions():
     alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
     rng = np.random.default_rng(71)
     emb = alg.embedded_basis
-    vs = [nca.random_element(alg, rng) for _ in range(2)]
+    vs = [random_element(alg, rng) for _ in range(2)]
 
     dense = 0
     for v in vs:
@@ -277,7 +279,7 @@ def test_builders_match_dense_definitions():
     packed = nca.commutator_cdc(vs).gram
     assert np.abs(alg.embed(packed) - dense).max() <= 1e-13 * np.abs(dense).max()
 
-    gen = nca.lindblad_generator(alg, vs)
+    gen = lindblad_generator(alg, vs)
     ne = alg.embed(gen.canonical_matrix.T)
     adj, prod = alg.adj_table, alg.mul_table[alg.adj_table]
     dense = (np.einsum("ixz,jzy->ijxy", ne[adj], emb)
@@ -294,8 +296,8 @@ def test_builders_match_dense_definitions():
     expected = 2.0 * dense[(...,) + alg.unit_positions]  # the diagonal blocks
     assert np.abs(packed - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    u = alg.element([np.linalg.qr(m)[0] for m in nca.random_element(alg, rng).data])
-    alpha = nca.conjugation_superop(alg, u)
+    u = alg.element([np.linalg.qr(m)[0] for m in random_element(alg, rng).data])
+    alpha = conjugation_superop(alg, u)
     diff = alg.embed(alpha.canonical_matrix.T - np.eye(alg.dim))
     dense = 1.5 * np.einsum("izx,jzy->ijxy", diff.conj(), diff)
     packed = nca.group_action_cdc([alpha], [1.5]).gram
@@ -307,7 +309,7 @@ def _assert_close(gram, ref):
 
 
 def _unitary(alg, rng):
-    return alg.element([np.linalg.qr(m)[0] for m in nca.random_element(alg, rng).data])
+    return alg.element([np.linalg.qr(m)[0] for m in random_element(alg, rng).data])
 
 
 @pytest.mark.parametrize("blocks, weights", [
@@ -317,7 +319,7 @@ def test_product_builders_match_einsum_route(blocks, weights):
     # the sums run in another order, so they agree up to rounding
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(sum(blocks))
-    vs = [nca.random_element(alg, rng) for _ in range(3)]
+    vs = [random_element(alg, rng) for _ in range(3)]
     singles = [nca.commutator_cdc([v]).gram for v in vs]
     for v, gram in zip(vs, singles):
         _assert_close(gram, einsum_commutator_gram(alg, [v]))
@@ -325,7 +327,7 @@ def test_product_builders_match_einsum_route(blocks, weights):
     _assert_close(gram, einsum_commutator_gram(alg, vs))
     _assert_close(gram, sum(singles))
 
-    autos = [nca.conjugation_superop(alg, _unitary(alg, rng)) for _ in range(2)]
+    autos = [conjugation_superop(alg, _unitary(alg, rng)) for _ in range(2)]
     gram = nca.group_action_cdc(autos, [0.5, 2.0]).gram
     _assert_close(gram, einsum_group_action_gram(alg, autos, [0.5, 2.0]))
     _assert_close(gram, sum(nca.group_action_cdc([a], [c]).gram
@@ -359,13 +361,13 @@ def test_independent_copies_match_dense_definition():
 
 
 def _network_form(size, seed):
-    net = nca.random_network(size, np.random.default_rng(seed))
+    net = random_network(size, np.random.default_rng(seed))
     return nca.network_cdc(net.algebra, net.c)
 
 
 def _commutator_form(size, seed):
     alg = nca.build_algebra([size], [1.0])
-    v = nca.random_element(alg, np.random.default_rng(seed))
+    v = random_element(alg, np.random.default_rng(seed))
     return nca.commutator_cdc([v, v.adjoint(), v + v.adjoint()])
 
 

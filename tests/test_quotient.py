@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 import nca
+from nca.algebra import encode_element, random_element
 from nca.cli import main
+from nca.energy import energy_form_of_laplacian
 from nca.errors import DisconnectedError, InputError
 from nca.fileio import parse_spec
+from nca.quotient import central_projection
+from nca.resistance import random_network
 
 from conftest import K3_C
 
@@ -21,7 +25,7 @@ def _restrict(qd, a):
 def k3_split():
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
     lap = nca.laplacian(nca.energy_form(nca.network_cdc(alg, K3_C, scale=0.5)))
-    p = nca.central_projection(alg, [0, 1])
+    p = central_projection(alg, [0, 1])
     return alg, lap, nca.split(lap, p)
 
 
@@ -49,7 +53,7 @@ def test_split_guards(k3_split):
     # block indices are integers: 0.9, 1.5, 1.0 and True are not coerced
     for bad in ([], [0.9], [1.5], [1.0], [True], [0, 3], [-1]):
         with pytest.raises(InputError):
-            nca.central_projection(alg, bad)
+            central_projection(alg, bad)
 
 
 def test_split_noncentral_rejected(m2):
@@ -71,7 +75,7 @@ def test_split_singular_coupled_corner_surfaces():
     alg = nca.build_algebra([1] * 5, [1.0] * 5)
     lap = nca.laplacian(nca.energy_form(nca.network_cdc(alg, c, scale=0.5)))
     with pytest.raises(DisconnectedError):
-        nca.split(lap, nca.central_projection(alg, [0]))
+        nca.split(lap, central_projection(alg, [0]))
 
 
 def test_schur_value_k3(k3_split):
@@ -93,7 +97,7 @@ def test_quotient_of_direct_sum_is_untouched_block():
     c[3, 4] = c[4, 3] = 5.0
     alg = nca.build_algebra([1] * 5, [1.0] * 5)
     lap = nca.laplacian(nca.energy_form(nca.network_cdc(alg, c, scale=0.5)))
-    p = nca.central_projection(alg, [3, 4])
+    p = central_projection(alg, [3, 4])
     qd = nca.split(lap, p)
     # J = 0: the summand passes through unchanged, and S stays invertible
     # because the complement is connected on its own
@@ -112,7 +116,7 @@ def test_quotient_keeps_the_rank_cut():
     energy = nca.energy_form(nca.network_cdc(alg, c, scale=0.5))
     for rank_tol, connected in ((nca.algebra.DEFAULT_RANK_TOL, True), (1e-3, False)):
         lap = nca.laplacian(energy, rank_tol=rank_tol)
-        quot = nca.split(lap, nca.central_projection(alg, [0, 1, 3])).quotient_laplacian
+        quot = nca.split(lap, central_projection(alg, [0, 1, 3])).quotient_laplacian
         assert quot.rank_tol == lap.rank_tol
         assert nca.connectedness(lap) == nca.connectedness(quot) == connected
 
@@ -130,12 +134,12 @@ def test_fiber_minimizer_values(k3_split):
 
 def test_completed_square_identity(k3_split):
     alg, lap, qd = k3_split
-    e = nca.energy_form_of_laplacian(lap)
-    e_b = nca.energy_form_of_laplacian(qd.quotient_laplacian)
+    e = energy_form_of_laplacian(lap)
+    e_b = energy_form_of_laplacian(qd.quotient_laplacian)
     rng = np.random.default_rng(137)
     for _ in range(10):
-        b = nca.random_element(qd.algebra_b, rng)
-        c = nca.random_element(qd.algebra_c, rng)
+        b = random_element(qd.algebra_b, rng)
+        c = random_element(qd.algebra_c, rng)
         coords = np.empty(alg.dim, dtype=complex)
         coords[qd.idx_b], coords[qd.idx_c] = b.coords, c.coords
         a = alg.from_canonical_coords(coords)  # b (+) c
@@ -148,11 +152,11 @@ def test_completed_square_identity(k3_split):
 
 def test_quotient_seminorm_monotone(k3_split):
     alg, lap, qd = k3_split
-    e = nca.energy_form_of_laplacian(lap)
-    e_b = nca.energy_form_of_laplacian(qd.quotient_laplacian)
+    e = energy_form_of_laplacian(lap)
+    e_b = energy_form_of_laplacian(qd.quotient_laplacian)
     rng = np.random.default_rng(139)
     for _ in range(15):
-        a = nca.random_element(alg, rng)
+        a = random_element(alg, rng)
         quotient_norm = e_b.seminorm(_restrict(qd, a))
         assert quotient_norm <= e.seminorm(a) + 1e-10
 
@@ -199,7 +203,7 @@ def test_quotient_checks_reject_unreal_ambient(m2):
     qd_ok = None
     # the M2+C algebra has a central projection; the single-v ambient form
     # is not real there, so the precondition report must flag it
-    p = nca.central_projection(alg2, [0])
+    p = central_projection(alg2, [0])
     try:
         qd_ok = nca.split(lap, p)
     except DisconnectedError:
@@ -210,10 +214,10 @@ def test_quotient_checks_reject_unreal_ambient(m2):
 
 def test_iterated_quotient_still_cdc():
     rng = np.random.default_rng(149)
-    net = nca.random_network(5, rng)
+    net = random_network(5, rng)
     alg = net.algebra
     lap = net.laplacian
-    qd1 = nca.split(lap, nca.central_projection(alg, [0, 1, 2, 3]))
+    qd1 = nca.split(lap, central_projection(alg, [0, 1, 2, 3]))
     lap1 = qd1.quotient_laplacian
     # quotient of a network Laplacian is again a network Laplacian with
     # nonnegative effective conductances (star-mesh reduction)
@@ -222,9 +226,9 @@ def test_iterated_quotient_still_cdc():
     assert np.abs(lap1.matrix.imag).max() < 1e-12
     assert np.abs(lap1.matrix @ np.ones(4)).max() < 1e-10
 
-    qd2 = nca.split(lap1, nca.central_projection(qd1.algebra_b, [0, 1]))
+    qd2 = nca.split(lap1, central_projection(qd1.algebra_b, [0, 1]))
     lap2 = qd2.quotient_laplacian
-    e2 = nca.energy_form_of_laplacian(lap2)
+    e2 = energy_form_of_laplacian(lap2)
     rebuilt = nca.cdc_from_dirichlet_form(e2, lap2, seed=5)
     assert nca.is_cdc(rebuilt).is_cdc
     for res in nca.quotient_checks(qd2, seed=5, count=8):
@@ -238,7 +242,7 @@ def test_noncommutative_quotient_of_scalar_extension(m2):
     # matrix block is the variance form
     ea = nca.extend(m2, 0.5 * m2.identity())
     assert nca.connectedness(ea.laplacian)
-    qd = nca.split(ea.laplacian, nca.central_projection(ea.extended, [0]))
+    qd = nca.split(ea.laplacian, central_projection(ea.extended, [0]))
     for res in nca.quotient_checks(qd, seed=7, count=8):
         assert res.passed, (res.check, res.witness)
     expected = nca.laplacian(nca.energy_form(nca.independent_copies_cdc(m2, 0.5 * m2.identity())))
@@ -251,11 +255,11 @@ def test_decoupled_singular_corner_lifts(tmp_path, capsys, seed):
     # is decoupled (J = 0) while the eliminated corner S is singular
     rng = np.random.default_rng(seed)
     alg = nca.build_algebra([2, 1], [1.0, 1.0])
-    v = nca.random_element(alg, rng)
+    v = random_element(alg, rng)
     spec = {
         "algebra": {"blocks": [2, 1], "trace_weights": [1.0, 1.0]},
         "generator": {"kind": "lindblad",
-                      "vs": [nca.encode_element(v), nca.encode_element(v.adjoint())]},
+                      "vs": [encode_element(v), encode_element(v.adjoint())]},
         "projection": {"keep_blocks": [0]},
         "seed": seed,
     }
@@ -266,10 +270,10 @@ def test_decoupled_singular_corner_lifts(tmp_path, capsys, seed):
 
     gamma = parse_spec(json.dumps(spec)).build_gamma()
     lap = nca.laplacian(nca.energy_form(gamma, force=True))
-    qd = nca.split(lap, nca.central_projection(alg, [0]))
+    qd = nca.split(lap, central_projection(alg, [0]))
     assert np.abs(qd.j_block).max() == 0
     assert np.linalg.eigvalsh(qd.s_block)[0] < 1e-12
-    b = nca.random_element(qd.algebra_b, rng)
+    b = random_element(qd.algebra_b, rng)
     lift = nca.fiber_minimizer(qd, b)
     assert all(np.isfinite(m).all() for m in lift.data)
     assert _restrict(qd, lift).distance(b) == 0

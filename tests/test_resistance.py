@@ -10,6 +10,8 @@ import pytest
 import nca
 from nca.energy import Laplacian
 from nca.errors import DisconnectedError, InputError
+from nca.resistance import is_star, network_energy_form, random_network, random_star_network
+from nca.states import mixture
 
 from conftest import K3_C, bench_network_c
 
@@ -50,7 +52,7 @@ def test_laplacian_values(k3_net):
 
 
 def test_laplacian_agrees_with_form_route(k3_net):
-    via_form = nca.laplacian(nca.network_energy_form(k3_net))
+    via_form = nca.laplacian(network_energy_form(k3_net))
     assert np.abs(via_form.matrix - k3_net.laplacian.matrix).max() < 1e-14
 
 
@@ -70,7 +72,7 @@ def test_potential_two_node():
 
 def test_potential_harmonicity_and_bounds():
     rng = np.random.default_rng(109)
-    net = nca.random_network(6, rng)
+    net = random_network(6, rng)
     lap = net.laplacian.matrix
     for p, q in [(0, 3), (2, 5)]:
         h = net.values(nca.potential(net, p, q)).real
@@ -122,7 +124,7 @@ def test_resistance_rejects_equal_nodes_out_of_range():
 def test_resistance_matches_pseudoinverse_oracle():
     rng = np.random.default_rng(113)
     for _ in range(5):
-        net = nca.random_network(int(rng.integers(3, 8)), rng)
+        net = random_network(int(rng.integers(3, 8)), rng)
         pinv = np.linalg.pinv(net.laplacian.matrix)
         for p in range(net.size):
             for q in range(net.size):
@@ -161,7 +163,7 @@ def test_mixture_witness_is_tie_stable(k3_net, monkeypatch):
 
 
 def test_all_pairs_resistance_matches_each_pair():
-    net = nca.random_network(9, np.random.default_rng(90))
+    net = random_network(9, np.random.default_rng(90))
     rho = nca.all_pairs_resistance(net)
     for p, q in itertools.combinations(range(9), 2):
         single = nca.resistance_distance(net, p, q)
@@ -195,7 +197,7 @@ def _metric_checks_pairwise(net, seed, margin, step=0.1):
     chosen = rng.choice(len(triples), size=4, replace=False)
     weights = nca.resistance._mixture_grid(step)
     for nodes in [triples[int(k)] for k in chosen]:
-        grid = [nca.mixture([points[x] for x in nodes], w) for w in weights]
+        grid = [mixture([points[x] for x in nodes], w) for w in weights]
         dist2 = np.array([[nca.energy_metric(lap, a, b) ** 2 if a is not b else 0.0
                            for b in grid] for a in grid])
         viol = dist2[:, None, :] - dist2[:, :, None] - dist2[None, :, :]
@@ -209,7 +211,7 @@ def _metric_checks_pairwise(net, seed, margin, step=0.1):
 
 
 def test_metric_checks_match_pairwise_energy_metric():
-    net = nca.random_network(6, np.random.default_rng(6))
+    net = random_network(6, np.random.default_rng(6))
     first = nca.metric_checks(net, seed=6).mixture_counterexample["violation"]
     # the default margin stops at the first triple, the first triple's own
     # violation moves the search on, and a large margin finds nothing
@@ -247,7 +249,7 @@ def test_metric_checks_memory_stays_bounded(n, bound_mib):
 def test_kernel_matches_graph_connectivity():
     rng = np.random.default_rng(127)
     for _ in range(5):
-        net = nca.random_network(5, rng, ensure_connected=False)
+        net = random_network(5, rng, ensure_connected=False)
         lap = net.laplacian
         comps = _component_count(net)
         assert lap.kernel_dim == comps
@@ -304,7 +306,7 @@ def test_markov_violation_witness():
     assert w.r == pytest.approx(0.1 / 0.9)
     assert w.violation == pytest.approx(0.1 ** 2 / 0.9)
     # quadratic sanity: E(f,f) = E(dx,dx) + 2 r c_xy + r^2 E(dy,dy)
-    e = nca.network_energy_form(net)
+    e = network_energy_form(net)
     f = w.f
     expected = 2 * w.r * c[0, 1] + w.r ** 2 * c[1].sum()
     dx = net.function([1.0, 0, 0])
@@ -319,6 +321,6 @@ def test_markov_violation_witness():
 
 def test_star_detection():
     rng = np.random.default_rng(131)
-    assert nca.is_star(nca.random_star_network(5, rng))
-    assert not nca.is_star(nca.ResistanceNetwork(K3_C))
-    assert nca.is_star(nca.ResistanceNetwork(np.array([[0.0, 1], [1, 0]])))
+    assert is_star(random_star_network(5, rng))
+    assert not is_star(nca.ResistanceNetwork(K3_C))
+    assert is_star(nca.ResistanceNetwork(np.array([[0.0, 1], [1, 0]])))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import nca
+from nca.algebra import random_positive_rows
+from nca.energy import EnergyForm, energy_form_of_laplacian
 from nca.errors import DisconnectedError, InputError
+from nca.states import mixture
 
 from conftest import K3_C, TWO_C
 
@@ -68,7 +71,7 @@ def test_dual_equals_closed_form_noncommutative(m2):
 
 
 def _random_density(alg, rng):
-    rho = nca.random_positive(alg, rng, floor=0.05)
+    rho = alg.from_canonical_coords(random_positive_rows(alg, rng, 1)[0]) + 0.05 * alg.identity()
     return (1.0 / rho.trace().real) * rho
 
 
@@ -88,7 +91,7 @@ def test_scaling_of_the_form(k3):
     alg, _, lap = k3
     t = 3.7
     scaled = nca.laplacian(
-        nca.EnergyForm(alg, t * nca.energy_form_of_laplacian(lap).gram)
+        EnergyForm(alg, t * energy_form_of_laplacian(lap).gram)
     )
     mu, nu = nca.point_state(alg, 0), nca.point_state(alg, 2)
     assert nca.energy_metric(scaled, mu, nu) == pytest.approx(
@@ -114,7 +117,7 @@ def test_embedding_affine_midpoint(k3):
     alg, _, lap = k3
     base = nca.point_state(alg, 2)
     mu, nu = nca.point_state(alg, 0), nca.point_state(alg, 1)
-    mid = nca.mixture([mu, nu], [0.5, 0.5])
+    mid = mixture([mu, nu], [0.5, 0.5])
     emb = nca.StateEmbedding(lap, base)
     expected = 0.5 * (emb.coords(mu) + emb.coords(nu))
     assert np.abs(emb.coords(mid) - expected).max() < 1e-12

@@ -305,10 +305,11 @@ class Algebra:
     def amplify(self, n: int) -> "Algebra":
         """The algebra of n x n matrices over this one (blocks scale by n,
         weights are unchanged: the matrix factor carries its unnormalized
-        trace)."""
+        trace); at n = 1, this algebra itself."""
         if not (is_integer(n) and n >= 1):
             raise InputError(f"amplification order must be an integer >= 1, got {n!r}")
-        return Algebra(tuple(n * nb for nb in self.blocks), self.trace_weights)
+        return self if n == 1 else Algebra(tuple(n * nb for nb in self.blocks),
+                                           self.trace_weights)
 
     def _own(self, a: "Element"):
         if a.algebra is not self and (
@@ -724,31 +725,30 @@ def right_multiplication(algebra: Algebra, h: Element) -> SuperOperator:
 
 
 @lru_cache(maxsize=64)
-def amplification_index(algebra: Algebra, order: int):
-    """``(cells, inners)`` for the canonical basis of ``algebra.amplify(order)``:
-    each unit lies in matrix cell ``cells[i] = j * order + k`` and is the unit
-    ``inners[i]`` of ``algebra`` there."""
-    cells, inners = [], []
-    for b, nb in enumerate(algebra.blocks):
-        row, col = np.divmod(np.arange((order * nb) ** 2), order * nb)
-        j, r = np.divmod(row, nb)
-        k, s = np.divmod(col, nb)
-        cells.append(j * order + k)
-        inners.append(algebra._basis_offsets[b] + r * nb + s)
-    cells, inners = np.concatenate(cells), np.concatenate(inners)
-    cells.setflags(write=False)
-    inners.setflags(write=False)
-    return cells, inners
+def cell_units(algebra: Algebra, order: int) -> np.ndarray:
+    """Row ``j * order + k`` of this (order^2, d) table holds, for each unit
+    (r, s) of a block of size n, the canonical index of the unit of
+    ``algebra.amplify(order)`` at (j n + r, k n + s) of the amplified block."""
+    sizes = np.asarray(algebra.blocks)
+    owner = np.repeat(np.arange(len(sizes)), sizes * sizes)
+    n, offset = sizes[owner], algebra._basis_offsets[owner]
+    r, s = np.divmod(np.arange(algebra.dim) - offset, n)
+    j, k = np.divmod(np.arange(order * order)[:, None], order)
+    units = order * order * offset + (j * n + r) * (order * n) + k * n + s
+    units.setflags(write=False)
+    return units
 
 
 def amplify_matrix(matrix, algebra: Algebra, order: int) -> np.ndarray:
     """A d x d matrix (or a stack of them) over the basis of ``algebra``
-    acting on every cell of order x order matrices: ``M[inners, inners]``
-    between units of the same cell, zero across cells.  Both the orthonormal
-    and the canonical basis amplify this way (the weights are unchanged)."""
-    cells, inners = amplification_index(algebra, order)
-    same_cell = cells[:, None] == cells[None, :]
-    return np.where(same_cell, np.asarray(matrix)[..., inners[:, None], inners], 0)
+    acting on every cell of order x order matrices: the block
+    ``M[units_c, units_c]`` for each cell's row of :func:`cell_units`, zero
+    across cells.  Both the orthonormal and the canonical basis amplify this
+    way (the weights are unchanged)."""
+    units = cell_units(algebra, order)
+    out = np.zeros(matrix.shape[:-2] + (units.size,) * 2, dtype=matrix.dtype)
+    out[..., units[:, :, None], units[:, None, :]] = matrix[..., None, :, :]
+    return out
 
 
 def amplify_superop(n: SuperOperator, order: int) -> SuperOperator:
@@ -761,22 +761,22 @@ def amplify_superop(n: SuperOperator, order: int) -> SuperOperator:
 
 def from_cells(algebra: Algebra, order: int, grid) -> Element:
     """Assemble an element of ``algebra.amplify(order)`` from an order x order
-    grid of elements of ``algebra``: each amplified unit gathers its inner
-    unit from its cell, through ``amplification_index``."""
+    grid of elements of ``algebra``: each cell's coordinates scatter onto its
+    row of :func:`cell_units`."""
     flat = [grid[j][k] for j in range(order) for k in range(order)]
     for cell in flat:
         algebra._own(cell)
-    cells, inners = amplification_index(algebra, order)
-    return _element(algebra.amplify(order), np.array([c.coords for c in flat])[cells, inners])
+    units = cell_units(algebra, order)
+    coords = np.empty(units.size, dtype=complex)
+    coords[units] = [cell.coords for cell in flat]
+    return _element(algebra.amplify(order), coords)
 
 
 def to_cells(algebra: Algebra, order: int, a: Element):
     """Split an element of ``algebra.amplify(order)`` into its grid of
-    ``algebra`` entries."""
+    ``algebra`` entries, gathered through :func:`cell_units`."""
     algebra.amplify(order)._own(a)
-    cells, inners = amplification_index(algebra, order)
-    flat = np.zeros((order * order, algebra.dim), dtype=complex)
-    flat[cells, inners] = a.coords
+    flat = a.coords[cell_units(algebra, order)]
     return [[_element(algebra, flat[j * order + k]) for k in range(order)]
             for j in range(order)]
 

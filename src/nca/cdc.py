@@ -44,9 +44,9 @@ from .algebra import (
     Algebra,
     Element,
     SuperOperator,
-    amplification_index,
     block_norms,
     block_products,
+    cell_units,
     chunked_max,
     decode_real_array,
     frozen_array,
@@ -559,22 +559,17 @@ def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL) -> bool:
 
 def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:
     """The form on order x order matrices over the algebra determined by
-    (Gamma_n(A, B))_{jk} = sum_p Gamma(a_pj, b_pk)."""
+    (Gamma_n(A, B))_{jk} = sum_p Gamma(a_pj, b_pk): each pair of units in
+    cells (p, j) and (p, k) copies its base values into cell (j, k), all
+    three read from :func:`cell_units`."""
     base = gamma.algebra
     amp = base.amplify(order)  # validates the order, 1 included
     if order == 1:
         return gamma
-    cells, inners = amplification_index(base, order)
-    row, col = np.divmod(cells, order)
-    # unit[cell, u]: the amplified unit that holds base unit u in that cell.
-    # Units in the same cell row pair up; each copies its base value into
-    # cell (col_1, col_2), where base unit u lands on unit[col_1 * order + col_2, u]
-    unit = np.empty((order * order, base.dim), dtype=int)
-    unit[cells, inners] = np.arange(amp.dim)
-    i_1, i_2 = np.nonzero(row[:, None] == row[None, :])
-    target = unit[col[i_1] * order + col[i_2]]
+    unit = cell_units(base, order).reshape(order, order, base.dim)  # [cell row, column, u]
     gram = np.zeros((amp.dim,) * 3, dtype=gamma.gram.dtype)
-    gram[i_1[:, None], i_2[:, None], target] = gamma.gram[inners[i_1], inners[i_2]]
+    gram[unit[:, :, None, :, None, None], unit[:, None, :, None, :, None],
+         unit[None, :, :, None, None, :]] = gamma.gram
     return CdCForm(amp, gram, scale=gamma.scale)
 
 

@@ -286,7 +286,7 @@ def _stddev_checks(problem: _Problem):
     del gamma_ic, gamma_quot  # free the two (d, d, d) grams before the batteries
     e = energy_form_of_laplacian(lap)
     samples = random_self_adjoint_rows(spec.algebra, np.random.default_rng(spec.seed), 10)
-    sem_gap = float(np.abs(stddev_seminorms(ea, samples) - _seminorms(e.gram, samples)).max())
+    sem_gap = float(np.abs(stddev_seminorms(ea, samples) - _seminorms(e, samples)).max())
     checks = [
         judge("stddev-route-agreement", route_gap, 1.0, max(tol, 1e-9)),
         judge("stddev-seminorm-identity", sem_gap, 1.0, max(tol, 1e-9)),

@@ -4,7 +4,7 @@ carre-du-champ from a real completely Markov form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -19,9 +19,9 @@ from .algebra import (
     PiecewiseLinear,
     SpectralStack,
     SuperOperator,
-    amplify_matrix,
     block_norms,
     block_products,
+    cell_units,
     chunked_max,
     frozen_array,
     hermitian_eigenvalues,
@@ -93,7 +93,6 @@ class Laplacian:
 
     superop: SuperOperator
     rank_tol: float = DEFAULT_RANK_TOL
-    _resolvents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -136,11 +135,8 @@ class Laplacian:
         return (v * f(w)[..., None, :]) @ v.conj().T
 
     def resolvents(self, ts) -> np.ndarray:
-        """The stack of (1 + tL)^(-1) over the times ``ts``, built once per tuple of times."""
-        key = tuple(map(float, ts))
-        if key not in self._resolvents:
-            self._resolvents[key] = self.function(lambda w: 1 / (1 + np.array(key)[:, None] * w))
-        return self._resolvents[key]
+        """The stack of (1 + tL)^(-1) over the times ``ts``."""
+        return self.function(lambda w: 1 / (1 + np.asarray(ts, dtype=float)[:, None] * w))
 
     def apply(self, a: Element) -> Element:
         return self.superop.apply(a)
@@ -181,22 +177,42 @@ def connectedness(lap: Laplacian) -> bool:
 # -- seminorms at matrix amplification ---------------------------------------
 
 
-def _quadratic_forms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def _quadratic_forms(gram: np.ndarray, coords: np.ndarray, algebra: Optional[Algebra] = None,
+                     order: int = 1) -> np.ndarray:
     """The real part of x* G x for every row x of coordinates, by ``row_chunks``;
-    a chunk never splits a (rows, d) matrix, so each stays one GEMM."""
+    a chunk never splits a (rows, d) matrix, so each stays one GEMM.  Given
+    the ``algebra`` of the d x d form G, the rows lie in ``algebra.amplify(order)``:
+    each chunk is gathered into its cells by :func:`cell_units`, and a row's
+    value is the sum of x_c* G x_c over its cells c, with no D x D matrix."""
     stack = coords.reshape((-1,) + coords.shape[-2:]) if coords.ndim > 2 else coords[None]
     gram = gram.astype(np.result_type(gram, stack), copy=False)  # cast once, not per chunk
+    units = np.arange(len(gram))[None] if algebra is None else cell_units(algebra, order)
     out = np.empty(stack.shape[:-1])
     for rows in row_chunks(len(stack), stack[:1].size):
-        t = stack[rows].conj() @ gram
-        t *= stack[rows]
-        out[rows] = t.sum(axis=-1).real
+        chunk = stack[rows]
+        cells = chunk[..., units].reshape(len(chunk), -1, len(gram))
+        t = cells.conj() @ gram
+        t *= cells
+        out[rows] = t.reshape(chunk.shape[:-1] + (units.size,)).sum(axis=-1).real
     return out.reshape(coords.shape[:-1])
 
 
-def _seminorms(gram: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """sqrt(max(x* G x, 0)) for every row x of canonical coordinates."""
-    return np.sqrt(np.maximum(_quadratic_forms(gram, coords), 0.0))
+def _seminorms(e: EnergyForm, coords: np.ndarray, order: int = 1) -> np.ndarray:
+    """sqrt(max(E_order(x, x), 0)) for every row x of canonical coordinates
+    over ``e.algebra.amplify(order)``, E_order being E on every cell."""
+    return np.sqrt(np.maximum(_quadratic_forms(e.gram, coords, e.algebra, order), 0.0))
+
+
+def _on_cells(matrices: np.ndarray, coords: np.ndarray, algebra: Algebra, order: int):
+    """(I_order (x) M) x for each d x d matrix M of the stack ``matrices``, one
+    at a time, and every row x of coordinates over ``algebra.amplify(order)``:
+    M applied to each cell of x.  The result has shape (matrices, rows, D)."""
+    units = cell_units(algebra, order)
+    cells = coords[:, units].reshape(-1, algebra.dim)
+    out = np.empty((len(matrices),) + coords.shape, dtype=complex)
+    for image, matrix in zip(out, matrices):
+        image[:, units] = (cells @ matrix.T).reshape((len(coords),) + units.shape)
+    return out
 
 
 def _seeded_knots(rng: np.random.Generator, count: int):
@@ -217,21 +233,18 @@ def _seeded_knots(rng: np.random.Generator, count: int):
                                rng.uniform(-2.0, 2.0, 3)]).reshape(count, 6)
 
 
-def _battery_tables(battery, rng: np.random.Generator, radius: np.ndarray) -> list:
-    """``(names, xs, ys)`` knot tables (1 or samples, functions, K) in battery
-    order: one shared table per function of a given battery, or the default
-    battery as one table: relu, the reconstruction argument's clamp min(t, r)
-    at each sample's spectral radius r, abs, and a seeded function each."""
+def _battery_tables(battery, rng: np.random.Generator, count: int) -> list:
+    """``(names, xs, ys)`` knot tables (1 or ``count`` samples, functions, K)
+    in battery order: one shared table per function of a given battery, or
+    the default battery as one table: relu, abs, and a seeded function for
+    each sample."""
     if battery is not None:
         return [([name], np.array([[fn.xs]]), np.array([[fn.ys]])) for name, fn in battery]
-    seeded_xs, seeded_ys = _seeded_knots(rng, len(radius))
-    level = radius[:, None]
+    seeded_xs, seeded_ys = _seeded_knots(rng, count)
     relu, absolute = PiecewiseLinear.relu(), PiecewiseLinear.absolute()
-    xs = np.stack(np.broadcast_arrays(relu.xs, level + [-1.0, 0.0, 1.0], absolute.xs,
-                                      seeded_xs), axis=1)
-    ys = np.stack(np.broadcast_arrays(relu.ys, level + [-1.0, 0.0, 0.0], absolute.ys,
-                                      seeded_ys), axis=1)
-    return [(["relu", "clamp", "abs", "seeded-3pt"], xs, ys)]
+    xs = np.stack(np.broadcast_arrays(relu.xs, absolute.xs, seeded_xs), axis=1)
+    ys = np.stack(np.broadcast_arrays(relu.ys, absolute.ys, seeded_ys), axis=1)
+    return [(["relu", "abs", "seeded-3pt"], xs, ys)]
 
 
 def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2) -> np.ndarray:
@@ -250,10 +263,16 @@ def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2) -> n
     return out
 
 
-def _markov_probes(lap: Laplacian, order: int, alg: Algebra,
-                   rng: np.random.Generator, ts=(0.05, 0.5, 5.0)) -> np.ndarray:
-    """Elements where Markov violations concentrate, as rows of canonical
-    coordinates.
+def _probe_resolvents(lap: Laplacian, ts=(0.05, 0.5, 5.0)) -> np.ndarray:
+    """The resolvents (1 + tL)^(-1) that :func:`_markov_probes` reads, at
+    every time t of ``ts`` but one with 1 + tw = 0 for an eigenvalue w."""
+    return lap.resolvents([t for t in ts if not np.any(1 + t * lap.eigenvalues == 0)])
+
+
+def _markov_probes(lap: Laplacian, resolvents: np.ndarray, order: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Elements of ``lap.algebra.amplify(order)`` where Markov violations
+    concentrate, as rows of canonical coordinates.
 
     Resolvent images of extreme positive elements: when the form is not
     completely Markov some of these acquire a negative part, and clipping it
@@ -261,17 +280,15 @@ def _markov_probes(lap: Laplacian, order: int, alg: Algebra,
     positives cover the same failure directly (the positive part restores p
     while the energy of the difference can dip below that of p).
 
-    The resolvents (1 + tL)^(-1) are the stack ``lap.resolvents``, built once
-    for every order, and act on every cell; each is amplified on its own.  A
-    t with 1 + tw = 0 for an eigenvalue w is skipped.
+    Each d x d resolvent of ``resolvents`` (:func:`_probe_resolvents` of
+    ``lap``, built once for every order) acts on every cell, one resolvent
+    at a time.
     """
+    alg = lap.algebra.amplify(order)
     root = np.sqrt(alg.basis_weights)
     extremes = _extreme_positives(alg, rng)
-    ts = [t for t in ts if not np.any(1 + t * lap.eigensystem[0] == 0)]
-    images = np.empty((len(ts), len(extremes), alg.dim), dtype=complex)
-    for image, resolvent in zip(images, lap.resolvents(ts)):
-        image[:] = (extremes * root) @ amplify_matrix(resolvent, lap.algebra, order).T / root
-    images = images.reshape(-1, alg.dim)
+    images = _on_cells(resolvents, extremes * root, lap.algebra, order)
+    images = (images / root).reshape(-1, alg.dim)
     firsts = extremes[:4]
     i, j = np.triu_indices(len(firsts), 1)
     a, b, r = firsts[i, None], firsts[j, None], np.array([0.05, 0.25])[:, None]
@@ -296,7 +313,7 @@ def markov_check(
     At each order the samples are numbered in the order they are drawn: the
     given ``elements`` (order 1 only) or ``count`` seeded self-adjoint
     elements, then the probes.  The functions keep the battery's order
-    (``relu``, ``clamp``, ``abs``, ``seeded-3pt`` for the default one).  A
+    (``relu``, ``abs``, ``seeded-3pt`` for the default one).  A
     witness lists the first 10 violations as ``(element_index, function)``
     in sample-major order: every function of one sample before the next
     sample.
@@ -305,31 +322,32 @@ def markov_check(
     :func:`random_self_adjoint_rows` call and the seeded functions one
     :func:`_seeded_knots` call, each the stream of one draw per element.
     All samples of an order are decomposed together (one batched ``eigh``
-    per block size), the default battery is one (samples, 4, 3) knot table
-    applied to the shared eigenvectors, and the seminorms are quadratic
-    forms with the amplified gram, both a chunk of samples at a time.
+    per block size), the default battery is one (samples, 3, 3) knot table
+    applied to the shared eigenvectors, and the seminorms apply the d x d
+    gram to every cell, both a chunk of samples at a time.  The probe
+    resolvents are built once, before the first order.
     """
     e = energy_form_of_laplacian(lap)
+    resolvents = _probe_resolvents(lap)
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + order)
-        alg = e.algebra if order == 1 else e.algebra.amplify(order)
+        alg = e.algebra.amplify(order)
         if order == 1 and elements is not None:
             samples = np.reshape([alg.canonical_coords(a) for a in elements], (-1, alg.dim))
         else:
             samples = random_self_adjoint_rows(alg, rng, count)
-        coords = np.concatenate([samples, _markov_probes(lap, order, alg, rng)])
+        coords = np.concatenate([samples, _markov_probes(lap, resolvents, order, rng)])
         spectra = SpectralStack(alg, coords)
-        tables = _battery_tables(battery, rng, np.maximum(-spectra.lo, spectra.hi))
+        tables = _battery_tables(battery, rng, len(coords))
         names = [name for table_names, _, _ in tables for name in table_names]
         lo, hi = spectra.lo[:, None], spectra.hi[:, None]
         lips = np.concatenate(
             [piecewise_linear_lipschitz(xs, ys, lo, hi) for _, xs, ys in tables], axis=1)
         images = spectra.apply(lambda w: np.concatenate(
             [piecewise_linear_values(xs, ys, w[:, None]) for _, xs, ys in tables], axis=1))
-        gram = amplify_matrix(e.gram, e.algebra, order)
-        lhs = _seminorms(gram, images)
-        bound = lips * _seminorms(gram, coords)[:, None]
+        lhs = _seminorms(e, images, order)
+        bound = lips * _seminorms(e, coords, order)[:, None]
         violation = lhs - bound
         worst = float(violation.max(initial=0.0))
         violations = [{"element_index": int(idx), "function": names[f],
@@ -354,23 +372,22 @@ def leibniz_check(
     ``count`` seeded pairs of self-adjoint elements, drawn a then b as the
     rows of one :func:`random_self_adjoint_rows` draw, which is the stream
     of one draw per element.  All pairs of an order are evaluated together:
-    the products run one batched matmul per block size, and each side is
-    one quadratic form with the amplified gram.  The witness is the first pair with the largest
-    violation, when that is positive and exceeds ``tol``."""
+    the products run one batched matmul per block size, and each side
+    applies the d x d gram to every cell.  The witness is the first pair
+    with the largest violation, when that is positive and exceeds ``tol``."""
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + 17 * order)
-        alg = e.algebra if order == 1 else e.algebra.amplify(order)
+        alg = e.algebra.amplify(order)
         if order == 1 and pairs is not None:
             rows = np.reshape([alg.canonical_coords(x) for a, b in pairs for x in (a, b)],
                               (-1, alg.dim))
         else:
             rows = random_self_adjoint_rows(alg, rng, 2 * count)
         a, b = rows[0::2], rows[1::2]
-        gram = amplify_matrix(e.gram, e.algebra, order)
-        lhs = _seminorms(gram, block_products(alg, a, b))
-        bound = (_seminorms(gram, a) * block_norms(alg, b)
-                 + block_norms(alg, a) * _seminorms(gram, b))
+        lhs = _seminorms(e, block_products(alg, a, b), order)
+        bound = (_seminorms(e, a, order) * block_norms(alg, b)
+                 + block_norms(alg, a) * _seminorms(e, b, order))
         violation = lhs - bound
         worst = float(violation.max(initial=0.0))
         witness = None
@@ -513,21 +530,19 @@ def resolvent_check(
     The witness is the exceeding entry with the largest value, the first in
     t-major order (the unit entry before the samples) on ties; the residual
     is the largest entry.  R_t comes from the eigendecomposition of L; at
-    order n it is R_t on every cell, since (I + t I (x) L)^(-1) = I (x) R_t."""
+    order n it acts on every cell, since (I + t I (x) L)^(-1) = I (x) R_t."""
     if len(ts) == 0 or any(t < 0 for t in ts):
         raise InputError("resolvent times must be a nonempty list of nonnegative numbers")
     resolvents = lap.resolvents(ts)
     results = []
     for order in orders:
-        alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
+        alg = lap.algebra.amplify(order)
         rng = np.random.default_rng(seed + 101 * order)
         # orthonormal coordinates of the positive samples, then the identity
         root = np.sqrt(alg.basis_weights)
         rows = np.concatenate([root * random_positive_rows(alg, rng, count),
                                alg.identity_coords[None]])
-        images = np.empty((len(ts), len(rows), alg.dim), dtype=complex)
-        for image, resolvent in zip(images, resolvents):  # one time t at a time
-            image[:] = rows @ amplify_matrix(resolvent, lap.algebra, order).T / root
+        images = _on_cells(resolvents, rows, lap.algebra, order) / root  # one t at a time
         unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
         ra = images[:, :count]
         herm = (ra + ra[..., alg.adj_table].conj()) / 2

@@ -37,37 +37,24 @@ def central_projection(algebra: Algebra, keep_blocks) -> Element:
     keep = list(keep_blocks)
     if not keep or not all(is_integer(b) and 0 <= b < len(algebra.blocks) for b in keep):
         raise InputError("keep_blocks must be a nonempty set of valid block indices")
-    data = [
-        np.eye(n) if b in keep else np.zeros((n, n))
-        for b, n in enumerate(algebra.blocks)
-    ]
-    return algebra.element(data)
+    return algebra.element([np.eye(n) * (b in keep) for b, n in enumerate(algebra.blocks)])
 
 
 def _projection_blocks(p: Element, tol=DEFAULT_POS_TOL):
     """Validate that p is a proper central projection and return the kept
     block flags.  Central elements are blockwise scalars."""
     lams, off = central_scalars(p, tol)
-    problems = []
-    flags = []
-    for b, lam in enumerate(lams):
-        if off[b]:
-            problems.append(f"block {b}: not central (not a scalar there)")
-            flags.append(False)
-        elif abs(lam - 1.0) <= tol:
-            flags.append(True)
-        elif abs(lam) <= tol:
-            flags.append(False)
-        else:
-            problems.append(f"block {b}: scalar {lam:.6g} is neither 0 nor 1")
-            flags.append(False)
+    keep, drop = np.abs(lams - 1.0) <= tol, np.abs(lams) <= tol
+    problems = [f"block {b}: not central (not a scalar there)" if off[b]
+                else f"block {b}: scalar {lams[b]:.6g} is neither 0 nor 1"
+                for b in np.flatnonzero(off | ~(keep | drop))]
     if problems:
         raise InputError("not a central projection", problems)
-    if all(flags):
+    if keep.all():
         raise InputError("projection must be proper (p != 1)")
-    if not any(flags):
+    if not keep.any():
         raise InputError("projection must be nonzero")
-    return flags
+    return keep.tolist()
 
 
 @dataclass(frozen=True)
@@ -192,12 +179,12 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
     draw = random_rows(pair, np.random.default_rng(seed), count)
     b, eps = draw[:, :qd.algebra_b.dim], 0.5 * draw[:, qd.algebra_b.dim:]
     lifts = _fiber_lifts(qd, b)
-    direct = _quadratic_forms(ambient_e.gram, lifts)
-    via_schur = _quadratic_forms(e_b.gram, b)
+    direct = _quadratic_forms(ambient_e.gram, lifts, ambient_e.algebra)
+    via_schur = _quadratic_forms(e_b.gram, b, e_b.algebra)
     # any other lift strictly exceeds the minimum by the eliminated-corner energy
     perturbed = lifts.copy()
     perturbed[:, qd.idx_c] += eps
-    extra = _quadratic_forms(ambient_e.gram, perturbed) - direct
+    extra = _quadratic_forms(ambient_e.gram, perturbed, ambient_e.algebra) - direct
     expected_extra = _quadratic_forms(qd.s_block, eps * np.sqrt(qd.algebra_c.basis_weights))
     gap = np.maximum(np.abs(direct - via_schur), np.abs(extra - expected_extra))
     scales = 1.0 + np.abs(direct)

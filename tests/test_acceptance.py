@@ -4,7 +4,7 @@ to see them live)."""
 import numpy as np
 
 import nca
-from nca.algebra import amplify_matrix, from_cells, matrix_direct_sum, random_element
+from nca.algebra import from_cells, matrix_direct_sum, random_element
 from nca.energy import _seminorms, energy_form_of_laplacian
 from nca.quotient import central_projection
 from nca.resistance import is_star, network_energy_form, random_network, random_star_network
@@ -123,9 +123,8 @@ def test_06_l2_matricial_property():
             v = random_element(alg.amplify(m), rng)
             w = random_element(alg.amplify(n), rng)
             both = matrix_direct_sum(alg, m, v, n, w)
-            lhs = _seminorms(amplify_matrix(e.gram, alg, m + n), both.coords) ** 2
-            rhs = (_seminorms(amplify_matrix(e.gram, alg, m), v.coords) ** 2
-                   + _seminorms(amplify_matrix(e.gram, alg, n), w.coords) ** 2)
+            lhs = _seminorms(e, both.coords, m + n) ** 2
+            rhs = _seminorms(e, v.coords, m) ** 2 + _seminorms(e, w.coords, n) ** 2
             if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
                 failures.append(("l2", m, n, abs(lhs - rhs)))
     for order in (2, 3):
@@ -137,8 +136,8 @@ def test_06_l2_matricial_property():
                 alg, order,
                 [[complex(mat[j, k]) * alg.identity() for k in range(order)] for j in range(order)],
             )
-            lhs, norm_v = _seminorms(amplify_matrix(e.gram, alg, order),
-                                     np.array([(scalars(alpha) * v * scalars(beta)).coords, v.coords]))
+            lhs, norm_v = _seminorms(
+                e, np.array([(scalars(alpha) * v * scalars(beta)).coords, v.coords]), order)
             bound = np.linalg.norm(alpha, 2) * norm_v * np.linalg.norm(beta, 2)
             if lhs > bound + 1e-9 * (1 + bound):
                 failures.append(("bimodule", order, lhs - bound))

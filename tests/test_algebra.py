@@ -11,6 +11,7 @@ from nca.algebra import (
     PiecewiseLinear,
     amplify_matrix,
     amplify_superop,
+    cell_units,
     decode_element,
     encode_element,
     from_cells,
@@ -22,7 +23,7 @@ from nca.algebra import (
     right_multiplication,
     to_cells,
 )
-from nca.energy import _seminorms
+from nca.energy import _quadratic_forms
 from nca.errors import InputError
 from generators import clamp_above, double_commutator_generator
 
@@ -333,9 +334,37 @@ def test_amplification_cells_roundtrip():
     assert both.algebra.blocks == alg.amplify(3).blocks
 
 
+def test_amplify_one_is_the_algebra_itself():
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    assert alg.amplify(1) is alg
+    assert np.array_equal(cell_units(alg, 1), np.arange(alg.dim)[None])
+
+
+@pytest.mark.parametrize("blocks", [[3, 2, 1], [2, 2], [1] * 4])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cell_units_place_each_unit_in_its_cell(blocks, order):
+    # unit (r, s) of a base block of size n in cell (j, k) is the unit at
+    # (j n + r, k n + s) of its amplified block, and the table is a
+    # permutation of the amplified units
+    alg = nca.build_algebra(blocks, [1.0] * len(blocks))
+    amp = alg.amplify(order)
+    units = cell_units(alg, order)
+    assert units.shape == (order * order, alg.dim)
+    assert np.array_equal(np.sort(units.reshape(-1)), np.arange(amp.dim))
+    for j in range(order):
+        for k in range(order):
+            for u in range(alg.dim):
+                b, r, s = _basis_triple(alg, u)
+                n = alg.blocks[b]
+                assert _basis_triple(amp, int(units[j * order + k, u])) == (
+                    b, j * n + r, k * n + s)
+
+
 @pytest.mark.parametrize("blocks, weights", [([3, 2, 1], [1.0, 0.5, 2.0]), ([2, 2], [1.0, 3.0])])
 @pytest.mark.parametrize("order", [2, 3])
 def test_amplification_index_serves_seminorm_and_superop(blocks, weights, order):
+    # the cell route of the quadratic forms, against the sum over the cells
+    # and the dense amplified gram
     alg = nca.build_algebra(blocks, weights)
     rng = np.random.default_rng(31)
     v = random_element(alg, rng)
@@ -344,9 +373,10 @@ def test_amplification_index_serves_seminorm_and_superop(blocks, weights, order)
     for _ in range(3):
         a = random_element(amp, rng)
         by_cells = sum(e.value(cell, cell).real for row in to_cells(alg, order, a) for cell in row)
-        expected = np.sqrt(max(by_cells, 0.0))
-        got = _seminorms(amplify_matrix(e.gram, alg, order), a.coords)
-        assert abs(got - expected) <= 1e-12 * max(1.0, expected)
+        got = _quadratic_forms(e.gram, a.coords, alg, order)
+        dense = _quadratic_forms(amplify_matrix(e.gram, alg, order), a.coords)
+        assert abs(got - by_cells) <= 1e-12 * max(1.0, abs(by_cells))
+        assert abs(got - dense) <= 1e-12 * max(1.0, abs(dense))
 
     # reference: I_order (x) N entry by entry over the amplified basis
     op = nca.SuperOperator(alg, rng.standard_normal((alg.dim, alg.dim))

@@ -12,11 +12,12 @@ seminorm identity of the ``stddev`` suite, and the broadcasts of
 ``metric_checks`` that one row at a time replaces: the state distances and
 the mixed-state search, and the node triples unranked one at a time that
 one listing replaces.  The target units of ``amplify_cdc`` found by their
-places in the embedding, which an inverse of ``amplification_index``
-replaces, ``SpectralStack.apply``
+places in the embedding, which ``cell_units`` replaces, the amplified
+grams and resolvents that applying the d x d ones to every cell replaces,
+``SpectralStack.apply``
 with all rows at once and with one product per function, batched
 ``eigvalsh`` on 1x1 blocks in ``hermitian_eigenvalues``, the one-shot
-quadratic forms, the amplified stacks of Markov probe resolvents and of
+quadratic forms, the stacks of Markov probe resolvents and of
 ``resolvent_check``'s resolvents, and the
 top singular values through ``np.linalg.norm(., 2)`` in ``block_norms``
 and ``dirac_seminorms`` are kept as references too."""
@@ -36,12 +37,12 @@ from nca.algebra import (
     _ROW_CHUNK,
     PiecewiseLinear,
     SpectralStack,
-    amplification_index,
     amplify_matrix,
     amplify_superop,
     block_norms,
     block_products,
     block_stacks,
+    cell_units,
     hermitian_eigenvalues,
     left_multiplication,
     piecewise_linear_lipschitz,
@@ -60,6 +61,8 @@ from nca.energy import (
     Laplacian,
     _extreme_positives,
     _markov_probes,
+    _on_cells,
+    _probe_resolvents,
     _quadratic_forms,
     _seminorms,
     energy_form_of_laplacian,
@@ -269,7 +272,8 @@ def _leibniz_loop(e, orders=(1, 2), seed=0, count=20, tol=1e-9, pairs=None):
         gram = amplify_matrix(e.gram, e.algebra, order)
         worst, witness = 0.0, None
         for idx, (a, b) in enumerate(samples):
-            lhs, norm_a, norm_b = _seminorms(gram, np.array([(a * b).coords, a.coords, b.coords]))
+            values = _quadratic_forms(gram, np.array([(a * b).coords, a.coords, b.coords]))
+            lhs, norm_a, norm_b = np.sqrt(np.maximum(values, 0.0))
             bound = norm_a * b.norm() + a.norm() * norm_b
             if lhs - bound > worst:
                 worst = lhs - bound
@@ -286,10 +290,12 @@ def _leibniz_forms():
     alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
     v = random_element(alg, np.random.default_rng(83))
     lindblad = nca.energy_form(nca.commutator_cdc([v, v.adjoint()]))
-    # E(a, b) = conj(tau(a)) tau(b) is no carre-du-champ energy: a traceless
-    # x with tau(x x) != 0 breaks the Leibniz inequality
+    # E(a, b) = conj(tau(k a)) tau(k b) for k = e_00 - e_22 in the first
+    # block annihilates the unit (tau(k) = 0) but is no carre-du-champ
+    # energy: x = e_01 + e_10 has tau(k x) = 0 and tau(k x x) = 1, so the
+    # pair (x, x) breaks the Leibniz inequality
     t = np.zeros(alg.dim)
-    t[alg.diagonal_units] = alg.coord_weights
+    t[[0, 8]] = [1.0, -1.0]
     return [negative, lindblad, EnergyForm(alg, np.outer(t, t))]
 
 
@@ -692,12 +698,11 @@ def _resolvent_solve(lap, ts, orders=(1, 2), seed=0, count=5, tol=1e-9):
     return results
 
 
-def _markov_probes_solve(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
-    """``_markov_probes`` with one solve per time on the amplified Laplacian
-    matrix; a singular time is skipped."""
-    m = lap.matrix
-    if order > 1:
-        m = amplify_matrix(m, lap.algebra, order)
+def _markov_probes_solve(lap, resolvents, order, rng, ts=(0.05, 0.5, 5.0)):
+    """``_markov_probes`` with one solve per time ``ts`` on the amplified
+    Laplacian matrix in place of ``resolvents``; a singular time is skipped."""
+    alg = lap.algebra.amplify(order)
+    m = amplify_matrix(lap.matrix, lap.algebra, order)
     root = np.sqrt(alg.basis_weights)
     extremes = _extreme_positives(alg, rng)
     eye = np.eye(alg.dim)
@@ -739,17 +744,16 @@ def _laplacian_forms():
 
 
 def _resolvent_stacked(lap, ts, orders=(1, 2), seed=0, count=5, tol=1e-9):
-    """``resolvent_check`` with the resolvents of every time amplified and
-    applied as one stack."""
+    """``resolvent_check`` with the resolvents of every time applied to the
+    cells as one stack."""
     results = []
     for order in orders:
-        alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
+        alg = lap.algebra.amplify(order)
         rng = np.random.default_rng(seed + 101 * order)
         root = np.sqrt(alg.basis_weights)
         rows = np.concatenate([root * random_positive_rows(alg, rng, count),
                                alg.identity_coords[None]])
-        resolvents = amplify_matrix(lap.resolvents(ts), lap.algebra, order)
-        images = rows @ resolvents.swapaxes(-1, -2) / root
+        images = _on_cell_stack(lap.resolvents(ts), rows, lap.algebra, order) / root
         unit = block_norms(alg, images[:, count] - alg.identity_coords / root)
         ra = images[:, :count]
         herm = (ra + ra[..., alg.adj_table].conj()) / 2
@@ -774,7 +778,7 @@ def test_resolvent_check_matches_solve(form):
         for res, (name, passed, residual, witness) in zip(got, want, strict=True):
             assert (res.check, res.passed, res.witness) == (name, passed, witness)
             assert abs(res.residual - residual) <= 1e-12 * max(1.0, residual)
-        # one resolvent amplified and applied at a time, bit for bit the stack
+        # one resolvent applied to the cells at a time, bit for bit the stack
         for res, (entries, scales) in zip(got, _resolvent_stacked(lap, ts, seed=seed)):
             ref = judge(res.check, entries, scales, 1e-9)
             assert (res.passed, res.residual, res.bound) == (ref.passed, ref.residual, ref.bound)
@@ -799,15 +803,25 @@ def _singular_form():
     return EnergyForm(alg, np.diag([0.0, 1.0, -2.0]))
 
 
-def _markov_probes_stacked(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
+def _on_cell_stack(resolvents, rows, algebra, order):
+    """``_on_cells`` of every matrix of the stack ``resolvents`` at once."""
+    units = cell_units(algebra, order)
+    cells = rows[:, units].reshape(-1, algebra.dim) @ resolvents.swapaxes(-1, -2)
+    out = np.empty((len(resolvents),) + rows.shape, dtype=complex)
+    out[..., units] = cells.reshape((len(resolvents), len(rows)) + units.shape)
+    return out
+
+
+def _markov_probes_stacked(lap, order, rng, ts=(0.05, 0.5, 5.0)):
     """``_markov_probes`` with the resolvents of every time built and
-    amplified as one stack."""
+    applied to the cells as one stack."""
+    alg = lap.algebra.amplify(order)
     root = np.sqrt(alg.basis_weights)
     extremes = _extreme_positives(alg, rng)
     ts = np.array([t for t in ts if not np.any(1 + t * lap.eigensystem[0] == 0)])
-    resolvents = amplify_matrix(lap.function(lambda w: 1 / (1 + ts[:, None] * w)),
-                                lap.algebra, order)
-    images = ((extremes * root) @ resolvents.swapaxes(-1, -2) / root).reshape(-1, alg.dim)
+    resolvents = lap.function(lambda w: 1 / (1 + ts[:, None] * w))
+    images = (_on_cell_stack(resolvents, extremes * root, lap.algebra, order)
+              / root).reshape(-1, alg.dim)
     firsts = extremes[:4]
     i, j = np.triu_indices(len(firsts), 1)
     a, b, r = firsts[i, None], firsts[j, None], np.array([0.05, 0.25])[:, None]
@@ -819,15 +833,16 @@ def _markov_probes_stacked(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
 def test_markov_probes_match_solve(form):
     forms = _laplacian_forms()
     lap = nca.laplacian(_singular_form() if form == len(forms) else forms[form][1])
+    resolvents = _probe_resolvents(lap, (0.5, 1.0))
     for order in (1, 2):
-        alg = lap.algebra if order == 1 else lap.algebra.amplify(order)
-        got = _markov_probes(lap, order, alg, np.random.default_rng(7), ts=(0.5, 1.0))
-        want = _markov_probes_solve(lap, order, alg, np.random.default_rng(7), ts=(0.5, 1.0))
+        alg = lap.algebra.amplify(order)
+        got = _markov_probes(lap, resolvents, order, np.random.default_rng(7))
+        want = _markov_probes_solve(lap, None, order, np.random.default_rng(7), ts=(0.5, 1.0))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        # one resolvent amplified at a time, bit for bit the amplified stack
-        assert np.array_equal(got, _markov_probes_stacked(lap, order, alg,
-                                                          np.random.default_rng(7), ts=(0.5, 1.0)))
+        # one resolvent applied to the cells at a time, bit for bit the stack
+        assert np.array_equal(got, _markov_probes_stacked(lap, order, np.random.default_rng(7),
+                                                          ts=(0.5, 1.0)))
     if form == len(forms):
         # the singular time gives no resolvent images: only the 4 * 3 * 2
         # differences of extreme positives and the images at t = 1 remain
@@ -931,8 +946,8 @@ def _markov_probes_loop(lap, order, alg, rng, ts=(0.05, 0.5, 5.0)):
     for t in ts:
         if np.any(1 + t * lap.eigensystem[0] == 0):
             continue
-        resolvent = amplify_matrix(lap.function(lambda w: 1 / (1 + t * w)), lap.algebra, order)
-        images = (extremes * root) @ resolvent.T / root
+        resolvent = lap.function(lambda w: 1 / (1 + t * w))
+        images = _on_cells(resolvent[None], extremes * root, lap.algebra, order)[0] / root
         probes.extend(0.5 * (images + images[:, alg.adj_table].conj()))
     firsts = extremes[:4]
     for i, a in enumerate(firsts):
@@ -951,15 +966,13 @@ def _markov_loop(lap, orders=(1, 2), seed=0, count=20, tol=1e-9):
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + order)
-        alg = e.algebra if order == 1 else e.algebra.amplify(order)
+        alg = e.algebra.amplify(order)
         samples = [random_self_adjoint_rows(alg, rng, 1)[0] for _ in range(count)]
         coords = np.concatenate([np.reshape(samples, (-1, alg.dim)),
                                  _markov_probes_loop(lap, order, alg, rng)])
         spectra = SpectralStack(alg, coords)
-        level = np.maximum(-spectra.lo, spectra.hi)[:, None]
-        seeded = [seeded_three_knot(rng) for _ in level]
+        seeded = [seeded_three_knot(rng) for _ in coords]
         fns = [("relu", np.array([relu.xs]), np.array([relu.ys])),
-               ("clamp", level + [-1.0, 0.0, 1.0], level + [-1.0, 0.0, 0.0]),
                ("abs", np.array([absolute.xs]), np.array([absolute.ys])),
                ("seeded-3pt", np.array([fn.xs for fn in seeded]),
                 np.array([fn.ys for fn in seeded]))]
@@ -967,9 +980,8 @@ def _markov_loop(lap, orders=(1, 2), seed=0, count=20, tol=1e-9):
                          for _, xs, ys in fns], axis=1)
         images = spectra.apply(
             lambda w: np.stack([piecewise_linear_values(xs, ys, w) for _, xs, ys in fns], axis=1))
-        gram = amplify_matrix(e.gram, e.algebra, order)
-        lhs = _seminorms(gram, images)
-        bound = lips * _seminorms(gram, coords)[:, None]
+        lhs = _seminorms(e, images, order)
+        bound = lips * _seminorms(e, coords, order)[:, None]
         violation = lhs - bound
         worst = float(violation.max(initial=0.0))
         violations = []
@@ -991,15 +1003,14 @@ def _leibniz_draws(e, orders=(1, 2), seed=0, count=20, tol=1e-9):
     results = []
     for order in orders:
         rng = np.random.default_rng(seed + 17 * order)
-        alg = e.algebra if order == 1 else e.algebra.amplify(order)
+        alg = e.algebra.amplify(order)
         pairs = [(_draw(random_self_adjoint_rows, alg, rng), _draw(random_self_adjoint_rows, alg, rng))
                  for _ in range(count)]
         a = np.array([x.coords for x, _ in pairs]).reshape(-1, alg.dim)
         b = np.array([y.coords for _, y in pairs]).reshape(-1, alg.dim)
-        gram = amplify_matrix(e.gram, e.algebra, order)
-        lhs = _seminorms(gram, block_products(alg, a, b))
-        bound = (_seminorms(gram, a) * block_norms(alg, b)
-                 + block_norms(alg, a) * _seminorms(gram, b))
+        lhs = _seminorms(e, block_products(alg, a, b), order)
+        bound = (_seminorms(e, a, order) * block_norms(alg, b)
+                 + block_norms(alg, a) * _seminorms(e, b, order))
         violation = lhs - bound
         worst = float(violation.max(initial=0.0))
         witness = None
@@ -1330,7 +1341,15 @@ def _amplify_cdc_by_positions(gamma, order):
     (pos[col_1, r], pos[col_2, s])."""
     base = gamma.algebra
     amp = base.amplify(order)
-    cells, inners = amplification_index(base, order)
+    # each amplified unit's cell j * order + k and the base unit it holds:
+    # the unit at (j n + r, k n + s) of an amplified block holds unit (r, s)
+    cells, inners = [], []
+    for b, nb in enumerate(base.blocks):
+        row, col = np.divmod(np.arange((order * nb) ** 2), order * nb)
+        (j, r), (k, s) = np.divmod(row, nb), np.divmod(col, nb)
+        cells.append(j * order + k)
+        inners.append(base._basis_offsets[b] + r * nb + s)
+    cells, inners = np.concatenate(cells), np.concatenate(inners)
     row, col = np.divmod(cells, order)
     # pos[k, x]: the amplified row of base row x in matrix cell column k
     x_block = np.repeat(np.arange(len(base.blocks)), base.blocks)

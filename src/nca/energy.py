@@ -183,7 +183,13 @@ def _quadratic_forms(gram: np.ndarray, coords: np.ndarray, algebra: Optional[Alg
     a chunk never splits a (rows, d) matrix, so each stays one GEMM.  Given
     the ``algebra`` of the d x d form G, the rows lie in ``algebra.amplify(order)``:
     each chunk is gathered into its cells by :func:`cell_units`, and a row's
-    value is the sum of x_c* G x_c over its cells c, with no D x D matrix."""
+    value is the sum of x_c* G x_c over its cells c, with no D x D matrix.
+
+    There each cell first loses its scalar part P x_c = tau(x_c)/tau(1) 1.
+    A form that annihilates the unit has E(x - Px) = E(x), the identity
+    that ``cdc-unit-annihilation`` verifies; the removal keeps the rounding
+    of G 1, which grows with the form's magnitude, out of every value.  A
+    form that fails that check is read as E(x - Px)."""
     stack = coords.reshape((-1,) + coords.shape[-2:]) if coords.ndim > 2 else coords[None]
     gram = gram.astype(np.result_type(gram, stack), copy=False)  # cast once, not per chunk
     units = np.arange(len(gram))[None] if algebra is None else cell_units(algebra, order)
@@ -191,6 +197,10 @@ def _quadratic_forms(gram: np.ndarray, coords: np.ndarray, algebra: Optional[Alg
     for rows in row_chunks(len(stack), stack[:1].size):
         chunk = stack[rows]
         cells = chunk[..., units].reshape(len(chunk), -1, len(gram))
+        if algebra is not None:
+            weights = algebra.coord_weights
+            cells[..., algebra.diagonal_units] -= (
+                cells[..., algebra.diagonal_units] @ (weights / weights.sum()))[..., None]
         t = cells.conj() @ gram
         t *= cells
         out[rows] = t.reshape(chunk.shape[:-1] + (units.size,)).sum(axis=-1).real

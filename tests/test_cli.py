@@ -626,6 +626,19 @@ def test_all_decomposes_each_laplacian_once(monkeypatch):
     assert calls == {("eigh", 8): 2, ("eigh", 3): 1, ("eigvalsh", 5): 1}
 
 
+@pytest.mark.parametrize("n", [6, 24])
+def test_scaled_network_reports_every_check_and_no_fail(n):
+    # conductances x 1e3 leave a Dirichlet form on a commutative algebra,
+    # which is completely Markov: every suite of nca all runs and passes.
+    # With each cell's scalar part left in, quotient:ambient-markov-n1
+    # failed and hid the six quotient checks behind it (32 checks)
+    spec = bench_network_spec(n)
+    spec["generator"]["c"] = (np.asarray(spec["generator"]["c"]) * 1e3).tolist()
+    report = run_command("all", parse_spec(json.dumps(spec)))
+    assert len(report["checks"]) == 38
+    assert [c["check"] for c in report["checks"] if not c["passed"]] == []
+
+
 # checks whose verdict compares no residual with a bound
 UNBOUNDED = ("quotient-is-cdc", "laplacian-form-reconstruction", "precondition", "is-cdc",
              "network-markov", "dirac-star-characterization")

@@ -229,6 +229,17 @@ def test_markov_and_leibniz_pass_on_catalog(catalog):
             assert res.passed, (ex.name, res.check, res.witness)
 
 
+def test_commutator_form_is_completely_markov():
+    # a commutator form sum_j [v_j, a]* [v_j, b] is completely Markov, so
+    # both orders pass; with each cell's scalar part left in, the rounding
+    # of G 1 failed them at 6.1e-8 and 1.2e-7 against 1e-9
+    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
+    v = random_element(alg, np.random.default_rng(83))
+    lap = nca.laplacian(nca.energy_form(nca.commutator_cdc([v, v.adjoint()])))
+    for res in nca.markov_check(lap, seed=3):
+        assert res.passed and res.residual <= 1e-12, (res.check, res.residual)
+
+
 def test_markov_detects_negative_conductance():
     alg = nca.build_algebra([1] * 3, [1.0] * 3)
     c = np.array([[0.0, -0.1, 1.0], [-0.1, 0.0, 1.0], [1.0, 1.0, 0.0]])

@@ -6,14 +6,14 @@ import pytest
 
 import nca
 from nca.algebra import encode_element, random_element
-from nca.cli import main
+from nca.cli import main, run_command
 from nca.energy import energy_form_of_laplacian
 from nca.errors import DisconnectedError, InputError
 from nca.fileio import parse_spec
 from nca.quotient import central_projection
 from nca.resistance import random_network
 
-from conftest import K3_C
+from conftest import K3_C, _bench_workloads
 
 
 def _restrict(qd, a):
@@ -166,6 +166,19 @@ def test_quotient_checks_k3(k3_split):
     results = nca.quotient_checks(qd, seed=3, count=10)
     for res in results:
         assert res.passed, (res.check, res.witness)
+
+
+def test_seed_30_network_n12_ambient_form_is_markov():
+    # a Dirichlet form on a commutative algebra is completely Markov: the
+    # network-N12 spec of the benchmark's network-suite at seed 30 failed
+    # ambient-markov-n2 at 6.0e-9 while each cell kept its scalar part
+    w = _bench_workloads()
+    rng = np.random.default_rng(30)
+    (spec,) = [c["spec"] for c in [w.network_case(rng, n) for n in w.NETWORK_SIZES]
+               if c["name"] == "network-N12"]
+    checks = run_command("quotient", parse_spec(spec))["checks"]
+    assert [c["check"] for c in checks if not c["passed"]] == []
+    assert {"ambient-markov-n1", "ambient-markov-n2"} <= {c["check"] for c in checks}
 
 
 def test_fiber_infimum_fails_on_a_sample_that_sets_no_record(k3_split, monkeypatch):

@@ -177,30 +177,25 @@ def connectedness(lap: Laplacian) -> bool:
 # -- seminorms at matrix amplification ---------------------------------------
 
 
-def _quadratic_forms(gram: np.ndarray, coords: np.ndarray, algebra: Optional[Algebra] = None,
-                     order: int = 1) -> np.ndarray:
-    """The real part of x* G x for every row x of coordinates, by ``row_chunks``;
-    a chunk never splits a (rows, d) matrix, so each stays one GEMM.  Given
-    the ``algebra`` of the d x d form G, the rows lie in ``algebra.amplify(order)``:
-    each chunk is gathered into its cells by :func:`cell_units`, and a row's
-    value is the sum of x_c* G x_c over its cells c, with no D x D matrix.
-
-    There each cell first loses its scalar part P x_c = tau(x_c)/tau(1) 1.
-    A form that annihilates the unit has E(x - Px) = E(x), the identity
-    that ``cdc-unit-annihilation`` verifies; the removal keeps the rounding
-    of G 1, which grows with the form's magnitude, out of every value.  A
-    form that fails that check is read as E(x - Px)."""
+def _quadratic_forms(e: EnergyForm, coords: np.ndarray, order: int = 1) -> np.ndarray:
+    """E_order(x, x) for every row x of canonical coordinates over
+    ``e.algebra.amplify(order)``, by ``row_chunks``, which never split a
+    (rows, D) matrix, so each stays one GEMM: each chunk is gathered into its
+    cells by :func:`cell_units`, each cell x_c loses its scalar part
+    P x_c = tau(x_c)/tau(1) 1, and the d x d gram is applied to every cell.
+    E(x - Px) = E(x) is the identity that ``cdc-unit-annihilation`` verifies
+    (a form that fails it is read as E(x - Px)); the removal keeps the
+    rounding of G 1, which grows with the form's magnitude, out of the values."""
+    alg = e.algebra
     stack = coords.reshape((-1,) + coords.shape[-2:]) if coords.ndim > 2 else coords[None]
-    gram = gram.astype(np.result_type(gram, stack), copy=False)  # cast once, not per chunk
-    units = np.arange(len(gram))[None] if algebra is None else cell_units(algebra, order)
+    gram = e.gram.astype(np.result_type(e.gram, stack), copy=False)  # cast once, not per chunk
+    units, diag = cell_units(alg, order), alg.diagonal_units
+    share = alg.coord_weights / alg.coord_weights.sum()
     out = np.empty(stack.shape[:-1])
     for rows in row_chunks(len(stack), stack[:1].size):
         chunk = stack[rows]
-        cells = chunk[..., units].reshape(len(chunk), -1, len(gram))
-        if algebra is not None:
-            weights = algebra.coord_weights
-            cells[..., algebra.diagonal_units] -= (
-                cells[..., algebra.diagonal_units] @ (weights / weights.sum()))[..., None]
+        cells = chunk[..., units].reshape(len(chunk), -1, alg.dim)
+        cells[..., diag] -= (cells[..., diag] @ share)[..., None]
         t = cells.conj() @ gram
         t *= cells
         out[rows] = t.reshape(chunk.shape[:-1] + (units.size,)).sum(axis=-1).real
@@ -208,15 +203,13 @@ def _quadratic_forms(gram: np.ndarray, coords: np.ndarray, algebra: Optional[Alg
 
 
 def _seminorms(e: EnergyForm, coords: np.ndarray, order: int = 1) -> np.ndarray:
-    """sqrt(max(E_order(x, x), 0)) for every row x of canonical coordinates
-    over ``e.algebra.amplify(order)``, E_order being E on every cell."""
-    return np.sqrt(np.maximum(_quadratic_forms(e.gram, coords, e.algebra, order), 0.0))
+    """sqrt(max(E_order(x, x), 0)) for every row x of :func:`_quadratic_forms`."""
+    return np.sqrt(np.maximum(_quadratic_forms(e, coords, order), 0.0))
 
 
 def _on_cells(matrices: np.ndarray, coords: np.ndarray, algebra: Algebra, order: int):
-    """(I_order (x) M) x for each d x d matrix M of the stack ``matrices``, one
-    at a time, and every row x of coordinates over ``algebra.amplify(order)``:
-    M applied to each cell of x.  The result has shape (matrices, rows, D)."""
+    """(I_order (x) M) x, shape (matrices, rows, D), for each d x d matrix M of
+    ``matrices`` in turn and every row x over ``algebra.amplify(order)``."""
     units = cell_units(algebra, order)
     cells = coords[:, units].reshape(-1, algebra.dim)
     out = np.empty((len(matrices),) + coords.shape, dtype=complex)
@@ -244,10 +237,9 @@ def _seeded_knots(rng: np.random.Generator, count: int):
 
 
 def _battery_tables(battery, rng: np.random.Generator, count: int) -> list:
-    """``(names, xs, ys)`` knot tables (1 or ``count`` samples, functions, K)
-    in battery order: one shared table per function of a given battery, or
-    the default battery as one table: relu, abs, and a seeded function for
-    each sample."""
+    """``(names, xs, ys)`` knot tables (1 or ``count`` samples, functions, K) in
+    battery order: one shared table per function of a given battery, or the
+    default battery as one table: relu, abs, and a seeded function per sample."""
     if battery is not None:
         return [([name], np.array([[fn.xs]]), np.array([[fn.ys]])) for name, fn in battery]
     seeded_xs, seeded_ys = _seeded_knots(rng, count)
@@ -274,8 +266,7 @@ def _extreme_positives(alg: Algebra, rng: np.random.Generator, rank_ones=2) -> n
 
 
 def _probe_resolvents(lap: Laplacian, ts=(0.05, 0.5, 5.0)) -> np.ndarray:
-    """The resolvents (1 + tL)^(-1) that :func:`_markov_probes` reads, at
-    every time t of ``ts`` but one with 1 + tw = 0 for an eigenvalue w."""
+    """The resolvents (1 + tL)^(-1) of :func:`_markov_probes` at the ``ts`` with no 1 + tw = 0."""
     return lap.resolvents([t for t in ts if not np.any(1 + t * lap.eigenvalues == 0)])
 
 
@@ -290,9 +281,8 @@ def _markov_probes(lap: Laplacian, resolvents: np.ndarray, order: int,
     positives cover the same failure directly (the positive part restores p
     while the energy of the difference can dip below that of p).
 
-    Each d x d resolvent of ``resolvents`` (:func:`_probe_resolvents` of
-    ``lap``, built once for every order) acts on every cell, one resolvent
-    at a time.
+    Each d x d resolvent of ``resolvents`` (:func:`_probe_resolvents`, built
+    once for every order) acts on every cell, one resolvent at a time.
     """
     alg = lap.algebra.amplify(order)
     root = np.sqrt(alg.basis_weights)

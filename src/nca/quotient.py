@@ -179,13 +179,15 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
     draw = random_rows(pair, np.random.default_rng(seed), count)
     b, eps = draw[:, :qd.algebra_b.dim], 0.5 * draw[:, qd.algebra_b.dim:]
     lifts = _fiber_lifts(qd, b)
-    direct = _quadratic_forms(ambient_e.gram, lifts, ambient_e.algebra)
-    via_schur = _quadratic_forms(e_b.gram, b, e_b.algebra)
+    direct = _quadratic_forms(ambient_e, lifts)
+    via_schur = _quadratic_forms(e_b, b)
     # any other lift strictly exceeds the minimum by the eliminated-corner energy
     perturbed = lifts.copy()
     perturbed[:, qd.idx_c] += eps
-    extra = _quadratic_forms(ambient_e.gram, perturbed, ambient_e.algebra) - direct
-    expected_extra = _quadratic_forms(qd.s_block, eps * np.sqrt(qd.algebra_c.basis_weights))
+    extra = _quadratic_forms(ambient_e, perturbed) - direct
+    # S need not annihilate C's unit, so its form keeps each scalar part
+    eps = eps * np.sqrt(qd.algebra_c.basis_weights)
+    expected_extra = ((eps.conj() @ qd.s_block) * eps).sum(axis=1).real
     gap = np.maximum(np.abs(direct - via_schur), np.abs(extra - expected_extra))
     scales = 1.0 + np.abs(direct)
     # each sample is held to its own bound; the witness is the last sample

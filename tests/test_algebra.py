@@ -373,8 +373,8 @@ def test_amplification_index_serves_seminorm_and_superop(blocks, weights, order)
     for _ in range(3):
         a = random_element(amp, rng)
         by_cells = sum(e.value(cell, cell).real for row in to_cells(alg, order, a) for cell in row)
-        got = _quadratic_forms(e.gram, a.coords, alg, order)
-        dense = _quadratic_forms(amplify_matrix(e.gram, alg, order), a.coords)
+        got = _quadratic_forms(e, a.coords, order)
+        dense = (a.coords.conj() @ amplify_matrix(e.gram, alg, order) @ a.coords).real
         assert abs(got - by_cells) <= 1e-12 * max(1.0, abs(by_cells))
         assert abs(got - dense) <= 1e-12 * max(1.0, abs(dense))
 

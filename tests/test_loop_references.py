@@ -272,7 +272,8 @@ def _leibniz_loop(e, orders=(1, 2), seed=0, count=20, tol=1e-9, pairs=None):
         gram = amplify_matrix(e.gram, e.algebra, order)
         worst, witness = 0.0, None
         for idx, (a, b) in enumerate(samples):
-            values = _quadratic_forms(gram, np.array([(a * b).coords, a.coords, b.coords]))
+            rows = np.array([(a * b).coords, a.coords, b.coords])
+            values = ((rows.conj() @ gram) * rows).sum(axis=1).real
             lhs, norm_a, norm_b = np.sqrt(np.maximum(values, 0.0))
             bound = norm_a * b.norm() + a.norm() * norm_b
             if lhs - bound > worst:
@@ -491,9 +492,16 @@ def _hermitian_eigenvalues_eigvalsh(algebra, coords):
          for m in block_stacks(algebra, coords)], axis=-1)
 
 
-def _quadratic_forms_whole(gram, coords):
+def _quadratic_forms_whole(e, coords, order):
     """``_quadratic_forms`` over all rows in one piece."""
-    return ((coords.conj() @ gram) * coords).sum(axis=-1).real
+    alg, units = e.algebra, cell_units(e.algebra, order)
+    stack = coords.reshape((-1,) + coords.shape[-2:]) if coords.ndim > 2 else coords[None]
+    cells = stack[..., units].reshape(
+        len(stack), math.prod(stack.shape[1:-1]) * len(units), alg.dim)
+    diag, w = alg.diagonal_units, alg.coord_weights
+    cells[..., diag] -= (cells[..., diag] @ (w / w.sum()))[..., None]
+    t = (cells.conj() @ e.gram.astype(complex)) * cells
+    return t.reshape(stack.shape[:-1] + (units.size,)).sum(axis=-1).real.reshape(coords.shape[:-1])
 
 
 @pytest.mark.parametrize("blocks", _STACK_BLOCKS)
@@ -541,17 +549,19 @@ def test_one_by_one_eigenvalues_match_eigvalsh(blocks):
 
 def test_quadratic_forms_match_one_shot():
     # stacks long enough for several chunks, and single matrices, vectors and
-    # empty rows, over real and complex grams
+    # empty rows, over real and complex grams, at orders 1 and 2
     rng = np.random.default_rng(5)
-    for d in (3, 25, 100):
+    for blocks, order in (([1] * 3, 1), ([4, 3], 1), ([10], 1), ([2, 1], 2), ([4, 3], 2)):
+        alg = nca.build_algebra(blocks, list(np.linspace(0.5, 2.0, len(blocks))))
+        d, dim = alg.dim, alg.amplify(order).dim
         cgram = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for gram in (cgram, cgram.real.copy()):
-            for shape in ((d,), (0, d), (1, d), (68, d), (3 * _ROW_CHUNK // d, d),
-                          (68, 4, d), (2, 3, 5, d), (0, 4, d)):
+        for e in (EnergyForm(alg, cgram), EnergyForm(alg, cgram.real)):
+            for shape in ((dim,), (0, dim), (1, dim), (68, dim), (3 * _ROW_CHUNK // dim, dim),
+                          (68, 4, dim), (2, 3, 5, dim), (0, 4, dim)):
                 coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                got = _quadratic_forms(gram, coords)
+                got = _quadratic_forms(e, coords, order)
                 assert got.shape == shape[:-1]
-                assert np.array_equal(got, _quadratic_forms_whole(gram, coords))
+                assert np.array_equal(got, _quadratic_forms_whole(e, coords, order))
 
 
 # -- Dirac seminorms -------------------------------------------------------------

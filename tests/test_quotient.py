@@ -189,10 +189,10 @@ def test_fiber_infimum_fails_on_a_sample_that_sets_no_record(k3_split, monkeypat
     forms = nca.quotient._quadratic_forms
     calls = []
 
-    def shifted(gram, coords, *form_algebra):
-        # the calls are: the direct values, the Schur values, the perturbed
-        # lifts' values and the eliminated-corner energies
-        out = forms(gram, coords, *form_algebra).copy()
+    def shifted(e, coords):
+        # the calls are: the direct values, the Schur values and the
+        # perturbed lifts' values
+        out = forms(e, coords).copy()
         calls.append(len(calls))
         if calls[-1] in (0, 2):
             out[0] += 1e6  # the perturbation's extra energy is unchanged

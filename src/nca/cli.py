@@ -181,7 +181,10 @@ def _resistance_checks(problem: _Problem):
         raise InputError("the resistance command needs a network generator")
     net = problem.net
     if net.c.min() < 0:
-        witness = markov_violation_witness(net)
+        try:
+            witness = markov_violation_witness(net)
+        except InputError as exc:  # an indefinite form has no clipping witness
+            return [CheckResult("network-markov", False, witness={"reason": str(exc)})], {}
         return [CheckResult(
             "network-markov", witness is None,
             residual=0.0 if witness is None else witness.violation,

@@ -433,6 +433,24 @@ def test_allow_negative_must_be_a_boolean(spec, field, capsys):
     _input_error(["check-cdc", json.dumps(spec)], capsys, field)
 
 
+def test_indefinite_network_fails_network_markov_and_keeps_every_check(capsys):
+    # an indefinite allow_negative form has no clipping witness: network-markov
+    # fails with the reason, and nca all keeps every other suite's checks
+    spec = json.dumps({"nodes": 3, "c": [[0, -2, 1], [-2, 0, 1], [1, 1, 0]],
+                       "allow_negative": True})
+    reason = {"reason": "the energy form itself is not nonnegative"}
+    assert main(["resistance", spec, "--json"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check == {"check": "network-markov", "passed": False, "residual": 0.0,
+                     "witness": reason}
+    assert main(["all", spec, "--json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["resistance:network-markov"]["witness"] == reason
+    assert checks["laplacian:laplacian-positive"]["residual"] == pytest.approx(3.0)
+    assert {name.split(":")[0] for name in checks} == {
+        "check-cdc", "dirac", "heat", "laplacian", "resistance"}
+
+
 def test_failing_complete_positivity_reports_its_residual():
     spec = parse_spec(json.dumps({"nodes": 3, "c": NEGATIVE_C, "allow_negative": True}))
     check = next(c for c in run_command("check-cdc", spec)["checks"]

@@ -27,8 +27,9 @@ from .quotient import central_projection, split
 
 
 def _central_positive_scalars(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL):
-    """p must be central (blockwise scalar), strictly positive, with unit
-    trace; returns the per-block scalars."""
+    """p must be central (blockwise scalar), strictly positive, with unit trace
+    to 1e-10, inside the 2e-10 or more to which the pairing identity of
+    :func:`extend` holds |1 - tau(p)|; returns the per-block scalars."""
     algebra._own(p)
     problems = []
     lams, off = central_scalars(p, tol)
@@ -41,7 +42,7 @@ def _central_positive_scalars(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL)
         if abs(lam.imag) > tol or lam.real <= tol:
             problems.append(f"block {b}: weight scalar {lam:.6g} is not strictly positive")
     total = p.trace()
-    if abs(total - 1.0) > tol * (1.0 + abs(total)):
+    if abs(total - 1.0) > 1e-10:
         problems.append(f"weight element must have unit trace, got {total:.12g}")
     if problems:
         raise InputError("invalid weight element", problems)

@@ -1,11 +1,14 @@
 """Standard-deviation recovery: the scalar extension, its Schur quotient,
 the closed form, and the independent-copies construction."""
+import json
+
 import numpy as np
 import pytest
 
 import nca
 from block_element import superop_from_function
-from nca.algebra import random_element, random_self_adjoint_rows
+from nca.algebra import encode_element, random_element, random_self_adjoint_rows
+from nca.cli import main
 from nca.energy import energy_form_of_laplacian
 from nca.errors import InputError
 
@@ -27,6 +30,27 @@ def m2_normalized():
     alg = nca.build_algebra([2], [0.5])  # tau = tr/2
     p = alg.identity()
     return alg, p, nca.extend(alg, p)
+
+
+@pytest.mark.parametrize("shift", [3e-10, -3e-10, 9e-11, -9e-11])
+def test_weight_trace_rule_agrees_with_the_pairing_identity(shift, capsys):
+    # tau(p) = 1 + shift on [2, 1]: a weight that passes the unit-trace rule
+    # passes extend's pairing identity, and one that does not is refused
+    # with the unit-trace message, by the library and by nca stddev
+    alg = nca.build_algebra([2, 1], [1.0, 1.0])
+    p = ((1.0 + shift) / 3.0) * alg.identity()
+    spec = {"algebra": {"blocks": [2, 1], "trace_weights": [1.0, 1.0]},
+            "weight_element": encode_element(p)}
+    if abs(shift) < 1e-10:
+        assert nca.extend(alg, p).residuals["pairing_identity"] <= 2e-10
+        nca.independent_copies_cdc(alg, p)
+        assert main(["stddev", json.dumps(spec)]) == 0
+        return
+    for build in (nca.extend, nca.independent_copies_cdc):
+        with pytest.raises(InputError, match="unit trace"):
+            build(alg, p)
+    assert main(["stddev", json.dumps(spec)]) == 2
+    assert "weight element must have unit trace" in capsys.readouterr().err
 
 
 def test_extend_validation(m2):

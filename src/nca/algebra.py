@@ -740,11 +740,10 @@ def cell_units(algebra: Algebra, order: int) -> np.ndarray:
 
 
 def amplify_matrix(matrix, algebra: Algebra, order: int) -> np.ndarray:
-    """A d x d matrix (or a stack of them) over the basis of ``algebra``
-    acting on every cell of order x order matrices: the block
-    ``M[units_c, units_c]`` for each cell's row of :func:`cell_units`, zero
-    across cells.  Both the orthonormal and the canonical basis amplify this
-    way (the weights are unchanged)."""
+    """A d x d matrix (or a stack of them) over the basis of ``algebra`` acting
+    on every cell of order x order matrices: M on the units of each cell's row
+    of :func:`cell_units`, zero across cells.  Both the orthonormal and the
+    canonical basis amplify this way (the weights are unchanged)."""
     units = cell_units(algebra, order)
     out = np.zeros(matrix.shape[:-2] + (units.size,) * 2, dtype=matrix.dtype)
     out[..., units[:, :, None], units[:, None, :]] = matrix[..., None, :, :]
@@ -777,8 +776,7 @@ def to_cells(algebra: Algebra, order: int, a: Element):
     ``algebra`` entries, gathered through :func:`cell_units`."""
     algebra.amplify(order)._own(a)
     flat = a.coords[cell_units(algebra, order)]
-    return [[_element(algebra, flat[j * order + k]) for k in range(order)]
-            for j in range(order)]
+    return [[_element(algebra, flat[j * order + k]) for k in range(order)] for j in range(order)]
 
 
 def matrix_direct_sum(algebra: Algebra, m: int, v: Element, n: int, w: Element) -> Element:

@@ -558,10 +558,9 @@ def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL) -> bool:
 
 
 def amplify_cdc(gamma: CdCForm, order: int) -> CdCForm:
-    """The form on order x order matrices over the algebra determined by
-    (Gamma_n(A, B))_{jk} = sum_p Gamma(a_pj, b_pk): each pair of units in
-    cells (p, j) and (p, k) copies its base values into cell (j, k), all
-    three read from :func:`cell_units`."""
+    """The form (Gamma_n(A, B))_{jk} = sum_p Gamma(a_pj, b_pk) on order x order
+    matrices: each pair of units in cells (p, j) and (p, k) copies its base
+    values into cell (j, k), all three read from :func:`cell_units`."""
     base = gamma.algebra
     amp = base.amplify(order)  # validates the order, 1 included
     if order == 1:

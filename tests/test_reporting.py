@@ -55,7 +55,8 @@ def _compare_reports():
 
 
 def test_compare_walk_reports_a_flip_under_a_dict_that_gained_a_key():
-    walk = _compare_reports().walk
+    tool = _compare_reports()
+    walk = tool.walk
     parent = {"checks": [{"check": "x", "passed": True, "residual": 1.0}], "n": 1}
     change = {"checks": [{"check": "x", "passed": False, "residual": 2.0, "bound": 0.5}],
               "n": 1}
@@ -67,3 +68,11 @@ def test_compare_walk_reports_a_flip_under_a_dict_that_gained_a_key():
         "all spec all.checks[x].passed: True != False",
     ]
     assert moved == {"all.checks[x].residual": (1.0, "all spec")}
+    # the flip stays a structural difference and is counted once; a
+    # changed string or a check that passes on both sides is no flip
+    walk({"checks": [{"check": "y", "passed": False, "kind": "a"}]},
+         {"checks": [{"check": "y", "passed": True, "kind": "b"}]}, "all", "all spec",
+         moved, structural)
+    walk({"checks": [{"check": "z", "passed": True}]}, {"checks": [{"check": "z", "passed": True}]},
+         "all", "all spec", moved, structural)
+    assert len(structural) == 4 and tool.passed_flips(structural) == 2

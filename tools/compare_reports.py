@@ -33,8 +33,9 @@ lie past the first chunk.  The real parts of the [1] * 12 and [2, 2, 2]
 pairs take the float64 path to its symmetry and star-representation
 witnesses and its CP eigenvalues.  That makes 315 reports.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
-list lengths, strings and booleans) and, for each float field that moved, its
-largest change relative to max(1, |x|).  It exits 1 when any structural
+list lengths, strings and booleans), how many of them flip a check's
+``passed`` flag, and, for each float field that moved, its largest change
+relative to max(1, |x|).  It exits 1 when any structural
 difference is found, 0 otherwise.
 """
 from __future__ import annotations
@@ -229,6 +230,12 @@ def walk(a, b, path: str, where: str, moved: dict, structural: list):
         structural.append(f"{where} {path}: {a!r} != {b!r}")
 
 
+def passed_flips(structural: list) -> int:
+    """How many of the structural differences flip a ``passed`` flag."""
+    return sum(line.endswith((".passed: True != False", ".passed: False != True"))
+               for line in structural)
+
+
 def _is_number(x) -> bool:
     """Canonical JSON writes an integral float as an int, so ints and floats
     compare as numbers; booleans do not."""
@@ -259,6 +266,7 @@ def main(argv=None) -> int:
             walk(json.loads(out_a), json.loads(out_b), key[0], label, moved, structural)
     print(f"{len(parent)} reports, {identical} byte-identical")
     print(f"structural differences: {len(structural)}")
+    print(f"passed flags flipped: {passed_flips(structural)}")
     for line in structural:
         print("  " + line)
     print(f"float fields that moved: {len(moved)} (largest change / max(1, |x|))")

@@ -782,10 +782,8 @@ def to_cells(algebra: Algebra, order: int, a: Element):
 def matrix_direct_sum(algebra: Algebra, m: int, v: Element, n: int, w: Element) -> Element:
     """V (+) W in M_{m+n} over the algebra, from V in M_m and W in M_n."""
     zero = algebra.zero()
-    cells_v, cells_w = to_cells(algebra, m, v), to_cells(algebra, n, w)
-    grid = [[cells_v[j][k] if j < m and k < m
-             else cells_w[j - m][k - m] if j >= m and k >= m else zero
-             for k in range(m + n)] for j in range(m + n)]
+    grid = ([row + [zero] * n for row in to_cells(algebra, m, v)]
+            + [[zero] * m + row for row in to_cells(algebra, n, w)])
     return from_cells(algebra, m + n, grid)
 
 

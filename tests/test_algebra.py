@@ -334,20 +334,15 @@ def test_amplification_cells_roundtrip():
     assert both.algebra.blocks == alg.amplify(3).blocks
 
 
-def test_amplify_one_is_the_algebra_itself():
-    alg = nca.build_algebra([3, 2, 1], [1.0, 0.5, 2.0])
-    assert alg.amplify(1) is alg
-    assert np.array_equal(cell_units(alg, 1), np.arange(alg.dim)[None])
-
-
 @pytest.mark.parametrize("blocks", [[3, 2, 1], [2, 2], [1] * 4])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_cell_units_place_each_unit_in_its_cell(blocks, order):
     # unit (r, s) of a base block of size n in cell (j, k) is the unit at
     # (j n + r, k n + s) of its amplified block, and the table is a
-    # permutation of the amplified units
+    # permutation of the amplified units; order 1 is the algebra itself
     alg = nca.build_algebra(blocks, [1.0] * len(blocks))
     amp = alg.amplify(order)
+    assert (amp is alg) == (order == 1)
     units = cell_units(alg, order)
     assert units.shape == (order * order, alg.dim)
     assert np.array_equal(np.sort(units.reshape(-1)), np.arange(amp.dim))

@@ -23,7 +23,8 @@ G = ``gram`` and adj = ``adj_table``:
   The first two terms reach only the rows of the triples, which are
   evaluated whole; on every other row the last two lie on one row and one
   column of the embedding, so the maximum comes from per-line maxima of |G|
-  and the one unit where they meet.  No d^4 gap is held;
+  and the one unit where they meet.  No d^4 gap is held, and on a
+  commutative algebra each row maximum is a closed form in G;
 * complete positivity is positivity of the basis gram
   [(i, x), (j, y)] -> Gamma(e_i, e_j)_{xy}.  It is a direct sum over the
   blocks b, block b being the (d n_b) x (d n_b) matrix of G[i, j, unit (r, s)
@@ -247,7 +248,8 @@ def spectral_triple_cdc(dirac_matrix, algebra: Algebra, scale=1.0,
 
 def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm:
     """The commutative form Gamma(f, g)(y) = scale * sum_{x != y}
-    (conj f(x) - conj f(y)) (g(x) - g(y)) c_xy."""
+    (conj f(x) - conj f(y)) (g(x) - g(y)) c_xy, scattered onto its at most
+    3 N^2 nonzero entries."""
     if not algebra.is_commutative:
         raise InputError("network forms require a commutative algebra")
     size = algebra.dim
@@ -261,14 +263,16 @@ def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm
             "negative conductances require the explicit allow_negative flag"
         )
     # the unit at point y is e_y, so gram[p, q, y] = scale * sum_x
-    # (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy; each entry has at most one
-    # nonzero term, so the sum is exact
-    eye = np.eye(size)
-    deg = np.ascontiguousarray(c.T).sum(axis=1)
-    vals = (eye[:, :, None] * c[:, None, :]
-            - eye[None, :, :] * c[:, None, :]
-            - eye[:, None, :] * c[None, :, :]
-            + eye[:, None, :] * eye[None, :, :] * deg)
+    # (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy, which for p != y is c_py at
+    # [p, p, y], -c_py at [p, y, y] and [y, p, y], deg_y = sum_x c_xy at
+    # [y, y, y] and zero elsewhere.  Each is one term of the sum and exact
+    # zeros, which turn a -0.0 into +0.0: hence c + 0.0 and 0.0 - c
+    every = np.arange(size)
+    col = every[:, None]
+    vals = np.zeros((size,) * 3)
+    vals[col, col, every] = c + 0.0
+    vals[col, every, every] = vals[every, col, every] = 0.0 - c
+    vals[every, every, every] = np.ascontiguousarray(c.T).sum(axis=1) + 0.0
     return CdCForm(algebra, scale * vals, scale=scale)
 
 
@@ -398,7 +402,12 @@ def _star_gaps(alg: Algebra, g: np.ndarray, rows: slice) -> np.ndarray:
     (adj i, :, j) of the triples e_i e_j = e_k of ``mul_nonzero``.  These are
     evaluated whole, in the order of the formula, and written last: the
     second term's slabs without the first term, then the first term's,
-    which overwrite the rows that both reach."""
+    which overwrite the rows that both reach.
+
+    A commutative algebra takes :func:`_commutative_star_gaps`, which reads
+    the same table off the two slabs in closed form."""
+    if alg.is_commutative:
+        return _commutative_star_gaps(g, rows)
     d = alg.dim
     adj = alg.adj_table
     i, j, k = alg.mul_nonzero
@@ -440,6 +449,44 @@ def _star_gaps(alg: Algebra, g: np.ndarray, rows: slice) -> np.ndarray:
     gap[s, :, kv] -= g[ps, :, jv]
     gap[:, j, k] += g[q, adj_i[slabs]][:, i]
     out[p - lo, q] = np.abs(gap).max(axis=2)
+    return out
+
+
+def _commutative_star_gaps(g: np.ndarray, rows: slice) -> np.ndarray:
+    """``_star_gaps`` when every block is 1 x 1, so e_p e_q = [p = q] e_p and
+    e_p* = e_p.  The gap's coefficient at e_m is then [p = q] G[p, r, m]
+    - [p = r] G[q, p, m] - [q = m] G[p, r, m] + [r = m] G[q, p, m], and the
+    largest magnitude of row (p, q, r) is
+
+    * max(|G[p, r, q]|, |G[q, p, r]|) for p, q and r distinct;
+    * |G[q, p, q] - G[p, q, q]| for q = r != p;
+    * max(|G[p, r, r] + G[p, p, r]|, |G[p, r, m]| over m not p or r) for p = q != r;
+    * max(|G[q, p, q] + G[p, p, q]|, |G[q, p, m]| over m not p or q) for p = r != q;
+    * 0 for p = q = r.
+
+    Each sum is the one the general route forms, up to sign, so on a finite
+    gram the table is bit for bit the same.  Only the chunk's two slabs
+    G[p] and G[:, p] are read, and |G| of each is held [m, p, line], so that
+    its maxima over m are elementwise."""
+    lo, hi = rows.start, rows.stop
+    d = len(g)
+    every = np.arange(d)
+    own, p = np.arange(hi - lo), np.arange(lo, hi)
+    a = g[rows]  # [p, r, m]: G[p, r, m]
+    b = g[:, rows].swapaxes(0, 1)  # [p, q, m]: G[q, p, m]
+    # G[p, x, x], G[x, p, x] and G[p, p, x] at [p, x]
+    a_rr, b_qq, a_pp = a[:, every, every], b[:, every, every], a[own, p]
+    abs_a = np.abs(a.transpose(2, 0, 1), order="C")  # [m, p, r]
+    abs_b = np.abs(b.transpose(2, 0, 1), order="C")  # [m, p, q]
+    out = np.maximum(abs_a.transpose(1, 0, 2), abs_b.transpose(1, 2, 0),
+                     out=np.empty((hi - lo, d, d)))
+    out[:, every, every] = np.abs(b_qq - a_rr)
+    for slab in (abs_a, abs_b):  # drop the m = p and the m = r (or q) of each row
+        slab[p, own] = 0
+        slab[every, :, every] = 0
+    out[own, p] = np.maximum(np.abs(a_rr + a_pp), abs_a.max(axis=0))
+    out[own, :, p] = np.maximum(np.abs(b_qq + a_pp), abs_b.max(axis=0))
+    out[own, p, p] = 0
     return out
 
 

@@ -10,7 +10,8 @@ pairs and ``<matrix>`` one such array:
     generator.lindblad.vs            nonempty list of <element>
     generator.matrix.superop         d x d <matrix> in the orthonormal basis
     generator.matrix.scale           finite number (default 1)
-    generator.network.c              symmetric d x d matrix of finite numbers, blocks all 1
+    generator.network.c              symmetric d x d matrix of finite numbers, d >= 2,
+                                     blocks all 1
     generator.network.allow_negative true | false (default false)
     generator.network.scale          finite number (default 0.5)
     generator.group.autos            nonempty list of d x d <matrix>
@@ -26,7 +27,7 @@ pairs and ``<matrix>`` one such array:
     tolerances.positivity|rank|equality  finite numbers >= 0 (default 1e-9, 1e-10, 1e-9)
 
 A bare network file ``{"nodes": n, "c": ..., "allow_negative": ...}`` stands
-for the spec over n points with unit weights and that network generator;
+for the spec over n >= 2 points with unit weights and that network generator;
 its other keys are fields of that spec.  Unknown keys are rejected at every
 level, and ``c`` must be exactly symmetric.  The CLI flags ``--seed``,
 ``--tol-*``, ``--t`` and ``--pairs`` set the fields they name before the one
@@ -200,8 +201,8 @@ def _algebra(value, p):
 
 
 def _nodes(value, p):
-    if not (is_integer(value) and value >= 1):
-        raise InputError(f"must be a positive integer, got {value!r}")
+    if not (is_integer(value) and value >= 2):
+        raise InputError(f"must be an integer >= 2, got {value!r}")
     p.alg = Algebra((1,) * value, (1.0,) * value)
     return p.alg
 
@@ -210,6 +211,8 @@ def _nodes(value, p):
 def _conductances(value, alg):
     if not alg.is_commutative:
         raise InputError("a network needs a commutative algebra (all blocks of size 1)")
+    if alg.dim < 2:
+        raise InputError(f"a network needs at least 2 nodes, got {alg.dim}")
     c = decode_real_array(value, "matrix")
     if c.shape != (alg.dim, alg.dim):
         raise InputError(f"expected a {alg.dim}x{alg.dim} matrix, got shape {c.shape}")

@@ -1,7 +1,9 @@
 """The dense carre-du-champ check, kept as an independent reference for the
 packed one in ``nca.cdc``, and the per-factor einsum route of the
-product-defined builders, a reference for their one batched product, and
-the trace symmetries by whole (d, d, d) arrays, a reference for their chunks.
+product-defined builders, a reference for their one batched product, the
+network form as one broadcast over the identity, a reference for its
+scatter, and the trace symmetries by whole (d, d, d) arrays, a reference
+for their chunks.
 
 Here a form is the (d, d, n, n) array whose slice [i, j] is the
 block-diagonal embedding of Gamma(e_i, e_j) (``alg.embed(gamma.gram)``).
@@ -129,3 +131,16 @@ def einsum_spectral_triple_gram(alg, d_op, scale=1.0):
     """The gram of scale * E([D, a]* [D, b]) by one einsum."""
     emb = alg.embedded_basis
     return scale * _einsum_unit_entries(alg, d_op @ emb - emb @ d_op)
+
+
+def broadcast_network_gram(c, scale):
+    """The network gram scale * sum_x (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy
+    at [p, q, y], as four broadcast products of the identity: c_py [p = q]
+    - c_py [q = y] - c_qy [p = y] + deg_y [p = y = q]."""
+    eye = np.eye(len(c))
+    deg = np.ascontiguousarray(c.T).sum(axis=1)
+    vals = (eye[:, :, None] * c[:, None, :]
+            - eye[None, :, :] * c[:, None, :]
+            - eye[:, None, :] * c[None, :, :]
+            + eye[:, None, :] * eye[None, :, :] * deg)
+    return scale * vals

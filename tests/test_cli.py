@@ -433,6 +433,21 @@ def test_allow_negative_must_be_a_boolean(spec, field, capsys):
     _input_error(["check-cdc", json.dumps(spec)], capsys, field)
 
 
+@pytest.mark.parametrize("spec, problem", [
+    ({"nodes": 1, "c": [[0]]}, "nodes: must be an integer >= 2, got 1"),
+    ({"algebra": {"blocks": [1], "trace_weights": [1.0]},
+      "generator": {"kind": "network", "c": [[0]]}},
+     "generator.c: a network needs at least 2 nodes, got 1"),
+])
+def test_one_node_network_exits_2_on_every_command(spec, problem, capsys):
+    # the spec's own rule rejects it, so no command starts a run
+    for command in COMMANDS:
+        assert main([command, json.dumps(spec)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: invalid spec: {problem}\n", command
+
+
 def test_indefinite_network_fails_network_markov_and_keeps_every_check(capsys):
     # an indefinite allow_negative form has no clipping witness: network-markov
     # fails with the reason, and nca all keeps every other suite's checks

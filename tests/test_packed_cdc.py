@@ -4,8 +4,10 @@ builders (the product-defined ones also against their per-factor einsum
 route), ``reality_checks`` against its whole-array formulas, and the memory
 held by ``is_cdc`` and ``reality_checks``.  ``_star_gaps``, which
 splits the star gap into the rows of its first two terms and the rows that
-only its last two reach, and the scatters of ``gamma_from_generator`` are
-checked bit for bit against padded gathers over every entry."""
+only its last two reach, or on a commutative algebra reads it in closed
+form, and the scatters of ``gamma_from_generator`` are checked bit for bit
+against padded gathers over every entry, and the scatter of ``network_cdc``
+against its broadcast formula."""
 import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
@@ -23,6 +25,7 @@ from nca.resistance import random_network
 from generators import conjugation_superop
 
 from dense_cdc import (
+    broadcast_network_gram,
     dense_is_cdc,
     dense_reality_checks,
     einsum_commutator_gram,
@@ -44,14 +47,26 @@ def _random_form(alg, kind, rng):
     otherwise arbitrary, so the star identity almost surely fails;
     ``generator``: the form of a random map N with N(1) = 0 and N = N#,
     which is symmetric and a star representation but almost surely not
-    completely positive."""
+    completely positive; ``network``, on a commutative algebra: the float64
+    gram of a sparse network with one negative conductance."""
     if kind == "generator":
         return nca.gamma_from_generator(_random_generator(alg, rng))
+    if kind == "network":
+        c = np.triu(rng.uniform(0.5, 2.0, (alg.dim,) * 2)
+                    * (rng.uniform(size=(alg.dim,) * 2) < 0.4), 1)
+        if alg.dim > 1:
+            c[0, -1] = -0.3
+        return nca.network_cdc(alg, c + c.T, allow_negative=True)
     d = alg.dim
     g = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
     if kind == "symmetrized":
         g = (g + g.transpose(1, 0, 2)[:, :, alg.adj_table].conj()) / 2
     return CdCForm(alg, g)
+
+
+def _form_kinds(alg):
+    """The kinds of ``_random_form`` that ``alg`` takes."""
+    return ("raw", "symmetrized", "generator") + (("network",) if alg.is_commutative else ())
 
 
 def _random_generator(alg, rng):
@@ -219,7 +234,7 @@ def test_scatters_match_gathers(monkeypatch, blocks, weights, budget):
     for scale in (1.0, 0.5):
         assert np.array_equal(nca.gamma_from_generator(n, scale).gram,
                               _gather_generator_gram(n, scale))
-    for kind in ("raw", "symmetrized", "generator"):
+    for kind in _form_kinds(alg):
         g = _random_form(alg, kind, rng).gram
         assert np.array_equal(_chunked_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
 
@@ -233,9 +248,34 @@ def test_star_gaps_match_gathers(blocks, seed, budget):
     rng = np.random.default_rng(seed)
     alg = nca.build_algebra(blocks, list(rng.uniform(0.5, 2.0, len(blocks))))
     with _gap_chunk(budget):
-        for kind in ("raw", "symmetrized", "generator"):
+        for kind in _form_kinds(alg):
             g = _random_form(alg, kind, rng).gram
             assert np.array_equal(_chunked_star_gaps(alg, g), _gather_star_gaps(alg, g)), kind
+
+
+def _conductance_kinds(n, rng):
+    """Conductances on n nodes by kind, each with a zero diagonal: symmetric,
+    asymmetric, sparse, with negative entries, and with -0.0 entries (the
+    diagonal's among them)."""
+    full = rng.uniform(0.1, 2.0, (n, n))
+    np.fill_diagonal(full, 0.0)
+    symmetric = np.triu(full) + np.triu(full).T
+    sparse = np.triu(symmetric * (rng.uniform(size=(n, n)) < 0.3))
+    sparse += sparse.T
+    return {"symmetric": symmetric, "asymmetric": full, "sparse": sparse,
+            "negative": np.where(sparse > 0, -symmetric, symmetric),
+            "signed-zeros": np.where(full > 1.0, symmetric, -0.0)}
+
+
+def test_network_scatter_matches_broadcast():
+    for n in range(1, 25):
+        alg = nca.build_algebra([1] * n, [1.0] * n)
+        for kind, c in _conductance_kinds(n, np.random.default_rng(n)).items():
+            for scale in (0.5, 1, -2):
+                got = nca.network_cdc(alg, c, scale=scale, allow_negative=True).gram
+                want = broadcast_network_gram(c, scale)
+                assert np.array_equal(got, want), (n, kind, scale)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (n, kind, scale)
 
 
 # the default chunk budget holds every i at once on these algebras; 600 and

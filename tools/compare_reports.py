@@ -22,7 +22,9 @@ triangle of that file as an ``allow_negative`` network, whose reports take the F
 (seed 8 twice in one draw).  A further subprocess per side reports the
 library's ``is_cdc`` (flags, residuals, witness) and ``reality_checks`` on
 the seed-1 large-forms forms (networks, an order-2 amplification, a
-commutator form) and on a raw and a symmetrized random gram on each of
+commutator form), on the one-node network form and a sparse 12-node
+network form with one negative conductance, which fails complete
+positivity, and on a raw and a symmetrized random gram on each of
 [3, 2, 1], [1] * 12, [2, 2, 2], [6] and [1] * 48: no spec can fail the
 star-representation identity, and these reach its failing residual and its
 witness, on one large block and on many small ones.  The grams on [6] and
@@ -31,7 +33,7 @@ symmetry and 3 tau-balanced chunks on [6]; 4, 4 and 7 on [1] * 48), and
 some of their symmetry, star-representation and tau-balanced witnesses each
 lie past the first chunk.  The real parts of the [1] * 12 and [2, 2, 2]
 pairs take the float64 path to its symmetry and star-representation
-witnesses and its CP eigenvalues.  That makes 315 reports.  The script
+witnesses and its CP eigenvalues.  That makes 317 reports.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans), how many of them flip a check's
 ``passed`` flag, and, for each float field that moved, its largest change
@@ -108,6 +110,13 @@ def forms():
             n = case["c"].shape[0]
             gamma = network_cdc(Algebra((1,) * n, (1.0,) * n), case["c"])
             yield case["name"], amplify_cdc(gamma, case.get("order", 1))
+    # the one-node network, and a sparse network with one negative conductance
+    yield "network-N1", network_cdc(Algebra((1,), (1.0,)), [[0.0]])
+    rng = np.random.default_rng(12)
+    c = np.triu(rng.uniform(0.5, 2.0, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.4), 1)
+    c[0, 11] = -0.3
+    yield "negative-network-N12", network_cdc(Algebra((1,) * 12, (1.0,) * 12), c + c.T,
+                                              allow_negative=True)
     # the grams on [6] and [1] * 48 span several chunks of each gap
     for label, blocks, weights, seed in (
             ("3-2-1", (3, 2, 1), (1.0, 0.5, 2.0), 1),

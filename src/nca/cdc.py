@@ -65,8 +65,8 @@ class CdCForm:
     """An algebra-valued sesquilinear form over the canonical basis.
 
     ``gram`` has shape (d, d, d): ``gram[i, j, k]`` is the coefficient of
-    the unit e_k in Gamma(e_i, e_j); it is read-only, float64 for real or
-    integer data and complex128 for complex data (:func:`frozen_array`).
+    the unit e_k in Gamma(e_i, e_j); it is read-only, finite, float64 for
+    real or integer data and complex128 for complex data (:func:`frozen_array`).
     ``scale`` records the conventional prefactor (1 for generator and
     commutator forms, 1/2 for Laplacian and network forms) so cross-module
     comparisons never mix conventions silently.
@@ -80,6 +80,8 @@ class CdCForm:
         d = self.algebra.dim
         object.__setattr__(self, "gram", frozen_array(
             self.gram, (d, d, d), f"gram tensor must have shape (d, d, d) = {(d, d, d)}"))
+        if not np.isfinite(self.gram).all():
+            raise InputError("gram tensor must hold finite numbers")
 
     def value(self, a: Element, b: Element) -> Element:
         """Gamma(a, b), conjugate-linear in ``a``."""

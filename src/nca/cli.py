@@ -15,13 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import __version__
-from .algebra import (
-    DEFAULT_POS_TOL,
-    DEFAULT_RANK_TOL,
-    encode_complex_matrix,
-    encode_element,
-    random_self_adjoint_rows,
-)
+from .algebra import encode_complex_matrix, encode_element, random_self_adjoint_rows
 from .cdc import ccn_check, is_cdc, lindblad_generator
 from .dirac import DiracOperator, build_bimodule, dirac_seminorms, star_graph_check
 from .energy import (
@@ -246,15 +240,7 @@ def _dirac_checks(problem: _Problem):
     if spec.generator and spec.generator["kind"] == "network" and spec.generator["c"].min() >= 0:
         net = problem.net
         if net.is_connected():
-            # the spec's own operator is the one star_graph_check would build
-            # when the form is the scale-1/2 network form with default cutoffs
-            same = (
-                gamma.scale == 0.5
-                and spec.algebra == net.algebra
-                and spec.tolerances.positivity == DEFAULT_POS_TOL
-                and spec.tolerances.rank == DEFAULT_RANK_TOL
-            )
-            star = star_graph_check(net, seed=spec.seed, op=op if same else None)
+            star = star_graph_check(net, seed=spec.seed)
             data["star_graph"] = {
                 "is_star": star["is_star"],
                 "parallelogram_holds": star["parallelogram_holds"],

@@ -247,56 +247,47 @@ def dirac_seminorms(op: DiracOperator, coords) -> tuple:
     return norms.reshape(2, -1).max(axis=0), from_form
 
 
-def _star_squared_norms(bs: BimoduleSpace, coeffs) -> np.ndarray:
-    """|[D, pi(f)]|^2 on a network's one-form space for the N point masses,
-    then delta_p + delta_q and delta_p - delta_q for p < q, then each row of
-    ``coeffs`` (real node values, shape (m, N)).
+def _star_squared_norms(gram: np.ndarray, coeffs) -> np.ndarray:
+    """|[D, pi(f)]|^2 of a network for the N point masses, then
+    delta_p + delta_q and delta_p - delta_q for p < q, then each row of
+    ``coeffs`` (real node values, shape (m, N)), read off the real
+    (N, N, N) ``gram`` of its network form.
 
-    Every block is 1 x 1, so B(f) is the direct sum over the nodes c of the
-    columns s_c f, with s_c[m, i] = S_c[i][m, 0], and |B(f)|^2 is the largest
-    of the quadratic forms f^T Q_c f over the real (N, N) tables
-    Q_c = Re(s_c* s_c).  The other block of [D, pi(f)], d* A_f - L_f d*, is
-    -B(f*)*, and node values are real, so f* = f and both blocks have the
-    same norm."""
-    n = bs.algebra.dim
+    By the norm formula that ``dirac-norm-formula`` checks,
+    |[D, pi(f)]|^2 = max_c Gamma(f, f)(c), and node values are real, so
+    Gamma(f, f)(c) is the quadratic form f^T Q_c f over the per-node table
+    Q_c[i, j] = Gamma(e_i, e_j)(c), the slab ``gram[:, :, c]``."""
+    n = len(gram)
     p, q = np.triu_indices(n, 1)
-    out = np.zeros(n + 2 * len(p) + len(coeffs))
-    for stacks in _commutator_groups(bs):
-        s = stacks[..., 0]
-        table = (s.conj() @ s.transpose(0, 2, 1)).real
-        point = table[:, np.arange(n), np.arange(n)]
-        cross = table[:, p, q] + table[:, q, p]
-        forms = np.concatenate([
-            point, point[:, p] + point[:, q] + cross, point[:, p] + point[:, q] - cross,
-            np.einsum("mp,cpq,mq->cm", coeffs, table, coeffs, optimize=True),
-        ], axis=1)
-        out = np.maximum(out, forms.max(axis=0))
-    return out
+    point = gram[np.arange(n), np.arange(n)]
+    cross = gram[p, q] + gram[q, p]
+    forms = np.concatenate([
+        point, point[p] + point[q] + cross, point[p] + point[q] - cross,
+        np.einsum("mp,pqc,mq->mc", coeffs, gram, coeffs, optimize=True),
+    ])
+    return forms.max(axis=1, initial=0.0)
 
 
 def star_graph_check(net: ResistanceNetwork, scale=0.5, seed=0, tol=DEFAULT_EQ_TOL,
-                     random_pairs=8, op: DiracOperator | None = None) -> dict:
+                     random_pairs=8) -> dict:
     """The commutator seminorm of the network Dirac operator satisfies the
     parallelogram law exactly when the network is a star; flags from the
     seminorm side and from sparsity inspection are both reported.
 
     The law is tested on every pair of point masses and on ``random_pairs``
     random pairs.  The squared seminorms are quadratic forms in the node
-    values over one real (N, N) table per node, as ``_star_squared_norms``
-    describes.  ``op`` is the Dirac operator of the network form at
-    ``scale`` when the caller has already built it; by default it is built
-    here."""
+    values over the slabs of the network form at ``scale``, as
+    ``_star_squared_norms`` describes; no one-form space is built."""
     if not net.is_connected():
         raise DisconnectedError("star characterization requires a connected network")
-    if op is None:
-        op = DiracOperator(build_bimodule(network_cdc(net.algebra, net.c, scale=scale)))
+    gram = network_cdc(net.algebra, net.c, scale=scale).gram
     # f then g for each random pair; the terms of a pair are the squared
     # norms of f + g, f - g, f and g
     n = net.size
     draws = np.random.default_rng(seed).standard_normal((random_pairs, 2, n))
     f, g = draws[:, 0], draws[:, 1]
     coeffs = np.stack([f + g, f - g, f, g], axis=1).reshape(-1, n)
-    l2 = _star_squared_norms(op.bimodule, coeffs)
+    l2 = _star_squared_norms(gram, coeffs)
     p, q = np.triu_indices(n, 1)
     point, plus, minus, rand = np.split(l2, np.cumsum([n, len(p), len(p)]))
     terms = np.concatenate([np.stack([plus, minus, point[p], point[q]], axis=1),

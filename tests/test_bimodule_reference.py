@@ -178,14 +178,15 @@ def test_per_block_commutators_match_dense_routes(case, seed):
 
     if isinstance(case, int):
         coeffs = rng.standard_normal((4, case))
-        got = _star_squared_norms(op.bimodule, coeffs)
+        got = _star_squared_norms(gamma.gram, coeffs)
         want = squared_commutator_norms(op.bimodule, coeffs)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * want.max()
-        star = nca.star_graph_check(net, seed=seed, op=op)
+        star = nca.star_graph_check(net, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nca.dirac, "_star_squared_norms", squared_commutator_norms)
-            dense = nca.star_graph_check(net, seed=seed, op=op)
+            patch.setattr(nca.dirac, "_star_squared_norms",
+                          lambda gram, coeffs: squared_commutator_norms(op.bimodule, coeffs))
+            dense = nca.star_graph_check(net, seed=seed)
         for key in ("is_star", "parallelogram_holds", "witness"):
             assert star[key] == dense[key], key
         residual = dense["max_relative_residual"]

@@ -397,6 +397,20 @@ def test_gram_dtype_follows_the_data(m2):
         assert gamma.gram.dtype == np.complex128
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_gram_must_be_finite(m2, bad):
+    # against an infinite magnitude every bound of is_cdc is inf, so a K3
+    # gram with G[0, 0, 0] = inf passed unit annihilation and the star
+    # identity; the form is refused before any check runs
+    net = nca.network_cdc(nca.build_algebra([1] * 3, [1.0] * 3), K3_C)
+    cplx = nca.commutator_cdc([m2.basis_element(1)])
+    for gamma, value in ((net, bad), (cplx, bad), (cplx, complex(0.0, bad))):
+        g = gamma.gram.copy()
+        g[0, 0, 0] = value
+        with pytest.raises(InputError, match="finite"):
+            nca.is_cdc(CdCForm(gamma.algebra, g, scale=gamma.scale))
+
+
 def _real_grams():
     """Real grams, each checked on the float64 path and on a complex copy:
     random raw and symmetrized grams, which fail the star identity, and a

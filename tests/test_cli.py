@@ -624,6 +624,38 @@ def test_all_builds_the_form_once(monkeypatch):
     assert calls["heat_semigroup"] == 1
 
 
+def test_dirac_builds_one_bimodule_per_spec(monkeypatch, capsys):
+    # the star check reads the unit-weight, scale-1/2 network form of the
+    # spec's conductances, so neither tolerances, the form's scale nor trace
+    # weights build a second one-form space or move the star entry
+    cli, dirac = importlib.import_module("nca.cli"), importlib.import_module("nca.dirac")
+    build_bimodule = dirac.build_bimodule
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build_bimodule(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_bimodule", counted)
+    monkeypatch.setattr(dirac, "build_bimodule", counted)
+    spec = bench_network_spec(16)
+    scaled = dict(spec, generator=dict(spec["generator"], scale=1))
+    # the dirac suite reads no state, and the point masses are not states
+    # under these weights
+    weighted = {key: value for key, value in spec.items() if key != "states"}
+    weighted["algebra"] = {"blocks": [1] * 16,
+                           "trace_weights": np.linspace(0.5, 2.0, 16).tolist()}
+    entries = []
+    for raw, flags in ((spec, []), (spec, ["--tol-pos", "2e-9", "--tol-rank", "1e-11"]),
+                       (scaled, []), (weighted, [])):
+        calls.clear()
+        main(["dirac", json.dumps(raw), "--json", *flags])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(calls) == 1
+        entries.append(next(c for c in checks if c["check"] == "dirac-star-characterization"))
+    assert all(dumps_canonical(entry) == dumps_canonical(entries[0]) for entry in entries)
+
+
 def test_resistance_suite_solves_all_pairs_once(monkeypatch):
     resistance = importlib.import_module("nca.resistance")
     calls = []

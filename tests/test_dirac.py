@@ -11,7 +11,7 @@ import nca
 from nca.algebra import left_multiplication, random_element, random_rows, random_self_adjoint_rows
 from nca.cdc import CdCForm, CdCReport, _cp_blocks
 from nca.dirac import _moved_frames, _star_squared_norms
-from nca.errors import DisconnectedError, PropertyViolationError
+from nca.errors import DisconnectedError, InputError, PropertyViolationError
 from nca.resistance import random_network, random_star_network
 
 from conftest import K3_C, TWO_C, bench_lindblad_gamma, bench_network_c
@@ -324,14 +324,15 @@ def test_star_graph_flags():
 
 @pytest.mark.parametrize("size", [6, 8, 12, 16])
 def test_star_graph_batched_norms_match_commutator_norm(size):
-    # each squared norm read off the per-node tables, and each read off the
-    # point-mass Gram table, agrees with the commutator route, for point
-    # masses, delta_p +- delta_q and random f
+    # each squared norm read off the slabs of the network form, and each
+    # read off the point-mass Gram table, agrees with the commutator route,
+    # for point masses, delta_p +- delta_q and random f
     rng = np.random.default_rng(200 + size)
     net = random_network(size, rng)
-    op = nca.DiracOperator(nca.build_bimodule(nca.network_cdc(net.algebra, net.c, scale=0.5)))
+    gamma = nca.network_cdc(net.algebra, net.c, scale=0.5)
+    op = nca.DiracOperator(nca.build_bimodule(gamma))
     values = rng.standard_normal((3, size))
-    l2 = _star_squared_norms(op.bimodule, values)
+    l2 = _star_squared_norms(gamma.gram, values)
     gram = squared_commutator_norms(op.bimodule, values)
     eye = np.eye(size)
     p, q = np.triu_indices(size, 1)
@@ -360,6 +361,15 @@ def test_star_graph_rejects_disconnected_network():
     c[0, 1] = c[1, 0] = c[2, 3] = c[3, 2] = 1.0
     with pytest.raises(DisconnectedError):
         nca.star_graph_check(nca.ResistanceNetwork(c))
+
+
+def test_star_graph_rejects_negative_conductance():
+    # the network form is built without allow_negative, so it refuses the
+    # conductances of an allow_negative network
+    c = K3_C.copy()
+    c[0, 1] = c[1, 0] = -0.4
+    with pytest.raises(InputError, match="allow_negative"):
+        nca.star_graph_check(nca.ResistanceNetwork(c, allow_negative=True))
 
 
 def test_star_graph_scale_independent():
@@ -432,10 +442,10 @@ def test_build_bimodule_holds_no_action_stack():
         build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    net, op = nca.ResistanceNetwork(c), nca.DiracOperator(bs)
+    net = nca.ResistanceNetwork(c)
     tracemalloc.start()
     try:
-        nca.star_graph_check(net, op=op)
+        nca.star_graph_check(net)
         star_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,8 +12,10 @@ spaces are the largest compared, the ``lindblad_case(default_rng(7), n)``
 specs for n = 6 and 7, whose moved frames ``build_bimodule`` forms in
 several chunks, and the n = 8 network with trace weights
 ``linspace(0.5, 2, 8)`` and each point state's density scaled by 1/w (the
-one network whose orthonormal basis is not the canonical one), plus
-``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
+one network whose orthonormal basis is not the canonical one), the n = 8
+network with ``generator.scale: 1`` and ``tolerances.rank: 1e-11`` (a
+network form other than the star check's scale-1/2 one, cut at another
+rank), plus ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
 ``group_action_cdc``) from ``tests/test_cli.py`` and the ``NEGATIVE_C``
 triangle of that file as an ``allow_negative`` network, whose reports take the FAIL paths
 (``heat-cp-t0.1``, ``network-markov``).  The Markov batteries of the two
@@ -33,7 +35,7 @@ symmetry and 3 tau-balanced chunks on [6]; 4, 4 and 7 on [1] * 48), and
 some of their symmetry, star-representation and tau-balanced witnesses each
 lie past the first chunk.  The real parts of the [1] * 12 and [2, 2, 2]
 pairs take the float64 path to its symmetry and star-representation
-witnesses and its CP eigenvalues.  That makes 317 reports.  The script
+witnesses and its CP eigenvalues.  That makes 326 reports.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans), how many of them flip a check's
 ``passed`` flag, and, for each float field that moved, its largest change
@@ -64,8 +66,9 @@ EXTRA_CASES = (("network-suite", 7, "network-N6"), ("network-suite", 8, "network
 LARGE_NETWORKS = (24, 48)
 # sizes of further seed-7 lindblad_case specs
 LARGE_LINDBLADS = (6, 7)
-# node count of the seed-7 network_case given non-unit trace weights
-WEIGHTED_NETWORK = 8
+# node count of the seed-7 network_case given non-unit trace weights, and
+# of the one given scale 1 and rank cutoff 1e-11
+VARIANT_NETWORK = 8
 
 # runs every (command, spec) pair in one interpreter and prints a JSON list
 # of [command, exit code, stdout, stderr]
@@ -176,6 +179,15 @@ def weighted_network_spec(n: int) -> str:
     return json.dumps(spec)
 
 
+def scaled_network_spec(n: int) -> str:
+    """The seed-7 ``network_case`` on n nodes with ``generator.scale: 1``
+    and ``tolerances.rank: 1e-11``."""
+    spec = json.loads(workloads.network_case(np.random.default_rng(7), n)["spec"])
+    spec["generator"]["scale"] = 1
+    spec["tolerances"] = {"rank": 1e-11}
+    return json.dumps(spec)
+
+
 def specs() -> dict:
     named = {}
     for workload in WORKLOADS:
@@ -189,7 +201,8 @@ def specs() -> dict:
         named[f"network-N{n}-seed7"] = workloads.network_case(np.random.default_rng(7), n)["spec"]
     for n in LARGE_LINDBLADS:
         named[f"lindblad-M{n}-seed7"] = workloads.lindblad_case(np.random.default_rng(7), n)["spec"]
-    named[f"weighted-network-N{WEIGHTED_NETWORK}-seed7"] = weighted_network_spec(WEIGHTED_NETWORK)
+    named[f"weighted-network-N{VARIANT_NETWORK}-seed7"] = weighted_network_spec(VARIANT_NETWORK)
+    named[f"scaled-network-N{VARIANT_NETWORK}-seed7"] = scaled_network_spec(VARIANT_NETWORK)
     named.update(cli_specs())
     return named
 

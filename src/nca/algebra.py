@@ -37,6 +37,7 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EQ_TOL = 1e-9
 _ROW_CHUNK = 2 ** 12  # entries of one chunk of rows: SpectralStack.apply, _quadratic_forms
 _GAP_CHUNK = 2 ** 16  # entries of one chunk of a gap: magnitude, is_cdc, reality_checks
+_FRAME_CHUNK = 2 ** 13  # entries of one chunk of the moved frame of build_bimodule
 
 
 def is_integer(x) -> bool:

@@ -248,6 +248,20 @@ def spectral_triple_cdc(dirac_matrix, algebra: Algebra, scale=1.0,
     return CdCForm(algebra, scale * _unit_entries_of_products(algebra, comm, comm), scale=scale)
 
 
+def conductance_matrix(c, allow_negative=False) -> np.ndarray:
+    """``c`` as a square float array of finite numbers with zero diagonal,
+    nonnegative unless ``allow_negative`` is set: the rule that
+    :func:`network_cdc` and ``ResistanceNetwork`` share."""
+    c = decode_real_array(c, "conductance matrix")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise InputError(f"conductance matrix must be square, got shape {c.shape}")
+    if np.abs(np.diag(c)).max(initial=0.0) > 0:
+        raise InputError("conductance matrix must have zero diagonal")
+    if not allow_negative and c.min(initial=0.0) < 0:
+        raise InputError("negative conductances require the explicit allow_negative flag")
+    return c
+
+
 def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm:
     """The commutative form Gamma(f, g)(y) = scale * sum_{x != y}
     (conj f(x) - conj f(y)) (g(x) - g(y)) c_xy, scattered onto its at most
@@ -255,15 +269,9 @@ def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm
     if not algebra.is_commutative:
         raise InputError("network forms require a commutative algebra")
     size = algebra.dim
-    c = decode_real_array(c, "conductance matrix")
+    c = conductance_matrix(c, allow_negative)
     if c.shape != (size, size):
         raise InputError(f"conductance matrix must be {size}x{size}, got {c.shape}")
-    if np.abs(np.diag(c)).max(initial=0.0) > 0:
-        raise InputError("conductance matrix must have zero diagonal")
-    if not allow_negative and c.min(initial=0.0) < 0:
-        raise InputError(
-            "negative conductances require the explicit allow_negative flag"
-        )
     # the unit at point y is e_y, so gram[p, q, y] = scale * sum_x
     # (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy, which for p != y is c_py at
     # [p, p, y], -c_py at [p, y, y] and [y, p, y], deg_y = sum_x c_xy at

@@ -36,13 +36,9 @@ from .energy import (
 )
 from .errors import DisconnectedError, InputError, PropertyViolationError
 from .fileio import ProblemSpec, parse_spec, read_spec
-from .quotient import central_projection, quotient_checks, split
+from .quotient import quotient_checks, split
 from .reporting import CheckResult, dumps_canonical, judge
-from .resistance import (
-    ResistanceNetwork,
-    markov_violation_witness,
-    metric_checks,
-)
+from .resistance import markov_violation_witness, metric_checks
 from .states import dual_metric, energy_metric
 from .stddev import extend, independent_copies_cdc, stddev_laplacian, stddev_seminorms
 
@@ -50,16 +46,19 @@ DISCONNECTED = "disconnected"
 
 
 class _Problem:
-    """The objects of one spec that more than one suite reads.  Each is built
-    by the first suite that asks for it; a build that raises is not cached,
-    so it raises again in every suite that reads it."""
+    """The objects of one spec that more than one suite reads.  The form
+    comes built with the spec; each of the others is built by the first
+    suite that asks for it, and a build that raises is not cached, so it
+    raises again in every suite that reads it."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
 
-    @cached_property
+    @property
     def gamma(self):
-        return self.spec.build_gamma()
+        if self.spec.generator is None:
+            raise InputError("this command needs a 'generator' field in the spec")
+        return self.spec.generator["gamma"]
 
     @cached_property
     def cdc_report(self):
@@ -72,11 +71,6 @@ class _Problem:
     @cached_property
     def laplacian(self):
         return laplacian(self.energy, rank_tol=self.spec.tolerances.rank)
-
-    @cached_property
-    def net(self):
-        gen = self.spec.generator
-        return ResistanceNetwork(gen["c"], allow_negative=gen.get("allow_negative", False))
 
 
 def _cdc_checks(problem: _Problem):
@@ -173,7 +167,7 @@ def _resistance_checks(problem: _Problem):
     spec = problem.spec
     if spec.generator is None or spec.generator["kind"] != "network":
         raise InputError("the resistance command needs a network generator")
-    net = problem.net
+    net = spec.generator["c"]
     if net.c.min() < 0:
         try:
             witness = markov_violation_witness(net)
@@ -206,12 +200,7 @@ def _quotient_checks(problem: _Problem):
     spec = problem.spec
     if spec.projection is None:
         raise InputError("the quotient command needs a 'projection' field")
-    lap = problem.laplacian
-    if "keep_blocks" in spec.projection:
-        p = central_projection(lap.algebra, spec.projection["keep_blocks"])
-    else:
-        p = spec.projection["projection"]
-    qd = split(lap, p, rank_tol=spec.tolerances.rank)
+    qd = split(problem.laplacian, spec.projection, rank_tol=spec.tolerances.rank)
     checks = quotient_checks(qd, seed=spec.seed, tol=spec.tolerances.equality)
     return checks, {"schur_complement": encode_complex_matrix(qd.quotient_laplacian.matrix)}
 
@@ -237,19 +226,18 @@ def _dirac_checks(problem: _Problem):
         "delta_factorization_residual": bs.residuals["laplacian_factorization"],
         "norm_formula_residual": worst,
     }
-    if spec.generator and spec.generator["kind"] == "network" and spec.generator["c"].min() >= 0:
-        net = problem.net
-        if net.is_connected():
-            star = star_graph_check(net, seed=spec.seed)
-            data["star_graph"] = {
-                "is_star": star["is_star"],
-                "parallelogram_holds": star["parallelogram_holds"],
-            }
-            checks.append(CheckResult(
-                "dirac-star-characterization",
-                star["is_star"] == star["parallelogram_holds"],
-                star["max_relative_residual"],
-            ))
+    net = spec.generator.get("c")  # the network of a network generator
+    if net is not None and net.c.min() >= 0 and net.is_connected():
+        star = star_graph_check(net, seed=spec.seed)
+        data["star_graph"] = {
+            "is_star": star["is_star"],
+            "parallelogram_holds": star["parallelogram_holds"],
+        }
+        checks.append(CheckResult(
+            "dirac-star-characterization",
+            star["is_star"] == star["parallelogram_holds"],
+            star["max_relative_residual"],
+        ))
     return checks, data
 
 

@@ -34,12 +34,19 @@ all eigenvectors, the moved frame, is formed a few units i at a time.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_EQ_TOL, DEFAULT_POS_TOL, DEFAULT_RANK_TOL, Element, block_norms
+from .algebra import (
+    _FRAME_CHUNK,
+    DEFAULT_EQ_TOL,
+    DEFAULT_POS_TOL,
+    DEFAULT_RANK_TOL,
+    Element,
+    block_norms,
+    row_chunks,
+)
 from .cdc import CdCForm, CdCReport, _cp_blocks, _unit_run, is_cdc, network_cdc
 from .errors import DisconnectedError
 from .resistance import ResistanceNetwork, is_star
@@ -77,11 +84,11 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
     ``gamma`` at ``pos_tol`` when the caller already holds it.
 
     The moved frame W of each block, (d, r_b, d n_b), is never held whole:
-    ``_moved_frames`` yields it in boxes of units of at most
-    ``_FRAME_CHUNK`` entries (one unit when a unit alone is larger, one box
-    per block size when the frame fits), which give the same entries as
-    one box.  The kept columns fill the (d, r_b, r_b) stack of the left
-    action and the null columns only raise ``null_space_invariance``."""
+    ``_moved_frames`` yields it in chunks of units of at most
+    ``_FRAME_CHUNK`` entries (one unit when a unit alone is larger), which
+    give the same entries as one chunk.  The kept columns fill the
+    (d, r_b, r_b) stack of the left action and the null columns only raise
+    ``null_space_invariance``."""
     (is_cdc(gamma, tol=pos_tol) if report is None else report).require(
         "one-form construction requires a carre-du-champ")
     alg = gamma.algebra
@@ -118,12 +125,11 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
             # frame: the kept columns fill the stack, the null columns only
             # raise a running maximum.  A C-ordered gap keeps the subtraction
             # from buffering
-            per = _FRAME_CHUNK // (r * len(vals[q]))
             stack = np.empty((d, r, r), dtype=vecs.dtype)
             null = ~keep[q]
-            for box, frame in _moved_frames(alg, n_b, cols[q], vecs[q], keep[q], per):
+            for chunk, frame in _moved_frames(alg, n_b, cols[q], vecs[q], keep[q]):
                 frame *= root_lam[:, None]
-                stack[box] = frame[:, :, keep[q]] / root_lam
+                stack[chunk] = frame[:, :, keep[q]] / root_lam
                 null_res = max(null_res, root_wb * np.abs(frame[:, :, null]).max(initial=0.0))
             gap = np.conjugate(stack.transpose(0, 2, 1), order="C")
             gap -= stack[alg.adj_table]
@@ -144,38 +150,33 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
     )
 
 
-_FRAME_CHUNK = 2 ** 13  # entries of the moved frame that one chunk of build_bimodule holds
 
-
-def _moved_frames(alg, n_b, cols, vecs, keep, per=None):
+def _moved_frames(alg, n_b, cols, vecs, keep):
     """W[i] = F+* [(L_i (x) 1) F - iota_i mu(F)], shape (m, d n_b) for each
     unit i, for the eigenvectors F = ``vecs`` of the complete-positivity
     block of the block of size n_b with units ``cols``, and the m columns
-    F+ = F[:, keep].  Yields ``(units, W[units])`` over boxes of the blocks,
-    rows and columns of each block size with at most ``per`` units, or one
-    unit when a row is longer; by default one box per block size.  Every
-    unit is its own product in a batch, so the box size does not change the
-    entries."""
+    F+ = F[:, keep].  Yields ``(units, W[units])`` over the ``row_chunks`` of
+    each block size's units, at most ``_FRAME_CHUNK`` entries of W at a time.
+    Every unit is its own product in a batch, so the chunks do not change
+    the entries."""
     d = alg.dim
     f = vecs.reshape(d, n_b, -1)
     fp = f[:, :, keep].conj()
-    m = fp.shape[2]
+    m, width = fp.shape[2], f.shape[2]
     mu = f[cols.reshape(n_b, n_b), np.arange(n_b)].sum(axis=1)
     # the unit i at (s, t) of a block of size n sends row (unit (t, u), r)
     # to row (unit (s, u), r): W[i] = F+[(s, .)]* F[(t, .)] - F+[i]* mu,
     # with the rows (s, .) and (t, .) read over (u, r)
     for n, units in alg.size_groups:
         k = len(units)
-        run, units = _unit_run(units), units.reshape(k, n, n)
+        run, units = _unit_run(units), units.reshape(-1)
         left = fp[run].reshape(k, n, n * n_b, m).transpose(0, 1, 3, 2)
-        right = f[run].reshape(k, n, n * n_b, -1)
-        size = k * n * n if per is None else max(1, per)
-        kb, sb, tb = max(1, size // (n * n)), min(n, max(1, size // n)), min(n, size)
-        for b, s, t in itertools.product(range(0, k, kb), range(0, n, sb), range(0, n, tb)):
-            box = units[b:b + kb, s:s + sb, t:t + tb]
-            frame = left[b:b + kb, s:s + sb, None] @ right[b:b + kb, None, t:t + tb]
-            frame -= fp[box].swapaxes(-1, -2) @ mu
-            yield box.reshape(-1), frame.reshape(box.size, *frame.shape[-2:])
+        right = f[run].reshape(k, n, n * n_b, width)
+        for at in row_chunks(len(units), m * width, _FRAME_CHUNK):
+            b, s, t = np.unravel_index(np.arange(at.start, at.stop), (k, n, n))
+            frame = left[b, s] @ right[b, t]
+            frame -= fp[units[at]].swapaxes(-1, -2) @ mu
+            yield units[at], frame
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,21 @@ pairs and ``<matrix>`` one such array:
     algebra.trace_weights            one finite number > 0 per block (required)
     generator.kind                   lindblad | matrix | network | group | spectral_triple
     generator.lindblad.vs            nonempty list of <element>
-    generator.matrix.superop         d x d <matrix> in the orthonormal basis
+    generator.matrix.superop         d x d <matrix> in the orthonormal basis; annihilates 1
     generator.matrix.scale           finite number (default 1)
-    generator.network.c              symmetric d x d matrix of finite numbers, d >= 2,
-                                     blocks all 1
+    generator.network.c              symmetric d x d matrix of finite numbers with zero
+                                     diagonal, d >= 2, blocks all 1; nonnegative
+                                     unless allow_negative
     generator.network.allow_negative true | false (default false)
     generator.network.scale          finite number (default 0.5)
-    generator.group.autos            nonempty list of d x d <matrix>
-    generator.group.weights          one finite number per auto
+    generator.group.autos            nonempty list of d x d <matrix>, unital *-automorphisms
+    generator.group.weights          one finite number >= 0 per auto
     generator.spectral_triple.D      Hermitian <matrix> of the full size
     generator.spectral_triple.scale  finite number (default 1)
     states                           list of {"density": <element>}
-    projection                       {"keep_blocks": [block index, ...]} | {"projection": <elem>}
-    weight_element                   <element>
+    projection                       {"keep_blocks": [block index, ...]} | {"projection": <elem>};
+                                     a proper central projection
+    weight_element                   <element>: central, positive, unit trace
     times                            nonempty list of finite numbers >= 0 (default [0, 0.1, 1, 10])
     pairs                            nonempty list of [i, j] indices into states (default all)
     seed                             integer >= 0 (default 0)
@@ -31,8 +33,10 @@ for the spec over n >= 2 points with unit weights and that network generator;
 its other keys are fields of that spec.  Unknown keys are rejected at every
 level, and ``c`` must be exactly symmetric.  The CLI flags ``--seed``,
 ``--tol-*``, ``--t`` and ``--pairs`` set the fields they name before the one
-validation pass, so they obey the same rules.  The pass collects every
-violation, not just the first.
+validation pass, so they obey the same rules.  The pass applies the
+library's own rule of each object, builds the generator's form, and
+collects every violation, not just the first; so every command accepts
+and rejects the same specs.
 """
 from __future__ import annotations
 
@@ -53,7 +57,6 @@ from .algebra import (
     is_integer,
 )
 from .cdc import (
-    CdCForm,
     commutator_cdc,
     gamma_from_generator,
     group_action_cdc,
@@ -61,40 +64,28 @@ from .cdc import (
     spectral_triple_cdc,
 )
 from .errors import InputError
+from .quotient import central_projection, projection_blocks
 from .reporting import Tolerances
+from .resistance import ResistanceNetwork
 from .states import State
+from .stddev import weight_scalars
 
 
 @dataclass
 class ProblemSpec:
-    """A fully validated problem description."""
+    """A fully validated problem description.  ``generator`` holds its
+    decoded fields, a network's ``c`` as its :class:`ResistanceNetwork`, and
+    their form as ``gamma``; ``projection`` is a central projection."""
 
     algebra: Algebra
     generator: Optional[dict] = None
     states: list = field(default_factory=list)
-    projection: Optional[dict] = None
+    projection: Optional[Element] = None
     weight_element: Optional[Element] = None
     times: list = field(default_factory=lambda: [0.0, 0.1, 1.0, 10.0])
     pairs: Optional[list] = None
     seed: int = 0
     tolerances: Tolerances = field(default_factory=Tolerances)
-
-    def build_gamma(self) -> CdCForm:
-        if self.generator is None:
-            raise InputError("this command needs a 'generator' field in the spec")
-        gen = self.generator
-        kind = gen["kind"]
-        if kind == "lindblad":
-            return commutator_cdc(gen["vs"])
-        if kind == "group":
-            return group_action_cdc(gen["autos"], gen["weights"])
-        # an absent scale takes the builder's own default
-        opts = {key: gen[key] for key in ("scale", "allow_negative") if key in gen}
-        if kind == "matrix":
-            return gamma_from_generator(gen["superop"], **opts)
-        if kind == "network":
-            return network_cdc(self.algebra, gen["c"], **opts)
-        return spectral_triple_cdc(gen["D"], self.algebra, **opts)
 
 
 # a key in this set is required in every object whose schema has it
@@ -105,11 +96,13 @@ _REQUIRED = frozenset({"algebra", "blocks", "trace_weights", "nodes", "c", "vs",
 class _Pass:
     """One validation pass: the spec's algebra once its rule has built it,
     its decoded states (none until a ``states`` field is read, None when
-    that field failed its rule), and every violation found."""
+    that field failed its rule), the network's ``allow_negative`` flag, and
+    every violation found."""
 
     def __init__(self):
         self.alg = None
         self.states = []
+        self.allow_negative = False
         self.problems = []
 
     def walk(self, raw, schema: dict, path: str) -> dict:
@@ -181,10 +174,6 @@ _density = _with_algebra(lambda value, alg: State(decode_element(alg, value)))
 _superop = _with_algebra(lambda value, alg: SuperOperator(alg, decode_complex_matrix(value)))
 
 
-def _any(value, p):
-    return value
-
-
 def _seed(value, p):
     if not is_integer(value):
         raise InputError("must be an integer")
@@ -207,35 +196,42 @@ def _nodes(value, p):
     return p.alg
 
 
-@_with_algebra
-def _conductances(value, alg):
+def _allow_negative(value, p):
+    p.allow_negative = _boolean(value, p)
+    return p.allow_negative
+
+
+def _network(value, p):
+    """The network of the conductances ``value`` over the spec's algebra,
+    with the ``allow_negative`` flag read before them."""
+    alg = p.alg
+    if alg is None:
+        return None
     if not alg.is_commutative:
         raise InputError("a network needs a commutative algebra (all blocks of size 1)")
-    if alg.dim < 2:
-        raise InputError(f"a network needs at least 2 nodes, got {alg.dim}")
     c = decode_real_array(value, "matrix")
     if c.shape != (alg.dim, alg.dim):
         raise InputError(f"expected a {alg.dim}x{alg.dim} matrix, got shape {c.shape}")
     if not np.array_equal(c, c.T):
         raise InputError("must be symmetric")
-    return c
+    return ResistanceNetwork(c, allow_negative=p.allow_negative)
 
 
-@_with_algebra
-def _block_indices(value, alg):
-    k = len(alg.blocks)
-    if not (isinstance(value, list) and all(is_integer(b) and 0 <= b < k for b in value)):
-        raise InputError(f"need a list of block indices in [0, {k}), got {value!r}")
-    return value
-
-
+# kind -> (the rule of each field, the builder of the form over the algebra
+# from the decoded fields); an absent scale takes the builder's own default.
+# The allow_negative rule comes before the c rule, which reads it
 _GENERATORS = {
-    "lindblad": {"vs": _list_of(_element, "elements")},
-    "matrix": {"superop": _superop, "scale": _number},
-    "network": {"c": _conductances, "allow_negative": _boolean, "scale": _number},
-    "group": {"autos": _list_of(_superop, "matrices"),
-              "weights": _list_of(_number, "finite numbers")},
-    "spectral_triple": {"D": lambda value, p: decode_complex_matrix(value), "scale": _number},
+    "lindblad": ({"vs": _list_of(_element, "elements")},
+                 lambda alg, vs: commutator_cdc(vs)),
+    "matrix": ({"superop": _superop, "scale": _number},
+               lambda alg, superop, **scale: gamma_from_generator(superop, **scale)),
+    "network": ({"allow_negative": _allow_negative, "c": _network, "scale": _number},
+                lambda alg, c, **opts: network_cdc(alg, c.c, **opts)),
+    "group": ({"autos": _list_of(_superop, "matrices"),
+               "weights": _list_of(_number, "finite numbers")},
+              lambda alg, autos, weights: group_action_cdc(autos, weights)),
+    "spectral_triple": ({"D": lambda value, p: decode_complex_matrix(value), "scale": _number},
+                        lambda alg, D, **scale: spectral_triple_cdc(D, alg, **scale)),
 }
 
 
@@ -243,14 +239,15 @@ def _generator(value, p):
     kind = value.get("kind") if isinstance(value, dict) else None
     if not (isinstance(kind, str) and kind in _GENERATORS):
         raise InputError(f"needs a 'kind' among {', '.join(_GENERATORS)}, got {kind!r}")
-    schema = dict(_GENERATORS[kind], kind=_any)
+    fields, build = _GENERATORS[kind]
     p.problems.extend(f"generator.{key}: the {kind} kind takes no {key}"
-                      for key in sorted(value.keys() - schema.keys()))
-    got = p.walk({k: v for k, v in value.items() if k in schema}, schema, "generator")
-    autos, weights = got.get("autos"), got.get("weights")
-    if autos and weights and len(autos) != len(weights):
-        raise InputError(f"{len(autos)} autos but {len(weights)} weights")
-    return got
+                      for key in sorted(value.keys() - fields.keys() - {"kind"}))
+    before = len(p.problems)
+    got = p.walk({k: v for k, v in value.items() if k in fields}, fields, "generator")
+    # the form is built once its fields and the algebra have passed their rules
+    if p.alg is not None and len(p.problems) == before:
+        got["gamma"] = build(p.alg, **got)
+    return dict(got, kind=kind)
 
 
 def _states(value, p):
@@ -270,11 +267,30 @@ def _pairs(value, p):
     return pairs
 
 
+_PROJECTION = {
+    "keep_blocks": _with_algebra(lambda value, alg: central_projection(alg, _list(value, None))),
+    "projection": _element,
+}
+
+
 def _projection(value, p):
-    got = p.walk(value, {"keep_blocks": _block_indices, "projection": _element}, "projection")
-    if isinstance(value, dict) and len(value.keys() & {"keep_blocks", "projection"}) != 1:
+    """The element that one of the two keys gives; it must pass the rule of
+    :func:`split`, a proper central projection."""
+    got = p.walk(value, _PROJECTION, "projection")
+    if isinstance(value, dict) and len(value.keys() & _PROJECTION.keys()) != 1:
         raise InputError("needs exactly one of 'keep_blocks' and 'projection'")
-    return got
+    proj = next(iter(got.values()), None)
+    if proj is not None:
+        projection_blocks(proj)
+    return proj
+
+
+def _weight(value, alg):
+    """An element that passes the rule of :func:`extend`: central, positive
+    and of unit trace."""
+    weight = decode_element(alg, value)
+    weight_scalars(alg, weight)
+    return weight
 
 
 def _tolerances(value, p):
@@ -286,7 +302,7 @@ def _tolerances(value, p):
 _SHARED = {
     "states": _states,
     "projection": _projection,
-    "weight_element": _element,
+    "weight_element": _with_algebra(_weight),
     "times": _list_of(_nonnegative, "finite nonnegative numbers"),
     "pairs": _pairs,
     "seed": _seed,
@@ -294,7 +310,7 @@ _SHARED = {
 }
 # the rule that builds the algebra comes first, so the later rules can read it
 _FIELDS = {"algebra": _algebra, "generator": _generator, **_SHARED}
-_NETWORK_FILE = {"nodes": _nodes, "c": _conductances, "allow_negative": _boolean, **_SHARED}
+_NETWORK_FILE = {"nodes": _nodes, "allow_negative": _allow_negative, "c": _network, **_SHARED}
 
 
 def read_spec(source) -> dict:
@@ -326,7 +342,8 @@ def parse_spec(source) -> ProblemSpec:
     if p.problems:
         raise InputError("invalid spec", p.problems)
     if bare:
+        gen = {key: fields.pop(key) for key in ("c", "allow_negative") if key in fields}
         fields["algebra"] = fields.pop("nodes")
-        fields["generator"] = {"kind": "network", "c": fields.pop("c"),
-                               "allow_negative": fields.pop("allow_negative", False)}
+        gamma = _GENERATORS["network"][1](fields["algebra"], **gen)
+        fields["generator"] = dict(gen, kind="network", gamma=gamma)
     return ProblemSpec(**fields)

@@ -40,9 +40,11 @@ def central_projection(algebra: Algebra, keep_blocks) -> Element:
     return algebra.element([np.eye(n) * (b in keep) for b, n in enumerate(algebra.blocks)])
 
 
-def _projection_blocks(p: Element, tol=DEFAULT_POS_TOL):
+def projection_blocks(p: Element, tol=DEFAULT_POS_TOL) -> list:
     """Validate that p is a proper central projection and return the kept
     block flags.  Central elements are blockwise scalars."""
+    if (p * p).distance(p) > tol * (1.0 + p.norm()) or not p.is_self_adjoint(tol):
+        raise InputError("p must be a self-adjoint idempotent")
     lams, off = central_scalars(p, tol)
     keep, drop = np.abs(lams - 1.0) <= tol, np.abs(lams) <= tol
     problems = [f"block {b}: not central (not a scalar there)" if off[b]
@@ -89,9 +91,7 @@ def split(lap: Laplacian, p: Element, rank_tol=DEFAULT_RANK_TOL,
     """Decompose the Laplacian matrix along L2(B) (+) L2(C)."""
     alg = lap.algebra
     alg._own(p)
-    if (p * p).distance(p) > tol * (1.0 + p.norm()) or not p.is_self_adjoint(tol):
-        raise InputError("p must be a self-adjoint idempotent")
-    keep = _projection_blocks(p, tol)
+    keep = projection_blocks(p, tol)
     kept = np.repeat(keep, [n * n for n in alg.blocks])
     idx_b, idx_c = np.flatnonzero(kept), np.flatnonzero(~kept)
     m = lap.matrix

@@ -3,7 +3,6 @@ matrices, harmonic potentials, resistance distance, the maximum principle,
 and the square relation between resistance and the energy metric."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -18,10 +17,9 @@ from .algebra import (
     Element,
     PiecewiseLinear,
     SuperOperator,
-    decode_real_array,
     is_integer,
 )
-from .cdc import network_cdc
+from .cdc import conductance_matrix, network_cdc
 from .energy import EnergyForm, Laplacian, energy_form
 from .errors import DisconnectedError, InputError
 from .reporting import judge
@@ -30,32 +28,19 @@ from .states import StateEmbedding, point_state
 
 @dataclass(frozen=True)
 class ResistanceNetwork:
-    """A finite set of nodes with symmetric nonnegative conductances (zero
-    diagonal).  Asymmetric input is symmetrized with a warning unless
-    ``strict`` is set; negative entries require the explicit
+    """A finite set of at least two nodes with symmetric conductances that
+    pass :func:`conductance_matrix`; negative entries require the explicit
     ``allow_negative`` flag (used only for counterexamples)."""
 
     c: np.ndarray
-    strict: bool = False
     allow_negative: bool = False
 
     def __post_init__(self):
-        c = decode_real_array(self.c, "conductance matrix")
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
-            raise InputError(f"conductance matrix must be square of size >= 2, got {c.shape}")
-        if np.abs(np.diag(c)).max() > 0:
-            raise InputError("conductance matrix must have zero diagonal")
+        c = conductance_matrix(self.c, self.allow_negative)
+        if c.shape[0] < 2:
+            raise InputError(f"a network needs at least 2 nodes, got {c.shape[0]}")
         if not np.array_equal(c, c.T):
-            if self.strict:
-                raise InputError("conductance matrix must be symmetric")
-            warnings.warn(
-                "conductance matrix is asymmetric; replacing c by (c + c^T)/2 "
-                "(the energy form only sees the even part)",
-                stacklevel=2,
-            )
-            c = (c + c.T) / 2
-        if not self.allow_negative and c.min() < 0:
-            raise InputError("negative conductances require the allow_negative flag")
+            raise InputError("conductance matrix must be symmetric")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 

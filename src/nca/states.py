@@ -44,17 +44,6 @@ def point_state(algebra: Algebra, x: int) -> State:
     return State(algebra.basis_element(x) * (1.0 / algebra.trace_weights[x]))
 
 
-def mixture(states, weights) -> State:
-    if len(states) != len(weights) or not states:
-        raise InputError("mixture needs matching nonempty state and weight lists")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
-        raise InputError("mixture weights must be a probability vector")
-    acc = float(weights[0]) * states[0].density
-    for s, w in zip(states[1:], weights[1:]):
-        acc = acc + float(w) * s.density
-    return State(acc)
-
-
 def _difference_coords(mu: State, nu: State) -> np.ndarray:
     alg = mu.algebra
     alg._own(nu.density)

@@ -26,7 +26,7 @@ from .errors import InputError
 from .quotient import central_projection, split
 
 
-def _central_positive_scalars(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL):
+def weight_scalars(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL):
     """p must be central (blockwise scalar), strictly positive, with unit trace
     to 1e-10, inside the 2e-10 or more to which the pairing identity of
     :func:`extend` holds |1 - tau(p)|; returns the per-block scalars."""
@@ -81,7 +81,7 @@ class ExtendedAlgebra:
 def extend(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> ExtendedAlgebra:
     """Build B = A (+) C with trace extended by 1 on the scalar unit, and the
     block operator [[M, J*], [J, 1]] with M(a) = p a and J(a) = -mu(a)."""
-    lams = _central_positive_scalars(algebra, p, tol)
+    lams = weight_scalars(algebra, p, tol)
     extended = Algebra(algebra.blocks + (1,), algebra.trace_weights + (1.0,))
     d = algebra.dim
 
@@ -151,7 +151,7 @@ def stddev_seminorms(ea: ExtendedAlgebra, coords: np.ndarray) -> np.ndarray:
 def independent_copies_cdc(algebra: Algebra, p: Element, tol=DEFAULT_POS_TOL) -> CdCForm:
     """The variance carre-du-champ built from two independent copies:
     Gamma(a, b) = (1/2) (mu(a*b) - mu(a*) b - a* mu(b) + a*b) p."""
-    lams = _central_positive_scalars(algebra, p, tol)
+    lams = weight_scalars(algebra, p, tol)
     d = algebra.dim
     adj = algebra.adj_table
 

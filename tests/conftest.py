@@ -111,7 +111,7 @@ def bench_lindblad_spec(n, seed=7):
 def bench_lindblad_gamma(n, seed=7):
     """The form of the benchmark's ``lindblad_case(default_rng(seed), n)``
     from ``bench/workloads.py``, built from its spec as the CLI builds it."""
-    return bench_lindblad_spec(n, seed).build_gamma()
+    return bench_lindblad_spec(n, seed).generator["gamma"]
 
 
 @pytest.fixture(scope="session")

@@ -154,7 +154,7 @@ def library_action(space) -> list:
     ``nca.dirac.BimoduleSpace``, in ``space.action`` order, rebuilt by the library's
     route, which does not keep it: the eigenvectors of the block's
     complete-positivity block from ``_cp_blocks`` and ``eigh``, moved by
-    ``_moved_frames`` in one box per block size.  The eigenvalues ascend and the rank cut is monotone in
+    ``_moved_frames`` chunk by chunk.  The eigenvalues ascend and the rank cut is monotone in
     them, so the kept ones are the top r_b, with r_b the frame rows of the
     block's commutator stack.  Each space's stacks are built once and
     dropped with the space."""

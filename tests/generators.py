@@ -1,7 +1,7 @@
 """Test inputs that the library itself never builds: the double-commutator
 generator, the inner and point-permutation automorphisms fed to
-``group_action_cdc``, and the clamp min(t, r) as a piecewise-linear
-function.
+``group_action_cdc``, the clamp min(t, r) as a piecewise-linear function,
+and mixtures of states.
 """
 from typing import Sequence
 
@@ -17,6 +17,7 @@ from nca.algebra import (
     right_multiplication,
 )
 from nca.errors import InputError
+from nca.states import State
 
 
 def double_commutator_generator(algebra: Algebra, vs: Sequence[Element]) -> SuperOperator:
@@ -64,3 +65,15 @@ def clamp_above(r) -> PiecewiseLinear:
     """min(t, r)"""
     r = float(r)
     return PiecewiseLinear((r - 1.0, r, r + 1.0), (r - 1.0, r, r))
+
+
+def mixture(states, weights) -> State:
+    """The state sum_k w_k mu_k of a probability vector of weights."""
+    if len(states) != len(weights) or not states:
+        raise InputError("mixture needs matching nonempty state and weight lists")
+    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
+        raise InputError("mixture weights must be a probability vector")
+    acc = float(weights[0]) * states[0].density
+    for s, w in zip(states[1:], weights[1:]):
+        acc = acc + float(w) * s.density
+    return State(acc)

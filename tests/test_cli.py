@@ -11,7 +11,7 @@ from conftest import bench_network_spec
 from nca.algebra import decode_element, encode_element
 from nca.cli import COMMANDS, emit_report, main, run_command
 from nca.errors import InputError
-from nca.fileio import ProblemSpec, parse_spec
+from nca.fileio import parse_spec
 from nca.reporting import dumps_canonical
 
 
@@ -37,7 +37,7 @@ def test_parse_valid_spec():
     assert spec.algebra.dim == 3
     assert spec.generator["kind"] == "network"
     assert len(spec.states) == 2
-    gamma = spec.build_gamma()
+    gamma = spec.generator["gamma"]
     assert gamma.scale == 0.5  # network default
 
 
@@ -595,29 +595,25 @@ def test_all_is_the_union_of_single_commands(spec_dict):
 
 
 def test_all_builds_the_form_once(monkeypatch):
-    calls = {"build_gamma": 0, "heat_map": 0, "heat_semigroup": 0}
-    build_gamma = ProblemSpec.build_gamma
-    cli = importlib.import_module("nca.cli")
+    # the validation pass builds the spec's form, and every suite reads it
+    calls = {"network_cdc": 0, "heat_map": 0, "heat_semigroup": 0}
+    cli, fileio = importlib.import_module("nca.cli"), importlib.import_module("nca.fileio")
 
-    def counted_build(spec):
-        calls["build_gamma"] += 1
-        return build_gamma(spec)
-
-    def counted(name):
-        fn = getattr(cli, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ProblemSpec, "build_gamma", counted_build)
+    monkeypatch.setattr(fileio, "network_cdc", counted(fileio, "network_cdc"))
     for name in ("heat_map", "heat_semigroup"):
-        monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(cli, name, counted(cli, name))
     spec = parse_spec(json.dumps(K3_SPEC))
     report = run_command("all", spec)
     assert report["summary"]["failed"] == 0
-    assert calls["build_gamma"] == 1
+    assert calls["network_cdc"] == 1
     # one tested map per time; the semigroup law's s + t map is built
     # without its complete-positivity test
     assert calls["heat_map"] == len(spec.times)
@@ -726,3 +722,67 @@ def test_every_compared_residual_reports_its_bound(spec_dict):
         # these two hold each entry to its own bound and report the largest entry
         if not name.startswith(("resolvent-n", "fiber-infimum")):
             assert entry["passed"] == (entry["residual"] <= entry["bound"]), name
+
+
+DIAGONAL_C = [[1, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("spec, problem", [
+    ({"nodes": 3, "c": DIAGONAL_C}, "c: conductance matrix must have zero diagonal"),
+    (dict(K3_SPEC, generator={"kind": "network", "c": DIAGONAL_C}),
+     "generator.c: conductance matrix must have zero diagonal"),
+    ({"nodes": 3, "c": NEGATIVE_C},
+     "c: negative conductances require the explicit allow_negative flag"),
+    (dict(C2_SPEC, generator={"kind": "matrix", "superop": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+     "generator: generator must annihilate the identity (residual 1.000e+00)"),
+    (dict(C2_SPEC, generator={"kind": "spectral_triple",
+                              "D": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}),
+     "generator: operator must be Hermitian"),
+    (dict(K3_SPEC, weight_element=[[[[0.5, 0]]], [[[0.5, 0]]], [[[0.7, 0]]]]),
+     "weight_element: weight element must have unit trace, got 1.7+0j"),
+    (dict(K3_SPEC, projection={"keep_blocks": [0, 1, 2]}),
+     "projection: projection must be proper (p != 1)"),
+    (dict(K3_SPEC, projection={"projection": [[[[0.5, 0]]], [[[0, 0]]], [[[0, 0]]]]}),
+     "projection: p must be a self-adjoint idempotent"),
+])
+def test_every_command_rejects_the_same_specs(spec, problem, capsys):
+    # the validation pass applies each object's own rule, so no command runs
+    # on a spec that another command would reject
+    for command in COMMANDS:
+        assert main([command, json.dumps(spec)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: invalid spec: {problem}\n", command
+
+
+def test_network_rule_listed_with_other_violations():
+    with pytest.raises(InputError) as err:
+        parse_spec({"nodes": 3, "c": DIAGONAL_C, "seed": -1})
+    assert err.value.details == ["c: conductance matrix must have zero diagonal",
+                                 "seed: must be a nonnegative integer"]
+
+
+DISCONNECTED_NETWORK = {"nodes": 3, "c": [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                        "projection": {"keep_blocks": [0]}}
+
+
+def test_quotient_across_a_disconnected_corner_fails(capsys):
+    assert main(["quotient", json.dumps(DISCONNECTED_NETWORK), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["check"], c["passed"]) for c in report["checks"]] == [
+        ("metrically-connected", False)]
+    assert "not metrically connected" in report["checks"][0]["witness"]["reason"]
+    assert report["data"] == {"distance": "disconnected"}
+
+
+def test_resistance_on_a_disconnected_network_fails(capsys):
+    assert main(["resistance", json.dumps(DISCONNECTED_NETWORK), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == [{"check": "network-connected", "passed": False, "residual": 0.0,
+                                 "witness": {"reason": "network graph is disconnected"}}]
+    assert report["data"] == {"resistance": "disconnected"}
+
+
+def test_unparsable_time_grid_exit_2(capsys):
+    err = _input_error(["heat", json.dumps(K3_NETWORK), "--t", "0,x"], capsys, "--t")
+    assert err == "input error: --t: cannot parse '0,x' as a comma-separated list\n"

@@ -477,9 +477,9 @@ def _chunk_forms(catalog):
     ]
 
 
-def test_moved_frame_boxes_are_exact(catalog):
-    # every unit is its own product of a batch, so boxes of one unit, of
-    # part of a row, of rows and of blocks give the entries of one box per
+def test_moved_frame_boxes_are_exact(monkeypatch, catalog):
+    # every unit is its own product of a batch, so chunks of one unit, of
+    # part of a row, of rows and of blocks give the entries of one chunk per
     # block size, and cover each unit once
     for name, gamma, _ in _chunk_forms(catalog):
         alg = gamma.algebra
@@ -487,9 +487,12 @@ def test_moved_frame_boxes_are_exact(catalog):
             vals, vecs = np.linalg.eigh(cp)
             for q in range(len(cols)):
                 keep = vals[q] > 1e-9 * vals[q, -1]
+                unit_entries = int(keep.sum()) * len(vals[q])
                 frames = {}
                 for per in (None, 1, 2, 5, 11):
-                    boxes = list(_moved_frames(alg, n_b, cols[q], vecs[q], keep, per))
+                    budget = (alg.dim if per is None else per) * unit_entries
+                    monkeypatch.setattr(nca.dirac, "_FRAME_CHUNK", budget)
+                    boxes = list(_moved_frames(alg, n_b, cols[q], vecs[q], keep))
                     units = np.concatenate([box for box, _ in boxes])
                     assert np.array_equal(np.sort(units), np.arange(alg.dim)), (name, per)
                     frames[per] = np.concatenate([frame for _, frame in boxes])[np.argsort(units)]

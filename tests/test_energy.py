@@ -776,7 +776,7 @@ def test_markov_check_peaks_below_is_cdc():
     # chunks of samples and one resolvent at a time bring it to 1.15 MiB
     spec = bench_lindblad_spec(5, seed=1)
     lap = nca.stddev_laplacian(nca.extend(spec.algebra, spec.weight_element))
-    gamma = spec.build_gamma()
+    gamma = spec.generator["gamma"]
     markov = _traced_peak(lambda: nca.markov_check(lap, seed=spec.seed))
     assert markov < _traced_peak(lambda: nca.is_cdc(gamma))
 
@@ -787,6 +787,6 @@ def test_resolvent_check_holds_one_amplified_resolvent():
     # all four times as one stack peaked at 1.33 MiB, one time at a time
     # at 0.45 MiB
     spec = bench_lindblad_spec(5, seed=1)
-    lap = nca.laplacian(nca.energy_form(spec.build_gamma()))
+    lap = nca.laplacian(nca.energy_form(spec.generator["gamma"]))
     peak = _traced_peak(lambda: nca.resolvent_check(lap, spec.times, seed=spec.seed))
     assert peak <= 0.6 * 2 ** 20

@@ -656,7 +656,7 @@ def test_dirac_seminorms_match_norm_route(form):
 def test_dirac_suite_norm_formula_matches_loop(spec):
     # the suite draws its ten self-adjoint samples in the loop's rng order
     parsed = parse_spec(spec)
-    op = nca.DiracOperator(nca.build_bimodule(parsed.build_gamma()))
+    op = nca.DiracOperator(nca.build_bimodule(parsed.generator["gamma"]))
     rng = np.random.default_rng(parsed.seed)
     want = 0.0
     for _ in range(10):

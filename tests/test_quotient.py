@@ -281,7 +281,7 @@ def test_decoupled_singular_corner_lifts(tmp_path, capsys, seed):
     assert main(["quotient", str(path), "--json"]) in (0, 1, 2)
     capsys.readouterr()
 
-    gamma = parse_spec(json.dumps(spec)).build_gamma()
+    gamma = parse_spec(json.dumps(spec)).generator["gamma"]
     lap = nca.laplacian(nca.energy_form(gamma, force=True))
     qd = nca.split(lap, central_projection(alg, [0]))
     assert np.abs(qd.j_block).max() == 0

@@ -11,9 +11,9 @@ import nca
 from nca.energy import Laplacian
 from nca.errors import DisconnectedError, InputError
 from nca.resistance import is_star, network_energy_form, random_network, random_star_network
-from nca.states import mixture
 
 from conftest import K3_C, bench_network_c
+from generators import mixture
 
 
 def test_network_validation():
@@ -21,14 +21,12 @@ def test_network_validation():
         nca.ResistanceNetwork(np.array([[0.0, -1], [-1, 0]]))
     with pytest.raises(InputError):
         nca.ResistanceNetwork(np.array([[1.0, 1], [1, 0]]))
-    asym = np.array([[0.0, 2], [0, 0]])
-    with pytest.raises(InputError):
-        nca.ResistanceNetwork(asym, strict=True)
+    # an asymmetric matrix is rejected, not symmetrized
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        net = nca.ResistanceNetwork(asym)
-    assert caught and "asymmetric" in str(caught[0].message)
-    assert net.c[0, 1] == pytest.approx(1.0)
+        with pytest.raises(InputError, match="symmetric"):
+            nca.ResistanceNetwork(np.array([[0.0, 2], [0, 0]]))
+    assert not caught
     # a NaN or infinite conductance is rejected before the symmetry test
     pair = nca.build_algebra([1, 1], [1.0, 1.0])
     for bad in (np.nan, np.inf, -np.inf):

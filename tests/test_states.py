@@ -7,9 +7,9 @@ import nca
 from nca.algebra import random_positive_rows
 from nca.energy import EnergyForm, energy_form_of_laplacian
 from nca.errors import DisconnectedError, InputError
-from nca.states import mixture
 
 from conftest import K3_C, TWO_C
+from generators import mixture
 
 
 @pytest.fixture(scope="module")

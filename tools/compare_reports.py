@@ -18,7 +18,10 @@ network form other than the star check's scale-1/2 one, cut at another
 rank), plus ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
 ``group_action_cdc``) from ``tests/test_cli.py`` and the ``NEGATIVE_C``
 triangle of that file as an ``allow_negative`` network, whose reports take the FAIL paths
-(``heat-cp-t0.1``, ``network-markov``).  The Markov batteries of the two
+(``heat-cp-t0.1``, ``network-markov``), that file's ``DISCONNECTED_NETWORK``
+(the ``metrically-connected`` and ``network-connected`` FAILs), and the nine
+invalid specs of :func:`invalid_specs`, which pin the exit code and stderr of
+each rule of the validation pass.  The Markov batteries of the two
 ``network-N6`` specs, like those of the seed-1 ``lindblad-M3`` and
 ``lindblad-M5`` specs, reject and redraw the knots of a seeded function
 (seed 8 twice in one draw).  A further subprocess per side reports the
@@ -35,7 +38,7 @@ symmetry and 3 tau-balanced chunks on [6]; 4, 4 and 7 on [1] * 48), and
 some of their symmetry, star-representation and tau-balanced witnesses each
 lie past the first chunk.  The real parts of the [1] * 12 and [2, 2, 2]
 pairs take the float64 path to its symmetry and star-representation
-witnesses and its CP eigenvalues.  That makes 326 reports.  The script
+witnesses and its CP eigenvalues.  That makes 416 reports.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans), how many of them flip a check's
 ``passed`` flag, and, for each float field that moved, its largest change
@@ -149,21 +152,55 @@ json.dump(out, sys.stdout)
 """
 
 
-def cli_specs() -> dict:
-    """The literal ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` of
-    tests/test_cli.py, and its ``NEGATIVE_C`` as the conductances of an
-    ``allow_negative`` network file."""
+def _test_cli_literals() -> dict:
+    """The literal constants assigned at the top level of tests/test_cli.py."""
     tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
     found = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            name = getattr(node.targets[0], "id", None)
-            if name in ("K3_SPEC", "LINDBLAD_SPEC", "GROUP_SPEC"):
-                found[name] = json.dumps(ast.literal_eval(node.value))
-            elif name == "NEGATIVE_C":
-                found[name] = json.dumps({"nodes": 3, "c": ast.literal_eval(node.value),
-                                          "allow_negative": True})
+            try:
+                found[getattr(node.targets[0], "id", None)] = ast.literal_eval(node.value)
+            except ValueError:
+                continue
     return found
+
+
+def cli_specs() -> dict:
+    """The literal ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` of
+    tests/test_cli.py, its ``NEGATIVE_C`` as the conductances of an
+    ``allow_negative`` network file, its ``DISCONNECTED_NETWORK``, and
+    :func:`invalid_specs`."""
+    lit = _test_cli_literals()
+    found = {name: json.dumps(lit[name])
+             for name in ("K3_SPEC", "LINDBLAD_SPEC", "GROUP_SPEC", "DISCONNECTED_NETWORK")}
+    found["NEGATIVE_C"] = json.dumps({"nodes": 3, "c": lit["NEGATIVE_C"], "allow_negative": True})
+    found.update(invalid_specs(lit))
+    return found
+
+
+def invalid_specs(lit: dict) -> dict:
+    """One spec per object rule of the validation pass, which every command
+    rejects: a nonzero diagonal in ``c`` (a bare file and a full spec), a
+    negative ``c`` without ``allow_negative``, a matrix generator with
+    N(1) != 0, a non-Hermitian ``D``, a weight element of trace 1.7,
+    ``keep_blocks`` covering every block, and a non-idempotent ``projection``;
+    plus the bare file whose diagonal and seed both break their rules."""
+    k3, c2, diagonal = lit["K3_SPEC"], lit["C2_SPEC"], lit["DIAGONAL_C"]
+    zero, half = [[[0, 0]]], [[[0.5, 0]]]
+    specs = {
+        "diagonal-c": {"nodes": 3, "c": diagonal},
+        "diagonal-generator-c": dict(k3, generator={"kind": "network", "c": diagonal}),
+        "negative-c": {"nodes": 3, "c": lit["NEGATIVE_C"]},
+        "unit-not-annihilated": dict(c2, generator={
+            "kind": "matrix", "superop": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+        "non-hermitian-D": dict(c2, generator={
+            "kind": "spectral_triple", "D": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}),
+        "weight-trace-1.7": dict(k3, weight_element=[half, half, [[[0.7, 0]]]]),
+        "keep-every-block": dict(k3, projection={"keep_blocks": [0, 1, 2]}),
+        "non-idempotent-projection": dict(k3, projection={"projection": [half, zero, zero]}),
+        "diagonal-c-and-seed": {"nodes": 3, "c": diagonal, "seed": -1},
+    }
+    return {name: json.dumps(spec) for name, spec in specs.items()}
 
 
 def weighted_network_spec(n: int) -> str:

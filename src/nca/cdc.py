@@ -29,7 +29,16 @@ G = ``gram`` and adj = ``adj_table``:
   [(i, x), (j, y)] -> Gamma(e_i, e_j)_{xy}.  It is a direct sum over the
   blocks b, block b being the (d n_b) x (d n_b) matrix of G[i, j, unit (r, s)
   of b], so one batched ``eigvalsh`` per block size decides it.  A failing
-  direction is embedded back into the d n coordinates (i, x).
+  direction is embedded back into the d n coordinates (i, x).  A form on a
+  commutative algebra that passes the other three checks is the network
+  form of its conductances c_py = G[p, p, y] / scale, and its block at
+  node y is scale sum_x c_xy (d_x - d_y)(d_x - d_y)^T; by Sylvester's law
+  of inertia it is positive exactly when every conductance is, so that
+  form is judged by the signs of c and its network gap, against its own
+  magnitude, with a negative conductance as the witness.  The inertia
+  argument holds for an exact network form only, so the residual is the
+  larger of scale max(0, -min c) and the network gap |G - network(c)|,
+  formed by chunks of rows.
 """
 from __future__ import annotations
 
@@ -272,18 +281,40 @@ def network_cdc(algebra: Algebra, c, scale=0.5, allow_negative=False) -> CdCForm
     c = conductance_matrix(c, allow_negative)
     if c.shape != (size, size):
         raise InputError(f"conductance matrix must be {size}x{size}, got {c.shape}")
-    # the unit at point y is e_y, so gram[p, q, y] = scale * sum_x
-    # (d_p(x) - d_p(y)) (d_q(x) - d_q(y)) c_xy, which for p != y is c_py at
-    # [p, p, y], -c_py at [p, y, y] and [y, p, y], deg_y = sum_x c_xy at
-    # [y, y, y] and zero elsewhere.  Each is one term of the sum and exact
-    # zeros, which turn a -0.0 into +0.0: hence c + 0.0 and 0.0 - c
-    every = np.arange(size)
-    col = every[:, None]
     vals = np.zeros((size,) * 3)
-    vals[col, col, every] = c + 0.0
-    vals[col, every, every] = vals[every, col, every] = 0.0 - c
-    vals[every, every, every] = np.ascontiguousarray(c.T).sum(axis=1) + 0.0
+    for at, value in _network_entries(c, slice(0, size)):
+        vals[at] = value
     return CdCForm(algebra, scale * vals, scale=scale)
+
+
+def _network_entries(c: np.ndarray, rows: slice) -> list:
+    """``(index, value)`` of the nonzero entries of the rows p of ``rows`` of
+    the network gram of ``c`` at scale 1, held [p - rows.start, q, y].
+
+    The unit at point y is e_y, so gram[p, q, y] = sum_x (d_p(x) - d_p(y))
+    (d_q(x) - d_q(y)) c_xy, which for p != y is c_py at [p, p, y], -c_py at
+    [p, y, y] and [y, p, y], deg_y = sum_x c_xy at [y, y, y] and zero
+    elsewhere.  Each is one term of the sum and exact zeros, which turn a
+    -0.0 into +0.0: hence c + 0.0 and 0.0 - c.  The places meet only at
+    [y, y, y], where c_yy = 0 and deg_y comes last."""
+    every = np.arange(len(c))
+    p = every[rows]
+    own = np.arange(len(p))[:, None]
+    return [((own, p[:, None], every), c[p] + 0.0),
+            ((own, every, every), 0.0 - c[p]),
+            ((own, every, p[:, None]), 0.0 - c[:, p].T),
+            ((own[:, 0], p, p), np.ascontiguousarray(c.T).sum(axis=1)[p] + 0.0)]
+
+
+def _edge_weights(g: np.ndarray, scale=1.0) -> np.ndarray:
+    """The conductances c_py = Gamma(d_p, d_p)(y) / ``scale`` of a form on a
+    commutative algebra, read off the diagonal slab G[p, p, y] with a zero
+    diagonal.  At ``scale`` 1 they are the scaled conductances scale * c_py
+    that the complete-positivity blocks carry."""
+    every = np.arange(len(g))
+    c = g[every, every].real / scale
+    np.fill_diagonal(c, 0.0)
+    return c
 
 
 def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> np.ndarray:
@@ -295,9 +326,7 @@ def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> np.ndarray:
     report = is_cdc(gamma, tol=tol)
     if not report.is_cdc:
         raise InputError("form is not a carre-du-champ", [report.residuals])
-    c = np.einsum("ppy->py", gamma.gram).real / gamma.scale
-    np.fill_diagonal(c, 0.0)
-    return c
+    return _edge_weights(gamma.gram, gamma.scale)
 
 
 # -- verification -------------------------------------------------------------
@@ -306,11 +335,13 @@ def conductances_from_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> np.ndarray:
 def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
     """Check symmetry, unit annihilation, the star-representation condition,
     and complete positivity.  All four are multilinear in their arguments, so
-    basis tuples suffice; the module docstring gives the gathers."""
+    basis tuples suffice; the module docstring gives the gathers and the two
+    routes of complete positivity."""
     alg = gamma.algebra
     g = gamma.gram
     d = alg.dim
-    scale = 1.0 + gamma.magnitude()
+    magnitude = gamma.magnitude()
+    scale = 1.0 + magnitude
     witness = None
 
     # each gap by chunks of rows i whose two slabs fit the chunk budget
@@ -330,16 +361,19 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
         witness = {"kind": "star-representation", "triple": list(star_at()),
                    "residual": star.residual}
 
+    residuals = {"symmetry": sym.residual, "unit": unit.residual,
+                 "star_representation": star.residual}
     # the skew part of the basis gram is the symmetry gap, so only a
     # symmetric form is tested for positivity; an asymmetric one fails it
     # by its symmetry residual
-    min_eig = float("nan")
     cp = replace(sym, check="cdc-completely-positive")
-    if sym.passed:
+    if alg.is_commutative and sym.passed and unit.passed and star.passed:
+        cp, witness = _edge_cp(gamma, magnitude, tol, residuals)
+    elif sym.passed:
         grams = list(_cp_blocks(alg, g))
         eigs = [np.linalg.eigvalsh(m) for m in grams]
         lows = [float(e[:, 0].min()) for e in eigs]
-        min_eig = min(lows)
+        min_eig = residuals["gram_min_eigenvalue"] = min(lows)
         cp = judge("cdc-completely-positive", max(0.0, -min_eig),
                    max(1.0, max(float(e[:, -1].max()) for e in eigs)), tol)
         if not cp.passed and witness is None:
@@ -355,6 +389,8 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
                 "eigenvalue": min_eig,
                 "vector": [[float(z.real), float(z.imag)] for z in vec.reshape(-1)],
             }
+    else:
+        residuals["gram_min_eigenvalue"] = float("nan")
     if not cp.passed:
         cp.witness = witness
 
@@ -363,15 +399,34 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
         unit_annihilating=unit.passed,
         star_representation=star.passed,
         completely_positive=cp.passed,
-        residuals={
-            "symmetry": sym.residual,
-            "unit": unit.residual,
-            "star_representation": star.residual,
-            "gram_min_eigenvalue": min_eig,
-        },
+        residuals=residuals,
         witness=witness,
         checks=[sym, unit, star, cp],
     )
+
+
+def _edge_cp(gamma: CdCForm, magnitude: float, tol, residuals: dict):
+    """The complete-positivity verdict and witness of a network form, as the
+    module docstring gives them, from its scaled conductances k = scale c;
+    the two residuals are added to ``residuals``."""
+    g = gamma.gram
+    k = _edge_weights(g)
+    def gap_rows(rows):  # |G - network(k)| on the rows, in place for a real gram
+        gap = np.array(g[rows])
+        for at, value in _network_entries(k, rows):
+            gap[at] -= value
+        return np.abs(gap, out=gap.real)
+    gap, gap_at = chunked_max(gap_rows, len(g), 2 * g[0].size)
+    negative = max(0.0, -float(k.min()))
+    residuals.update(negative_conductance=negative, network_gap=gap)
+    cp = judge("cdc-completely-positive", max(negative, gap), magnitude, tol)
+    if cp.passed:
+        return cp, None
+    if negative >= gap:
+        x, y = np.unravel_index(int(k.argmin()), k.shape)
+        return cp, {"kind": "negative-conductance", "edge": [int(x), int(y)],
+                    "conductance": float(k[x, y] / gamma.scale)}
+    return cp, {"kind": "network-gap", "triple": list(gap_at()), "residual": gap}
 
 
 def _cp_blocks(alg: Algebra, g: np.ndarray):
@@ -558,9 +613,10 @@ def _line_maxima(alg: Algebra, a: np.ndarray, axis: int) -> np.ndarray:
 _CCN_TUPLES = 4  # seeded tuples that ccn_check tries beyond the basis
 
 
-def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL) -> bool:
+def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL, unit_tol=DEFAULT_EQ_TOL) -> bool:
     """Conditional complete negativity, checked directly on tuples
-    (a_j, b_j) with sum a_j b_j = 0.
+    (a_j, b_j) with sum a_j b_j = 0, for a map with N(1) = 0 to ``unit_tol``,
+    the rule of :func:`gamma_from_generator`.
 
     The spanning family is the full canonical basis completed by the trick
     a_last = 1, b_last = -sum a_j b_j; eliminating the dependent entry turns
@@ -571,7 +627,7 @@ def ccn_check(n: SuperOperator, seed=0, tol=DEFAULT_POS_TOL) -> bool:
     alg = n.algebra
     one = alg.identity()
     op_scale = 1.0 + float(np.abs(n.matrix).max())
-    if n.apply(one).norm() > tol * op_scale:
+    if n.apply(one).norm() > unit_tol * op_scale:
         raise InputError("generator must annihilate the identity")
     d, size = alg.dim, alg.total_size
     ne = np.zeros((d + 1, size, size), dtype=complex)

@@ -83,11 +83,13 @@ def _cdc_checks(problem: _Problem):
         "tau_balanced": reality["tau_balanced"],
         "scale": float(gamma.scale),
     }
+    unit_tol = spec.tolerances.equality
     if spec.generator and spec.generator["kind"] == "matrix":
-        data["ccn"] = ccn_check(spec.generator["superop"], seed=spec.seed, tol=tol)
+        data["ccn"] = ccn_check(spec.generator["superop"], seed=spec.seed, tol=tol,
+                                unit_tol=unit_tol)
     elif spec.generator and spec.generator["kind"] == "lindblad":
         gen = lindblad_generator(spec.algebra, spec.generator["vs"])
-        data["ccn"] = ccn_check(gen, seed=spec.seed, tol=tol)
+        data["ccn"] = ccn_check(gen, seed=spec.seed, tol=tol, unit_tol=unit_tol)
     return report.checks, data
 
 

@@ -31,6 +31,13 @@ vanish: the null space acts into the null space.  The left action is formed
 block by block only for that residual and for a_i* = a_(i*), and is not
 kept: every Dirac quantity is read off the stacks S_b.  The product over
 all eigenvectors, the moved frame, is formed a few units i at a time.
+
+On a commutative algebra the form is a network form, and the one-forms are
+l2 of its edges: the frame has one row per directed edge x -> y with
+c_xy > 0, sqrt(scale c_xy) (f(x) - f(y)) weighted as above, in the block of
+node y, and no ``eigh`` runs.  Its rank is the count of edges with c > 0,
+with no rank cut.  The left action multiplies the row of x -> y by f(x),
+a diagonal action, and S_y[i][m, 0] = sqrt(scale c_xy) ([i = x] - [i = y]).
 """
 from __future__ import annotations
 
@@ -47,7 +54,8 @@ from .algebra import (
     block_norms,
     row_chunks,
 )
-from .cdc import CdCForm, CdCReport, _cp_blocks, _unit_run, is_cdc, network_cdc
+from .cdc import (CdCForm, CdCReport, _cp_blocks, _edge_weights, _unit_run, is_cdc,
+                  network_cdc)
 from .errors import DisconnectedError
 from .resistance import ResistanceNetwork, is_star
 
@@ -58,9 +66,10 @@ class BimoduleSpace:
 
     ``dmatrix`` maps orthonormal algebra coordinates to one-form
     coordinates.  ``action`` holds ``(start, units, commutator)`` per
-    algebra block b with a kept eigenvalue: ``units`` (n_b, n_b) are the
-    canonical indices of its matrix units, and its frame rows are
-    start + m n_b + c, over the r_b kept eigenvalues m and the columns c.
+    algebra block b with a kept eigenvalue (on a network, per node with an
+    edge): ``units`` (n_b, n_b) are the canonical indices of its matrix
+    units, and its frame rows are start + m n_b + c, over the r_b kept
+    eigenvalues (or edges) m and the columns c.
     On them B_i = d L_i - A_i d sends e~_(units[s, c]) to
     ``commutator[i][:, s]`` (the stack S_b of the module docstring, shape
     (d, r_b, n_b)).  The left action itself is not held.
@@ -80,8 +89,55 @@ class BimoduleSpace:
 def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RANK_TOL,
                    report: CdCReport | None = None) -> BimoduleSpace:
     """Realize the one-form space of a carre-du-champ concretely, as the
-    module docstring describes.  ``report`` is the ``is_cdc`` report of
-    ``gamma`` at ``pos_tol`` when the caller already holds it.
+    module docstring describes: by the edge frame on a commutative algebra
+    and by the eigenvectors of the CP blocks otherwise.  ``report`` is the
+    ``is_cdc`` report of ``gamma`` at ``pos_tol`` when the caller already
+    holds it."""
+    report = is_cdc(gamma, tol=pos_tol) if report is None else report
+    report.require("one-form construction requires a carre-du-champ")
+    alg = gamma.algebra
+    if alg.is_commutative:
+        dmatrix, action, residuals = _edge_frame(gamma, report)
+    else:
+        dmatrix, action, residuals = _eigen_frame(gamma, rank_tol)
+    # the derivation factors the Laplacian: dmatrix* dmatrix = Delta
+    root_w = np.sqrt(alg.basis_weights)
+    delta = gamma.tau_values / np.outer(root_w, root_w)
+    residuals["laplacian_factorization"] = float(np.abs(dmatrix.conj().T @ dmatrix - delta).max())
+    return BimoduleSpace(gamma=gamma, rank=len(dmatrix), dmatrix=dmatrix, action=tuple(action),
+                         residuals=residuals)
+
+
+def _edge_frame(gamma: CdCForm, report: CdCReport):
+    """``(dmatrix, action, residuals)`` of a network form from its edge
+    frame, by node y and then x, with k = scale c."""
+    alg = gamma.algebra
+    d = alg.dim
+    k = _edge_weights(gamma.gram)
+    node, end = np.nonzero(k.T > 0)
+    edges = np.arange(len(node))
+    frame = np.zeros((len(node), d))
+    frame[edges, end] = np.sqrt(k[end, node])
+    frame[edges, node] = -frame[edges, end]
+    root_w = np.sqrt(alg.basis_weights)
+    dmatrix = frame * (root_w[node][:, None] / root_w)
+    starts = np.searchsorted(node, np.arange(d + 1))
+    action = [(int(lo), np.array([[y]]), frame[lo:hi].T[:, :, None])
+              for y, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])) if hi > lo]
+    # a_i is the diagonal [end = i], and a_i* - a_(i*) is read off it.  The
+    # frame's null space is exactly invariant and its CP blocks are those of
+    # k+, so the other two residuals are the gram's distance from them
+    ends = end == np.arange(d)[:, None]
+    return dmatrix, action, {
+        "gram_negative_part": report.residuals["negative_conductance"],
+        "null_space_invariance": report.residuals["network_gap"],
+        "star_representation": float((ends != ends[alg.adj_table]).max(initial=False)),
+    }
+
+
+def _eigen_frame(gamma: CdCForm, rank_tol):
+    """``(dmatrix, action, residuals)`` from the eigenvectors of the CP
+    blocks above the rank cut.
 
     The moved frame W of each block, (d, r_b, d n_b), is never held whole:
     ``_moved_frames`` yields it in chunks of units of at most
@@ -89,8 +145,6 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
     give the same entries as one chunk.  The kept columns fill the
     (d, r_b, r_b) stack of the left action and the null columns only raise
     ``null_space_invariance``."""
-    (is_cdc(gamma, tol=pos_tol) if report is None else report).require(
-        "one-form construction requires a carre-du-champ")
     alg = gamma.algebra
     d = alg.dim
     eigs = [np.linalg.eigh(m) for m in _cp_blocks(alg, gamma.gram)]
@@ -136,19 +190,11 @@ def build_bimodule(gamma: CdCForm, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RAN
             star_res = max(star_res, float(np.abs(gap).max()))
             action.append((start, units, comm))
             start += r * n_b
-
-    # the derivation factors the Laplacian: dmatrix* dmatrix = Delta
-    delta = gamma.tau_values / np.outer(root_w, root_w)
-    return BimoduleSpace(
-        gamma=gamma, rank=rank, dmatrix=dmatrix, action=tuple(action),
-        residuals={
-            "gram_negative_part": max(0.0, -min(float(v[:, 0].min()) for v, _ in eigs)),
-            "null_space_invariance": float(null_res),
-            "star_representation": star_res,
-            "laplacian_factorization": float(np.abs(dmatrix.conj().T @ dmatrix - delta).max()),
-        },
-    )
-
+    return dmatrix, action, {
+        "gram_negative_part": max(0.0, -min(float(v[:, 0].min()) for v, _ in eigs)),
+        "null_space_invariance": float(null_res),
+        "star_representation": star_res,
+    }
 
 
 def _moved_frames(alg, n_b, cols, vecs, keep):

@@ -9,6 +9,7 @@ pairs and ``<matrix>`` one such array:
     generator.kind                   lindblad | matrix | network | group | spectral_triple
     generator.lindblad.vs            nonempty list of <element>
     generator.matrix.superop         d x d <matrix> in the orthonormal basis; annihilates 1
+                                     to tolerances.equality
     generator.matrix.scale           finite number (default 1)
     generator.network.c              symmetric d x d matrix of finite numbers with zero
                                      diagonal, d >= 2, blocks all 1; nonnegative
@@ -16,8 +17,9 @@ pairs and ``<matrix>`` one such array:
     generator.network.allow_negative true | false (default false)
     generator.network.scale          finite number (default 0.5)
     generator.group.autos            nonempty list of d x d <matrix>, unital *-automorphisms
+                                     to tolerances.equality
     generator.group.weights          one finite number >= 0 per auto
-    generator.spectral_triple.D      Hermitian <matrix> of the full size
+    generator.spectral_triple.D      <matrix> of the full size, Hermitian to tolerances.equality
     generator.spectral_triple.scale  finite number (default 1)
     states                           list of {"density": <element>}
     projection                       {"keep_blocks": [block index, ...]} | {"projection": <elem>};
@@ -34,9 +36,10 @@ its other keys are fields of that spec.  Unknown keys are rejected at every
 level, and ``c`` must be exactly symmetric.  The CLI flags ``--seed``,
 ``--tol-*``, ``--t`` and ``--pairs`` set the fields they name before the one
 validation pass, so they obey the same rules.  The pass applies the
-library's own rule of each object, builds the generator's form, and
-collects every violation, not just the first; so every command accepts
-and rejects the same specs.
+library's own rule of each object, builds the generator's form at the
+spec's equality tolerance (``tolerances`` is read before ``generator``),
+and collects every violation, not just the first; so every command
+accepts and rejects the same specs.
 """
 from __future__ import annotations
 
@@ -96,13 +99,15 @@ _REQUIRED = frozenset({"algebra", "blocks", "trace_weights", "nodes", "c", "vs",
 class _Pass:
     """One validation pass: the spec's algebra once its rule has built it,
     its decoded states (none until a ``states`` field is read, None when
-    that field failed its rule), the network's ``allow_negative`` flag, and
+    that field failed its rule), the network's ``allow_negative`` flag, the
+    tolerances (the defaults until a ``tolerances`` field is read), and
     every violation found."""
 
     def __init__(self):
         self.alg = None
         self.states = []
         self.allow_negative = False
+        self.tolerances = Tolerances()
         self.problems = []
 
     def walk(self, raw, schema: dict, path: str) -> dict:
@@ -218,20 +223,21 @@ def _network(value, p):
 
 
 # kind -> (the rule of each field, the builder of the form over the algebra
-# from the decoded fields); an absent scale takes the builder's own default.
-# The allow_negative rule comes before the c rule, which reads it
+# and the equality tolerance from the decoded fields); an absent scale takes
+# the builder's own default.  The allow_negative rule comes before the c
+# rule, which reads it
 _GENERATORS = {
     "lindblad": ({"vs": _list_of(_element, "elements")},
-                 lambda alg, vs: commutator_cdc(vs)),
+                 lambda alg, tol, vs: commutator_cdc(vs)),
     "matrix": ({"superop": _superop, "scale": _number},
-               lambda alg, superop, **scale: gamma_from_generator(superop, **scale)),
+               lambda alg, tol, superop, **scale: gamma_from_generator(superop, tol=tol, **scale)),
     "network": ({"allow_negative": _allow_negative, "c": _network, "scale": _number},
-                lambda alg, c, **opts: network_cdc(alg, c.c, **opts)),
+                lambda alg, tol, c, **opts: network_cdc(alg, c.c, **opts)),
     "group": ({"autos": _list_of(_superop, "matrices"),
                "weights": _list_of(_number, "finite numbers")},
-              lambda alg, autos, weights: group_action_cdc(autos, weights)),
+              lambda alg, tol, autos, weights: group_action_cdc(autos, weights, tol=tol)),
     "spectral_triple": ({"D": lambda value, p: decode_complex_matrix(value), "scale": _number},
-                        lambda alg, D, **scale: spectral_triple_cdc(D, alg, **scale)),
+                        lambda alg, tol, D, **scale: spectral_triple_cdc(D, alg, tol=tol, **scale)),
 }
 
 
@@ -246,7 +252,7 @@ def _generator(value, p):
     got = p.walk({k: v for k, v in value.items() if k in fields}, fields, "generator")
     # the form is built once its fields and the algebra have passed their rules
     if p.alg is not None and len(p.problems) == before:
-        got["gamma"] = build(p.alg, **got)
+        got["gamma"] = build(p.alg, p.tolerances.equality, **got)
     return dict(got, kind=kind)
 
 
@@ -295,7 +301,8 @@ def _weight(value, alg):
 
 def _tolerances(value, p):
     schema = dict.fromkeys(("positivity", "rank", "equality"), _nonnegative)
-    return Tolerances(**p.walk(value, schema, "tolerances"))
+    p.tolerances = Tolerances(**p.walk(value, schema, "tolerances"))
+    return p.tolerances
 
 
 # the states rule comes before the pairs rule, which reads the decoded states
@@ -308,8 +315,10 @@ _SHARED = {
     "seed": _seed,
     "tolerances": _tolerances,
 }
-# the rule that builds the algebra comes first, so the later rules can read it
-_FIELDS = {"algebra": _algebra, "generator": _generator, **_SHARED}
+# the rule that builds the algebra comes first, so the later rules can read
+# it, and the tolerances come before the generator, whose builder reads them
+_FIELDS = {"algebra": _algebra, "tolerances": _tolerances, "generator": _generator,
+           **_SHARED}
 _NETWORK_FILE = {"nodes": _nodes, "allow_negative": _allow_negative, "c": _network, **_SHARED}
 
 
@@ -344,6 +353,6 @@ def parse_spec(source) -> ProblemSpec:
     if bare:
         gen = {key: fields.pop(key) for key in ("c", "allow_negative") if key in fields}
         fields["algebra"] = fields.pop("nodes")
-        gamma = _GENERATORS["network"][1](fields["algebra"], **gen)
+        gamma = _GENERATORS["network"][1](fields["algebra"], p.tolerances.equality, **gen)
         fields["generator"] = dict(gen, kind="network", gamma=gamma)
     return ProblemSpec(**fields)

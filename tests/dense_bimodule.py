@@ -21,7 +21,8 @@ route for it.  The readers of ``nca.dirac.BimoduleSpace`` alone rebuild the pair
 coordinates (d e_a) e_c from its commutator stacks, and the
 ``(d, rank, d)`` stack of the commutator blocks B_i = d L_i - A_i d from
 the derivation and the left action, with the point-mass Gram table built
-on it.
+on it.  :func:`eigen_route_bimodule` takes the library's eigen route on any
+form, the reference for the edge frame of a network.
 """
 import weakref
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 from nca import PropertyViolationError, is_cdc
 from nca.algebra import DEFAULT_POS_TOL, DEFAULT_RANK_TOL, left_multiplication
 from nca.cdc import _cp_blocks
-from nca.dirac import _moved_frames
+from nca.dirac import BimoduleSpace, _eigen_frame, _moved_frames
 from nca.reporting import CheckResult
 
 
@@ -133,6 +134,15 @@ def dense_build_bimodule(gamma, pos_tol=DEFAULT_POS_TOL, rank_tol=DEFAULT_RANK_T
     }
 
 
+def eigen_route_bimodule(gamma, rank_tol=DEFAULT_RANK_TOL):
+    """The one-form space of ``gamma`` by the eigenvectors of its CP blocks,
+    the library's route for noncommutative forms, taken on any form: the
+    reference for the edge frame of a network."""
+    dmatrix, action, residuals = _eigen_frame(gamma, rank_tol)
+    return BimoduleSpace(gamma=gamma, rank=len(dmatrix), dmatrix=dmatrix,
+                         action=tuple(action), residuals=residuals)
+
+
 def pair_projection(alg) -> np.ndarray:
     """The d^2 x d^2 matrix of P(e_a (x) e_c) = e_a (x) e_c - 1 (x) e_a e_c,
     which maps each pair onto the kernel of multiplication."""
@@ -152,7 +162,8 @@ _ACTIONS = {}  # id of a live nca.dirac.BimoduleSpace -> its library_action
 def library_action(space) -> list:
     """The (d, r_b, r_b) left action a_i of each block of an
     ``nca.dirac.BimoduleSpace``, in ``space.action`` order, rebuilt by the library's
-    route, which does not keep it: the eigenvectors of the block's
+    route, which does not keep it: on a commutative algebra the diagonal
+    action on the edge frame, and otherwise the eigenvectors of the block's
     complete-positivity block from ``_cp_blocks`` and ``eigh``, moved by
     ``_moved_frames`` chunk by chunk.  The eigenvalues ascend and the rank cut is monotone in
     them, so the kept ones are the top r_b, with r_b the frame rows of the
@@ -166,6 +177,8 @@ def library_action(space) -> list:
 
 def _rebuild_action(space) -> list:
     alg = space.algebra
+    if alg.is_commutative:
+        return [_edge_action(alg.dim, comm) for *_, comm in space.action]
     eigs = [np.linalg.eigh(m) for m in _cp_blocks(alg, space.gamma.gram)]
     found = {}
     for (n_b, cols), (vals, vecs) in zip(alg.size_groups, eigs):
@@ -181,6 +194,16 @@ def _rebuild_action(space) -> list:
             stack[box] = (root_lam[:, None] * frame)[:, :, keep] / root_lam
         out.append(stack)
     return out
+
+
+def _edge_action(d, comm) -> np.ndarray:
+    """The diagonal left action on the edge frame of one node: the unit e_i
+    multiplies the row of the edge x -> y, which holds sqrt(k_xy) at x and
+    -sqrt(k_xy) at y, by [x = i]."""
+    r = comm.shape[1]
+    stack = np.zeros((d, r, r))
+    stack[comm[:, :, 0].argmax(axis=0), np.arange(r), np.arange(r)] = 1.0
+    return stack
 
 
 def derivative_coords(space, a) -> np.ndarray:

@@ -4,16 +4,19 @@ block sizes and non-unit trace weights, on random networks and on the
 catalog.  The two routes pick different orthonormal frames, so they are
 compared through frame-independent quantities only.  The per-block
 commutator stacks are also checked against the dense commutator routes of
-the same space."""
+the same space, and the edge frame of a network against the eigen route
+that noncommutative forms take."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nca
+from conftest import bench_network_c
 from dense_bimodule import (ReferenceSpace, act_left, commutator_blocks, commutator_norm,
-                            dense_build_bimodule, derivative_coords, left_action_stack,
-                            pair_forms, pair_projection, squared_commutator_norms)
+                            dense_build_bimodule, derivative_coords, eigen_route_bimodule,
+                            left_action_stack, pair_forms, pair_projection,
+                            squared_commutator_norms)
 from nca.algebra import random_element, random_self_adjoint_rows
 from nca.dirac import _star_squared_norms
 from nca.resistance import random_network
@@ -191,3 +194,39 @@ def test_per_block_commutators_match_dense_routes(case, seed):
             assert star[key] == dense[key], key
         residual = dense["max_relative_residual"]
         assert abs(star["max_relative_residual"] - residual) <= 1e-12 * max(1.0, residual)
+
+
+def test_edge_frame_matcheseigen_route_bimodule(catalog):
+    # the catalog networks and the seed-7 N8 network with trace weights
+    # linspace(0.5, 2, 8): equal rank, the count of edges with c > 0, equal
+    # Delta = dmatrix* dmatrix and equal seminorms
+    weighted = nca.build_algebra([1] * 8, list(np.linspace(0.5, 2.0, 8)))
+    forms = [ex.gamma for ex in catalog if ex.algebra.is_commutative]
+    forms.append(nca.network_cdc(weighted, bench_network_c(8), scale=0.5))
+    rng = np.random.default_rng(5)
+    for gamma in forms:
+        alg = gamma.algebra
+        edge, eigen = nca.build_bimodule(gamma), eigen_route_bimodule(gamma)
+        assert edge.rank == eigen.rank == int((nca.conductances_from_cdc(gamma) > 0).sum())
+        _close(edge.dmatrix.T @ edge.dmatrix, eigen.dmatrix.conj().T @ eigen.dmatrix)
+        for value in edge.residuals.values():
+            assert value <= 1e-12 * max(1.0, gamma.magnitude())
+        rows = np.concatenate([random_self_adjoint_rows(alg, rng, 4),
+                               [alg.canonical_coords(random_element(alg, rng)) for _ in range(4)]])
+        got, want = (nca.dirac_seminorms(nca.DiracOperator(bs), rows) for bs in (edge, eigen))
+        _close(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-10, 1e-11])
+def test_edge_frame_has_no_rank_cut(lam):
+    # the eigen route cuts the eigenvalues of the seed-7 N6 network at
+    # rank_tol * max(1, top), which drops real edges once the form is small:
+    # rank 20 at lam = 1e-9, 6 at 1e-10 and 0 at 1e-11.  The edge frame keeps
+    # every edge with c > 0, and its Delta stays exact to rounding
+    c = lam * bench_network_c(6)
+    gamma = nca.network_cdc(nca.build_algebra([1] * 6, [1.0] * 6), c, scale=0.5)
+    bs = nca.build_bimodule(gamma)
+    assert bs.rank == int((c > 0).sum()) == 20
+    assert eigen_route_bimodule(gamma).rank == {1e-9: 20, 1e-10: 6, 1e-11: 0}[lam]
+    assert bs.residuals["laplacian_factorization"] <= 1e-15 * gamma.magnitude()

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nca
 from nca.algebra import (
@@ -210,7 +212,76 @@ def test_negative_conductance_fails_positivity():
     report = nca.is_cdc(gamma)
     assert report.symmetric and report.star_representation
     assert not report.completely_positive
-    assert report.witness["kind"] == "negative-direction"
+    # the edge route names the edge and its conductance
+    assert report.witness == {"kind": "negative-conductance", "edge": [0, 1],
+                              "conductance": -0.5}
+    assert report.residuals["negative_conductance"] == 0.25
+
+
+K4_NEGATIVE_C = np.array([[0, 1, 1, 0.5], [1, 0, -0.4, 1], [1, -0.4, 0, 1], [0.5, 1, 1, 0]])
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-9, 1.0, 1e6])
+def test_k4_negative_conductance_fails_in_every_unit(lam):
+    # the CP verdict is judged against the form's own magnitude, with no
+    # floor of 1, so a scaled network keeps its verdict: at lam = 1e-12 and
+    # 1e-9 the floored bound passed this form
+    alg = nca.build_algebra([1] * 4, [1.0] * 4)
+    c = lam * K4_NEGATIVE_C
+    report = nca.is_cdc(nca.network_cdc(alg, c, allow_negative=True))
+    sym, unit, star, cp = report.checks
+    assert sym.passed and unit.passed and star.passed
+    assert cp.check == "cdc-completely-positive" and not cp.passed
+    assert cp.residual == report.residuals["negative_conductance"] == 0.2 * lam
+    assert cp.witness == report.witness == {
+        "kind": "negative-conductance", "edge": [1, 2], "conductance": c[1, 2]}
+
+
+def test_form_off_its_network_fails_by_the_network_gap():
+    # 1e-15 off the network form at two symmetric entries passes symmetry,
+    # unit and star against the floored bound 1e-9 (1 + magnitude), but the
+    # inertia argument holds for exact network forms only, so the network
+    # gap fails against the magnitude 1.25e-12 of the form
+    alg = nca.build_algebra([1] * 4, [1.0] * 4)
+    g = nca.network_cdc(alg, 1e-12 * np.abs(K4_NEGATIVE_C)).gram.copy()
+    g[0, 1, 2] += 1e-15
+    g[1, 0, 2] += 1e-15
+    report = nca.is_cdc(CdCForm(alg, g, scale=0.5))
+    assert report.symmetric and report.unit_annihilating and report.star_representation
+    assert not report.completely_positive
+    assert report.residuals["negative_conductance"] == 0.0
+    assert report.witness == {"kind": "network-gap", "triple": [0, 1, 2],
+                              "residual": report.residuals["network_gap"]}
+
+
+def _signed_forms(n, rng):
+    """The network form of signed symmetric conductances on n points, and
+    the form of a real generator on [1] * n, whose conductances -N[y, p]
+    are asymmetric; each conductance is 0 or of magnitude 0.1 to 2."""
+    alg = nca.build_algebra([1] * n, [1.0] * n)
+    c, m = rng.uniform(0.1, 2.0, (2, n, n)) * rng.choice([-1.0, 0.0, 1.0], (2, n, n))
+    c = np.triu(c, 1)
+    yield nca.network_cdc(alg, c + c.T, allow_negative=True)
+    np.fill_diagonal(m, 0.0)
+    yield nca.gamma_from_generator(nca.SuperOperator(alg, m - np.diag(m.sum(axis=1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2 ** 31 - 1))
+def test_cp_block_inertia_is_the_conductance_signs(n, seed):
+    # Sylvester's law of inertia on Q_y = sum_x k_xy (d_x - d_y)(d_x - d_y)^T:
+    # the dense CP block of node y has as many negative eigenvalues as
+    # column y of the scaled conductances k has negative entries
+    for gamma in _signed_forms(n, np.random.default_rng(seed)):
+        g = gamma.gram
+        k = np.array(np.einsum("ppy->py", g))
+        np.fill_diagonal(k, 0.0)
+        for y in range(n):
+            eigs = np.linalg.eigvalsh(g[:, :, y])
+            assert (eigs < -1e-9 * np.abs(eigs).max()).sum() == (k[:, y] < 0).sum()
+        report = nca.is_cdc(gamma)
+        assert report.symmetric and report.unit_annihilating and report.star_representation
+        assert report.completely_positive == (k.min() >= 0)
 
 
 def test_commutative_forms_are_real():
@@ -413,8 +484,10 @@ def test_gram_must_be_finite(m2, bad):
 
 def _real_grams():
     """Real grams, each checked on the float64 path and on a complex copy:
-    random raw and symmetrized grams, which fail the star identity, and a
-    network with a negative conductance, which fails positivity."""
+    random raw and symmetrized grams, which fail the star identity, a
+    network with a negative conductance, which fails positivity on the edge
+    route, and the form of a real generator on [2, 1], which fails it on the
+    eigen route."""
     rng = np.random.default_rng(17)
     for blocks, weights in (([1] * 12, list(np.linspace(0.5, 2.0, 12))),
                             ([2, 2, 2], [1.0, 0.5, 2.0]), ([3, 2, 1], [1.0, 0.5, 2.0])):
@@ -426,6 +499,13 @@ def _real_grams():
     c = np.ones((4, 4)) - np.eye(4)
     c[0, 1] = c[1, 0] = -0.4
     yield alg, nca.network_cdc(alg, c, allow_negative=True).gram
+    alg = nca.build_algebra([2, 1], [1.0, 0.5])
+    mat = rng.standard_normal((alg.dim, alg.dim))
+    one = alg.identity_coords.real
+    mat -= np.outer(mat @ one, one) / (one @ one)
+    adj = alg.adj_table
+    n = nca.SuperOperator(alg, (mat + mat[np.ix_(adj, adj)]) / 2)
+    yield alg, nca.gamma_from_generator(n).gram
 
 
 def _real_cdc_forms():
@@ -441,7 +521,7 @@ def _close(a, b, scale):
     return (np.isnan(a) and np.isnan(b)) or abs(a - b) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(8))
 def test_real_gram_checks_match_complex_copy(case):
     alg, g = list(_real_grams())[case]
     real, cplx = CdCForm(alg, g), CdCForm(alg, g.astype(complex))
@@ -471,7 +551,8 @@ def test_real_gram_checks_match_complex_copy(case):
 
 def test_real_gram_witness_kinds_are_all_reached():
     kinds = {nca.is_cdc(CdCForm(alg, g)).witness["kind"] for alg, g in _real_grams()}
-    assert kinds == {"symmetry", "star-representation", "negative-direction"}
+    assert kinds == {"symmetry", "star-representation", "negative-conductance",
+                     "negative-direction"}
 
 
 @pytest.mark.parametrize("form", range(3))

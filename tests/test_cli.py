@@ -755,6 +755,34 @@ def test_every_command_rejects_the_same_specs(spec, problem, capsys):
         assert captured.err == f"input error: invalid spec: {problem}\n", command
 
 
+# a matrix generator with N(1) = 1e-8, a spectral triple 1e-8 off Hermitian
+# and a swap 1e-8 off unital, each with the problem it is rejected for
+NEAR_VALID_GENERATORS = [
+    ({"kind": "matrix", "superop": [[[1, 0], [-1, 0]], [[-1, 0], [1.00000001, 0]]]},
+     "generator: generator must annihilate the identity (residual 1.000e-08)"),
+    ({"kind": "spectral_triple", "D": [[[0, 0], [1, 0]], [[1.00000001, 0], [0, 0]]]},
+     "generator: operator must be Hermitian"),
+    ({"kind": "group", "autos": [[[[0, 0], [1, 0]], [[1, 0], [1e-8, 0]]]], "weights": [1.0]},
+     "generator: not unital; generator: not multiplicative (residual 1.000e-08)"),
+]
+
+
+@pytest.mark.parametrize("generator, problem", NEAR_VALID_GENERATORS)
+def test_builders_read_the_spec_equality_tolerance(generator, problem, capsys):
+    # the tolerances are read before the generator, so its builder's rule
+    # applies the spec's equality tolerance, in the field and in the flag
+    spec = dict(C2_SPEC, generator=generator)
+    for command in COMMANDS:
+        assert main([command, json.dumps(spec)]) == 2, command
+        assert capsys.readouterr().err == f"input error: invalid spec: {problem}\n", command
+    loose = dict(spec, tolerances={"equality": 1e-6})
+    assert parse_spec(loose).generator["gamma"].algebra.dim == 2
+    for argv in (["check-cdc", json.dumps(loose)],
+                 ["check-cdc", json.dumps(spec), "--tol-eq", "1e-6"]):
+        assert main(argv) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+
 def test_network_rule_listed_with_other_violations():
     with pytest.raises(InputError) as err:
         parse_spec({"nodes": 3, "c": DIAGONAL_C, "seed": -1})

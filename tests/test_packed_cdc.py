@@ -80,6 +80,12 @@ def _random_generator(alg, rng):
 
 
 def _assert_matches_reference(gamma):
+    """The flags of ``is_cdc`` equal the dense reference's, and so do its
+    residuals and witness on the eigen route.  On the edge route (a
+    commutative form that passes symmetry, unit and star) a negative
+    conductance fails its bound exactly when the dense gram has an
+    eigenvalue below -tol * top, and the witness names the most negative
+    conductance where the dense one gives a direction."""
     alg = gamma.algebra
     report = nca.is_cdc(gamma)
     ref = dense_is_cdc(alg, alg.embed(gamma.gram))
@@ -91,19 +97,41 @@ def _assert_matches_reference(gamma):
     assert res["star_representation"] == ref_res["star_representation"]
     bound = 1e-12 * max(1.0, ref["top_eigenvalue"]) if report.symmetric else 1e-12
     assert abs(res["unit"] - ref_res["unit"]) <= bound
-    if report.symmetric:
+    edge_route = "negative_conductance" in res
+    assert edge_route == (alg.is_commutative and report.symmetric
+                          and report.unit_annihilating and report.star_representation)
+    if edge_route:
+        assert "gram_min_eigenvalue" not in res
+        assert ((res["negative_conductance"] > 1e-9 * gamma.magnitude())
+                == (ref_res["gram_min_eigenvalue"] < -1e-9 * ref["top_eigenvalue"]))
+        assert res["network_gap"] <= 1e-12 * (1.0 + gamma.magnitude())
+    elif report.symmetric:
         assert abs(res["gram_min_eigenvalue"] - ref_res["gram_min_eigenvalue"]) <= bound
     else:
         assert np.isnan(res["gram_min_eigenvalue"]) and np.isnan(ref_res["gram_min_eigenvalue"])
     witness, ref_witness = report.witness, ref["witness"]
     assert (witness is None) == (ref_witness is None)
-    if witness is not None:
+    if witness is not None and witness["kind"] == "negative-conductance":
+        assert edge_route and ref_witness["kind"] == "negative-direction"
+        _assert_negative_conductance(gamma, witness)
+    elif witness is not None:
         assert witness["kind"] == ref_witness["kind"]
         for key in ("pair", "triple", "residual"):
             assert witness.get(key) == ref_witness.get(key), key
         if witness["kind"] == "negative-direction":
             _assert_negative_direction(witness, ref["big"], bound)
     return report
+
+
+def _assert_negative_conductance(gamma, witness):
+    """The witness edge [x, y] holds the most negative conductance
+    Gamma(d_x, d_x)(y) / scale, and names it."""
+    g = gamma.gram
+    x, y = witness["edge"]
+    diagonal = np.array(np.einsum("ppy->py", g).real)
+    np.fill_diagonal(diagonal, np.inf)
+    assert x != y and g[x, x, y].real == diagonal.min() < 0
+    assert witness["conductance"] == g[x, x, y].real / gamma.scale
 
 
 def _assert_negative_direction(witness, big, bound):
@@ -139,8 +167,9 @@ def test_reference_agreement_on_valid_and_witnessed_forms(catalog):
     alg = nca.build_algebra([1] * 4, [1.0] * 4)
     c = np.array([[0, 1, 1, 0.5], [1, 0, -0.4, 1], [1, -0.4, 0, 1], [0.5, 1, 1, 0]])
     report = _assert_matches_reference(nca.network_cdc(alg, c, allow_negative=True))
-    assert report.witness["kind"] == "negative-direction"
-    assert report.witness["eigenvalue"] == report.residuals["gram_min_eigenvalue"]
+    assert report.witness == {"kind": "negative-conductance", "edge": [1, 2],
+                              "conductance": -0.4}
+    assert report.residuals["negative_conductance"] == 0.2
 
 
 def test_cp_witness_is_embedded_from_its_block():
@@ -440,13 +469,15 @@ def _traced_peak(call) -> int:
 
 
 # past the gram, each gap of is_cdc and reality_checks holds one chunk at a
-# time, and is_cdc then one CP stack, which sets its peak on M7.  With whole
-# float (d, d, d) star and tau-balanced gaps the two peaked at 2.57 and 1.46
-# MiB on N48, 1.55 and 1.59 on M6, and 1.91 and 2.09 on M7, whose complex
-# gram is 1.80 MiB; with whole-gram gaps at 3.43 and 4.24, 2.97 and 3.22,
-# and 7.30 and 8.10
+# time, and is_cdc then one CP stack, which sets its peak on M7; a network
+# takes no CP stack, and its network gap goes by chunks too, so N48 peaks
+# at 0.86 MiB (0.90 with the (48, 48, 48) CP stack).  With whole float
+# (d, d, d) star and tau-balanced gaps the two peaked at 2.57 and 1.46 MiB
+# on N48, 1.55 and 1.59 on M6, and 1.91 and 2.09 on M7, whose complex gram
+# is 1.80 MiB; with whole-gram gaps at 3.43 and 4.24, 2.97 and 3.22, and
+# 7.30 and 8.10
 @pytest.mark.parametrize("build, size, cdc_mib, reality_mib", [
-    (_network_form, 48, 1.9, 0.9), (_commutator_form, 6, 1.4, 1.4),
+    (_network_form, 48, 1.0, 0.9), (_commutator_form, 6, 1.4, 1.4),
     (_commutator_form, 7, 2.00, 1.4)])
 def test_form_checks_hold_one_gram_sized_temporary(build, size, cdc_mib, reality_mib):
     gamma = build(size, size)

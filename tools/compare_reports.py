@@ -18,7 +18,9 @@ network form other than the star check's scale-1/2 one, cut at another
 rank), plus ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
 ``group_action_cdc``) from ``tests/test_cli.py`` and the ``NEGATIVE_C``
 triangle of that file as an ``allow_negative`` network, whose reports take the FAIL paths
-(``heat-cp-t0.1``, ``network-markov``), that file's ``DISCONNECTED_NETWORK``
+(``heat-cp-t0.1``, ``network-markov``), ``K4_NEGATIVE`` (K4 with one
+conductance -0.4, scaled by 1e-12, whose ``cdc-completely-positive`` a
+bound floored at 1 passed), that file's ``DISCONNECTED_NETWORK``
 (the ``metrically-connected`` and ``network-connected`` FAILs), and the nine
 invalid specs of :func:`invalid_specs`, which pin the exit code and stderr of
 each rule of the validation pass.  The Markov batteries of the two
@@ -38,7 +40,7 @@ symmetry and 3 tau-balanced chunks on [6]; 4, 4 and 7 on [1] * 48), and
 some of their symmetry, star-representation and tau-balanced witnesses each
 lie past the first chunk.  The real parts of the [1] * 12 and [2, 2, 2]
 pairs take the float64 path to its symmetry and star-representation
-witnesses and its CP eigenvalues.  That makes 416 reports.  The script
+witnesses and its CP eigenvalues.  That makes 425 reports.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans), how many of them flip a check's
 ``passed`` flag, and, for each float field that moved, its largest change
@@ -72,6 +74,9 @@ LARGE_LINDBLADS = (6, 7)
 # node count of the seed-7 network_case given non-unit trace weights, and
 # of the one given scale 1 and rank cutoff 1e-11
 VARIANT_NETWORK = 8
+# K4 with one negative conductance, scaled by 1e-12
+K4_NEGATIVE = {"nodes": 4, "allow_negative": True, "c": (1e-12 * np.array(
+    [[0, 1, 1, 0.5], [1, 0, -0.4, 1], [1, -0.4, 0, 1], [0.5, 1, 1, 0]])).tolist()}
 
 # runs every (command, spec) pair in one interpreter and prints a JSON list
 # of [command, exit code, stdout, stderr]
@@ -168,12 +173,13 @@ def _test_cli_literals() -> dict:
 def cli_specs() -> dict:
     """The literal ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` of
     tests/test_cli.py, its ``NEGATIVE_C`` as the conductances of an
-    ``allow_negative`` network file, its ``DISCONNECTED_NETWORK``, and
-    :func:`invalid_specs`."""
+    ``allow_negative`` network file, ``K4_NEGATIVE``, its
+    ``DISCONNECTED_NETWORK``, and :func:`invalid_specs`."""
     lit = _test_cli_literals()
     found = {name: json.dumps(lit[name])
              for name in ("K3_SPEC", "LINDBLAD_SPEC", "GROUP_SPEC", "DISCONNECTED_NETWORK")}
     found["NEGATIVE_C"] = json.dumps({"nodes": 3, "c": lit["NEGATIVE_C"], "allow_negative": True})
+    found["K4_NEGATIVE"] = json.dumps(K4_NEGATIVE)
     found.update(invalid_specs(lit))
     return found
 

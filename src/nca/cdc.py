@@ -66,7 +66,7 @@ from .algebra import (
     right_multiplication,
 )
 from .errors import InputError, PropertyViolationError
-from .reporting import CheckResult, judge
+from .reporting import CheckResult, judge, judge_spectrum
 
 
 @dataclass(frozen=True)
@@ -374,8 +374,8 @@ def is_cdc(gamma: CdCForm, tol=DEFAULT_POS_TOL) -> CdCReport:
         eigs = [np.linalg.eigvalsh(m) for m in grams]
         lows = [float(e[:, 0].min()) for e in eigs]
         min_eig = residuals["gram_min_eigenvalue"] = min(lows)
-        cp = judge("cdc-completely-positive", max(0.0, -min_eig),
-                   max(1.0, max(float(e[:, -1].max()) for e in eigs)), tol)
+        cp = judge_spectrum("cdc-completely-positive", min_eig,
+                            max(float(e[:, -1].max()) for e in eigs), tol)
         if not cp.passed and witness is None:
             group = int(np.argmin(lows))
             block = int(eigs[group][:, 0].argmin())

@@ -37,7 +37,7 @@ from .energy import (
 from .errors import DisconnectedError, InputError, PropertyViolationError
 from .fileio import ProblemSpec, parse_spec, read_spec
 from .quotient import quotient_checks, split
-from .reporting import CheckResult, dumps_canonical, judge
+from .reporting import CheckResult, dumps_canonical, judge, judge_spectrum
 from .resistance import markov_violation_witness, metric_checks
 from .states import dual_metric, energy_metric
 from .stddev import extend, independent_copies_cdc, stddev_laplacian, stddev_seminorms
@@ -101,8 +101,7 @@ def _laplacian_checks(problem: _Problem):
     eigs = lap.eigenvalues
     checks = [
         judge("laplacian-annihilates-unit", unit_res, 1 + one.norm(), tol),
-        judge("laplacian-positive", max(0.0, -eigs[0]), max(1.0, eigs[-1]),
-              spec.tolerances.positivity),
+        judge_spectrum("laplacian-positive", eigs[0], eigs[-1], spec.tolerances.positivity),
     ]
     data = {
         "kernel_dim": int(lap.kernel_dim),
@@ -160,7 +159,7 @@ def _metric_checks(problem: _Problem):
             dist[i][j] = dist[j][i] = DISCONNECTED
     checks = [
         CheckResult("metric-connected", connected_all),
-        judge("metric-dual-agreement", worst, 1.0, max(tol, 1e-9)),
+        judge("metric-dual-agreement", worst, 1.0, tol),
     ]
     return checks, {"distances": dist}
 
@@ -172,7 +171,7 @@ def _resistance_checks(problem: _Problem):
     net = spec.generator["c"]
     if net.c.min() < 0:
         try:
-            witness = markov_violation_witness(net)
+            witness = markov_violation_witness(net, tol=spec.tolerances.positivity)
         except InputError as exc:  # an indefinite form has no clipping witness
             return [CheckResult("network-markov", False, witness={"reason": str(exc)})], {}
         return [CheckResult(
@@ -188,7 +187,7 @@ def _resistance_checks(problem: _Problem):
         check = CheckResult("network-connected", False,
                             witness={"reason": "network graph is disconnected"})
         return [check], {"resistance": DISCONNECTED}
-    report = metric_checks(net, seed=spec.seed)
+    report = metric_checks(net, seed=spec.seed, tol=spec.tolerances.equality)
     data = {
         "resistance": report.resistance.tolist(),
         "energy": report.energy.tolist(),
@@ -217,12 +216,12 @@ def _dirac_checks(problem: _Problem):
     value, from_form = dirac_seminorms(op, samples)
     worst = float(np.abs(value - from_form).max())
     checks = [
-        judge(name, bs.residuals[key], 1.0, max(tol, 1e-9))
+        judge(name, bs.residuals[key], 1.0, tol)
         for name, key in (("dirac-factorizes-laplacian", "laplacian_factorization"),
                           ("dirac-null-space-invariant", "null_space_invariance"),
                           ("dirac-left-action-star", "star_representation"))
     ]
-    checks.append(judge("dirac-norm-formula", worst, 1.0, max(tol, 1e-8)))
+    checks.append(judge("dirac-norm-formula", worst, 1.0, tol))
     data = {
         "dim_omega": int(bs.rank),
         "delta_factorization_residual": bs.residuals["laplacian_factorization"],
@@ -230,7 +229,7 @@ def _dirac_checks(problem: _Problem):
     }
     net = spec.generator.get("c")  # the network of a network generator
     if net is not None and net.c.min() >= 0 and net.is_connected():
-        star = star_graph_check(net, seed=spec.seed)
+        star = star_graph_check(net, seed=spec.seed, tol=tol)
         data["star_graph"] = {
             "is_star": star["is_star"],
             "parallelogram_holds": star["parallelogram_holds"],
@@ -249,7 +248,7 @@ def _stddev_checks(problem: _Problem):
         raise InputError("the stddev command needs a 'weight_element' field")
     ea = extend(spec.algebra, spec.weight_element)
     tol = spec.tolerances.equality
-    lap = stddev_laplacian(ea)
+    lap = stddev_laplacian(ea, tol=tol)
     gamma_ic = independent_copies_cdc(spec.algebra, spec.weight_element)
     closed = ea.closed_form
     lap_ic = laplacian(EnergyForm(spec.algebra, gamma_ic.tau_values))
@@ -267,8 +266,8 @@ def _stddev_checks(problem: _Problem):
     samples = random_self_adjoint_rows(spec.algebra, np.random.default_rng(spec.seed), 10)
     sem_gap = float(np.abs(stddev_seminorms(ea, samples) - _seminorms(e, samples)).max())
     checks = [
-        judge("stddev-route-agreement", route_gap, 1.0, max(tol, 1e-9)),
-        judge("stddev-seminorm-identity", sem_gap, 1.0, max(tol, 1e-9)),
+        judge("stddev-route-agreement", route_gap, 1.0, tol),
+        judge("stddev-seminorm-identity", sem_gap, 1.0, tol),
         CheckResult("stddev-extension-connected", connectedness(ea.laplacian)),
     ]
     checks.extend(markov_check(lap, seed=spec.seed, tol=tol))

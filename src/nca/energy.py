@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .cdc import CdCForm, gamma_from_generator, is_cdc
 from .errors import InputError, PropertyViolationError
-from .reporting import judge, over_bound
+from .reporting import judge, judge_spectrum, over_bound
 
 @dataclass(frozen=True)
 class EnergyForm:
@@ -170,7 +170,7 @@ def connectedness(lap: Laplacian) -> bool:
         return False
     one = lap.algebra.identity_coords
     res = np.linalg.norm(lap.matrix @ one)
-    bound = max(lap.rank_tol, 1e-9) * max(1.0, float(np.abs(lap.matrix).max()))
+    bound = lap.rank_tol * max(1.0, float(np.abs(lap.matrix).max()))
     return bool(res <= bound * np.linalg.norm(one))
 
 
@@ -391,7 +391,7 @@ def leibniz_check(
         violation = lhs - bound
         worst = float(violation.max(initial=0.0))
         witness = None
-        if worst > max(tol, 0.0):
+        if worst > 0 and worst > tol:
             idx = int(violation.argmax())
             witness = {"order": order, "pair_index": idx,
                        "lhs": float(lhs[idx]), "bound": float(bound[idx])}
@@ -488,7 +488,7 @@ def _choi_flags(phi: SuperOperator, tol: float, check: str):
     top = max(float(e[:, -1].max()) for e in eigs)
     cp = judge(check, skew, max(1.0, max(float(np.abs(c).max()) for c in blocks)), tol)
     if cp.passed:
-        cp = judge(check, max(0.0, -min_eig), max(1.0, top), tol)
+        cp = judge_spectrum(check, min_eig, top, tol)
     return cp, {"choi_min_eigenvalue": min_eig, "choi_skew_residual": skew}
 
 
@@ -579,8 +579,8 @@ def _require_dirichlet(e: EnergyForm, lap: Laplacian, tol: float, markov: Callab
               judge("hermitian", np.abs(m - m.conj().T).max(), scale, tol)]
     if checks[1].passed:
         eigs = lap.eigenvalues
-        checks.append(judge("complete-positivity", -eigs[0], max(1.0, float(eigs[-1])), tol,
-                            {"min_eigenvalue": float(eigs[0])}))
+        checks.append(judge_spectrum("complete-positivity", eigs[0], eigs[-1], tol,
+                                     {"min_eigenvalue": float(eigs[0])}))
     failures = [c for c in checks if not c.passed]
     if not failures:
         failures = [r for r in markov() if not r.passed]
@@ -605,7 +605,7 @@ def cdc_from_dirichlet_form(
         _require_dirichlet(e, lap, tol, lambda: markov_check(lap, seed=seed, tol=tol))
     gamma = gamma_delta(lap)
     pairing = judge("trace-pairing", np.abs(gamma.tau_values - e.gram).max(),
-                    1.0 + e.magnitude(), max(tol, 1e-9))
+                    1.0 + e.magnitude(), tol)
     if not pairing.passed:
         raise PropertyViolationError(
             "reconstructed form does not reproduce the energy form", [pairing])

@@ -29,7 +29,7 @@ from .energy import (
     markov_check,
 )
 from .errors import DisconnectedError, InputError, PropertyViolationError
-from .reporting import CheckResult, judge, over_bound
+from .reporting import CheckResult, judge, judge_spectrum, over_bound
 
 
 def central_projection(algebra: Algebra, keep_blocks) -> Element:
@@ -162,7 +162,7 @@ def quotient_checks(qd: QuotientData, seed=0, count=20, tol=DEFAULT_EQ_TOL) -> l
 
     eigs = qd.ambient.eigenvalues
     pre = [judge("ambient-real", ambient_e.real_residual(), 1 + ambient_e.magnitude(), tol),
-           judge("ambient-positive", max(0.0, -eigs[0]), max(1.0, eigs[-1]), tol)]
+           judge_spectrum("ambient-positive", eigs[0], eigs[-1], tol)]
     pre.extend(
         replace(r, check="ambient-" + r.check)
         for r in markov_check(qd.ambient, seed=seed, count=max(5, count // 2), tol=tol)

@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import DEFAULT_EQ_TOL, DEFAULT_POS_TOL, DEFAULT_RANK_TOL
 from .errors import InputError
 
 
@@ -51,13 +52,20 @@ def judge(check: str, residual, magnitude, tol: float, witness=None) -> CheckRes
                        float(residual[at]), witness, float(tol * magnitude[at]))
 
 
+def judge_spectrum(check: str, low, top, tol: float, witness=None) -> CheckResult:
+    """The positivity verdict of a spectrum with least eigenvalue ``low``
+    and largest ``top``: its negative part max(0, -low) against
+    ``tol * max(1, top)``."""
+    return judge(check, max(0.0, -low), max(1.0, top), tol, witness)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used across all checks, overridable per run."""
 
-    positivity: float = 1e-9
-    rank: float = 1e-10
-    equality: float = 1e-9
+    positivity: float = DEFAULT_POS_TOL
+    rank: float = DEFAULT_RANK_TOL
+    equality: float = DEFAULT_EQ_TOL
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -22,7 +22,7 @@ from .algebra import (
 from .cdc import conductance_matrix, network_cdc
 from .energy import EnergyForm, Laplacian, energy_form
 from .errors import DisconnectedError, InputError
-from .reporting import judge
+from .reporting import judge, judge_spectrum
 from .states import StateEmbedding, point_state
 
 
@@ -176,7 +176,7 @@ def _mixture_search(dist2: np.ndarray):
     return best, (i, int(j), int(k))
 
 
-def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=1e-10,
+def metric_checks(net: ResistanceNetwork, seed=0, step=0.1, tol=DEFAULT_EQ_TOL,
                   mixture_margin=1e-6) -> NetworkMetricReport:
     """Triangle inequality for the resistance distance, the square relation
     against the energy metric, acute angles between pure states, and a seeded
@@ -311,7 +311,7 @@ def markov_violation_witness(net: ResistanceNetwork, tol=DEFAULT_POS_TOL):
     conductances are nonnegative; otherwise builds the explicit witness whose
     clipped energy exceeds the original."""
     eigs = net.laplacian.eigenvalues
-    if eigs[0] < -tol * max(1.0, eigs[-1]):
+    if not judge_spectrum("energy-positive", eigs[0], eigs[-1], tol).passed:
         raise InputError("the energy form itself is not nonnegative")
     if net.c.min() >= 0:
         return None

@@ -126,7 +126,7 @@ def stddev_laplacian(ea: ExtendedAlgebra, tol=DEFAULT_EQ_TOL) -> Laplacian:
     lap = split(ea.laplacian, proj).quotient_laplacian
 
     gap = float(np.abs(lap.matrix - ea.closed_form.matrix).max())
-    if gap > max(tol, 1e-10) * (1.0 + float(np.abs(lap.matrix).max())):
+    if gap > tol * (1.0 + float(np.abs(lap.matrix).max())):
         raise InputError(f"Schur route disagrees with the closed form (residual {gap:.3e})")
     return lap
 

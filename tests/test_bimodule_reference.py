@@ -18,7 +18,7 @@ from dense_bimodule import (ReferenceSpace, act_left, commutator_blocks, commuta
                             left_action_stack, pair_forms, pair_projection,
                             squared_commutator_norms)
 from nca.algebra import random_element, random_self_adjoint_rows
-from nca.dirac import _star_squared_norms
+from nca.dirac import _squared_norms
 from nca.resistance import random_network
 
 RTOL = 1e-12
@@ -158,7 +158,7 @@ PER_BLOCK_ALGEBRAS = {"3-2-1": ([3, 2, 1], [1.0, 0.5, 2.0]), "2-2": ([2, 2], [1.
 def test_per_block_commutators_match_dense_routes(case, seed):
     # the seminorms from the (r_b, n_b) blocks against the two-block dense
     # commutator and the (d, rank, d) stack; on a network the star-graph
-    # squared norms from the per-node tables against the point-mass Gram
+    # squared norms from the conductances against the point-mass Gram
     # table, and the star-graph verdict and witness on either route
     rng = np.random.default_rng(seed)
     if isinstance(case, int):
@@ -181,14 +181,14 @@ def test_per_block_commutators_match_dense_routes(case, seed):
 
     if isinstance(case, int):
         coeffs = rng.standard_normal((4, case))
-        got = _star_squared_norms(gamma.gram, coeffs)
-        want = squared_commutator_norms(op.bimodule, coeffs)
+        got = _squared_norms(net.c, coeffs, 0.5)
+        want = squared_commutator_norms(op.bimodule, coeffs)[-len(coeffs):]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * want.max()
         star = nca.star_graph_check(net, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nca.dirac, "_star_squared_norms",
-                          lambda gram, coeffs: squared_commutator_norms(op.bimodule, coeffs))
+            patch.setattr(nca.dirac, "_squared_norms", lambda c, coeffs, scale:
+                          squared_commutator_norms(op.bimodule, coeffs)[-len(coeffs):])
             dense = nca.star_graph_check(net, seed=seed)
         for key in ("is_star", "parallelogram_holds", "witness"):
             assert star[key] == dense[key], key

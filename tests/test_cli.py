@@ -1,7 +1,11 @@
 """Spec parsing, report emission, exit codes, and determinism."""
 import importlib
 import json
+import re
+import sys
 from collections import Counter
+from fnmatch import fnmatchcase
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from nca.algebra import decode_element, encode_element
 from nca.cli import COMMANDS, emit_report, main, run_command
 from nca.errors import InputError
 from nca.fileio import parse_spec
-from nca.reporting import dumps_canonical
+from nca.reporting import Tolerances, dumps_canonical
 
 
 K3_SPEC = {
@@ -595,9 +599,11 @@ def test_all_is_the_union_of_single_commands(spec_dict):
 
 
 def test_all_builds_the_form_once(monkeypatch):
-    # the validation pass builds the spec's form, and every suite reads it
+    # the validation pass builds the spec's form, every suite reads it, and
+    # the star check reads the conductances; network_cdc is counted in every
+    # module that holds it
     calls = {"network_cdc": 0, "heat_map": 0, "heat_semigroup": 0}
-    cli, fileio = importlib.import_module("nca.cli"), importlib.import_module("nca.fileio")
+    cli = importlib.import_module("nca.cli")
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -607,7 +613,13 @@ def test_all_builds_the_form_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fileio, "network_cdc", counted(fileio, "network_cdc"))
+    network_cdc = counted(nca.cdc, "network_cdc")
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "nca"
+               and getattr(module, "network_cdc", None) is nca.cdc.network_cdc]
+    assert {"nca.cdc", "nca.fileio"} <= {module.__name__ for module in holders}
+    for module in holders:
+        monkeypatch.setattr(module, "network_cdc", network_cdc)
     for name in ("heat_map", "heat_semigroup"):
         monkeypatch.setattr(cli, name, counted(cli, name))
     spec = parse_spec(json.dumps(K3_SPEC))
@@ -698,6 +710,66 @@ def test_scaled_network_reports_every_check_and_no_fail(n):
     report = run_command("all", parse_spec(json.dumps(spec)))
     assert len(report["checks"]) == 38
     assert [c["check"] for c in report["checks"] if not c["passed"]] == []
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e-9, 1.0, 1e6])
+def test_star_characterization_holds_in_every_unit(lam):
+    # each parallelogram gap is relative to its own pair's terms, with no
+    # floor of 1, so the seed-7 N6 network keeps its verdict when its
+    # conductances are scaled; divided by max(1, terms), every gap of a
+    # form far below 1 passed the law on this non-star for lam <= 1e-9
+    spec = bench_network_spec(6)
+    spec["generator"]["c"] = (lam * np.asarray(spec["generator"]["c"])).tolist()
+    report = run_command("all", parse_spec(json.dumps(spec)))
+    (star,) = [c for c in report["checks"] if c["check"] == "dirac:dirac-star-characterization"]
+    assert star["passed"]
+    assert not report["data"]["dirac"]["star_graph"]["parallelogram_holds"]
+
+
+def _readme_tolerances() -> dict:
+    """Each check pattern of the README verdict table, with the spec
+    tolerance that its row names."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Verdicts and bounds", 1)[1].split("\n\n")[2]
+    names = {"tol_pos": "positivity", "tol_eq": "equality", "tol_rank": "rank"}
+    found = {}
+    for row in table.splitlines()[2:]:
+        checks, tol = row.split(" | ")[0], row.rstrip(" |").rsplit("| ", 1)[1]
+        for pattern in re.findall(r"`([^`]+)`", checks):
+            found[pattern] = names[tol.strip("`")]
+    return found
+
+
+@pytest.mark.parametrize("spec_dict", [
+    dict(K3_SPEC, weight_element=[[[[0.2, 0.0]]], [[[0.3, 0.0]]], [[[0.5, 0.0]]]]),
+    LINDBLAD_SPEC, GROUP_SPEC, NET5_SPEC, bench_network_spec(6),
+    {"nodes": 3, "c": NEGATIVE_C, "allow_negative": True},
+])
+def test_bounds_scale_with_the_tolerance_the_readme_names(spec_dict):
+    # every bound is the spec's tolerance times a magnitude that no
+    # tolerance moves: scaling one tolerance by 10 or 1/10 keeps every
+    # bounded check and scales exactly the bounds of the rows that name it
+    table = _readme_tolerances()
+
+    def bounds(tolerances):
+        raw = dict(spec_dict, tolerances=tolerances)
+        report = run_command("all", parse_spec(json.dumps(raw)))
+        return {c["check"]: c["bound"] for c in report["checks"] if "bound" in c}
+
+    defaults = Tolerances().to_dict()
+    base = bounds(defaults)
+    # every bounded check has exactly one row
+    named = {}
+    for entry in base:
+        (named[entry],) = [tol for pattern, tol in table.items()
+                           if fnmatchcase(entry.split(":")[-1], pattern)]
+    for scaled in defaults:
+        for factor in (10.0, 0.1):
+            got = bounds(dict(defaults, **{scaled: factor * defaults[scaled]}))
+            assert got.keys() == base.keys(), (scaled, factor)
+            for entry in got:
+                want = base[entry] * (factor if named[entry] == scaled else 1.0)
+                assert abs(got[entry] - want) <= 1e-12 * want, (entry, scaled, factor)
 
 
 # checks whose verdict compares no residual with a bound

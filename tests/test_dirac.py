@@ -10,7 +10,7 @@ import pytest
 import nca
 from nca.algebra import left_multiplication, random_element, random_rows, random_self_adjoint_rows
 from nca.cdc import CdCForm, CdCReport, _cp_blocks
-from nca.dirac import _moved_frames, _star_squared_norms
+from nca.dirac import _moved_frames, _squared_norms
 from nca.errors import DisconnectedError, InputError, PropertyViolationError
 from nca.resistance import random_network, random_star_network
 
@@ -324,20 +324,19 @@ def test_star_graph_flags():
 
 @pytest.mark.parametrize("size", [6, 8, 12, 16])
 def test_star_graph_batched_norms_match_commutator_norm(size):
-    # each squared norm read off the slabs of the network form, and each
-    # read off the point-mass Gram table, agrees with the commutator route,
-    # for point masses, delta_p +- delta_q and random f
+    # each squared norm read off the conductances, and each read off the
+    # point-mass Gram table, agrees with the commutator route, for point
+    # masses, delta_p +- delta_q and random f
     rng = np.random.default_rng(200 + size)
     net = random_network(size, rng)
     gamma = nca.network_cdc(net.algebra, net.c, scale=0.5)
     op = nca.DiracOperator(nca.build_bimodule(gamma))
     values = rng.standard_normal((3, size))
-    l2 = _star_squared_norms(gamma.gram, values)
-    gram = squared_commutator_norms(op.bimodule, values)
     eye = np.eye(size)
     p, q = np.triu_indices(size, 1)
-    functions = (list(eye) + [eye[a] + eye[b] for a, b in zip(p, q)]
-                 + [eye[a] - eye[b] for a, b in zip(p, q)] + list(values))
+    functions = np.concatenate([eye, eye[p] + eye[q], eye[p] - eye[q], values])
+    l2 = _squared_norms(net.c, functions, 0.5)
+    gram = squared_commutator_norms(op.bimodule, values)
     assert len(l2) == len(gram) == len(functions)
     for got, got_gram, vals in zip(l2, gram, functions):
         want = commutator_norm(op.bimodule, net.function(vals)) ** 2

@@ -1,11 +1,12 @@
-"""The verdict builder ``judge`` and the report comparison of
-``tools/compare_reports.py``."""
+"""The verdict builders ``judge`` and ``judge_spectrum``, the default
+tolerances, and the report comparison of ``tools/compare_reports.py``."""
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from nca.reporting import CheckResult, judge, over_bound
+from nca import algebra
+from nca.reporting import CheckResult, Tolerances, judge, judge_spectrum, over_bound
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -45,6 +46,21 @@ def test_over_bound_marks_the_entries_judge_fails():
     for i in range(len(residual)):
         assert judge("x", residual[i], magnitude[i], 1.0).passed == (
             not over_bound(residual[i], magnitude[i], 1.0))
+
+
+def test_judge_spectrum_is_the_negative_part_against_the_top():
+    # the negative part of the least eigenvalue against tol * max(1, top),
+    # with the witness passed through
+    assert judge_spectrum("x", -3e-9, 2.0, 1e-9, {"at": 0}) == judge(
+        "x", 3e-9, 2.0, 1e-9, {"at": 0})
+    assert judge_spectrum("x", 0.5, 1e-3, 1e-9) == CheckResult("x", True, 0.0, None, 1e-9)
+    assert not judge_spectrum("x", -2e-9, 1e-3, 1e-9).passed
+
+
+def test_tolerances_default_to_the_library_defaults():
+    assert Tolerances() == Tolerances(positivity=algebra.DEFAULT_POS_TOL,
+                                      rank=algebra.DEFAULT_RANK_TOL,
+                                      equality=algebra.DEFAULT_EQ_TOL)
 
 
 def _compare_reports():

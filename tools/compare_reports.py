@@ -15,7 +15,8 @@ several chunks, and the n = 8 network with trace weights
 one network whose orthonormal basis is not the canonical one), the n = 8
 network with ``generator.scale: 1`` and ``tolerances.rank: 1e-11`` (a
 network form other than the star check's scale-1/2 one, cut at another
-rank), plus ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
+rank), the n = 6 network with its conductances times 1e-10 (a form far
+below magnitude 1, whose verdicts must not depend on the units), plus ``K3_SPEC``, ``LINDBLAD_SPEC`` and ``GROUP_SPEC`` (the one spec that reaches
 ``group_action_cdc``) from ``tests/test_cli.py`` and the ``NEGATIVE_C``
 triangle of that file as an ``allow_negative`` network, whose reports take the FAIL paths
 (``heat-cp-t0.1``, ``network-markov``), ``K4_NEGATIVE`` (K4 with one
@@ -40,7 +41,7 @@ symmetry and 3 tau-balanced chunks on [6]; 4, 4 and 7 on [1] * 48), and
 some of their symmetry, star-representation and tau-balanced witnesses each
 lie past the first chunk.  The real parts of the [1] * 12 and [2, 2, 2]
 pairs take the float64 path to its symmetry and star-representation
-witnesses and its CP eigenvalues.  That makes 425 reports.  The script
+witnesses and its CP eigenvalues.  That makes 434 reports.  The script
 prints the structural differences (exit code, stderr, stdout shape, keys,
 list lengths, strings and booleans), how many of them flip a check's
 ``passed`` flag, and, for each float field that moved, its largest change
@@ -74,6 +75,8 @@ LARGE_LINDBLADS = (6, 7)
 # node count of the seed-7 network_case given non-unit trace weights, and
 # of the one given scale 1 and rank cutoff 1e-11
 VARIANT_NETWORK = 8
+# node count and conductance factor of the seed-7 network_case far below 1
+SMALL_NETWORK = (6, 1e-10)
 # K4 with one negative conductance, scaled by 1e-12
 K4_NEGATIVE = {"nodes": 4, "allow_negative": True, "c": (1e-12 * np.array(
     [[0, 1, 1, 0.5], [1, 0, -0.4, 1], [1, -0.4, 0, 1], [0.5, 1, 1, 0]])).tolist()}
@@ -231,6 +234,14 @@ def scaled_network_spec(n: int) -> str:
     return json.dumps(spec)
 
 
+def small_network_spec(n: int, factor: float) -> str:
+    """The seed-7 ``network_case`` on n nodes with its conductances times
+    ``factor``."""
+    spec = json.loads(workloads.network_case(np.random.default_rng(7), n)["spec"])
+    spec["generator"]["c"] = (factor * np.asarray(spec["generator"]["c"])).tolist()
+    return json.dumps(spec)
+
+
 def specs() -> dict:
     named = {}
     for workload in WORKLOADS:
@@ -246,6 +257,8 @@ def specs() -> dict:
         named[f"lindblad-M{n}-seed7"] = workloads.lindblad_case(np.random.default_rng(7), n)["spec"]
     named[f"weighted-network-N{VARIANT_NETWORK}-seed7"] = weighted_network_spec(VARIANT_NETWORK)
     named[f"scaled-network-N{VARIANT_NETWORK}-seed7"] = scaled_network_spec(VARIANT_NETWORK)
+    n, factor = SMALL_NETWORK
+    named[f"network-N{n}-times-{factor:g}-seed7"] = small_network_spec(n, factor)
     named.update(cli_specs())
     return named
 
